@@ -7,11 +7,10 @@
 //! 3. **Same-ID reorder window** — the controller ordering rule the TLP
 //!    mechanism routes around.
 //! 4. **Burst length sweep** — the Figure 4 control experiment.
-//! 5. **Idle-skipping scheduler vs naive stepper** — host wall-clock on an
-//!    idle-heavy workload (cycle counts are identical by construction).
-//! 6. **Active-set scheduler vs idle-skipping vs naive** — host wall-clock
-//!    across idle-heavy, one-busy-core, and all-cores-busy load shapes.
-//! 7. **Dispatch-policy ablation** — the runtime server's pluggable
+//! 5. **Active-set scheduler vs naive stepper** — host wall-clock across
+//!    idle-heavy, one-busy-core, and all-cores-busy load shapes (cycle
+//!    counts are identical by construction).
+//! 6. **Dispatch-policy ablation** — the runtime server's pluggable
 //!    policies against the lock-arbitrated baseline on the seeded
 //!    open-loop schedule (tail latency, goodput, rejections).
 
@@ -200,68 +199,16 @@ fn ablation_dram_mapping(c: &mut Criterion) {
     group.finish();
 }
 
-/// Idle-skipping scheduler vs the naive stepper on an idle-heavy workload:
-/// one 16 KiB memcpy command, then a long quiescent stretch where only DRAM
-/// refresh has work. Simulated cycle counts are identical in both modes
-/// (the lockstep tests guard that); the datum here is host wall-clock.
-fn ablation_scheduler(c: &mut Criterion) {
-    const SRC: u64 = 0x10_0000;
-    const DST: u64 = 0x80_0000;
-    const BYTES: u64 = 16 * 1024;
-    const IDLE_GAP_CYCLES: u64 = 1_000_000;
-
-    let drive = |event_driven: bool| -> bsim::SimRate {
-        let timer = bsim::SimRateTimer::starting_at(0);
-        let mut soc = bcore::elaborate(bkernels::memcpy::config(), &Platform::aws_f1())
-            .expect("memcpy elaborates");
-        soc.set_event_driven(event_driven);
-        let payload: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
-        soc.memory().borrow_mut().write(SRC, &payload);
-        let args = [
-            ("src".to_owned(), SRC),
-            ("dst".to_owned(), DST),
-            ("len".to_owned(), BYTES),
-        ]
-        .into_iter()
-        .collect();
-        let token = soc.send_command(0, 0, &args).expect("send");
-        soc.run_until_response(token, 100_000_000)
-            .expect("copy completes");
-        soc.run_for(IDLE_GAP_CYCLES);
-        timer.finish(soc.now())
-    };
-
-    let naive = drive(false);
-    let skipping = drive(true);
-    println!("ablation datum: naive stepper : {}", naive.render());
-    println!("ablation datum: idle-skipping : {}", skipping.render());
-    println!(
-        "ablation datum: scheduler speedup: {:.1}x host wall-clock over {} idle-heavy cycles",
-        naive.host_seconds / skipping.host_seconds,
-        naive.cycles
-    );
-
-    let mut group = c.benchmark_group("ablation_scheduler");
-    group.sample_size(3);
-    group.bench_function("naive_idle_heavy", |b| b.iter(|| black_box(drive(false))));
-    group.bench_function("idle_skipping_idle_heavy", |b| {
-        b.iter(|| black_box(drive(true)))
-    });
-    group.finish();
-}
-
-/// Active-set scheduler vs idle-skipping vs naive across three load
-/// shapes:
+/// Active-set scheduler vs the naive stepper across three load shapes:
 ///
 /// * **idle-heavy** — one memcpy command then a long refresh-only
-///   stretch: the shape fast-forward already collapses, so active-set
-///   should match idle-skipping.
+///   stretch: the shape whole-simulation fast-forward collapses.
 /// * **one-busy-core** — a many-core vector-add SoC with a single core
-///   streaming commands: there is *no* quiescent gap to skip, so
-///   idle-skipping degenerates to the naive stepper while the active-set
-///   heap only ticks the busy core and its memory path.
+///   streaming commands: there is *no* quiescent gap to skip, so the win
+///   comes from the active-set heap ticking only the busy core and its
+///   memory path.
 /// * **all-cores-busy** — every core streaming: the honest no-win case;
-///   all three schedulers do proportional work.
+///   both schedulers do proportional work.
 ///
 /// Simulated cycle counts are identical across modes by construction
 /// (asserted here; guarded byte-for-byte by the lockstep and property
@@ -348,23 +295,19 @@ fn ablation_active_set(c: &mut Criterion) {
     ];
     for (name, run) in &scenarios {
         let (naive, _) = run(SchedulerMode::Naive);
-        let (skip, _) = run(SchedulerMode::IdleSkip);
         let (active, ext) = run(SchedulerMode::ActiveSet);
-        assert_eq!(naive.cycles, skip.cycles, "{name}: idle-skip cycle drift");
         assert_eq!(
             naive.cycles, active.cycles,
             "{name}: active-set cycle drift"
         );
         println!("ablation datum: {name} naive     : {}", naive.render());
-        println!("ablation datum: {name} idle-skip : {}", skip.render());
         println!(
             "ablation datum: {name} active-set: {}",
             active.render_with(&ext)
         );
         println!(
-            "ablation datum: {name} active-set speedup: {:.1}x vs naive, {:.1}x vs idle-skip",
-            naive.host_seconds / active.host_seconds,
-            skip.host_seconds / active.host_seconds
+            "ablation datum: {name} active-set speedup: {:.1}x vs naive",
+            naive.host_seconds / active.host_seconds
         );
     }
 
@@ -372,9 +315,6 @@ fn ablation_active_set(c: &mut Criterion) {
     group.sample_size(3);
     group.bench_function("one_busy_core_naive", |b| {
         b.iter(|| black_box(vecadd_run(SchedulerMode::Naive, 1, 8)))
-    });
-    group.bench_function("one_busy_core_idle_skipping", |b| {
-        b.iter(|| black_box(vecadd_run(SchedulerMode::IdleSkip, 1, 8)))
     });
     group.bench_function("one_busy_core_active_set", |b| {
         b.iter(|| black_box(vecadd_run(SchedulerMode::ActiveSet, 1, 8)))
@@ -424,13 +364,14 @@ fn ablation_parallel_sweep(c: &mut Criterion) {
 /// comparison itself is the printed datum (and the `loadgen` binary's
 /// stdout artifact).
 fn ablation_server_policies(c: &mut Criterion) {
-    use bbench::loadgen::{plan, run_policy, LoadScale};
+    use bbench::loadgen::{plan, run_policy, LoadScale, RunOpts};
     use bserver::DispatchPolicy;
 
     let scale = LoadScale::small();
     let schedule = plan(42, &scale);
+    let opts = RunOpts::default();
     for policy in DispatchPolicy::all() {
-        let row = run_policy(policy, &schedule, &scale);
+        let row = run_policy(policy, &schedule, &scale, &opts);
         println!(
             "ablation datum: {:<16} p50 {:>6} p99 {:>6} cyc, {}/{} completed, {} rejected, \
              makespan {} cyc",
@@ -452,6 +393,7 @@ fn ablation_server_policies(c: &mut Criterion) {
                 DispatchPolicy::LockArbitrated,
                 &schedule,
                 &scale,
+                &opts,
             ))
         })
     });
@@ -461,6 +403,7 @@ fn ablation_server_policies(c: &mut Criterion) {
                 DispatchPolicy::ShortestJobFirst,
                 &schedule,
                 &scale,
+                &opts,
             ))
         })
     });
@@ -477,7 +420,7 @@ fn ablation_server_policies(c: &mut Criterion) {
 /// four SoCs and completes more jobs, so it is *not* expected to be
 /// faster wall-clock at this scale).
 fn ablation_fleet(c: &mut Criterion) {
-    use bbench::loadgen::{plan, run_policy_fleet, LoadScale};
+    use bbench::loadgen::{plan, run_policy, LoadScale, RunOpts};
     use bserver::DispatchPolicy;
 
     // Saturating load: 8 tenants offer far more than one core drains, so
@@ -491,8 +434,15 @@ fn ablation_fleet(c: &mut Criterion) {
         queue_capacity: 2,
     };
     let schedule = plan(42, &scale);
+    let fleet = |shards: usize| {
+        let opts = RunOpts {
+            shards,
+            ..RunOpts::default()
+        };
+        run_policy(DispatchPolicy::Fifo, &schedule, &scale, &opts)
+    };
     let throughput = |shards: usize| {
-        let (row, shard_rows) = run_policy_fleet(DispatchPolicy::Fifo, &schedule, &scale, shards);
+        let row = fleet(shards);
         let per_mcyc = row.completed as f64 * 1_000_000.0 / row.makespan_cycles as f64;
         println!(
             "ablation datum: fleet {} shard(s): {}/{} completed, {} rejected, \
@@ -504,7 +454,7 @@ fn ablation_fleet(c: &mut Criterion) {
             row.makespan_cycles,
             per_mcyc,
             row.latency.2,
-            shard_rows.len()
+            row.shards.len()
         );
         per_mcyc
     };
@@ -526,12 +476,8 @@ fn ablation_fleet(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_fleet");
     group.sample_size(10);
-    group.bench_function("fleet_1_shard", |b| {
-        b.iter(|| black_box(run_policy_fleet(DispatchPolicy::Fifo, &schedule, &scale, 1)))
-    });
-    group.bench_function("fleet_4_shards", |b| {
-        b.iter(|| black_box(run_policy_fleet(DispatchPolicy::Fifo, &schedule, &scale, 4)))
-    });
+    group.bench_function("fleet_1_shard", |b| b.iter(|| black_box(fleet(1))));
+    group.bench_function("fleet_4_shards", |b| b.iter(|| black_box(fleet(4))));
     group.finish();
 }
 
@@ -539,14 +485,14 @@ fn ablation_fleet(c: &mut Criterion) {
 /// served by a 4-shard fleet under admission micro-batching widths
 /// 1, 4, 16, and the adaptive controller. The printed data are simulated
 /// and deterministic — goodput (completed jobs per megacycle of fleet
-/// makespan) and p99 latency per batch setting. Batch 1 takes the
-/// batched code path but performs the unbatched per-command host costs,
-/// so it is the honest baseline; wider fixed batches amortize the lock
+/// makespan) and p99 latency per batch setting. Batch 1, the default,
+/// pays the per-command host costs, so it is the honest baseline; wider
+/// fixed batches amortize the lock
 /// and MMIO wakes across commands, and `auto` must land at least at the
 /// batch-1 goodput (asserted — the adaptive controller is allowed to
 /// decline to batch, never to regress).
 fn ablation_batching(c: &mut Criterion) {
-    use bbench::loadgen::{plan, run_policy_fleet_telemetry_batched, LoadScale};
+    use bbench::loadgen::{plan, run_policy, LoadScale, RunOpts};
     use bserver::{BatchPolicy, DispatchPolicy};
 
     // The fleet ablation's saturating shape, with room in each shard's
@@ -561,15 +507,16 @@ fn ablation_batching(c: &mut Criterion) {
     };
     let shards = 4;
     let schedule = plan(42, &scale);
-    let run = |batch: BatchPolicy| -> (u64, u64, u64) {
-        let (row, _, _) = run_policy_fleet_telemetry_batched(
-            DispatchPolicy::Fifo,
-            &schedule,
-            &scale,
+    let fleet = |batch: BatchPolicy| {
+        let opts = RunOpts {
             shards,
-            None,
             batch,
-        );
+            telemetry: None,
+        };
+        run_policy(DispatchPolicy::Fifo, &schedule, &scale, &opts)
+    };
+    let run = |batch: BatchPolicy| -> (u64, u64, u64) {
+        let row = fleet(batch);
         println!(
             "ablation datum: batch {:<9}: {}/{} completed, {} rejected, makespan {} cyc, \
              {:.1} jobs/Mcyc (p99 {} cyc)",
@@ -598,28 +545,10 @@ fn ablation_batching(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_batching");
     group.sample_size(10);
     group.bench_function("fleet_batch_1", |b| {
-        b.iter(|| {
-            black_box(run_policy_fleet_telemetry_batched(
-                DispatchPolicy::Fifo,
-                &schedule,
-                &scale,
-                shards,
-                None,
-                BatchPolicy::Fixed(1),
-            ))
-        })
+        b.iter(|| black_box(fleet(BatchPolicy::Fixed(1))))
     });
     group.bench_function("fleet_batch_auto", |b| {
-        b.iter(|| {
-            black_box(run_policy_fleet_telemetry_batched(
-                DispatchPolicy::Fifo,
-                &schedule,
-                &scale,
-                shards,
-                None,
-                BatchPolicy::Auto,
-            ))
-        })
+        b.iter(|| black_box(fleet(BatchPolicy::Auto)))
     });
     group.finish();
 }
@@ -737,7 +666,6 @@ criterion_group!(
     ablation_spill,
     ablation_bursts_and_ordering,
     ablation_dram_mapping,
-    ablation_scheduler,
     ablation_active_set,
     ablation_parallel_sweep,
     ablation_server_policies,

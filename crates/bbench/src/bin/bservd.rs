@@ -21,20 +21,9 @@ use std::io::Write as _;
 
 use bbench::loadgen::LoadScale;
 use bbench::netgen::rig_config;
+use bbench::parse_flag;
 use bnet::{NetConfig, NetServer};
 use bserver::DispatchPolicy;
-
-fn parse_flag(name: &str) -> Option<u64> {
-    parse_arg(name).and_then(|v| v.parse().ok())
-}
-
-fn parse_arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn main() {
     let mut scale = if bbench::small_requested() {
@@ -42,20 +31,14 @@ fn main() {
     } else {
         LoadScale::default_scale()
     };
-    if let Some(tenants) = parse_flag("--tenants") {
-        scale.tenants = (tenants as usize).max(1);
+    if let Some(tenants) = parse_flag::<usize>("--tenants") {
+        scale.tenants = tenants.max(1);
     }
-    let addr = parse_arg("--addr").unwrap_or_else(|| "127.0.0.1:0".to_owned());
-    let policy: DispatchPolicy = parse_arg("--policy")
-        .unwrap_or_else(|| "fifo".to_owned())
-        .parse()
-        .unwrap_or_else(|e| {
-            eprintln!("bservd: {e}");
-            std::process::exit(2);
-        });
-    let shards = parse_flag("--shards").map_or(1, |n| (n as usize).max(1));
+    let addr = parse_flag("--addr").unwrap_or_else(|| "127.0.0.1:0".to_owned());
+    let policy = parse_flag("--policy").unwrap_or(DispatchPolicy::Fifo);
+    let shards = parse_flag("--shards").map_or(1, |n: usize| n.max(1));
     let auth_seed = parse_flag("--auth-seed").unwrap_or(bnet::DEFAULT_AUTH_SEED);
-    let waves = parse_flag("--waves");
+    let waves: Option<u64> = parse_flag("--waves");
 
     let mut config = NetConfig::new(rig_config(&scale, policy, shards));
     config.auth_seed = auth_seed;

@@ -9,21 +9,21 @@
 //! Flags: `--seed N` (default 42), `--tenants N`, `--small` (scaled-down
 //! run), `--json` (machine-readable summary on stdout instead of the
 //! table), `--shards N` (serve through a [`bserver::FleetServer`] of N
-//! replicas with hashed session admission; per-shard stats appear in the
-//! JSON summary), `--telemetry` (request tracing + windowed metrics; the
-//! JSON summary gains a per-policy `"telemetry"` time-series — the table
-//! stays byte-identical), `--window N` (telemetry window width in
-//! cycles), `--trace DIR` (write one merged Perfetto trace per policy,
-//! implies `--telemetry`), `--flight DIR` (arm the stall watchdog; flight
-//! recorder dumps land here only if a shard wedges, implies
-//! `--telemetry`), `--batch N|auto` (admission micro-batching for the
-//! event-driven policies: dispatch up to N ready commands per lock
-//! visit, or let the adaptive controller pick the width; `--batch 1` is
-//! byte-identical to omitting the flag, and the lock-arbitrated baseline
-//! row ignores it entirely). stdout is byte-identical at any
-//! `BBENCH_JOBS`, `BSERVER_SHARDS` (which only caps the fleet's
-//! execution width), and scheduler mode, with or without telemetry;
-//! diagnostics go to stderr.
+//! replicas with hashed session admission, default 1; per-shard stats
+//! appear in the JSON summary), `--telemetry` (request tracing +
+//! windowed metrics; the JSON summary gains a per-policy `"telemetry"`
+//! time-series — the table stays byte-identical), `--window N`
+//! (telemetry window width in cycles), `--trace DIR` (write one merged
+//! Perfetto trace per policy, implies `--telemetry`), `--flight DIR`
+//! (arm the stall watchdog; flight recorder dumps land here only if a
+//! shard wedges, implies `--telemetry`), `--batch N|auto` (admission
+//! micro-batching for the event-driven policies: dispatch up to N ready
+//! commands per lock visit, default 1, or let the adaptive controller
+//! pick the width; the lock-arbitrated baseline row ignores it
+//! entirely). A numeric or named flag whose value does not parse exits
+//! with status 2. stdout is byte-identical at any `BBENCH_JOBS`,
+//! `BSERVER_SHARDS` (which only caps the fleet's execution width), and
+//! scheduler mode, with or without telemetry; diagnostics go to stderr.
 //!
 //! Two further modes drive the network front-end (`bnet`) instead of
 //! the in-process sweep: `--net ADDR` replays the seeded schedule
@@ -35,26 +35,14 @@
 //! `--shards N` pick the oracle's rig; `--auth-seed N` must match the
 //! daemon's). See `bbench::netgen`.
 
-use bbench::loadgen::{
-    render, render_json_batched, render_json_sharded_telemetry_batched, render_sharded_telemetry,
-    run_fleet_on_telemetry_batched, run_on_batched, LoadScale, TelemetryOpts,
-};
-use bserver::BatchPolicy;
+use std::path::PathBuf;
 
-fn parse_flag(name: &str) -> Option<u64> {
-    parse_arg(name).and_then(|v| v.parse().ok())
-}
-
-fn parse_arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+use bbench::loadgen::{render, render_json, run_on, LoadScale, RunOpts, TelemetryOpts};
+use bbench::parse_flag;
+use bserver::DispatchPolicy;
 
 fn net_mode(seed: u64, scale: &LoadScale, json: bool) -> ! {
-    let report = if let Some(addr) = parse_arg("--net") {
+    let report = if let Some(addr) = parse_flag::<String>("--net") {
         let auth_seed = parse_flag("--auth-seed").unwrap_or(bnet::DEFAULT_AUTH_SEED);
         eprintln!("driving bservd at {addr} with seed {seed}, scale {scale:?}");
         bbench::netgen::run_net(&addr, seed, scale, auth_seed).unwrap_or_else(|e| {
@@ -62,14 +50,8 @@ fn net_mode(seed: u64, scale: &LoadScale, json: bool) -> ! {
             std::process::exit(1);
         })
     } else {
-        let policy: bserver::DispatchPolicy = parse_arg("--policy")
-            .unwrap_or_else(|| "fifo".to_owned())
-            .parse()
-            .unwrap_or_else(|e| {
-                eprintln!("loadgen: {e}");
-                std::process::exit(2);
-            });
-        let shards = parse_flag("--shards").map_or(1, |n| (n as usize).max(1));
+        let policy = parse_flag("--policy").unwrap_or(DispatchPolicy::Fifo);
+        let shards = parse_flag("--shards").map_or(1, |n: usize| n.max(1));
         eprintln!("replaying the oracle in-process: seed {seed}, scale {scale:?}");
         bbench::netgen::run_oracle(seed, scale, policy, shards)
     };
@@ -88,61 +70,35 @@ fn main() {
         LoadScale::default_scale()
     };
     let seed = parse_flag("--seed").unwrap_or(42);
-    if let Some(tenants) = parse_flag("--tenants") {
-        scale.tenants = (tenants as usize).max(1);
+    if let Some(tenants) = parse_flag::<usize>("--tenants") {
+        scale.tenants = tenants.max(1);
     }
     let json = std::env::args().any(|a| a == "--json");
     if std::env::args().any(|a| a == "--net" || a == "--oracle") {
         net_mode(seed, &scale, json);
     }
-    let batch = parse_arg("--batch").map_or(BatchPolicy::Unbatched, |v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("loadgen: {e}");
-            std::process::exit(2);
-        })
-    });
-    let shards = parse_flag("--shards").map(|n| (n as usize).max(1));
-    let trace_dir = parse_arg("--trace").map(std::path::PathBuf::from);
-    let flight_dir = parse_arg("--flight").map(std::path::PathBuf::from);
+    let trace_dir = parse_flag::<PathBuf>("--trace");
+    let flight_dir = parse_flag::<PathBuf>("--flight");
+    let window_cycles = parse_flag("--window").unwrap_or(0);
     let telemetry =
         std::env::args().any(|a| a == "--telemetry") || trace_dir.is_some() || flight_dir.is_some();
-    let opts = telemetry.then(|| TelemetryOpts {
-        window_cycles: parse_flag("--window").unwrap_or(0),
-        trace_dir,
-        flight_dir,
-    });
-    // Telemetry rides the fleet path; without --shards it runs a 1-shard
-    // fleet, whose table renders the single-server bytes.
-    let fleet = shards.is_some() || opts.is_some();
+    let opts = RunOpts {
+        shards: parse_flag("--shards").map_or(1, |n: usize| n.max(1)),
+        batch: parse_flag("--batch").unwrap_or_default(),
+        telemetry: telemetry.then_some(TelemetryOpts {
+            window_cycles,
+            trace_dir,
+            flight_dir,
+        }),
+    };
     eprintln!("running load generator at scale {scale:?}, seed {seed}");
     bbench::with_sim_rate(|| {
-        if fleet {
-            let shards = shards.unwrap_or(1);
-            let (rows, cycles) = run_fleet_on_telemetry_batched(
-                seed,
-                &scale,
-                shards,
-                bbench::worker_count(),
-                opts,
-                batch,
-            );
-            if json {
-                println!(
-                    "{}",
-                    render_json_sharded_telemetry_batched(seed, &scale, shards, batch, &rows)
-                );
-            } else {
-                print!("{}", render_sharded_telemetry(seed, &scale, shards, &rows));
-            }
-            ((), cycles)
+        let (rows, cycles) = run_on(seed, &scale, &opts, bbench::worker_count());
+        if json {
+            println!("{}", render_json(seed, &scale, &opts, &rows));
         } else {
-            let (rows, cycles) = run_on_batched(seed, &scale, bbench::worker_count(), batch);
-            if json {
-                println!("{}", render_json_batched(seed, &scale, batch, &rows));
-            } else {
-                print!("{}", render(seed, &scale, &rows));
-            }
-            ((), cycles)
+            print!("{}", render(seed, &scale, &opts, &rows));
         }
+        ((), cycles)
     });
 }

@@ -48,6 +48,31 @@ pub fn small_requested() -> bool {
     std::env::args().any(|a| a == "--small")
 }
 
+/// The value following flag `name` on the command line, parsed as `T`;
+/// `None` when the flag is absent. A flag whose value is missing or does
+/// not parse ends the process with exit status 2 and a message naming
+/// the flag, so a typo never silently falls back to a default.
+pub fn parse_flag<T: std::str::FromStr>(name: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let args: Vec<String> = std::env::args().collect();
+    let i = args.iter().position(|a| a == name)?;
+    let parsed = match args.get(i + 1) {
+        Some(v) => v
+            .parse()
+            .map_err(|e| format!("bad value '{v}' for {name}: {e}")),
+        None => Err(format!("{name} needs a value")),
+    };
+    Some(parsed.unwrap_or_else(|msg| {
+        let program = args.first().map_or("bbench", |a| {
+            a.rsplit(std::path::MAIN_SEPARATOR).next().unwrap_or(a)
+        });
+        eprintln!("{program}: {msg}");
+        std::process::exit(2);
+    }))
+}
+
 /// Runs `f` under a host-clock timer and prints a `sim rate:` footer (to
 /// stderr, with the rest of the run diagnostics — stdout carries only
 /// deterministic figure bytes) from the simulated cycle total `f` reports

@@ -1,7 +1,7 @@
 //! Open-loop load harness for the multi-tenant runtime server
 //! (`bserver`): seeded arrival schedules, mixed kernel sizes, one fresh
-//! SoC per dispatch policy, and a deterministic report of offered load,
-//! goodput, and latency percentiles.
+//! fleet per dispatch policy, and a deterministic report of offered
+//! load, goodput, and latency percentiles.
 //!
 //! The generator is **open-loop**: arrivals follow the seeded schedule
 //! regardless of how the server is coping, so a policy that falls behind
@@ -11,53 +11,32 @@
 //! shared-memory `kria` platform, so rows differ only by dispatch
 //! behaviour.
 //!
-//! All randomness is a [`SplitMix64`] stream from the CLI seed, all
-//! reported quantities are integers (cycles and counts, percentiles from
-//! the `server/latency_cycles` histograms in `bsim::perf`), and the
+//! Every run is served by a [`FleetServer`] of [`RunOpts::shards`]
+//! replicas; one shard is a single server. All randomness is a
+//! [`SplitMix64`] stream from the CLI seed, all reported quantities are
+//! integers (cycles and counts, percentiles from the
+//! `server/latency_cycles` histograms in `bsim::perf`), and the
 //! per-policy simulations run as independent [`crate::par`] jobs — so
 //! stdout is byte-identical at any `BBENCH_JOBS` and under any
-//! `bsim::SchedulerMode` (enforced by the `loadgen_determinism` test).
+//! `bsim::SchedulerMode` (enforced by the `loadgen_determinism` test),
+//! and `results/loadgen.txt` is pinned by the `loadgen_cli` test.
 //!
-//! Fleet runs can additionally carry telemetry ([`TelemetryOpts`]):
-//! request spans merged into one Perfetto trace per policy, a windowed
-//! metrics time-series in the JSON summary, and an optional stall
-//! watchdog with flight-recorder dumps. Telemetry is pure observation —
-//! the rendered table and every measured quantity stay byte-identical
-//! with it on or off (the `telemetry_invariance` tests pin this).
+//! Runs can additionally carry telemetry ([`TelemetryOpts`]): request
+//! spans merged into one Perfetto trace per policy, a windowed metrics
+//! time-series in the JSON summary, and an optional stall watchdog with
+//! flight-recorder dumps. Telemetry is pure observation — the rendered
+//! table and every measured quantity stay byte-identical with it on or
+//! off (the `telemetry_invariance` tests pin this).
 
 use std::path::PathBuf;
 
 use bcore::elaborate;
+use bkernels::machsuite::SplitMix64;
 use bplatform::Platform;
-use bruntime::FpgaHandle;
 use bserver::{
-    AccelServer, Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetMetrics, FleetServer,
-    JobSpec, MetricsSnapshot, ServerConfig, TelemetryConfig, WatchdogConfig,
+    Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetMetrics, FleetServer, JobSpec,
+    MetricsSnapshot, ServerConfig, TelemetryConfig, WatchdogConfig,
 };
-
-/// Sebastiano Vigna's SplitMix64: a tiny, splittable, well-distributed
-/// 64-bit PRNG. Used for arrival gaps and size mixing — statistical
-/// perfection is irrelevant; determinism and portability are the point.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// The next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// Scale knobs for a load-generation run.
 #[derive(Debug, Clone, Copy)]
@@ -116,7 +95,7 @@ pub struct PlannedJob {
 
 /// Expands `seed` into the arrival schedule every policy replays.
 pub fn plan(seed: u64, scale: &LoadScale) -> Vec<PlannedJob> {
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = SplitMix64(seed);
     let mut at_cycle = 0u64;
     (0..scale.jobs)
         .map(|_| {
@@ -136,6 +115,49 @@ pub fn plan(seed: u64, scale: &LoadScale) -> Vec<PlannedJob> {
         .collect()
 }
 
+/// How a run is served: the three knobs the CLI sets (`--shards`,
+/// `--batch`, and `--telemetry` with its `--window`/`--trace`/`--flight`
+/// companions).
+#[derive(Debug, Clone)]
+pub struct RunOpts {
+    /// Fleet replicas (at least 1), each a full SoC behind its own
+    /// server. `BSERVER_SHARDS` only caps how many execute at once, so
+    /// results depend on this count alone.
+    pub shards: usize,
+    /// Admission micro-batching for the event-driven policies (the
+    /// lock-arbitrated baseline ignores it).
+    pub batch: BatchPolicy,
+    /// Request telemetry; `None` runs without it.
+    pub telemetry: Option<TelemetryOpts>,
+}
+
+impl Default for RunOpts {
+    /// One shard, batch 1, no telemetry: the plain `loadgen` run.
+    fn default() -> Self {
+        Self {
+            shards: 1,
+            batch: BatchPolicy::default(),
+            telemetry: None,
+        }
+    }
+}
+
+/// Telemetry knobs for a run (the `--telemetry`, `--window`, `--trace`,
+/// and `--flight` flags).
+#[derive(Debug, Clone, Default)]
+pub struct TelemetryOpts {
+    /// Tumbling-window width in fabric cycles; `0` means the
+    /// [`TelemetryConfig`] default.
+    pub window_cycles: u64,
+    /// Directory to write one merged Perfetto trace per policy into
+    /// (`trace-<policy>.json`).
+    pub trace_dir: Option<PathBuf>,
+    /// Directory for flight-recorder dumps; arming the stall watchdog
+    /// with a threshold far beyond any healthy run, so dumps appear only
+    /// if the fleet genuinely wedges.
+    pub flight_dir: Option<PathBuf>,
+}
+
 /// One policy's measured row.
 #[derive(Debug, Clone)]
 pub struct PolicyRow {
@@ -147,114 +169,26 @@ pub struct PolicyRow {
     pub completed: usize,
     /// Jobs rejected at admission.
     pub rejected: usize,
-    /// Latency percentiles in fabric cycles, from the
+    /// Latency percentiles in fabric cycles, from the fleet-merged
     /// `server/latency_cycles` histogram: (p50, p90, p99, max).
     pub latency: (u64, u64, u64, u64),
-    /// Cycle the last outcome resolved (offered-load denominator).
+    /// Cycle the last outcome resolved on the slowest shard
+    /// (offered-load denominator).
     pub makespan_cycles: u64,
-    /// Cycles spent inside the serialized submit path
-    /// (`server/lock_wait_cycles`).
+    /// Cycles spent inside the serialized submit path, summed over
+    /// shards (`server/lock_wait_cycles`).
     pub lock_wait_cycles: u64,
-    /// Peak summed queue depth (`server/queue_depth_peak`).
+    /// Peak summed queue depth on the deepest shard
+    /// (`server/queue_depth_peak`).
     pub queue_depth_peak: u64,
+    /// Per-shard serving counters (the JSON summary's `shard_stats`).
+    pub shards: Vec<ShardRow>,
+    /// Telemetry artifacts, when [`RunOpts::telemetry`] asked for them.
+    pub telemetry: Option<PolicyTelemetry>,
 }
 
-/// Runs one policy against the schedule on a fresh SoC. Exposed so the
-/// ablation bench can time policies individually.
-pub fn run_policy(policy: DispatchPolicy, plan: &[PlannedJob], scale: &LoadScale) -> PolicyRow {
-    run_policy_batched(policy, plan, scale, BatchPolicy::Unbatched)
-}
-
-/// [`run_policy`] with an explicit [`BatchPolicy`] (the `--batch` flag).
-/// `Unbatched` is exactly [`run_policy`]; the lock-arbitrated baseline
-/// ignores the setting either way.
-pub fn run_policy_batched(
-    policy: DispatchPolicy,
-    plan: &[PlannedJob],
-    scale: &LoadScale,
-    batch: BatchPolicy,
-) -> PolicyRow {
-    let soc = elaborate(bkernels::vecadd::config(scale.n_cores), &Platform::kria())
-        .expect("vecadd elaborates");
-    let handle = FpgaHandle::new(soc);
-    let config = ServerConfig {
-        policy,
-        queue_capacity: scale.queue_capacity,
-        batch,
-        ..ServerConfig::default()
-    };
-    let mut server = AccelServer::new(&handle, bkernels::vecadd::SYSTEM, scale.tenants, config)
-        .expect("server opens");
-
-    // One buffer per tenant, allocated through that tenant's session (the
-    // multi-session alloc path), sized for the largest job in the mix.
-    // Jobs add in place; concurrent cores touching one tenant's buffer is
-    // timing-deterministic, and values are not checked here.
-    let max_eles = plan.iter().map(|j| j.n_eles).max().unwrap_or(64);
-    let buffers: Vec<bruntime::RemotePtr> = server
-        .sessions()
-        .iter()
-        .map(|s| {
-            let mem = s.malloc(u64::from(max_eles) * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; max_eles as usize]);
-            mem
-        })
-        .collect();
-
-    let t0 = handle.now();
-    let arrivals: Vec<Arrival> = plan
-        .iter()
-        .map(|j| Arrival {
-            at_cycle: t0 + j.at_cycle,
-            tenant: j.tenant,
-            spec: JobSpec::new(bkernels::vecadd::args(
-                1,
-                buffers[j.tenant].device_addr(),
-                j.n_eles,
-            ))
-            .with_cost_hint(u64::from(j.n_eles)),
-        })
-        .collect();
-    let outcomes = server.run_open_loop(arrivals);
-
-    let completed = outcomes.iter().filter(|o| o.is_completed()).count();
-    let rejected = outcomes.len() - completed;
-    let hist = handle
-        .with_soc(|soc| soc.perf().histogram("server/latency_cycles"))
-        .expect("server registers its latency histogram");
-    let latency = (
-        hist.p50().unwrap_or(0),
-        hist.p90().unwrap_or(0),
-        hist.p99().unwrap_or(0),
-        hist.max().unwrap_or(0),
-    );
-    let stats = server.stats();
-    let queue_depth_peak = handle
-        .with_soc(|soc| soc.perf().counter("server/queue_depth_peak"))
-        .unwrap_or(0);
-    let row = PolicyRow {
-        policy,
-        offered: outcomes.len(),
-        completed,
-        rejected,
-        latency,
-        makespan_cycles: handle.now() - t0,
-        lock_wait_cycles: stats.get("lock_wait_cycles"),
-        queue_depth_peak,
-    };
-    drop(outcomes);
-
-    // Interleaved teardown across sessions: the shared allocator must
-    // coalesce the holes (regression shape for multi-session `free`).
-    for (i, mem) in buffers.into_iter().enumerate().rev() {
-        server.sessions()[i].free(mem).expect("free tenant buffer");
-    }
-    row
-}
-
-/// One shard's slice of a fleet run: admission-hashed tenant count and
-/// the shard-local serving counters (the per-shard stats the `--shards`
-/// JSON artifact reports).
+/// One shard's slice of a run: admission-hashed tenant count and the
+/// shard-local serving counters.
 #[derive(Debug, Clone)]
 pub struct ShardRow {
     /// Shard index.
@@ -271,23 +205,7 @@ pub struct ShardRow {
     pub p99: u64,
 }
 
-/// Telemetry knobs for a loadgen fleet run (the `--telemetry`,
-/// `--trace`, and `--flight` flags).
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryOpts {
-    /// Tumbling-window width in fabric cycles; `0` means the
-    /// [`TelemetryConfig`] default.
-    pub window_cycles: u64,
-    /// Directory to write one merged Perfetto trace per policy into
-    /// (`trace-<policy>.json`).
-    pub trace_dir: Option<PathBuf>,
-    /// Directory for flight-recorder dumps; arming the stall watchdog
-    /// with a threshold far beyond any healthy run, so dumps appear only
-    /// if the fleet genuinely wedges.
-    pub flight_dir: Option<PathBuf>,
-}
-
-/// One policy's telemetry artifacts from a fleet run.
+/// One policy's telemetry artifacts.
 #[derive(Debug, Clone)]
 pub struct PolicyTelemetry {
     /// Windowed time-series: the cross-shard aggregate plus per-shard
@@ -297,52 +215,24 @@ pub struct PolicyTelemetry {
     pub trace_path: Option<PathBuf>,
 }
 
-/// Runs one policy against the schedule on a [`FleetServer`] with
-/// `shards` replicas (1 replica degrades to the exact single-server
-/// path — the `fleet_loadgen` test holds the rendered row byte-identical
-/// to [`run_policy`]'s). Returns the aggregate row plus per-shard stats.
-pub fn run_policy_fleet(
+/// Runs one policy against the schedule on a fresh fleet served as
+/// `opts` says. Exposed so the ablation benches can time policies
+/// individually. Telemetry is strictly off-path (never advances the
+/// simulated clock), so every field but [`PolicyRow::telemetry`] is
+/// byte-identical with it on or off.
+pub fn run_policy(
     policy: DispatchPolicy,
     plan: &[PlannedJob],
     scale: &LoadScale,
-    shards: usize,
-) -> (PolicyRow, Vec<ShardRow>) {
-    let (row, shard_rows, _) = run_policy_fleet_telemetry(policy, plan, scale, shards, None);
-    (row, shard_rows)
-}
-
-/// [`run_policy_fleet`] with optional request telemetry. Telemetry is
-/// strictly off-path (never advances the simulated clock), so the
-/// returned rows are byte-identical with `opts` `Some` or `None` — the
-/// `telemetry_invariance` test pins that.
-pub fn run_policy_fleet_telemetry(
-    policy: DispatchPolicy,
-    plan: &[PlannedJob],
-    scale: &LoadScale,
-    shards: usize,
-    opts: Option<&TelemetryOpts>,
-) -> (PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>) {
-    run_policy_fleet_telemetry_batched(policy, plan, scale, shards, opts, BatchPolicy::Unbatched)
-}
-
-/// [`run_policy_fleet_telemetry`] with an explicit [`BatchPolicy`] for
-/// every shard's server (the fleet `--batch` path). `Unbatched` is
-/// exactly the unbatched function.
-pub fn run_policy_fleet_telemetry_batched(
-    policy: DispatchPolicy,
-    plan: &[PlannedJob],
-    scale: &LoadScale,
-    shards: usize,
-    opts: Option<&TelemetryOpts>,
-    batch: BatchPolicy,
-) -> (PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>) {
+    opts: &RunOpts,
+) -> PolicyRow {
     let n_cores = scale.n_cores;
     let config = FleetConfig {
-        shards,
+        shards: opts.shards.max(1),
         server: ServerConfig {
             policy,
             queue_capacity: scale.queue_capacity,
-            batch,
+            batch: opts.batch,
             ..ServerConfig::default()
         },
     };
@@ -357,7 +247,7 @@ pub fn run_policy_fleet_telemetry_batched(
     )
     .expect("fleet opens");
     let n_shards = fleet.n_shards();
-    if let Some(o) = opts {
+    if let Some(o) = &opts.telemetry {
         let defaults = TelemetryConfig::default();
         let watchdog = o.flight_dir.as_ref().map(|dir| {
             // Healthy runs complete jobs every few thousand cycles; a
@@ -377,9 +267,11 @@ pub fn run_policy_fleet_telemetry_batched(
         });
     }
 
-    // Same buffer discipline as the single-server path: one buffer per
-    // tenant through that tenant's session, on whichever shard admission
-    // hashed the session to.
+    // One buffer per tenant, allocated through that tenant's session (the
+    // multi-session alloc path) on whichever shard admission hashed it
+    // to, sized for the largest job in the mix. Jobs add in place;
+    // concurrent cores touching one tenant's buffer is
+    // timing-deterministic, and values are not checked here.
     let max_eles = plan.iter().map(|j| j.n_eles).max().unwrap_or(64);
     let buffers: Vec<bruntime::RemotePtr> = (0..scale.tenants)
         .map(|t| {
@@ -410,179 +302,79 @@ pub fn run_policy_fleet_telemetry_batched(
     fleet.sync_rollup();
 
     let completed = outcomes.iter().filter(|o| o.is_completed()).count();
-    let rejected = outcomes.len() - completed;
     let hist = fleet.latency_histogram();
-    let latency = (
-        hist.p50().unwrap_or(0),
-        hist.p90().unwrap_or(0),
-        hist.p99().unwrap_or(0),
-        hist.max().unwrap_or(0),
-    );
-    let makespan_cycles = (0..n_shards)
-        .map(|s| fleet.handle(s).now() - t0[s])
-        .max()
-        .unwrap_or(0);
-    let queue_depth_peak = (0..n_shards)
-        .map(|s| {
-            fleet
-                .handle(s)
-                .with_soc(|soc| soc.perf().counter("server/queue_depth_peak"))
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0);
-    let row = PolicyRow {
-        policy,
-        offered: outcomes.len(),
-        completed,
-        rejected,
-        latency,
-        makespan_cycles,
-        lock_wait_cycles: fleet.counter_total("lock_wait_cycles"),
-        queue_depth_peak,
+    let counter = |s: usize, name: &str| {
+        fleet
+            .handle(s)
+            .with_soc(|soc| soc.perf().counter(&format!("server/{name}")))
+            .unwrap_or(0)
     };
-    let shard_rows = (0..n_shards)
-        .map(|s| {
-            let counter = |name: &str| {
-                fleet
-                    .handle(s)
-                    .with_soc(|soc| soc.perf().counter(&format!("server/{name}")))
-                    .unwrap_or(0)
-            };
-            let p99 = fleet
+    let shards = (0..n_shards)
+        .map(|s| ShardRow {
+            shard: s,
+            tenants: fleet.tenants_of(s).len(),
+            dispatched: counter(s, "dispatched"),
+            completed: counter(s, "completed"),
+            rejected: counter(s, "rejected"),
+            p99: fleet
                 .handle(s)
                 .with_soc(|soc| soc.perf().histogram("server/latency_cycles"))
                 .and_then(|h| h.p99())
-                .unwrap_or(0);
-            ShardRow {
-                shard: s,
-                tenants: fleet.tenants_of(s).len(),
-                dispatched: counter("dispatched"),
-                completed: counter("completed"),
-                rejected: counter("rejected"),
-                p99,
-            }
+                .unwrap_or(0),
         })
         .collect();
-    drop(outcomes);
-
-    let telemetry = opts.map(|o| {
-        let metrics = fleet.metrics_snapshot().expect("telemetry enabled");
-        let trace_path = o.trace_dir.as_ref().map(|dir| {
+    let telemetry = opts.telemetry.as_ref().map(|o| PolicyTelemetry {
+        metrics: fleet.metrics_snapshot().expect("telemetry enabled"),
+        trace_path: o.trace_dir.as_ref().map(|dir| {
             let trace = fleet.merged_trace().expect("telemetry enabled");
             std::fs::create_dir_all(dir).expect("trace dir creatable");
             let path = dir.join(format!("trace-{}.json", policy.name()));
             std::fs::write(&path, trace).expect("merged trace writable");
             path
-        });
-        PolicyTelemetry {
-            metrics,
-            trace_path,
-        }
+        }),
     });
+    let row = PolicyRow {
+        policy,
+        offered: outcomes.len(),
+        completed,
+        rejected: outcomes.len() - completed,
+        latency: (
+            hist.p50().unwrap_or(0),
+            hist.p90().unwrap_or(0),
+            hist.p99().unwrap_or(0),
+            hist.max().unwrap_or(0),
+        ),
+        makespan_cycles: (0..n_shards)
+            .map(|s| fleet.handle(s).now() - t0[s])
+            .max()
+            .unwrap_or(0),
+        lock_wait_cycles: fleet.counter_total("lock_wait_cycles"),
+        queue_depth_peak: (0..n_shards)
+            .map(|s| counter(s, "queue_depth_peak"))
+            .max()
+            .unwrap_or(0),
+        shards,
+        telemetry,
+    };
+    drop(outcomes);
 
-    // Interleaved teardown across sessions, as in the single-server path.
+    // Interleaved teardown across sessions: the shared allocator must
+    // coalesce the holes (regression shape for multi-session `free`).
     for (t, mem) in buffers.into_iter().enumerate().rev() {
         fleet.session(t).free(mem).expect("free tenant buffer");
     }
-    (row, shard_rows, telemetry)
-}
-
-/// Runs every policy over the seeded schedule through a `shards`-replica
-/// fleet, one policy per host thread. Rows come back in
-/// [`DispatchPolicy::all`] order; the per-policy shard slices ride
-/// along. `BSERVER_SHARDS` only caps the fleet's *execution* width, so
-/// stdout rendered from these rows is byte-identical at any value of it.
-pub fn run_fleet_on(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    workers: usize,
-) -> (Vec<(PolicyRow, Vec<ShardRow>)>, u64) {
-    let (rows, cycles) = run_fleet_on_telemetry(seed, scale, shards, workers, None);
-    (rows.into_iter().map(|(r, s, _)| (r, s)).collect(), cycles)
-}
-
-/// [`run_fleet_on`] with optional telemetry: same rows (telemetry never
-/// changes cycles or outcomes), plus each policy's windowed time-series
-/// and merged-trace path when `opts` is `Some`.
-pub fn run_fleet_on_telemetry(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    workers: usize,
-    opts: Option<TelemetryOpts>,
-) -> (
-    Vec<(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)>,
-    u64,
-) {
-    run_fleet_on_telemetry_batched(seed, scale, shards, workers, opts, BatchPolicy::Unbatched)
-}
-
-/// [`run_fleet_on_telemetry`] with an explicit [`BatchPolicy`] applied to
-/// every event-driven policy's run (the baseline ignores it). `Unbatched`
-/// is exactly the unbatched function at any worker count.
-pub fn run_fleet_on_telemetry_batched(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    workers: usize,
-    opts: Option<TelemetryOpts>,
-    batch: BatchPolicy,
-) -> (
-    Vec<(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)>,
-    u64,
-) {
-    let plan = plan(seed, scale);
-    let s = *scale;
-    let jobs: Vec<crate::par::Job<(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)>> =
-        DispatchPolicy::all()
-            .into_iter()
-            .map(|policy| {
-                let plan = plan.clone();
-                let opts = opts.clone();
-                crate::par::Job::new(format!("loadgen-fleet: {policy}"), move || {
-                    let (row, shard_rows, telemetry) = run_policy_fleet_telemetry_batched(
-                        policy,
-                        &plan,
-                        &s,
-                        shards,
-                        opts.as_ref(),
-                        batch,
-                    );
-                    eprintln!(
-                        "loadgen: {} done ({} completed, {} rejected, {} cycles, {} shards)",
-                        policy,
-                        row.completed,
-                        row.rejected,
-                        row.makespan_cycles,
-                        shard_rows.len()
-                    );
-                    (row, shard_rows, telemetry)
-                })
-            })
-            .collect();
-    let rows = crate::par::run_jobs_on(jobs, workers);
-    let total_cycles = rows.iter().map(|(r, _, _)| r.makespan_cycles).sum();
-    (rows, total_cycles)
+    row
 }
 
 /// Runs every policy over the seeded schedule on `workers` host threads
-/// (one fresh SoC per policy) and returns `(rows, total simulated
+/// (one fresh fleet per policy) and returns `(rows, total simulated
 /// cycles)`. Rows come back in [`DispatchPolicy::all`] order — baseline
 /// first — at any worker count.
-pub fn run_on(seed: u64, scale: &LoadScale, workers: usize) -> (Vec<PolicyRow>, u64) {
-    run_on_batched(seed, scale, workers, BatchPolicy::Unbatched)
-}
-
-/// [`run_on`] with an explicit [`BatchPolicy`] applied to every
-/// event-driven policy's run (the baseline ignores it). `Unbatched` is
-/// exactly [`run_on`] at any worker count.
-pub fn run_on_batched(
+pub fn run_on(
     seed: u64,
     scale: &LoadScale,
+    opts: &RunOpts,
     workers: usize,
-    batch: BatchPolicy,
 ) -> (Vec<PolicyRow>, u64) {
     let plan = plan(seed, scale);
     let s = *scale;
@@ -590,11 +382,16 @@ pub fn run_on_batched(
         .into_iter()
         .map(|policy| {
             let plan = plan.clone();
+            let opts = opts.clone();
             crate::par::Job::new(format!("loadgen: {policy}"), move || {
-                let row = run_policy_batched(policy, &plan, &s, batch);
+                let row = run_policy(policy, &plan, &s, &opts);
                 eprintln!(
-                    "loadgen: {} done ({} completed, {} rejected, {} cycles)",
-                    policy, row.completed, row.rejected, row.makespan_cycles
+                    "loadgen: {} done ({} completed, {} rejected, {} cycles, {} shards)",
+                    policy,
+                    row.completed,
+                    row.rejected,
+                    row.makespan_cycles,
+                    row.shards.len()
                 );
                 row
             })
@@ -605,40 +402,16 @@ pub fn run_on_batched(
     (rows, total_cycles)
 }
 
-/// [`run_on`] at the ambient [`crate::worker_count`].
-pub fn run(seed: u64, scale: &LoadScale) -> (Vec<PolicyRow>, u64) {
-    run_on(seed, scale, crate::worker_count())
-}
-
-/// Renders the text report (the deterministic stdout artifact).
-pub fn render(seed: u64, scale: &LoadScale, rows: &[PolicyRow]) -> String {
-    render_with_header_suffix(seed, scale, rows, "")
-}
-
-/// [`render`] for a fleet run: identical bytes at 1 shard (the
-/// `fleet_loadgen` test enforces it); at N > 1 only the header gains a
-/// `, N shards` annotation — per-shard stats live in the JSON artifact.
-pub fn render_sharded(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    rows: &[(PolicyRow, Vec<ShardRow>)],
-) -> String {
-    let suffix = if shards > 1 {
-        format!(", {shards} shards")
+/// Renders the text report (the deterministic stdout artifact). With
+/// more than one shard the header gains a `, N shards` annotation;
+/// per-shard stats and telemetry live in the JSON summary, never in the
+/// table.
+pub fn render(seed: u64, scale: &LoadScale, opts: &RunOpts, rows: &[PolicyRow]) -> String {
+    let suffix = if opts.shards > 1 {
+        format!(", {} shards", opts.shards)
     } else {
         String::new()
     };
-    let plain: Vec<PolicyRow> = rows.iter().map(|(r, _)| r.clone()).collect();
-    render_with_header_suffix(seed, scale, &plain, &suffix)
-}
-
-fn render_with_header_suffix(
-    seed: u64,
-    scale: &LoadScale,
-    rows: &[PolicyRow],
-    suffix: &str,
-) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Load generator: {} jobs, {} tenants, {} cores, mean gap {} cycles, seed {}{}\n\n",
@@ -669,32 +442,26 @@ fn render_with_header_suffix(
     out
 }
 
-/// Renders the machine-readable JSON summary (the `--json` artifact; CI's
-/// smoke step parses it). The vendored `serde` is a stub, so this is
-/// hand-rolled — `bsim::perf::validate_json` guards its shape in tests.
-pub fn render_json(seed: u64, scale: &LoadScale, rows: &[PolicyRow]) -> String {
-    render_json_batched(seed, scale, BatchPolicy::Unbatched, rows)
-}
-
-/// [`render_json`] for a batched run: the same shape plus a top-level
-/// `"batch"` field (`"N"` or `"auto"`). With `Unbatched` the field is
-/// omitted and the output is byte-identical to [`render_json`].
-pub fn render_json_batched(
-    seed: u64,
-    scale: &LoadScale,
-    batch: BatchPolicy,
-    rows: &[PolicyRow],
-) -> String {
+/// Renders the machine-readable JSON summary (the `--json` artifact; CI
+/// parses it): run shape, the `"batch"` setting, the `"shards"` count,
+/// and per policy the aggregate fields, a `"shard_stats"` array, and —
+/// when telemetry ran — a `"telemetry"` object with the window width,
+/// the aggregate and per-shard time-series, and the merged-trace path.
+/// The vendored `serde` is a stub, so this is hand-rolled;
+/// `bsim::perf::validate_json` guards its shape in tests.
+pub fn render_json(seed: u64, scale: &LoadScale, opts: &RunOpts, rows: &[PolicyRow]) -> String {
     let mut out = format!(
         "{{\"seed\":{},\"tenants\":{},\"jobs\":{},\"cores\":{},\
-         \"mean_gap_cycles\":{},\"queue_capacity\":{},{}\"policies\":[",
+         \"mean_gap_cycles\":{},\"queue_capacity\":{},\"batch\":\"{}\",\"shards\":{},\
+         \"policies\":[",
         seed,
         scale.tenants,
         scale.jobs,
         scale.n_cores,
         scale.mean_gap_cycles,
         scale.queue_capacity,
-        batch_json_field(batch),
+        opts.batch,
+        opts.shards
     );
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
@@ -703,7 +470,8 @@ pub fn render_json_batched(
         out.push_str(&format!(
             "{{\"policy\":\"{}\",\"offered\":{},\"completed\":{},\"rejected\":{},\
              \"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},\
-             \"makespan_cycles\":{},\"lock_wait_cycles\":{},\"queue_depth_peak\":{}}}",
+             \"makespan_cycles\":{},\"lock_wait_cycles\":{},\"queue_depth_peak\":{},\
+             \"shard_stats\":[",
             row.policy.name(),
             row.offered,
             row.completed,
@@ -716,90 +484,24 @@ pub fn render_json_batched(
             row.lock_wait_cycles,
             row.queue_depth_peak,
         ));
+        for (j, s) in row.shards.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"shard\":{},\"tenants\":{},\"dispatched\":{},\"completed\":{},\
+                 \"rejected\":{},\"p99\":{}}}",
+                s.shard, s.tenants, s.dispatched, s.completed, s.rejected, s.p99
+            ));
+        }
+        out.push(']');
+        if let Some(t) = &row.telemetry {
+            out.push_str(&format!(",\"telemetry\":{}", telemetry_json(t)));
+        }
+        out.push('}');
     }
     out.push_str("]}");
     out
-}
-
-/// Renders the fleet JSON summary: the [`render_json`] shape with a
-/// top-level `"shards"` count and, per policy, a `"shard_stats"` array
-/// of dispatched/completed/rejected/p99 per shard next to the aggregate
-/// fields. Hand-rolled like [`render_json`]; `bsim::perf::validate_json`
-/// guards the shape in tests.
-pub fn render_json_sharded(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    rows: &[(PolicyRow, Vec<ShardRow>)],
-) -> String {
-    render_json_sharded_inner(
-        seed,
-        scale,
-        shards,
-        BatchPolicy::Unbatched,
-        rows.iter().map(|(r, s)| (r, s.as_slice(), None)),
-    )
-}
-
-/// [`render_json_sharded`] for a telemetry-carrying run: policies whose
-/// telemetry is `Some` gain a `"telemetry"` object with the window
-/// width, the aggregate per-window time-series, per-shard window arrays,
-/// and the merged-trace path if one was written. With every telemetry
-/// slot `None` the output is byte-identical to [`render_json_sharded`].
-pub fn render_json_sharded_telemetry(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    rows: &[(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)],
-) -> String {
-    render_json_sharded_telemetry_batched(seed, scale, shards, BatchPolicy::Unbatched, rows)
-}
-
-/// [`render_json_sharded_telemetry`] for a batched fleet run: the same
-/// shape plus a top-level `"batch"` field. With `Unbatched` the field is
-/// omitted and the output is byte-identical.
-pub fn render_json_sharded_telemetry_batched(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    batch: BatchPolicy,
-    rows: &[(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)],
-) -> String {
-    render_json_sharded_inner(
-        seed,
-        scale,
-        shards,
-        batch,
-        rows.iter().map(|(r, s, t)| (r, s.as_slice(), t.as_ref())),
-    )
-}
-
-/// The top-level `"batch"` JSON fragment: empty for `Unbatched` (so
-/// unbatched output stays byte-identical to the pre-batching shape),
-/// `"batch":"N"` or `"batch":"auto"` with a trailing comma otherwise.
-fn batch_json_field(batch: BatchPolicy) -> String {
-    match batch {
-        BatchPolicy::Unbatched => String::new(),
-        other => format!("\"batch\":\"{other}\","),
-    }
-}
-
-/// [`render_sharded`] for a telemetry-carrying run: the table itself is
-/// identical bytes — telemetry artifacts live in the JSON summary and
-/// the trace files, never in the stdout table.
-pub fn render_sharded_telemetry(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    rows: &[(PolicyRow, Vec<ShardRow>, Option<PolicyTelemetry>)],
-) -> String {
-    let suffix = if shards > 1 {
-        format!(", {shards} shards")
-    } else {
-        String::new()
-    };
-    let plain: Vec<PolicyRow> = rows.iter().map(|(r, _, _)| r.clone()).collect();
-    render_with_header_suffix(seed, scale, &plain, &suffix)
 }
 
 /// One window row as a JSON object (hand-rolled; the vendored `serde`
@@ -878,81 +580,9 @@ fn telemetry_json(t: &PolicyTelemetry) -> String {
     out
 }
 
-fn render_json_sharded_inner<'a>(
-    seed: u64,
-    scale: &LoadScale,
-    shards: usize,
-    batch: BatchPolicy,
-    rows: impl Iterator<Item = (&'a PolicyRow, &'a [ShardRow], Option<&'a PolicyTelemetry>)>,
-) -> String {
-    let mut out = format!(
-        "{{\"seed\":{},\"tenants\":{},\"jobs\":{},\"cores\":{},\
-         \"mean_gap_cycles\":{},\"queue_capacity\":{},{}\"shards\":{},\"policies\":[",
-        seed,
-        scale.tenants,
-        scale.jobs,
-        scale.n_cores,
-        scale.mean_gap_cycles,
-        scale.queue_capacity,
-        batch_json_field(batch),
-        shards
-    );
-    for (i, (row, shard_rows, telemetry)) in rows.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"policy\":\"{}\",\"offered\":{},\"completed\":{},\"rejected\":{},\
-             \"p50\":{},\"p90\":{},\"p99\":{},\"max\":{},\
-             \"makespan_cycles\":{},\"lock_wait_cycles\":{},\"queue_depth_peak\":{},\
-             \"shard_stats\":[",
-            row.policy.name(),
-            row.offered,
-            row.completed,
-            row.rejected,
-            row.latency.0,
-            row.latency.1,
-            row.latency.2,
-            row.latency.3,
-            row.makespan_cycles,
-            row.lock_wait_cycles,
-            row.queue_depth_peak,
-        ));
-        for (j, s) in shard_rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"shard\":{},\"tenants\":{},\"dispatched\":{},\"completed\":{},\
-                 \"rejected\":{},\"p99\":{}}}",
-                s.shard, s.tenants, s.dispatched, s.completed, s.rejected, s.p99
-            ));
-        }
-        out.push(']');
-        if let Some(t) = telemetry {
-            out.push_str(&format!(",\"telemetry\":{}", telemetry_json(t)));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_nontrivial() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        assert_ne!(xs[0], xs[1]);
-        let mut c = SplitMix64::new(43);
-        assert_ne!(xs[0], c.next_u64(), "seed must matter");
-    }
 
     #[test]
     fn plan_is_seed_deterministic_and_in_bounds() {
@@ -980,7 +610,7 @@ mod tests {
         // The acceptance shape: at saturating load, round-robin or SJF
         // must beat the lock-arbitrated baseline on p99 latency.
         let scale = LoadScale::small();
-        let (rows, _) = run_on(42, &scale, 1);
+        let (rows, _) = run_on(42, &scale, &RunOpts::default(), 1);
         assert_eq!(rows[0].policy, DispatchPolicy::LockArbitrated);
         let baseline_p99 = rows[0].latency.2;
         let best_improved = rows[1..].iter().map(|r| r.latency.2).min().unwrap();
@@ -996,56 +626,33 @@ mod tests {
     }
 
     #[test]
-    fn fleet_at_one_shard_renders_identical_bytes() {
-        let scale = LoadScale {
-            jobs: 10,
-            ..LoadScale::small()
-        };
-        let (rows, _) = run_on(42, &scale, 1);
-        let (fleet_rows, _) = run_fleet_on(42, &scale, 1, 1);
-        assert_eq!(
-            render(42, &scale, &rows),
-            render_sharded(42, &scale, 1, &fleet_rows),
-            "a 1-shard fleet run must render the single-server bytes"
-        );
-    }
-
-    #[test]
     fn fleet_run_is_deterministic_and_json_carries_shard_stats() {
         let scale = LoadScale {
             jobs: 10,
             ..LoadScale::small()
         };
-        let (a, _) = run_fleet_on(7, &scale, 2, 2);
-        let (b, _) = run_fleet_on(7, &scale, 2, 1);
+        let opts = RunOpts {
+            shards: 2,
+            ..RunOpts::default()
+        };
+        let (a, _) = run_on(7, &scale, &opts, 2);
+        let (b, _) = run_on(7, &scale, &opts, 1);
         assert_eq!(
-            render_sharded(7, &scale, 2, &a),
-            render_sharded(7, &scale, 2, &b),
+            render(7, &scale, &opts, &a),
+            render(7, &scale, &opts, &b),
             "same seed and shard count must render identically at any \
              execution width"
         );
-        let json = render_json_sharded(7, &scale, 2, &a);
+        let json = render_json(7, &scale, &opts, &a);
         bsim::perf::validate_json(&json).expect("sharded summary must be valid JSON");
-        assert!(json.contains("\"shards\":2"));
+        assert!(json.contains("\"batch\":\"1\",\"shards\":2"));
         assert!(json.contains("\"shard_stats\":[{\"shard\":0,"));
-        assert!(json.contains("\"p99\":"));
-        // Aggregate counts equal the sum of the per-shard slices.
-        for (row, shard_rows) in &a {
-            let done: u64 = shard_rows.iter().map(|s| s.completed).sum();
-            assert_eq!(done, row.completed as u64, "{}", row.policy);
-        }
-    }
-
-    #[test]
-    fn json_summary_is_valid_and_parsable_shape() {
-        let scale = LoadScale {
-            jobs: 8,
-            ..LoadScale::small()
-        };
-        let (rows, _) = run_on(1, &scale, 1);
-        let json = render_json(1, &scale, &rows);
-        bsim::perf::validate_json(&json).expect("summary must be valid JSON");
         assert!(json.contains("\"policy\":\"lock-arbitrated\""));
         assert!(json.contains("\"p99\":"));
+        // Aggregate counts equal the sum of the per-shard slices.
+        for row in &a {
+            let done: u64 = row.shards.iter().map(|s| s.completed).sum();
+            assert_eq!(done, row.completed as u64, "{}", row.policy);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The networked load generator (`loadgen --net ADDR`) and its
 //! in-process replay oracle (`loadgen --oracle`).
 //!
-//! Both modes expand the same seeded [`plan`](crate::loadgen::plan)
-//! into *rounds* — a closed-loop client's submission windows, sized
+//! Both modes expand the same seeded [`plan`] into *rounds* — a
+//! closed-loop client's submission windows, sized
 //! `tenants × queue_capacity` commands — and replay them against the
 //! same serving rig shape. The net mode drives a live `bservd` over
 //! TCP with one [`NetClient`] per tenant (submit everything, then
@@ -110,16 +110,15 @@ pub struct NetReport {
     pub net_counters: Vec<(String, u64)>,
 }
 
+/// Summarises the outcomes of `rounds`; the caller fills in `shed` and
+/// `net_counters`, which only the socket path has.
 fn report_from_outcomes(
     mode: &'static str,
     policy: String,
     shards: u32,
     scale: &LoadScale,
-    rounds: usize,
-    offered: usize,
-    shed: usize,
+    rounds: &[Vec<TraceCmd>],
     outcomes: &[KeyedOutcome],
-    net_counters: Vec<(String, u64)>,
 ) -> NetReport {
     let mut hist = Histogram::new();
     let mut completed = 0;
@@ -134,11 +133,11 @@ fn report_from_outcomes(
         policy,
         shards,
         tenants: scale.tenants,
-        rounds,
-        offered,
+        rounds: rounds.len(),
+        offered: rounds.iter().map(Vec::len).sum(),
         completed,
         rejected: outcomes.len() - completed,
-        shed,
+        shed: 0,
         latency: (
             hist.p50().unwrap_or(0),
             hist.p90().unwrap_or(0),
@@ -147,7 +146,7 @@ fn report_from_outcomes(
         ),
         digest: outcome_digest(outcomes),
         tenant_digests: tenant_digests(outcomes),
-        net_counters,
+        net_counters: Vec::new(),
     }
 }
 
@@ -203,17 +202,10 @@ pub fn run_net(
         client.bye()?;
     }
     outcomes.sort_by_key(|(tenant, seq, _)| (*tenant, *seq));
-    Ok(report_from_outcomes(
-        "net",
-        policy,
-        shards,
-        scale,
-        rounds.len(),
-        jobs.len(),
-        shed,
-        &outcomes,
-        net_counters,
-    ))
+    let mut report = report_from_outcomes("net", policy, shards, scale, &rounds, &outcomes);
+    report.shed = shed;
+    report.net_counters = net_counters;
+    Ok(report)
 }
 
 /// The in-process leg of the replay oracle: builds the same rig shape
@@ -236,11 +228,8 @@ pub fn run_oracle(
         policy.name().to_owned(),
         shards,
         scale,
-        rounds.len(),
-        jobs.len(),
-        0,
+        &rounds,
         &outcomes,
-        Vec::new(),
     )
 }
 

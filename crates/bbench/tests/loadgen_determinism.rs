@@ -1,11 +1,11 @@
 //! The load generator's stdout is a deterministic artifact: for a fixed
 //! seed it must be byte-identical at any `BBENCH_JOBS` worker count and
-//! under every `bsim` scheduler mode (`BSIM_NAIVE=1`, `BSIM_SCHED=skip`,
-//! and the default active-set scheduler). One test function owns the
-//! process-global scheduler environment, so the mode sweep cannot race a
-//! concurrent test in this binary.
+//! under both `bsim` scheduler modes (`BSIM_NAIVE=1` and the default
+//! active-set scheduler). One test function owns the process-global
+//! scheduler environment, so the mode sweep cannot race a concurrent
+//! test in this binary.
 
-use bbench::loadgen::{plan, render, run_on, LoadScale};
+use bbench::loadgen::{plan, render, run_on, LoadScale, RunOpts};
 
 #[test]
 fn loadgen_stdout_is_invariant_across_workers_and_scheduler_modes() {
@@ -14,55 +14,36 @@ fn loadgen_stdout_is_invariant_across_workers_and_scheduler_modes() {
         ..LoadScale::small()
     };
     let seed = 42;
+    let opts = RunOpts::default();
     assert_eq!(plan(seed, &scale).len(), scale.jobs);
 
     let saved_naive = std::env::var("BSIM_NAIVE").ok();
-    let saved_sched = std::env::var("BSIM_SCHED").ok();
     std::env::remove_var("BSIM_NAIVE");
-    std::env::remove_var("BSIM_SCHED");
 
     // Reference: default scheduler, exact serial path.
-    let (rows, cycles) = run_on(seed, &scale, 1);
-    let reference = render(seed, &scale, &rows);
+    let (rows, cycles) = run_on(seed, &scale, &opts, 1);
+    let reference = render(seed, &scale, &opts, &rows);
 
     // Worker-count sweep under the default scheduler.
-    let (rows, c) = run_on(seed, &scale, 4);
+    let (rows, c) = run_on(seed, &scale, &opts, 4);
     assert_eq!(c, cycles, "cycle totals must not depend on worker count");
     assert_eq!(
-        render(seed, &scale, &rows),
+        render(seed, &scale, &opts, &rows),
         reference,
         "stdout must be byte-identical at any worker count"
     );
 
-    // Scheduler-mode sweep (each mode re-read at SoC construction).
-    for (naive, sched, label) in [
-        (Some("1"), None, "BSIM_NAIVE=1"),
-        (None, Some("skip"), "BSIM_SCHED=skip"),
-        (None, Some("active"), "BSIM_SCHED=active"),
-    ] {
-        match naive {
-            Some(v) => std::env::set_var("BSIM_NAIVE", v),
-            None => std::env::remove_var("BSIM_NAIVE"),
-        }
-        match sched {
-            Some(v) => std::env::set_var("BSIM_SCHED", v),
-            None => std::env::remove_var("BSIM_SCHED"),
-        }
-        let (rows, c) = run_on(seed, &scale, 2);
-        assert_eq!(c, cycles, "{label}: cycle totals must match");
-        assert_eq!(
-            render(seed, &scale, &rows),
-            reference,
-            "{label}: stdout must be byte-identical under every scheduler"
-        );
-    }
-
+    // The naive oracle (re-read at SoC construction).
+    std::env::set_var("BSIM_NAIVE", "1");
+    let (rows, c) = run_on(seed, &scale, &opts, 2);
     match saved_naive {
         Some(v) => std::env::set_var("BSIM_NAIVE", v),
         None => std::env::remove_var("BSIM_NAIVE"),
     }
-    match saved_sched {
-        Some(v) => std::env::set_var("BSIM_SCHED", v),
-        None => std::env::remove_var("BSIM_SCHED"),
-    }
+    assert_eq!(c, cycles, "BSIM_NAIVE=1: cycle totals must match");
+    assert_eq!(
+        render(seed, &scale, &opts, &rows),
+        reference,
+        "BSIM_NAIVE=1: stdout must be byte-identical under both schedulers"
+    );
 }

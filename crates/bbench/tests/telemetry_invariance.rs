@@ -3,10 +3,7 @@
 //! rendered table or any measured quantity, and the emitted time-series
 //! must reconcile exactly with the whole-run aggregates it partitions.
 
-use bbench::loadgen::{
-    render_json_sharded, render_json_sharded_telemetry, render_sharded, render_sharded_telemetry,
-    run_fleet_on, run_fleet_on_telemetry, LoadScale, TelemetryOpts,
-};
+use bbench::loadgen::{render, render_json, run_on, LoadScale, PolicyRow, RunOpts, TelemetryOpts};
 
 fn small_scale() -> LoadScale {
     LoadScale {
@@ -15,71 +12,68 @@ fn small_scale() -> LoadScale {
     }
 }
 
+fn with_telemetry(shards: usize, telemetry: TelemetryOpts) -> RunOpts {
+    RunOpts {
+        shards,
+        telemetry: Some(telemetry),
+        ..RunOpts::default()
+    }
+}
+
 #[test]
 fn telemetry_on_renders_identical_table_bytes() {
     let scale = small_scale();
     for shards in [1usize, 2] {
-        let (off, _) = run_fleet_on(42, &scale, shards, 1);
-        let (on, _) = run_fleet_on_telemetry(
-            42,
-            &scale,
+        let off_opts = RunOpts {
             shards,
-            1,
-            Some(TelemetryOpts {
+            ..RunOpts::default()
+        };
+        let on_opts = with_telemetry(
+            shards,
+            TelemetryOpts {
                 window_cycles: 2048,
                 ..TelemetryOpts::default()
-            }),
+            },
         );
+        let (off, _) = run_on(42, &scale, &off_opts, 1);
+        let (on, _) = run_on(42, &scale, &on_opts, 1);
         assert_eq!(
-            render_sharded(42, &scale, shards, &off),
-            render_sharded_telemetry(42, &scale, shards, &on),
+            render(42, &scale, &off_opts, &off),
+            render(42, &scale, &on_opts, &on),
             "telemetry must not change the {shards}-shard table"
         );
         // Every measured field matches, not just the rendered subset.
-        for ((a, sa), (b, sb, _)) in off.iter().zip(&on) {
+        for (a, b) in off.iter().zip(&on) {
+            assert!(b.telemetry.is_some());
+            let b = PolicyRow {
+                telemetry: None,
+                ..b.clone()
+            };
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
-            assert_eq!(format!("{sa:?}"), format!("{sb:?}"));
         }
     }
 }
 
 #[test]
-fn json_without_telemetry_is_byte_identical_to_the_plain_renderer() {
-    let scale = small_scale();
-    let (rows, _) = run_fleet_on(7, &scale, 2, 1);
-    let tuples: Vec<_> = rows
-        .iter()
-        .map(|(r, s)| (r.clone(), s.clone(), None))
-        .collect();
-    assert_eq!(
-        render_json_sharded(7, &scale, 2, &rows),
-        render_json_sharded_telemetry(7, &scale, 2, &tuples),
-    );
-}
-
-#[test]
 fn telemetry_json_validates_and_windows_reconcile_with_totals() {
     let scale = small_scale();
-    let shards = 2usize;
-    let (rows, _) = run_fleet_on_telemetry(
-        42,
-        &scale,
-        shards,
-        1,
-        Some(TelemetryOpts {
+    let opts = with_telemetry(
+        2,
+        TelemetryOpts {
             window_cycles: 4096,
             ..TelemetryOpts::default()
-        }),
+        },
     );
-    let json = render_json_sharded_telemetry(42, &scale, shards, &rows);
+    let (rows, _) = run_on(42, &scale, &opts, 1);
+    let json = render_json(42, &scale, &opts, &rows);
     bsim::perf::validate_json(&json).expect("telemetry summary must be valid JSON");
     assert!(json.contains("\"telemetry\":{\"window_cycles\":4096"));
     assert!(json.contains("\"windows\":["));
     assert!(json.contains("\"shard_windows\":[{\"shard\":0,"));
     assert!(json.contains("\"latency_p99\":"));
 
-    for (row, shard_rows, telemetry) in &rows {
-        let t = telemetry.as_ref().expect("telemetry requested");
+    for row in &rows {
+        let t = row.telemetry.as_ref().expect("telemetry requested");
         // The aggregate time-series partitions the run totals exactly.
         let agg = &t.metrics.aggregate;
         assert_eq!(
@@ -98,8 +92,8 @@ fn telemetry_json_validates_and_windows_reconcile_with_totals() {
             row.policy
         );
         // Per-shard series partition the aggregate the same way.
-        assert_eq!(t.metrics.shards.len(), shard_rows.len());
-        for (snap, s) in t.metrics.shards.iter().zip(shard_rows) {
+        assert_eq!(t.metrics.shards.len(), row.shards.len());
+        for (snap, s) in t.metrics.shards.iter().zip(&row.shards) {
             assert_eq!(
                 snap.windows.iter().map(|w| w.completed).sum::<u64>(),
                 s.completed,
@@ -123,18 +117,17 @@ fn merged_trace_file_is_written_and_valid() {
     let scale = small_scale();
     let dir = std::env::temp_dir().join(format!("bbench-trace-test-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let (rows, _) = run_fleet_on_telemetry(
-        42,
-        &scale,
+    let opts = with_telemetry(
         2,
-        1,
-        Some(TelemetryOpts {
+        TelemetryOpts {
             trace_dir: Some(dir.clone()),
             ..TelemetryOpts::default()
-        }),
+        },
     );
-    for (row, _, telemetry) in &rows {
-        let path = telemetry
+    let (rows, _) = run_on(42, &scale, &opts, 1);
+    for row in &rows {
+        let path = row
+            .telemetry
             .as_ref()
             .and_then(|t| t.trace_path.as_ref())
             .expect("trace requested");

@@ -267,17 +267,11 @@ impl SocSim {
         }
     }
 
-    /// Pins a specific scheduler mode (naive oracle, idle-skipping, or the
-    /// active-set default) across the whole SoC. All three are cycle-exact;
-    /// the DRAM model's own idle skipping follows suit (on unless naive).
+    /// Pins a specific scheduler mode (the naive oracle or the active-set
+    /// default) across the whole SoC: [`SocSim::set_event_driven`] by
+    /// another name.
     pub fn set_scheduler_mode(&mut self, mode: bsim::SchedulerMode) {
-        self.sim.set_scheduler_mode(mode);
-        let controllers = self.controllers.clone();
-        for controller in controllers {
-            self.sim
-                .get_mut(controller)
-                .set_event_driven(mode != bsim::SchedulerMode::Naive);
-        }
+        self.set_event_driven(mode == bsim::SchedulerMode::ActiveSet);
     }
 
     /// The scheduler mode currently driving the fabric.

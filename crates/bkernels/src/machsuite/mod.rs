@@ -138,12 +138,14 @@ mod tests {
     }
 
     #[test]
-    fn splitmix_is_deterministic() {
+    fn splitmix_is_deterministic_and_nontrivial() {
         let mut a = SplitMix64(42);
         let mut b = SplitMix64(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
+        let xs: Vec<u64> = (0..100).map(|_| a.next_u64()).collect();
+        let ys: Vec<u64> = (0..100).map(|_| b.next_u64()).collect();
+        assert_eq!(xs, ys);
+        assert_ne!(xs[0], xs[1]);
+        assert_ne!(xs[0], SplitMix64(43).next_u64(), "seed must matter");
     }
 
     #[test]

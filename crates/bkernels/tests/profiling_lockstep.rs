@@ -11,7 +11,7 @@
 //! modes) or on command-driven events, so the flattened counter values —
 //! apart from the `scheduler/*` pair, which measures the scheduler
 //! rather than the hardware — must also match between the naive and
-//! idle-skipping runs.
+//! event-driven runs.
 
 use bcore::elaborate::{elaborate_with, ElaborationOptions};
 use bkernels::memcpy;
@@ -58,7 +58,7 @@ fn drive(event_driven: bool, profile: bool) -> Run {
         .run_until_response(token, 100_000_000)
         .expect("first copy");
 
-    // Quiescent stretch so the idle-skipping path is exercised too.
+    // Quiescent stretch so the fast-forward path is exercised too.
     soc.run_for(IDLE_GAP_CYCLES);
 
     let token = soc

@@ -1,8 +1,8 @@
 //! End-to-end lockstep guard for the schedulers: the same full-SoC
 //! workload (elaborated memcpy core, AXI interconnect, memory controller,
 //! DRAM with refresh) is driven once per [`bsim::SchedulerMode`] — naive
-//! cycle-by-cycle stepping, idle-skipping fast-forward, and the active-set
-//! heap scheduler — through a command / long idle gap / command sequence,
+//! cycle-by-cycle stepping and the active-set heap scheduler with its
+//! fast-forward — through a command / long idle gap / command sequence,
 //! and every observable must be byte-identical: response cycles, final
 //! `now`, copied bytes, DRAM statistics (refreshes across the skipped gap
 //! included), controller counters, and the full performance-counter
@@ -82,31 +82,23 @@ fn drive(mode: SchedulerMode) -> Run {
 #[test]
 fn all_scheduler_modes_are_byte_identical() {
     let naive = drive(SchedulerMode::Naive);
-    for mode in [SchedulerMode::IdleSkip, SchedulerMode::ActiveSet] {
-        let run = drive(mode);
-        assert_eq!(
-            naive.elapsed_first, run.elapsed_first,
-            "{mode:?}: first response cycle diverged"
-        );
-        assert_eq!(
-            naive.elapsed_second, run.elapsed_second,
-            "{mode:?}: second response cycle diverged"
-        );
-        assert_eq!(
-            naive.final_now, run.final_now,
-            "{mode:?}: final cycle diverged"
-        );
-        assert_eq!(naive.copied, run.copied, "{mode:?}: copied bytes diverged");
-        assert_eq!(naive.dram, run.dram, "{mode:?}: DRAM stats diverged");
-        assert_eq!(
-            naive.controller, run.controller,
-            "{mode:?}: controller stats diverged"
-        );
-        assert_eq!(
-            naive.counters, run.counters,
-            "{mode:?}: perf counters diverged"
-        );
-    }
+    let run = drive(SchedulerMode::ActiveSet);
+    assert_eq!(
+        naive.elapsed_first, run.elapsed_first,
+        "first response cycle diverged"
+    );
+    assert_eq!(
+        naive.elapsed_second, run.elapsed_second,
+        "second response cycle diverged"
+    );
+    assert_eq!(naive.final_now, run.final_now, "final cycle diverged");
+    assert_eq!(naive.copied, run.copied, "copied bytes diverged");
+    assert_eq!(naive.dram, run.dram, "DRAM stats diverged");
+    assert_eq!(
+        naive.controller, run.controller,
+        "controller stats diverged"
+    );
+    assert_eq!(naive.counters, run.counters, "perf counters diverged");
 
     // The gap really was refresh-active — otherwise this test would not
     // exercise the DRAM wake-up math it exists to guard.

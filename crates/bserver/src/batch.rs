@@ -1,14 +1,14 @@
 //! Batched dispatch configuration and the adaptive batch-size controller.
 //!
-//! The unbatched event server pays one lock acquisition, one doorbell
+//! The paper's runtime server pays one lock acquisition, one doorbell
 //! sleep, and one harvest per command. [`BatchPolicy`] lets the
 //! dispatcher collect up to `B` ready commands and submit them under a
 //! single lock visit ([`bruntime::FpgaHandle::call_batch`]), with the
 //! matching response side coalesced by
-//! `bcore::SocSim::drain_ready_responses`. `Fixed(1)` performs exactly
-//! the unbatched sequence of host costs — the byte-identity contract the
-//! batching tests pin — while `Auto` lets [`AutoBatcher`] widen and
-//! narrow `B` from windowed queue-depth and queue-wait-p99 signals.
+//! `bcore::SocSim::drain_ready_responses`. `Fixed(1)`, the default, is
+//! that one-command-per-visit server (a one-item `call_batch` is
+//! cycle-identical to `call`), while `Auto` lets [`AutoBatcher`] widen
+//! and narrow `B` from windowed queue-depth and queue-wait-p99 signals.
 
 use bsim::Cycle;
 
@@ -23,23 +23,24 @@ const AUTO_WINDOW_CYCLES: Cycle = 4096;
 
 /// How many ready commands one dispatcher visit may submit under a
 /// single lock acquisition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// The pre-batching event path: one command per lock visit, through
-    /// the exact original code path. This is the default.
-    #[default]
-    Unbatched,
-    /// Collect up to `n` ready commands per visit. `Fixed(1)` takes the
-    /// batched code path but is byte-identical to `Unbatched`.
+    /// Collect up to `n` ready commands per visit. `Fixed(1)` is the
+    /// default: one command per lock visit.
     Fixed(usize),
-    /// Let the per-server [`AutoBatcher`] choose the width each window.
+    /// Let the per-server adaptive controller choose the width each window.
     Auto,
+}
+
+impl Default for BatchPolicy {
+    fn default() -> Self {
+        BatchPolicy::Fixed(1)
+    }
 }
 
 impl std::fmt::Display for BatchPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BatchPolicy::Unbatched => write!(f, "unbatched"),
             BatchPolicy::Fixed(n) => write!(f, "{n}"),
             BatchPolicy::Auto => write!(f, "auto"),
         }
@@ -50,8 +51,6 @@ impl std::str::FromStr for BatchPolicy {
     type Err = String;
 
     /// Parses the `--batch` flag grammar: `auto` or a positive integer.
-    /// (There is deliberately no spelling for `Unbatched` — omitting the
-    /// flag is the unbatched path.)
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if s.eq_ignore_ascii_case("auto") {
             return Ok(BatchPolicy::Auto);
@@ -160,7 +159,7 @@ mod tests {
         assert!("0".parse::<BatchPolicy>().is_err());
         assert!("-3".parse::<BatchPolicy>().is_err());
         assert!("wide".parse::<BatchPolicy>().is_err());
-        assert_eq!(BatchPolicy::default(), BatchPolicy::Unbatched);
+        assert_eq!(BatchPolicy::default(), BatchPolicy::Fixed(1));
         assert_eq!(BatchPolicy::Fixed(4).to_string(), "4");
         assert_eq!(BatchPolicy::Auto.to_string(), "auto");
     }

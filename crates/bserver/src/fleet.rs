@@ -31,7 +31,7 @@ use bruntime::{FpgaHandle, SessionHandle};
 use bsim::{perfetto_trace, Histogram, ProcessSpans, WindowSeries};
 
 use crate::telemetry::{MetricsSnapshot, TelemetryConfig};
-use crate::{AccelServer, Arrival, JobOutcome, JobSpec, ServerConfig, ServerError};
+use crate::{AccelServer, Arrival, JobOutcome, ServerConfig, ServerError};
 
 /// The fleet's shard count when the embedder does not pin one: the
 /// `BSERVER_SHARDS` environment override if set, else the host's
@@ -317,20 +317,6 @@ impl FleetServer {
             );
         }
         keyed
-    }
-
-    /// Runs a closed batch (every job arrives "now") across the fleet;
-    /// outcomes in job order.
-    pub fn run_batch(&mut self, jobs: Vec<(usize, JobSpec)>) -> Vec<JobOutcome> {
-        let arrivals = jobs
-            .into_iter()
-            .map(|(tenant, spec)| Arrival {
-                at_cycle: 0,
-                tenant,
-                spec,
-            })
-            .collect();
-        self.run_open_loop(arrivals)
     }
 
     /// Turns on request tracing, windowed metrics, and the flight

@@ -24,8 +24,8 @@
 //! * **admission micro-batching** ([`BatchPolicy`]): event-driven
 //!   policies may dispatch up to `B` ready commands per lock visit
 //!   (`Fixed(n)`, or `Auto` for the windowed adaptive controller), with
-//!   responses drained in coalesced doorbell wakes; `batch = 1` is
-//!   byte-identical to the unbatched path and the lock-arbitrated
+//!   responses drained in coalesced doorbell wakes; the default
+//!   `Fixed(1)` is one command per lock visit, and the lock-arbitrated
 //!   baseline ignores the setting entirely;
 //! * **observability**: a `server/` [`bsim::perf`] counter set
 //!   (`queue_depth`, `lock_wait_cycles`, `rejected`, …) and per-tenant
@@ -62,10 +62,10 @@
 //! ([`FleetServer::sync_rollup`]).
 //!
 //! The network front-end (`bnet`) submits through the keyed entry
-//! points ([`AccelServer::run_keyed`], [`FleetServer::run_keyed`]):
-//! the same open-loop machinery, with outcomes keyed by
-//! `(tenant, seq)` so a wire client's submission order and its
-//! outcome delivery order are decoupled from dispatch order.
+//! point ([`FleetServer::run_keyed`]): the same open-loop machinery,
+//! with outcomes keyed by `(tenant, seq)` so a wire client's submission
+//! order and its outcome delivery order are decoupled from dispatch
+//! order.
 
 #![warn(missing_docs)]
 

@@ -141,8 +141,9 @@ pub struct ServerConfig {
     pub response_budget_cycles: Cycle,
     /// Admission micro-batching for the event policies: how many ready
     /// commands one dispatcher visit may submit under a single lock
-    /// acquisition. Ignored by [`DispatchPolicy::LockArbitrated`] (the
-    /// baseline models the paper's per-command server verbatim).
+    /// acquisition (default `Fixed(1)`). Ignored by
+    /// [`DispatchPolicy::LockArbitrated`] (the baseline models the
+    /// paper's per-command server verbatim).
     pub batch: BatchPolicy,
 }
 
@@ -153,7 +154,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             deadline_action: DeadlineAction::Reject,
             response_budget_cycles: 2_000_000_000,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::default(),
         }
     }
 }
@@ -440,33 +441,6 @@ impl AccelServer {
         outcomes
     }
 
-    /// [`AccelServer::run_open_loop`] with client-chosen sequence
-    /// numbers: each arrival arrives as `(seq, arrival)` and the
-    /// outcomes come back keyed by `(tenant, seq)` — the network
-    /// front-end's outcome keying, where wire submission order and
-    /// per-connection delivery order are decoupled from dispatch
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// If two arrivals share a `(tenant, seq)` key; the wire protocol
-    /// refuses duplicates (`ERR{DuplicateSeq}`) before they get here.
-    pub fn run_keyed(
-        &mut self,
-        arrivals: Vec<(u64, Arrival)>,
-    ) -> BTreeMap<(usize, u64), JobOutcome> {
-        let keys: Vec<(usize, u64)> = arrivals.iter().map(|(seq, a)| (a.tenant, *seq)).collect();
-        let outcomes = self.run_open_loop(arrivals.into_iter().map(|(_, a)| a).collect());
-        let mut keyed = BTreeMap::new();
-        for (key, outcome) in keys.into_iter().zip(outcomes) {
-            assert!(
-                keyed.insert(key, outcome).is_none(),
-                "duplicate (tenant, seq) key {key:?}"
-            );
-        }
-        keyed
-    }
-
     /// Serves an open-loop arrival schedule to completion and returns one
     /// outcome per arrival, in input order.
     ///
@@ -488,10 +462,6 @@ impl AccelServer {
         // The baseline's pending response-poll tick, if armed.
         let mut next_poll: Option<Cycle> = None;
         let baseline = self.config.policy == DispatchPolicy::LockArbitrated;
-        // Event policies route through the batched dispatcher unless the
-        // config says otherwise; the baseline always takes its verbatim
-        // per-command path.
-        let batched = !baseline && self.config.batch != BatchPolicy::Unbatched;
         // Set after a doorbell sleep observes a completion; the harvest
         // that follows tells us how many responses that one wake
         // serviced (doorbell coalescing).
@@ -529,11 +499,13 @@ impl AccelServer {
                 }
             }
             // 3. Dispatch if the policy allows; time moves under us
-            //    (lock + MMIO), so loop back to re-ingest.
-            let moved = if batched {
-                self.dispatch_batch(&mut outcomes)
-            } else {
+            //    (lock + MMIO), so loop back to re-ingest. The baseline
+            //    takes its verbatim per-command path, every event policy
+            //    the batched dispatcher.
+            let moved = if baseline {
                 self.dispatch_one(&mut outcomes)
+            } else {
+                self.dispatch_batch(&mut outcomes)
             };
             if moved {
                 continue;
@@ -591,7 +563,7 @@ impl AccelServer {
             } else if let Some(t) = next_arrival {
                 self.handle.run_for(t.saturating_sub(now));
             } else {
-                // No work in flight, nothing queued (dispatch_one returned
+                // No work in flight, nothing queued (dispatch returned
                 // false with idle cores ⇒ queues are drained), no arrivals
                 // left: done.
                 break;
@@ -737,58 +709,39 @@ impl AccelServer {
         }
     }
 
-    /// Dispatches at most one job. Returns whether anything moved.
+    /// The lock-arbitrated baseline's dispatch: at most one job per lock
+    /// visit, bound to core `seq % n_cores` blind to core state (a full
+    /// command FIFO is discovered by spinning inside the lock, never
+    /// avoided). Returns whether anything moved.
     fn dispatch_one(&mut self, outcomes: &mut [Option<JobOutcome>]) -> bool {
-        let core = if self.config.policy == DispatchPolicy::LockArbitrated {
-            // The baseline binds by submission order, blind to core state
-            // (a full command FIFO is discovered by spinning inside the
-            // lock, never avoided).
-            None
-        } else {
-            // Depth-aware placement: only idle cores with command-queue
-            // space, lowest index first. The idle-core cache makes this
-            // O(idle) instead of a scan over every core.
-            let found = self.idle_cores.iter().copied().find(|&c| {
-                self.handle
-                    .with_soc(|soc| soc.cmd_queue_free(self.sys_id, c))
-                    .unwrap_or(0)
-                    > 0
-            });
-            match found {
-                Some(c) => Some(c),
-                None => return false,
-            }
-        };
         let Some(job) = self.pick(outcomes) else {
             return false;
         };
-        let core = core.unwrap_or((job.seq % u64::from(self.n_cores)) as u16);
+        let core = (job.seq % u64::from(self.n_cores)) as u16;
         let before = self.handle.now();
-        if self.config.policy == DispatchPolicy::LockArbitrated {
-            // The serialized server spins on the chosen core's status
-            // register while its response thread keeps draining
-            // completions — without the drain, a core whose (bounded)
-            // response channel fills can never retire a command and the
-            // spin would wedge forever.
-            let poll_ns = self.handle.options().poll_interval_ns.max(1);
-            while self
-                .handle
-                .with_soc(|soc| soc.cmd_queue_free(self.sys_id, core))
-                .unwrap_or(1)
-                == 0
+        // The serialized server spins on the chosen core's status
+        // register while its response thread keeps draining completions
+        // — without the drain, a core whose (bounded) response channel
+        // fills can never retire a command and the spin would wedge
+        // forever.
+        let poll_ns = self.handle.options().poll_interval_ns.max(1);
+        while self
+            .handle
+            .with_soc(|soc| soc.cmd_queue_free(self.sys_id, core))
+            .unwrap_or(1)
+            == 0
+        {
+            self.handle.advance_ns(poll_ns);
+            self.harvest(outcomes);
+            // A wedged core turns this spin into the livelock the flight
+            // recorder exists for: dump, then die loudly.
+            if self
+                .telemetry
+                .as_ref()
+                .is_some_and(|t| t.stalled(self.handle.now()))
             {
-                self.handle.advance_ns(poll_ns);
-                self.harvest(outcomes);
-                // A wedged core turns this spin into the livelock the
-                // flight recorder exists for: dump, then die loudly.
-                if self
-                    .telemetry
-                    .as_ref()
-                    .is_some_and(|t| t.stalled(self.handle.now()))
-                {
-                    self.watchdog_poll();
-                    panic!("device wedged: command queue never drained (flight recorder dumped)");
-                }
+                self.watchdog_poll();
+                panic!("device wedged: command queue never drained (flight recorder dumped)");
             }
         }
         let resp = self.sessions[job.tenant]
@@ -826,9 +779,9 @@ impl AccelServer {
     /// Dispatches up to `B` ready jobs under a single lock acquisition
     /// (admission micro-batching). Returns whether anything moved.
     ///
-    /// Core selection: the batch's *first* job follows exactly the
-    /// unbatched rule — an idle core with command-FIFO space, lowest
-    /// index first; no such core, no batch. Later jobs may also prime
+    /// Core selection: the batch's *first* job goes to an idle core with
+    /// command-FIFO space, lowest index first (the idle-core cache makes
+    /// this O(idle)); no such core, no batch. Later jobs may also prime
     /// *busy* cores' command FIFOs (least-loaded first, counting slots
     /// already claimed this batch), which is where the throughput win
     /// comes from: a core finishing its current job finds the next one
@@ -840,7 +793,6 @@ impl AccelServer {
     /// clamped to what the most urgent waiting job can absorb.
     fn dispatch_batch(&mut self, outcomes: &mut [Option<JobOutcome>]) -> bool {
         let b_max = match self.config.batch {
-            BatchPolicy::Unbatched => 1,
             BatchPolicy::Fixed(n) => n.max(1),
             BatchPolicy::Auto => self.auto.current(),
         };
@@ -859,7 +811,7 @@ impl AccelServer {
         let mut batch: Vec<(u16, Queued)> = Vec::new();
         while batch.len() < b_eff {
             let core = if batch.is_empty() {
-                // First item: the unbatched placement rule, verbatim.
+                // First item: the lowest-index idle core with space.
                 match self
                     .idle_cores
                     .iter()

@@ -203,8 +203,8 @@ pub struct WindowRow {
     /// dispatches and breaches; zeros when nothing waited.
     pub queue_wait: (u64, u64, u64),
     /// Batch-occupancy percentiles (p50, p90, p99) — commands per
-    /// dispatcher lock visit in this window; zeros when the server ran
-    /// unbatched (the hook only fires on the batched dispatch path).
+    /// dispatcher lock visit in this window; zeros for the
+    /// lock-arbitrated baseline, which never batches.
     pub batch_occupancy: (u64, u64, u64),
     /// Per-tenant completions `(global tenant id, count)`, ascending.
     pub tenant_completed: Vec<(usize, u64)>,

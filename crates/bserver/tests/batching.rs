@@ -1,9 +1,6 @@
 //! Batched-dispatch contracts.
 //!
-//! * `batch = Fixed(1)` routes through the batched code path but must be
-//!   **byte-identical** to the unbatched event path for every
-//!   event-driven policy: same outcomes, same final cycle, same
-//!   counters, same latency/queue-wait histograms.
+//! * The lock-arbitrated baseline ignores the batch setting entirely.
 //! * Wider batches may re-time dispatches but must **conserve the
 //!   outcome set**: with admission capacity for the whole schedule and
 //!   no deadlines, every job completes under any batch width, with the
@@ -108,42 +105,14 @@ fn run_single(policy: DispatchPolicy, batch: BatchPolicy, n_tenants: usize) -> R
 }
 
 #[test]
-fn batch_one_is_byte_identical_to_unbatched_for_every_event_policy() {
-    for policy in [
-        DispatchPolicy::Fifo,
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::ShortestJobFirst,
-    ] {
-        let unbatched = run_single(policy, BatchPolicy::Unbatched, 4);
-        let one = run_single(policy, BatchPolicy::Fixed(1), 4);
-        assert_eq!(
-            unbatched.outcomes, one.outcomes,
-            "{policy:?}: batch=1 must produce the unbatched outcomes"
-        );
-        assert_eq!(
-            unbatched.final_cycle, one.final_cycle,
-            "{policy:?}: batch=1 must land on the unbatched final cycle"
-        );
-        assert_eq!(
-            unbatched.counters, one.counters,
-            "{policy:?}: batch=1 must match the unbatched counters"
-        );
-        assert_eq!(
-            unbatched.histograms, one.histograms,
-            "{policy:?}: batch=1 must match the unbatched histograms"
-        );
-    }
-}
-
-#[test]
 fn lock_arbitrated_baseline_ignores_the_batch_setting() {
+    let one = run_single(DispatchPolicy::LockArbitrated, BatchPolicy::default(), 4);
     for batch in [BatchPolicy::Fixed(8), BatchPolicy::Auto] {
-        let unbatched = run_single(DispatchPolicy::LockArbitrated, BatchPolicy::Unbatched, 4);
         let batched = run_single(DispatchPolicy::LockArbitrated, batch, 4);
-        assert_eq!(unbatched.outcomes, batched.outcomes, "{batch:?}");
-        assert_eq!(unbatched.final_cycle, batched.final_cycle, "{batch:?}");
-        assert_eq!(unbatched.counters, batched.counters, "{batch:?}");
-        assert_eq!(unbatched.histograms, batched.histograms, "{batch:?}");
+        assert_eq!(one.outcomes, batched.outcomes, "{batch:?}");
+        assert_eq!(one.final_cycle, batched.final_cycle, "{batch:?}");
+        assert_eq!(one.counters, batched.counters, "{batch:?}");
+        assert_eq!(one.histograms, batched.histograms, "{batch:?}");
     }
 }
 
@@ -229,10 +198,10 @@ proptest! {
                 *m.entry(t).or_insert(0) += 1;
                 m
             });
-        let unbatched = run_conservation(&plan, 4, BatchPolicy::Unbatched);
+        let one = run_conservation(&plan, 4, BatchPolicy::default());
         let batched = run_conservation(&plan, 4, batch);
         prop_assert_eq!(&batched, &offered, "{:?} lost or invented jobs", batch);
-        prop_assert_eq!(&batched, &unbatched, "{:?} drifted from unbatched", batch);
+        prop_assert_eq!(&batched, &one, "{:?} drifted from batch 1", batch);
     }
 }
 

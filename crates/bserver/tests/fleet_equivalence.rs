@@ -194,10 +194,11 @@ fn rollup_mirrors_per_shard_counters_into_primary_registry() {
     .expect("fleet opens");
     let mem = fleet.session(0).malloc(1024).expect("buffer");
     fleet.session(0).write_u32_slice(mem, &[1; 64]);
-    let outcomes = fleet.run_batch(vec![(
-        0,
-        JobSpec::new(vecadd::args(1, mem.device_addr(), 64)),
-    )]);
+    let outcomes = fleet.run_open_loop(vec![Arrival {
+        at_cycle: 0,
+        tenant: 0,
+        spec: JobSpec::new(vecadd::args(1, mem.device_addr(), 64)),
+    }]);
     assert!(outcomes[0].is_completed());
     fleet.sync_rollup();
     let names: Vec<String> = fleet

@@ -1,25 +1,23 @@
 //! The [`Component`] trait and the [`Simulation`] driver.
 //!
-//! The driver supports three cycle-exact scheduling modes
+//! The driver supports two cycle-exact scheduling modes
 //! ([`SchedulerMode`]):
 //!
 //! * **Naive** — tick every component every cycle: the oracle.
-//! * **Idle-skipping** — execute cycles exactly like naive, but when every
-//!   component declares (via [`Component::next_event`]) that its next
-//!   activity lies in the future, fast-forward the base clock across the
-//!   globally quiescent gap in one jump.
-//! * **Active-set** (the default) — additionally make each *executed*
-//!   cycle cost proportional to the number of *awake* components: every
-//!   registered component carries a due-cycle derived from its
-//!   `next_event`, maintained in a min-heap keyed by base cycle, and a
-//!   cycle ticks only the components due now. Channel activity re-arms
-//!   sleeping consumers through [`Waker`] hooks (see
-//!   [`Component::register_wakes`]); components that register no hooks
-//!   stay in an always-tick fallback set with exact naive semantics.
+//! * **Active-set** (the default) — when every component declares (via
+//!   [`Component::next_event`]) that its next activity lies in the
+//!   future, fast-forward the base clock across the globally quiescent
+//!   gap in one jump; and make each *executed* cycle cost proportional to
+//!   the number of *awake* components: every registered component carries
+//!   a due-cycle derived from its `next_event`, maintained in a min-heap
+//!   keyed by base cycle, and a cycle ticks only the components due now.
+//!   Channel activity re-arms sleeping consumers through [`Waker`] hooks
+//!   (see [`Component::register_wakes`]); components that register no
+//!   hooks stay in an always-tick fallback set with exact naive
+//!   semantics.
 //!
-//! All three modes produce bit-identical cycle counts and component
-//! state. See `DESIGN.md` for the full contract and the lockstep guard
-//! mode.
+//! Both modes produce bit-identical cycle counts and component state.
+//! See `DESIGN.md` for the full contract and the lockstep guard mode.
 //!
 //! Ownership follows the arena model (see [`SimCtx`]): the simulation
 //! owns all component and channel storage in `Vec`s, and the handles this
@@ -80,11 +78,10 @@ pub trait Component {
     ///
     /// Returning `Some(e)` with `e <= now` is treated as `Some(now + 1)`.
     /// The promise only needs to hold while the component's inputs are
-    /// untouched: under the idle-skipping scheduler every due component is
-    /// re-queried on every executed cycle, and under the active-set
-    /// scheduler an input change re-arms the component through its
-    /// [wake hooks](Component::register_wakes) (or, for components without
-    /// hooks, through the always-tick fallback set).
+    /// untouched: under the active-set scheduler an input change re-arms
+    /// the component through its [wake hooks](Component::register_wakes)
+    /// (or, for components without hooks, through the always-tick fallback
+    /// set).
     fn next_event(&self, ctx: &SimCtx, now: Cycle) -> Option<Cycle> {
         let _ = ctx;
         Some(now + 1)
@@ -112,7 +109,7 @@ pub trait Component {
     }
 }
 
-/// Which driver loop a [`Simulation`] uses. All three modes are
+/// Which driver loop a [`Simulation`] uses. The two modes are
 /// cycle-exact with one another; they differ only in host work per
 /// simulated cycle. See the [module docs](self) and `DESIGN.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,13 +117,9 @@ pub enum SchedulerMode {
     /// Tick every component on every cycle. The correctness oracle
     /// (`BSIM_NAIVE=1`).
     Naive,
-    /// Naive execution plus whole-simulation fast-forward across globally
-    /// quiescent gaps (`BSIM_SCHED=skip`).
-    IdleSkip,
     /// Per-component scheduling: each executed cycle ticks only the
     /// components that are due, woken, or in the always-tick fallback
-    /// set, plus the same fast-forward as idle-skipping. The default
-    /// (`BSIM_SCHED=active`).
+    /// set, and globally quiescent gaps are fast-forwarded. The default.
     ActiveSet,
 }
 
@@ -190,11 +183,10 @@ struct Registered {
     /// Index into [`Simulation::groups`] of this component's clock-domain
     /// group, which holds the divider and next-due bookkeeping.
     group: usize,
-    /// Cycles of the component's own clock elapsed so far (ticks executed
-    /// plus ticks skipped as proven no-ops). Under the active-set
-    /// scheduler this may lag for sleeping components; the authoritative
-    /// value is always [`Simulation::fires_before`], with which this field
-    /// is resynchronised on every tick and on scheduler-mode changes.
+    /// Cycles of the component's own clock elapsed so far, kept by the
+    /// naive loop only. The active-set scheduler derives local cycles
+    /// from [`Simulation::fires_before`] instead, and resynchronises this
+    /// field from it when switching back to naive.
     local_cycles: Cycle,
     /// `first_due / divider` at registration time: the component's local
     /// cycle at base cycle `b` (a fire of its domain) is
@@ -225,8 +217,6 @@ struct DividerGroup {
     next_due: Cycle,
     /// Scratch: whether this group ticks on the cycle being executed.
     due: bool,
-    /// Scratch: local cycles to credit to members during a fast-forward.
-    pending_fires: Cycle,
 }
 
 /// A host-side wake source: given the arena, report the earliest cycle
@@ -245,8 +235,7 @@ type WakeSource = Box<dyn Fn(&SimCtx) -> Option<Cycle> + Send>;
 /// globally quiescent gaps are fast-forwarded. Set the `BSIM_NAIVE`
 /// environment variable to a non-empty value other than `0` (or call
 /// [`Simulation::set_event_driven`]`(false)`) to force the naive
-/// cycle-by-cycle loop, or `BSIM_SCHED=skip` for the idle-skipping
-/// scheduler; results are bit-identical in every mode, only slower.
+/// cycle-by-cycle loop; results are bit-identical, only slower.
 ///
 /// A `Simulation` owns its entire object graph — components, channels,
 /// wake queue — through the [`SimCtx`] arena, so it is `Send`: build an
@@ -318,15 +307,10 @@ impl Default for Simulation {
 }
 
 fn scheduler_mode_from_env() -> SchedulerMode {
-    if let Ok(v) = std::env::var("BSIM_NAIVE") {
-        if !v.is_empty() && v != "0" {
-            return SchedulerMode::Naive;
-        }
-    }
-    match std::env::var("BSIM_SCHED").as_deref() {
-        Ok("naive") => SchedulerMode::Naive,
-        Ok("skip") | Ok("idle-skip") => SchedulerMode::IdleSkip,
-        _ => SchedulerMode::ActiveSet,
+    if std::env::var("BSIM_NAIVE").is_ok_and(|v| !v.is_empty() && v != "0") {
+        SchedulerMode::Naive
+    } else {
+        SchedulerMode::ActiveSet
     }
 }
 
@@ -337,8 +321,8 @@ fn verify_idle_from_env() -> bool {
 
 impl Simulation {
     /// Creates an empty simulation at cycle 0 using the active-set
-    /// scheduler, unless the `BSIM_NAIVE` or `BSIM_SCHED` environment
-    /// variables select another [`SchedulerMode`].
+    /// scheduler, unless the `BSIM_NAIVE` environment variable selects
+    /// the naive one.
     pub fn new() -> Self {
         Simulation {
             ctx: SimCtx::new(),
@@ -394,8 +378,7 @@ impl Simulation {
     /// wall-clock time. Useful for A/B guards — see [`crate::Lockstep`].
     ///
     /// `true` selects [`SchedulerMode::ActiveSet`], `false`
-    /// [`SchedulerMode::Naive`]; use
-    /// [`Simulation::set_scheduler_mode`] to pick idle-skipping.
+    /// [`SchedulerMode::Naive`].
     pub fn set_event_driven(&mut self, enabled: bool) {
         self.set_scheduler_mode(if enabled {
             SchedulerMode::ActiveSet
@@ -404,10 +387,9 @@ impl Simulation {
         });
     }
 
-    /// Whether any event-driven scheduler (idle-skipping or active-set)
-    /// is selected.
+    /// Whether the event-driven (active-set) scheduler is selected.
     pub fn event_driven(&self) -> bool {
-        self.mode != SchedulerMode::Naive
+        self.mode == SchedulerMode::ActiveSet
     }
 
     /// The scheduling mode in use.
@@ -502,7 +484,6 @@ impl Simulation {
             divider,
             next_due,
             due: false,
-            pending_fires: 0,
         });
         self.groups.len() - 1
     }
@@ -726,7 +707,6 @@ impl Simulation {
                 reg.sched_at = Cycle::MAX;
                 reg.last_fire = now;
                 reg.component.tick(&self.ctx, local);
-                reg.local_cycles = local + 1;
                 local
             };
             self.ticked_component_cycles += 1;
@@ -966,11 +946,7 @@ impl Simulation {
     /// (the common dense case short-circuits after one query), and
     /// `Cycle::MAX` if everything is idle indefinitely.
     fn earliest_event(&mut self) -> Cycle {
-        let components = if self.mode == SchedulerMode::ActiveSet {
-            self.active_component_horizon()
-        } else {
-            self.earliest_component_event()
-        };
+        let components = self.active_component_horizon();
         if components <= self.now {
             return self.now;
         }
@@ -979,22 +955,6 @@ impl Simulation {
             Some(w) => components.min(w),
             None => components,
         }
-    }
-
-    /// [`Simulation::earliest_event`] restricted to registered components
-    /// (idle-skipping mode: re-query every component).
-    fn earliest_component_event(&self) -> Cycle {
-        let mut earliest = Cycle::MAX;
-        for idx in 0..self.components.len() {
-            let Some(base) = self.component_event_base(idx) else {
-                continue;
-            };
-            if base <= self.now {
-                return self.now;
-            }
-            earliest = earliest.min(base);
-        }
-        earliest
     }
 
     /// Active-set component horizon: pending wakes are folded into the
@@ -1056,28 +1016,18 @@ impl Simulation {
         }
     }
 
-    /// Fast-forwards the base clock to `target` without executing ticks.
-    /// Sound only when every tick in `[now, target)` is a proven no-op;
-    /// each skipped component's local cycle counter is credited with the
-    /// ticks its domain would have scheduled in the gap, so subsequent
-    /// ticks observe exactly the local `now` values the naive loop would
-    /// have passed.
+    /// Fast-forwards the base clock to `target` without executing ticks
+    /// (active-set mode only). Sound only when every tick in
+    /// `[now, target)` is a proven no-op; each domain's next fire moves
+    /// past the gap, and components derive their local cycle from the
+    /// fire arithmetic, so subsequent ticks observe exactly the local
+    /// `now` values the naive loop would have passed.
     fn skip_to(&mut self, target: Cycle) {
         debug_assert!(target > self.now);
         self.skipped_cycles += target - self.now;
         for g in &mut self.groups {
             if g.next_due < target {
-                let fires = (target - g.next_due).div_ceil(g.divider);
-                g.pending_fires = fires;
-                g.next_due += fires * g.divider;
-            } else {
-                g.pending_fires = 0;
-            }
-        }
-        if self.mode != SchedulerMode::ActiveSet {
-            let groups = &self.groups;
-            for reg in &mut self.components {
-                reg.local_cycles += groups[reg.group].pending_fires;
+                g.next_due += (target - g.next_due).div_ceil(g.divider) * g.divider;
             }
         }
         self.now = target;
@@ -1089,7 +1039,7 @@ impl Simulation {
         self.rearm_hooked();
         let end = self.now.saturating_add(cycles);
         while self.now < end {
-            if self.mode != SchedulerMode::Naive {
+            if self.mode == SchedulerMode::ActiveSet {
                 let earliest = self.earliest_event();
                 if earliest > self.now {
                     let target = earliest.min(end);
@@ -1172,7 +1122,7 @@ impl Simulation {
             // `done` check regardless of the stride, in every scheduler
             // mode, so strided results do not depend on the mode.
             let watch_due = self.earliest_watch().is_some_and(|w| w <= self.now);
-            let jump_target = if self.mode != SchedulerMode::Naive {
+            let jump_target = if self.mode == SchedulerMode::ActiveSet {
                 let e = self.earliest_event();
                 (e > self.now).then(|| e.min(end))
             } else {
@@ -1505,12 +1455,10 @@ mod tests {
     #[test]
     fn bsim_naive_env_disables_fast_forward() {
         // Save and clear the scheduler env so this test is meaningful even
-        // when the whole suite runs under BSIM_NAIVE=1 / BSIM_SCHED=... (the
-        // CI naive-oracle matrix leg does exactly that).
+        // when the whole suite runs under BSIM_NAIVE=1 (the CI
+        // naive-oracle leg does exactly that).
         let saved_naive = std::env::var("BSIM_NAIVE").ok();
-        let saved_sched = std::env::var("BSIM_SCHED").ok();
         std::env::remove_var("BSIM_NAIVE");
-        std::env::remove_var("BSIM_SCHED");
         assert!(
             Simulation::new().event_driven(),
             "fast-forward should default on"
@@ -1519,19 +1467,14 @@ mod tests {
         std::env::set_var("BSIM_NAIVE", "1");
         let naive = Simulation::new();
         std::env::set_var("BSIM_NAIVE", "0");
-        std::env::set_var("BSIM_SCHED", "skip");
-        let skip = Simulation::new();
+        let zero = Simulation::new();
         match saved_naive {
             Some(v) => std::env::set_var("BSIM_NAIVE", v),
             None => std::env::remove_var("BSIM_NAIVE"),
         }
-        match saved_sched {
-            Some(v) => std::env::set_var("BSIM_SCHED", v),
-            None => std::env::remove_var("BSIM_SCHED"),
-        }
         assert!(!naive.event_driven());
         assert_eq!(naive.scheduler_mode(), SchedulerMode::Naive);
-        assert_eq!(skip.scheduler_mode(), SchedulerMode::IdleSkip);
+        assert_eq!(zero.scheduler_mode(), SchedulerMode::ActiveSet);
     }
 
     #[test]
@@ -1714,8 +1657,8 @@ mod tests {
         let sequence = [
             SchedulerMode::ActiveSet,
             SchedulerMode::Naive,
-            SchedulerMode::IdleSkip,
             SchedulerMode::ActiveSet,
+            SchedulerMode::Naive,
         ];
         let run = |switch: bool| {
             let mut sim = Simulation::new();
@@ -1857,11 +1800,7 @@ mod tests {
         };
         let baseline = run(SchedulerMode::Naive, 1);
         assert_eq!(baseline, 4, "sent at 3, visible at 4");
-        for mode in [
-            SchedulerMode::Naive,
-            SchedulerMode::IdleSkip,
-            SchedulerMode::ActiveSet,
-        ] {
+        for mode in [SchedulerMode::Naive, SchedulerMode::ActiveSet] {
             for stride in [1, 2, 64, 1000] {
                 assert_eq!(
                     run(mode, stride),

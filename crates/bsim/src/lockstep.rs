@@ -1,4 +1,4 @@
-//! Lockstep guard mode: run a naive and an idle-skipping simulation of the
+//! Lockstep guard mode: run a naive and an event-driven simulation of the
 //! same model side by side and cross-check them.
 //!
 //! Components are boxed trait objects and cannot be cloned, so the caller
@@ -27,7 +27,7 @@ pub struct Lockstep {
 
 impl Lockstep {
     /// Pairs two independently built copies of the same model. The first
-    /// is forced to the naive scheduler, the second to the idle-skipping
+    /// is forced to the naive scheduler, the second to the active-set
     /// one; everything else about them should be identical.
     pub fn new(mut naive: Simulation, mut event: Simulation) -> Self {
         naive.set_event_driven(false);

@@ -291,7 +291,7 @@ pub struct StatsSnapshot {
 
 /// Simulation throughput: how many simulated cycles one host second buys.
 ///
-/// This is the headline number the idle-skipping scheduler improves —
+/// This is the headline number the active-set scheduler improves —
 /// simulated time per run is fixed by the model, so host wall-clock is the
 /// only thing fast-forwarding changes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -443,7 +443,7 @@ pub struct SimRateExt {
     pub dram_bytes: u64,
     /// Simulated seconds covered by `dram_bytes` (for achieved GB/s).
     pub sim_seconds: f64,
-    /// Cycles the idle-skipping scheduler fast-forwarded across.
+    /// Cycles the scheduler fast-forwarded across.
     pub skipped_cycles: u64,
     /// Total scheduler cycles (executed + skipped) for the percentage.
     pub total_cycles: u64,

@@ -1,13 +1,14 @@
 //! Wake hooks: how channel activity re-arms sleeping components under the
 //! active-set scheduler.
 //!
-//! The idle-skipping scheduler (PR 1) re-queries every component's
+//! Re-querying every component's
 //! [`next_event`](crate::Component::next_event) before each scheduling
-//! decision, so a declaration can only ever be *stale by zero cycles*.
-//! The active-set scheduler trusts declarations across many executed
-//! cycles — a sleeping component is not looked at while others run — so a
-//! declaration can be invalidated by an input change the component never
-//! sees. Wake hooks close that hole: a [`Waker`] handed to
+//! decision would keep a declaration *stale by zero cycles*, at O(n) per
+//! cycle. The active-set scheduler instead trusts declarations across
+//! many executed cycles — a sleeping component is not looked at while
+//! others run — so a declaration can be invalidated by an input change
+//! the component never sees. Wake hooks close that hole: a [`Waker`]
+//! handed to
 //! [`Component::register_wakes`](crate::Component::register_wakes) is
 //! attached to the component's input channels, and every
 //! [`send`](crate::Sender::send) (or, for backpressure sleepers, every

@@ -1,10 +1,9 @@
 //! Property tests for the active-set scheduler: on randomized component
 //! graphs — DAGs of producers, forwarding stages, and sinks with random
 //! channel latencies/capacities, clock dividers, and a random *scheduler
-//! flavor* per node — the naive stepper, the idle-skipping driver, and the
-//! active-set scheduler produce bit-identical results: the same final
-//! cycle, the same per-item logs (value, arrival cycle), and the same
-//! channel totals.
+//! flavor* per node — the naive stepper and the active-set scheduler
+//! produce bit-identical results: the same final cycle, the same per-item
+//! logs (value, arrival cycle), and the same channel totals.
 //!
 //! The flavors cover every citizenship class the scheduler supports:
 //!
@@ -308,12 +307,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
-    fn three_schedulers_are_cycle_exact_on_random_graphs(
+    fn schedulers_are_cycle_exact_on_random_graphs(
         specs in proptest::collection::vec(node_strategy(), 2..7),
         divider in 1u64..5,
         warmup in 0u64..200,
     ) {
-        let modes = [SchedulerMode::Naive, SchedulerMode::IdleSkip, SchedulerMode::ActiveSet];
+        let modes = [SchedulerMode::Naive, SchedulerMode::ActiveSet];
         let mut sims: Vec<Simulation> = modes
             .iter()
             .map(|&mode| {
@@ -361,7 +360,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(elapsed[0], elapsed[1]);
-        prop_assert_eq!(elapsed[0], elapsed[2]);
         prop_assert!(
             elapsed[0].is_ok(),
             "graph must drain within {} cycles; specs: {:?}; obs: {:?}",
@@ -380,7 +378,6 @@ proptest! {
         let registered: Vec<Cycle> =
             sims.iter().map(Simulation::registered_component_cycles).collect();
         prop_assert_eq!(registered[0], registered[1]);
-        prop_assert_eq!(registered[0], registered[2]);
         prop_assert_eq!(sims[0].ticked_component_cycles(), registered[0]);
         for sim in &sims {
             prop_assert!(sim.ticked_component_cycles() <= registered[0]);

@@ -1,7 +1,7 @@
 //! Property tests pinning the tentpole guarantee of the event-aware
 //! scheduler: on randomized pipelines — producer → stage → sink chains with
 //! random channel latencies, capacities, processing delays, and clock
-//! dividers (mixed domains in one simulation) — the idle-skipping driver
+//! dividers (mixed domains in one simulation) — the event-driven driver
 //! produces *bit-identical* results to the naive cycle-by-cycle stepper:
 //! the same final cycle, the same per-item delivery cycles, and the same
 //! channel totals.
