@@ -15,8 +15,9 @@
 use std::collections::VecDeque;
 
 use bcore::{
-    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -69,6 +70,11 @@ enum Mode {
 
 /// The A³ core.
 pub struct A3Core {
+    kv_in: ReaderId,
+    q_in: ReaderId,
+    out: WriterId,
+    keys: ScratchpadId,
+    values: ScratchpadId,
     dim: usize,
     max_keys: usize,
     n_keys: usize,
@@ -88,9 +94,15 @@ pub struct A3Core {
 }
 
 impl A3Core {
-    /// A core for embeddings of `dim` and up to `max_keys` key rows.
-    pub fn new(dim: usize, max_keys: usize) -> Self {
+    /// A core for embeddings of `dim` and up to `max_keys` key rows, bound
+    /// to the ports of [`a3_config`].
+    pub fn new(dim: usize, max_keys: usize, ports: &PortTable) -> Self {
         Self {
+            kv_in: ports.reader("kv_in"),
+            q_in: ports.reader("q_in"),
+            out: ports.writer("out"),
+            keys: ports.scratchpad("keys"),
+            values: ports.scratchpad("values"),
             dim,
             max_keys,
             n_keys: 0,
@@ -132,15 +144,16 @@ impl A3Core {
         if st.key_idx < self.n_keys {
             let i = st.key_idx;
             let w = i64::from(st.weights[i]);
+            let values = ctx.scratchpad(self.values);
             for j in 0..self.dim {
-                let v = ctx.scratchpad("values").read(i * self.dim + j) as u8 as i8;
+                let v = values.read(i * self.dim + j) as u8 as i8;
                 st.acc[j] += w * i64::from(v);
             }
             st.key_idx += 1;
             return;
         }
         // Finalize: normalize and emit one output row.
-        if !ctx.writer("out").can_push() {
+        if !ctx.writer(self.out).can_push() {
             return;
         }
         let recip = st.recip as i64;
@@ -149,7 +162,7 @@ impl A3Core {
             .iter()
             .map(|&acc| ((acc * recip + (1 << 31)) >> 32).clamp(-128, 127) as i8 as u8)
             .collect();
-        ctx.writer("out").push_chunk(&row);
+        ctx.writer(self.out).push_chunk(&row);
         ctx.stats().incr("a3_outputs");
         self.outputs_pending -= 1;
         self.stage3 = None;
@@ -186,7 +199,7 @@ impl A3Core {
     /// with the running max reduction.
     fn tick_stage1(&mut self, ctx: &mut CoreContext) {
         if self.stage1.is_none() && self.queries_pending > 0 {
-            if let Some(query_bytes) = ctx.reader("q_in").pop_bytes(self.dim) {
+            if let Some(query_bytes) = ctx.reader(self.q_in).pop_bytes(self.dim) {
                 self.stage1 = Some(Stage1 {
                     query: query_bytes.into_iter().map(|b| b as i8).collect(),
                     key_idx: 0,
@@ -200,8 +213,9 @@ impl A3Core {
         if st.key_idx < self.n_keys {
             let i = st.key_idx;
             let mut acc = 0i32;
+            let keys = ctx.scratchpad(self.keys);
             for j in 0..self.dim {
-                let k = ctx.scratchpad("keys").read(i * self.dim + j) as u8 as i8;
+                let k = keys.read(i * self.dim + j) as u8 as i8;
                 acc += i32::from(st.query[j]) * i32::from(k);
             }
             st.scores.push(acc);
@@ -235,12 +249,12 @@ impl AcceleratorCore for A3Core {
                                 "n_keys exceeds configured capacity"
                             );
                             assert!(
-                                self.n_keys * self.dim <= ctx.scratchpad("keys").len(),
+                                self.n_keys * self.dim <= ctx.scratchpad(self.keys).len(),
                                 "n_keys exceeds scratchpad capacity"
                             );
                             self.values_addr = cmd.arg("b");
                             let keys_addr = cmd.arg("a");
-                            let (sp, reader) = ctx.scratchpad_and_reader("keys", "kv_in");
+                            let (sp, reader) = ctx.scratchpad_and_reader(self.keys, self.kv_in);
                             sp.start_init(reader, keys_addr).expect("reader idle");
                             self.mode = Mode::LoadingKeys;
                         }
@@ -251,10 +265,10 @@ impl AcceleratorCore for A3Core {
                             let out_addr = cmd.arg("b");
                             self.queries_pending = n_queries;
                             self.outputs_pending = n_queries;
-                            ctx.reader("q_in")
+                            ctx.reader(self.q_in)
                                 .request(q_addr, (n_queries * self.dim) as u64)
                                 .expect("reader idle");
-                            ctx.writer("out")
+                            ctx.writer(self.out)
                                 .request(out_addr, (n_queries * self.dim) as u64)
                                 .expect("writer idle");
                             self.mode = Mode::Attending;
@@ -264,19 +278,19 @@ impl AcceleratorCore for A3Core {
                 }
             }
             Mode::LoadingKeys => {
-                let (sp, reader) = ctx.scratchpad_and_reader("keys", "kv_in");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.keys, self.kv_in);
                 sp.service_init(reader);
-                if !ctx.scratchpad("keys").initializing() {
+                if !ctx.scratchpad(self.keys).initializing() {
                     let addr = self.values_addr;
-                    let (sp, reader) = ctx.scratchpad_and_reader("values", "kv_in");
+                    let (sp, reader) = ctx.scratchpad_and_reader(self.values, self.kv_in);
                     sp.start_init(reader, addr).expect("reader idle after keys");
                     self.mode = Mode::LoadingValues;
                 }
             }
             Mode::LoadingValues => {
-                let (sp, reader) = ctx.scratchpad_and_reader("values", "kv_in");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.values, self.kv_in);
                 sp.service_init(reader);
-                if !ctx.scratchpad("values").initializing() && ctx.respond(sim, 0) {
+                if !ctx.scratchpad(self.values).initializing() && ctx.respond(sim, 0) {
                     self.mode = Mode::Idle;
                 }
             }
@@ -289,7 +303,7 @@ impl AcceleratorCore for A3Core {
                 if self.queries_pending == 0
                     && self.outputs_pending == 0
                     && self.pipeline_idle()
-                    && ctx.writer("out").done()
+                    && ctx.writer(self.out).done()
                     && ctx.respond(sim, 0)
                 {
                     self.mode = Mode::Idle;
@@ -330,8 +344,8 @@ pub fn a3_config(n_cores: u32, params: AttentionParams) -> AcceleratorConfig {
     let dim = params.dim;
     let keys = params.keys;
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(A3Core::new(dim, keys))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ports| {
+            Box::new(A3Core::new(dim, keys, ports))
         })
         .with_read(ReadChannelConfig::new("kv_in", 64))
         .with_read(ReadChannelConfig::new("q_in", 64))

@@ -8,14 +8,14 @@
 use bplatform::ResourceVector;
 
 use crate::command::{AccelCommandSpec, AccelResponseSpec};
-use crate::core::AcceleratorCore;
+use crate::core::{AcceleratorCore, PortTable};
 use crate::intracore::{IntraCoreMemoryPortInConfig, IntraCoreMemoryPortOutConfig};
 
 /// Declares a read stream (`ReadChannelConfig(name, dataBytes, nChannels)`
 /// in the paper's appendix).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadChannelConfig {
-    /// Stream name referenced by `ctx.reader(name)`.
+    /// Stream name, resolved by [`PortTable::reader`].
     pub name: String,
     /// Core-side port width in bytes.
     pub data_bytes: u32,
@@ -43,7 +43,7 @@ impl ReadChannelConfig {
 /// Declares a write stream (`WriteChannelConfig` in the appendix).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteChannelConfig {
-    /// Stream name referenced by `ctx.writer(name)`.
+    /// Stream name, resolved by [`PortTable::writer`].
     pub name: String,
     /// Core-side port width in bytes.
     pub data_bytes: u32,
@@ -73,7 +73,7 @@ impl WriteChannelConfig {
 /// fills the memory from DRAM through that channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScratchpadConfig {
-    /// Scratchpad name referenced by `ctx.scratchpad(name)`.
+    /// Scratchpad name, resolved by [`PortTable::scratchpad`].
     pub name: String,
     /// Word width in bits (≤ 64 in this reproduction).
     pub data_width_bits: u32,
@@ -156,8 +156,9 @@ impl MemoryChannelConfig {
 }
 
 /// Builds fresh core instances at elaboration (`moduleConstructor` in the
-/// paper's configuration).
-pub type CoreFactory = Box<dyn Fn() -> Box<dyn AcceleratorCore + Send>>;
+/// paper's configuration). It receives the core's [`PortTable`] and
+/// resolves there the handles of every port the core uses.
+pub type CoreFactory = Box<dyn Fn(&PortTable) -> Box<dyn AcceleratorCore + Send>>;
 
 /// One Beethoven *System*: `nCores` identical cores sharing a command
 /// format and memory interface declarations.
@@ -185,7 +186,7 @@ impl SystemConfig {
         name: impl Into<String>,
         n_cores: u32,
         command: AccelCommandSpec,
-        factory: impl Fn() -> Box<dyn AcceleratorCore + Send> + 'static,
+        factory: impl Fn(&PortTable) -> Box<dyn AcceleratorCore + Send> + 'static,
     ) -> Self {
         Self {
             name: name.into(),
@@ -331,7 +332,7 @@ mod tests {
 
     #[test]
     fn builder_chain_produces_expected_shape() {
-        let sys = SystemConfig::new("vecadd", 4, spec(), || Box::new(NullCore))
+        let sys = SystemConfig::new("vecadd", 4, spec(), |_| Box::new(NullCore))
             .with_read(ReadChannelConfig::new("vec_in", 4))
             .with_write(WriteChannelConfig::new("vec_out", 4))
             .with_scratchpad(ScratchpadConfig::new("lut", 32, 256).with_latency(2));
@@ -343,8 +344,8 @@ mod tests {
     #[test]
     fn accelerator_indexes_systems_by_name() {
         let acc = AcceleratorConfig::new()
-            .with_system(SystemConfig::new("a", 1, spec(), || Box::new(NullCore)))
-            .with_system(SystemConfig::new("b", 2, spec(), || Box::new(NullCore)));
+            .with_system(SystemConfig::new("a", 1, spec(), |_| Box::new(NullCore)))
+            .with_system(SystemConfig::new("b", 2, spec(), |_| Box::new(NullCore)));
         assert_eq!(acc.system_id("a"), Some(0));
         assert_eq!(acc.system_id("b"), Some(1));
         assert_eq!(acc.system_id("c"), None);
@@ -353,7 +354,7 @@ mod tests {
 
     #[test]
     fn multichannel_counts() {
-        let sys = SystemConfig::new("x", 1, spec(), || Box::new(NullCore))
+        let sys = SystemConfig::new("x", 1, spec(), |_| Box::new(NullCore))
             .with_read(ReadChannelConfig::new("a", 8).with_channels(3));
         assert_eq!(sys.ports_per_core(), 3);
     }

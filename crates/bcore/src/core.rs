@@ -7,13 +7,20 @@
 //! [`AcceleratorCore::tick`] with a [`CoreContext`] exposing the command
 //! queue, the response port, and every memory primitive the core's
 //! configuration declared.
+//!
+//! Ports are bound once, at elaboration: the system's core factory receives
+//! a [`PortTable`] and resolves each declared name to a `Copy` handle
+//! ([`ReaderId`], [`WriterId`], [`ScratchpadId`], [`IntraOutId`]). Every
+//! per-cycle access is then an index into the context's primitive vectors,
+//! as a Beethoven core's `getReaderModule(name)` wires a port during
+//! hardware elaboration and never looks it up again.
 
 use std::collections::BTreeMap;
 
 use bsim::{Cycle, Receiver, Sender, SimCtx, Stats};
 
 use crate::command::{RoccResponse, UnpackedCommand};
-use crate::intracore::{RemoteWritePort, RemoteWriteSink};
+use crate::intracore::{RemoteWrite, RemoteWritePort, RemoteWriteSink};
 use crate::primitives::{Reader, Scratchpad, Writer};
 
 /// A user-implemented accelerator core.
@@ -43,58 +50,201 @@ pub trait AcceleratorCore {
     }
 }
 
+/// Handle to a declared read stream: the paper's `getReaderModule(name)`,
+/// resolved once at elaboration through [`PortTable::reader`].
+///
+/// A handle is a plain index, so every per-cycle access through
+/// [`CoreContext::reader`] / [`CoreContext::reader_at`] is an array lookup.
+/// Handles are only meaningful for the system whose port table issued
+/// them; all cores of one system share the same table layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ReaderId {
+    first: u32,
+    channels: u32,
+}
+
+/// Handle to a declared write stream (`getWriterModule(name)`), resolved
+/// through [`PortTable::writer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WriterId {
+    first: u32,
+    channels: u32,
+}
+
+/// Handle to a declared scratchpad or intra-core In port
+/// (`getScratchpad(name)`), resolved through [`PortTable::scratchpad`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ScratchpadId(u32);
+
+/// Handle to a declared intra-core Out port (`getIntraCoreMemOut(name)`),
+/// resolved through [`PortTable::intra_out`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct IntraOutId(u32);
+
+/// The names a core's configuration declared, mapped to the handles of
+/// its [`CoreContext`]. The elaborator hands it to the system's core
+/// factory, which resolves every port the core will use — the moment
+/// Beethoven's `getReaderModule(name)` runs during hardware elaboration.
+/// After that no name is ever looked up again.
+#[derive(Debug, Clone)]
+pub struct PortTable {
+    readers: Vec<(String, ReaderId)>,
+    writers: Vec<(String, WriterId)>,
+    scratchpads: Vec<String>,
+    intra_outs: Vec<String>,
+}
+
+impl PortTable {
+    /// The read stream declared as `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name was not declared in the configuration — that is
+    /// a programming error in the core, as in the real framework, and it
+    /// surfaces at elaboration before any cycle runs.
+    pub fn reader(&self, name: &str) -> ReaderId {
+        lookup(&self.readers, name).unwrap_or_else(|| panic!("no read channel named '{name}'"))
+    }
+
+    /// The write stream declared as `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name was not declared.
+    pub fn writer(&self, name: &str) -> WriterId {
+        lookup(&self.writers, name).unwrap_or_else(|| panic!("no write channel named '{name}'"))
+    }
+
+    /// The scratchpad (or intra-core In port) declared as `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name was not declared.
+    pub fn scratchpad(&self, name: &str) -> ScratchpadId {
+        position(&self.scratchpads, name)
+            .map(ScratchpadId)
+            .unwrap_or_else(|| panic!("no scratchpad named '{name}'"))
+    }
+
+    /// The intra-core Out port declared as `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name was not declared.
+    pub fn intra_out(&self, name: &str) -> IntraOutId {
+        position(&self.intra_outs, name)
+            .map(IntraOutId)
+            .unwrap_or_else(|| panic!("no intra-core out port named '{name}'"))
+    }
+}
+
+fn lookup<T: Copy>(table: &[(String, T)], name: &str) -> Option<T> {
+    table.iter().find(|(n, _)| n == name).map(|(_, id)| *id)
+}
+
+fn position(names: &[String], name: &str) -> Option<u32> {
+    names.iter().position(|n| n == name).map(|i| i as u32)
+}
+
+/// Flattens name-keyed channel groups into one vector in name order,
+/// returning each group's handle (built from its first slot and channel
+/// count).
+fn flatten<T, Id>(
+    groups: BTreeMap<String, Vec<T>>,
+    id: impl Fn(u32, u32) -> Id,
+) -> (Vec<T>, Vec<(String, Id)>) {
+    let mut flat = Vec::with_capacity(groups.values().map(Vec::len).sum());
+    let mut ids = Vec::with_capacity(groups.len());
+    for (name, channels) in groups {
+        ids.push((name, id(flat.len() as u32, channels.len() as u32)));
+        flat.extend(channels);
+    }
+    (flat, ids)
+}
+
 /// Everything a core can touch during a tick: its identity, its clock, its
 /// declared memory primitives, and its command/response IO.
+///
+/// Primitives live in vectors sorted by declared name and are reached
+/// through the handles a [`PortTable`] issued at elaboration.
 pub struct CoreContext {
     system_id: u16,
     core_id: u16,
     now: Cycle,
-    readers: BTreeMap<String, Vec<Reader>>,
-    writers: BTreeMap<String, Vec<Writer>>,
-    scratchpads: BTreeMap<String, Scratchpad>,
-    intra_outs: BTreeMap<String, RemoteWritePort>,
+    readers: Vec<Reader>,
+    writers: Vec<Writer>,
+    scratchpads: Vec<Scratchpad>,
+    intra_outs: Vec<RemoteWritePort>,
     intra_sinks: Vec<RemoteWriteSink>,
     cmd_rx: Receiver<UnpackedCommand>,
     resp_tx: Sender<RoccResponse>,
     stats: Stats,
 }
 
+/// A core's primitives by declared name, as the elaborator builds them.
+pub(crate) struct Primitives {
+    pub readers: BTreeMap<String, Vec<Reader>>,
+    pub writers: BTreeMap<String, Vec<Writer>>,
+    pub scratchpads: BTreeMap<String, Scratchpad>,
+    pub intra_outs: BTreeMap<String, RemoteWritePort>,
+    /// Inbound remote-write channels, each named by the scratchpad it
+    /// lands in.
+    pub intra_sinks: Vec<(String, Receiver<RemoteWrite>)>,
+}
+
 impl CoreContext {
-    /// Assembles a context (called by the elaborator).
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a context and the port table its core factory resolves
+    /// handles against (called by the elaborator).
     pub(crate) fn new(
         system_id: u16,
         core_id: u16,
-        readers: BTreeMap<String, Vec<Reader>>,
-        writers: BTreeMap<String, Vec<Writer>>,
-        scratchpads: BTreeMap<String, Scratchpad>,
+        prims: Primitives,
         cmd_rx: Receiver<UnpackedCommand>,
         resp_tx: Sender<RoccResponse>,
         stats: Stats,
-    ) -> Self {
-        Self {
+    ) -> (Self, PortTable) {
+        let (readers, reader_ids) = flatten(prims.readers, |first, channels| ReaderId {
+            first,
+            channels,
+        });
+        let (writers, writer_ids) = flatten(prims.writers, |first, channels| WriterId {
+            first,
+            channels,
+        });
+        let (scratchpad_names, scratchpads): (Vec<String>, Vec<Scratchpad>) =
+            prims.scratchpads.into_iter().unzip();
+        let (intra_out_names, intra_outs): (Vec<String>, Vec<RemoteWritePort>) =
+            prims.intra_outs.into_iter().unzip();
+        let intra_sinks = prims
+            .intra_sinks
+            .into_iter()
+            .map(|(name, rx)| RemoteWriteSink {
+                scratchpad: position(&scratchpad_names, &name).unwrap_or_else(|| {
+                    panic!("intra-core sink targets unknown scratchpad '{name}'")
+                }) as usize,
+                rx,
+            })
+            .collect();
+        let ports = PortTable {
+            readers: reader_ids,
+            writers: writer_ids,
+            scratchpads: scratchpad_names,
+            intra_outs: intra_out_names,
+        };
+        let ctx = Self {
             system_id,
             core_id,
             now: 0,
             readers,
             writers,
             scratchpads,
-            intra_outs: BTreeMap::new(),
-            intra_sinks: Vec::new(),
+            intra_outs,
+            intra_sinks,
             cmd_rx,
             resp_tx,
             stats,
-        }
-    }
-
-    /// Installs the core-to-core plumbing (called by the elaborator).
-    pub(crate) fn set_intracore(
-        &mut self,
-        outs: BTreeMap<String, RemoteWritePort>,
-        sinks: Vec<RemoteWriteSink>,
-    ) {
-        self.intra_outs = outs;
-        self.intra_sinks = sinks;
+        };
+        (ctx, ports)
     }
 
     /// This core's system id.
@@ -146,96 +296,76 @@ impl CoreContext {
         true
     }
 
-    /// The paper's `getReaderModule(name)`: channel 0 of a read stream.
+    /// Channel 0 of a read stream.
     ///
     /// # Panics
     ///
-    /// Panics if the name was not declared in the configuration — that is
-    /// a programming error in the core, as in the real framework.
-    pub fn reader(&mut self, name: &str) -> &mut Reader {
-        self.reader_at(name, 0)
+    /// Panics if the stream was declared with zero channels.
+    pub fn reader(&mut self, id: ReaderId) -> &mut Reader {
+        self.reader_at(id, 0)
     }
 
-    /// `getReaderModule(name, idx)`: a specific channel.
+    /// `getReaderModule(name, idx)`: channel `idx` of a read stream.
     ///
     /// # Panics
     ///
-    /// Panics on unknown name or index.
-    pub fn reader_at(&mut self, name: &str, idx: usize) -> &mut Reader {
-        self.readers
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no read channel named '{name}'"))
-            .get_mut(idx)
-            .unwrap_or_else(|| panic!("read channel '{name}' has no index {idx}"))
+    /// Panics if the stream has no channel `idx`.
+    pub fn reader_at(&mut self, id: ReaderId, idx: usize) -> &mut Reader {
+        assert!(
+            idx < id.channels as usize,
+            "read stream has no channel index {idx}"
+        );
+        &mut self.readers[id.first as usize + idx]
     }
 
-    /// `getWriterModule(name)`: channel 0 of a write stream.
+    /// Channel 0 of a write stream.
     ///
     /// # Panics
     ///
-    /// Panics if the name was not declared.
-    pub fn writer(&mut self, name: &str) -> &mut Writer {
-        self.writer_at(name, 0)
+    /// Panics if the stream was declared with zero channels.
+    pub fn writer(&mut self, id: WriterId) -> &mut Writer {
+        self.writer_at(id, 0)
     }
 
-    /// `getWriterModule(name, idx)`.
+    /// `getWriterModule(name, idx)`: channel `idx` of a write stream.
     ///
     /// # Panics
     ///
-    /// Panics on unknown name or index.
-    pub fn writer_at(&mut self, name: &str, idx: usize) -> &mut Writer {
-        self.writers
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no write channel named '{name}'"))
-            .get_mut(idx)
-            .unwrap_or_else(|| panic!("write channel '{name}' has no index {idx}"))
+    /// Panics if the stream has no channel `idx`.
+    pub fn writer_at(&mut self, id: WriterId, idx: usize) -> &mut Writer {
+        assert!(
+            idx < id.channels as usize,
+            "write stream has no channel index {idx}"
+        );
+        &mut self.writers[id.first as usize + idx]
     }
 
-    /// `getScratchpad(name)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name was not declared.
-    pub fn scratchpad(&mut self, name: &str) -> &mut Scratchpad {
-        self.scratchpads
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no scratchpad named '{name}'"))
+    /// A scratchpad (or intra-core In port's backing memory).
+    pub fn scratchpad(&mut self, id: ScratchpadId) -> &mut Scratchpad {
+        &mut self.scratchpads[id.0 as usize]
     }
 
-    /// The appendix's `getIntraCoreMemOut(name)`: the write port into a
-    /// remote core's scratchpad.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name was not declared.
-    pub fn intra_out(&mut self, name: &str) -> &mut RemoteWritePort {
-        self.intra_outs
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no intra-core out port named '{name}'"))
+    /// The write port into a remote core's scratchpad.
+    pub fn intra_out(&mut self, id: IntraOutId) -> &mut RemoteWritePort {
+        &mut self.intra_outs[id.0 as usize]
     }
 
-    /// Borrows a scratchpad and a reader simultaneously (needed by
-    /// scratchpad init loops, which drive one with the other).
+    /// Borrows a scratchpad and channel 0 of a read stream simultaneously
+    /// (needed by scratchpad init loops, which drive one with the other).
     ///
     /// # Panics
     ///
-    /// Panics on unknown names.
+    /// Panics if the stream was declared with zero channels.
     pub fn scratchpad_and_reader(
         &mut self,
-        sp_name: &str,
-        reader_name: &str,
+        sp: ScratchpadId,
+        reader: ReaderId,
     ) -> (&mut Scratchpad, &mut Reader) {
-        let sp = self
-            .scratchpads
-            .get_mut(sp_name)
-            .unwrap_or_else(|| panic!("no scratchpad named '{sp_name}'"));
-        let reader = self
-            .readers
-            .get_mut(reader_name)
-            .unwrap_or_else(|| panic!("no read channel named '{reader_name}'"))
-            .get_mut(0)
-            .expect("channel 0 exists");
-        (sp, reader)
+        assert!(reader.channels > 0, "read stream has no channel index 0");
+        (
+            &mut self.scratchpads[sp.0 as usize],
+            &mut self.readers[reader.first as usize],
+        )
     }
 
     /// Applies remote writes that have arrived over the intra-accelerator
@@ -243,15 +373,7 @@ impl CoreContext {
     /// observes writes with the modelled network latency).
     pub(crate) fn drain_remote_writes(&mut self, sim: &SimCtx, now: Cycle) {
         for sink in &mut self.intra_sinks {
-            let sp = self
-                .scratchpads
-                .get_mut(&sink.scratchpad)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "intra-core sink targets unknown scratchpad '{}'",
-                        sink.scratchpad
-                    )
-                });
+            let sp = &mut self.scratchpads[sink.scratchpad];
             while let Some(write) = sink.rx.recv(sim, now) {
                 sp.write(write.idx as usize, write.data);
             }
@@ -261,15 +383,11 @@ impl CoreContext {
     /// Ticks every primitive (called by the harness after the core's tick).
     pub(crate) fn tick_primitives(&mut self, sim: &SimCtx, now: Cycle) {
         self.now = now;
-        for readers in self.readers.values_mut() {
-            for reader in readers {
-                reader.tick(sim, now);
-            }
+        for reader in &mut self.readers {
+            reader.tick(sim, now);
         }
-        for writers in self.writers.values_mut() {
-            for writer in writers {
-                writer.tick(sim, now);
-            }
+        for writer in &mut self.writers {
+            writer.tick(sim, now);
         }
     }
 
@@ -283,7 +401,7 @@ impl CoreContext {
     pub(crate) fn next_event(&self, sim: &SimCtx, now: Cycle) -> Option<Cycle> {
         // Scratchpad init is driven from the core's own tick; an idle()
         // claim during init would be a core bug — stay awake regardless.
-        if self.scratchpads.values().any(Scratchpad::initializing) {
+        if self.scratchpads.iter().any(Scratchpad::initializing) {
             return Some(now + 1);
         }
         let mut wake: Option<Cycle> = None;
@@ -293,10 +411,10 @@ impl CoreContext {
                 wake = Some(wake.map_or(e, |w: Cycle| w.min(e)));
             }
         };
-        for reader in self.readers.values().flatten() {
+        for reader in &self.readers {
             consider(reader.next_event(sim, now));
         }
-        for writer in self.writers.values().flatten() {
+        for writer in &self.writers {
             consider(writer.next_event(sim, now));
         }
         consider(self.cmd_rx.next_visible_at(sim));
@@ -316,10 +434,10 @@ impl CoreContext {
         for sink in &self.intra_sinks {
             sink.rx.wake_on_send(sim, waker);
         }
-        for reader in self.readers.values().flatten() {
+        for reader in &self.readers {
             reader.register_wakes(sim, waker);
         }
-        for writer in self.writers.values().flatten() {
+        for writer in &self.writers {
             writer.register_wakes(sim, waker);
         }
     }

@@ -23,7 +23,7 @@ use bsim::{ClockDomain, PerfRegistry, Simulation, SparseMemory, Stats};
 
 use crate::bindings::generate_bindings;
 use crate::config::{AcceleratorConfig, MemoryChannelConfig};
-use crate::core::{CoreContext, CoreHarness};
+use crate::core::{CoreContext, CoreHarness, Primitives};
 use crate::intracore::{CommunicationDegree, RemoteWrite, RemoteWritePort};
 use crate::primitives::{Reader, ReaderConfig, Scratchpad, Writer, WriterConfig};
 use crate::report::{NocSummary, ReportRow, SocReport};
@@ -444,7 +444,8 @@ pub fn elaborate_with(
     };
     // (sys, core, out-port name) -> downstream senders; (sys, core) -> sinks.
     type OutLinks = std::collections::HashMap<(usize, u16, String), Vec<bsim::Sender<RemoteWrite>>>;
-    type InSinks = std::collections::HashMap<(usize, u16), Vec<crate::intracore::RemoteWriteSink>>;
+    type InSinks =
+        std::collections::HashMap<(usize, u16), Vec<(String, bsim::Receiver<RemoteWrite>)>>;
     let mut out_links: OutLinks = std::collections::HashMap::new();
     let mut in_sinks: InSinks = std::collections::HashMap::new();
     let mut out_widths: std::collections::HashMap<(usize, String), u32> =
@@ -483,12 +484,10 @@ pub fn elaborate_with(
                     let latency = link_latency(src_flat, dst_flat);
                     let (tx, rx) = sim.channel_with_latency(16.max(latency as usize), latency);
                     senders.push(tx);
-                    in_sinks.entry((t_idx, t_core)).or_default().push(
-                        crate::intracore::RemoteWriteSink {
-                            scratchpad: in_cfg.name.clone(),
-                            rx,
-                        },
-                    );
+                    in_sinks
+                        .entry((t_idx, t_core))
+                        .or_default()
+                        .push((in_cfg.name.clone(), rx));
                 }
                 out_links.insert((o_idx, core, out.name.clone()), senders);
             }
@@ -581,32 +580,31 @@ pub fn elaborate_with(
         let (resp_tx, resp_rx) = sim.channel_with_latency(8.max(cmd_latency as usize), cmd_latency);
         let core_stats = Stats::new();
         perf.set(&core_label).attach_stats(&core_stats);
-        let mut ctx = CoreContext::new(
-            sys_idx as u16,
-            core_idx,
-            readers,
-            writers,
-            scratchpads,
-            cmd_rx,
-            resp_tx,
-            core_stats,
-        );
-        let mut outs = BTreeMap::new();
+        let mut intra_outs = BTreeMap::new();
         for ch in &sys.memory_channels {
             if let MemoryChannelConfig::IntraOut(out) = ch {
                 let senders = out_links
                     .remove(&(sys_idx, core_idx, out.name.clone()))
                     .expect("links created in the pre-pass");
                 let width = out_widths[&(sys_idx, out.name.clone())];
-                outs.insert(
+                intra_outs.insert(
                     out.name.clone(),
                     RemoteWritePort::new(out.name.clone(), senders, width),
                 );
             }
         }
-        let sinks = in_sinks.remove(&(sys_idx, core_idx)).unwrap_or_default();
-        ctx.set_intracore(outs, sinks);
-        let core = (sys.factory)();
+        let prims = Primitives {
+            readers,
+            writers,
+            scratchpads,
+            intra_outs,
+            intra_sinks: in_sinks.remove(&(sys_idx, core_idx)).unwrap_or_default(),
+        };
+        let (ctx, ports) =
+            CoreContext::new(sys_idx as u16, core_idx, prims, cmd_rx, resp_tx, core_stats);
+        // Elaboration-time binding: the core resolves its port handles
+        // here, so an undeclared name fails before any cycle runs.
+        let core = (sys.factory)(&ports);
         sim.add(CoreHarness { core, ctx });
         links[sys_idx].push(CoreLink { cmd_tx, resp_rx });
     }
@@ -780,18 +778,22 @@ mod tests {
     use super::*;
     use crate::command::{AccelCommandSpec, CommandArgs, FieldType};
     use crate::config::{ReadChannelConfig, SystemConfig, WriteChannelConfig};
-    use crate::core::AcceleratorCore;
+    use crate::core::{AcceleratorCore, PortTable, ReaderId, WriterId};
 
     /// The paper's Figure 2 vector-add core, as a cycle state machine.
     struct VecAddCore {
+        vec_in: ReaderId,
+        vec_out: WriterId,
         addend: u32,
         remaining: u32,
         active: bool,
     }
 
     impl VecAddCore {
-        fn new() -> Self {
+        fn new(ports: &PortTable) -> Self {
             Self {
+                vec_in: ports.reader("vec_in"),
+                vec_out: ports.writer("vec_out"),
                 addend: 0,
                 remaining: 0,
                 active: false,
@@ -809,10 +811,10 @@ mod tests {
                     self.remaining = n;
                     self.active = true;
                     let bytes = u64::from(n) * 4;
-                    ctx.reader("vec_in")
+                    ctx.reader(self.vec_in)
                         .request(addr, bytes)
                         .expect("reader idle");
-                    ctx.writer("vec_out")
+                    ctx.writer(self.vec_out)
                         .request(addr, bytes)
                         .expect("writer idle");
                 }
@@ -820,21 +822,28 @@ mod tests {
             }
             // For each 32b chunk, add addend and write back.
             while self.remaining > 0 {
-                let can_write = ctx.writer("vec_out").can_push();
+                let can_write = ctx.writer(self.vec_out).can_push();
                 if !can_write {
                     break;
                 }
-                let Some(v) = ctx.reader("vec_in").pop_u32() else {
+                let Some(v) = ctx.reader(self.vec_in).pop_u32() else {
                     break;
                 };
                 let out = v.wrapping_add(self.addend);
-                ctx.writer("vec_out").push_u32(out);
+                ctx.writer(self.vec_out).push_u32(out);
                 self.remaining -= 1;
             }
-            if self.remaining == 0 && ctx.writer("vec_out").done() && ctx.respond(sim, 0) {
+            if self.remaining == 0 && ctx.writer(self.vec_out).done() && ctx.respond(sim, 0) {
                 self.active = false;
             }
         }
+    }
+
+    /// A core that keeps no handles: configurations with no ports use it.
+    struct NullCore;
+
+    impl AcceleratorCore for NullCore {
+        fn tick(&mut self, _sim: &bsim::SimCtx, _ctx: &mut CoreContext) {}
     }
 
     fn vecadd_config(n_cores: u32) -> AcceleratorConfig {
@@ -847,8 +856,8 @@ mod tests {
             ],
         );
         AcceleratorConfig::new().with_system(
-            SystemConfig::new("MyAcceleratorSystem", n_cores, spec, || {
-                Box::new(VecAddCore::new())
+            SystemConfig::new("MyAcceleratorSystem", n_cores, spec, |ports| {
+                Box::new(VecAddCore::new(ports))
             })
             .with_read(ReadChannelConfig::new("vec_in", 4))
             .with_write(WriteChannelConfig::new("vec_out", 4)),
@@ -954,9 +963,8 @@ mod tests {
             Err(ElaborationError::NoSystems)
         ));
         let spec = AccelCommandSpec::new("x", vec![]);
-        let cfg = AcceleratorConfig::new().with_system(SystemConfig::new("empty", 0, spec, || {
-            Box::new(VecAddCore::new())
-        }));
+        let cfg = AcceleratorConfig::new()
+            .with_system(SystemConfig::new("empty", 0, spec, |_| Box::new(NullCore)));
         assert!(matches!(
             elaborate(cfg, &Platform::sim()),
             Err(ElaborationError::EmptySystem(_))
@@ -967,7 +975,7 @@ mod tests {
     fn duplicate_channel_names_rejected() {
         let spec = AccelCommandSpec::new("x", vec![]);
         let cfg = AcceleratorConfig::new().with_system(
-            SystemConfig::new("dup", 1, spec, || Box::new(VecAddCore::new()))
+            SystemConfig::new("dup", 1, spec, |_| Box::new(NullCore))
                 .with_read(ReadChannelConfig::new("a", 4))
                 .with_write(WriteChannelConfig::new("a", 4)),
         );
@@ -993,7 +1001,7 @@ mod tests {
     fn too_many_cores_fail_placement() {
         let spec = AccelCommandSpec::new("x", vec![]);
         let cfg = AcceleratorConfig::new().with_system(
-            SystemConfig::new("huge", 2000, spec, || Box::new(VecAddCore::new()))
+            SystemConfig::new("huge", 2000, spec, |_| Box::new(NullCore))
                 .with_core_logic(ResourceVector::new(4_000, 30_000, 30_000, 40, 0, 0)),
         );
         assert!(matches!(
@@ -1126,5 +1134,34 @@ mod tests {
             soc.send_command(0, 9, &args(0, 0, 0)),
             Err(crate::soc::SendError::NoSuchCore { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "no scratchpad named 'missing'")]
+    fn factory_asking_for_an_undeclared_scratchpad_fails_elaboration() {
+        let spec = AccelCommandSpec::new("x", vec![]);
+        let cfg = AcceleratorConfig::new().with_system(
+            SystemConfig::new("Unbound", 1, spec, |ports| {
+                let _ = ports.scratchpad("missing");
+                Box::new(NullCore)
+            })
+            .with_read(ReadChannelConfig::new("in", 4)),
+        );
+        let _ = elaborate(cfg, &Platform::sim());
+    }
+
+    #[test]
+    #[should_panic(expected = "no read channel named 'vec_out'")]
+    fn factory_asking_for_an_undeclared_reader_fails_elaboration() {
+        let spec = AccelCommandSpec::new("x", vec![]);
+        let cfg = AcceleratorConfig::new().with_system(
+            SystemConfig::new("Unbound", 1, spec, |ports| {
+                // `vec_out` exists, but as a write stream.
+                let _ = ports.reader("vec_out");
+                Box::new(NullCore)
+            })
+            .with_write(WriteChannelConfig::new("vec_out", 4)),
+        );
+        let _ = elaborate(cfg, &Platform::sim());
     }
 }

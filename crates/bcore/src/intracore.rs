@@ -74,7 +74,7 @@ impl IntraCoreMemoryPortInConfig {
 /// (`IntraCoreMemoryPortOutConfig`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntraCoreMemoryPortOutConfig {
-    /// Port name (referenced by `ctx.intra_out(name)`).
+    /// Port name (resolved by [`crate::PortTable::intra_out`]).
     pub name: String,
     /// Target system name.
     pub to_system: String,
@@ -164,7 +164,8 @@ impl RemoteWritePort {
 /// before each tick.
 #[derive(Debug)]
 pub(crate) struct RemoteWriteSink {
-    /// Name of the scratchpad the writes land in.
-    pub scratchpad: String,
+    /// Index of the scratchpad the writes land in, within the owning
+    /// [`crate::CoreContext`].
+    pub scratchpad: usize,
     pub rx: Receiver<RemoteWrite>,
 }

@@ -46,7 +46,9 @@ pub use config::{
     AcceleratorConfig, MemoryChannelConfig, ReadChannelConfig, ScratchpadConfig, SystemConfig,
     WriteChannelConfig,
 };
-pub use core::{AcceleratorCore, CoreContext};
+pub use core::{
+    AcceleratorCore, CoreContext, IntraOutId, PortTable, ReaderId, ScratchpadId, WriterId,
+};
 pub use elaborate::{elaborate, estimate_max_cores, ElaborationError};
 pub use intracore::{
     CommunicationDegree, IntraCoreMemoryPortInConfig, IntraCoreMemoryPortOutConfig, RemoteWrite,

@@ -182,11 +182,21 @@ impl Reader {
     /// Pops a little-endian u32 (requires `data_bytes >= 4`; narrower
     /// streams should use [`Reader::pop_chunk`]).
     pub fn pop_u32(&mut self) -> Option<u32> {
-        if self.stream.len() < 4 {
+        self.pop_word(4).map(|w| w as u32)
+    }
+
+    /// Pops `n <= 8` bytes as a little-endian word, straight out of the
+    /// stream buffer (no intermediate allocation).
+    fn pop_word(&mut self, n: usize) -> Option<u64> {
+        debug_assert!(n <= 8);
+        if self.stream.len() < n {
             return None;
         }
-        let bytes: Vec<u8> = self.stream.drain(..4).collect();
-        Some(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        let mut word = [0u8; 8];
+        for (dst, byte) in word.iter_mut().zip(self.stream.drain(..n)) {
+            *dst = byte;
+        }
+        Some(u64::from_le_bytes(word))
     }
 
     /// Advances the reader one fabric cycle.
@@ -369,6 +379,9 @@ pub struct Writer {
     staging: VecDeque<u8>,
     current: Option<WriteBurst>,
     inflight_bs: usize,
+    /// Rotation counter over `cfg.ids`: burst `k` goes out on
+    /// `ids[k % ids.len()]`.
+    next_id: usize,
     stats: Stats,
     /// Cycles an AW issue was blocked by the TLP inflight cap.
     perf_stall_inflight: Counter,
@@ -397,6 +410,7 @@ impl Writer {
             staging: VecDeque::new(),
             current: None,
             inflight_bs: 0,
+            next_id: 0,
             stats: Stats::new(),
             perf_stall_inflight: Counter::detached(),
             perf_stall_aw: Counter::detached(),
@@ -547,7 +561,8 @@ impl Writer {
             return;
         }
         let beats = span.div_ceil(bus) as u32;
-        let id = self.cfg.ids[(self.stats.get("aw_issued") as usize) % self.cfg.ids.len()];
+        let id = self.cfg.ids[self.next_id % self.cfg.ids.len()];
+        self.next_id += 1;
         self.port.aw.send(ctx, now, AwFlit { id, addr, beats });
         let data: Vec<u8> = self.staging.drain(..span as usize).collect();
         self.current = Some(WriteBurst {
@@ -740,13 +755,16 @@ impl Scratchpad {
             return;
         };
         let wb = self.word_bytes();
-        while filled < self.storage.len() && reader.available() >= wb {
-            let mut word = [0u8; 8];
-            let bytes = reader.pop_bytes(wb).expect("availability checked");
-            word[..wb].copy_from_slice(&bytes);
-            self.storage[filled] = u64::from_le_bytes(word);
+        let start = filled;
+        while filled < self.storage.len() {
+            let Some(word) = reader.pop_word(wb) else {
+                break;
+            };
+            self.storage[filled] = word;
             filled += 1;
-            self.stats.incr("init_words");
+        }
+        if filled > start {
+            self.stats.add("init_words", (filled - start) as u64);
         }
         self.init_progress = if filled == self.storage.len() {
             None
@@ -1000,5 +1018,57 @@ mod tests {
         assert!(!r.sim.get(r.reader).0.busy());
         r.sim.get_mut(r.writer).0.request(0, 0).unwrap();
         assert!(r.sim.get(r.writer).0.done());
+    }
+
+    /// Swallows AW and W flits and records each burst's AXI id, never
+    /// acknowledging (so a writer's inflight cap is the only throttle).
+    struct AwRecorder {
+        port: baxi::AxiSlavePort,
+        ids: Vec<u32>,
+    }
+
+    impl Component for AwRecorder {
+        fn tick(&mut self, ctx: &SimCtx, now: Cycle) {
+            while let Some(aw) = self.port.aw.recv(ctx, now) {
+                self.ids.push(aw.id);
+            }
+            while self.port.w.recv(ctx, now).is_some() {}
+        }
+    }
+
+    #[test]
+    fn writer_rotates_burst_ids_independently_of_stats() {
+        let mut sim = Simulation::new();
+        let (master, slave) = axi_link(
+            &mut sim,
+            PortDepths {
+                ar: 8,
+                r: 8,
+                aw: 8,
+                w: 64,
+                b: 8,
+            },
+        );
+        let mut cfg = WriterConfig::new("out", 4);
+        cfg.burst_beats = 1;
+        cfg.max_inflight = 8;
+        let writer = sim.add_shared(TickPrim(Writer::new(cfg, master), |w, ctx, now| {
+            w.tick(ctx, now)
+        }));
+        let sink = sim.add_shared(AwRecorder {
+            port: slave,
+            ids: Vec::new(),
+        });
+        // Five one-beat (64-byte) bursts on a 4-id writer.
+        sim.get_mut(writer).0.request(0x1000, 5 * 64).unwrap();
+        for v in 0..5 * 16 {
+            sim.get_mut(writer).0.push_u32(v);
+        }
+        while sim.get(sink).ids.len() < 5 {
+            sim.step();
+            assert!(sim.now() < 1_000, "bursts never issued");
+        }
+        assert_eq!(sim.get(sink).ids, vec![0, 1, 2, 3, 0]);
+        assert_eq!(sim.get(writer).0.stats().get("aw_issued"), 5);
     }
 }

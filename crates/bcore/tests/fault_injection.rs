@@ -3,11 +3,13 @@
 
 use bcore::{
     elaborate, AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, SystemConfig, WriteChannelConfig,
+    ReadChannelConfig, ReaderId, SystemConfig, WriteChannelConfig, WriterId,
 };
 use bplatform::Platform;
 
 struct MisbehavingCore {
+    input: ReaderId,
+    output: WriterId,
     mode: u64,
 }
 
@@ -18,20 +20,16 @@ impl AcceleratorCore for MisbehavingCore {
             match self.mode {
                 // 1: double-request a busy reader.
                 1 => {
-                    ctx.reader("in").request(0, 64).unwrap();
-                    ctx.reader("in")
+                    ctx.reader(self.input).request(0, 64).unwrap();
+                    ctx.reader(self.input)
                         .request(64, 64)
                         .expect("second request on busy reader");
                 }
                 // 2: push more data than the writer request declared.
                 2 => {
-                    ctx.writer("out").request(0, 4).unwrap();
-                    ctx.writer("out").push_u32(1);
-                    ctx.writer("out").push_u32(2); // one word too many
-                }
-                // 3: touch an undeclared channel.
-                3 => {
-                    ctx.reader("nonexistent").request(0, 4).unwrap();
+                    ctx.writer(self.output).request(0, 4).unwrap();
+                    ctx.writer(self.output).push_u32(1);
+                    ctx.writer(self.output).push_u32(2); // one word too many
                 }
                 _ => {
                     ctx.respond(sim, 0);
@@ -41,14 +39,28 @@ impl AcceleratorCore for MisbehavingCore {
     }
 }
 
-fn soc(platform: &Platform) -> bcore::SocSim {
-    let spec = AccelCommandSpec::new("poke", vec![("mode".to_owned(), FieldType::U(4))]);
+fn spec() -> AccelCommandSpec {
+    AccelCommandSpec::new("poke", vec![("mode".to_owned(), FieldType::U(4))])
+}
+
+/// A `Chaos` system whose core binds its read port by the name `reader`.
+fn soc_binding(platform: &Platform, reader: &'static str) -> bcore::SocSim {
     let cfg = AcceleratorConfig::new().with_system(
-        SystemConfig::new("Chaos", 1, spec, || Box::new(MisbehavingCore { mode: 0 }))
-            .with_read(ReadChannelConfig::new("in", 4))
-            .with_write(WriteChannelConfig::new("out", 4)),
+        SystemConfig::new("Chaos", 1, spec(), move |ports| {
+            Box::new(MisbehavingCore {
+                input: ports.reader(reader),
+                output: ports.writer("out"),
+                mode: 0,
+            })
+        })
+        .with_read(ReadChannelConfig::new("in", 4))
+        .with_write(WriteChannelConfig::new("out", 4)),
     );
     elaborate(cfg, platform).unwrap()
+}
+
+fn soc(platform: &Platform) -> bcore::SocSim {
+    soc_binding(platform, "in")
 }
 
 fn poke(mode: u64) {
@@ -78,7 +90,9 @@ fn over_pushing_a_writer_panics() {
 
 #[test]
 fn undeclared_channel_access_panics_with_its_name() {
-    let result = std::panic::catch_unwind(|| poke(3));
+    // Ports bind at elaboration, so the misuse surfaces there, before any
+    // cycle runs.
+    let result = std::panic::catch_unwind(|| soc_binding(&Platform::sim(), "nonexistent"));
     let err = result.expect_err("undeclared channel must panic");
     let msg = err
         .downcast_ref::<String>()
@@ -102,9 +116,8 @@ fn mmio_fifo_overrun_is_detected() {
     // than the command queue holds: the frontend asserts on overrun.
     let result = std::panic::catch_unwind(|| {
         let mut s = soc(&Platform::sim());
-        let spec = AccelCommandSpec::new("poke", vec![("mode".to_owned(), FieldType::U(4))]);
         let args = [("mode".to_owned(), 5u64)].into_iter().collect();
-        let packed = bcore::command::pack_command(&spec, 0, 0, &args).unwrap();
+        let packed = bcore::command::pack_command(&spec(), 0, 0, &args).unwrap();
         // Never stepping the simulation, so the queue (depth 8) cannot
         // drain; the 9th command overruns.
         for _ in 0..16 {

@@ -5,12 +5,14 @@
 
 use bcore::{
     elaborate, AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    IntraCoreMemoryPortInConfig, IntraCoreMemoryPortOutConfig, SystemConfig,
+    IntraCoreMemoryPortInConfig, IntraCoreMemoryPortOutConfig, IntraOutId, PortTable, ScratchpadId,
+    SystemConfig,
 };
 use bplatform::Platform;
 
 /// Writes `n` words `(base + idx)` into its out port, then responds.
 struct Producer {
+    ring: IntraOutId,
     base: u64,
     next: u64,
     n: u64,
@@ -18,8 +20,9 @@ struct Producer {
 }
 
 impl Producer {
-    fn new() -> Self {
+    fn new(ports: &PortTable) -> Self {
         Self {
+            ring: ports.intra_out("ring"),
             base: 0,
             next: 0,
             n: 0,
@@ -39,10 +42,10 @@ impl AcceleratorCore for Producer {
             }
             return;
         }
-        while self.next < self.n && ctx.intra_out("ring").can_send(sim) {
+        while self.next < self.n && ctx.intra_out(self.ring).can_send(sim) {
             let (idx, value) = (self.next, self.base + self.next + 1);
             let now = ctx.now();
-            ctx.intra_out("ring").send(sim, now, idx, value);
+            ctx.intra_out(self.ring).send(sim, now, idx, value);
             self.next += 1;
         }
         if self.next == self.n && ctx.respond(sim, 0) {
@@ -54,13 +57,15 @@ impl AcceleratorCore for Producer {
 /// Waits until its mailbox holds `n` nonzero words, then responds with
 /// their sum.
 struct Consumer {
+    mailbox: ScratchpadId,
     n: u64,
     active: bool,
 }
 
 impl Consumer {
-    fn new() -> Self {
+    fn new(ports: &PortTable) -> Self {
         Self {
+            mailbox: ports.scratchpad("mailbox"),
             n: 0,
             active: false,
         }
@@ -76,10 +81,10 @@ impl AcceleratorCore for Consumer {
             }
             return;
         }
-        let filled = (0..self.n as usize).all(|i| ctx.scratchpad("mailbox").read(i) != 0);
+        let filled = (0..self.n as usize).all(|i| ctx.scratchpad(self.mailbox).read(i) != 0);
         if filled {
             let sum: u64 = (0..self.n as usize)
-                .map(|i| ctx.scratchpad("mailbox").read(i))
+                .map(|i| ctx.scratchpad(self.mailbox).read(i))
                 .sum();
             if ctx.respond(sim, sum) {
                 self.active = false;
@@ -109,8 +114,8 @@ fn config(n_pairs: u32, broadcast: bool, n_consumers: u32) -> AcceleratorConfig 
     }
     AcceleratorConfig::new()
         .with_system(
-            SystemConfig::new("Producers", n_pairs, producer_spec(), || {
-                Box::new(Producer::new())
+            SystemConfig::new("Producers", n_pairs, producer_spec(), |ports| {
+                Box::new(Producer::new(ports))
             })
             .with_intra_out(IntraCoreMemoryPortOutConfig::new(
                 "ring",
@@ -119,8 +124,8 @@ fn config(n_pairs: u32, broadcast: bool, n_consumers: u32) -> AcceleratorConfig 
             )),
         )
         .with_system(
-            SystemConfig::new("Consumers", n_consumers, consumer_spec(), || {
-                Box::new(Consumer::new())
+            SystemConfig::new("Consumers", n_consumers, consumer_spec(), |ports| {
+                Box::new(Consumer::new(ports))
             })
             .with_intra_in(mailbox),
         )
@@ -196,10 +201,12 @@ fn cross_slr_links_add_latency_but_still_deliver() {
 #[test]
 fn unknown_target_system_is_rejected() {
     let cfg = AcceleratorConfig::new().with_system(
-        SystemConfig::new("Lonely", 1, producer_spec(), || Box::new(Producer::new()))
-            .with_intra_out(IntraCoreMemoryPortOutConfig::new(
-                "ring", "Nowhere", "mailbox",
-            )),
+        SystemConfig::new("Lonely", 1, producer_spec(), |ports| {
+            Box::new(Producer::new(ports))
+        })
+        .with_intra_out(IntraCoreMemoryPortOutConfig::new(
+            "ring", "Nowhere", "mailbox",
+        )),
     );
     let err = elaborate(cfg, &Platform::sim()).unwrap_err();
     assert!(err.to_string().contains("Nowhere"));
@@ -209,12 +216,9 @@ fn unknown_target_system_is_rejected() {
 fn unknown_target_port_is_rejected() {
     let cfg = AcceleratorConfig::new()
         .with_system(
-            SystemConfig::new(
-                "Producers",
-                1,
-                producer_spec(),
-                || Box::new(Producer::new()),
-            )
+            SystemConfig::new("Producers", 1, producer_spec(), |ports| {
+                Box::new(Producer::new(ports))
+            })
             .with_intra_out(IntraCoreMemoryPortOutConfig::new(
                 "ring",
                 "Consumers",
@@ -222,12 +226,9 @@ fn unknown_target_port_is_rejected() {
             )),
         )
         .with_system(
-            SystemConfig::new(
-                "Consumers",
-                1,
-                consumer_spec(),
-                || Box::new(Consumer::new()),
-            )
+            SystemConfig::new("Consumers", 1, consumer_spec(), |ports| {
+                Box::new(Consumer::new(ports))
+            })
             .with_intra_in(IntraCoreMemoryPortInConfig::new("mailbox", 32, 64)),
         );
     let err = elaborate(cfg, &Platform::sim()).unwrap_err();

@@ -8,8 +8,9 @@
 //! performs `P` multiply-accumulates per cycle.
 
 use bcore::{
-    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -29,6 +30,12 @@ enum Phase {
 /// The GeMM core. `p` is the loop-parallelism factor (MACs per cycle).
 #[derive(Debug)]
 pub struct GemmCore {
+    a: ReaderId,
+    b: ReaderId,
+    c: WriterId,
+    b_sp: ScratchpadId,
+    a_row: ScratchpadId,
+    c_row: ScratchpadId,
     p: usize,
     phase: Phase,
     n: usize,
@@ -41,14 +48,21 @@ pub struct GemmCore {
 }
 
 impl GemmCore {
-    /// A core with parallelism factor `p`.
+    /// A core with parallelism factor `p`, bound to the ports of
+    /// [`config`].
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero.
-    pub fn new(p: usize) -> Self {
+    pub fn new(p: usize, ports: &PortTable) -> Self {
         assert!(p > 0, "parallelism factor must be nonzero");
         Self {
+            a: ports.reader("a"),
+            b: ports.reader("b"),
+            c: ports.writer("c"),
+            b_sp: ports.scratchpad("b_sp"),
+            a_row: ports.scratchpad("a_row"),
+            c_row: ports.scratchpad("c_row"),
             p,
             phase: Phase::Idle,
             n: 0,
@@ -79,33 +93,33 @@ impl AcceleratorCore for GemmCore {
                     let b_addr = cmd.arg("b");
                     self.row = 0;
                     assert!(
-                        self.n * self.n <= ctx.scratchpad("b_sp").len(),
+                        self.n * self.n <= ctx.scratchpad(self.b_sp).len(),
                         "n exceeds configured scratchpad capacity"
                     );
-                    let (sp, reader) = ctx.scratchpad_and_reader("b_sp", "b");
+                    let (sp, reader) = ctx.scratchpad_and_reader(self.b_sp, self.b);
                     sp.start_init(reader, b_addr).expect("b reader idle");
-                    ctx.writer("c")
+                    ctx.writer(self.c)
                         .request(self.c_addr, (self.n * self.n * 4) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadB;
                 }
             }
             Phase::LoadB => {
-                let (sp, reader) = ctx.scratchpad_and_reader("b_sp", "b");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.b_sp, self.b);
                 sp.service_init(reader);
-                if !ctx.scratchpad("b_sp").initializing() {
+                if !ctx.scratchpad(self.b_sp).initializing() {
                     self.start_row(ctx);
                 }
             }
             Phase::LoadARow => {
-                let (sp, reader) = ctx.scratchpad_and_reader("a_row", "a");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.a_row, self.a);
                 sp.service_init(reader);
-                if !ctx.scratchpad("a_row").initializing() {
+                if !ctx.scratchpad(self.a_row).initializing() {
                     self.k = 0;
                     self.jb = 0;
                     // Zero the accumulator row.
                     for j in 0..self.n {
-                        ctx.scratchpad("c_row").write(j, 0);
+                        ctx.scratchpad(self.c_row).write(j, 0);
                     }
                     self.phase = Phase::Compute;
                 }
@@ -113,16 +127,16 @@ impl AcceleratorCore for GemmCore {
             Phase::Compute => {
                 // P MACs per cycle: c_row[jb..jb+P] += a_row[k] * b[k][..].
                 let n = self.n;
-                let a_ik = ctx.scratchpad("a_row").read(self.k) as u32 as i32;
+                let a_ik = ctx.scratchpad(self.a_row).read(self.k) as u32 as i32;
                 for lane in 0..self.p {
                     let j = self.jb + lane;
                     if j >= n {
                         break;
                     }
-                    let b_kj = ctx.scratchpad("b_sp").read(self.k * n + j) as u32 as i32;
-                    let acc = ctx.scratchpad("c_row").read(j) as u32 as i32;
+                    let b_kj = ctx.scratchpad(self.b_sp).read(self.k * n + j) as u32 as i32;
+                    let acc = ctx.scratchpad(self.c_row).read(j) as u32 as i32;
                     let next = acc.wrapping_add(a_ik.wrapping_mul(b_kj));
-                    ctx.scratchpad("c_row").write(j, next as u32 as u64);
+                    ctx.scratchpad(self.c_row).write(j, next as u32 as u64);
                 }
                 self.jb += self.p;
                 if self.jb >= n {
@@ -140,11 +154,11 @@ impl AcceleratorCore for GemmCore {
                     if self.drain_j >= self.n {
                         break;
                     }
-                    if !ctx.writer("c").can_push() {
+                    if !ctx.writer(self.c).can_push() {
                         break;
                     }
-                    let v = ctx.scratchpad("c_row").read(self.drain_j) as u32;
-                    ctx.writer("c").push_u32(v);
+                    let v = ctx.scratchpad(self.c_row).read(self.drain_j) as u32;
+                    ctx.writer(self.c).push_u32(v);
                     self.drain_j += 1;
                 }
                 if self.drain_j >= self.n {
@@ -157,7 +171,7 @@ impl AcceleratorCore for GemmCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("c").done() && ctx.respond(sim, 0) {
+                if ctx.writer(self.c).done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -168,7 +182,7 @@ impl AcceleratorCore for GemmCore {
 impl GemmCore {
     fn start_row(&mut self, ctx: &mut CoreContext) {
         let addr = self.a_addr + (self.row * self.n * 4) as u64;
-        let (sp, reader) = ctx.scratchpad_and_reader("a_row", "a");
+        let (sp, reader) = ctx.scratchpad_and_reader(self.a_row, self.a);
         sp.start_init(reader, addr).expect("a reader idle");
         self.phase = Phase::LoadARow;
     }
@@ -190,8 +204,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration: `n_cores` GeMM cores sized for `max_n`, parallelism `p`.
 pub fn config(n_cores: u32, max_n: usize, p: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(GemmCore::new(p))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ports| {
+            Box::new(GemmCore::new(p, ports))
         })
         .with_read(ReadChannelConfig::new("a", 64))
         .with_read(ReadChannelConfig::new("b", 64))

@@ -9,8 +9,9 @@
 //! sequence, so results match bit-exactly.
 
 use bcore::{
-    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -35,6 +36,12 @@ enum Phase {
 /// The MD-KNN core: `p` neighbour interactions per cycle.
 #[derive(Debug)]
 pub struct MdKnnCore {
+    pos_in: ReaderId,
+    nl_in: ReaderId,
+    force: WriterId,
+    pos: ScratchpadId,
+    nl: ScratchpadId,
+    fout: ScratchpadId,
     p: usize,
     phase: Phase,
     n: usize,
@@ -46,14 +53,21 @@ pub struct MdKnnCore {
 }
 
 impl MdKnnCore {
-    /// A core computing `p` interactions per cycle.
+    /// A core computing `p` interactions per cycle, bound to the ports of
+    /// [`config`].
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero.
-    pub fn new(p: usize) -> Self {
+    pub fn new(p: usize, ports: &PortTable) -> Self {
         assert!(p > 0);
         Self {
+            pos_in: ports.reader("pos_in"),
+            nl_in: ports.reader("nl_in"),
+            force: ports.writer("force"),
+            pos: ports.scratchpad("pos"),
+            nl: ports.scratchpad("nl"),
+            fout: ports.scratchpad("fout"),
             p,
             phase: Phase::Idle,
             n: 0,
@@ -87,32 +101,32 @@ impl AcceleratorCore for MdKnnCore {
                 if let Some(cmd) = ctx.take_command(sim) {
                     self.n = cmd.arg("n") as usize;
                     self.k = cmd.arg("k") as usize;
-                    assert!(self.n * 3 <= ctx.scratchpad("pos").len());
-                    assert!(self.n * self.k <= ctx.scratchpad("nl").len());
+                    assert!(self.n * 3 <= ctx.scratchpad(self.pos).len());
+                    assert!(self.n * self.k <= ctx.scratchpad(self.nl).len());
                     let pos = cmd.arg("pos");
                     let nl = cmd.arg("nl");
                     let force = cmd.arg("force");
-                    let (sp, reader) = ctx.scratchpad_and_reader("pos", "pos_in");
+                    let (sp, reader) = ctx.scratchpad_and_reader(self.pos, self.pos_in);
                     sp.start_init(reader, pos).expect("reader idle");
-                    let (spn, readern) = ctx.scratchpad_and_reader("nl", "nl_in");
+                    let (spn, readern) = ctx.scratchpad_and_reader(self.nl, self.nl_in);
                     spn.start_init(readern, nl).expect("reader idle");
-                    ctx.writer("force")
+                    ctx.writer(self.force)
                         .request(force, (self.n * 3 * 4) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadPos;
                 }
             }
             Phase::LoadPos => {
-                let (sp, reader) = ctx.scratchpad_and_reader("pos", "pos_in");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.pos, self.pos_in);
                 sp.service_init(reader);
-                if !ctx.scratchpad("pos").initializing() {
+                if !ctx.scratchpad(self.pos).initializing() {
                     self.phase = Phase::LoadNeighbors;
                 }
             }
             Phase::LoadNeighbors => {
-                let (sp, reader) = ctx.scratchpad_and_reader("nl", "nl_in");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.nl, self.nl_in);
                 sp.service_init(reader);
-                if !ctx.scratchpad("nl").initializing() {
+                if !ctx.scratchpad(self.nl).initializing() {
                     self.atom = 0;
                     self.neighbor = 0;
                     self.acc = [0.0; 3];
@@ -125,16 +139,15 @@ impl AcceleratorCore for MdKnnCore {
                         break;
                     }
                     let i = self.atom;
-                    let j = ctx.scratchpad("nl").read(i * self.k + self.neighbor) as usize;
-                    let read_pos = |ctx: &mut CoreContext, idx: usize, axis: usize| {
-                        bits_f32(ctx.scratchpad("pos").read(idx * 3 + axis))
-                    };
-                    let xi = read_pos(ctx, i, 0);
-                    let yi = read_pos(ctx, i, 1);
-                    let zi = read_pos(ctx, i, 2);
-                    let dx = xi - read_pos(ctx, j, 0);
-                    let dy = yi - read_pos(ctx, j, 1);
-                    let dz = zi - read_pos(ctx, j, 2);
+                    let j = ctx.scratchpad(self.nl).read(i * self.k + self.neighbor) as usize;
+                    let pos = ctx.scratchpad(self.pos);
+                    let read_pos = |idx: usize, axis: usize| bits_f32(pos.read(idx * 3 + axis));
+                    let xi = read_pos(i, 0);
+                    let yi = read_pos(i, 1);
+                    let zi = read_pos(i, 2);
+                    let dx = xi - read_pos(j, 0);
+                    let dy = yi - read_pos(j, 1);
+                    let dz = zi - read_pos(j, 2);
                     let r2inv = 1.0f32 / (dx * dx + dy * dy + dz * dz);
                     let r6inv = r2inv * r2inv * r2inv;
                     let potential = r2inv * r6inv * (LJ1 * r6inv - LJ2);
@@ -144,7 +157,7 @@ impl AcceleratorCore for MdKnnCore {
                     self.neighbor += 1;
                     if self.neighbor == self.k {
                         for axis in 0..3 {
-                            ctx.scratchpad("fout")
+                            ctx.scratchpad(self.fout)
                                 .write(i * 3 + axis, f32_bits(self.acc[axis]));
                         }
                         self.acc = [0.0; 3];
@@ -159,11 +172,11 @@ impl AcceleratorCore for MdKnnCore {
             }
             Phase::Drain => {
                 for _ in 0..self.p.max(4) {
-                    if self.drain_pos >= self.n * 3 || !ctx.writer("force").can_push() {
+                    if self.drain_pos >= self.n * 3 || !ctx.writer(self.force).can_push() {
                         break;
                     }
-                    let bits = ctx.scratchpad("fout").read(self.drain_pos) as u32;
-                    ctx.writer("force").push_u32(bits);
+                    let bits = ctx.scratchpad(self.fout).read(self.drain_pos) as u32;
+                    ctx.writer(self.force).push_u32(bits);
                     self.drain_pos += 1;
                 }
                 if self.drain_pos >= self.n * 3 {
@@ -171,7 +184,7 @@ impl AcceleratorCore for MdKnnCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("force").done() && ctx.respond(sim, 0) {
+                if ctx.writer(self.force).done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -196,8 +209,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration for up to `max_n` atoms and `max_k` neighbours.
 pub fn config(n_cores: u32, max_n: usize, max_k: usize, p: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(MdKnnCore::new(p))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ports| {
+            Box::new(MdKnnCore::new(p, ports))
         })
         .with_read(ReadChannelConfig::new("pos_in", 64))
         .with_read(ReadChannelConfig::new("nl_in", 64))

@@ -11,8 +11,9 @@
 //! Scoring follows MachSuite: match +1, mismatch −1, gap −1.
 
 use bcore::{
-    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -50,6 +51,15 @@ enum Phase {
 /// alignment output.
 #[derive(Debug)]
 pub struct NwCore {
+    a: ReaderId,
+    b: ReaderId,
+    out: WriterId,
+    seq_a: ScratchpadId,
+    seq_b: ScratchpadId,
+    dp_row: ScratchpadId,
+    tb: ScratchpadId,
+    out_a: ScratchpadId,
+    out_b: ScratchpadId,
     phase: Phase,
     n: usize,
     out_addr: u64,
@@ -65,9 +75,18 @@ pub struct NwCore {
 }
 
 impl NwCore {
-    /// A fresh core.
-    pub fn new() -> Self {
+    /// A fresh core bound to the ports of [`config`].
+    pub fn new(ports: &PortTable) -> Self {
         Self {
+            a: ports.reader("a"),
+            b: ports.reader("b"),
+            out: ports.writer("out"),
+            seq_a: ports.scratchpad("seq_a"),
+            seq_b: ports.scratchpad("seq_b"),
+            dp_row: ports.scratchpad("dp_row"),
+            tb: ports.scratchpad("tb"),
+            out_a: ports.scratchpad("out_a"),
+            out_b: ports.scratchpad("out_b"),
             phase: Phase::Idle,
             n: 0,
             out_addr: 0,
@@ -78,12 +97,6 @@ impl NwCore {
             out_len: 0,
             drain_pos: 0,
         }
-    }
-}
-
-impl Default for NwCore {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -101,33 +114,33 @@ impl AcceleratorCore for NwCore {
                     self.n = cmd.arg("n") as usize;
                     self.out_addr = cmd.arg("out");
                     assert!(
-                        self.n <= ctx.scratchpad("seq_a").len(),
+                        self.n <= ctx.scratchpad(self.seq_a).len(),
                         "n exceeds capacity"
                     );
                     let a_addr = cmd.arg("seq_a");
                     let b_addr = cmd.arg("seq_b");
-                    let (sp, reader) = ctx.scratchpad_and_reader("seq_a", "a");
+                    let (sp, reader) = ctx.scratchpad_and_reader(self.seq_a, self.a);
                     sp.start_init(reader, a_addr).expect("reader idle");
                     // Stash b's address for the next phase via the reader.
-                    let (spb, readerb) = ctx.scratchpad_and_reader("seq_b", "b");
+                    let (spb, readerb) = ctx.scratchpad_and_reader(self.seq_b, self.b);
                     spb.start_init(readerb, b_addr).expect("reader idle");
-                    ctx.writer("out")
+                    ctx.writer(self.out)
                         .request(self.out_addr, (4 * self.n) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadA;
                 }
             }
             Phase::LoadA => {
-                let (sp, reader) = ctx.scratchpad_and_reader("seq_a", "a");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.seq_a, self.a);
                 sp.service_init(reader);
-                if !ctx.scratchpad("seq_a").initializing() {
+                if !ctx.scratchpad(self.seq_a).initializing() {
                     self.phase = Phase::LoadB;
                 }
             }
             Phase::LoadB => {
-                let (sp, reader) = ctx.scratchpad_and_reader("seq_b", "b");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.seq_b, self.b);
                 sp.service_init(reader);
-                if !ctx.scratchpad("seq_b").initializing() {
+                if !ctx.scratchpad(self.seq_b).initializing() {
                     self.j = 0;
                     self.phase = Phase::InitRow0;
                 }
@@ -136,10 +149,10 @@ impl AcceleratorCore for NwCore {
                 // dp[0][j] = j * GAP; ptr[0][j] = LEFT. A real design does
                 // this with a counter, one entry per cycle.
                 let j = self.j;
-                ctx.scratchpad("dp_row")
+                ctx.scratchpad(self.dp_row)
                     .write(j, (j as i32 * GAP) as u32 as u64);
                 if j > 0 {
-                    ctx.scratchpad("tb").write(j, PTR_LEFT);
+                    ctx.scratchpad(self.tb).write(j, PTR_LEFT);
                 }
                 self.j += 1;
                 if self.j > self.n {
@@ -147,7 +160,7 @@ impl AcceleratorCore for NwCore {
                     self.j = 1;
                     self.diag = 0; // dp[0][0]
                     self.left = GAP; // dp[1][0]
-                    ctx.scratchpad("tb").write(0, PTR_DIAG);
+                    ctx.scratchpad(self.tb).write(0, PTR_DIAG);
                     self.phase = Phase::Compute;
                 }
             }
@@ -155,9 +168,9 @@ impl AcceleratorCore for NwCore {
                 // One cell per cycle (II = 1).
                 let n = self.n;
                 let (i, j) = (self.i, self.j);
-                let a_char = ctx.scratchpad("seq_a").read(i - 1) as u8;
-                let b_char = ctx.scratchpad("seq_b").read(j - 1) as u8;
-                let up = ctx.scratchpad("dp_row").read(j) as u32 as i32;
+                let a_char = ctx.scratchpad(self.seq_a).read(i - 1) as u8;
+                let b_char = ctx.scratchpad(self.seq_b).read(j - 1) as u8;
+                let up = ctx.scratchpad(self.dp_row).read(j) as u32 as i32;
                 let score = if a_char == b_char { MATCH } else { MISMATCH };
                 let d = self.diag + score;
                 let l = self.left + GAP;
@@ -169,11 +182,11 @@ impl AcceleratorCore for NwCore {
                 } else {
                     (u, PTR_UP)
                 };
-                ctx.scratchpad("tb").write(i * (n + 1) + j, ptr);
+                ctx.scratchpad(self.tb).write(i * (n + 1) + j, ptr);
                 // Slide the window: current row j-th value replaces dp_row.
                 self.diag = up;
                 self.left = best;
-                ctx.scratchpad("dp_row").write(j, best as u32 as u64);
+                ctx.scratchpad(self.dp_row).write(j, best as u32 as u64);
                 self.j += 1;
                 if self.j > n {
                     self.i += 1;
@@ -201,36 +214,38 @@ impl AcceleratorCore for NwCore {
                 } else if j == 0 {
                     PTR_UP
                 } else {
-                    ctx.scratchpad("tb").read(i * (n + 1) + j)
+                    ctx.scratchpad(self.tb).read(i * (n + 1) + j)
                 };
                 let (ca, cb) = match ptr {
                     PTR_DIAG => {
-                        let ca = ctx.scratchpad("seq_a").read(i - 1);
-                        let cb = ctx.scratchpad("seq_b").read(j - 1);
+                        let ca = ctx.scratchpad(self.seq_a).read(i - 1);
+                        let cb = ctx.scratchpad(self.seq_b).read(j - 1);
                         self.i -= 1;
                         self.j -= 1;
                         (ca, cb)
                     }
                     PTR_LEFT => {
-                        let cb = ctx.scratchpad("seq_b").read(j - 1);
+                        let cb = ctx.scratchpad(self.seq_b).read(j - 1);
                         self.j -= 1;
                         (u64::from(b'-'), cb)
                     }
                     _ => {
-                        let ca = ctx.scratchpad("seq_a").read(i - 1);
+                        let ca = ctx.scratchpad(self.seq_a).read(i - 1);
                         self.i -= 1;
                         (ca, u64::from(b'-'))
                     }
                 };
-                ctx.scratchpad("out_a").write(self.out_len, ca);
-                ctx.scratchpad("out_b").write(self.out_len, cb);
+                ctx.scratchpad(self.out_a).write(self.out_len, ca);
+                ctx.scratchpad(self.out_b).write(self.out_len, cb);
                 self.out_len += 1;
             }
             Phase::Pad => {
                 // Pad both aligned strings to 2n with '_'.
                 if self.out_len < 2 * self.n {
-                    ctx.scratchpad("out_a").write(self.out_len, u64::from(PAD));
-                    ctx.scratchpad("out_b").write(self.out_len, u64::from(PAD));
+                    ctx.scratchpad(self.out_a)
+                        .write(self.out_len, u64::from(PAD));
+                    ctx.scratchpad(self.out_b)
+                        .write(self.out_len, u64::from(PAD));
                     self.out_len += 1;
                 } else {
                     self.drain_pos = 0;
@@ -241,15 +256,15 @@ impl AcceleratorCore for NwCore {
                 // Stream out_a then out_b, 4 bytes per cycle.
                 let total = 4 * self.n;
                 for _ in 0..4 {
-                    if self.drain_pos >= total || !ctx.writer("out").can_push() {
+                    if self.drain_pos >= total || !ctx.writer(self.out).can_push() {
                         break;
                     }
                     let byte = if self.drain_pos < 2 * self.n {
-                        ctx.scratchpad("out_a").read(self.drain_pos) as u8
+                        ctx.scratchpad(self.out_a).read(self.drain_pos) as u8
                     } else {
-                        ctx.scratchpad("out_b").read(self.drain_pos - 2 * self.n) as u8
+                        ctx.scratchpad(self.out_b).read(self.drain_pos - 2 * self.n) as u8
                     };
-                    ctx.writer("out").push_chunk(&[byte]);
+                    ctx.writer(self.out).push_chunk(&[byte]);
                     self.drain_pos += 1;
                 }
                 if self.drain_pos >= total {
@@ -257,7 +272,7 @@ impl AcceleratorCore for NwCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("out").done() && ctx.respond(sim, 0) {
+                if ctx.writer(self.out).done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -281,17 +296,19 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration for sequences up to `max_n`.
 pub fn config(n_cores: u32, max_n: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), || Box::new(NwCore::new()))
-            .with_read(ReadChannelConfig::new("a", 16))
-            .with_read(ReadChannelConfig::new("b", 16))
-            .with_write(WriteChannelConfig::new("out", 16))
-            .with_scratchpad(ScratchpadConfig::new("seq_a", 8, max_n))
-            .with_scratchpad(ScratchpadConfig::new("seq_b", 8, max_n))
-            .with_scratchpad(ScratchpadConfig::new("dp_row", 32, max_n + 1))
-            .with_scratchpad(ScratchpadConfig::new("tb", 2, (max_n + 1) * (max_n + 1)))
-            .with_scratchpad(ScratchpadConfig::new("out_a", 8, 2 * max_n))
-            .with_scratchpad(ScratchpadConfig::new("out_b", 8, 2 * max_n))
-            .with_core_logic(ResourceVector::new(900, 5_500, 5_000, 0, 0, 0)),
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), |ports| {
+            Box::new(NwCore::new(ports))
+        })
+        .with_read(ReadChannelConfig::new("a", 16))
+        .with_read(ReadChannelConfig::new("b", 16))
+        .with_write(WriteChannelConfig::new("out", 16))
+        .with_scratchpad(ScratchpadConfig::new("seq_a", 8, max_n))
+        .with_scratchpad(ScratchpadConfig::new("seq_b", 8, max_n))
+        .with_scratchpad(ScratchpadConfig::new("dp_row", 32, max_n + 1))
+        .with_scratchpad(ScratchpadConfig::new("tb", 2, (max_n + 1) * (max_n + 1)))
+        .with_scratchpad(ScratchpadConfig::new("out_a", 8, 2 * max_n))
+        .with_scratchpad(ScratchpadConfig::new("out_b", 8, 2 * max_n))
+        .with_core_logic(ResourceVector::new(900, 5_500, 5_000, 0, 0, 0)),
     )
 }
 

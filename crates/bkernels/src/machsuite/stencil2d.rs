@@ -7,8 +7,9 @@
 //! cells per cycle (9 MACs each).
 
 use bcore::{
-    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -27,6 +28,11 @@ enum Phase {
 /// The Stencil2D core with parallelism factor `p`.
 #[derive(Debug)]
 pub struct Stencil2dCore {
+    grid_in: ReaderId,
+    filter_in: ReaderId,
+    sol: WriterId,
+    grid: ScratchpadId,
+    filt: ScratchpadId,
     p: usize,
     phase: Phase,
     n: usize,
@@ -34,14 +40,20 @@ pub struct Stencil2dCore {
 }
 
 impl Stencil2dCore {
-    /// A core computing `p` output cells per cycle.
+    /// A core computing `p` output cells per cycle, bound to the ports of
+    /// [`config`].
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero.
-    pub fn new(p: usize) -> Self {
+    pub fn new(p: usize, ports: &PortTable) -> Self {
         assert!(p > 0);
         Self {
+            grid_in: ports.reader("grid_in"),
+            filter_in: ports.reader("filter_in"),
+            sol: ports.writer("sol"),
+            grid: ports.scratchpad("grid"),
+            filt: ports.scratchpad("filt"),
             p,
             phase: Phase::Idle,
             n: 0,
@@ -62,31 +74,31 @@ impl AcceleratorCore for Stencil2dCore {
             Phase::Idle => {
                 if let Some(cmd) = ctx.take_command(sim) {
                     self.n = cmd.arg("n") as usize;
-                    assert!(self.n * self.n <= ctx.scratchpad("grid").len());
+                    assert!(self.n * self.n <= ctx.scratchpad(self.grid).len());
                     let orig = cmd.arg("orig");
                     let filt = cmd.arg("filter");
                     let sol = cmd.arg("sol");
-                    let (sp, reader) = ctx.scratchpad_and_reader("filt", "filter_in");
+                    let (sp, reader) = ctx.scratchpad_and_reader(self.filt, self.filter_in);
                     sp.start_init(reader, filt).expect("reader idle");
-                    let (spg, readerg) = ctx.scratchpad_and_reader("grid", "grid_in");
+                    let (spg, readerg) = ctx.scratchpad_and_reader(self.grid, self.grid_in);
                     spg.start_init(readerg, orig).expect("reader idle");
-                    ctx.writer("sol")
+                    ctx.writer(self.sol)
                         .request(sol, (self.n * self.n * 4) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadFilter;
                 }
             }
             Phase::LoadFilter => {
-                let (sp, reader) = ctx.scratchpad_and_reader("filt", "filter_in");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.filt, self.filter_in);
                 sp.service_init(reader);
-                if !ctx.scratchpad("filt").initializing() {
+                if !ctx.scratchpad(self.filt).initializing() {
                     self.phase = Phase::LoadGrid;
                 }
             }
             Phase::LoadGrid => {
-                let (sp, reader) = ctx.scratchpad_and_reader("grid", "grid_in");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.grid, self.grid_in);
                 sp.service_init(reader);
-                if !ctx.scratchpad("grid").initializing() {
+                if !ctx.scratchpad(self.grid).initializing() {
                     self.pos = 0;
                     self.phase = Phase::Compute;
                 }
@@ -98,7 +110,7 @@ impl AcceleratorCore for Stencil2dCore {
                     if self.pos >= total {
                         break;
                     }
-                    if !ctx.writer("sol").can_push() {
+                    if !ctx.writer(self.sol).can_push() {
                         return; // backpressure: retry same position next cycle
                     }
                     let (r, c) = (self.pos / n, self.pos % n);
@@ -106,8 +118,8 @@ impl AcceleratorCore for Stencil2dCore {
                         let mut acc = 0i32;
                         for k1 in 0..3 {
                             for k2 in 0..3 {
-                                let f = ctx.scratchpad("filt").read(k1 * 3 + k2) as u32 as i32;
-                                let g = ctx.scratchpad("grid").read((r + k1) * n + c + k2) as u32
+                                let f = ctx.scratchpad(self.filt).read(k1 * 3 + k2) as u32 as i32;
+                                let g = ctx.scratchpad(self.grid).read((r + k1) * n + c + k2) as u32
                                     as i32;
                                 acc = acc.wrapping_add(f.wrapping_mul(g));
                             }
@@ -116,7 +128,7 @@ impl AcceleratorCore for Stencil2dCore {
                     } else {
                         0
                     };
-                    ctx.writer("sol").push_u32(value as u32);
+                    ctx.writer(self.sol).push_u32(value as u32);
                     self.pos += 1;
                 }
                 if self.pos >= total {
@@ -124,7 +136,7 @@ impl AcceleratorCore for Stencil2dCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("sol").done() && ctx.respond(sim, 0) {
+                if ctx.writer(self.sol).done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -148,8 +160,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration for grids up to `max_n × max_n`, `p` cells per cycle.
 pub fn config(n_cores: u32, max_n: usize, p: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(Stencil2dCore::new(p))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ports| {
+            Box::new(Stencil2dCore::new(p, ports))
         })
         .with_read(ReadChannelConfig::new("grid_in", 64))
         .with_read(ReadChannelConfig::new("filter_in", 4))

@@ -7,8 +7,9 @@
 //! `P` cells compute per cycle.
 
 use bcore::{
-    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, ScratchpadConfig, SystemConfig, WriteChannelConfig,
+    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
+    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
+    WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -26,6 +27,9 @@ enum Phase {
 /// The Stencil3D core with parallelism factor `p`.
 #[derive(Debug)]
 pub struct Stencil3dCore {
+    grid_in: ReaderId,
+    sol: WriterId,
+    grid: ScratchpadId,
     p: usize,
     phase: Phase,
     n: usize,
@@ -35,14 +39,18 @@ pub struct Stencil3dCore {
 }
 
 impl Stencil3dCore {
-    /// A core computing `p` cells per cycle.
+    /// A core computing `p` cells per cycle, bound to the ports of
+    /// [`config`].
     ///
     /// # Panics
     ///
     /// Panics if `p` is zero.
-    pub fn new(p: usize) -> Self {
+    pub fn new(p: usize, ports: &PortTable) -> Self {
         assert!(p > 0);
         Self {
+            grid_in: ports.reader("grid_in"),
+            sol: ports.writer("sol"),
+            grid: ports.scratchpad("grid"),
             p,
             phase: Phase::Idle,
             n: 0,
@@ -65,23 +73,23 @@ impl AcceleratorCore for Stencil3dCore {
             Phase::Idle => {
                 if let Some(cmd) = ctx.take_command(sim) {
                     self.n = cmd.arg("n") as usize;
-                    assert!(self.n * self.n * self.n <= ctx.scratchpad("grid").len());
+                    assert!(self.n * self.n * self.n <= ctx.scratchpad(self.grid).len());
                     self.c0 = cmd.arg("c0") as u32 as i32;
                     self.c1 = cmd.arg("c1") as u32 as i32;
                     let orig = cmd.arg("orig");
                     let sol = cmd.arg("sol");
-                    let (sp, reader) = ctx.scratchpad_and_reader("grid", "grid_in");
+                    let (sp, reader) = ctx.scratchpad_and_reader(self.grid, self.grid_in);
                     sp.start_init(reader, orig).expect("reader idle");
-                    ctx.writer("sol")
+                    ctx.writer(self.sol)
                         .request(sol, (self.n * self.n * self.n * 4) as u64)
                         .expect("writer idle");
                     self.phase = Phase::LoadGrid;
                 }
             }
             Phase::LoadGrid => {
-                let (sp, reader) = ctx.scratchpad_and_reader("grid", "grid_in");
+                let (sp, reader) = ctx.scratchpad_and_reader(self.grid, self.grid_in);
                 sp.service_init(reader);
-                if !ctx.scratchpad("grid").initializing() {
+                if !ctx.scratchpad(self.grid).initializing() {
                     self.pos = 0;
                     self.phase = Phase::Compute;
                 }
@@ -93,15 +101,16 @@ impl AcceleratorCore for Stencil3dCore {
                     if self.pos >= total {
                         break;
                     }
-                    if !ctx.writer("sol").can_push() {
+                    if !ctx.writer(self.sol).can_push() {
                         return;
                     }
                     // MachSuite layout: idx = i*n*n + j*n + k (k fastest).
                     let i = self.pos / (n * n);
                     let j = (self.pos / n) % n;
                     let k = self.pos % n;
-                    let mut grid = |ii: usize, jj: usize, kk: usize| {
-                        ctx.scratchpad("grid").read(ii * n * n + jj * n + kk) as u32 as i32
+                    let sp = ctx.scratchpad(self.grid);
+                    let grid = |ii: usize, jj: usize, kk: usize| {
+                        sp.read(ii * n * n + jj * n + kk) as u32 as i32
                     };
                     let interior = i > 0 && i < n - 1 && j > 0 && j < n - 1 && k > 0 && k < n - 1;
                     let value = if interior {
@@ -118,7 +127,7 @@ impl AcceleratorCore for Stencil3dCore {
                     } else {
                         grid(i, j, k)
                     };
-                    ctx.writer("sol").push_u32(value as u32);
+                    ctx.writer(self.sol).push_u32(value as u32);
                     self.pos += 1;
                 }
                 if self.pos >= total {
@@ -126,7 +135,7 @@ impl AcceleratorCore for Stencil3dCore {
                 }
             }
             Phase::Finish => {
-                if ctx.writer("sol").done() && ctx.respond(sim, 0) {
+                if ctx.writer(self.sol).done() && ctx.respond(sim, 0) {
                     self.phase = Phase::Idle;
                 }
             }
@@ -151,8 +160,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Configuration for grids up to `max_n³`, `p` cells per cycle.
 pub fn config(n_cores: u32, max_n: usize, p: usize) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), move || {
-            Box::new(Stencil3dCore::new(p))
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), move |ports| {
+            Box::new(Stencil3dCore::new(p, ports))
         })
         .with_read(ReadChannelConfig::new("grid_in", 64))
         .with_write(WriteChannelConfig::new("sol", 64))

@@ -19,8 +19,8 @@
 
 use bcore::elaborate::{elaborate_with, ElaborationOptions};
 use bcore::{
-    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, SystemConfig, WriteChannelConfig,
+    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
+    ReadChannelConfig, ReaderId, SystemConfig, WriteChannelConfig, WriterId,
 };
 use bplatform::Platform;
 use bsim::{TraceEvent, Tracer};
@@ -29,16 +29,23 @@ use bsim::{TraceEvent, Tracer};
 pub const SYSTEM: &str = "MemcpySystem";
 
 /// A streaming copy core: `memcpy(dst, src, len)`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemcpyCore {
+    src: ReaderId,
+    dst: WriterId,
     remaining: u64,
     active: bool,
 }
 
 impl MemcpyCore {
-    /// A fresh, idle core.
-    pub fn new() -> Self {
-        Self::default()
+    /// A fresh, idle core bound to the `src` / `dst` streams.
+    pub fn new(ports: &PortTable) -> Self {
+        Self {
+            src: ports.reader("src"),
+            dst: ports.writer("dst"),
+            remaining: 0,
+            active: false,
+        }
     }
 }
 
@@ -57,22 +64,22 @@ impl AcceleratorCore for MemcpyCore {
                 let len = cmd.arg("len");
                 self.remaining = len;
                 self.active = true;
-                ctx.reader("src").request(src, len).expect("reader idle");
-                ctx.writer("dst").request(dst, len).expect("writer idle");
+                ctx.reader(self.src).request(src, len).expect("reader idle");
+                ctx.writer(self.dst).request(dst, len).expect("writer idle");
             }
             return;
         }
         // Move up to one bus beat per cycle from the read stream to the
         // write stream (the datapath is just a register).
-        while self.remaining > 0 && ctx.writer("dst").can_push() {
+        while self.remaining > 0 && ctx.writer(self.dst).can_push() {
             let chunk_len = 64.min(self.remaining) as usize;
-            let Some(chunk) = ctx.reader("src").pop_bytes(chunk_len) else {
+            let Some(chunk) = ctx.reader(self.src).pop_bytes(chunk_len) else {
                 break;
             };
-            ctx.writer("dst").push_chunk(&chunk);
+            ctx.writer(self.dst).push_chunk(&chunk);
             self.remaining -= chunk_len as u64;
         }
-        if self.remaining == 0 && ctx.writer("dst").done() && ctx.respond(sim, 0) {
+        if self.remaining == 0 && ctx.writer(self.dst).done() && ctx.respond(sim, 0) {
             self.active = false;
         }
     }
@@ -93,9 +100,11 @@ pub fn command_spec() -> AccelCommandSpec {
 /// Single-core memcpy configuration.
 pub fn config() -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, 1, command_spec(), || Box::new(MemcpyCore::new()))
-            .with_read(ReadChannelConfig::new("src", 64))
-            .with_write(WriteChannelConfig::new("dst", 64)),
+        SystemConfig::new(SYSTEM, 1, command_spec(), |ports| {
+            Box::new(MemcpyCore::new(ports))
+        })
+        .with_read(ReadChannelConfig::new("src", 64))
+        .with_write(WriteChannelConfig::new("dst", 64)),
     )
 }
 

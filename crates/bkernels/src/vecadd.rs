@@ -2,8 +2,8 @@
 //! Reader and one Writer, adding a scalar to every 32-bit element.
 
 use bcore::{
-    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, SystemConfig, WriteChannelConfig,
+    AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
+    ReadChannelConfig, ReaderId, SystemConfig, WriteChannelConfig, WriterId,
 };
 
 /// The system name used in configurations and bindings.
@@ -11,17 +11,25 @@ pub const SYSTEM: &str = "MyAcceleratorSystem";
 
 /// The vector-add core of Figure 2: `for each 32b chunk, add addend and
 /// write back`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct VecAddCore {
+    vec_in: ReaderId,
+    vec_out: WriterId,
     addend: u32,
     remaining: u32,
     active: bool,
 }
 
 impl VecAddCore {
-    /// A fresh, idle core.
-    pub fn new() -> Self {
-        Self::default()
+    /// A fresh, idle core bound to the `vec_in` / `vec_out` streams.
+    pub fn new(ports: &PortTable) -> Self {
+        Self {
+            vec_in: ports.reader("vec_in"),
+            vec_out: ports.writer("vec_out"),
+            addend: 0,
+            remaining: 0,
+            active: false,
+        }
     }
 }
 
@@ -42,24 +50,24 @@ impl AcceleratorCore for VecAddCore {
                 self.active = true;
                 // write_len_bytes = Cat(n_eles, 0.U(2.W)) — i.e. n * 4.
                 let bytes = u64::from(n) * 4;
-                ctx.reader("vec_in")
+                ctx.reader(self.vec_in)
                     .request(addr, bytes)
                     .expect("reader idle");
-                ctx.writer("vec_out")
+                ctx.writer(self.vec_out)
                     .request(addr, bytes)
                     .expect("writer idle");
             }
             return;
         }
-        while self.remaining > 0 && ctx.writer("vec_out").can_push() {
-            let Some(v) = ctx.reader("vec_in").pop_u32() else {
+        while self.remaining > 0 && ctx.writer(self.vec_out).can_push() {
+            let Some(v) = ctx.reader(self.vec_in).pop_u32() else {
                 break;
             };
             let out = v.wrapping_add(self.addend);
-            ctx.writer("vec_out").push_u32(out);
+            ctx.writer(self.vec_out).push_u32(out);
             self.remaining -= 1;
         }
-        if self.remaining == 0 && ctx.writer("vec_out").done() && ctx.respond(sim, 0) {
+        if self.remaining == 0 && ctx.writer(self.vec_out).done() && ctx.respond(sim, 0) {
             self.active = false;
         }
     }
@@ -81,8 +89,8 @@ pub fn command_spec() -> AccelCommandSpec {
 /// `vec_out` channels of 4 bytes.
 pub fn config(n_cores: u32) -> AcceleratorConfig {
     AcceleratorConfig::new().with_system(
-        SystemConfig::new(SYSTEM, n_cores, command_spec(), || {
-            Box::new(VecAddCore::new())
+        SystemConfig::new(SYSTEM, n_cores, command_spec(), |ports| {
+            Box::new(VecAddCore::new(ports))
         })
         .with_read(ReadChannelConfig::new("vec_in", 4))
         .with_write(WriteChannelConfig::new("vec_out", 4)),

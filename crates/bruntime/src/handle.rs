@@ -823,12 +823,14 @@ mod tests {
     use super::*;
     use bcore::{
         elaborate, AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-        ReadChannelConfig, SystemConfig, WriteChannelConfig,
+        ReadChannelConfig, ReaderId, SystemConfig, WriteChannelConfig, WriterId,
     };
     use bplatform::Platform;
 
     /// Minimal streaming doubler core for runtime tests.
     struct DoubleCore {
+        src: ReaderId,
+        dst: WriterId,
         remaining: u32,
         active: bool,
     }
@@ -841,23 +843,23 @@ mod tests {
                     let addr = cmd.arg("addr");
                     self.remaining = n;
                     self.active = true;
-                    ctx.reader("src")
+                    ctx.reader(self.src)
                         .request(addr, u64::from(n) * 4)
                         .expect("idle");
-                    ctx.writer("dst")
+                    ctx.writer(self.dst)
                         .request(addr, u64::from(n) * 4)
                         .expect("idle");
                 }
                 return;
             }
-            while self.remaining > 0 && ctx.writer("dst").can_push() {
-                let Some(v) = ctx.reader("src").pop_u32() else {
+            while self.remaining > 0 && ctx.writer(self.dst).can_push() {
+                let Some(v) = ctx.reader(self.src).pop_u32() else {
                     break;
                 };
-                ctx.writer("dst").push_u32(v.wrapping_mul(2));
+                ctx.writer(self.dst).push_u32(v.wrapping_mul(2));
                 self.remaining -= 1;
             }
-            if self.remaining == 0 && ctx.writer("dst").done() && ctx.respond(sim, 1) {
+            if self.remaining == 0 && ctx.writer(self.dst).done() && ctx.respond(sim, 1) {
                 self.active = false;
             }
         }
@@ -872,8 +874,10 @@ mod tests {
             ],
         );
         let cfg = AcceleratorConfig::new().with_system(
-            SystemConfig::new("Doubler", n_cores, spec, || {
+            SystemConfig::new("Doubler", n_cores, spec, |ports| {
                 Box::new(DoubleCore {
+                    src: ports.reader("src"),
+                    dst: ports.writer("dst"),
                     remaining: 0,
                     active: false,
                 })
@@ -1255,7 +1259,7 @@ mod tests {
     fn batch_rejects_overfull_core_without_side_effects() {
         let handle = make_handle(&Platform::sim(), 1);
         let mem = handle.malloc(4096).unwrap();
-        handle.write_u32_slice(mem, &vec![1u32; 16]);
+        handle.write_u32_slice(mem, &[1u32; 16]);
         let args = call_args(mem.device_addr(), 16);
         let free = handle.with_soc(|soc| soc.cmd_queue_free(0, 0).unwrap());
         let items: Vec<_> = (0..free + 1).map(|_| (0u16, args.clone())).collect();

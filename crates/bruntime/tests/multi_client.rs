@@ -5,17 +5,30 @@
 
 use bcore::{
     elaborate, AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    ReadChannelConfig, SystemConfig, WriteChannelConfig,
+    PortTable, ReadChannelConfig, ReaderId, SystemConfig, WriteChannelConfig, WriterId,
 };
 use bplatform::Platform;
 use bruntime::FpgaHandle;
 
 /// Adds `k` to every element (a vecadd with a response counter).
-#[derive(Default)]
 struct AddK {
+    src: ReaderId,
+    dst: WriterId,
     k: u32,
     remaining: u32,
     active: bool,
+}
+
+impl AddK {
+    fn boxed(ports: &PortTable) -> Box<dyn AcceleratorCore + Send> {
+        Box::new(Self {
+            src: ports.reader("src"),
+            dst: ports.writer("dst"),
+            k: 0,
+            remaining: 0,
+            active: false,
+        })
+    }
 }
 
 impl AcceleratorCore for AddK {
@@ -26,23 +39,24 @@ impl AcceleratorCore for AddK {
                 let n = cmd.arg("n") as u32;
                 self.remaining = n;
                 self.active = true;
-                ctx.reader("src")
+                ctx.reader(self.src)
                     .request(cmd.arg("addr"), u64::from(n) * 4)
                     .expect("idle");
-                ctx.writer("dst")
+                ctx.writer(self.dst)
                     .request(cmd.arg("addr"), u64::from(n) * 4)
                     .expect("idle");
             }
             return;
         }
-        while self.remaining > 0 && ctx.writer("dst").can_push() {
-            let Some(v) = ctx.reader("src").pop_u32() else {
+        while self.remaining > 0 && ctx.writer(self.dst).can_push() {
+            let Some(v) = ctx.reader(self.src).pop_u32() else {
                 break;
             };
-            ctx.writer("dst").push_u32(v.wrapping_add(self.k));
+            ctx.writer(self.dst).push_u32(v.wrapping_add(self.k));
             self.remaining -= 1;
         }
-        if self.remaining == 0 && ctx.writer("dst").done() && ctx.respond(sim, u64::from(self.k)) {
+        if self.remaining == 0 && ctx.writer(self.dst).done() && ctx.respond(sim, u64::from(self.k))
+        {
             self.active = false;
         }
     }
@@ -58,7 +72,7 @@ fn handle(n_cores: u32) -> FpgaHandle {
         ],
     );
     let cfg = AcceleratorConfig::new().with_system(
-        SystemConfig::new("AddK", n_cores, spec, || Box::<AddK>::default())
+        SystemConfig::new("AddK", n_cores, spec, AddK::boxed)
             .with_read(ReadChannelConfig::new("src", 4))
             .with_write(WriteChannelConfig::new("dst", 4)),
     );
@@ -148,7 +162,7 @@ fn poll_interval_trades_host_time_for_latency() {
             ],
         );
         let cfg = bcore::AcceleratorConfig::new().with_system(
-            bcore::SystemConfig::new("AddK", 1, spec, || Box::<AddK>::default())
+            bcore::SystemConfig::new("AddK", 1, spec, AddK::boxed)
                 .with_read(bcore::ReadChannelConfig::new("src", 4))
                 .with_write(bcore::WriteChannelConfig::new("dst", 4)),
         );

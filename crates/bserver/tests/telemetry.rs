@@ -340,7 +340,7 @@ impl AcceleratorCore for BlackHoleCore {
 #[test]
 fn watchdog_dumps_flight_recorder_on_injected_stall() {
     let spec = AccelCommandSpec::new("swallow", vec![("x".to_owned(), FieldType::U(32))]);
-    let cfg = AcceleratorConfig::new().with_system(SystemConfig::new("BlackHole", 1, spec, || {
+    let cfg = AcceleratorConfig::new().with_system(SystemConfig::new("BlackHole", 1, spec, |_| {
         Box::<BlackHoleCore>::default()
     }));
     let handle = FpgaHandle::new(elaborate(cfg, &Platform::kria()).expect("elaboration"));

@@ -171,14 +171,15 @@ impl Stats {
     }
 
     /// Adds `delta` to counter `name`, creating it at zero if needed.
+    /// Only a name's first insert allocates; later bumps are a lookup.
     pub fn add(&self, name: &str, delta: u64) {
-        *self
-            .inner
-            .lock()
-            .unwrap()
-            .counters
-            .entry(name.to_owned())
-            .or_insert(0) += delta;
+        let counters = &mut self.inner.lock().unwrap().counters;
+        match counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Increments counter `name` by one.
@@ -197,15 +198,14 @@ impl Stats {
             .unwrap_or(0)
     }
 
-    /// Records a histogram sample under `name`.
+    /// Records a histogram sample under `name`. Only a name's first
+    /// sample allocates its key.
     pub fn record(&self, name: &str, value: u64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
+        let histograms = &mut self.inner.lock().unwrap().histograms;
+        match histograms.get_mut(name) {
+            Some(histogram) => histogram.record(value),
+            None => histograms.entry(name.to_owned()).or_default().record(value),
+        }
     }
 
     /// A snapshot of histogram `name`, if any samples were recorded.
@@ -565,6 +565,37 @@ mod tests {
         stats.incr("a");
         let names: Vec<String> = stats.counters().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a".to_owned(), "b".to_owned()]);
+    }
+
+    #[test]
+    fn add_and_record_create_on_first_insert_and_accumulate_after() {
+        let stats = Stats::new();
+        stats.add("zero", 0);
+        assert_eq!(stats.counters(), vec![("zero".to_owned(), 0)]);
+        stats.add("beats", 3);
+        stats.incr("beats");
+        stats.add("beats", 0);
+        stats.add("zero", 0);
+        assert_eq!(
+            stats.counters(),
+            vec![("beats".to_owned(), 4), ("zero".to_owned(), 0)]
+        );
+        stats.record("lat", 7);
+        stats.record("lat", 9);
+        let snap = stats.snapshot();
+        assert_eq!(snap.counters, stats.counters());
+        assert_eq!(
+            snap.histograms,
+            vec![(
+                "lat".to_owned(),
+                HistogramSummary {
+                    count: 2,
+                    sum: 16,
+                    min: Some(7),
+                    max: Some(9),
+                }
+            )]
+        );
     }
 
     #[test]

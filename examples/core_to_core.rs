@@ -10,14 +10,16 @@
 use beethoven::core::elaborate;
 use beethoven::core::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType,
-    IntraCoreMemoryPortInConfig, IntraCoreMemoryPortOutConfig, ReadChannelConfig, SystemConfig,
+    IntraCoreMemoryPortInConfig, IntraCoreMemoryPortOutConfig, IntraOutId, ReadChannelConfig,
+    ReaderId, ScratchpadId, SystemConfig,
 };
 use beethoven::platform::Platform;
 use beethoven::runtime::FpgaHandle;
 
 /// Streams `n` u32s from DRAM and broadcasts them to the reducers.
-#[derive(Default)]
 struct Loader {
+    src: ReaderId,
+    feed: IntraOutId,
     sent: u64,
     n: u64,
     active: bool,
@@ -30,18 +32,19 @@ impl AcceleratorCore for Loader {
                 self.n = cmd.arg("n");
                 self.sent = 0;
                 self.active = true;
-                ctx.reader("src")
+                ctx.reader(self.src)
                     .request(cmd.arg("addr"), self.n * 4)
                     .expect("idle");
             }
             return;
         }
-        while self.sent < self.n && ctx.intra_out("feed").can_send(sim) {
-            let Some(v) = ctx.reader("src").pop_u32() else {
+        while self.sent < self.n && ctx.intra_out(self.feed).can_send(sim) {
+            let Some(v) = ctx.reader(self.src).pop_u32() else {
                 break;
             };
             let (now, idx) = (ctx.now(), self.sent);
-            ctx.intra_out("feed").send(sim, now, idx, u64::from(v) + 1); // +1 tags "written"
+            ctx.intra_out(self.feed)
+                .send(sim, now, idx, u64::from(v) + 1); // +1 tags "written"
             self.sent += 1;
         }
         if self.sent == self.n && ctx.respond(sim, 0) {
@@ -52,8 +55,8 @@ impl AcceleratorCore for Loader {
 
 /// Waits until its inbox holds `n` tagged words, then reduces per `mode`
 /// (0 = sum, 1 = max) and responds with the result.
-#[derive(Default)]
 struct Reducer {
+    inbox: ScratchpadId,
     n: u64,
     mode: u64,
     active: bool,
@@ -69,11 +72,11 @@ impl AcceleratorCore for Reducer {
             }
             return;
         }
-        let full = (0..self.n as usize).all(|i| ctx.scratchpad("inbox").read(i) != 0);
+        let full = (0..self.n as usize).all(|i| ctx.scratchpad(self.inbox).read(i) != 0);
         if !full {
             return;
         }
-        let values = (0..self.n as usize).map(|i| ctx.scratchpad("inbox").read(i) - 1);
+        let values = (0..self.n as usize).map(|i| ctx.scratchpad(self.inbox).read(i) - 1);
         let result = match self.mode {
             0 => values.sum::<u64>(),
             _ => values.max().unwrap_or(0),
@@ -101,15 +104,30 @@ fn main() {
     );
     let config = AcceleratorConfig::new()
         .with_system(
-            SystemConfig::new("Loader", 1, load_spec, || Box::<Loader>::default())
-                .with_read(ReadChannelConfig::new("src", 4))
-                .with_intra_out(IntraCoreMemoryPortOutConfig::new(
-                    "feed", "Reducers", "inbox",
-                )),
+            SystemConfig::new("Loader", 1, load_spec, |ports| {
+                Box::new(Loader {
+                    src: ports.reader("src"),
+                    feed: ports.intra_out("feed"),
+                    sent: 0,
+                    n: 0,
+                    active: false,
+                })
+            })
+            .with_read(ReadChannelConfig::new("src", 4))
+            .with_intra_out(IntraCoreMemoryPortOutConfig::new(
+                "feed", "Reducers", "inbox",
+            )),
         )
         .with_system(
-            SystemConfig::new("Reducers", 2, reduce_spec, || Box::<Reducer>::default())
-                .with_intra_in(IntraCoreMemoryPortInConfig::new("inbox", 33, 256).broadcast()),
+            SystemConfig::new("Reducers", 2, reduce_spec, |ports| {
+                Box::new(Reducer {
+                    inbox: ports.scratchpad("inbox"),
+                    n: 0,
+                    mode: 0,
+                    active: false,
+                })
+            })
+            .with_intra_in(IntraCoreMemoryPortInConfig::new("inbox", 33, 256).broadcast()),
         );
 
     let soc = elaborate(config, &Platform::aws_f1()).expect("elaborates");

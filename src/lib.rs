@@ -28,3 +28,9 @@ pub use bnoc as noc;
 pub use bplatform as platform;
 pub use bruntime as runtime;
 pub use bsim as sim;
+
+/// The README's code blocks, compiled and run as doctests so the
+/// "Writing an accelerator" snippet cannot drift from the API.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
