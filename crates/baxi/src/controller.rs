@@ -11,7 +11,7 @@
 //!   "transaction-level parallelism" Beethoven exploits by striping long
 //!   copies across IDs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bdram::{DramRequest, DramSystem};
@@ -86,7 +86,11 @@ impl Default for ControllerConfig {
 
 #[derive(Debug)]
 struct ReadTxn {
+    seq: u64,
     id: u32,
+    /// Live reads with the same ID accepted before this one (0 = head of
+    /// its ID's queue).
+    ahead: usize,
     addr: u64,
     beats: u32,
     sub_done: Vec<bool>,
@@ -97,7 +101,10 @@ struct ReadTxn {
 
 #[derive(Debug)]
 struct WriteTxn {
+    seq: u64,
     id: u32,
+    /// Live writes with the same ID accepted before this one.
+    ahead: usize,
     addr: u64,
     beats: u32,
     beats_recv: u32,
@@ -111,6 +118,25 @@ struct WriteTxn {
     accepted_at: Cycle,
 }
 
+/// Removes the transaction at `idx`, which must head its ID's queue, and
+/// moves every later transaction with the same ID one place up. `key`
+/// projects a transaction to its ID and its `ahead` count.
+fn retire<T>(txns: &mut Vec<T>, idx: usize, key: fn(&mut T) -> (u32, &mut usize)) -> T {
+    let mut txn = txns.remove(idx);
+    let (id, ahead) = key(&mut txn);
+    assert_eq!(
+        *ahead, 0,
+        "retiring a transaction that does not head its ID"
+    );
+    for later in &mut txns[idx..] {
+        let (later_id, later_ahead) = key(later);
+        if later_id == id {
+            *later_ahead -= 1;
+        }
+    }
+    txn
+}
+
 /// An AXI4 slave backed by a cycle-accurate DRAM model and a functional
 /// byte store. Tick it on the fabric clock.
 pub struct AxiMemoryController {
@@ -121,20 +147,26 @@ pub struct AxiMemoryController {
     stats: Stats,
     tracer: Tracer,
 
-    read_txns: HashMap<u64, ReadTxn>,
-    write_txns: HashMap<u64, WriteTxn>,
-    /// Per-ID FIFO of read transaction seqs (response & issue order).
-    read_order: HashMap<u32, VecDeque<u64>>,
-    /// Per-ID FIFO of write transaction seqs.
-    write_order: HashMap<u32, VecDeque<u64>>,
-    /// AW-order queue: W beats attach to the front incomplete txn.
-    w_data_order: VecDeque<u64>,
-    /// The read burst currently streaming on R (bursts don't interleave).
-    current_r: Option<u64>,
-    /// dram request id -> (is_write, txn seq, sub index)
-    dram_pending: HashMap<u64, (bool, u64, usize)>,
+    /// Live reads in accept (seq) order: the first eligible entry is the
+    /// oldest, and per-ID order is carried by each entry's `ahead`.
+    reads: Vec<ReadTxn>,
+    /// Live writes in accept (seq) order.
+    writes: Vec<WriteTxn>,
+    /// Index in `writes` of the first write still receiving W beats
+    /// (`writes.len()` when none is): W beats attach in AW order.
+    w_open: usize,
+    /// Index in `reads` of the burst currently streaming on R (bursts
+    /// don't interleave). Only retiring this burst removes a read, so the
+    /// index stays valid while it streams.
+    current_r: Option<usize>,
+    /// DRAM requests in flight, indexed by `dram_id - dram_base`:
+    /// (is_write, txn seq, sub index), `None` once completed. DRAM ids are
+    /// handed out in order, so the slab only grows at the back and
+    /// drains from the front.
+    dram_pending: VecDeque<Option<(bool, u64, usize)>>,
+    /// The DRAM id of `dram_pending`'s front slot.
+    dram_base: u64,
     next_seq: u64,
-    next_dram_id: u64,
     /// Cycles an R beat was ready but the fabric could not take it.
     /// Detached (never counts) until [`AxiMemoryController::attach_perf`].
     perf_r_backpressure: Counter,
@@ -158,15 +190,13 @@ impl AxiMemoryController {
             memory,
             stats: Stats::new(),
             tracer: Tracer::new(),
-            read_txns: HashMap::new(),
-            write_txns: HashMap::new(),
-            read_order: HashMap::new(),
-            write_order: HashMap::new(),
-            w_data_order: VecDeque::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
+            w_open: 0,
             current_r: None,
-            dram_pending: HashMap::new(),
+            dram_pending: VecDeque::new(),
+            dram_base: 0,
             next_seq: 0,
-            next_dram_id: 0,
             perf_r_backpressure: Counter::detached(),
             perf_b_backpressure: Counter::detached(),
         }
@@ -222,7 +252,7 @@ impl AxiMemoryController {
 
     /// Whether no transactions are in flight.
     pub fn is_idle(&self) -> bool {
-        self.read_txns.is_empty() && self.write_txns.is_empty()
+        self.reads.is_empty() && self.writes.is_empty()
     }
 
     /// Forces the DRAM model's idle-cycle skipping on or off (it defaults
@@ -250,16 +280,14 @@ impl AxiMemoryController {
         (lo as usize, hi as usize)
     }
 
-    /// Position of `seq` in its per-ID order queue (0 = head).
-    fn id_position(order: &HashMap<u32, VecDeque<u64>>, id: u32, seq: u64) -> usize {
-        order
-            .get(&id)
-            .and_then(|q| q.iter().position(|&s| s == seq))
-            .unwrap_or(usize::MAX)
+    /// Whether the DRAM data for `txn`'s next R beat is back.
+    fn next_beat_ready(&self, txn: &ReadTxn) -> bool {
+        let (lo, hi) = self.subs_for_beat(txn.beats_sent);
+        txn.sub_done[lo..=hi].iter().all(|&d| d)
     }
 
     fn accept_ar(&mut self, ctx: &SimCtx, now: Cycle) {
-        if self.read_txns.len() >= self.config.max_outstanding_reads {
+        if self.reads.len() >= self.config.max_outstanding_reads {
             return;
         }
         let Some(ar) = self.port.ar.recv(ctx, now) else {
@@ -271,38 +299,32 @@ impl AxiMemoryController {
         let seq = self.next_seq;
         self.next_seq += 1;
         let subs = self.sub_count(bytes);
-        self.read_txns.insert(
+        let ahead = self.reads.iter().filter(|t| t.id == ar.id).count();
+        self.reads.push(ReadTxn {
             seq,
-            ReadTxn {
-                id: ar.id,
-                addr: ar.addr,
-                beats: ar.beats,
-                sub_done: vec![false; subs],
-                subs_issued: 0,
-                beats_sent: 0,
-                accepted_at: now,
-            },
-        );
-        self.read_order.entry(ar.id).or_default().push_back(seq);
+            id: ar.id,
+            ahead,
+            addr: ar.addr,
+            beats: ar.beats,
+            sub_done: vec![false; subs],
+            subs_issued: 0,
+            beats_sent: 0,
+            accepted_at: now,
+        });
         self.stats.incr("ar_accepted");
         // Occupancy at accept time: per-transaction, so it is identical
         // under the naive and idle-skipping schedulers.
         self.stats
-            .record("read_outstanding", self.read_txns.len() as u64);
-        self.stats.record(
-            &format!("read_outstanding_id{}", ar.id),
-            self.read_order[&ar.id].len() as u64,
-        );
-        self.tracer.record(
-            now,
-            "AR",
-            ar.id,
-            format!("addr={:#x} beats={}", ar.addr, ar.beats),
-        );
+            .record("read_outstanding", self.reads.len() as u64);
+        self.stats
+            .record(&format!("read_outstanding_id{}", ar.id), ahead as u64 + 1);
+        self.tracer.record_with(now, "AR", ar.id, || {
+            format!("addr={:#x} beats={}", ar.addr, ar.beats)
+        });
     }
 
     fn accept_aw(&mut self, ctx: &SimCtx, now: Cycle) {
-        if self.write_txns.len() >= self.config.max_outstanding_writes {
+        if self.writes.len() >= self.config.max_outstanding_writes {
             return;
         }
         let Some(aw) = self.port.aw.recv(ctx, now) else {
@@ -313,51 +335,41 @@ impl AxiMemoryController {
         let bytes = u64::from(aw.beats) * u64::from(self.config.axi.data_bytes);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.write_txns.insert(
+        let ahead = self.writes.iter().filter(|t| t.id == aw.id).count();
+        self.writes.push(WriteTxn {
             seq,
-            WriteTxn {
-                id: aw.id,
-                addr: aw.addr,
-                beats: aw.beats,
-                beats_recv: 0,
-                data: vec![0u8; bytes as usize],
-                mask: vec![false; bytes as usize],
-                subs_total: self.sub_count(bytes),
-                subs_done: 0,
-                subs_issued: 0,
-                applied: false,
-                accepted_at: now,
-            },
-        );
-        self.write_order.entry(aw.id).or_default().push_back(seq);
-        self.w_data_order.push_back(seq);
+            id: aw.id,
+            ahead,
+            addr: aw.addr,
+            beats: aw.beats,
+            beats_recv: 0,
+            data: vec![0u8; bytes as usize],
+            mask: vec![false; bytes as usize],
+            subs_total: self.sub_count(bytes),
+            subs_done: 0,
+            subs_issued: 0,
+            applied: false,
+            accepted_at: now,
+        });
         self.stats.incr("aw_accepted");
         self.stats
-            .record("write_outstanding", self.write_txns.len() as u64);
-        self.stats.record(
-            &format!("write_outstanding_id{}", aw.id),
-            self.write_order[&aw.id].len() as u64,
-        );
-        self.tracer.record(
-            now,
-            "AW",
-            aw.id,
-            format!("addr={:#x} beats={}", aw.addr, aw.beats),
-        );
+            .record("write_outstanding", self.writes.len() as u64);
+        self.stats
+            .record(&format!("write_outstanding_id{}", aw.id), ahead as u64 + 1);
+        self.tracer.record_with(now, "AW", aw.id, || {
+            format!("addr={:#x} beats={}", aw.addr, aw.beats)
+        });
     }
 
     fn accept_w(&mut self, ctx: &SimCtx, now: Cycle) {
-        let Some(&seq) = self.w_data_order.front() else {
+        if self.w_open == self.writes.len() {
             // No open write burst: leave beats queued in the channel.
             return;
-        };
+        }
         let Some(w) = self.port.w.recv(ctx, now) else {
             return;
         };
-        let txn = self
-            .write_txns
-            .get_mut(&seq)
-            .expect("w_data_order points at live txn");
+        let txn = &mut self.writes[self.w_open];
         let db = self.config.axi.data_bytes as usize;
         assert_eq!(w.data.len(), db, "W beat width mismatch");
         let off = txn.beats_recv as usize * db;
@@ -385,97 +397,74 @@ impl AxiMemoryController {
             txn.beats_recv, txn.beats
         );
         if is_last_beat {
-            self.w_data_order.pop_front();
+            self.w_open += 1;
         }
         self.stats.incr("w_beats");
         self.tracer
             .record(now, "W", id, if w.last { "last" } else { "beat" });
     }
 
-    /// Issues DRAM traffic for eligible transactions.
+    /// Issues DRAM traffic for eligible transactions, oldest first: a
+    /// transaction is eligible while fewer than `same_id_inflight` live
+    /// transactions of its ID are ahead of it.
     fn issue_dram(&mut self, _now: Cycle) {
         let mut budget = self.config.dram_issue_per_cycle;
         let window = self.config.same_id_inflight;
+        let burst = self.dram_burst();
 
-        // Reads: per-ID windows, oldest first.
-        let mut read_seqs: Vec<u64> = self
-            .read_txns
-            .iter()
-            .filter(|(seq, txn)| {
-                txn.subs_issued < txn.sub_done.len()
-                    && Self::id_position(&self.read_order, txn.id, **seq) < window
-            })
-            .map(|(seq, _)| *seq)
-            .collect();
-        read_seqs.sort_unstable();
-        for seq in read_seqs {
+        for txn in &mut self.reads {
+            if txn.subs_issued == txn.sub_done.len() || txn.ahead >= window {
+                continue;
+            }
             if budget == 0 {
                 return;
             }
-            let burst = self.dram_burst();
-            let txn = self.read_txns.get_mut(&seq).expect("seq live");
             while budget > 0 && txn.subs_issued < txn.sub_done.len() {
                 let sub = txn.subs_issued;
                 let addr = txn.addr + sub as u64 * burst;
-                let dram_id = self.next_dram_id;
+                let dram_id = self.dram_base + self.dram_pending.len() as u64;
                 if self.dram.enqueue(DramRequest::read(dram_id, addr)).is_err() {
                     return; // DRAM queue full: stop issuing entirely.
                 }
-                self.next_dram_id += 1;
-                self.dram_pending.insert(dram_id, (false, seq, sub));
+                self.dram_pending.push_back(Some((false, txn.seq, sub)));
                 txn.subs_issued += 1;
                 budget -= 1;
             }
         }
 
         // Writes: only once all data has arrived (store-and-forward).
-        let mut write_seqs: Vec<u64> = self
-            .write_txns
-            .iter()
-            .filter(|(seq, txn)| {
-                txn.beats_recv == txn.beats
-                    && txn.subs_issued < txn.subs_total
-                    && Self::id_position(&self.write_order, txn.id, **seq) < window
-            })
-            .map(|(seq, _)| *seq)
-            .collect();
-        write_seqs.sort_unstable();
-        for seq in write_seqs {
+        for txn in &mut self.writes {
+            if txn.beats_recv != txn.beats
+                || txn.subs_issued == txn.subs_total
+                || txn.ahead >= window
+            {
+                continue;
+            }
             if budget == 0 {
                 return;
             }
-            let burst = self.dram_burst();
             // Apply functional bytes once, when the first DRAM write issues.
-            let (apply, addr0, data, mask) = {
-                let txn = self.write_txns.get_mut(&seq).expect("seq live");
-                if txn.applied {
-                    (false, 0, Vec::new(), Vec::new())
-                } else {
-                    txn.applied = true;
-                    (true, txn.addr, txn.data.clone(), txn.mask.clone())
-                }
-            };
-            if apply {
+            if !txn.applied {
+                txn.applied = true;
                 // Commit contiguous strobed runs so disabled bytes survive.
                 let mut mem = self.memory.borrow_mut();
                 let mut run_start: Option<usize> = None;
-                for i in 0..=mask.len() {
-                    let on = i < mask.len() && mask[i];
+                for i in 0..=txn.mask.len() {
+                    let on = i < txn.mask.len() && txn.mask[i];
                     match (run_start, on) {
                         (None, true) => run_start = Some(i),
                         (Some(start), false) => {
-                            mem.write(addr0 + start as u64, &data[start..i]);
+                            mem.write(txn.addr + start as u64, &txn.data[start..i]);
                             run_start = None;
                         }
                         _ => {}
                     }
                 }
             }
-            let txn = self.write_txns.get_mut(&seq).expect("seq live");
             while budget > 0 && txn.subs_issued < txn.subs_total {
                 let sub = txn.subs_issued;
                 let addr = txn.addr + sub as u64 * burst;
-                let dram_id = self.next_dram_id;
+                let dram_id = self.dram_base + self.dram_pending.len() as u64;
                 if self
                     .dram
                     .enqueue(DramRequest::write(dram_id, addr))
@@ -483,8 +472,7 @@ impl AxiMemoryController {
                 {
                     return;
                 }
-                self.next_dram_id += 1;
-                self.dram_pending.insert(dram_id, (true, seq, sub));
+                self.dram_pending.push_back(Some((true, txn.seq, sub)));
                 txn.subs_issued += 1;
                 budget -= 1;
             }
@@ -493,16 +481,30 @@ impl AxiMemoryController {
 
     fn collect_dram(&mut self, _now: Cycle) {
         while let Some(done) = self.dram.pop_completion() {
-            let (is_write, seq, sub) = self
-                .dram_pending
-                .remove(&done.id)
+            let (is_write, seq, sub) = done
+                .id
+                .checked_sub(self.dram_base)
+                .and_then(|slot| self.dram_pending.get_mut(slot as usize))
+                .and_then(Option::take)
                 .expect("completion for unknown dram request");
+            while let Some(None) = self.dram_pending.front() {
+                self.dram_pending.pop_front();
+                self.dram_base += 1;
+            }
+            // A transaction outlives its DRAM traffic: R and B responses
+            // wait for every sub-burst.
             if is_write {
-                if let Some(txn) = self.write_txns.get_mut(&seq) {
-                    txn.subs_done += 1;
-                }
-            } else if let Some(txn) = self.read_txns.get_mut(&seq) {
-                txn.sub_done[sub] = true;
+                let idx = self
+                    .writes
+                    .binary_search_by_key(&seq, |t| t.seq)
+                    .expect("dram write for a live txn");
+                self.writes[idx].subs_done += 1;
+            } else {
+                let idx = self
+                    .reads
+                    .binary_search_by_key(&seq, |t| t.seq)
+                    .expect("dram read for a live txn");
+                self.reads[idx].sub_done[sub] = true;
             }
         }
     }
@@ -512,29 +514,21 @@ impl AxiMemoryController {
         if !self.port.r.can_send(ctx) {
             // Only counted while reads are in flight, so the controller is
             // dense-ticking in both scheduler modes (skip-invariant).
-            if !self.read_txns.is_empty() {
+            if !self.reads.is_empty() {
                 self.perf_r_backpressure.incr();
             }
             return;
         }
         if self.current_r.is_none() {
             // Pick the oldest head-of-ID txn whose next beat is ready.
-            let mut best: Option<u64> = None;
-            for (&seq, txn) in &self.read_txns {
-                if Self::id_position(&self.read_order, txn.id, seq) != 0 {
-                    continue;
-                }
-                let (lo, hi) = self.subs_for_beat(txn.beats_sent);
-                if txn.sub_done[lo..=hi].iter().all(|&d| d) && best.is_none_or(|b| seq < b) {
-                    best = Some(seq);
-                }
-            }
-            self.current_r = best;
+            self.current_r = self
+                .reads
+                .iter()
+                .position(|t| t.ahead == 0 && self.next_beat_ready(t));
         }
-        let Some(seq) = self.current_r else { return };
-        let txn = self.read_txns.get(&seq).expect("current_r live");
-        let (lo, hi) = self.subs_for_beat(txn.beats_sent);
-        if !txn.sub_done[lo..=hi].iter().all(|&d| d) {
+        let Some(idx) = self.current_r else { return };
+        let txn = &self.reads[idx];
+        if !self.next_beat_ready(txn) {
             return; // next beat's data not back from DRAM yet
         }
         let db = u64::from(self.config.axi.data_bytes);
@@ -546,14 +540,11 @@ impl AxiMemoryController {
         self.stats.incr("r_beats");
         self.tracer
             .record(now, "R", id, if last { "last" } else { "beat" });
-        let txn = self.read_txns.get_mut(&seq).expect("current_r live");
-        txn.beats_sent += 1;
+        self.reads[idx].beats_sent += 1;
         if last {
-            let latency = now - txn.accepted_at;
-            self.stats.record("read_latency_cycles", latency);
-            self.read_txns.remove(&seq);
-            let q = self.read_order.get_mut(&id).expect("order queue");
-            assert_eq!(q.pop_front(), Some(seq));
+            let txn = retire(&mut self.reads, idx, |t| (t.id, &mut t.ahead));
+            self.stats
+                .record("read_latency_cycles", now - txn.accepted_at);
             self.current_r = None;
         }
     }
@@ -561,26 +552,22 @@ impl AxiMemoryController {
     /// Emits at most one B response per cycle, per-ID in order.
     fn emit_b(&mut self, ctx: &SimCtx, now: Cycle) {
         if !self.port.b.can_send(ctx) {
-            if !self.write_txns.is_empty() {
+            if !self.writes.is_empty() {
                 self.perf_b_backpressure.incr();
             }
             return;
         }
-        let mut ready: Option<u64> = None;
-        for (&seq, txn) in &self.write_txns {
-            if txn.subs_done == txn.subs_total
-                && txn.subs_total == txn.subs_issued
-                && txn.beats_recv == txn.beats
-                && Self::id_position(&self.write_order, txn.id, seq) == 0
-                && ready.is_none_or(|b| seq < b)
-            {
-                ready = Some(seq);
-            }
-        }
-        let Some(seq) = ready else { return };
-        let txn = self.write_txns.remove(&seq).expect("seq live");
-        let q = self.write_order.get_mut(&txn.id).expect("order queue");
-        assert_eq!(q.pop_front(), Some(seq));
+        let Some(idx) = self.writes.iter().position(|t| {
+            t.subs_done == t.subs_total
+                && t.subs_total == t.subs_issued
+                && t.beats_recv == t.beats
+                && t.ahead == 0
+        }) else {
+            return;
+        };
+        let txn = retire(&mut self.writes, idx, |t| (t.id, &mut t.ahead));
+        // A retiring write has all its beats, so it sits before `w_open`.
+        self.w_open -= 1;
         self.port.b.send(ctx, now, BFlit { id: txn.id });
         self.stats.incr("b_sent");
         self.stats
@@ -648,8 +635,8 @@ impl Component for AxiMemoryController {
 impl std::fmt::Debug for AxiMemoryController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AxiMemoryController")
-            .field("reads_in_flight", &self.read_txns.len())
-            .field("writes_in_flight", &self.write_txns.len())
+            .field("reads_in_flight", &self.reads.len())
+            .field("writes_in_flight", &self.writes.len())
             .finish()
     }
 }

@@ -53,6 +53,26 @@ impl Bank {
         self.open_row
     }
 
+    /// First cycle an ACT may issue (once the bank is closed).
+    pub fn next_activate(&self) -> u64 {
+        self.next_activate
+    }
+
+    /// First cycle a PRE may issue (while a row is open).
+    pub fn next_precharge(&self) -> u64 {
+        self.next_precharge
+    }
+
+    /// First cycle a RD may issue (while a row is open).
+    pub fn next_read(&self) -> u64 {
+        self.next_read
+    }
+
+    /// First cycle a WR may issue (while a row is open).
+    pub fn next_write(&self) -> u64 {
+        self.next_write
+    }
+
     /// Classifies what command is needed to access `row`.
     pub fn next_command_for(&self, row: u64) -> NextCommand {
         match self.open_row {

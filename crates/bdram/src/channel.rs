@@ -63,10 +63,20 @@ impl ChannelStats {
 struct Entry {
     request: DramRequest,
     decoded: DecodedAddr,
+    /// `decoded.flat_bank(config)`, computed once at enqueue.
+    flat_bank: usize,
     /// Whether this request needed its own row activation (row miss).
     needed_act: bool,
     /// Once the column command has issued, the cycle the data finishes.
     done_at: Option<u64>,
+}
+
+/// Whether a request in `entries` still waiting for its column command
+/// wants `row` of bank `flat_bank`.
+fn wants_row(entries: &[Entry], flat_bank: usize, row: Option<u64>) -> bool {
+    entries
+        .iter()
+        .any(|e| e.done_at.is_none() && e.flat_bank == flat_bank && Some(e.decoded.row) == row)
 }
 
 /// One channel's command scheduler and banks.
@@ -90,6 +100,11 @@ pub struct DramChannel {
     last_column: Option<(u64, u64)>,
     /// Banks awaiting an auto-precharge (closed-page policy).
     auto_precharge: Vec<usize>,
+    /// The earliest cycle at which some queued entry retires or its next
+    /// command becomes legal, in the state left by the last command,
+    /// retirement or enqueue (`u64::MAX` with an empty queue). Rebuilt
+    /// after every tick that changed state, lowered by `enqueue`.
+    queue_wake: u64,
     stats: ChannelStats,
 }
 
@@ -112,6 +127,7 @@ impl DramChannel {
             recent_activates: VecDeque::new(),
             last_column: None,
             auto_precharge: Vec::new(),
+            queue_wake: u64::MAX,
             stats: ChannelStats::default(),
         }
     }
@@ -134,12 +150,17 @@ impl DramChannel {
         if !self.can_accept() {
             return Err(request);
         }
-        self.queue.push(Entry {
+        let entry = Entry {
             request,
             decoded,
+            flat_bank: decoded.flat_bank(&self.config) as usize,
             needed_act: false,
             done_at: None,
-        });
+        };
+        // A newer request never delays an older one's command, so the
+        // bound only needs the newcomer's own.
+        self.queue_wake = self.queue_wake.min(self.entry_wake(&entry, &self.queue));
+        self.queue.push(entry);
         Ok(())
     }
 
@@ -153,22 +174,25 @@ impl DramChannel {
     /// guaranteed no-ops (mirroring `bsim`'s `next_event` contract, in this
     /// channel's command-clock domain).
     ///
-    /// With requests queued or auto-precharges pending the channel is
-    /// active every cycle. Otherwise the only scheduled activity is the
-    /// refresh state machine: the end of an in-progress refresh, or the
-    /// next refresh deadline. Pending completions are ignored — popping
-    /// them is the memory controller's activity, not this tick's.
+    /// The bound is exact: the minimum of the end of an in-progress
+    /// refresh (or the next refresh deadline), every queued entry's
+    /// data-done cycle, and the first cycle each waiting entry's next
+    /// command (column, ACT or PRE) becomes legal in the current state.
+    /// Every condition [`tick`] tests is a threshold that only opens as
+    /// time passes, and a tick that issues and retires nothing changes no
+    /// state, so nothing can happen before that minimum and something
+    /// does at it. While an auto-precharge is pending or a refresh is due
+    /// the channel is active every cycle. Pending completions are ignored
+    /// — popping them is the memory controller's activity, not this
+    /// tick's.
     ///
     /// [`tick`]: DramChannel::tick
     pub fn next_active_at(&self, from: u64) -> u64 {
-        if !self.queue.is_empty() || !self.auto_precharge.is_empty() {
+        if !self.auto_precharge.is_empty() {
             return from;
         }
-        let refresh_wake = match self.refreshing_until {
-            Some(until) => until,
-            None => self.next_refresh_at,
-        };
-        refresh_wake.max(from)
+        let refresh_wake = self.refreshing_until.unwrap_or(self.next_refresh_at);
+        refresh_wake.min(self.queue_wake).max(from)
     }
 
     /// Statistics snapshot.
@@ -183,12 +207,21 @@ impl DramChannel {
 
     /// Advances one DRAM command-clock cycle.
     pub fn tick(&mut self, now: u64) {
+        let before = (self.queue.len(), self.stats);
         self.retire(now);
         self.service_auto_precharge(now);
-        if self.handle_refresh(now) {
-            return;
+        if !self.handle_refresh(now) {
+            self.issue_one_command(now);
         }
-        self.issue_one_command(now);
+        // Whatever can move a queued entry's next legal cycle is a
+        // retirement (the queue shrinks) or a command (a counter moves);
+        // refresh start counts as one. Rebuild the bound only then.
+        if (self.queue.len(), self.stats) != before {
+            self.queue_wake = (0..self.queue.len())
+                .map(|idx| self.entry_wake(&self.queue[idx], &self.queue[..idx]))
+                .min()
+                .unwrap_or(u64::MAX);
+        }
     }
 
     /// Closed-page policy: close banks whose access finished, unless a
@@ -201,13 +234,7 @@ impl DramChannel {
         let mut remaining = Vec::new();
         for bank_idx in std::mem::take(&mut self.auto_precharge) {
             let open = self.banks[bank_idx].open_row();
-            let still_wanted = open.is_some()
-                && self.queue.iter().any(|e| {
-                    e.done_at.is_none()
-                        && e.decoded.flat_bank(&self.config) as usize == bank_idx
-                        && Some(e.decoded.row) == open
-                });
-            if open.is_none() || still_wanted {
+            if open.is_none() || wants_row(&self.queue, bank_idx, open) {
                 continue; // already closed, or a pending hit cancels it
             }
             if self.banks[bank_idx].can_precharge(now) {
@@ -275,13 +302,77 @@ impl DramChannel {
         false
     }
 
-    /// tFAW check: may a fourth-plus ACT issue at `now`?
-    fn faw_allows(&self, now: u64) -> bool {
-        if self.recent_activates.len() < 4 {
-            return true;
+    /// tFAW: the first cycle a fourth-plus ACT may issue.
+    fn faw_ready_at(&self) -> u64 {
+        match self.recent_activates.len() {
+            n if n < 4 => 0,
+            n => self.recent_activates[n - 4] + self.config.timings.t_faw,
         }
-        let oldest = self.recent_activates[self.recent_activates.len() - 4];
-        now >= oldest + self.config.timings.t_faw
+    }
+
+    /// The first cycle `entry`'s column command is legal, for an entry
+    /// whose row is open: the bank's read/write timer, rank-level
+    /// column-to-column spacing (tCCD_L within a bank group, tCCD_S across
+    /// groups — DDR4's bank-group architecture), and the shared data bus
+    /// including read/write turnaround.
+    fn column_ready_at(&self, entry: &Entry) -> u64 {
+        let t = &self.config.timings;
+        let bank = &self.banks[entry.flat_bank];
+        let is_write = entry.request.is_write;
+        let mut at = if is_write {
+            bank.next_write()
+        } else {
+            bank.next_read()
+        };
+        if let Some((last, group)) = self.last_column {
+            let gap = if group == entry.decoded.bank_group {
+                t.t_ccd_l
+            } else {
+                t.t_ccd
+            };
+            at = at.max(last + gap);
+        }
+        let turnaround = if self.last_was_write != is_write {
+            t.t_wtr.min(4)
+        } else {
+            0
+        };
+        let latency = if is_write { t.cwl } else { t.cl };
+        at.max((self.data_bus_free_at + turnaround).saturating_sub(latency))
+    }
+
+    /// The first cycle `entry`'s preparatory command `cmd` (ACT or PRE)
+    /// is legal. A PRE never closes a row that a request in `older` (the
+    /// entries queued before `entry`) still wants: such an entry waits on
+    /// that request's column command and has no bound of its own
+    /// (`u64::MAX`).
+    fn prepare_ready_at(&self, entry: &Entry, cmd: NextCommand, older: &[Entry]) -> u64 {
+        let bank = &self.banks[entry.flat_bank];
+        if cmd == NextCommand::Activate {
+            return bank.next_activate().max(self.faw_ready_at());
+        }
+        if wants_row(older, entry.flat_bank, bank.open_row()) {
+            u64::MAX
+        } else {
+            bank.next_precharge()
+        }
+    }
+
+    /// What `entry`'s bank needs next to serve it.
+    fn next_command(&self, entry: &Entry) -> NextCommand {
+        self.banks[entry.flat_bank].next_command_for(entry.decoded.row)
+    }
+
+    /// The earliest cycle `entry` retires or can issue its next command in
+    /// the current state; `older` are the entries queued before it.
+    fn entry_wake(&self, entry: &Entry, older: &[Entry]) -> u64 {
+        if let Some(done) = entry.done_at {
+            return done;
+        }
+        match self.next_command(entry) {
+            NextCommand::Column => self.column_ready_at(entry),
+            cmd => self.prepare_ready_at(entry, cmd, older),
+        }
     }
 
     /// Chooses and issues at most one command, FR-FCFS: first any ready
@@ -291,57 +382,14 @@ impl DramChannel {
         let t = self.config.timings.clone();
 
         // Pass 1: ready column accesses (row hits) in age order.
-        let mut col_candidate: Option<usize> = None;
-        for (idx, entry) in self.queue.iter().enumerate() {
-            if entry.done_at.is_some() {
-                continue;
-            }
-            let bank = &self.banks[entry.decoded.flat_bank(&self.config) as usize];
-            if bank.next_command_for(entry.decoded.row) != NextCommand::Column {
-                continue;
-            }
-            let col_ok = if entry.request.is_write {
-                bank.can_write(now)
-            } else {
-                bank.can_read(now)
-            };
-            if !col_ok {
-                continue;
-            }
-            // Rank-level column-to-column spacing: tCCD_L within a bank
-            // group, tCCD_S across groups (DDR4's bank-group architecture).
-            if let Some((last, group)) = self.last_column {
-                let gap = if group == entry.decoded.bank_group {
-                    t.t_ccd_l
-                } else {
-                    t.t_ccd
-                };
-                if now < last + gap {
-                    continue;
-                }
-            }
-            // The data burst must win the shared bus; include turnaround.
-            let turnaround = if self.last_was_write != entry.request.is_write {
-                t.t_wtr.min(4)
-            } else {
-                0
-            };
-            let earliest_data = now + if entry.request.is_write { t.cwl } else { t.cl };
-            if earliest_data < self.data_bus_free_at + turnaround {
-                continue;
-            }
-            col_candidate = Some(idx);
-            break;
-        }
-
+        let col_candidate = self.queue.iter().position(|e| {
+            e.done_at.is_none()
+                && self.next_command(e) == NextCommand::Column
+                && self.column_ready_at(e) <= now
+        });
         if let Some(idx) = col_candidate {
-            let (is_write, flat_bank) = {
-                let e = &self.queue[idx];
-                (
-                    e.request.is_write,
-                    e.decoded.flat_bank(&self.config) as usize,
-                )
-            };
+            let (is_write, flat_bank) =
+                (self.queue[idx].request.is_write, self.queue[idx].flat_bank);
             let bank = &mut self.banks[flat_bank];
             let (start, end) = if is_write {
                 bank.write(now, &t)
@@ -369,54 +417,37 @@ impl DramChannel {
             return;
         }
 
-        // Pass 2: preparatory command for the oldest request that needs one.
-        for idx in 0..self.queue.len() {
-            if self.queue[idx].done_at.is_some() {
-                continue;
-            }
-            let (row, flat_bank) = {
-                let e = &self.queue[idx];
-                (e.decoded.row, e.decoded.flat_bank(&self.config) as usize)
-            };
-            match self.banks[flat_bank].next_command_for(row) {
-                NextCommand::Activate => {
-                    if self.banks[flat_bank].can_activate(now) && self.faw_allows(now) {
-                        self.queue[idx].needed_act = true;
-                        self.banks[flat_bank].activate(now, row, &t);
-                        // tRRD to all other banks in the rank (we apply
-                        // channel-wide; conservative).
-                        for (b, bank) in self.banks.iter_mut().enumerate() {
-                            if b != flat_bank {
-                                bank.delay_activate_until(now + t.t_rrd);
-                            }
-                        }
-                        self.recent_activates.push_back(now);
-                        if self.recent_activates.len() > 8 {
-                            self.recent_activates.pop_front();
-                        }
-                        self.stats.activates += 1;
-                        return;
-                    }
-                }
-                NextCommand::Precharge => {
-                    // Only close a row no *older* queued request still wants.
-                    let open = self.banks[flat_bank].open_row();
-                    let wanted_by_older = self.queue[..idx].iter().any(|e| {
-                        e.done_at.is_none()
-                            && e.decoded.flat_bank(&self.config) as usize == flat_bank
-                            && Some(e.decoded.row) == open
-                    });
-                    if !wanted_by_older && self.banks[flat_bank].can_precharge(now) {
-                        self.banks[flat_bank].precharge(now, &t);
-                        self.stats.precharges += 1;
-                        self.stats.row_conflicts += 1;
-                        return;
-                    }
-                }
-                NextCommand::Column => {
-                    // Column not ready this cycle (timing or bus); wait.
+        // Pass 2: preparatory command for the oldest request that needs
+        // one. A row hit whose column is not ready yet waits.
+        let Some((idx, cmd)) = self.queue.iter().enumerate().find_map(|(idx, e)| {
+            let cmd = self.next_command(e);
+            let ready = e.done_at.is_none()
+                && cmd != NextCommand::Column
+                && self.prepare_ready_at(e, cmd, &self.queue[..idx]) <= now;
+            ready.then_some((idx, cmd))
+        }) else {
+            return;
+        };
+        let (row, flat_bank) = (self.queue[idx].decoded.row, self.queue[idx].flat_bank);
+        if cmd == NextCommand::Activate {
+            self.queue[idx].needed_act = true;
+            self.banks[flat_bank].activate(now, row, &t);
+            // tRRD to all other banks in the rank (we apply channel-wide;
+            // conservative).
+            for (b, bank) in self.banks.iter_mut().enumerate() {
+                if b != flat_bank {
+                    bank.delay_activate_until(now + t.t_rrd);
                 }
             }
+            self.recent_activates.push_back(now);
+            if self.recent_activates.len() > 8 {
+                self.recent_activates.pop_front();
+            }
+            self.stats.activates += 1;
+        } else {
+            self.banks[flat_bank].precharge(now, &t);
+            self.stats.precharges += 1;
+            self.stats.row_conflicts += 1;
         }
     }
 }
@@ -662,6 +693,56 @@ mod tests {
             .unwrap();
         drain(&mut ch, 500);
         assert_eq!(ch.stats().row_conflicts, 1);
+    }
+
+    /// The busy-channel bound is exact: a tick before it changes nothing,
+    /// and a tick at it issues a command, retires a request, or moves the
+    /// refresh state machine — except while a refresh is due and waiting
+    /// for banks to become closable.
+    #[test]
+    fn busy_bound_is_exact() {
+        let cfg = DramConfig::ddr4_2400();
+        let trefi = cfg.timings.t_refi;
+        let mut ch = DramChannel::new(cfg.clone());
+        let enqueue_batch = |ch: &mut DramChannel, first: u64| {
+            // Row hits, same-bank row conflicts, cross-group reads, writes.
+            for i in first..first + 24 {
+                let addr = match i % 3 {
+                    0 => i * 64,
+                    1 => (i % 4) * cfg.row_stride_bytes(),
+                    _ => (i % 16) * cfg.row_bytes(),
+                };
+                let req = if i % 5 == 0 {
+                    DramRequest::write(i, addr)
+                } else {
+                    DramRequest::read(i, addr)
+                };
+                ch.enqueue(req, decoded(&cfg, addr)).unwrap();
+            }
+        };
+        enqueue_batch(&mut ch, 0);
+        let (mut skipped, mut active) = (0, 0);
+        for now in 0..trefi + 2_000 {
+            if now == trefi - 40 {
+                enqueue_batch(&mut ch, 100); // busy when refresh falls due
+            }
+            let wake = ch.next_active_at(now);
+            let refresh_due = ch.refreshing_until.is_none() && now >= ch.next_refresh_at;
+            let state = |ch: &DramChannel| (ch.queue.len(), ch.stats, ch.refreshing_until);
+            let before = state(&ch);
+            ch.tick(now);
+            let acted = state(&ch) != before;
+            if wake > now {
+                assert!(!acted, "cycle {now}: tick acted before the bound {wake}");
+                skipped += 1;
+            } else if !refresh_due {
+                assert!(acted, "cycle {now}: bound said active, tick was a no-op");
+                active += 1;
+            }
+        }
+        assert!(ch.queue.is_empty(), "traffic drained");
+        assert_eq!(ch.stats().refreshes, 1);
+        assert!(skipped > active, "skipped {skipped}, active {active}");
     }
 
     #[test]

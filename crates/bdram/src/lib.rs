@@ -149,10 +149,11 @@ impl DramSystem {
     /// Advances the DRAM clock so that all cycles beginning strictly before
     /// `ps` have been simulated, collecting completions.
     ///
-    /// Cycles on which every channel is provably idle (no queued requests,
-    /// no pending auto-precharges, refresh not due — see
-    /// [`DramChannel::next_active_at`]) are skipped in one jump rather than
-    /// executed; completions and statistics are identical either way.
+    /// Cycles on which no channel can act — nothing retires, no queued
+    /// request's next command is legal yet, no refresh event or pending
+    /// auto-precharge (see [`DramChannel::next_active_at`]) — are skipped
+    /// in one jump rather than executed, busy or not; completions and
+    /// statistics are identical either way.
     pub fn advance_to_ps(&mut self, ps: u64) {
         let target_cycle = ps / self.config.timings.tck_ps;
         while self.dram_cycle < target_cycle {
@@ -185,9 +186,11 @@ impl DramSystem {
 
     /// The earliest absolute picosecond time at which advancing this system
     /// may do anything observable: immediately if completions are waiting
-    /// to be popped or any channel is active, otherwise the next scheduled
-    /// channel event (refresh). This is the DRAM clock's contribution to
-    /// the memory controller's `next_event`.
+    /// to be popped, otherwise the earliest channel activity — a refresh
+    /// event, a queued request's data finishing, or a waiting request's
+    /// next command becoming legal (see [`DramChannel::next_active_at`]).
+    /// This is the DRAM clock's contribution to the memory controller's
+    /// `next_event`.
     pub fn next_event_ps(&self) -> u64 {
         let tck = self.config.timings.tck_ps;
         if !self.completions.is_empty() {
