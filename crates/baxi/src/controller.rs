@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use bdram::{DramRequest, DramSystem};
 use bsim::perf::{Counter, CounterSet};
-use bsim::{ClockDomain, Component, Cycle, SimCtx, SparseMemory, Stats, Tracer};
+use bsim::{ClockDomain, Component, Cycle, SimCtx, SparseMemory, StatCounter, Stats, Tracer};
 
 use crate::port::AxiSlavePort;
 use crate::types::{validate_burst, AxiParams, BFlit, RFlit};
@@ -137,6 +137,24 @@ fn retire<T>(txns: &mut Vec<T>, idx: usize, key: fn(&mut T) -> (u32, &mut usize)
     txn
 }
 
+/// The per-ID stats name `{prefix}{id}` from `names`, which is indexed by
+/// ID and extended (formatting each missing name once) on an ID's first
+/// use.
+fn per_id_name<'a>(names: &'a mut Vec<String>, prefix: &str, id: u32) -> &'a str {
+    let id = id as usize;
+    if id >= names.len() {
+        extend_names(names, prefix, id);
+    }
+    &names[id]
+}
+
+#[cold]
+fn extend_names(names: &mut Vec<String>, prefix: &str, id: usize) {
+    while names.len() <= id {
+        names.push(format!("{prefix}{}", names.len()));
+    }
+}
+
 /// An AXI4 slave backed by a cycle-accurate DRAM model and a functional
 /// byte store. Tick it on the fabric clock.
 pub struct AxiMemoryController {
@@ -145,6 +163,17 @@ pub struct AxiMemoryController {
     dram: DramSystem,
     memory: SharedMemory,
     stats: Stats,
+    /// Per-beat or per-transaction counters of `stats`, named once.
+    ar_accepted: StatCounter,
+    aw_accepted: StatCounter,
+    w_beats: StatCounter,
+    r_beats: StatCounter,
+    b_sent: StatCounter,
+    /// `read_outstanding_id{N}` / `write_outstanding_id{N}` histogram
+    /// names, indexed by AXI ID, each formatted the first time its ID is
+    /// accepted.
+    read_outstanding_names: Vec<String>,
+    write_outstanding_names: Vec<String>,
     tracer: Tracer,
 
     /// Live reads in accept (seq) order: the first eligible entry is the
@@ -183,12 +212,20 @@ impl AxiMemoryController {
         port: AxiSlavePort,
         memory: SharedMemory,
     ) -> Self {
+        let stats = Stats::new();
         Self {
             config,
             port,
             dram,
             memory,
-            stats: Stats::new(),
+            ar_accepted: stats.counter("ar_accepted"),
+            aw_accepted: stats.counter("aw_accepted"),
+            w_beats: stats.counter("w_beats"),
+            r_beats: stats.counter("r_beats"),
+            b_sent: stats.counter("b_sent"),
+            read_outstanding_names: Vec::new(),
+            write_outstanding_names: Vec::new(),
+            stats,
             tracer: Tracer::new(),
             reads: Vec::new(),
             writes: Vec::new(),
@@ -311,13 +348,17 @@ impl AxiMemoryController {
             beats_sent: 0,
             accepted_at: now,
         });
-        self.stats.incr("ar_accepted");
+        self.ar_accepted.incr();
         // Occupancy at accept time: per-transaction, so it is identical
         // under the naive and idle-skipping schedulers.
         self.stats
             .record("read_outstanding", self.reads.len() as u64);
-        self.stats
-            .record(&format!("read_outstanding_id{}", ar.id), ahead as u64 + 1);
+        let name = per_id_name(
+            &mut self.read_outstanding_names,
+            "read_outstanding_id",
+            ar.id,
+        );
+        self.stats.record(name, ahead as u64 + 1);
         self.tracer.record_with(now, "AR", ar.id, || {
             format!("addr={:#x} beats={}", ar.addr, ar.beats)
         });
@@ -351,11 +392,15 @@ impl AxiMemoryController {
             applied: false,
             accepted_at: now,
         });
-        self.stats.incr("aw_accepted");
+        self.aw_accepted.incr();
         self.stats
             .record("write_outstanding", self.writes.len() as u64);
-        self.stats
-            .record(&format!("write_outstanding_id{}", aw.id), ahead as u64 + 1);
+        let name = per_id_name(
+            &mut self.write_outstanding_names,
+            "write_outstanding_id",
+            aw.id,
+        );
+        self.stats.record(name, ahead as u64 + 1);
         self.tracer.record_with(now, "AW", aw.id, || {
             format!("addr={:#x} beats={}", aw.addr, aw.beats)
         });
@@ -399,7 +444,7 @@ impl AxiMemoryController {
         if is_last_beat {
             self.w_open += 1;
         }
-        self.stats.incr("w_beats");
+        self.w_beats.incr();
         self.tracer
             .record(now, "W", id, if w.last { "last" } else { "beat" });
     }
@@ -537,7 +582,7 @@ impl AxiMemoryController {
         let last = txn.beats_sent + 1 == txn.beats;
         let id = txn.id;
         self.port.r.send(ctx, now, RFlit { id, data, last });
-        self.stats.incr("r_beats");
+        self.r_beats.incr();
         self.tracer
             .record(now, "R", id, if last { "last" } else { "beat" });
         self.reads[idx].beats_sent += 1;
@@ -569,7 +614,7 @@ impl AxiMemoryController {
         // A retiring write has all its beats, so it sits before `w_open`.
         self.w_open -= 1;
         self.port.b.send(ctx, now, BFlit { id: txn.id });
-        self.stats.incr("b_sent");
+        self.b_sent.incr();
         self.stats
             .record("write_latency_cycles", now - txn.accepted_at);
         self.tracer.record(now, "B", txn.id, "resp");

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use bsim::{Cycle, Receiver, Sender, SimCtx, Stats};
+use bsim::{Cycle, Receiver, Sender, SimCtx, StatCounter, Stats};
 
 use crate::command::{RoccResponse, UnpackedCommand};
 use crate::intracore::{RemoteWrite, RemoteWritePort, RemoteWriteSink};
@@ -179,6 +179,9 @@ pub struct CoreContext {
     cmd_rx: Receiver<UnpackedCommand>,
     resp_tx: Sender<RoccResponse>,
     stats: Stats,
+    /// Per-beat or per-transaction counters of `stats`, named once.
+    commands_accepted: StatCounter,
+    responses_sent: StatCounter,
 }
 
 /// A core's primitives by declared name, as the elaborator builds them.
@@ -242,6 +245,8 @@ impl CoreContext {
             intra_sinks,
             cmd_rx,
             resp_tx,
+            commands_accepted: stats.counter("commands_accepted"),
+            responses_sent: stats.counter("responses_sent"),
             stats,
         };
         (ctx, ports)
@@ -272,7 +277,7 @@ impl CoreContext {
     pub fn take_command(&mut self, sim: &SimCtx) -> Option<UnpackedCommand> {
         let cmd = self.cmd_rx.recv(sim, self.now);
         if cmd.is_some() {
-            self.stats.incr("commands_accepted");
+            self.commands_accepted.incr();
         }
         cmd
     }
@@ -292,7 +297,7 @@ impl CoreContext {
                 data,
             },
         );
-        self.stats.incr("responses_sent");
+        self.responses_sent.incr();
         true
     }
 

@@ -11,7 +11,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use baxi::{AxiMasterPort, AxiSlavePort, BFlit, RFlit};
-use bsim::{Component, Cycle, SimCtx, Stats};
+use bsim::{Component, Cycle, SimCtx, StatCounter, Stats};
 
 /// A round-robin AXI interconnect with per-transaction ID remapping.
 pub struct AxiInterconnect {
@@ -41,6 +41,10 @@ pub struct AxiInterconnect {
     rr_ar: usize,
     rr_aw: usize,
     stats: Stats,
+    /// Per-beat or per-transaction counters of `stats`, named once.
+    ar_forwarded: StatCounter,
+    aw_forwarded: StatCounter,
+    id_stalls: StatCounter,
 }
 
 impl AxiInterconnect {
@@ -56,6 +60,7 @@ impl AxiInterconnect {
             "interconnect needs at least one master"
         );
         assert!(num_ids > 0, "interconnect needs at least one id");
+        let stats = Stats::new();
         Self {
             masters,
             downstream,
@@ -68,7 +73,10 @@ impl AxiInterconnect {
             w_route: VecDeque::new(),
             rr_ar: 0,
             rr_aw: 0,
-            stats: Stats::new(),
+            ar_forwarded: stats.counter("ar_forwarded"),
+            aw_forwarded: stats.counter("aw_forwarded"),
+            id_stalls: stats.counter("id_stalls"),
+            stats,
         }
     }
 
@@ -79,17 +87,16 @@ impl AxiInterconnect {
 
     fn route_r(&mut self, ctx: &SimCtx, now: Cycle) {
         // Forward as many R beats as the upstream ports can take.
-        while let Some(flit) = self.downstream.r.peek(ctx, now) {
+        while let Some(ctrl_id) = self.downstream.r.peek_with(ctx, now, |f| f.id) {
             let &(master, orig_id, _) = self
                 .read_map
-                .get(&flit.id)
+                .get(&ctrl_id)
                 .expect("R beat with unmapped controller id");
             if !self.masters[master].r.can_send(ctx) {
                 break;
             }
             let flit = self.downstream.r.recv(ctx, now).expect("peeked");
             let last = flit.last;
-            let ctrl_id = flit.id;
             self.masters[master].r.send(
                 ctx,
                 now,
@@ -112,22 +119,22 @@ impl AxiInterconnect {
     }
 
     fn route_b(&mut self, ctx: &SimCtx, now: Cycle) {
-        while let Some(flit) = self.downstream.b.peek(ctx, now) {
+        while let Some(ctrl_id) = self.downstream.b.peek_with(ctx, now, |f| f.id) {
             let &(master, orig_id, _) = self
                 .write_map
-                .get(&flit.id)
+                .get(&ctrl_id)
                 .expect("B with unmapped controller id");
             if !self.masters[master].b.can_send(ctx) {
                 break;
             }
-            let flit = self.downstream.b.recv(ctx, now).expect("peeked");
+            self.downstream.b.recv(ctx, now).expect("peeked");
             self.masters[master].b.send(ctx, now, BFlit { id: orig_id });
-            let entry = self.write_map.get_mut(&flit.id).expect("mapped");
+            let entry = self.write_map.get_mut(&ctrl_id).expect("mapped");
             entry.2 -= 1;
             if entry.2 == 0 {
                 self.write_alloc.remove(&(master, orig_id));
-                self.write_map.remove(&flit.id);
-                self.free_write_ids.push(flit.id);
+                self.write_map.remove(&ctrl_id);
+                self.free_write_ids.push(ctrl_id);
             }
         }
     }
@@ -139,18 +146,18 @@ impl AxiInterconnect {
         let n = self.masters.len();
         for offset in 0..n {
             let m = (self.rr_ar + offset) % n;
-            let Some(peeked) = self.masters[m].ar.peek(ctx, now) else {
+            let Some(orig_id) = self.masters[m].ar.peek_with(ctx, now, |f| f.id) else {
                 continue;
             };
-            let ctrl_id = match self.read_alloc.get(&(m, peeked.id)) {
+            let ctrl_id = match self.read_alloc.get(&(m, orig_id)) {
                 Some(&id) => id,
                 None => {
                     let Some(id) = self.free_read_ids.pop() else {
-                        self.stats.incr("id_stalls");
+                        self.id_stalls.incr();
                         continue; // this master must wait for a free id
                     };
-                    self.read_alloc.insert((m, peeked.id), id);
-                    self.read_map.insert(id, (m, peeked.id, 0));
+                    self.read_alloc.insert((m, orig_id), id);
+                    self.read_map.insert(id, (m, orig_id, 0));
                     id
                 }
             };
@@ -158,7 +165,7 @@ impl AxiInterconnect {
             self.read_map.get_mut(&ctrl_id).expect("mapped").2 += 1;
             ar.id = ctrl_id;
             self.downstream.ar.send(ctx, now, ar);
-            self.stats.incr("ar_forwarded");
+            self.ar_forwarded.incr();
             self.rr_ar = (m + 1) % n;
             return; // one AR per cycle
         }
@@ -171,18 +178,18 @@ impl AxiInterconnect {
         let n = self.masters.len();
         for offset in 0..n {
             let m = (self.rr_aw + offset) % n;
-            let Some(peeked) = self.masters[m].aw.peek(ctx, now) else {
+            let Some(orig_id) = self.masters[m].aw.peek_with(ctx, now, |f| f.id) else {
                 continue;
             };
-            let ctrl_id = match self.write_alloc.get(&(m, peeked.id)) {
+            let ctrl_id = match self.write_alloc.get(&(m, orig_id)) {
                 Some(&id) => id,
                 None => {
                     let Some(id) = self.free_write_ids.pop() else {
-                        self.stats.incr("id_stalls");
+                        self.id_stalls.incr();
                         continue;
                     };
-                    self.write_alloc.insert((m, peeked.id), id);
-                    self.write_map.insert(id, (m, peeked.id, 0));
+                    self.write_alloc.insert((m, orig_id), id);
+                    self.write_map.insert(id, (m, orig_id, 0));
                     id
                 }
             };
@@ -192,7 +199,7 @@ impl AxiInterconnect {
             let beats = aw.beats;
             self.downstream.aw.send(ctx, now, aw);
             self.w_route.push_back((m, beats));
-            self.stats.incr("aw_forwarded");
+            self.aw_forwarded.incr();
             self.rr_aw = (m + 1) % n;
             return;
         }

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 use baxi::{ArFlit, AwFlit, AxiMasterPort, WFlit};
 use bsim::perf::{Counter, CounterSet};
-use bsim::{Cycle, SimCtx, Stats};
+use bsim::{Cycle, SimCtx, StatCounter, Stats};
 
 /// Returned when a stream request is issued while a previous one is still
 /// active (hardware would deassert `ready`).
@@ -93,6 +93,9 @@ pub struct Reader {
     next_id: usize,
     outstanding_bytes: usize,
     stats: Stats,
+    /// Per-beat or per-transaction counters of `stats`, named once.
+    ar_issued: StatCounter,
+    r_beats: StatCounter,
     /// Cycles an AR issue was blocked by the TLP inflight cap.
     perf_stall_inflight: Counter,
     /// Cycles an AR issue was blocked by AR-channel backpressure.
@@ -106,6 +109,7 @@ impl Reader {
     pub fn new(cfg: ReaderConfig, port: AxiMasterPort) -> Self {
         assert!(!cfg.ids.is_empty(), "reader needs at least one AXI id");
         assert!(cfg.data_bytes > 0 && cfg.burst_beats > 0);
+        let stats = Stats::new();
         Self {
             cfg,
             port,
@@ -114,7 +118,9 @@ impl Reader {
             stream: VecDeque::new(),
             next_id: 0,
             outstanding_bytes: 0,
-            stats: Stats::new(),
+            ar_issued: stats.counter("ar_issued"),
+            r_beats: stats.counter("r_beats"),
+            stats,
             perf_stall_inflight: Counter::detached(),
             perf_stall_ar: Counter::detached(),
             perf_stall_prefetch: Counter::detached(),
@@ -251,7 +257,7 @@ impl Reader {
                 drained: 0,
             });
             self.outstanding_bytes += take;
-            self.stats.incr("ar_issued");
+            self.ar_issued.incr();
             let consumed = take as u64;
             if consumed >= remaining {
                 self.fetch = None;
@@ -272,7 +278,7 @@ impl Reader {
             if r.last {
                 txn.complete = true;
             }
-            self.stats.incr("r_beats");
+            self.r_beats.incr();
         }
     }
 
@@ -383,6 +389,10 @@ pub struct Writer {
     /// `ids[k % ids.len()]`.
     next_id: usize,
     stats: Stats,
+    /// Per-beat or per-transaction counters of `stats`, named once.
+    aw_issued: StatCounter,
+    w_beats: StatCounter,
+    b_received: StatCounter,
     /// Cycles an AW issue was blocked by the TLP inflight cap.
     perf_stall_inflight: Counter,
     /// Cycles an AW issue was blocked by AW-channel backpressure.
@@ -402,6 +412,7 @@ impl Writer {
     pub fn new(cfg: WriterConfig, port: AxiMasterPort) -> Self {
         assert!(!cfg.ids.is_empty(), "writer needs at least one AXI id");
         assert!(cfg.data_bytes > 0 && cfg.burst_beats > 0);
+        let stats = Stats::new();
         Self {
             cfg,
             port,
@@ -411,7 +422,10 @@ impl Writer {
             current: None,
             inflight_bs: 0,
             next_id: 0,
-            stats: Stats::new(),
+            aw_issued: stats.counter("aw_issued"),
+            w_beats: stats.counter("w_beats"),
+            b_received: stats.counter("b_received"),
+            stats,
             perf_stall_inflight: Counter::detached(),
             perf_stall_aw: Counter::detached(),
             perf_stall_data: Counter::detached(),
@@ -531,7 +545,7 @@ impl Writer {
     fn collect_b(&mut self, ctx: &SimCtx, now: Cycle) {
         while self.port.b.recv(ctx, now).is_some() {
             self.inflight_bs -= 1;
-            self.stats.incr("b_received");
+            self.b_received.incr();
         }
     }
 
@@ -573,7 +587,7 @@ impl Writer {
             data,
             valid_bytes: span as usize,
         });
-        self.stats.incr("aw_issued");
+        self.aw_issued.incr();
         if span >= remaining {
             self.emit = None;
         } else {
@@ -605,7 +619,7 @@ impl Writer {
         let last = burst.beats_sent + 1 == burst.beats;
         self.port.w.send(ctx, now, WFlit { data, strb, last });
         burst.beats_sent += 1;
-        self.stats.incr("w_beats");
+        self.w_beats.incr();
         if last {
             let _ = burst.addr; // kept for debugging
             let _ = burst.id;
@@ -654,6 +668,9 @@ pub struct Scratchpad {
     /// against this value.
     pub latency: u32,
     stats: Stats,
+    /// Per-beat or per-transaction counters of `stats`, named once.
+    inits_started: StatCounter,
+    init_words: StatCounter,
 }
 
 impl Scratchpad {
@@ -667,13 +684,16 @@ impl Scratchpad {
             (1..=64).contains(&width_bits),
             "scratchpad words limited to 64 bits"
         );
+        let stats = Stats::new();
         Self {
             name: name.into(),
             width_bits,
             storage: vec![0; n_datas],
             init_progress: None,
             latency,
-            stats: Stats::new(),
+            inits_started: stats.counter("inits_started"),
+            init_words: stats.counter("init_words"),
+            stats,
         }
     }
 
@@ -744,7 +764,7 @@ impl Scratchpad {
     pub fn start_init(&mut self, reader: &mut Reader, addr: u64) -> Result<(), BusyError> {
         reader.request(addr, (self.len() * self.word_bytes()) as u64)?;
         self.init_progress = Some(0);
-        self.stats.incr("inits_started");
+        self.inits_started.incr();
         Ok(())
     }
 
@@ -764,7 +784,7 @@ impl Scratchpad {
             filled += 1;
         }
         if filled > start {
-            self.stats.add("init_words", (filled - start) as u64);
+            self.init_words.add((filled - start) as u64);
         }
         self.init_progress = if filled == self.storage.len() {
             None

@@ -4,7 +4,7 @@
 //! followed by the payload; the payload is a one-byte tag and the
 //! tag-specific fields. Integers are little-endian, strings are
 //! `u16`-length-prefixed UTF-8. The decoder is a pure function over a
-//! byte slice through a bounds-checked [`Reader`]: hostile input —
+//! byte slice through a bounds-checked cursor: hostile input —
 //! truncated, oversized, wrong-tag, junk UTF-8 — always comes back as a
 //! [`DecodeError`], never a panic, and the length prefix is validated
 //! against [`MAX_FRAME_LEN`] *before* any allocation so a forged header

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use bcore::{CommandToken, MmioRegister, SocSim};
 use bplatform::AddressSpace;
-use bsim::Cycle;
+use bsim::{Cycle, SparseMemory};
 
 use crate::alloc::{AllocError, DeviceAllocator};
 
@@ -131,8 +131,9 @@ impl std::error::Error for CallError {}
 struct Inner {
     soc: SocSim,
     allocator: DeviceAllocator,
-    /// Host-side shadow buffers for discrete platforms.
-    host_shadow: HashMap<u64, Vec<u8>>,
+    /// Host-side shadow of device memory for discrete platforms: sparse,
+    /// so an allocation costs host memory only for the pages written.
+    host_shadow: SparseMemory,
     opts: RuntimeOptions,
     stats: RuntimeStats,
     /// Default budget for blocking `get`s, fabric cycles.
@@ -142,6 +143,16 @@ struct Inner {
 }
 
 impl Inner {
+    /// Panics unless `ptr` names a live allocation: a freed range of the
+    /// shadow reads as zeros and must not be reached through a stale
+    /// pointer.
+    fn assert_live(&self, ptr: RemotePtr) {
+        assert!(
+            self.allocator.allocation_len(ptr.addr).is_some(),
+            "discrete-platform access through a freed or foreign pointer"
+        );
+    }
+
     /// Advances the device while `ns` of host time passes.
     ///
     /// The poll cadence is part of the modelled host timing (responses are
@@ -185,7 +196,7 @@ impl FpgaHandle {
             inner: Arc::new(Mutex::new(Inner {
                 soc,
                 allocator,
-                host_shadow: HashMap::new(),
+                host_shadow: SparseMemory::new(),
                 opts,
                 stats: RuntimeStats::default(),
                 get_timeout_cycles: 2_000_000_000,
@@ -213,9 +224,6 @@ impl FpgaHandle {
             .allocator
             .allocation_len(addr)
             .expect("just allocated");
-        if inner.soc.platform().address_space == AddressSpace::Discrete {
-            inner.host_shadow.insert(addr, vec![0u8; len as usize]);
-        }
         Ok(RemotePtr { addr, len })
     }
 
@@ -234,7 +242,9 @@ impl FpgaHandle {
                 requested: ptr.len,
                 high_water: inner.allocator.high_water_mark(),
             })?;
-        inner.host_shadow.remove(&ptr.addr);
+        // A later allocation of this range must read zeros, as a fresh
+        // shadow would.
+        inner.host_shadow.clear_range(ptr.addr, ptr.len);
         Ok(())
     }
 
@@ -261,13 +271,8 @@ impl FpgaHandle {
                     .write(ptr.addr + offset, data);
             }
             AddressSpace::Discrete => {
-                let base = ptr.addr;
-                let shadow = inner
-                    .host_shadow
-                    .get_mut(&base)
-                    .expect("live discrete allocation has a shadow");
-                let off = offset as usize;
-                shadow[off..off + data.len()].copy_from_slice(data);
+                inner.assert_live(ptr);
+                inner.host_shadow.write(ptr.addr + offset, data);
             }
         }
     }
@@ -283,8 +288,8 @@ impl FpgaHandle {
         match inner.soc.platform().address_space {
             AddressSpace::Shared => inner.soc.memory().borrow().read_vec(ptr.addr + offset, len),
             AddressSpace::Discrete => {
-                let shadow = &inner.host_shadow[&ptr.addr];
-                shadow[offset as usize..offset as usize + len].to_vec()
+                inner.assert_live(ptr);
+                inner.host_shadow.read_vec(ptr.addr + offset, len)
             }
         }
     }
@@ -313,7 +318,8 @@ impl FpgaHandle {
         if inner.soc.platform().address_space == AddressSpace::Shared {
             return;
         }
-        let data = inner.host_shadow[&ptr.addr].clone();
+        inner.assert_live(ptr);
+        let data = inner.host_shadow.read_vec(ptr.addr, ptr.len as usize);
         inner.soc.memory().borrow_mut().write(ptr.addr, &data);
         let link = inner.soc.platform().host_link;
         let ns = link.dma_setup_ns + data.len() as u64 * 1_000_000_000 / link.dma_bytes_per_sec;
@@ -335,7 +341,7 @@ impl FpgaHandle {
         let link = inner.soc.platform().host_link;
         let ns = link.dma_setup_ns + data.len() as u64 * 1_000_000_000 / link.dma_bytes_per_sec;
         inner.stats.dma_from_device_bytes += data.len() as u64;
-        inner.host_shadow.insert(ptr.addr, data);
+        inner.host_shadow.write(ptr.addr, &data);
         inner.advance_ns(ns);
     }
 
@@ -1017,6 +1023,28 @@ mod tests {
         // (frees b); the next free of the same address must then fail.
         handle.free(a).unwrap();
         assert!(handle.free(b).is_err(), "double free of the same region");
+    }
+
+    #[test]
+    fn freed_discrete_range_reads_zero_when_reallocated() {
+        let handle = make_handle(&Platform::sim(), 1);
+        assert!(handle.with_soc(|soc| soc.platform().needs_dma()));
+        let a = handle.malloc(3 * 4096).unwrap();
+        handle.write_at(a, 4000, &[0xAB; 200]);
+        assert_eq!(handle.read_at(a, 4000, 200), vec![0xAB; 200]);
+        handle.free(a).unwrap();
+        let b = handle.malloc(3 * 4096).unwrap();
+        assert_eq!(a.device_addr(), b.device_addr());
+        assert_eq!(handle.read_at(b, 0, 3 * 4096), vec![0; 3 * 4096]);
+    }
+
+    #[test]
+    #[should_panic(expected = "freed or foreign pointer")]
+    fn discrete_access_through_a_freed_pointer_panics() {
+        let handle = make_handle(&Platform::sim(), 1);
+        let a = handle.malloc(4096).unwrap();
+        handle.free(a).unwrap();
+        handle.read_at(a, 0, 4);
     }
 
     #[test]

@@ -7,7 +7,12 @@
 //! consumer tick within a cycle (for the forward data path).
 //!
 //! Backpressure is modelled by capacity: [`Sender::can_send`] is the `ready`
-//! signal, [`Receiver::peek`] returning `Some` is the `valid` signal.
+//! signal, [`Receiver::has_data`] is the `valid` signal.
+//!
+//! Each channel's front-item visibility cycle is mirrored in a dense array
+//! in the arena, outside the channel's `RefCell`: `has_data`,
+//! `next_visible_at`, and a `recv`/`peek_with` that finds nothing visible
+//! read only that array, so polling an idle input costs one load.
 //!
 //! Channels are created through
 //! [`Simulation::channel`](crate::Simulation::channel) and stored in the
@@ -93,6 +98,7 @@ pub(crate) fn make_channel<T: Send + 'static>(
 ) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "channel capacity must be nonzero");
     let id = u32::try_from(ctx.chans.len()).expect("channel arena overflow");
+    ctx.front.push(std::cell::Cell::new(Cycle::MAX));
     ctx.chans.push(std::cell::RefCell::new(RawChan {
         capacity,
         latency,
@@ -148,6 +154,9 @@ impl<T: Send + 'static> Sender<T> {
             c.capacity
         );
         let visible = now + c.latency;
+        if c.visible.is_empty() {
+            ctx.front[self.chan as usize].set(visible);
+        }
         c.visible.push_back(visible);
         c.payloads_mut::<T>().push_back(value);
         c.total_sent += 1;
@@ -177,11 +186,7 @@ impl<T: Send + 'static> Sender<T> {
     /// `None` if the channel is empty. See
     /// [`Receiver::next_visible_at`].
     pub fn next_visible_at(&self, ctx: &SimCtx) -> Option<Cycle> {
-        ctx.chan(self.chan, self.serial)
-            .borrow()
-            .visible
-            .front()
-            .copied()
+        next_visible(ctx, self.chan, self.serial)
     }
 
     /// Registers `waker` to fire whenever an item is *received* from this
@@ -210,33 +215,45 @@ impl<T: Send + 'static> Receiver<T> {
     /// Returns whether an item is visible at cycle `now` (the `valid`
     /// signal seen by the consumer).
     pub fn has_data(&self, ctx: &SimCtx, now: Cycle) -> bool {
-        ctx.chan(self.chan, self.serial)
-            .borrow()
-            .visible
-            .front()
-            .is_some_and(|vis| *vis <= now)
+        ctx.front_visible(self.chan, self.serial) <= now
     }
 
     /// Dequeues the front item if one is visible at cycle `now`.
     pub fn recv(&self, ctx: &SimCtx, now: Cycle) -> Option<T> {
-        let mut c = ctx.chan(self.chan, self.serial).borrow_mut();
-        if c.visible.front().is_some_and(|vis| *vis <= now) {
-            c.visible.pop_front();
-            c.total_received += 1;
-            let item = c.payloads_mut::<T>().pop_front();
-            for &hook in &c.recv_hooks {
-                ctx.wake_component(hook);
-            }
-            item
-        } else {
-            None
+        if !self.has_data(ctx, now) {
+            return None;
         }
+        let mut c = ctx.chans[self.chan as usize].borrow_mut();
+        c.visible.pop_front();
+        ctx.front[self.chan as usize].set(c.visible.front().copied().unwrap_or(Cycle::MAX));
+        c.total_received += 1;
+        let item = c.payloads_mut::<T>().pop_front();
+        for &hook in &c.recv_hooks {
+            ctx.wake_component(hook);
+        }
+        item
+    }
+
+    /// Applies `f` to the front item, without consuming it, if one is
+    /// visible at cycle `now`.
+    ///
+    /// The channel stays borrowed while `f` runs, so `f` must not operate
+    /// on this channel.
+    pub fn peek_with<R>(&self, ctx: &SimCtx, now: Cycle, f: impl FnOnce(&T) -> R) -> Option<R> {
+        if !self.has_data(ctx, now) {
+            return None;
+        }
+        let c = ctx.chans[self.chan as usize].borrow();
+        c.payloads::<T>().front().map(f)
     }
 
     /// Number of items visible at cycle `now` (occupancy of the visible
     /// prefix of the queue).
     pub fn visible_len(&self, ctx: &SimCtx, now: Cycle) -> usize {
-        ctx.chan(self.chan, self.serial)
+        if !self.has_data(ctx, now) {
+            return 0;
+        }
+        ctx.chans[self.chan as usize]
             .borrow()
             .visible
             .iter()
@@ -256,11 +273,7 @@ impl<T: Send + 'static> Receiver<T> {
     /// item's visibility is exactly when the channel next changes state
     /// for the consumer.
     pub fn next_visible_at(&self, ctx: &SimCtx) -> Option<Cycle> {
-        ctx.chan(self.chan, self.serial)
-            .borrow()
-            .visible
-            .front()
-            .copied()
+        next_visible(ctx, self.chan, self.serial)
     }
 
     /// Re-arms the host-ready registration for this channel, if it has
@@ -306,15 +319,10 @@ impl<T: Send + 'static> Receiver<T> {
     }
 }
 
-impl<T: Clone + Send + 'static> Receiver<T> {
-    /// Peeks at the front visible item without consuming it.
-    pub fn peek(&self, ctx: &SimCtx, now: Cycle) -> Option<T> {
-        let mut c = ctx.chan(self.chan, self.serial).borrow_mut();
-        match c.visible.front() {
-            Some(vis) if *vis <= now => c.payloads_mut::<T>().front().cloned(),
-            _ => None,
-        }
-    }
+#[inline]
+fn next_visible(ctx: &SimCtx, chan: u32, serial: u32) -> Option<Cycle> {
+    let at = ctx.front_visible(chan, serial);
+    (at != Cycle::MAX).then_some(at)
 }
 
 fn state_of(ctx: &SimCtx, chan: u32, serial: u32) -> ChannelState {
@@ -410,10 +418,11 @@ mod tests {
         let (tx, rx) = sim.channel::<u8>(1);
         let ctx = sim.ctx();
         tx.send(ctx, 0, 9);
-        assert_eq!(rx.peek(ctx, 1), Some(9));
-        assert_eq!(rx.peek(ctx, 1), Some(9));
+        assert_eq!(rx.peek_with(ctx, 0, |v| *v), None, "not visible yet");
+        assert_eq!(rx.peek_with(ctx, 1, |v| *v), Some(9));
+        assert_eq!(rx.peek_with(ctx, 1, |v| *v + 1), Some(10));
         assert_eq!(rx.recv(ctx, 1), Some(9));
-        assert_eq!(rx.peek(ctx, 1), None);
+        assert_eq!(rx.peek_with(ctx, 1, |v| *v), None);
     }
 
     #[test]

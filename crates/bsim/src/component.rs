@@ -9,8 +9,12 @@
 //!   future, fast-forward the base clock across the globally quiescent
 //!   gap in one jump; and make each *executed* cycle cost proportional to
 //!   the number of *awake* components: every registered component carries
-//!   a due-cycle derived from its `next_event`, maintained in a min-heap
-//!   keyed by base cycle, and a cycle ticks only the components due now.
+//!   a due-cycle derived from its `next_event`, and a cycle ticks only the
+//!   components due now. A component due at its clock domain's very next
+//!   fire — the common case — sits in that domain's next-fire bitset;
+//!   only later deadlines go to a min-heap keyed by base cycle. The
+//!   components of a cycle are collected in a due bitset and ticked in
+//!   registration order.
 //!   Channel activity re-arms sleeping consumers through [`Waker`] hooks
 //!   (see [`Component::register_wakes`]); components that register no
 //!   hooks stay in an always-tick fallback set with exact naive
@@ -111,7 +115,7 @@ pub trait Component {
 
 /// Which driver loop a [`Simulation`] uses. The two modes are
 /// cycle-exact with one another; they differ only in host work per
-/// simulated cycle. See the [module docs](self) and `DESIGN.md`.
+/// simulated cycle. See [`Simulation`] and `DESIGN.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerMode {
     /// Tick every component on every cycle. The correctness oracle
@@ -192,31 +196,112 @@ struct Registered {
     /// cycle at base cycle `b` (a fire of its domain) is
     /// `b / divider - fire_offset`.
     fire_offset: Cycle,
-    /// Active-set: the base cycle this component is heap-scheduled to
-    /// tick at, or `Cycle::MAX` when sleeping (or in the polled fallback
-    /// set, which is never heap-scheduled). Heap entries whose cycle no
-    /// longer equals `sched_at` are stale and discarded on pop.
+    /// Active-set: the base cycle this component is scheduled to tick
+    /// at — in its group's next-fire set when that is the group's next
+    /// fire, in the heap otherwise — or `Cycle::MAX` when sleeping (or in
+    /// the polled fallback set, which is never scheduled). Heap entries
+    /// whose cycle no longer equals `sched_at` are stale and discarded on
+    /// pop.
     sched_at: Cycle,
-    /// Active-set: base cycle of the most recent executed tick
-    /// (`Cycle::MAX` = never ticked).
-    last_fire: Cycle,
-    /// Active-set: dedupe stamp for the due-queue of the cycle currently
-    /// being executed.
-    due_mark: Cycle,
+}
+
+/// A set of component indices, one bit each, iterated low to high.
+#[derive(Default)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// Makes room for indices `0..n`.
+    fn grow(&mut self, n: usize) {
+        self.words.resize(n.div_ceil(64), 0);
+    }
+
+    /// Adds `i`; returns whether it was absent.
+    #[inline]
+    fn insert(&mut self, i: usize) -> bool {
+        let word = &mut self.words[i / 64];
+        let bit = 1u64 << (i % 64);
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
+    }
+
+    /// Removes `i`; returns whether it was present.
+    #[inline]
+    fn remove(&mut self, i: usize) -> bool {
+        let word = &mut self.words[i / 64];
+        let bit = 1u64 << (i % 64);
+        let present = *word & bit != 0;
+        *word &= !bit;
+        present
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Moves every member into `dst`, leaving `self` empty.
+    fn drain_into(&mut self, dst: &mut BitSet) {
+        for (d, s) in dst.words.iter_mut().zip(&mut self.words) {
+            *d |= std::mem::take(s);
+        }
+    }
+
+    /// Removes and returns the lowest member in word `*word` or above,
+    /// advancing `*word` past empty words. The current word is re-read on
+    /// every call, so members added above the last one returned are
+    /// still found, in order.
+    #[inline]
+    fn pop_from(&mut self, word: &mut usize) -> Option<usize> {
+        while let Some(w) = self.words.get_mut(*word) {
+            if *w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some(*word * 64 + bit);
+            }
+            *word += 1;
+        }
+        None
+    }
 }
 
 /// Per-divider bookkeeping shared by every component in one clock domain.
 ///
-/// Replaces the old per-component `now % divider` scan: each base cycle
-/// does one comparison per *group*, and each component does one indexed
-/// flag load.
+/// Each base cycle does one comparison per *group*, and each component
+/// does one indexed flag load.
 struct DividerGroup {
     divider: u64,
     /// The smallest multiple of `divider` that is `>= Simulation::now`,
     /// i.e. the next base cycle on which this domain ticks.
     next_due: Cycle,
-    /// Scratch: whether this group ticks on the cycle being executed.
+    /// Whether this group ticks on the cycle being executed; false between
+    /// cycles.
     due: bool,
+    /// Active-set: components scheduled for this domain's next fire
+    /// ([`DividerGroup::next_fire`]). Moved into the due set when the
+    /// domain fires.
+    next: BitSet,
+    /// Members of `next`.
+    queued: usize,
+}
+
+impl DividerGroup {
+    /// The domain's next fire after the cycle being executed — or,
+    /// between cycles, its upcoming one.
+    #[inline]
+    fn next_fire(&self) -> Cycle {
+        if self.due {
+            self.next_due + self.divider
+        } else {
+            self.next_due
+        }
+    }
 }
 
 /// A host-side wake source: given the arena, report the earliest cycle
@@ -266,17 +351,18 @@ pub struct Simulation {
     watch_horizon: Cell<Option<Cycle>>,
     now: Cycle,
     mode: SchedulerMode,
-    /// Active-set: min-heap of `(due_cycle, component_index)` entries.
-    /// Entries are lazily invalidated: one is live iff its cycle equals
-    /// the component's `sched_at`.
+    /// Active-set: min-heap of `(due_cycle, component_index)` entries for
+    /// deadlines past the component's next domain fire. Entries are lazily
+    /// invalidated: one is live iff its cycle equals the component's
+    /// `sched_at`.
     heap: BinaryHeap<Reverse<(Cycle, usize)>>,
     /// Active-set: the always-tick fallback set — indices of components
     /// that registered no wake hooks. They tick on every executed fire of
     /// their domain and are re-queried for every fast-forward decision.
     polled: Vec<usize>,
-    /// Active-set scratch: min-queue of component indices due on the
-    /// cycle being executed, popped in registration order.
-    due_queue: BinaryHeap<Reverse<usize>>,
+    /// Active-set scratch: the components due on the cycle being
+    /// executed, ticked in registration order (empty between cycles).
+    due: BitSet,
     /// Base cycles executed in full (every due component ticked).
     executed_cycles: Cycle,
     /// Base cycles crossed by fast-forward jumps instead of being
@@ -335,7 +421,7 @@ impl Simulation {
             mode: scheduler_mode_from_env(),
             heap: BinaryHeap::new(),
             polled: Vec::new(),
-            due_queue: BinaryHeap::new(),
+            due: BitSet::default(),
             executed_cycles: 0,
             skipped_cycles: 0,
             ticked_component_cycles: 0,
@@ -351,8 +437,9 @@ impl Simulation {
     }
 
     /// Creates a bounded channel with the default 1-cycle visibility
-    /// latency and returns its `Copy` endpoint IDs. See the
-    /// [`chan`](crate::chan) module docs.
+    /// latency and returns its `Copy` endpoint IDs ([`Sender`],
+    /// [`Receiver`]): an item sent on cycle `n` is receivable from cycle
+    /// `n + 1`, and `capacity` bounds the items in flight.
     ///
     /// # Panics
     ///
@@ -455,9 +542,12 @@ impl Simulation {
             local_cycles: 0,
             fire_offset: first_due / divider,
             sched_at: Cycle::MAX,
-            last_fire: Cycle::MAX,
-            due_mark: Cycle::MAX,
         });
+        let n = self.components.len();
+        self.due.grow(n);
+        for g in &mut self.groups {
+            g.next.grow(n);
+        }
         if hooked {
             // A component's first tick is never skipped (it has not yet
             // had a chance to declare anything), so schedule it for its
@@ -484,6 +574,8 @@ impl Simulation {
             divider,
             next_due,
             due: false,
+            next: BitSet::default(),
+            queued: 0,
         });
         self.groups.len() - 1
     }
@@ -646,34 +738,46 @@ impl Simulation {
                 self.ticked_component_cycles += 1;
             }
         }
+        self.finish_cycle();
+    }
+
+    /// Advances `now` past the cycle just executed, moving each domain
+    /// that fired on to its next fire.
+    fn finish_cycle(&mut self) {
         self.now += 1;
         self.executed_cycles += 1;
         for g in &mut self.groups {
             if g.due {
                 g.next_due += g.divider;
+                g.due = false;
             }
         }
     }
 
-    /// Active-set cycle execution: drain wakes, pop due heap entries,
-    /// sweep the polled fallback set, then tick the due components in
-    /// registration order — waking same-cycle listeners exactly where the
-    /// naive loop would reach them.
+    /// Active-set cycle execution: move each firing domain's next-fire
+    /// set into the due set, drain wakes, pop due heap entries, sweep the
+    /// polled fallback set, then tick the due components in registration
+    /// order — waking same-cycle listeners exactly where the naive loop
+    /// would reach them.
     fn execute_cycle_active(&mut self) {
         let now = self.now;
         for g in &mut self.groups {
             g.due = g.next_due == now;
+            if g.due && g.queued > 0 {
+                g.next.drain_into(&mut self.due);
+                g.queued = 0;
+            }
         }
         // Wakes pending from host activity or earlier cycles: due this
         // cycle if their domain fires now, else scheduled for its next
         // fire. A woken component may tick a no-op (its new input might
         // not be visible yet) — exactly what the naive loop does.
         while let Some(idx) = self.pop_wake() {
-            if self.groups[self.components[idx].group].due {
-                self.push_due(idx, now);
+            let g = &self.groups[self.components[idx].group];
+            if g.due {
+                self.due.insert(idx);
             } else {
-                let fire = self.groups[self.components[idx].group].next_due;
-                self.schedule(idx, fire);
+                self.schedule(idx, g.next_due);
             }
         }
         // Heap-scheduled components due now (stale entries discarded).
@@ -684,28 +788,34 @@ impl Simulation {
             self.heap.pop();
             if self.components[idx].sched_at == at {
                 debug_assert_eq!(at, now, "active-set heap missed a scheduled fire");
-                self.push_due(idx, now);
+                self.due.insert(idx);
             }
         }
         // The always-tick fallback set: naive semantics on every executed
         // fire of their domain.
-        for i in 0..self.polled.len() {
-            let idx = self.polled[i];
+        for &idx in &self.polled {
             if self.groups[self.components[idx].group].due {
-                self.push_due(idx, now);
+                self.due.insert(idx);
             }
         }
         if self.verify_idle {
-            self.verify_sleepers(now);
+            self.verify_sleepers();
         }
-        while let Some(Reverse(idx)) = self.due_queue.pop() {
+        // Same-cycle wakes only add indices above the one ticking, so one
+        // forward scan of the due set visits every component in order.
+        let mut word = 0;
+        while let Some(idx) = self.due.pop_from(&mut word) {
             let local = {
                 let reg = &mut self.components[idx];
-                let divider = self.groups[reg.group].divider;
-                debug_assert!(self.groups[reg.group].due);
-                let local = now / divider - reg.fire_offset;
+                let g = &mut self.groups[reg.group];
+                debug_assert!(g.due);
+                // Woken ahead of its schedule: a heap entry goes stale by
+                // itself, a next-fire entry must be dropped.
+                if reg.sched_at == g.next_fire() && g.next.remove(idx) {
+                    g.queued -= 1;
+                }
                 reg.sched_at = Cycle::MAX;
-                reg.last_fire = now;
+                let local = now / g.divider - reg.fire_offset;
                 reg.component.tick(&self.ctx, local);
                 local
             };
@@ -734,63 +844,47 @@ impl Simulation {
             // to components the naive loop ticks *after* it; everyone
             // else sees the change at their next domain fire.
             while let Some(j) = self.pop_wake() {
-                let (due, pending) = {
-                    let reg = &self.components[j];
-                    (
-                        self.groups[reg.group].due,
-                        reg.due_mark == now && reg.last_fire != now,
-                    )
-                };
-                if pending {
-                    // Queued this cycle and not yet ticked: its own tick
-                    // and post-tick re-arm will observe the change.
+                if self.due.contains(j) {
+                    // Due this cycle and not yet ticked: its own tick and
+                    // post-tick re-arm will observe the change.
                     continue;
                 }
-                if due && j > idx && self.components[j].last_fire != now {
-                    self.push_due(j, now);
+                let g = &self.groups[self.components[j].group];
+                if g.due && j > idx {
+                    self.due.insert(j);
                 } else {
-                    let g = &self.groups[self.components[j].group];
-                    let fire = if g.due {
-                        g.next_due + g.divider
-                    } else {
-                        g.next_due
-                    };
-                    self.schedule(j, fire);
+                    self.schedule(j, g.next_fire());
                 }
             }
         }
-        self.now += 1;
-        self.executed_cycles += 1;
-        for g in &mut self.groups {
-            if g.due {
-                g.next_due += g.divider;
-            }
-        }
+        self.finish_cycle();
     }
 
     /// Pops one pending wake, clearing its queued flag so later input
     /// changes enqueue the component again.
+    #[inline]
     fn pop_wake(&mut self) -> Option<usize> {
         let idx = self.ctx.wake_queue.borrow_mut().pop()?;
         self.ctx.clear_queued(idx);
         Some(idx)
     }
 
-    /// Enqueues `idx` to tick on the cycle being executed (at most once).
-    fn push_due(&mut self, idx: usize, now: Cycle) {
-        let reg = &mut self.components[idx];
-        if reg.due_mark != now {
-            reg.due_mark = now;
-            self.due_queue.push(Reverse(idx));
-        }
-    }
-
-    /// Heap-schedules component `idx` to tick at base cycle `at`, unless
-    /// it is already scheduled at least as early.
+    /// Schedules component `idx` to tick at base cycle `at`, unless it is
+    /// already scheduled at least as early: into its group's next-fire
+    /// set when `at` is that group's next fire, into the heap otherwise.
     fn schedule(&mut self, idx: usize, at: Cycle) {
         let reg = &mut self.components[idx];
-        if at < reg.sched_at {
-            reg.sched_at = at;
+        if at >= reg.sched_at {
+            return;
+        }
+        reg.sched_at = at;
+        let g = &mut self.groups[reg.group];
+        debug_assert!(at >= g.next_fire(), "scheduled before the next fire");
+        if at == g.next_fire() {
+            if g.next.insert(idx) {
+                g.queued += 1;
+            }
+        } else {
             self.heap.push(Reverse((at, idx)));
         }
     }
@@ -835,6 +929,10 @@ impl Simulation {
     /// hook-covered component (used when switching into active-set mode).
     fn rebuild_schedule(&mut self) {
         self.heap.clear();
+        for g in &mut self.groups {
+            g.next.clear();
+            g.queued = 0;
+        }
         for idx in 0..self.components.len() {
             self.components[idx].sched_at = Cycle::MAX;
             if self.ctx.is_hooked(idx) {
@@ -866,10 +964,11 @@ impl Simulation {
     /// Debug conservatism check (see [`Simulation::set_verify_idle`]):
     /// panics if a component that is *not* due on the cycle about to
     /// execute freshly reports work at or before it.
-    fn verify_sleepers(&self, now: Cycle) {
+    fn verify_sleepers(&self) {
+        let now = self.now;
         for idx in 0..self.components.len() {
             let reg = &self.components[idx];
-            if !self.groups[reg.group].due || reg.due_mark == now || !self.ctx.is_hooked(idx) {
+            if !self.groups[reg.group].due || self.due.contains(idx) || !self.ctx.is_hooked(idx) {
                 continue;
             }
             if let Some(base) = self.component_event_base(idx) {
@@ -958,18 +1057,24 @@ impl Simulation {
     }
 
     /// Active-set component horizon: pending wakes are folded into the
-    /// schedule, then the answer is the heap minimum combined with a
-    /// re-query of the polled fallback set only — sleeping hook-covered
-    /// components cost nothing here.
+    /// schedule, then the answer is the earliest non-empty next-fire set
+    /// and heap entry, combined with a re-query of the polled fallback set
+    /// only — sleeping hook-covered components cost nothing here.
     fn active_component_horizon(&mut self) -> Cycle {
         while let Some(idx) = self.pop_wake() {
             let fire = self.groups[self.components[idx].group].next_due;
             self.schedule(idx, fire);
         }
-        let mut earliest = Cycle::MAX;
+        let mut earliest = self
+            .groups
+            .iter()
+            .filter(|g| g.queued > 0)
+            .map(|g| g.next_due)
+            .min()
+            .unwrap_or(Cycle::MAX);
         while let Some(&Reverse((at, idx))) = self.heap.peek() {
             if self.components[idx].sched_at == at {
-                earliest = at;
+                earliest = earliest.min(at);
                 break;
             }
             self.heap.pop();
@@ -1650,6 +1755,68 @@ mod tests {
         // observed the same cycle. Reversed registration: one cycle later.
         assert_eq!(run(SchedulerMode::ActiveSet, true), vec![(50, 50)]);
         assert_eq!(run(SchedulerMode::ActiveSet, false), vec![(51, 50)]);
+    }
+
+    #[test]
+    fn next_fire_member_woken_by_lower_index_producer_ticks_once() {
+        // The sink declares work every cycle, so between cycles it sits
+        // in its domain's next-fire set; at base cycle 50 the lower-index
+        // producer's zero-latency send wakes it as well. It must tick
+        // exactly once that cycle, and see the item, as under naive.
+        struct EagerSink {
+            rx: Receiver<u64>,
+            got: Vec<(Cycle, u64)>,
+            ticks: Vec<Cycle>,
+        }
+        impl Component for EagerSink {
+            fn tick(&mut self, ctx: &SimCtx, now: Cycle) {
+                self.ticks.push(now);
+                while let Some(v) = self.rx.recv(ctx, now) {
+                    self.got.push((now, v));
+                }
+            }
+            fn register_wakes(&self, ctx: &SimCtx, waker: &Waker) {
+                self.rx.wake_on_send(ctx, waker);
+            }
+        }
+        for divider in [1, 2] {
+            let run = |mode: SchedulerMode| {
+                let mut sim = Simulation::new();
+                let (tx, rx) = sim.channel_with_latency::<u64>(4, 0);
+                sim.set_scheduler_mode(mode);
+                sim.add_with_divider(
+                    OneShot {
+                        tx,
+                        delay: 50 / divider,
+                        sent: false,
+                    },
+                    divider,
+                );
+                let sink = sim.add_shared_with_divider(
+                    EagerSink {
+                        rx,
+                        got: Vec::new(),
+                        ticks: Vec::new(),
+                    },
+                    divider,
+                );
+                sim.run_for(50);
+                if mode == SchedulerMode::ActiveSet {
+                    let g = &sim.groups[sim.components[1].group];
+                    assert!(g.next.contains(1), "sink waits in the next-fire set");
+                    assert_eq!(sim.components[1].sched_at, 50);
+                }
+                sim.run_for(4);
+                (sim.get(sink).got.clone(), sim.get(sink).ticks.clone())
+            };
+            let naive = run(SchedulerMode::Naive);
+            let active = run(SchedulerMode::ActiveSet);
+            assert_eq!(naive, active, "divider {divider}");
+            assert_eq!(active.0, vec![(50 / divider, 50 / divider)]);
+            let ticks = &active.1;
+            assert_eq!(ticks.len() as u64, 54 / divider, "one tick per fire");
+            assert!(ticks.windows(2).all(|w| w[1] == w[0] + 1));
+        }
     }
 
     #[test]

@@ -65,6 +65,12 @@ pub(crate) struct RawChan {
 }
 
 impl RawChan {
+    pub(crate) fn payloads<T: 'static>(&self) -> &VecDeque<T> {
+        self.payloads
+            .downcast_ref::<VecDeque<T>>()
+            .expect("channel payload type matches its endpoints")
+    }
+
     pub(crate) fn payloads_mut<T: 'static>(&mut self) -> &mut VecDeque<T> {
         self.payloads
             .downcast_mut::<VecDeque<T>>()
@@ -96,6 +102,13 @@ pub(crate) struct WakeState {
 pub struct SimCtx {
     pub(crate) serial: u32,
     pub(crate) chans: Vec<RefCell<RawChan>>,
+    /// Per channel, the cycle its front item becomes visible
+    /// (`Cycle::MAX` when empty): a copy of `chans[id].visible.front()`
+    /// kept outside the `RefCell`, so the common polls — an empty or
+    /// not-yet-visible input — never borrow the channel. Maintained by
+    /// [`Sender::send`](crate::Sender::send) and
+    /// [`Receiver::recv`](crate::Receiver::recv).
+    pub(crate) front: Vec<Cell<Cycle>>,
     /// Indices enqueued by [`Waker::wake`](crate::Waker::wake) (channel
     /// hooks or host code), drained by the scheduler between ticks.
     pub(crate) wake_queue: RefCell<Vec<usize>>,
@@ -118,6 +131,7 @@ impl SimCtx {
         SimCtx {
             serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
             chans: Vec::new(),
+            front: Vec::new(),
             wake_queue: RefCell::new(Vec::new()),
             wake_state: Vec::new(),
             watch_dirty: Cell::new(false),
@@ -130,14 +144,33 @@ impl SimCtx {
     /// # Panics
     ///
     /// Panics if the endpoint belongs to a different simulation.
+    #[inline]
     pub(crate) fn chan(&self, id: u32, serial: u32) -> &RefCell<RawChan> {
+        self.assert_chan_serial(serial);
+        &self.chans[id as usize]
+    }
+
+    /// The cycle channel `id`'s front item becomes visible, `Cycle::MAX`
+    /// when it is empty — read without borrowing the channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint belongs to a different simulation.
+    #[inline]
+    pub(crate) fn front_visible(&self, id: u32, serial: u32) -> Cycle {
+        self.assert_chan_serial(serial);
+        self.front[id as usize].get()
+    }
+
+    #[inline]
+    fn assert_chan_serial(&self, serial: u32) {
         assert_eq!(
             serial, self.serial,
             "channel endpoint used with a different Simulation than the one that created it"
         );
-        &self.chans[id as usize]
     }
 
+    #[inline]
     pub(crate) fn assert_serial(&self, serial: u32, what: &str) {
         assert_eq!(
             serial, self.serial,
@@ -146,12 +179,14 @@ impl SimCtx {
     }
 
     /// Enqueues component `idx` for re-examination (deduped).
+    #[inline]
     pub(crate) fn wake_component(&self, idx: usize) {
         if !self.wake_state[idx].queued.replace(true) {
             self.wake_queue.borrow_mut().push(idx);
         }
     }
 
+    #[inline]
     pub(crate) fn clear_queued(&self, idx: usize) {
         self.wake_state[idx].queued.set(false);
     }
@@ -160,6 +195,7 @@ impl SimCtx {
         self.wake_state[idx].hooked.set(true);
     }
 
+    #[inline]
     pub(crate) fn is_hooked(&self, idx: usize) -> bool {
         self.wake_state[idx].hooked.get()
     }

@@ -85,8 +85,8 @@ pub use perf::span::{perfetto_trace, ProcessSpans, SpanEvent, SpanRecorder};
 pub use perf::window::{WindowCell, WindowSeries};
 pub use perf::{Counter, CounterSet, PerfRegistry};
 pub use stats::{
-    Histogram, HistogramSummary, MergedSimRate, SimRate, SimRateExt, SimRateTimer, Stats,
-    StatsSnapshot,
+    Histogram, HistogramSummary, MergedSimRate, SimRate, SimRateExt, SimRateTimer, StatCounter,
+    Stats, StatsSnapshot,
 };
 pub use time::{ClockDomain, Cycle, Picoseconds, PICOS_PER_SEC};
 pub use trace::{TraceEvent, Tracer};

@@ -144,6 +144,32 @@ impl SparseMemory {
     pub fn clear(&mut self) {
         self.pages.clear();
     }
+
+    /// Returns `len` bytes starting at `addr` to the all-zero state:
+    /// pages the range covers whole are released, partly covered ones
+    /// zeroed. Costs time in the resident pages of the range, not in
+    /// `len`.
+    pub fn clear_range(&mut self, addr: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let end = addr + len;
+        let touched: Vec<u64> = self
+            .pages
+            .range(addr >> PAGE_SHIFT..=(end - 1) >> PAGE_SHIFT)
+            .map(|(&page, _)| page)
+            .collect();
+        for page in touched {
+            let start = page << PAGE_SHIFT;
+            let lo = (addr.max(start) - start) as usize;
+            let hi = (end.min(start + PAGE_SIZE) - start) as usize;
+            if lo == 0 && hi == PAGE_SIZE as usize {
+                self.pages.remove(&page);
+            } else if let Some(data) = self.pages.get_mut(&page) {
+                data[lo..hi].fill(0);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for SparseMemory {
@@ -223,6 +249,20 @@ mod tests {
         mem.clear();
         assert_eq!(mem.resident_pages(), 0);
         assert_eq!(mem.read_vec(0, 1), vec![0]);
+    }
+
+    #[test]
+    fn clear_range_zeroes_partial_pages_and_releases_whole_ones() {
+        let mut mem = SparseMemory::new();
+        mem.write(0, &[7; 3 * PAGE_SIZE as usize]);
+        mem.clear_range(PAGE_SIZE - 2, PAGE_SIZE + 4);
+        assert_eq!(mem.resident_pages(), 2, "the middle page is released");
+        assert_eq!(mem.read_vec(PAGE_SIZE - 3, 3), vec![7, 0, 0]);
+        assert_eq!(mem.read_vec(2 * PAGE_SIZE, 3), vec![0, 0, 7]);
+        // A huge range costs only its resident pages.
+        mem.clear_range(0, 1 << 40);
+        assert_eq!(mem.resident_pages(), 0);
+        mem.clear_range(5, 0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Counters and histograms shared between components and the host.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A latency/occupancy histogram with power-of-two buckets.
@@ -147,10 +149,56 @@ impl Histogram {
     }
 }
 
+/// One counter's value, shared by the bag's name map and every
+/// [`StatCounter`] for that name.
+type Slot = Arc<AtomicU64>;
+
 #[derive(Debug, Default)]
 struct StatsInner {
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<String, Slot>,
     histograms: BTreeMap<String, Histogram>,
+}
+
+impl StatsInner {
+    /// All counters as sorted (name, value) pairs.
+    fn counter_values(&self) -> Vec<(String, u64)> {
+        self.counters
+            .iter()
+            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .collect()
+    }
+}
+
+/// A counter of a [`Stats`] bag named once (see [`Stats::counter`]). Its
+/// first bump looks the name up, as a by-name [`Stats::add`] does; every
+/// later bump takes no lock and searches no map.
+///
+/// It shares storage with the bag: by-name `add`s on the same name add to
+/// the same value, and the name appears in [`Stats::counters`] from the
+/// first bump through either path — an `add(0)` included — exactly as if
+/// every bump had been by name.
+#[derive(Debug, Clone)]
+pub struct StatCounter {
+    stats: Stats,
+    name: &'static str,
+    slot: OnceCell<Slot>,
+}
+
+impl StatCounter {
+    /// Adds `delta`, creating the counter at zero if this is its first
+    /// bump.
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        self.slot
+            .get_or_init(|| self.stats.slot(self.name))
+            .fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Increments by one.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
 }
 
 /// A shared, cloneable bag of named counters and histograms.
@@ -172,13 +220,36 @@ impl Stats {
 
     /// Adds `delta` to counter `name`, creating it at zero if needed.
     /// Only a name's first insert allocates; later bumps are a lookup.
+    /// Per-cycle paths resolve a [`StatCounter`] once instead.
     pub fn add(&self, name: &str, delta: u64) {
         let counters = &mut self.inner.lock().unwrap().counters;
-        match counters.get_mut(name) {
-            Some(value) => *value += delta,
-            None => {
-                counters.insert(name.to_owned(), delta);
+        match counters.get(name) {
+            Some(value) => {
+                value.fetch_add(delta, Ordering::Relaxed);
             }
+            None => {
+                counters.insert(name.to_owned(), Arc::new(AtomicU64::new(delta)));
+            }
+        }
+    }
+
+    /// A [`StatCounter`] handle for counter `name`. Making one does no
+    /// lookup, and the name stays absent from [`Stats::counters`] until
+    /// the handle's (or a by-name) first bump.
+    pub fn counter(&self, name: &'static str) -> StatCounter {
+        StatCounter {
+            stats: self.clone(),
+            name,
+            slot: OnceCell::new(),
+        }
+    }
+
+    /// Counter `name`'s storage, created at zero if needed.
+    fn slot(&self, name: &str) -> Slot {
+        let counters = &mut self.inner.lock().unwrap().counters;
+        match counters.get(name) {
+            Some(value) => Arc::clone(value),
+            None => Arc::clone(counters.entry(name.to_owned()).or_default()),
         }
     }
 
@@ -194,8 +265,7 @@ impl Stats {
             .unwrap()
             .counters
             .get(name)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |value| value.load(Ordering::Relaxed))
     }
 
     /// Records a histogram sample under `name`. Only a name's first
@@ -226,13 +296,7 @@ impl Stats {
 
     /// All counters as sorted (name, value) pairs.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
-            .unwrap()
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+        self.inner.lock().unwrap().counter_values()
     }
 
     /// A comparable snapshot of every counter and histogram, for
@@ -240,11 +304,7 @@ impl Stats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let inner = self.inner.lock().unwrap();
         StatsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
+            counters: inner.counter_values(),
             histograms: inner
                 .histograms
                 .iter()

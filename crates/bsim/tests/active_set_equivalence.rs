@@ -20,6 +20,11 @@
 //! The active-set run additionally enables the debug conservatism checker
 //! ([`Simulation::set_verify_idle`]), so any missing-wake hole on any
 //! random graph panics instead of silently diverging.
+//!
+//! A second property runs graphs of 60–140 nodes, so the scheduler's
+//! per-component bitsets span several 64-bit words, with a clock divider
+//! drawn per node, so several clock domains share one simulation, and
+//! switches the active-set run to naive and back mid-run.
 
 use bsim::{
     ChannelState, Component, Cycle, Receiver, SchedulerMode, Sender, Shared, SimCtx, Simulation,
@@ -215,20 +220,25 @@ fn node_strategy() -> impl Strategy<Value = NodeSpec> {
         )
 }
 
-/// Builds the graph in `sim`: node 0 is always a producer; node `i > 0`
-/// reads from `parent(i) < i` (and maybe one more earlier node). Nodes
-/// nobody reads from are sinks (no output channel). All nodes share one
-/// clock `divider` — channel cycle stamps are in the sender's local
-/// domain, so (as everywhere in this workspace) channels only connect
-/// components in the same clock domain.
-fn build(sim: &mut Simulation, specs: &[NodeSpec], divider: u64) -> Vec<Shared<Node>> {
+/// Builds the graph in `sim`, node `i` ticking once every `dividers[i]`
+/// base cycles. Node `i` reads from `parent(i) < i` (and maybe one more
+/// earlier node), picked among the earlier nodes of its own clock domain:
+/// channel cycle stamps are in the sender's local domain, so (as
+/// everywhere in this workspace) channels only connect components in the
+/// same clock domain. The first node of each domain is a producer; nodes
+/// nobody reads from are sinks (no output channel).
+fn build(sim: &mut Simulation, specs: &[NodeSpec], dividers: &[u64]) -> Vec<Shared<Node>> {
     let n = specs.len();
     // Edge list: (from, to) with from < to.
     let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (i, spec) in specs.iter().enumerate().skip(1) {
-        edges.push((spec.parent_raw % i, i));
+    for (i, spec) in specs.iter().enumerate() {
+        let peers: Vec<usize> = (0..i).filter(|&j| dividers[j] == dividers[i]).collect();
+        if peers.is_empty() {
+            continue;
+        }
+        edges.push((peers[spec.parent_raw % peers.len()], i));
         if spec.second_edge {
-            let from = spec.second_raw % i;
+            let from = peers[spec.second_raw % peers.len()];
             if !edges.contains(&(from, i)) {
                 edges.push((from, i));
             }
@@ -270,7 +280,7 @@ fn build(sim: &mut Simulation, specs: &[NodeSpec], divider: u64) -> Vec<Shared<N
                     holding: None,
                     log: Vec::new(),
                 },
-                divider,
+                dividers[i],
             )
         })
         .collect()
@@ -325,8 +335,9 @@ proptest! {
                 sim
             })
             .collect();
+        let dividers = vec![divider; specs.len()];
         let graphs: Vec<Vec<Shared<Node>>> =
-            sims.iter_mut().map(|sim| build(sim, &specs, divider)).collect();
+            sims.iter_mut().map(|sim| build(sim, &specs, &dividers)).collect();
 
         // Phase 1: a fixed-length run (exercises `run_for` fast-forward).
         for sim in &mut sims {
@@ -382,5 +393,60 @@ proptest! {
         for sim in &sims {
             prop_assert!(sim.ticked_component_cycles() <= registered[0]);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    #[test]
+    fn schedulers_are_cycle_exact_on_large_mixed_domain_graphs(
+        nodes in proptest::collection::vec((node_strategy(), 1u64..5), 60..140),
+        warmup in 0u64..300,
+        naive_leg in 1u64..64,
+    ) {
+        let (specs, dividers): (Vec<NodeSpec>, Vec<u64>) = nodes.into_iter().unzip();
+        // The oracle runs naive throughout; the subject runs active-set
+        // with the conservatism checker, except for one naive leg.
+        let mut oracle = Simulation::new();
+        oracle.set_scheduler_mode(SchedulerMode::Naive);
+        let mut subject = Simulation::new();
+        subject.set_scheduler_mode(SchedulerMode::ActiveSet);
+        subject.set_verify_idle(true);
+        let oracle_nodes = build(&mut oracle, &specs, &dividers);
+        let subject_nodes = build(&mut subject, &specs, &dividers);
+
+        oracle.run_for(warmup);
+        subject.run_for(warmup);
+        prop_assert_eq!(observe(&oracle, &oracle_nodes), observe(&subject, &subject_nodes));
+
+        // Mid-run switch: naive for a leg, then back to active-set, which
+        // rebuilds its schedule from fresh declarations.
+        subject.set_scheduler_mode(SchedulerMode::Naive);
+        oracle.run_for(naive_leg);
+        subject.run_for(naive_leg);
+        subject.set_scheduler_mode(SchedulerMode::ActiveSet);
+        prop_assert_eq!(observe(&oracle, &oracle_nodes), observe(&subject, &subject_nodes));
+
+        for _ in 0..5 {
+            oracle.step();
+            subject.step();
+        }
+        prop_assert_eq!(observe(&oracle, &oracle_nodes), observe(&subject, &subject_nodes));
+
+        let max = 500_000;
+        let drained = |sim: &mut Simulation, nodes: &[Shared<Node>]| {
+            let nodes = nodes.to_vec();
+            sim.run_until(max, move |sim| quiescent(sim, &nodes))
+        };
+        let elapsed = drained(&mut oracle, &oracle_nodes);
+        prop_assert!(elapsed.is_ok(), "graph must drain within {} cycles", max);
+        prop_assert_eq!(elapsed, drained(&mut subject, &subject_nodes));
+        prop_assert_eq!(observe(&oracle, &oracle_nodes), observe(&subject, &subject_nodes));
+        prop_assert_eq!(
+            oracle.registered_component_cycles(),
+            subject.registered_component_cycles()
+        );
+        prop_assert!(subject.ticked_component_cycles() <= oracle.ticked_component_cycles());
     }
 }
