@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bdram::{DramRequest, DramSystem};
-use bsim::perf::{Counter, CounterSet};
+use bsim::perf::CounterSet;
 use bsim::{ClockDomain, Component, Cycle, SimCtx, SparseMemory, StatCounter, Stats, Tracer};
 
 use crate::port::AxiSlavePort;
@@ -197,10 +197,10 @@ pub struct AxiMemoryController {
     dram_base: u64,
     next_seq: u64,
     /// Cycles an R beat was ready but the fabric could not take it.
-    /// Detached (never counts) until [`AxiMemoryController::attach_perf`].
-    perf_r_backpressure: Counter,
+    /// Never counts until [`AxiMemoryController::attach_perf`].
+    perf_r_backpressure: StatCounter,
     /// Cycles a B response was ready but the fabric could not take it.
-    perf_b_backpressure: Counter,
+    perf_b_backpressure: StatCounter,
 }
 
 impl AxiMemoryController {
@@ -226,7 +226,7 @@ impl AxiMemoryController {
             read_outstanding_names: Vec::new(),
             write_outstanding_names: Vec::new(),
             stats,
-            tracer: Tracer::new(),
+            tracer: Tracer::default(),
             reads: Vec::new(),
             writes: Vec::new(),
             w_open: 0,
@@ -234,21 +234,21 @@ impl AxiMemoryController {
             dram_pending: VecDeque::new(),
             dram_base: 0,
             next_seq: 0,
-            perf_r_backpressure: Counter::detached(),
-            perf_b_backpressure: Counter::detached(),
+            perf_r_backpressure: StatCounter::default(),
+            perf_b_backpressure: StatCounter::default(),
         }
     }
 
     /// Registers this controller with a perf [`CounterSet`]: the existing
     /// stats bag (beat counts, latency and occupancy histograms) is
-    /// attached for merged reads, and the cheap backpressure counters are
-    /// re-minted from the set so they obey the registry's enable flag.
+    /// attached for merged reads, and the backpressure counters are minted
+    /// in the set's own bag, gated on the registry's enable flag.
     /// DRAM-side stats need a [`bsim::Shared`] handle and are attached by
     /// the elaborator as a pull provider instead.
     pub fn attach_perf(&mut self, set: &CounterSet) {
         set.attach_stats(&self.stats);
-        self.perf_r_backpressure = set.counter("r_backpressure_cycles");
-        self.perf_b_backpressure = set.counter("b_backpressure_cycles");
+        self.perf_r_backpressure = set.gated("r_backpressure_cycles");
+        self.perf_b_backpressure = set.gated("b_backpressure_cycles");
     }
 
     /// The stats bag (cloneable; counters: `ar_accepted`, `r_beats`,
@@ -263,6 +263,12 @@ impl AxiMemoryController {
     /// The event tracer (enable it to record Figure-5 style timelines).
     pub fn tracer(&self) -> Tracer {
         self.tracer.clone()
+    }
+
+    /// Records into `tracer` from now on (a [`Tracer::prefixed`] handle
+    /// lets several controllers share one recorder).
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// The functional memory image.
@@ -1028,8 +1034,9 @@ mod tests {
             }
             assert!(sim.now() < 10_000);
         }
-        let tracer = sim.get(ctrl).tracer();
-        assert_eq!(tracer.events_on("AR").len(), 1);
-        assert_eq!(tracer.events_on("R").len(), 2);
+        let events = sim.get(ctrl).tracer().events();
+        let on = |track: &str| events.iter().filter(|e| e.track == track).count();
+        assert_eq!(on("AR"), 1);
+        assert_eq!(on("R"), 2);
     }
 }

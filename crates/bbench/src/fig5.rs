@@ -4,8 +4,8 @@
 //! all on one AXI ID; (b) Beethoven — 4 requests @ 16 beats on different
 //! IDs; (c) hand-written RTL — 1 request @ 64 beats.
 
-use bkernels::memcpy::{render_timeline, run_memcpy_traced, MemcpyVariant};
-use bsim::Tracer;
+use bkernels::memcpy::{run_memcpy_traced, MemcpyVariant};
+use bsim::render_timeline;
 
 /// The three panels, rendered.
 #[derive(Debug, Clone)]
@@ -19,16 +19,6 @@ pub struct Fig5 {
     pub pure_hdl: String,
     /// Completion cycles per panel `(hls, beethoven, hdl)`.
     pub finish_cycles: (u64, u64, u64),
-}
-
-/// Reconstructs a [`Tracer`] from a traced result's events (for VCD and
-/// timeline rendering).
-pub fn tracer_of(result: &bkernels::memcpy::MemcpyResult) -> Tracer {
-    let tracer = Tracer::enabled();
-    for e in &result.trace {
-        tracer.record(e.cycle, &e.channel, e.id, e.detail.clone());
-    }
-    tracer
 }
 
 /// Runs the three traced copies and writes `fig5_<variant>.vcd` waveform
@@ -46,7 +36,7 @@ pub fn write_vcds(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathB
         ("pure_hdl", MemcpyVariant::PureHdl),
     ] {
         let result = run_memcpy_traced(variant, bytes);
-        let vcd = tracer_of(&result).to_vcd(4_000); // 250 MHz fabric
+        let vcd = bsim::to_vcd(&result.trace, 4_000); // 250 MHz fabric
         let path = dir.join(format!("fig5_{label}.vcd"));
         std::fs::write(&path, vcd)?;
         written.push(path);
@@ -86,9 +76,9 @@ pub fn run_on(workers: usize) -> Fig5 {
     let cols = |r: &bkernels::memcpy::MemcpyResult| (r.cycles / width as u64).max(1);
     Fig5 {
         finish_cycles: (hls.cycles, beethoven.cycles, hdl.cycles),
-        hls: render_timeline(&hls, cols(&hls), width),
-        beethoven: render_timeline(&beethoven, cols(&beethoven), width),
-        pure_hdl: render_timeline(&hdl, cols(&hdl), width),
+        hls: render_timeline(&hls.trace, cols(&hls), width),
+        beethoven: render_timeline(&beethoven.trace, cols(&beethoven), width),
+        pure_hdl: render_timeline(&hdl.trace, cols(&hdl), width),
     }
 }
 

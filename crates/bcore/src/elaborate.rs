@@ -19,7 +19,7 @@ use bplatform::{
     CellKind, Floorplanner, MemoryCellMapper, MemoryRequest, PlacementError, Platform,
     ResourceVector,
 };
-use bsim::{ClockDomain, PerfRegistry, Simulation, SparseMemory, Stats};
+use bsim::{ClockDomain, PerfRegistry, Simulation, SparseMemory, Stats, Tracer};
 
 use crate::bindings::generate_bindings;
 use crate::config::{AcceleratorConfig, MemoryChannelConfig};
@@ -417,6 +417,8 @@ pub fn elaborate_with(
     if opts.profile {
         perf.set_enabled(true);
     }
+    let tracer = Tracer::default();
+    tracer.set_enabled(opts.trace);
     let memory = baxi::SharedMemory::new(SparseMemory::new());
     let axi_params = AxiParams {
         data_bytes: platform.mem_bus_bytes,
@@ -656,9 +658,10 @@ pub fn elaborate_with(
             memory.clone(),
         );
         controller.attach_perf(&perf.set(&format!("mem{port}")));
-        if opts.trace {
-            controller.tracer().set_enabled(true);
-        }
+        controller.set_tracer(match port {
+            0 => tracer.clone(),
+            p => tracer.prefixed(format!("mem{p}/")),
+        });
         let shared = sim.add_shared(controller);
         // DRAM channel stats live in plain structs inside the controller.
         // They used to reach the registry through a pull-model provider
@@ -770,6 +773,7 @@ pub fn elaborate_with(
         interconnect_stats,
         report,
         perf,
+        tracer,
     ))
 }
 
@@ -1099,6 +1103,45 @@ mod tests {
         bsim::perf::validate_json(&json).expect("trace must be valid JSON");
         assert!(json.contains("\"ph\":\"X\""), "slices from the tracer");
         assert!(json.contains("\"ph\":\"C\""), "counter tracks from samples");
+    }
+
+    #[test]
+    fn every_memory_port_records_into_the_soc_trace() {
+        // On F1 core `i` sits on memory port `i % 4`, so core 1 drives
+        // port 1's controller.
+        let mut soc = elaborate_with(
+            vecadd_config(2),
+            &Platform::aws_f1(),
+            ElaborationOptions {
+                trace: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let input: Vec<u32> = (0..1024u32).collect();
+        let mut tokens = Vec::new();
+        for (core, base) in [(0u16, 0x1_0000u64), (1, 0x10_0000)] {
+            soc.memory().borrow_mut().write_u32_slice(base, &input);
+            tokens.push(soc.send_command(0, core, &args(1, base, 1024)).unwrap());
+        }
+        for token in tokens {
+            soc.run_until_response(token, 2_000_000).expect("finishes");
+        }
+        let events = soc.tracer().events();
+        let on = |track: &str| events.iter().filter(|e| e.track == track).count();
+        assert!(on("AR") > 0, "port 0 keeps its track names");
+        assert_eq!(on("mem1/AR"), on("AR"), "port 1 mirrors port 0's reads");
+        assert!(on("mem1/B") > 0);
+        let json = soc.chrome_trace();
+        bsim::perf::validate_json(&json).expect("trace must be valid JSON");
+        assert!(
+            json.contains("\"args\":{\"name\":\"mem1/AR\"}"),
+            "port 1 track"
+        );
+        assert!(
+            json.contains("\"args\":{\"name\":\"mem1/R\"}"),
+            "port 1 track"
+        );
     }
 
     #[test]

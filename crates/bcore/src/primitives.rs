@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use baxi::{ArFlit, AwFlit, AxiMasterPort, WFlit};
-use bsim::perf::{Counter, CounterSet};
+use bsim::perf::CounterSet;
 use bsim::{Cycle, SimCtx, StatCounter, Stats};
 
 /// Returned when a stream request is issued while a previous one is still
@@ -97,11 +97,11 @@ pub struct Reader {
     ar_issued: StatCounter,
     r_beats: StatCounter,
     /// Cycles an AR issue was blocked by the TLP inflight cap.
-    perf_stall_inflight: Counter,
+    perf_stall_inflight: StatCounter,
     /// Cycles an AR issue was blocked by AR-channel backpressure.
-    perf_stall_ar: Counter,
+    perf_stall_ar: StatCounter,
     /// Cycles an AR issue was blocked by a full prefetch buffer.
-    perf_stall_prefetch: Counter,
+    perf_stall_prefetch: StatCounter,
 }
 
 impl Reader {
@@ -121,9 +121,9 @@ impl Reader {
             ar_issued: stats.counter("ar_issued"),
             r_beats: stats.counter("r_beats"),
             stats,
-            perf_stall_inflight: Counter::detached(),
-            perf_stall_ar: Counter::detached(),
-            perf_stall_prefetch: Counter::detached(),
+            perf_stall_inflight: StatCounter::default(),
+            perf_stall_ar: StatCounter::default(),
+            perf_stall_prefetch: StatCounter::default(),
         }
     }
 
@@ -134,9 +134,9 @@ impl Reader {
     /// perturb event-driven skipping.
     pub fn attach_perf(&mut self, set: &CounterSet) {
         set.attach_stats(&self.stats);
-        self.perf_stall_inflight = set.counter("stall_inflight_cycles");
-        self.perf_stall_ar = set.counter("stall_ar_backpressure_cycles");
-        self.perf_stall_prefetch = set.counter("stall_prefetch_full_cycles");
+        self.perf_stall_inflight = set.gated("stall_inflight_cycles");
+        self.perf_stall_ar = set.gated("stall_ar_backpressure_cycles");
+        self.perf_stall_prefetch = set.gated("stall_prefetch_full_cycles");
     }
 
     /// The configuration.
@@ -394,13 +394,13 @@ pub struct Writer {
     w_beats: StatCounter,
     b_received: StatCounter,
     /// Cycles an AW issue was blocked by the TLP inflight cap.
-    perf_stall_inflight: Counter,
+    perf_stall_inflight: StatCounter,
     /// Cycles an AW issue was blocked by AW-channel backpressure.
-    perf_stall_aw: Counter,
+    perf_stall_aw: StatCounter,
     /// Cycles an AW issue waited on core data to fill the staging buffer.
-    perf_stall_data: Counter,
+    perf_stall_data: StatCounter,
     /// Cycles a W beat was blocked by W-channel backpressure.
-    perf_stall_w: Counter,
+    perf_stall_w: StatCounter,
 }
 
 impl Writer {
@@ -426,10 +426,10 @@ impl Writer {
             w_beats: stats.counter("w_beats"),
             b_received: stats.counter("b_received"),
             stats,
-            perf_stall_inflight: Counter::detached(),
-            perf_stall_aw: Counter::detached(),
-            perf_stall_data: Counter::detached(),
-            perf_stall_w: Counter::detached(),
+            perf_stall_inflight: StatCounter::default(),
+            perf_stall_aw: StatCounter::default(),
+            perf_stall_data: StatCounter::default(),
+            perf_stall_w: StatCounter::default(),
         }
     }
 
@@ -440,10 +440,10 @@ impl Writer {
     /// perturb event-driven skipping.
     pub fn attach_perf(&mut self, set: &CounterSet) {
         set.attach_stats(&self.stats);
-        self.perf_stall_inflight = set.counter("stall_inflight_cycles");
-        self.perf_stall_aw = set.counter("stall_aw_backpressure_cycles");
-        self.perf_stall_data = set.counter("stall_data_starved_cycles");
-        self.perf_stall_w = set.counter("stall_w_backpressure_cycles");
+        self.perf_stall_inflight = set.gated("stall_inflight_cycles");
+        self.perf_stall_aw = set.gated("stall_aw_backpressure_cycles");
+        self.perf_stall_data = set.gated("stall_data_starved_cycles");
+        self.perf_stall_w = set.gated("stall_w_backpressure_cycles");
     }
 
     /// The configuration.

@@ -151,6 +151,8 @@ pub struct SocSim {
     mmio_cmd_words: u64,
     /// The SoC-wide performance-counter registry (Perf window + exporter).
     perf: PerfRegistry,
+    /// The AXI event recorder every memory port's controller records into.
+    tracer: Tracer,
     /// MMIO frontend stats: command/response traffic plus the
     /// dispatch→response latency histogram. Registered under `mmio/`.
     mmio_stats: Stats,
@@ -174,6 +176,7 @@ impl SocSim {
         interconnect_stats: Stats,
         report: SocReport,
         perf: PerfRegistry,
+        tracer: Tracer,
     ) -> Self {
         let fabric = ClockDomain::from_mhz(platform.fabric_mhz);
         // Response channels are drained by host code, not by a component,
@@ -211,6 +214,7 @@ impl SocSim {
             beat_assembly: HashMap::new(),
             mmio_cmd_words: 0,
             perf,
+            tracer,
             mmio_stats,
             perf_select: 0,
             perf_latched: 0,
@@ -635,9 +639,11 @@ impl SocSim {
         self.sim.get(self.controllers[0]).stats()
     }
 
-    /// Memory port 0's AXI event tracer (for Figure-5 timelines).
+    /// The AXI event tracer shared by every memory port (for Figure-5
+    /// timelines). Port 0 records on tracks `AR` … `B`, port `p ≥ 1` on
+    /// `mem{p}/AR` … `mem{p}/B`.
     pub fn tracer(&self) -> Tracer {
-        self.sim.get(self.controllers[0]).tracer()
+        self.tracer.clone()
     }
 
     /// Number of independent memory ports.
@@ -805,13 +811,17 @@ impl SocSim {
         self.perf.report()
     }
 
-    /// Emits the Chrome trace-event JSON document: slices from memory port
-    /// 0's tracer, counter tracks from [`SocSim::sample_perf`] samples.
-    /// Open the result at <https://ui.perfetto.dev>.
+    /// Emits the Chrome trace-event JSON document: one `beethoven-sim`
+    /// process with slices from every memory port's AXI events and counter
+    /// tracks from [`SocSim::sample_perf`] samples. Open the result at
+    /// <https://ui.perfetto.dev>.
     pub fn chrome_trace(&self) -> String {
-        self.sync_scheduler_counters();
-        let events = self.tracer().events();
-        self.perf.chrome_trace(&events, self.fabric.period_ps())
+        let events = self.tracer.events();
+        bsim::perf::chrome_trace(
+            &[("beethoven-sim", &events)],
+            &self.perf.samples(),
+            self.fabric.period_ps(),
+        )
     }
 }
 

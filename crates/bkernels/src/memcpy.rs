@@ -23,7 +23,7 @@ use bcore::{
     ReadChannelConfig, ReaderId, SystemConfig, WriteChannelConfig, WriterId,
 };
 use bplatform::Platform;
-use bsim::{TraceEvent, Tracer};
+use bsim::TraceEvent;
 
 /// System name.
 pub const SYSTEM: &str = "MemcpySystem";
@@ -297,15 +297,6 @@ pub fn run_memcpy_profiled(variant: MemcpyVariant, bytes: u64) -> (MemcpyResult,
     run_inner(variant, bytes, true, true)
 }
 
-/// Renders a Figure-5 style timeline from a traced result.
-pub fn render_timeline(result: &MemcpyResult, cycles_per_col: u64, width: usize) -> String {
-    let tracer = Tracer::enabled();
-    for e in &result.trace {
-        tracer.record(e.cycle, &e.channel, e.id, e.detail.clone());
-    }
-    tracer.render_timeline(cycles_per_col, width)
-}
-
 /// Approximate lines of code for each methodology, as reported in §III-A
 /// (implementation + configuration/pragmas). Used by the Figure 4 harness
 /// footer.
@@ -371,9 +362,9 @@ mod tests {
     #[test]
     fn traced_run_records_axi_events() {
         let result = run_memcpy_traced(MemcpyVariant::Beethoven, 4096);
-        assert!(result.trace.iter().any(|e| e.channel == "AR"));
-        assert!(result.trace.iter().any(|e| e.channel == "B"));
-        let timeline = render_timeline(&result, 4, 100);
+        assert!(result.trace.iter().any(|e| e.track == "AR"));
+        assert!(result.trace.iter().any(|e| e.track == "B"));
+        let timeline = bsim::render_timeline(&result.trace, 4, 100);
         assert!(timeline.contains("AR"));
     }
 
@@ -383,7 +374,7 @@ mod tests {
         let ids: std::collections::HashSet<u32> = hls
             .trace
             .iter()
-            .filter(|e| e.channel == "AR")
+            .filter(|e| e.track == "AR")
             .map(|e| e.id)
             .collect();
         assert_eq!(ids.len(), 1, "HLS model must issue all reads on one ID");
@@ -391,7 +382,7 @@ mod tests {
         let ids: std::collections::HashSet<u32> = beethoven
             .trace
             .iter()
-            .filter(|e| e.channel == "AR")
+            .filter(|e| e.track == "AR")
             .map(|e| e.id)
             .collect();
         assert!(ids.len() > 1, "Beethoven must spread reads over IDs");

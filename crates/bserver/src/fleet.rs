@@ -28,9 +28,9 @@ use std::sync::Mutex;
 
 use bcore::SocSim;
 use bruntime::{FpgaHandle, SessionHandle};
-use bsim::{perfetto_trace, Histogram, ProcessSpans, WindowSeries};
+use bsim::{Histogram, TraceEvent};
 
-use crate::telemetry::{MetricsSnapshot, TelemetryConfig};
+use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryConfig};
 use crate::{AccelServer, Arrival, JobOutcome, ServerConfig, ServerError};
 
 /// The fleet's shard count when the embedder does not pin one: the
@@ -319,12 +319,11 @@ impl FleetServer {
         keyed
     }
 
-    /// Turns on request tracing, windowed metrics, and the flight
-    /// recorder on every shard. Each shard's local tenants are tagged
-    /// with their *global* ids, and the watchdog label (if any) gets a
-    /// `-shard{i}` suffix so dump files never collide. Telemetry is
-    /// strictly off-path: enabling it never changes cycle counts or
-    /// outcomes on any shard.
+    /// Turns on the telemetry event log on every shard. Each shard's
+    /// local tenants are tagged with their *global* ids, and the watchdog
+    /// label (if any) gets a `-shard{i}` suffix so dump files never
+    /// collide. Telemetry is strictly off-path: enabling it never changes
+    /// cycle counts or outcomes on any shard.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         for (i, shard) in self.shards.iter_mut().enumerate() {
             let mut cfg = config.clone();
@@ -348,45 +347,19 @@ impl FleetServer {
     }
 
     /// The fleet's windowed-telemetry time-series: the cross-shard
-    /// aggregate (per-window series merged bucket-exactly, see
-    /// [`WindowSeries::merge_from`]) plus each shard's own snapshot.
+    /// aggregate, computed over every shard's event log at once, plus
+    /// each shard's own snapshot.
     pub fn metrics_snapshot(&self) -> Option<FleetMetrics> {
-        if !self.telemetry_enabled() {
-            return None;
-        }
-        let series: Vec<&WindowSeries> = self
+        let logs: Vec<&Telemetry> = self
             .shards
             .iter()
-            .filter_map(|s| s.server.telemetry_ref().map(|t| &t.windows))
+            .filter_map(|s| s.server.telemetry_ref())
             .collect();
-        let mut merged = WindowSeries::new(series[0].width());
-        for s in &series {
-            merged.merge_from(s);
-        }
+        let width = logs.first()?.window_cycles();
         Some(FleetMetrics {
-            aggregate: MetricsSnapshot::from_series(&merged),
-            shards: series
-                .iter()
-                .map(|s| MetricsSnapshot::from_series(s))
-                .collect(),
+            aggregate: MetricsSnapshot::from_log(width, logs.iter().flat_map(|t| &t.log)),
+            shards: logs.iter().map(|t| t.snapshot()).collect(),
         })
-    }
-
-    /// The cross-shard aggregate window series (bucket-exact merge), if
-    /// telemetry is enabled — the raw form behind
-    /// [`FleetServer::metrics_snapshot`]'s aggregate.
-    pub fn window_series(&self) -> Option<WindowSeries> {
-        let series: Vec<WindowSeries> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.server.window_series())
-            .collect();
-        let first = series.first()?;
-        let mut merged = WindowSeries::new(first.width());
-        for s in &series {
-            merged.merge_from(s);
-        }
-        Some(merged)
     }
 
     /// One merged Perfetto trace for the whole fleet: shard `i` renders
@@ -401,33 +374,25 @@ impl FleetServer {
         let period_ps = self.shards[0]
             .handle
             .with_soc(|soc| soc.clock().period_ps());
-        let processes: Vec<ProcessSpans> = self
+        let processes: Vec<(String, Vec<TraceEvent>)> = self
             .shards
             .iter()
             .enumerate()
             .filter_map(|(i, shard)| {
-                let t = shard.server.telemetry_ref()?;
-                let spans = t
-                    .spans
-                    .events()
-                    .into_iter()
-                    .map(|mut span| {
-                        span.trace_id = shard
-                            .trace_map
-                            .get(span.trace_id as usize)
-                            .map(|&g| g as u64)
-                            .unwrap_or(span.trace_id);
-                        span
-                    })
-                    .collect();
-                Some(ProcessSpans {
-                    pid: i as u32,
-                    name: format!("shard{i}"),
-                    spans,
-                })
+                let mut spans = shard.server.telemetry_ref()?.spans();
+                for span in &mut spans {
+                    span.trace_id = span
+                        .trace_id
+                        .map(|id| shard.trace_map.get(id as usize).map_or(id, |&g| g as u64));
+                }
+                Some((format!("shard{i}"), spans))
             })
             .collect();
-        Some(perfetto_trace(&processes, period_ps))
+        let processes: Vec<(&str, &[TraceEvent])> = processes
+            .iter()
+            .map(|(name, spans)| (name.as_str(), spans.as_slice()))
+            .collect();
+        Some(bsim::perf::chrome_trace(&processes, &[], period_ps))
     }
 
     /// Every flight-recorder dump file any shard's watchdog has written.
@@ -527,9 +492,9 @@ fn is_mirrored(rest: &str) -> bool {
 /// snapshot per shard (same order as the shard indices).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetMetrics {
-    /// Window series merged across every shard.
+    /// Windows over every shard's events together.
     pub aggregate: MetricsSnapshot,
-    /// Each shard's own series, by shard index.
+    /// Each shard's own windows, by shard index.
     pub shards: Vec<MetricsSnapshot>,
 }
 

@@ -31,14 +31,14 @@
 //!   (`queue_depth`, `lock_wait_cycles`, `rejected`, …) and per-tenant
 //!   latency histograms, visible through the MMIO counter window,
 //!   `counter_snapshot()`, and `perf_report()` like any hardware layer —
-//!   plus opt-in **request telemetry** ([`TelemetryConfig`]): end-to-end
-//!   spans per job (admission → tenant queue → core, exported as one
-//!   merged Perfetto trace with flow arrows via
-//!   [`FleetServer::merged_trace`]), tumbling-window goodput and
-//!   latency/queue-wait percentiles
-//!   ([`AccelServer::metrics_snapshot`], [`FleetServer::metrics_snapshot`]),
-//!   and a per-shard flight recorder whose watchdog dumps the last N
-//!   structured events when forward progress stalls or
+//!   plus opt-in **request telemetry** ([`TelemetryConfig`]): one
+//!   cycle-stamped [`ServerEvent`] log per server, from which three views
+//!   are computed on read — end-to-end spans per job (admission → tenant
+//!   queue → core, exported as one merged Perfetto trace with flow arrows
+//!   via [`FleetServer::merged_trace`]), tumbling-window goodput and
+//!   latency/queue-wait percentiles ([`AccelServer::metrics_snapshot`],
+//!   [`FleetServer::metrics_snapshot`]), and the watchdog's flight dump
+//!   of the last N job events when forward progress stalls or
 //!   rejections/deadline breaches spike ([`WatchdogConfig`]). Telemetry
 //!   is keyed to simulation cycles, strictly off-path, and disabled by
 //!   default — enabling it never changes cycle counts or outcomes.
@@ -82,4 +82,6 @@ pub use server::{
     AccelServer, Arrival, DeadlineAction, JobOutcome, JobSpec, RejectReason, ServerConfig,
     ServerError,
 };
-pub use telemetry::{MetricsSnapshot, ServerEvent, TelemetryConfig, WatchdogConfig, WindowRow};
+pub use telemetry::{
+    JobStep, MetricsSnapshot, ServerEvent, TelemetryConfig, WatchdogConfig, WindowRow,
+};

@@ -6,11 +6,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bruntime::{FpgaHandle, ResponseHandle, SessionHandle};
-use bsim::{Cycle, SpanEvent, Stats};
+use bsim::{Cycle, Stats, TraceEvent};
 
 use crate::batch::{AutoBatcher, BatchPolicy};
 use crate::policy::DispatchPolicy;
-use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryConfig};
+use crate::telemetry::{JobStep, MetricsSnapshot, ServerEvent, Telemetry, TelemetryConfig};
 
 /// A command the server accepts from a tenant.
 #[derive(Debug, Clone)]
@@ -240,7 +240,7 @@ pub struct AccelServer {
     depth_peak: Arc<AtomicU64>,
     /// Counters and histograms registered under `server/`.
     stats: Stats,
-    /// Request tracing / windowed metrics / flight recorder; `None`
+    /// The telemetry event log and its watchdog; `None`
     /// (the default) keeps the hot path at one branch per event.
     telemetry: Option<Telemetry>,
 }
@@ -305,11 +305,11 @@ impl AccelServer {
         })
     }
 
-    /// Turns on request tracing, windowed metrics, and the flight
-    /// recorder. Telemetry observes cycles the server already paid for
-    /// and never advances the clock: enabling it cannot change cycle
-    /// counts, outcomes, or any existing counter (pinned by the
-    /// invariance tests).
+    /// Turns on the telemetry event log, from which request spans,
+    /// windowed metrics, and watchdog dumps are computed. Telemetry
+    /// observes cycles the server already paid for and never advances the
+    /// clock: enabling it cannot change cycle counts, outcomes, or any
+    /// existing counter (pinned by the invariance tests).
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         let labels = (0..self.sessions.len()).collect();
         self.enable_telemetry_labeled(config, labels);
@@ -329,21 +329,12 @@ impl AccelServer {
 
     /// The windowed-telemetry time-series, if telemetry is enabled.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.telemetry
-            .as_ref()
-            .map(|t| MetricsSnapshot::from_series(&t.windows))
+        self.telemetry.as_ref().map(Telemetry::snapshot)
     }
 
-    /// All recorded request spans, if telemetry is enabled.
-    pub fn spans(&self) -> Option<Vec<SpanEvent>> {
-        self.telemetry.as_ref().map(|t| t.spans.events())
-    }
-
-    /// A clone of the raw window series (for reconciling windowed
-    /// percentiles against whole-run histograms), if telemetry is
-    /// enabled.
-    pub fn window_series(&self) -> Option<bsim::WindowSeries> {
-        self.telemetry.as_ref().map(|t| t.windows.clone())
+    /// Every request span, if telemetry is enabled.
+    pub fn spans(&self) -> Option<Vec<TraceEvent>> {
+        self.telemetry.as_ref().map(Telemetry::spans)
     }
 
     /// Flight-recorder dump files the watchdog has written.
@@ -354,7 +345,7 @@ impl AccelServer {
             .unwrap_or_default()
     }
 
-    /// Fleet access to the raw telemetry state (window merge, span
+    /// Fleet access to the telemetry log (cross-shard windows, span
     /// remap).
     pub(crate) fn telemetry_ref(&self) -> Option<&Telemetry> {
         self.telemetry.as_ref()
@@ -588,9 +579,14 @@ impl AccelServer {
             // the tail of this histogram must include the jobs that
             // waited and lost.
             self.stats.record("queue_wait_cycles", waited);
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_admission_reject(now, a.at_cycle, idx as u64, a.tenant);
-            }
+            self.observe_job(
+                now,
+                idx,
+                a.tenant,
+                JobStep::AdmissionReject {
+                    scheduled: a.at_cycle,
+                },
+            );
             self.spike_poll();
             outcomes[idx] = Some(JobOutcome::Rejected {
                 reason: RejectReason::AdmissionFull,
@@ -609,10 +605,16 @@ impl AccelServer {
             retries: 0,
         });
         self.bump_depth();
-        if let Some(t) = self.telemetry.as_mut() {
-            let depth = self.depth.load(Ordering::Relaxed);
-            t.on_admit(now, a.at_cycle, idx as u64, a.tenant, depth);
-        }
+        let queue_depth = self.depth.load(Ordering::Relaxed);
+        self.observe_job(
+            now,
+            idx,
+            a.tenant,
+            JobStep::Enqueue {
+                scheduled: a.at_cycle,
+                queue_depth,
+            },
+        );
     }
 
     fn bump_depth(&self) {
@@ -676,9 +678,14 @@ impl AccelServer {
             match self.config.deadline_action {
                 DeadlineAction::Retry { max_retries } if job.retries < max_retries => {
                     self.stats.incr("retried");
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.on_retry(now, job.idx as u64, tenant, job.retries + 1);
-                    }
+                    self.observe_job(
+                        now,
+                        job.idx,
+                        tenant,
+                        JobStep::Retry {
+                            retries: job.retries + 1,
+                        },
+                    );
                     let seq = self.next_seq;
                     self.next_seq += 1;
                     self.queues[tenant].push_back(Queued {
@@ -695,9 +702,14 @@ impl AccelServer {
                     // Breached jobs waited too — their wait belongs in the
                     // same histogram the completions feed.
                     self.stats.record("queue_wait_cycles", waited);
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.on_breach(now, job.idx as u64, tenant, waited);
-                    }
+                    self.observe_job(
+                        now,
+                        job.idx,
+                        tenant,
+                        JobStep::DeadlineBreach {
+                            queue_wait_cycles: waited,
+                        },
+                    );
                     self.spike_poll();
                     outcomes[job.idx] = Some(JobOutcome::Rejected {
                         reason: RejectReason::DeadlineExpired,
@@ -755,15 +767,15 @@ impl AccelServer {
             "queue_wait_cycles",
             now.saturating_sub(job.first_arrival_cycle),
         );
-        if let Some(t) = self.telemetry.as_mut() {
-            t.on_dispatch(
-                now,
-                job.first_arrival_cycle,
-                job.idx as u64,
-                job.tenant,
+        self.observe_job(
+            now,
+            job.idx,
+            job.tenant,
+            JobStep::Dispatch {
                 core,
-            );
-        }
+                first_arrival: job.first_arrival_cycle,
+            },
+        );
         self.inflight[core as usize].push_back(InFlight {
             idx: job.idx,
             tenant: job.tenant,
@@ -862,15 +874,15 @@ impl AccelServer {
             let wait = at.saturating_sub(job.first_arrival_cycle);
             self.stats.record("queue_wait_cycles", wait);
             waits.push(wait);
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_dispatch(
-                    at,
-                    job.first_arrival_cycle,
-                    job.idx as u64,
-                    job.tenant,
+            self.observe_job(
+                at,
+                job.idx,
+                job.tenant,
+                JobStep::Dispatch {
                     core,
-                );
-            }
+                    first_arrival: job.first_arrival_cycle,
+                },
+            );
             self.inflight[core as usize].push_back(InFlight {
                 idx: job.idx,
                 tenant: job.tenant,
@@ -882,7 +894,8 @@ impl AccelServer {
             self.idle_cores.remove(&core);
         }
         if let Some(t) = self.telemetry.as_mut() {
-            t.on_dispatch_batch(after, waits.len() as u64);
+            let occupancy = waits.len() as u64;
+            t.record(after, ServerEvent::DispatchBatch { occupancy });
         }
         if self.config.batch == BatchPolicy::Auto {
             let depth = self.depth.load(Ordering::Relaxed);
@@ -954,16 +967,16 @@ impl AccelServer {
         for (core, job, value) in done {
             let latency = now.saturating_sub(job.first_arrival_cycle);
             self.record_completion(job.tenant, latency);
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_complete(
-                    now,
-                    job.dispatch_cycle,
-                    job.idx as u64,
-                    job.tenant,
-                    core as u16,
-                    latency,
-                );
-            }
+            self.observe_job(
+                now,
+                job.idx,
+                job.tenant,
+                JobStep::Complete {
+                    core: core as u16,
+                    dispatched: job.dispatch_cycle,
+                    latency_cycles: latency,
+                },
+            );
             outcomes[job.idx] = Some(JobOutcome::Completed {
                 value,
                 latency_cycles: latency,
@@ -976,6 +989,22 @@ impl AccelServer {
             }
         }
         harvested
+    }
+
+    /// Logs `step` of the job with arrival index `idx`, if telemetry is
+    /// on.
+    fn observe_job(&mut self, now: Cycle, idx: usize, tenant: usize, step: JobStep) {
+        if let Some(t) = self.telemetry.as_mut() {
+            let trace_id = idx as u64;
+            t.record(
+                now,
+                ServerEvent::Job {
+                    trace_id,
+                    tenant,
+                    step,
+                },
+            );
+        }
     }
 
     /// Dumps the flight recorder if the stall watchdog's deadline has

@@ -1,5 +1,5 @@
-//! Request-level telemetry for the runtime server: distributed spans,
-//! windowed metrics, and a flight recorder with a stall/spike watchdog.
+//! Request-level telemetry for the runtime server: one cycle-stamped
+//! event log per server, and the views computed from it.
 //!
 //! Everything here is keyed to *simulation* cycles and sits strictly off
 //! the simulated path: telemetry observes cycles the server already paid
@@ -9,33 +9,39 @@
 //! [`enable_telemetry`](crate::AccelServer::enable_telemetry)) the hot
 //! path pays one `Option` check per event.
 //!
-//! The three surfaces:
+//! Each observation is appended once, as a [`ServerEvent`] stamped with
+//! its cycle. Three views are computed from the log when read:
 //!
-//! * **Spans** ([`bsim::SpanRecorder`]): every job's admission → queue →
-//!   execute intervals, tagged with a trace id (the job's arrival index)
-//!   and exported as Perfetto flow events ([`bsim::perfetto_trace`]) —
-//!   one process per fleet shard.
-//! * **Windows** ([`bsim::WindowSeries`]): per-N-cycle goodput,
-//!   rejections, breaches, queue-depth high-water, and queue-wait/latency
-//!   percentiles, snapshot via
-//!   [`metrics_snapshot`](crate::AccelServer::metrics_snapshot).
-//! * **Flight recorder + watchdog** ([`bsim::FlightRecorder`]): a bounded
-//!   ring of recent [`ServerEvent`]s, dumped to a JSON file when the
-//!   watchdog sees no forward progress despite queued work, or a
-//!   rejection/deadline-breach spike within one window.
+//! * **Spans**: every job's admission → queue → execute intervals as
+//!   [`bsim::TraceEvent`]s tagged with a trace id (the job's arrival
+//!   index), rendered with flow arrows by [`bsim::perf::chrome_trace`] —
+//!   one process per fleet shard
+//!   ([`merged_trace`](crate::FleetServer::merged_trace)).
+//! * **Windows** ([`MetricsSnapshot`]): per-N-cycle goodput, rejections,
+//!   breaches, queue-depth high-water, and queue-wait/latency/batch
+//!   percentiles.
+//! * **Flight dump**: the last `flight_capacity` flight events, written
+//!   as JSON when the watchdog sees no forward progress despite queued
+//!   work, or a rejection/deadline-breach spike within one window. The
+//!   two triggers are tracked incrementally, since they decide during the
+//!   run when to dump.
+//!
+//! The log grows with the run, O(events).
 
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 
-use bsim::{Cycle, FlightRecorder, SpanRecorder, WindowSeries};
+use bsim::perf::json_string;
+use bsim::{Cycle, Histogram, TraceEvent};
 
 /// Telemetry configuration for one server (or one fleet shard).
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Width of the tumbling metric windows, in fabric cycles.
     pub window_cycles: Cycle,
-    /// Flight-recorder ring capacity (most recent events retained).
+    /// Job events a flight dump keeps (the most recent).
     pub flight_capacity: usize,
-    /// Optional watchdog; `None` records flight events but never dumps.
+    /// Optional watchdog; `None` logs events but never dumps.
     pub watchdog: Option<WatchdogConfig>,
 }
 
@@ -50,7 +56,7 @@ impl Default for TelemetryConfig {
 }
 
 /// Watchdog configuration: when to consider the server stuck and where
-/// to drop the flight-recorder dump.
+/// to drop the flight dump.
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
     /// Cycles without a dispatch or completion — while work is queued or
@@ -78,111 +84,136 @@ impl WatchdogConfig {
     }
 }
 
-/// One structured flight-recorder event. `trace_id` is the job's arrival
-/// index (the same id the spans carry); `tenant` is the global tenant id.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One telemetry event, logged with the cycle it happened at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerEvent {
-    /// A job passed admission into its tenant queue.
+    /// A step in one job's life.
+    Job {
+        /// The job's arrival index (the trace id its spans carry).
+        trace_id: u64,
+        /// Global tenant id.
+        tenant: usize,
+        /// What happened.
+        step: JobStep,
+    },
+    /// One batched dispatcher visit submitted `occupancy` commands under
+    /// a single lock acquisition. Not part of the flight dump.
+    DispatchBatch {
+        /// Commands in the batch.
+        occupancy: u64,
+    },
+}
+
+/// What happened to a job in a [`ServerEvent::Job`]. Each step carries
+/// what the spans, the windows and the flight dump need.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobStep {
+    /// The job passed admission into its tenant queue.
     Enqueue {
-        /// Job trace id.
-        trace_id: u64,
-        /// Global tenant id.
-        tenant: usize,
+        /// Cycle the job was scheduled to arrive at.
+        scheduled: Cycle,
+        /// Total queued jobs after this one joined.
+        queue_depth: u64,
     },
-    /// A job bounced off a full tenant queue.
+    /// The job bounced off a full tenant queue.
     AdmissionReject {
-        /// Job trace id.
-        trace_id: u64,
-        /// Global tenant id.
-        tenant: usize,
+        /// Cycle the job was scheduled to arrive at.
+        scheduled: Cycle,
     },
-    /// A job was dispatched to a core.
+    /// The job was dispatched to a core.
     Dispatch {
-        /// Job trace id.
-        trace_id: u64,
-        /// Global tenant id.
-        tenant: usize,
         /// Core the job went to.
         core: u16,
+        /// Cycle the job first arrived (before any retry).
+        first_arrival: Cycle,
     },
-    /// A job's response was harvested.
+    /// The job's response was harvested.
     Complete {
-        /// Job trace id.
-        trace_id: u64,
-        /// Global tenant id.
-        tenant: usize,
         /// Core the job ran on.
         core: u16,
+        /// Cycle the job was dispatched.
+        dispatched: Cycle,
         /// Arrival-to-completion latency in cycles.
         latency_cycles: Cycle,
     },
-    /// A job missed its deadline and was re-enqueued.
+    /// The job missed its deadline and was re-enqueued.
     Retry {
-        /// Job trace id.
-        trace_id: u64,
-        /// Global tenant id.
-        tenant: usize,
         /// Retries consumed so far (including this one).
         retries: u32,
     },
-    /// A job missed its deadline terminally and was rejected.
+    /// The job missed its deadline terminally and was rejected.
     DeadlineBreach {
-        /// Job trace id.
-        trace_id: u64,
-        /// Global tenant id.
-        tenant: usize,
         /// Cycles the job waited before breaching.
         queue_wait_cycles: Cycle,
     },
 }
 
 impl ServerEvent {
-    fn json_fields(&self) -> String {
+    /// The job event's trace id, tenant and step; `None` for other events.
+    fn job(self) -> Option<(u64, usize, JobStep)> {
         match self {
-            ServerEvent::Enqueue { trace_id, tenant } => {
-                format!("\"kind\":\"enqueue\",\"trace_id\":{trace_id},\"tenant\":{tenant}")
-            }
-            ServerEvent::AdmissionReject { trace_id, tenant } => {
-                format!("\"kind\":\"admission_reject\",\"trace_id\":{trace_id},\"tenant\":{tenant}")
-            }
-            ServerEvent::Dispatch {
+            ServerEvent::Job {
                 trace_id,
                 tenant,
-                core,
-            } => format!(
-                "\"kind\":\"dispatch\",\"trace_id\":{trace_id},\"tenant\":{tenant},\"core\":{core}"
-            ),
-            ServerEvent::Complete {
-                trace_id,
-                tenant,
+                step,
+            } => Some((trace_id, tenant, step)),
+            ServerEvent::DispatchBatch { .. } => None,
+        }
+    }
+
+    /// The request span this event, logged at `now`, closes.
+    fn span(&self, now: Cycle) -> Option<TraceEvent> {
+        let (trace_id, tenant, step) = self.job()?;
+        let (track, name, start) = match step {
+            JobStep::Enqueue { scheduled, .. } => ("admission".to_owned(), "admit", scheduled),
+            JobStep::AdmissionReject { scheduled } => ("admission".to_owned(), "reject", scheduled),
+            JobStep::Dispatch { first_arrival, .. } => {
+                (format!("tenant{tenant}"), "queue", first_arrival)
+            }
+            JobStep::Complete {
+                core, dispatched, ..
+            } => (format!("core{core}"), "execute", dispatched),
+            JobStep::Retry { .. } => (format!("tenant{tenant}"), "retry", now),
+            JobStep::DeadlineBreach { .. } => (format!("tenant{tenant}"), "breach", now),
+        };
+        Some(TraceEvent {
+            start,
+            end: now,
+            track,
+            id: 0,
+            name: name.to_owned(),
+            trace_id: Some(trace_id),
+        })
+    }
+}
+
+impl JobStep {
+    /// The job step's JSON fields in a flight dump.
+    fn json_fields(self, trace_id: u64, tenant: usize) -> String {
+        let (kind, extra) = match self {
+            JobStep::Enqueue { .. } => ("enqueue", String::new()),
+            JobStep::AdmissionReject { .. } => ("admission_reject", String::new()),
+            JobStep::Dispatch { core, .. } => ("dispatch", format!(",\"core\":{core}")),
+            JobStep::Complete {
                 core,
                 latency_cycles,
-            } => format!(
-                "\"kind\":\"complete\",\"trace_id\":{trace_id},\"tenant\":{tenant},\
-                 \"core\":{core},\"latency_cycles\":{latency_cycles}"
+                ..
+            } => (
+                "complete",
+                format!(",\"core\":{core},\"latency_cycles\":{latency_cycles}"),
             ),
-            ServerEvent::Retry {
-                trace_id,
-                tenant,
-                retries,
-            } => format!(
-                "\"kind\":\"retry\",\"trace_id\":{trace_id},\"tenant\":{tenant},\
-                 \"retries\":{retries}"
+            JobStep::Retry { retries } => ("retry", format!(",\"retries\":{retries}")),
+            JobStep::DeadlineBreach { queue_wait_cycles } => (
+                "deadline_breach",
+                format!(",\"queue_wait_cycles\":{queue_wait_cycles}"),
             ),
-            ServerEvent::DeadlineBreach {
-                trace_id,
-                tenant,
-                queue_wait_cycles,
-            } => format!(
-                "\"kind\":\"deadline_breach\",\"trace_id\":{trace_id},\"tenant\":{tenant},\
-                 \"queue_wait_cycles\":{queue_wait_cycles}"
-            ),
-        }
+        };
+        format!("\"kind\":\"{kind}\",\"trace_id\":{trace_id},\"tenant\":{tenant}{extra}")
     }
 }
 
 /// One window's row in a [`MetricsSnapshot`] time-series.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowRow {
     /// First cycle of the window (aligned to the window width).
     pub start_cycle: Cycle,
@@ -206,7 +237,8 @@ pub struct WindowRow {
     /// dispatcher lock visit in this window; zeros for the
     /// lock-arbitrated baseline, which never batches.
     pub batch_occupancy: (u64, u64, u64),
-    /// Per-tenant completions `(global tenant id, count)`, ascending.
+    /// Per-tenant completions `(global tenant id, count)`, ordered by the
+    /// tenant id's decimal text (`10` sorts before `2`).
     pub tenant_completed: Vec<(usize, u64)>,
 }
 
@@ -220,46 +252,79 @@ pub struct MetricsSnapshot {
     pub windows: Vec<WindowRow>,
 }
 
+/// One window's accumulators while a snapshot is computed.
+#[derive(Default)]
+struct Window {
+    row: WindowRow,
+    latency: Histogram,
+    queue_wait: Histogram,
+    batch_occupancy: Histogram,
+    tenants: BTreeMap<usize, u64>,
+}
+
+/// (p50, p90, p99) of `h`, zeros when empty.
+fn percentiles(h: &Histogram) -> (u64, u64, u64) {
+    let p = |q: Option<u64>| q.unwrap_or(0);
+    (p(h.p50()), p(h.p90()), p(h.p99()))
+}
+
 impl MetricsSnapshot {
-    /// Builds the row view of a raw window series.
-    pub fn from_series(series: &WindowSeries) -> Self {
-        let windows = series
-            .windows()
-            .map(|(start_cycle, cell)| {
-                let pct = |name: &str| {
-                    cell.histogram(name)
-                        .map(|h| {
-                            (
-                                h.p50().unwrap_or(0),
-                                h.p90().unwrap_or(0),
-                                h.p99().unwrap_or(0),
-                            )
-                        })
-                        .unwrap_or((0, 0, 0))
-                };
-                let tenant_completed = cell
-                    .counters()
-                    .filter_map(|(name, value)| {
-                        let id = name.strip_prefix("tenant")?.strip_suffix("/completed")?;
-                        id.parse::<usize>().ok().map(|t| (t, value))
-                    })
-                    .collect();
+    /// Partitions logged events into `window_cycles`-wide tumbling
+    /// windows. Only windows that received an event appear. A fleet
+    /// passes every shard's log: counts add and histograms pool, so the
+    /// result equals one server having logged every event.
+    pub(crate) fn from_log<'a>(
+        window_cycles: Cycle,
+        log: impl IntoIterator<Item = &'a (Cycle, ServerEvent)>,
+    ) -> Self {
+        let mut cells: BTreeMap<Cycle, Window> = BTreeMap::new();
+        for (now, event) in log {
+            let w = cells.entry(now / window_cycles).or_default();
+            let row = &mut w.row;
+            let (tenant, step) = match *event {
+                ServerEvent::Job { tenant, step, .. } => (tenant, step),
+                ServerEvent::DispatchBatch { occupancy } => {
+                    w.batch_occupancy.record(occupancy);
+                    continue;
+                }
+            };
+            match step {
+                JobStep::Enqueue { queue_depth, .. } => {
+                    row.queue_depth_peak = row.queue_depth_peak.max(queue_depth);
+                }
+                JobStep::AdmissionReject { .. } => row.rejected += 1,
+                JobStep::Dispatch { first_arrival, .. } => {
+                    w.queue_wait.record(now.saturating_sub(first_arrival));
+                }
+                JobStep::Complete { latency_cycles, .. } => {
+                    row.completed += 1;
+                    *w.tenants.entry(tenant).or_insert(0) += 1;
+                    w.latency.record(latency_cycles);
+                }
+                JobStep::Retry { .. } => row.retried += 1,
+                JobStep::DeadlineBreach { queue_wait_cycles } => {
+                    row.breached += 1;
+                    w.queue_wait.record(queue_wait_cycles);
+                }
+            }
+        }
+        let windows = cells
+            .into_iter()
+            .map(|(idx, w)| {
+                let mut tenant_completed: Vec<(usize, u64)> = w.tenants.into_iter().collect();
+                tenant_completed.sort_by_key(|&(tenant, _)| tenant.to_string());
                 WindowRow {
-                    start_cycle,
-                    completed: cell.counter("completed"),
-                    rejected: cell.counter("rejected"),
-                    breached: cell.counter("breached"),
-                    retried: cell.counter("retried"),
-                    queue_depth_peak: cell.max("queue_depth").unwrap_or(0),
-                    latency: pct("latency_cycles"),
-                    queue_wait: pct("queue_wait_cycles"),
-                    batch_occupancy: pct("batch_occupancy"),
+                    start_cycle: idx * window_cycles,
+                    latency: percentiles(&w.latency),
+                    queue_wait: percentiles(&w.queue_wait),
+                    batch_occupancy: percentiles(&w.batch_occupancy),
                     tenant_completed,
+                    ..w.row
                 }
             })
             .collect();
         Self {
-            window_cycles: series.width(),
+            window_cycles,
             windows,
         }
     }
@@ -272,9 +337,8 @@ pub(crate) struct Telemetry {
     /// Local tenant index → global tenant id (identity for a standalone
     /// server; the fleet passes each shard's assignment).
     labels: Vec<usize>,
-    pub(crate) spans: SpanRecorder,
-    pub(crate) windows: WindowSeries,
-    flight: FlightRecorder<ServerEvent>,
+    /// Every observation, in record order.
+    pub(crate) log: Vec<(Cycle, ServerEvent)>,
     /// Cycle of the last dispatch or completion (watchdog datum).
     last_progress: Cycle,
     /// Rejections + breaches in the current spike-accounting window.
@@ -288,14 +352,10 @@ pub(crate) struct Telemetry {
 
 impl Telemetry {
     pub(crate) fn new(config: TelemetryConfig, labels: Vec<usize>, now: Cycle) -> Self {
-        let windows = WindowSeries::new(config.window_cycles.max(1));
-        let flight = FlightRecorder::new(config.flight_capacity.max(1));
         Self {
             config,
             labels,
-            spans: SpanRecorder::enabled(),
-            windows,
-            flight,
+            log: Vec::new(),
             last_progress: now,
             spike: (0, 0),
             stall_dumped: false,
@@ -304,159 +364,46 @@ impl Telemetry {
         }
     }
 
-    fn global(&self, tenant: usize) -> usize {
-        self.labels.get(tenant).copied().unwrap_or(tenant)
+    /// The metric window width in cycles.
+    pub(crate) fn window_cycles(&self) -> Cycle {
+        self.config.window_cycles.max(1)
     }
 
-    /// A job passed admission at `now` (scheduled at `scheduled`).
-    pub(crate) fn on_admit(
-        &mut self,
-        now: Cycle,
-        scheduled: Cycle,
-        trace_id: u64,
-        tenant: usize,
-        depth: u64,
-    ) {
-        let tenant = self.global(tenant);
-        self.spans
-            .span(trace_id, "admission", "admit", scheduled, now);
-        self.flight
-            .push(now, ServerEvent::Enqueue { trace_id, tenant });
-        self.windows.incr(now, "enqueued");
-        self.windows.sample_max(now, "queue_depth", depth);
+    /// This server's windowed time-series.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot::from_log(self.window_cycles(), &self.log)
     }
 
-    /// A job bounced off a full queue at `now`.
-    pub(crate) fn on_admission_reject(
-        &mut self,
-        now: Cycle,
-        scheduled: Cycle,
-        trace_id: u64,
-        tenant: usize,
-    ) {
-        let tenant = self.global(tenant);
-        self.spans
-            .span(trace_id, "admission", "reject", scheduled, now);
-        self.flight
-            .push(now, ServerEvent::AdmissionReject { trace_id, tenant });
-        self.windows.incr(now, "rejected");
-        self.note_spike(now);
+    /// Every request span, in record order.
+    pub(crate) fn spans(&self) -> Vec<TraceEvent> {
+        self.log
+            .iter()
+            .filter_map(|(now, e)| e.span(*now))
+            .collect()
     }
 
-    /// A job went to `core` at `now` after waiting since `first_arrival`.
-    pub(crate) fn on_dispatch(
-        &mut self,
-        now: Cycle,
-        first_arrival: Cycle,
-        trace_id: u64,
-        tenant: usize,
-        core: u16,
-    ) {
-        let tenant = self.global(tenant);
-        self.spans.span(
-            trace_id,
-            format!("tenant{tenant}"),
-            "queue",
-            first_arrival,
-            now,
-        );
-        self.flight.push(
-            now,
-            ServerEvent::Dispatch {
-                trace_id,
-                tenant,
-                core,
-            },
-        );
-        self.windows
-            .record(now, "queue_wait_cycles", now.saturating_sub(first_arrival));
-        self.last_progress = now;
-    }
-
-    /// One batched dispatcher visit submitted `occupancy` commands under
-    /// a single lock acquisition at `now`.
-    pub(crate) fn on_dispatch_batch(&mut self, now: Cycle, occupancy: u64) {
-        self.windows.record(now, "batch_occupancy", occupancy);
-    }
-
-    /// A job's response was harvested at `now`.
-    pub(crate) fn on_complete(
-        &mut self,
-        now: Cycle,
-        dispatch_cycle: Cycle,
-        trace_id: u64,
-        tenant: usize,
-        core: u16,
-        latency_cycles: Cycle,
-    ) {
-        let tenant = self.global(tenant);
-        self.spans.span(
-            trace_id,
-            format!("core{core}"),
-            "execute",
-            dispatch_cycle,
-            now,
-        );
-        self.flight.push(
-            now,
-            ServerEvent::Complete {
-                trace_id,
-                tenant,
-                core,
-                latency_cycles,
-            },
-        );
-        self.windows.incr(now, "completed");
-        self.windows.incr(now, &format!("tenant{tenant}/completed"));
-        self.windows.record(now, "latency_cycles", latency_cycles);
-        self.last_progress = now;
-    }
-
-    /// A job's deadline expired and it was re-enqueued at `now`.
-    pub(crate) fn on_retry(&mut self, now: Cycle, trace_id: u64, tenant: usize, retries: u32) {
-        let tenant = self.global(tenant);
-        self.spans
-            .span(trace_id, format!("tenant{tenant}"), "retry", now, now);
-        self.flight.push(
-            now,
-            ServerEvent::Retry {
-                trace_id,
-                tenant,
-                retries,
-            },
-        );
-        self.windows.incr(now, "retried");
-    }
-
-    /// A job's deadline expired terminally at `now`.
-    pub(crate) fn on_breach(
-        &mut self,
-        now: Cycle,
-        trace_id: u64,
-        tenant: usize,
-        queue_wait_cycles: Cycle,
-    ) {
-        let tenant = self.global(tenant);
-        self.spans
-            .span(trace_id, format!("tenant{tenant}"), "breach", now, now);
-        self.flight.push(
-            now,
-            ServerEvent::DeadlineBreach {
-                trace_id,
-                tenant,
-                queue_wait_cycles,
-            },
-        );
-        self.windows.incr(now, "breached");
-        self.windows
-            .record(now, "queue_wait_cycles", queue_wait_cycles);
-        self.note_spike(now);
+    /// Appends `event`, observed at `now`, to the log: its tenant is
+    /// relabelled with the global id, a dispatch or completion counts as
+    /// watchdog progress, and a rejection or breach counts toward the
+    /// spike window.
+    pub(crate) fn record(&mut self, now: Cycle, mut event: ServerEvent) {
+        if let ServerEvent::Job { tenant, step, .. } = &mut event {
+            *tenant = self.labels.get(*tenant).copied().unwrap_or(*tenant);
+            match step {
+                JobStep::Dispatch { .. } | JobStep::Complete { .. } => self.last_progress = now,
+                JobStep::AdmissionReject { .. } | JobStep::DeadlineBreach { .. } => {
+                    self.note_spike(now);
+                }
+                _ => {}
+            }
+        }
+        self.log.push((now, event));
     }
 
     /// Counts one rejection/breach toward the current window's spike
     /// total.
     fn note_spike(&mut self, now: Cycle) {
-        let window = now / self.windows.width();
+        let window = now / self.window_cycles();
         if self.spike.0 != window {
             self.spike = (window, 0);
         }
@@ -491,7 +438,7 @@ impl Telemetry {
         self.stall_deadline().is_some_and(|d| now >= d)
     }
 
-    /// Writes the flight-recorder dump and remembers the file. `trigger`
+    /// Writes the flight dump and remembers the file. `trigger`
     /// is `"stall"` or `"breach_spike"`; `queued`/`inflight` snapshot the
     /// server's backlog at dump time.
     pub(crate) fn dump(&mut self, trigger: &str, now: Cycle, queued: u64, inflight: u64) {
@@ -504,25 +451,29 @@ impl Telemetry {
             _ if self.spike_dumped => return,
             _ => self.spike_dumped = true,
         }
+        let flight: Vec<(Cycle, (u64, usize, JobStep))> = self
+            .log
+            .iter()
+            .filter_map(|&(cycle, event)| Some((cycle, event.job()?)))
+            .collect();
+        let evicted = flight
+            .len()
+            .saturating_sub(self.config.flight_capacity.max(1));
         let mut out = format!(
-            "{{\"label\":\"{}\",\"trigger\":\"{trigger}\",\"cycle\":{now},\
+            "{{\"label\":{},\"trigger\":{},\"cycle\":{now},\
              \"window_cycles\":{},\"queued\":{queued},\"inflight\":{inflight},\
-             \"last_progress_cycle\":{},\"evicted\":{},\"events\":[",
-            w.label,
-            self.windows.width(),
+             \"last_progress_cycle\":{},\"evicted\":{evicted},\"events\":[",
+            json_string(&w.label),
+            json_string(trigger),
+            self.window_cycles(),
             self.last_progress,
-            self.flight.evicted(),
         );
-        for (i, entry) in self.flight.entries().enumerate() {
-            if i > 0 {
+        for (seq, &(cycle, (trace_id, tenant, step))) in flight.iter().enumerate().skip(evicted) {
+            if seq > evicted {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"seq\":{},\"cycle\":{},{}}}",
-                entry.seq,
-                entry.cycle,
-                entry.event.json_fields()
-            ));
+            let fields = step.json_fields(trace_id, tenant);
+            out.push_str(&format!("{{\"seq\":{seq},\"cycle\":{cycle},{fields}}}"));
         }
         out.push_str("]}");
         debug_assert!(
@@ -532,7 +483,9 @@ impl Telemetry {
         let path = w
             .dump_dir
             .join(format!("{}-{trigger}.flight.json", w.label));
-        if let Err(e) = write_dump(&w.dump_dir, &path, &out) {
+        let written =
+            std::fs::create_dir_all(&w.dump_dir).and_then(|()| std::fs::write(&path, &out));
+        if let Err(e) = written {
             eprintln!(
                 "bserver: failed to write flight dump {}: {e}",
                 path.display()
@@ -552,14 +505,46 @@ impl Telemetry {
     }
 }
 
-fn write_dump(dir: &Path, path: &Path, contents: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(path, contents)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn job(trace_id: u64, tenant: usize, step: JobStep) -> ServerEvent {
+        ServerEvent::Job {
+            trace_id,
+            tenant,
+            step,
+        }
+    }
+
+    fn admit(trace_id: u64, scheduled: Cycle) -> ServerEvent {
+        let queue_depth = 1;
+        job(
+            trace_id,
+            0,
+            JobStep::Enqueue {
+                scheduled,
+                queue_depth,
+            },
+        )
+    }
+
+    fn dispatch(trace_id: u64, first_arrival: Cycle) -> ServerEvent {
+        let core = 0;
+        job(
+            trace_id,
+            0,
+            JobStep::Dispatch {
+                core,
+                first_arrival,
+            },
+        )
+    }
+
+    fn breach(trace_id: u64, tenant: usize, queue_wait_cycles: Cycle) -> ServerEvent {
+        let step = JobStep::DeadlineBreach { queue_wait_cycles };
+        job(trace_id, tenant, step)
+    }
 
     #[test]
     fn snapshot_rows_carry_counts_and_percentiles() {
@@ -571,11 +556,16 @@ mod tests {
             vec![5, 9],
             0,
         );
-        t.on_admit(10, 10, 0, 0, 1);
-        t.on_dispatch(20, 10, 0, 0, 0);
-        t.on_complete(60, 20, 0, 0, 0, 50);
-        t.on_breach(150, 1, 1, 140);
-        let snap = MetricsSnapshot::from_series(&t.windows);
+        t.record(10, admit(0, 10));
+        t.record(20, dispatch(0, 10));
+        let complete = JobStep::Complete {
+            core: 0,
+            dispatched: 20,
+            latency_cycles: 50,
+        };
+        t.record(60, job(0, 0, complete));
+        t.record(150, breach(1, 1, 140));
+        let snap = t.snapshot();
         assert_eq!(snap.window_cycles, 100);
         assert_eq!(snap.windows.len(), 2);
         let w0 = &snap.windows[0];
@@ -598,7 +588,12 @@ mod tests {
         let dir = std::env::temp_dir().join("bserver-telemetry-test-stall");
         let mut t = Telemetry::new(
             TelemetryConfig {
-                watchdog: Some(WatchdogConfig::new(1_000, &dir)),
+                flight_capacity: 2,
+                watchdog: Some(WatchdogConfig {
+                    // A label that must be escaped to stay valid JSON.
+                    label: "shard\"0\\".to_owned(),
+                    ..WatchdogConfig::new(1_000, &dir)
+                }),
                 ..TelemetryConfig::default()
             },
             vec![0],
@@ -607,15 +602,26 @@ mod tests {
         assert_eq!(t.stall_deadline(), Some(1_050));
         assert!(!t.stalled(1_049));
         assert!(t.stalled(1_050));
-        t.on_dispatch(400, 0, 0, 0, 0);
+        t.record(300, admit(0, 300));
+        t.record(400, ServerEvent::DispatchBatch { occupancy: 1 });
+        t.record(400, dispatch(0, 300));
         assert_eq!(t.stall_deadline(), Some(1_400));
+        t.record(500, admit(1, 500));
         t.dump("stall", 1_400, 3, 1);
         assert_eq!(t.stall_deadline(), None, "one stall dump per run");
         assert_eq!(t.dumps().len(), 1);
         let contents = std::fs::read_to_string(&t.dumps()[0]).expect("dump readable");
         bsim::perf::validate_json(&contents).expect("dump is valid JSON");
+        assert!(
+            contents.starts_with("{\"label\":\"shard\\\"0\\\\\","),
+            "{contents}"
+        );
         assert!(contents.contains("\"trigger\":\"stall\""));
-        assert!(contents.contains("\"kind\":\"dispatch\""));
+        // Three flight events were logged (the batch is not one): the
+        // oldest is evicted and the last two keep their sequence numbers.
+        assert!(contents.contains("\"evicted\":1,"), "{contents}");
+        assert!(contents.contains("{\"seq\":1,\"cycle\":400,\"kind\":\"dispatch\""));
+        assert!(contents.contains("{\"seq\":2,\"cycle\":500,\"kind\":\"enqueue\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -633,14 +639,14 @@ mod tests {
             vec![0],
             0,
         );
-        t.on_breach(10, 0, 0, 5);
-        t.on_breach(20, 1, 0, 5);
+        t.record(10, breach(0, 0, 5));
+        t.record(20, breach(1, 0, 5));
         assert!(!t.spike_due(), "two breaches under the threshold");
         // The window turns over: the count restarts.
-        t.on_breach(110, 2, 0, 5);
+        t.record(110, breach(2, 0, 5));
         assert!(!t.spike_due());
-        t.on_breach(120, 3, 0, 5);
-        t.on_breach(130, 4, 0, 5);
+        t.record(120, breach(3, 0, 5));
+        t.record(130, breach(4, 0, 5));
         assert!(t.spike_due(), "three breaches in window [100, 200)");
     }
 }

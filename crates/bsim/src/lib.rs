@@ -23,10 +23,12 @@
 //!   cycle counts (guarded by [`Lockstep`], measured by [`SimRate`]).
 //! * [`SparseMemory`] — a byte-addressable sparse backing store used as the
 //!   functional half of the DRAM model.
-//! * [`Stats`] — shared counters and histograms for instrumentation.
-//! * [`perf`] — the SoC-wide performance-counter registry ([`PerfRegistry`])
-//!   every elaborated layer registers into, with a text profile report and
-//!   a Chrome-trace/Perfetto exporter.
+//! * The observability substrate, one piece per job: [`StatCounter`]
+//!   handles on shared [`Stats`] bags for counting (optionally gated on
+//!   the [`PerfRegistry`] every elaborated layer registers into);
+//!   [`TraceEvent`] records, held by a [`Tracer`], for events; and
+//!   [`perf::chrome_trace`] as the one Chrome-trace/Perfetto writer,
+//!   next to the registry's text profile report.
 //!
 //! ## Example
 //!
@@ -80,15 +82,12 @@ pub use component::{Component, SchedulerMode, Shared, Simulation};
 pub use ctx::SimCtx;
 pub use lockstep::Lockstep;
 pub use mem::SparseMemory;
-pub use perf::flight::{FlightEntry, FlightRecorder};
-pub use perf::span::{perfetto_trace, ProcessSpans, SpanEvent, SpanRecorder};
-pub use perf::window::{WindowCell, WindowSeries};
-pub use perf::{Counter, CounterSet, PerfRegistry};
+pub use perf::{CounterSet, PerfRegistry};
 pub use stats::{
     Histogram, HistogramSummary, MergedSimRate, SimRate, SimRateExt, SimRateTimer, StatCounter,
     Stats, StatsSnapshot,
 };
 pub use time::{ClockDomain, Cycle, Picoseconds, PICOS_PER_SEC};
-pub use trace::{TraceEvent, Tracer};
+pub use trace::{render_timeline, to_vcd, TraceEvent, Tracer};
 pub use vcd::{SignalId, VcdRecorder};
 pub use wake::Waker;

@@ -1,4 +1,5 @@
-//! Hierarchical performance-counter registry — the reproduction's PMU.
+//! Hierarchical performance-counter registry and the Chrome trace writer
+//! — the reproduction's PMU.
 //!
 //! The paper's simulation platform exists "for debugging and performance
 //! prediction" (§II-D). This module is the prediction half: every layer of
@@ -9,92 +10,45 @@
 //! 1. **Live**: an MMIO-mapped counter window (`bcore::mmio`) lets host
 //!    programs select and read any counter mid-run.
 //! 2. **Post-mortem**: [`PerfRegistry::report`] renders a text profile and
-//!    [`PerfRegistry::chrome_trace`] emits Chrome trace-event JSON
-//!    (openable at <https://ui.perfetto.dev>) with slices from
-//!    [`Tracer`](crate::Tracer) events and counter tracks from windowed
-//!    samples.
+//!    [`chrome_trace`] emits Chrome trace-event JSON (openable at
+//!    <https://ui.perfetto.dev>) from [`TraceEvent`] records and the
+//!    registry's windowed counter samples.
 //!
-//! Counters are branch-on-enabled: a disabled [`Counter::add`] is a single
-//! predictable-false branch, so instrumented hot paths cost nothing
-//! measurable when profiling is off, and counters never feed back into
-//! simulated behaviour, so cycle counts are byte-identical with profiling
-//! on or off (guarded by a lockstep test in `bkernels`).
+//! The observability substrate has three pieces. Counting uses one handle
+//! type, [`StatCounter`]: each set owns a [`Stats`] bag, and
+//! [`CounterSet::gated`] mints handles from it whose gate is the
+//! registry's enable flag, so a disabled bump is a single
+//! predictable-false branch. Events use one record, [`TraceEvent`], held
+//! by one recorder, [`Tracer`](crate::Tracer). Rendering uses one writer,
+//! [`chrome_trace`]. Counters never feed back into simulated behaviour,
+//! so cycle counts are byte-identical with profiling on or off (guarded
+//! by a lockstep test in `bkernels`).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::stats::{Histogram, Stats};
+use crate::stats::{Histogram, StatCounter, Stats};
 use crate::time::Cycle;
 use crate::trace::TraceEvent;
-
-pub mod flight;
-pub mod span;
-pub mod window;
-
-/// A cheap shared `u64` counter. Incrementing is a branch on the
-/// registry's enabled flag plus a relaxed atomic add — suitable for
-/// per-cycle hot paths (uncontended within one simulation, and `Send` so
-/// counters can ride along when an SoC moves threads). Clone freely;
-/// clones share the value.
-#[derive(Clone)]
-pub struct Counter {
-    value: Arc<AtomicU64>,
-    enabled: Arc<AtomicBool>,
-}
-
-impl Counter {
-    /// A counter connected to no registry: always disabled, never counts.
-    /// Components hold one of these until
-    /// [`CounterSet::counter`] replaces it at elaboration.
-    pub fn detached() -> Self {
-        Counter {
-            value: Arc::new(AtomicU64::new(0)),
-            enabled: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Adds `delta` if the owning registry is enabled.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Increments by one if the owning registry is enabled.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current raw value (ignores reset baselines; host-facing reads go
-    /// through [`PerfRegistry::counters`]).
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::detached()
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counter({})", self.get())
-    }
-}
 
 /// Pull-model counter source: returns `(name, value)` pairs on demand.
 type Provider = Box<dyn Fn() -> Vec<(String, u64)> + Send>;
 
+/// One set's sources: bags and providers.
 #[derive(Default)]
 struct SetEntries {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    stats: Vec<Stats>,
+    /// The set's own bag: gated counters and `set_value` mirrors.
+    own: Stats,
+    /// Component bags attached with [`CounterSet::attach_stats`].
+    attached: Vec<Stats>,
     providers: Vec<Provider>,
+}
+
+impl SetEntries {
+    fn bags(&self) -> impl Iterator<Item = &Stats> {
+        std::iter::once(&self.own).chain(&self.attached)
+    }
 }
 
 #[derive(Default)]
@@ -110,21 +64,20 @@ struct RegistryInner {
 }
 
 impl RegistryInner {
+    /// The set registered under `path`, created if needed.
+    fn entries(&mut self, path: &str) -> &mut SetEntries {
+        if !self.sets.contains_key(path) {
+            self.sets.insert(path.to_owned(), SetEntries::default());
+        }
+        self.sets.get_mut(path).expect("inserted above")
+    }
+
     /// Current merged counter values for one set (raw, pre-baseline).
     fn set_values(&self, entries: &SetEntries) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
-        for (name, cell) in &entries.counters {
-            *out.entry(name.clone()).or_insert(0) += cell.load(Ordering::Relaxed);
-        }
-        for stats in &entries.stats {
-            for (name, value) in stats.counters() {
-                *out.entry(name).or_insert(0) += value;
-            }
-        }
-        for provider in &entries.providers {
-            for (name, value) in provider() {
-                *out.entry(name).or_insert(0) += value;
-            }
+        let provided = entries.providers.iter().flat_map(|provider| provider());
+        for (name, value) in entries.bags().flat_map(Stats::counters).chain(provided) {
+            *out.entry(name).or_insert(0) += value;
         }
         out
     }
@@ -157,14 +110,15 @@ impl PerfRegistry {
         Self::default()
     }
 
-    /// Enables or disables every [`Counter`] minted from this registry.
-    /// Attached [`Stats`] bags and providers are *not* gated — they belong
-    /// to the components and may be load-bearing.
+    /// Opens or closes the gate of every counter minted by
+    /// [`CounterSet::gated`]. Attached [`Stats`] bags and providers are
+    /// *not* gated — they belong to the components and may be
+    /// load-bearing.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether counters are live.
+    /// Whether gated counters are live.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -172,30 +126,22 @@ impl PerfRegistry {
     /// Gets or creates the counter set registered under `path`
     /// (`/`-separated hierarchy, e.g. `"mem0"` or `"cores/Doubler0"`).
     pub fn set(&self, path: &str) -> CounterSet {
-        self.inner
-            .lock()
-            .unwrap()
-            .sets
-            .entry(path.to_owned())
-            .or_default();
+        let own = self.inner.lock().unwrap().entries(path).own.clone();
         CounterSet {
             path: path.to_owned(),
+            own,
             enabled: Arc::clone(&self.enabled),
             inner: Arc::clone(&self.inner),
         }
     }
 
-    /// Force-sets the raw value of `path/name`, creating it if needed.
-    /// Used for externally-owned values pushed into the registry (e.g. the
-    /// scheduler's executed/skipped cycle counts, synced before reads).
+    /// Stores `value` as the raw value of `path/name` in the set's own
+    /// bag, creating it if needed. Used for externally-owned values pushed
+    /// into the registry (e.g. the scheduler's executed/skipped cycle
+    /// counts, synced before reads).
     pub fn set_value(&self, path: &str, name: &str, value: u64) {
         let mut inner = self.inner.lock().unwrap();
-        let entries = inner.sets.entry(path.to_owned()).or_default();
-        entries
-            .counters
-            .entry(name.to_owned())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .store(value, Ordering::Relaxed);
+        inner.entries(path).own.set(name, value);
     }
 
     /// All counters as sorted, flattened `path/name` pairs, with the reset
@@ -232,10 +178,8 @@ impl PerfRegistry {
         let inner = self.inner.lock().unwrap();
         let mut out = Vec::new();
         for (path, entries) in &inner.sets {
-            for stats in &entries.stats {
-                for (name, h) in stats.histograms() {
-                    out.push((format!("{path}/{name}"), h));
-                }
+            for (name, h) in entries.bags().flat_map(Stats::histograms) {
+                out.push((format!("{path}/{name}"), h));
             }
         }
         out
@@ -248,17 +192,12 @@ impl PerfRegistry {
     /// back into them.
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();
-        let mut baseline = BTreeMap::new();
-        for (path, entries) in &inner.sets {
-            for (name, value) in inner.set_values(entries) {
-                baseline.insert(format!("{path}/{name}"), value);
-            }
-        }
-        inner.baseline = baseline;
+        inner.baseline.clear();
+        inner.baseline = inner.flat_counters().into_iter().collect();
     }
 
     /// Records a windowed sample of every counter at `cycle`, for the
-    /// trace exporter's counter tracks.
+    /// trace writer's counter tracks.
     pub fn sample(&self, cycle: Cycle) {
         let mut inner = self.inner.lock().unwrap();
         let snap = inner.flat_counters();
@@ -277,10 +216,8 @@ impl PerfRegistry {
         let mut out = String::from("perf report\n===========\n");
         for (path, entries) in &inner.sets {
             let values = inner.set_values(entries);
-            let mut histograms: Vec<(String, Histogram)> = Vec::new();
-            for stats in &entries.stats {
-                histograms.extend(stats.histograms());
-            }
+            let histograms: Vec<(String, Histogram)> =
+                entries.bags().flat_map(Stats::histograms).collect();
             if values.is_empty() && histograms.is_empty() {
                 continue;
             }
@@ -306,78 +243,6 @@ impl PerfRegistry {
         }
         out
     }
-
-    /// Emits a Chrome trace-event JSON document (Perfetto-compatible):
-    /// one slice per [`TraceEvent`] (threads are trace channels) and one
-    /// counter track per sampled counter. `period_ps` converts cycles to
-    /// trace microseconds. Open the result at <https://ui.perfetto.dev>.
-    pub fn chrome_trace(&self, events: &[TraceEvent], period_ps: u64) -> String {
-        let to_us = |cycle: Cycle| (cycle as f64) * (period_ps as f64) / 1e6;
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
-        let push = |out: &mut String, first: &mut bool, item: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&item);
-        };
-        push(
-            &mut out,
-            &mut first,
-            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"beethoven-sim\"}}"
-                .to_owned(),
-        );
-        // One trace thread per channel, in first-seen order.
-        let mut tids: BTreeMap<&str, usize> = BTreeMap::new();
-        for event in events {
-            let next = tids.len() + 1;
-            tids.entry(&event.channel).or_insert(next);
-        }
-        for (channel, tid) in &tids {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":{}}}}}",
-                    json_string(channel)
-                ),
-            );
-        }
-        for event in events {
-            let tid = tids[event.channel.as_str()];
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{:.4},\"dur\":{:.4},\
-                     \"name\":{},\"args\":{{\"id\":{}}}}}",
-                    to_us(event.cycle),
-                    to_us(1),
-                    json_string(&event.detail),
-                    event.id,
-                ),
-            );
-        }
-        for (cycle, counters) in self.inner.lock().unwrap().samples.iter() {
-            for (name, value) in counters {
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"ph\":\"C\",\"pid\":0,\"ts\":{:.4},\"name\":{},\
-                         \"args\":{{\"value\":{value}}}}}",
-                        to_us(*cycle),
-                        json_string(name),
-                    ),
-                );
-            }
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl std::fmt::Debug for PerfRegistry {
@@ -390,64 +255,42 @@ impl std::fmt::Debug for PerfRegistry {
 }
 
 /// One component's slice of the registry, created via
-/// [`PerfRegistry::set`]. Mint [`Counter`]s from it at elaboration time
+/// [`PerfRegistry::set`]. Mint gated counters from it at elaboration time
 /// and hand them to the component; attach existing [`Stats`] bags and
 /// pull-model providers for values the component already maintains.
 #[derive(Clone)]
 pub struct CounterSet {
     path: String,
+    /// The set's own bag: gated counters and [`PerfRegistry::set_value`]
+    /// mirrors live here, never in a component's bag.
+    own: Stats,
     enabled: Arc<AtomicBool>,
     inner: Arc<Mutex<RegistryInner>>,
 }
 
 impl CounterSet {
-    /// The set's registration path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Gets or creates the cheap counter `name` in this set.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().unwrap();
-        let entries = inner.sets.entry(self.path.clone()).or_default();
-        let value = Arc::clone(
-            entries
-                .counters
-                .entry(name.to_owned())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        );
-        Counter {
-            value,
-            enabled: Arc::clone(&self.enabled),
-        }
+    /// A counter `name` in this set's own bag, gated on the registry's
+    /// enable flag. It is created at zero here, so it is listed whether or
+    /// not profiling is ever on.
+    pub fn gated(&self, name: &'static str) -> StatCounter {
+        self.own.add(name, 0);
+        self.own.gated_counter(name, &self.enabled)
     }
 
     /// Attaches an existing [`Stats`] bag: its counters and histograms are
     /// merged into this set on every read. The bag stays owned by the
     /// component and is never written by the registry.
     pub fn attach_stats(&self, stats: &Stats) {
-        self.inner
-            .lock()
-            .unwrap()
-            .sets
-            .entry(self.path.clone())
-            .or_default()
-            .stats
-            .push(stats.clone());
+        let mut inner = self.inner.lock().unwrap();
+        inner.entries(&self.path).attached.push(stats.clone());
     }
 
     /// Attaches a pull-model provider: invoked on every registry read to
     /// contribute (name, value) pairs (e.g. DRAM channel stats that live
     /// in a plain struct). Must not re-enter the registry.
     pub fn add_provider(&self, provider: impl Fn() -> Vec<(String, u64)> + Send + 'static) {
-        self.inner
-            .lock()
-            .unwrap()
-            .sets
-            .entry(self.path.clone())
-            .or_default()
-            .providers
-            .push(Box::new(provider));
+        let mut inner = self.inner.lock().unwrap();
+        inner.entries(&self.path).providers.push(Box::new(provider));
     }
 }
 
@@ -457,8 +300,110 @@ impl std::fmt::Debug for CounterSet {
     }
 }
 
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
-fn json_string(s: &str) -> String {
+/// Renders one Chrome trace-event JSON document (Perfetto-compatible).
+///
+/// `processes[i]` renders as process `i`, named by its label, with one
+/// thread per distinct track (numbered in first-seen order) and one `"X"`
+/// slice per event. A slice spans `start..end` with a one-cycle floor, so
+/// instants stay visible; its args carry the trace id when the event has
+/// one, else the event's id. Events sharing a trace id are chained by
+/// `"s"`/`"t"`/`"f"` flow arrows in `(start, end)` order, across tracks
+/// and processes; a lone event gets no arrow. Each registry sample adds a
+/// `"C"` counter record per counter on process 0. `period_ps` converts
+/// cycles to trace microseconds.
+pub fn chrome_trace(
+    processes: &[(&str, &[TraceEvent])],
+    samples: &[(Cycle, Vec<(String, u64)>)],
+    period_ps: u64,
+) -> String {
+    let to_us = |cycle: Cycle| (cycle as f64) * (period_ps as f64) / 1e6;
+    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+    let mut push = |item: String| {
+        if !out.ends_with('[') {
+            out.push(',');
+        }
+        out.push_str(&item);
+    };
+    // trace id -> (start, end, pid, tid) of every event carrying it.
+    let mut flows: BTreeMap<u64, Vec<(Cycle, Cycle, usize, usize)>> = BTreeMap::new();
+    for (pid, (name, events)) in processes.iter().enumerate() {
+        push(format!(
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
+             \"args\":{{\"name\":{}}}}}",
+            json_string(name)
+        ));
+        let mut tids: BTreeMap<&str, usize> = BTreeMap::new();
+        for event in events.iter() {
+            let next = tids.len() + 1;
+            tids.entry(&event.track).or_insert(next);
+        }
+        for (track, tid) in &tids {
+            push(format!(
+                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
+                 \"args\":{{\"name\":{}}}}}",
+                json_string(track)
+            ));
+        }
+        for event in events.iter() {
+            let tid = tids[event.track.as_str()];
+            let args = match event.trace_id {
+                Some(trace_id) => {
+                    flows
+                        .entry(trace_id)
+                        .or_default()
+                        .push((event.start, event.end, pid, tid));
+                    format!("\"trace_id\":{trace_id}")
+                }
+                None => format!("\"id\":{}", event.id),
+            };
+            push(format!(
+                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.4},\"dur\":{:.4},\
+                 \"name\":{},\"args\":{{{args}}}}}",
+                to_us(event.start),
+                to_us(event.end.saturating_sub(event.start).max(1)),
+                json_string(&event.name),
+            ));
+        }
+    }
+    for (trace_id, mut steps) in flows {
+        if steps.len() < 2 {
+            continue;
+        }
+        steps.sort_unstable();
+        let last = steps.len() - 1;
+        for (i, (start, _end, pid, tid)) in steps.into_iter().enumerate() {
+            // "f" binds to the enclosing slice like "s"/"t" do: ts at the
+            // slice start, with bp:"e" so Perfetto attaches it there.
+            let (ph, bp) = match i {
+                0 => ("s", ""),
+                i if i == last => ("f", ",\"bp\":\"e\""),
+                _ => ("t", ""),
+            };
+            push(format!(
+                "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.4},\
+                 \"id\":{trace_id},\"cat\":\"request\",\"name\":\"job\"{bp}}}",
+                to_us(start),
+            ));
+        }
+    }
+    for (cycle, counters) in samples {
+        for (name, value) in counters {
+            push(format!(
+                "{{\"ph\":\"C\",\"pid\":0,\"ts\":{:.4},\"name\":{},\
+                 \"args\":{{\"value\":{value}}}}}",
+                to_us(*cycle),
+                json_string(name),
+            ));
+        }
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Escapes `s` as a JSON string literal (with surrounding quotes). Every
+/// hand-written JSON document in the workspace routes strings through
+/// here (the vendored `serde` is a stub).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -503,8 +448,8 @@ fn json_skip_ws(bytes: &[u8], pos: &mut usize) {
 
 fn json_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     match bytes.get(*pos) {
-        Some(b'{') => json_object(bytes, pos),
-        Some(b'[') => json_array(bytes, pos),
+        Some(b'{') => json_container(bytes, pos, b'}'),
+        Some(b'[') => json_container(bytes, pos, b']'),
         Some(b'"') => json_str(bytes, pos),
         Some(b't') => json_lit(bytes, pos, b"true"),
         Some(b'f') => json_lit(bytes, pos, b"false"),
@@ -515,53 +460,41 @@ fn json_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     }
 }
 
-fn json_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
+/// An object (`close == b'}'`, members `"key": value`) or an array
+/// (`close == b']'`, elements `value`), starting at its opening bracket.
+fn json_container(bytes: &[u8], pos: &mut usize, close: u8) -> Result<(), String> {
+    *pos += 1;
     json_skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
+    if bytes.get(*pos) == Some(&close) {
         *pos += 1;
         return Ok(());
     }
     loop {
         json_skip_ws(bytes, pos);
-        json_str(bytes, pos)?;
-        json_skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
+        if close == b'}' {
+            json_str(bytes, pos)?;
+            json_skip_ws(bytes, pos);
+            if bytes.get(*pos) != Some(&b':') {
+                return Err(format!("expected ':' at byte {pos}", pos = *pos));
+            }
+            *pos += 1;
+            json_skip_ws(bytes, pos);
         }
-        *pos += 1;
-        json_skip_ws(bytes, pos);
         json_value(bytes, pos)?;
         json_skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
-            Some(b'}') => {
+            Some(&c) if c == close => {
                 *pos += 1;
                 return Ok(());
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn json_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    json_skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        json_skip_ws(bytes, pos);
-        json_value(bytes, pos)?;
-        json_skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
+            _ => {
+                let close = close as char;
+                return Err(format!(
+                    "expected ',' or '{close}' at byte {pos}",
+                    pos = *pos
+                ));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
         }
     }
 }
@@ -614,9 +547,8 @@ fn json_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     if int_digits == 0 {
         return Err(format!("expected digits at byte {pos}", pos = *pos));
     }
-    if bytes.get(start) == Some(&b'0') && int_digits > 1
-        || bytes.get(start) == Some(&b'-') && bytes.get(start + 1) == Some(&b'0') && int_digits > 1
-    {
+    let first = start + usize::from(bytes[start] == b'-');
+    if int_digits > 1 && bytes[first] == b'0' {
         return Err(format!("leading zero at byte {start}"));
     }
     if bytes.get(*pos) == Some(&b'.') {
@@ -663,36 +595,28 @@ fn json_lit(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn counters_are_gated_on_enabled() {
         let perf = PerfRegistry::new();
-        let c = perf.set("mem0").counter("beats");
+        let c = perf.set("mem0").gated("beats");
+        assert_eq!(perf.counter("mem0/beats"), Some(0), "listed while off");
         c.incr();
-        assert_eq!(c.get(), 0, "disabled counters must not count");
+        assert_eq!(perf.counter("mem0/beats"), Some(0), "off must not count");
         perf.set_enabled(true);
         c.add(5);
-        assert_eq!(c.get(), 5);
         perf.set_enabled(false);
         c.incr();
-        assert_eq!(c.get(), 5);
         assert_eq!(perf.counter("mem0/beats"), Some(5));
-    }
-
-    #[test]
-    fn detached_counter_never_counts() {
-        let c = Counter::detached();
-        c.incr();
-        c.add(10);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
     fn counters_flatten_with_paths_and_sort() {
         let perf = PerfRegistry::new();
         perf.set_enabled(true);
-        perf.set("b").counter("y").incr();
-        perf.set("a").counter("x").add(2);
+        perf.set("b").gated("y").incr();
+        perf.set("a").gated("x").add(2);
         let flat = perf.counters();
         assert_eq!(
             flat,
@@ -735,13 +659,12 @@ mod tests {
         stats.add("aw_issued", 4);
         let set = perf.set("writer");
         set.attach_stats(&stats);
-        let c = set.counter("stalls");
+        let c = set.gated("stalls");
         c.add(10);
         perf.reset();
         assert_eq!(perf.counter("writer/stalls"), Some(0));
         assert_eq!(perf.counter("writer/aw_issued"), Some(0));
         assert_eq!(stats.get("aw_issued"), 4, "source must not be zeroed");
-        assert_eq!(c.get(), 10, "raw counter must not be zeroed");
         c.add(2);
         stats.incr("aw_issued");
         assert_eq!(perf.counter("writer/stalls"), Some(2));
@@ -751,17 +674,23 @@ mod tests {
     #[test]
     fn set_value_forces_raw_counters() {
         let perf = PerfRegistry::new();
+        let stats = Stats::new();
+        perf.set("scheduler").attach_stats(&stats);
         perf.set_value("scheduler", "executed_cycles", 123);
         assert_eq!(perf.counter("scheduler/executed_cycles"), Some(123));
         perf.set_value("scheduler", "executed_cycles", 200);
         assert_eq!(perf.counter("scheduler/executed_cycles"), Some(200));
+        assert!(
+            stats.counters().is_empty(),
+            "attached bags are never written"
+        );
     }
 
     #[test]
     fn samples_capture_counter_progression() {
         let perf = PerfRegistry::new();
         perf.set_enabled(true);
-        let c = perf.set("mem").counter("beats");
+        let c = perf.set("mem").gated("beats");
         perf.sample(0);
         c.add(8);
         perf.sample(100);
@@ -775,7 +704,7 @@ mod tests {
     fn report_groups_by_set_and_shows_histograms() {
         let perf = PerfRegistry::new();
         perf.set_enabled(true);
-        perf.set("mem0").counter("r_beats").add(42);
+        perf.set("mem0").gated("r_beats").add(42);
         let stats = Stats::new();
         for v in [4, 8, 100] {
             stats.record("read_latency_cycles", v);
@@ -793,34 +722,50 @@ mod tests {
     fn chrome_trace_is_valid_json_with_slices_and_counters() {
         let perf = PerfRegistry::new();
         perf.set_enabled(true);
-        perf.set("mem").counter("beats").add(1);
+        perf.set("mem").gated("beats").add(1);
         perf.sample(10);
-        let events = vec![
-            TraceEvent {
-                cycle: 5,
-                channel: "AR".to_owned(),
-                id: 2,
-                detail: "read \"x\"\n".to_owned(),
-            },
-            TraceEvent {
-                cycle: 9,
-                channel: "R".to_owned(),
-                id: 2,
-                detail: "beat".to_owned(),
-            },
+        let events = [
+            TraceEvent::instant(5, "AR", 2, "read \"x\"\n"),
+            TraceEvent::instant(9, "R", 2, "beat"),
         ];
-        let json = perf.chrome_trace(&events, 4_000);
+        let json = chrome_trace(&[("beethoven-sim", &events)], &perf.samples(), 4_000);
         validate_json(&json).expect("trace must be valid JSON");
-        assert!(json.contains("\"ph\":\"X\""));
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
+        assert!(json.contains("\"args\":{\"id\":2}"));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("thread_name"));
+        assert!(!json.contains("\"ph\":\"s\""), "no trace ids, no flows");
+    }
+
+    #[test]
+    fn chrome_trace_threads_flows_across_tracks_and_processes() {
+        let span = |trace_id, track, name, start, end| TraceEvent {
+            end,
+            trace_id: Some(trace_id),
+            ..TraceEvent::instant(start, track, 0, name)
+        };
+        let shard0 = [
+            span(3, "admission", "admit", 0, 0),
+            span(3, "tenant1", "queue", 0, 40),
+            span(3, "core0", "execute", 40, 90),
+        ];
+        let shard1 = [span(8, "core0", "execute", 5, 25)];
+        let json = chrome_trace(&[("shard0", &shard0), ("shard1", &shard1)], &[], 4_000);
+        validate_json(&json).expect("merged trace must be valid JSON");
+        assert!(json.contains("\"pid\":1,\"tid\":0,\"name\":\"process_name\""));
+        // Request 3 crosses three tracks: one start, one step, one finish.
+        assert_eq!(json.matches("\"ph\":\"s\"").count(), 1, "{json}");
+        assert_eq!(json.matches("\"ph\":\"t\"").count(), 1, "{json}");
+        assert_eq!(json.matches("\"ph\":\"f\"").count(), 1, "{json}");
+        // Request 8 has a single span: a slice, but no dangling arrow.
+        assert!(json.contains("\"id\":3"));
+        assert!(!json.contains("\"id\":8"));
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 4);
     }
 
     #[test]
     fn empty_trace_is_still_valid() {
-        let perf = PerfRegistry::new();
-        let json = perf.chrome_trace(&[], 1_000);
-        validate_json(&json).expect("empty trace must be valid JSON");
+        validate_json(&chrome_trace(&[], &[], 1_000)).expect("empty trace must be valid JSON");
     }
 
     #[test]

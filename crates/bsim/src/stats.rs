@@ -2,7 +2,7 @@
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A latency/occupancy histogram with power-of-two buckets.
@@ -177,18 +177,28 @@ impl StatsInner {
 /// the same value, and the name appears in [`Stats::counters`] from the
 /// first bump through either path — an `add(0)` included — exactly as if
 /// every bump had been by name.
+///
+/// A handle may carry a gate ([`Stats::gated_counter`]) and then counts
+/// only while the gate is set. The default handle never counts;
+/// components hold one until elaboration mints the real handle.
 #[derive(Debug, Clone)]
 pub struct StatCounter {
     stats: Stats,
     name: &'static str,
     slot: OnceCell<Slot>,
+    gate: Option<Arc<AtomicBool>>,
 }
 
 impl StatCounter {
-    /// Adds `delta`, creating the counter at zero if this is its first
-    /// bump.
+    /// Adds `delta` unless the gate is closed, creating the counter at
+    /// zero if this is its first bump.
     #[inline]
     pub fn add(&self, delta: u64) {
+        if let Some(gate) = &self.gate {
+            if !gate.load(Ordering::Relaxed) {
+                return;
+            }
+        }
         self.slot
             .get_or_init(|| self.stats.slot(self.name))
             .fetch_add(delta, Ordering::Relaxed);
@@ -198,6 +208,12 @@ impl StatCounter {
     #[inline]
     pub fn incr(&self) {
         self.add(1);
+    }
+}
+
+impl Default for StatCounter {
+    fn default() -> Self {
+        Stats::new().gated_counter("", &Arc::default())
     }
 }
 
@@ -241,7 +257,24 @@ impl Stats {
             stats: self.clone(),
             name,
             slot: OnceCell::new(),
+            gate: None,
         }
+    }
+
+    /// A [`StatCounter`] for counter `name` that counts only while `gate`
+    /// is set.
+    pub fn gated_counter(&self, name: &'static str, gate: &Arc<AtomicBool>) -> StatCounter {
+        let gate = Some(Arc::clone(gate));
+        StatCounter {
+            gate,
+            ..self.counter(name)
+        }
+    }
+
+    /// Stores `value` into counter `name`, creating it if needed. For
+    /// values owned elsewhere and mirrored into the bag before reads.
+    pub fn set(&self, name: &str, value: u64) {
+        self.slot(name).store(value, Ordering::Relaxed);
     }
 
     /// Counter `name`'s storage, created at zero if needed.
@@ -553,6 +586,13 @@ mod tests {
         clone.add("reads", 4);
         assert_eq!(stats.get("reads"), 5);
         assert_eq!(stats.get("never"), 0);
+    }
+
+    #[test]
+    fn detached_counter_never_counts() {
+        let detached = StatCounter::default();
+        detached.add(5);
+        assert!(detached.stats.counters().is_empty(), "belongs to no bag");
     }
 
     #[test]

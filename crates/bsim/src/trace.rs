@@ -1,180 +1,155 @@
 //! Event tracing — the reproduction's stand-in for waveform dumps.
 //!
-//! The AXI transaction timelines of the paper's Figure 5 are regenerated by
-//! recording [`TraceEvent`]s from the memory system and rendering them as
-//! text timelines.
+//! Every traced observation is one [`TraceEvent`]: a cycle interval on a
+//! named track, optionally tagged with the trace id of the request it
+//! belongs to. The memory system records AXI events as instants into a
+//! [`Tracer`]; the runtime server derives request spans from its event
+//! log. Both render through the same functions: [`to_vcd`] and
+//! [`render_timeline`] here (the paper's Figure 5 timelines) and
+//! [`chrome_trace`](crate::perf::chrome_trace) for Perfetto.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::time::Cycle;
 
-/// One traced event: a cycle, a channel/category label, and a payload line.
+/// One cycle-stamped event record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Cycle at which the event occurred.
-    pub cycle: Cycle,
-    /// Category, e.g. `"AR"`, `"R"`, `"AW"`, `"W"`, `"B"`.
-    pub channel: String,
-    /// Identifier within the category (e.g. AXI ID).
+    /// First cycle of the event.
+    pub start: Cycle,
+    /// Last cycle of the event (`>= start`; instants use `end == start`).
+    pub end: Cycle,
+    /// Track the event renders on, e.g. `"AR"`, `"mem1/R"`, `"tenant3"`.
+    pub track: String,
+    /// Identifier within the track (e.g. the AXI ID).
     pub id: u32,
-    /// Free-form description.
-    pub detail: String,
+    /// Label, e.g. `"addr=0x40 beats=16"` or `"execute"`.
+    pub name: String,
+    /// The request the event belongs to, if any. Events sharing one are
+    /// chained by flow arrows in the Chrome trace.
+    pub trace_id: Option<u64>,
+}
+
+impl TraceEvent {
+    /// An instant at `cycle` with no trace id.
+    pub fn instant(cycle: Cycle, track: &str, id: u32, name: impl Into<String>) -> Self {
+        Self {
+            start: cycle,
+            end: cycle,
+            track: track.to_owned(),
+            id,
+            name: name.into(),
+            trace_id: None,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
 struct TracerInner {
-    enabled: bool,
-    events: Vec<TraceEvent>,
+    enabled: AtomicBool,
     /// Events offered while disabled. Makes disabled→enabled toggles
     /// honest: a timeline with a gap can be distinguished from a timeline
     /// where nothing happened.
-    dropped: u64,
+    dropped: AtomicU64,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
-/// A shared, cloneable event recorder. Disabled by default so that hot
-/// simulation paths pay only a branch when tracing is off.
+/// A shared, cloneable event recorder, disabled when created: a disabled
+/// record is one atomic load and a drop count, with no lock taken.
 #[derive(Debug, Default, Clone)]
 pub struct Tracer {
-    inner: Arc<Mutex<TracerInner>>,
+    inner: Arc<TracerInner>,
+    /// Prepended to the track of every event this handle records.
+    prefix: String,
 }
 
 impl Tracer {
-    /// Creates a disabled tracer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an enabled tracer.
-    pub fn enabled() -> Self {
-        let t = Self::default();
-        t.set_enabled(true);
-        t
+    /// A handle on the same recorder whose events land on tracks
+    /// `{prefix}{track}`, e.g. one per memory port.
+    pub fn prefixed(&self, prefix: String) -> Self {
+        let inner = Arc::clone(&self.inner);
+        Self { inner, prefix }
     }
 
     /// Enables or disables recording.
     pub fn set_enabled(&self, enabled: bool) {
-        self.inner.lock().unwrap().enabled = enabled;
+        self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.lock().unwrap().enabled
-    }
-
-    /// Records an event if enabled; otherwise counts it as dropped (see
+    /// Records an instant if enabled; otherwise counts it as dropped (see
     /// [`Tracer::dropped`]), so a trace enabled mid-run carries an explicit
     /// record of how many events the disabled stretch discarded.
-    pub fn record(&self, cycle: Cycle, channel: &str, id: u32, detail: impl Into<String>) {
-        self.record_with(cycle, channel, id, || detail.into());
+    pub fn record(&self, cycle: Cycle, track: &str, id: u32, name: impl Into<String>) {
+        self.record_with(cycle, track, id, || name.into());
     }
 
-    /// Like [`Tracer::record`], but builds the payload only when the
-    /// tracer is enabled, so a formatted detail costs nothing while
-    /// tracing is off. A disabled call still counts as dropped.
-    pub fn record_with(
-        &self,
-        cycle: Cycle,
-        channel: &str,
-        id: u32,
-        detail: impl FnOnce() -> String,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.enabled {
-            inner.events.push(TraceEvent {
-                cycle,
-                channel: channel.to_owned(),
-                id,
-                detail: detail(),
-            });
-        } else {
-            inner.dropped += 1;
+    /// Like [`Tracer::record`], but builds the label only when the tracer
+    /// is enabled, so a formatted label costs nothing while tracing is
+    /// off. A disabled call still counts as dropped.
+    pub fn record_with(&self, cycle: Cycle, track: &str, id: u32, name: impl FnOnce() -> String) {
+        if !self.inner.enabled.load(Ordering::Relaxed) {
+            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        let track = format!("{}{track}", self.prefix);
+        let event = TraceEvent {
+            track,
+            ..TraceEvent::instant(cycle, "", id, name())
+        };
+        self.inner.events.lock().unwrap().push(event);
     }
 
-    /// Number of events offered while the tracer was disabled. Not reset
-    /// by [`Tracer::clear`] (the drop happened regardless).
+    /// Number of events offered while the tracer was disabled.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        self.inner.dropped.load(Ordering::Relaxed)
     }
 
     /// All recorded events in record order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().unwrap().events.clone()
+        self.inner.events.lock().unwrap().clone()
     }
+}
 
-    /// Events on one channel, in record order.
-    pub fn events_on(&self, channel: &str) -> Vec<TraceEvent> {
-        self.inner
-            .lock()
-            .unwrap()
-            .events
-            .iter()
-            .filter(|e| e.channel == channel)
-            .cloned()
-            .collect()
+/// Converts events to a VCD waveform: one 1-bit signal per (track, id)
+/// pair, pulsing high on each event's start cycle. Open the result in any
+/// waveform viewer.
+pub fn to_vcd(events: &[TraceEvent], timescale_ps: u64) -> String {
+    let mut vcd = crate::vcd::VcdRecorder::new(timescale_ps);
+    let mut signals: BTreeMap<(&str, u32), crate::vcd::SignalId> = BTreeMap::new();
+    for event in events {
+        let id = *signals
+            .entry((&event.track, event.id))
+            .or_insert_with(|| vcd.declare(format!("{}/id{}", event.track, event.id), 1));
+        vcd.change(event.start, id, 1);
+        vcd.change(event.start + 1, id, 0);
     }
+    vcd.render()
+}
 
-    /// Clears recorded events (keeps the enabled flag).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap().events.clear();
+/// Renders an ASCII timeline, one row per (track, id) pair, one column
+/// per `cycles_per_col` cycles; cells show `#` where events started.
+pub fn render_timeline(events: &[TraceEvent], cycles_per_col: Cycle, width: usize) -> String {
+    let Some(start) = events.iter().map(|e| e.start).min() else {
+        return String::from("(no events)\n");
+    };
+    let mut rows: BTreeMap<String, Vec<bool>> = BTreeMap::new();
+    for event in events {
+        let col = ((event.start - start) / cycles_per_col) as usize;
+        if col < width {
+            let label = format!("{:>3}[{:>2}]", event.track, event.id);
+            rows.entry(label).or_insert_with(|| vec![false; width])[col] = true;
+        }
     }
-
-    /// Converts the recorded events to a VCD waveform: one 1-bit signal
-    /// per (channel, id) pair, pulsing high on each event cycle. Open the
-    /// result in any waveform viewer.
-    pub fn to_vcd(&self, timescale_ps: u64) -> String {
-        use std::collections::BTreeMap;
-        let inner = self.inner.lock().unwrap();
-        let mut vcd = crate::vcd::VcdRecorder::new(timescale_ps);
-        let mut signals: BTreeMap<(String, u32), crate::vcd::SignalId> = BTreeMap::new();
-        for event in &inner.events {
-            let key = (event.channel.clone(), event.id);
-            let id = *signals
-                .entry(key)
-                .or_insert_with(|| vcd.declare(format!("{}/id{}", event.channel, event.id), 1));
-            vcd.change(event.cycle, id, 1);
-            vcd.change(event.cycle + 1, id, 0);
-        }
-        vcd.render()
+    let mut out = String::new();
+    for (label, cells) in rows {
+        out.push_str(&label);
+        out.push_str(" |");
+        out.extend(cells.into_iter().map(|cell| if cell { '#' } else { '.' }));
+        out.push('\n');
     }
-
-    /// Renders an ASCII timeline, one row per (channel, id) pair, one column
-    /// per `cycles_per_col` cycles; cells show `#` where events occurred.
-    pub fn render_timeline(&self, cycles_per_col: Cycle, width: usize) -> String {
-        let inner = self.inner.lock().unwrap();
-        if inner.events.is_empty() {
-            return String::from("(no events)\n");
-        }
-        let start = inner.events.iter().map(|e| e.cycle).min().unwrap_or(0);
-        let mut rows: Vec<(String, Vec<bool>)> = Vec::new();
-        for event in &inner.events {
-            let label = format!("{:>3}[{:>2}]", event.channel, event.id);
-            let col = ((event.cycle - start) / cycles_per_col) as usize;
-            if col >= width {
-                continue;
-            }
-            let row = match rows.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, cells)) => cells,
-                None => {
-                    rows.push((label, vec![false; width]));
-                    &mut rows.last_mut().expect("just pushed").1
-                }
-            };
-            row[col] = true;
-        }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut out = String::new();
-        for (label, cells) in rows {
-            out.push_str(&label);
-            out.push(' ');
-            out.push('|');
-            for cell in cells {
-                out.push(if cell { '#' } else { '.' });
-            }
-            out.push('\n');
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
@@ -183,7 +158,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing_but_counts_drops() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         t.record(1, "AR", 0, "x");
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 1);
@@ -191,19 +166,20 @@ mod tests {
 
     #[test]
     fn disabled_tracer_never_builds_a_lazy_detail() {
-        let t = Tracer::new();
-        t.record_with(1, "AR", 0, || unreachable!("detail built while disabled"));
+        let t = Tracer::default();
+        t.record_with(1, "AR", 0, || unreachable!("label built while disabled"));
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 1);
         t.set_enabled(true);
         t.record_with(2, "AR", 0, || format!("addr={:#x}", 0x40));
-        assert_eq!(t.events()[0].detail, "addr=0x40");
+        assert_eq!(t.events()[0].name, "addr=0x40");
+        assert_eq!(t.events()[0].trace_id, None);
         assert_eq!(t.dropped(), 1);
     }
 
     #[test]
     fn mid_run_toggle_yields_well_formed_timeline_and_drop_count() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         // Disabled stretch: cycles 0..3 discarded but accounted for.
         for cycle in 0..3 {
             t.record(cycle, "AR", 0, "early");
@@ -216,43 +192,34 @@ mod tests {
         assert_eq!(t.dropped(), 4);
         assert_eq!(t.events().len(), 2);
         // The rendered timeline covers only the enabled window and stays
-        // well-formed: one row per (channel, id), uniform widths.
-        let timeline = t.render_timeline(1, 8);
+        // well-formed: one row per (track, id), uniform widths.
+        let timeline = render_timeline(&t.events(), 1, 8);
         let widths: Vec<usize> = timeline.lines().map(str::len).collect();
         assert_eq!(timeline.lines().count(), 2);
         assert!(widths.windows(2).all(|w| w[0] == w[1]), "{timeline}");
         assert!(timeline.contains(" AR[ 0] |#"));
-        // Clearing events keeps the historical drop count.
-        t.clear();
-        assert_eq!(t.dropped(), 4);
     }
 
     #[test]
     fn enabled_tracer_records() {
-        let t = Tracer::enabled();
+        let t = Tracer::default();
+        t.set_enabled(true);
         t.record(5, "AR", 1, "read");
         t.record(6, "R", 1, "beat");
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.events_on("AR").len(), 1);
-        assert_eq!(t.events()[0].cycle, 5);
-    }
-
-    #[test]
-    fn clear_keeps_enabled() {
-        let t = Tracer::enabled();
-        t.record(1, "W", 0, "beat");
-        t.clear();
-        assert!(t.events().is_empty());
-        assert!(t.is_enabled());
+        let events = t.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0], TraceEvent::instant(5, "AR", 1, "read"));
+        assert_eq!((events[1].start, events[1].end), (6, 6));
     }
 
     #[test]
     fn timeline_renders_rows_per_channel_id() {
-        let t = Tracer::enabled();
-        t.record(0, "AR", 0, "a");
-        t.record(4, "AR", 1, "b");
-        t.record(2, "R", 0, "c");
-        let timeline = t.render_timeline(1, 8);
+        let events = [
+            TraceEvent::instant(0, "AR", 0, "a"),
+            TraceEvent::instant(4, "AR", 1, "b"),
+            TraceEvent::instant(2, "R", 0, "c"),
+        ];
+        let timeline = render_timeline(&events, 1, 8);
         assert!(timeline.contains(" AR[ 0] |#"));
         assert!(timeline.contains(" AR[ 1] |....#"));
         assert!(timeline.lines().count() == 3);
@@ -260,7 +227,18 @@ mod tests {
 
     #[test]
     fn empty_timeline_is_marked() {
-        let t = Tracer::enabled();
-        assert_eq!(t.render_timeline(1, 4), "(no events)\n");
+        assert_eq!(render_timeline(&[], 1, 4), "(no events)\n");
+    }
+
+    #[test]
+    fn vcd_pulses_one_signal_per_track_id() {
+        let events = [
+            TraceEvent::instant(3, "AR", 0, "a"),
+            TraceEvent::instant(5, "AR", 0, "b"),
+            TraceEvent::instant(4, "mem1/AR", 0, "c"),
+        ];
+        let vcd = to_vcd(&events, 4_000);
+        assert_eq!(vcd.matches("$var wire 1").count(), 2, "{vcd}");
+        assert!(vcd.contains("$scope module mem1 $end"), "{vcd}");
     }
 }

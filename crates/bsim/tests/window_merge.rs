@@ -1,96 +1,60 @@
-//! Property tests for [`bsim::WindowSeries`]: chopping a sample stream
-//! into tumbling windows and merging the per-window histograms back
-//! together must reproduce the whole-run [`bsim::Histogram`] exactly —
-//! counts, sums, extremes, and every percentile. This is the
-//! reconciliation the telemetry layer leans on: per-window p50/p90/p99
-//! time-series are trustworthy *because* they are a lossless partition of
-//! the aggregate histogram, not a second estimator that can drift.
+//! Property tests for [`bsim::Histogram::merge`]: partitioning a sample
+//! stream into histograms (cycle windows, fleet shards) and merging them
+//! back together must reproduce the whole-run histogram exactly — counts,
+//! sums, extremes, and every percentile. Per-window percentiles and the
+//! fleet's cross-shard latency roll-up are trustworthy *because* they are
+//! a lossless partition of the aggregate histogram, not a second
+//! estimator that can drift.
 
-use bsim::{Histogram, WindowSeries};
+use std::collections::BTreeMap;
+
+use bsim::Histogram;
 use proptest::prelude::*;
 
+/// Deals `(key, value)` samples into one histogram per `part(key)`, then
+/// asserts the merged parts equal recording every value into one.
+fn merge_matches_whole(
+    samples: &[(u64, u64)],
+    part: impl Fn(u64) -> u64,
+) -> Result<(), TestCaseError> {
+    let mut parts: BTreeMap<u64, Histogram> = BTreeMap::new();
+    let mut whole = Histogram::new();
+    for &(key, value) in samples {
+        parts.entry(part(key)).or_default().record(value);
+        whole.record(value);
+    }
+    let mut merged = Histogram::new();
+    for h in parts.values() {
+        merged.merge(h);
+    }
+    prop_assert_eq!(merged.count(), whole.count());
+    prop_assert_eq!(merged.sum(), whole.sum());
+    prop_assert_eq!(merged.min(), whole.min());
+    prop_assert_eq!(merged.max(), whole.max());
+    for p in [1.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
+        prop_assert_eq!(merged.percentile(p), whole.percentile(p), "p{}", p);
+    }
+    Ok(())
+}
+
 proptest! {
-    /// Windowed recording is a lossless partition of direct recording:
-    /// merging every window's histogram equals the whole-run histogram at
-    /// every percentile, for any (cycle, value) stream and window width.
+    /// Tumbling windows of any width: the per-window histograms merge to
+    /// the whole-run histogram at every percentile.
     #[test]
     fn windowed_histograms_merge_to_whole_run_totals(
         samples in proptest::collection::vec((0u64..1_000_000, 0u64..1_000_000_000), 0..200),
         width in 1u64..100_000,
     ) {
-        let mut series = WindowSeries::new(width);
-        let mut direct = Histogram::new();
-        for &(cycle, value) in &samples {
-            series.record(cycle, "latency_cycles", value);
-            direct.record(value);
-        }
-        let merged = series.merged_histogram("latency_cycles");
-        prop_assert_eq!(merged.count(), direct.count());
-        prop_assert_eq!(merged.sum(), direct.sum());
-        prop_assert_eq!(merged.min(), direct.min());
-        prop_assert_eq!(merged.max(), direct.max());
-        for p in [1.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
-            prop_assert_eq!(merged.percentile(p), direct.percentile(p), "p{}", p);
-        }
+        merge_matches_whole(&samples, |cycle| cycle / width)?;
     }
 
-    /// Counters partition the same way: per-window counts sum to the
-    /// whole-run total, and each sample lands in exactly one window.
-    #[test]
-    fn windowed_counters_partition_the_total(
-        cycles in proptest::collection::vec(0u64..1_000_000, 1..200),
-        width in 1u64..100_000,
-    ) {
-        let mut series = WindowSeries::new(width);
-        for &cycle in &cycles {
-            series.incr(cycle, "completed");
-        }
-        prop_assert_eq!(series.total("completed"), cycles.len() as u64);
-        let per_window: u64 = series.windows().map(|(_, c)| c.counter("completed")).sum();
-        prop_assert_eq!(per_window, cycles.len() as u64);
-        // Window starts align to the width grid and stay in range.
-        for (start, _) in series.windows() {
-            prop_assert_eq!(start % width, 0);
-        }
-    }
-
-    /// Merging shard-local series then reading the merged histogram is
-    /// the same as recording everything into one series — the fleet
-    /// aggregation path has no estimator of its own.
+    /// Shard-local histograms merge like one histogram — the fleet's
+    /// latency aggregation has no estimator of its own.
     #[test]
     fn sharded_series_merge_like_one_series(
-        samples in proptest::collection::vec(
-            (0u64..8, 0u64..100_000, 0u64..1_000_000), 0..120),
-        width in 1u64..10_000,
+        samples in proptest::collection::vec((0u64..8, 0u64..1_000_000), 0..120),
+        shards in 1u64..6,
     ) {
-        let n_shards = 4usize;
-        let mut shards: Vec<WindowSeries> =
-            (0..n_shards).map(|_| WindowSeries::new(width)).collect();
-        let mut combined = WindowSeries::new(width);
-        for &(shard, cycle, value) in &samples {
-            let s = (shard % n_shards as u64) as usize;
-            shards[s].record(cycle, "queue_wait_cycles", value);
-            shards[s].incr(cycle, "completed");
-            combined.record(cycle, "queue_wait_cycles", value);
-            combined.incr(cycle, "completed");
-        }
-        let mut merged = WindowSeries::new(width);
-        for shard in &shards {
-            merged.merge_from(shard);
-        }
-        prop_assert_eq!(merged.total("completed"), combined.total("completed"));
-        let mh = merged.merged_histogram("queue_wait_cycles");
-        let ch = combined.merged_histogram("queue_wait_cycles");
-        prop_assert_eq!(mh.count(), ch.count());
-        prop_assert_eq!(mh.sum(), ch.sum());
-        for p in [50.0, 90.0, 99.0] {
-            prop_assert_eq!(mh.percentile(p), ch.percentile(p), "p{}", p);
-        }
-        // Window-by-window, not just in aggregate.
-        let m: Vec<(u64, u64)> =
-            merged.windows().map(|(s, c)| (s, c.counter("completed"))).collect();
-        let c: Vec<(u64, u64)> =
-            combined.windows().map(|(s, c)| (s, c.counter("completed"))).collect();
-        prop_assert_eq!(m, c);
+        merge_matches_whole(&samples, |key| key % shards)?;
     }
 }

@@ -8,7 +8,8 @@
 //! cargo run --release --example memcpy_timeline
 //! ```
 
-use beethoven::kernels::memcpy::{render_timeline, run_memcpy, run_memcpy_traced, MemcpyVariant};
+use beethoven::kernels::memcpy::{run_memcpy, run_memcpy_traced, MemcpyVariant};
+use beethoven::sim::render_timeline;
 
 fn main() {
     println!("== AXI timelines for a 4 KiB copy ==\n");
@@ -26,7 +27,7 @@ fn main() {
         );
         println!(
             "{}",
-            render_timeline(&result, (result.cycles / 100).max(1), 100)
+            render_timeline(&result.trace, (result.cycles / 100).max(1), 100)
         );
     }
 
