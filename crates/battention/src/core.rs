@@ -198,16 +198,17 @@ impl A3Core {
     /// Stage 1: one key dot product per cycle (a `dim`-wide MAC array),
     /// with the running max reduction.
     fn tick_stage1(&mut self, ctx: &mut CoreContext) {
-        if self.stage1.is_none() && self.queries_pending > 0 {
-            if let Some(query_bytes) = ctx.reader(self.q_in).pop_bytes(self.dim) {
-                self.stage1 = Some(Stage1 {
-                    query: query_bytes.into_iter().map(|b| b as i8).collect(),
-                    key_idx: 0,
-                    scores: Vec::with_capacity(self.n_keys),
-                    max: i32::MIN,
-                });
-                self.queries_pending -= 1;
-            }
+        let reader = ctx.reader(self.q_in);
+        if self.stage1.is_none() && self.queries_pending > 0 && reader.available() >= self.dim {
+            let mut query = vec![0u8; self.dim];
+            reader.pop_into(&mut query);
+            self.stage1 = Some(Stage1 {
+                query: query.into_iter().map(|b| b as i8).collect(),
+                key_idx: 0,
+                scores: Vec::with_capacity(self.n_keys),
+                max: i32::MIN,
+            });
+            self.queries_pending -= 1;
         }
         let Some(st) = &mut self.stage1 else { return };
         if st.key_idx < self.n_keys {

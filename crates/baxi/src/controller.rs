@@ -12,6 +12,7 @@
 //!   copies across IDs.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bdram::{DramRequest, DramSystem};
@@ -19,7 +20,7 @@ use bsim::perf::CounterSet;
 use bsim::{ClockDomain, Component, Cycle, SimCtx, SparseMemory, StatCounter, Stats, Tracer};
 
 use crate::port::AxiSlavePort;
-use crate::types::{validate_burst, AxiParams, BFlit, RFlit};
+use crate::types::{strobe_mask, validate_burst, AxiParams, BFlit, Beat, RFlit};
 
 /// Shared handle to the functional memory image. Backed by `Arc<Mutex<..>>`
 /// so a controller — and the `Simulation` holding it — stays `Send`; the
@@ -108,9 +109,10 @@ struct WriteTxn {
     addr: u64,
     beats: u32,
     beats_recv: u32,
+    /// The burst's bytes, beat after beat; only strobed bytes are valid.
     data: Vec<u8>,
-    /// Byte-enable mask accumulated from W strobes.
-    mask: Vec<bool>,
+    /// Each received beat's W strobe, one bit per byte.
+    mask: Vec<u64>,
     subs_total: usize,
     subs_done: usize,
     subs_issued: usize,
@@ -135,6 +137,32 @@ fn retire<T>(txns: &mut Vec<T>, idx: usize, key: fn(&mut T) -> (u32, &mut usize)
         }
     }
     txn
+}
+
+/// Calls `write` with the byte range of each maximal run of enabled bytes
+/// in a burst whose beat `i` is `beat_bytes` wide with strobe `mask[i]`;
+/// a fully strobed burst costs two bit scans per beat and one call.
+fn for_each_run(mask: &[u64], beat_bytes: usize, mut write: impl FnMut(Range<usize>)) {
+    let mut run = 0..0;
+    for (beat, &strb) in mask.iter().enumerate() {
+        let mut bits = strb;
+        while bits != 0 {
+            let lo = bits.trailing_zeros() as usize;
+            let len = (!(bits >> lo)).trailing_zeros() as usize;
+            bits &= u64::MAX.checked_shl((lo + len) as u32).unwrap_or(0);
+            let start = beat * beat_bytes + lo;
+            if run.end != start {
+                if !run.is_empty() {
+                    write(run.clone());
+                }
+                run.start = start;
+            }
+            run.end = start + len;
+        }
+    }
+    if !run.is_empty() {
+        write(run);
+    }
 }
 
 /// The per-ID stats name `{prefix}{id}` from `names`, which is indexed by
@@ -305,19 +333,14 @@ impl AxiMemoryController {
         self.dram.set_event_driven(enabled);
     }
 
-    /// Bytes per DRAM sub-burst.
-    fn dram_burst(&self) -> u64 {
-        self.dram.bytes_per_burst()
-    }
-
     fn sub_count(&self, bytes: u64) -> usize {
-        (bytes.div_ceil(self.dram_burst())) as usize
+        (bytes.div_ceil(self.dram_bytes_per_burst())) as usize
     }
 
     /// Which sub-bursts cover AXI beat `beat` of a txn at `addr`.
     fn subs_for_beat(&self, beat: u32) -> (usize, usize) {
         let db = u64::from(self.config.axi.data_bytes);
-        let burst = self.dram_burst();
+        let burst = self.dram_bytes_per_burst();
         let lo = (u64::from(beat) * db) / burst;
         let hi = ((u64::from(beat) + 1) * db - 1) / burst;
         (lo as usize, hi as usize)
@@ -391,7 +414,7 @@ impl AxiMemoryController {
             beats: aw.beats,
             beats_recv: 0,
             data: vec![0u8; bytes as usize],
-            mask: vec![false; bytes as usize],
+            mask: vec![0; aw.beats as usize],
             subs_total: self.sub_count(bytes),
             subs_done: 0,
             subs_issued: 0,
@@ -423,22 +446,13 @@ impl AxiMemoryController {
         let txn = &mut self.writes[self.w_open];
         let db = self.config.axi.data_bytes as usize;
         assert_eq!(w.data.len(), db, "W beat width mismatch");
-        let off = txn.beats_recv as usize * db;
-        match &w.strb {
-            None => {
-                txn.data[off..off + db].copy_from_slice(&w.data);
-                txn.mask[off..off + db].fill(true);
-            }
-            Some(strb) => {
-                assert_eq!(strb.len(), db, "W strobe width mismatch");
-                for (i, (&byte, &en)) in w.data.iter().zip(strb.iter()).enumerate() {
-                    if en {
-                        txn.data[off + i] = byte;
-                        txn.mask[off + i] = true;
-                    }
-                }
-            }
-        }
+        let full = strobe_mask(db);
+        let strb = w.strb.unwrap_or(full);
+        assert_eq!(strb & !full, 0, "W strobe width mismatch");
+        // The whole beat is stored; the strobe decides what commits.
+        let beat = txn.beats_recv as usize;
+        txn.data[beat * db..(beat + 1) * db].copy_from_slice(&w.data);
+        txn.mask[beat] = strb;
         txn.beats_recv += 1;
         let id = txn.id;
         let is_last_beat = txn.beats_recv == txn.beats;
@@ -461,7 +475,8 @@ impl AxiMemoryController {
     fn issue_dram(&mut self, _now: Cycle) {
         let mut budget = self.config.dram_issue_per_cycle;
         let window = self.config.same_id_inflight;
-        let burst = self.dram_burst();
+        let burst = self.dram_bytes_per_burst();
+        let db = self.config.axi.data_bytes as usize;
 
         for txn in &mut self.reads {
             if txn.subs_issued == txn.sub_done.len() || txn.ahead >= window {
@@ -499,18 +514,9 @@ impl AxiMemoryController {
                 txn.applied = true;
                 // Commit contiguous strobed runs so disabled bytes survive.
                 let mut mem = self.memory.borrow_mut();
-                let mut run_start: Option<usize> = None;
-                for i in 0..=txn.mask.len() {
-                    let on = i < txn.mask.len() && txn.mask[i];
-                    match (run_start, on) {
-                        (None, true) => run_start = Some(i),
-                        (Some(start), false) => {
-                            mem.write(txn.addr + start as u64, &txn.data[start..i]);
-                            run_start = None;
-                        }
-                        _ => {}
-                    }
-                }
+                for_each_run(&txn.mask, db, |run| {
+                    mem.write(txn.addr + run.start as u64, &txn.data[run]);
+                });
             }
             while budget > 0 && txn.subs_issued < txn.subs_total {
                 let sub = txn.subs_issued;
@@ -582,9 +588,10 @@ impl AxiMemoryController {
         if !self.next_beat_ready(txn) {
             return; // next beat's data not back from DRAM yet
         }
-        let db = u64::from(self.config.axi.data_bytes);
-        let beat_addr = txn.addr + u64::from(txn.beats_sent) * db;
-        let data = self.memory.borrow().read_vec(beat_addr, db as usize);
+        let db = self.config.axi.data_bytes as usize;
+        let beat_addr = txn.addr + u64::from(txn.beats_sent) * db as u64;
+        let mut data = Beat::zeroed(db);
+        self.memory.borrow().read(beat_addr, &mut data);
         let last = txn.beats_sent + 1 == txn.beats;
         let id = txn.id;
         self.port.r.send(ctx, now, RFlit { id, data, last });
@@ -768,7 +775,7 @@ mod tests {
         for beat in 0..2u8 {
             master
                 .w
-                .send(sim.ctx(), 0, WFlit::full(vec![beat + 1; 64], beat == 1));
+                .send(sim.ctx(), 0, WFlit::full(&[beat + 1; 64], beat == 1));
         }
         let b = loop {
             sim.step();
@@ -787,9 +794,7 @@ mod tests {
     fn strobed_write_touches_only_enabled_bytes() {
         let (master, _ctrl, mut sim, memory) = setup(ControllerConfig::default());
         memory.borrow_mut().write(0x3000, &[0xFFu8; 64]);
-        let mut strb = vec![false; 64];
-        strb[0] = true;
-        strb[63] = true;
+        let strb = 1 | 1 << 63;
         master.aw.send(
             sim.ctx(),
             0,
@@ -803,7 +808,7 @@ mod tests {
             sim.ctx(),
             0,
             WFlit {
-                data: vec![0xAA; 64],
+                data: Beat::from_slice(&[0xAA; 64]),
                 strb: Some(strb),
                 last: true,
             },
@@ -818,7 +823,7 @@ mod tests {
         let out = memory.borrow().read_vec(0x3000, 64);
         assert_eq!(out[0], 0xAA);
         assert_eq!(out[63], 0xAA);
-        assert_eq!(out[1], 0xFF);
+        assert_eq!(out[1..63], [0xFF; 62]);
     }
 
     /// The paper's §III-A observation: four 16-beat reads on one ID finish
@@ -872,9 +877,7 @@ mod tests {
                 beats: 1,
             },
         );
-        master
-            .w
-            .send(sim.ctx(), 0, WFlit::full(vec![7u8; 64], true));
+        master.w.send(sim.ctx(), 0, WFlit::full(&[7u8; 64], true));
         loop {
             sim.step();
             if master.b.recv(sim.ctx(), sim.now()).is_some() {
@@ -894,7 +897,7 @@ mod tests {
         loop {
             sim.step();
             if let Some(r) = master.r.recv(sim.ctx(), sim.now()) {
-                assert_eq!(r.data, vec![7u8; 64]);
+                assert_eq!(*r.data, [7u8; 64]);
                 break;
             }
             assert!(sim.now() < 20_000);

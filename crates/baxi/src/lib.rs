@@ -26,4 +26,7 @@ mod types;
 
 pub use controller::{AxiMemoryController, ControllerConfig, SharedMemory};
 pub use port::{axi_link, axi_link_with_latency, AxiMasterPort, AxiSlavePort, PortDepths};
-pub use types::{ArFlit, AwFlit, AxiBurstError, AxiParams, BFlit, RFlit, WFlit};
+pub use types::{
+    strobe_mask, ArFlit, AwFlit, AxiBurstError, AxiParams, BFlit, Beat, RFlit, WFlit,
+    MAX_BEAT_BYTES,
+};

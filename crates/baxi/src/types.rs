@@ -123,13 +123,65 @@ pub struct ArFlit {
     pub beats: u32,
 }
 
+/// The widest memory-bus beat any platform declares, in bytes.
+pub const MAX_BEAT_BYTES: usize = 64;
+
+/// One beat of AXI data held inline: up to [`MAX_BEAT_BYTES`] bytes and
+/// the beat's width. It derefs to exactly its width; the bytes past it
+/// stay zero, so equality compares the visible bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Beat {
+    bytes: [u8; MAX_BEAT_BYTES],
+    len: u8,
+}
+
+impl Beat {
+    /// An all-zero beat `len` bytes wide. Panics above [`MAX_BEAT_BYTES`].
+    pub fn zeroed(len: usize) -> Self {
+        assert!(
+            len <= MAX_BEAT_BYTES,
+            "beat of {len} bytes exceeds MAX_BEAT_BYTES ({MAX_BEAT_BYTES})"
+        );
+        Self {
+            bytes: [0; MAX_BEAT_BYTES],
+            len: len as u8,
+        }
+    }
+
+    /// A beat holding a copy of `data`, as wide as `data`.
+    pub fn from_slice(data: &[u8]) -> Self {
+        let mut beat = Self::zeroed(data.len());
+        beat.copy_from_slice(data);
+        beat
+    }
+}
+
+impl std::ops::Deref for Beat {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::DerefMut for Beat {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes[..usize::from(self.len)]
+    }
+}
+
+/// The W strobe enabling the low `bytes` (1 to 64) bytes of a beat.
+pub fn strobe_mask(bytes: usize) -> u64 {
+    u64::MAX >> (MAX_BEAT_BYTES - bytes)
+}
+
 /// A read-data (R) flit: one beat of read data.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RFlit {
     /// Transaction ID this beat belongs to.
     pub id: u32,
-    /// One beat of data (`data_bytes` long).
-    pub data: Vec<u8>,
+    /// One beat of data (`data_bytes` wide).
+    pub data: Beat,
     /// Whether this is the final beat of the burst.
     pub last: bool,
 }
@@ -148,21 +200,22 @@ pub struct AwFlit {
 /// A write-data (W) flit: one beat of write data.
 ///
 /// Note W carries no ID in AXI4: write data arrives in AW order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WFlit {
-    /// One beat of data (`data_bytes` long).
-    pub data: Vec<u8>,
-    /// Byte-enable mask; `None` means all bytes valid.
-    pub strb: Option<Vec<bool>>,
+    /// One beat of data (`data_bytes` wide).
+    pub data: Beat,
+    /// Byte-enable mask, bit `i` enabling byte `i`; `None` means all
+    /// bytes valid.
+    pub strb: Option<u64>,
     /// Whether this is the final beat of the burst.
     pub last: bool,
 }
 
 impl WFlit {
-    /// A full-width beat with all bytes enabled.
-    pub fn full(data: Vec<u8>, last: bool) -> Self {
+    /// A full-width beat carrying a copy of `data`, all bytes enabled.
+    pub fn full(data: &[u8], last: bool) -> Self {
         Self {
-            data,
+            data: Beat::from_slice(data),
             strb: None,
             last,
         }

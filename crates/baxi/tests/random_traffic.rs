@@ -86,7 +86,7 @@ proptest! {
                             rig.master.w.send(
                                 rig.sim.ctx(),
                                 rig.sim.now(),
-                                WFlit::full(vec![value; 64], sent + 1 == beats),
+                                WFlit::full(&[value; 64], sent + 1 == beats),
                             );
                             for b in 0..64u64 {
                                 model.insert(addr + u64::from(sent) * 64 + b, value);

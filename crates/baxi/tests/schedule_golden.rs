@@ -169,7 +169,7 @@ fn run(same_id_inflight: usize, txns: &[Txn]) -> (u64, u64) {
             }
             master
                 .w
-                .send(sim.ctx(), now, WFlit::full(vec![fill; 64], last));
+                .send(sim.ctx(), now, WFlit::full(&[fill; 64], last));
             w_beats.pop_front();
         }
         sim.step();

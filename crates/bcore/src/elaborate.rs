@@ -56,6 +56,22 @@ pub enum ElaborationError {
         /// What was wrong.
         reason: String,
     },
+    /// A Reader prefetch or Writer staging buffer cannot hold one burst
+    /// (`burst_beats × mem_bus_bytes`), so its stream would never issue.
+    BufferBelowBurst {
+        /// `"prefetch_bytes"` or `"staging_bytes"`.
+        buffer: &'static str,
+        /// The configured size.
+        bytes: usize,
+        /// One burst's bytes.
+        burst_bytes: u64,
+    },
+    /// The platform's memory bus is wider than one AXI beat can carry
+    /// ([`baxi::MAX_BEAT_BYTES`]).
+    BusTooWide {
+        /// The platform's `mem_bus_bytes`.
+        bus_bytes: u32,
+    },
 }
 
 impl std::fmt::Display for ElaborationError {
@@ -75,6 +91,19 @@ impl std::fmt::Display for ElaborationError {
             } => {
                 write!(f, "intra-core port '{port}' of system '{system}': {reason}")
             }
+            ElaborationError::BufferBelowBurst {
+                buffer,
+                bytes,
+                burst_bytes,
+            } => write!(
+                f,
+                "{buffer} of {bytes} bytes cannot hold one {burst_bytes}-byte burst"
+            ),
+            ElaborationError::BusTooWide { bus_bytes } => write!(
+                f,
+                "memory bus of {bus_bytes} bytes exceeds the {}-byte beat limit",
+                baxi::MAX_BEAT_BYTES
+            ),
         }
     }
 }
@@ -292,6 +321,25 @@ pub fn elaborate_with(
                     out.to_system, out.to_memory_port
                 )));
             }
+        }
+    }
+
+    if platform.mem_bus_bytes as usize > baxi::MAX_BEAT_BYTES {
+        return Err(ElaborationError::BusTooWide {
+            bus_bytes: platform.mem_bus_bytes,
+        });
+    }
+    let burst_bytes = u64::from(opts.burst_beats) * u64::from(platform.mem_bus_bytes);
+    for (buffer, bytes) in [
+        ("prefetch_bytes", opts.prefetch_bytes),
+        ("staging_bytes", opts.staging_bytes),
+    ] {
+        if (bytes as u64) < burst_bytes {
+            return Err(ElaborationError::BufferBelowBurst {
+                buffer,
+                bytes,
+                burst_bytes,
+            });
         }
     }
 
@@ -986,6 +1034,36 @@ mod tests {
         assert!(matches!(
             elaborate(cfg, &Platform::sim()),
             Err(ElaborationError::DuplicateChannel { .. })
+        ));
+    }
+
+    #[test]
+    fn datapath_sizes_are_validated() {
+        let mut wide = Platform::sim();
+        wide.mem_bus_bytes = 128;
+        assert!(matches!(
+            elaborate(vecadd_config(1), &wide),
+            Err(ElaborationError::BusTooWide { bus_bytes: 128 })
+        ));
+        // Exactly one burst is enough; one byte less is not.
+        let opts = ElaborationOptions {
+            prefetch_bytes: 16 * 64,
+            staging_bytes: 16 * 64,
+            ..Default::default()
+        }
+        .with_burst_beats(16);
+        assert!(elaborate_with(vecadd_config(1), &Platform::sim(), opts.clone()).is_ok());
+        let short = ElaborationOptions {
+            staging_bytes: 16 * 64 - 1,
+            ..opts
+        };
+        assert!(matches!(
+            elaborate_with(vecadd_config(1), &Platform::sim(), short),
+            Err(ElaborationError::BufferBelowBurst {
+                buffer: "staging_bytes",
+                burst_bytes: 1024,
+                ..
+            })
         ));
     }
 

@@ -8,10 +8,73 @@
 //! one master's TLP transactions — retain memory-controller parallelism)
 //! and routes responses back by table lookup.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use baxi::{AxiMasterPort, AxiSlavePort, BFlit, RFlit};
+use baxi::{ArFlit, AwFlit, AxiMasterPort, AxiSlavePort, BFlit, RFlit};
 use bsim::{Component, Cycle, SimCtx, StatCounter, Stats};
+
+/// The controller-side IDs of one direction, in a slab indexed by
+/// controller ID holding `(master, original id, outstanding txns)`, so
+/// routing a response beat is one index.
+///
+/// The mapping is *stable per (master, original id)* while any
+/// transaction is outstanding: AXI ordering requires same-ID requests to
+/// stay on one downstream ID, which is exactly what preserves the No-TLP
+/// ablation's serialization.
+#[derive(Debug)]
+struct IdTable {
+    routes: Vec<Option<(usize, u32, u32)>>,
+    /// Free controller IDs, popped from the back.
+    free: Vec<u32>,
+}
+
+impl IdTable {
+    fn new(num_ids: u32) -> Self {
+        Self {
+            routes: vec![None; num_ids as usize],
+            free: (0..num_ids).rev().collect(),
+        }
+    }
+
+    /// Opens one transaction from `master`'s `id` on the controller ID
+    /// already carrying that pair, else on a free one; `None` when every
+    /// ID is taken.
+    fn open(&mut self, master: usize, id: u32) -> Option<u32> {
+        let mapped = self
+            .routes
+            .iter()
+            .position(|r| matches!(*r, Some((m, i, _)) if (m, i) == (master, id)));
+        let ctrl = match mapped {
+            Some(ctrl) => ctrl as u32,
+            None => self.free.pop()?,
+        };
+        self.routes[ctrl as usize].get_or_insert((master, id, 0)).2 += 1;
+        Some(ctrl)
+    }
+
+    /// The `(master, original id)` a response on `ctrl` belongs to.
+    fn route(&self, ctrl: u32) -> (usize, u32) {
+        let (master, id, _) =
+            self.routes[ctrl as usize].expect("response with unmapped controller id");
+        (master, id)
+    }
+
+    /// Retires one transaction on `ctrl`, freeing the ID with its last.
+    fn close(&mut self, ctrl: u32) {
+        let slot = &mut self.routes[ctrl as usize];
+        let outstanding = &mut slot.as_mut().expect("mapped").2;
+        *outstanding -= 1;
+        if *outstanding == 0 {
+            *slot = None;
+            self.free.push(ctrl);
+        }
+    }
+
+    /// Controller IDs currently mapped.
+    fn in_flight(&self) -> usize {
+        self.routes.len() - self.free.len()
+    }
+}
 
 /// A round-robin AXI interconnect with per-transaction ID remapping.
 pub struct AxiInterconnect {
@@ -19,23 +82,8 @@ pub struct AxiInterconnect {
     masters: Vec<AxiSlavePort>,
     /// Downstream port toward the memory controller.
     downstream: AxiMasterPort,
-    /// Free controller-side read IDs.
-    free_read_ids: Vec<u32>,
-    /// Free controller-side write IDs.
-    free_write_ids: Vec<u32>,
-    /// Controller read id -> (master index, original id, outstanding txns).
-    ///
-    /// The mapping is *stable per (master, original id)* while any
-    /// transaction is outstanding: AXI ordering requires same-ID requests
-    /// to stay on one downstream ID, which is exactly what preserves the
-    /// No-TLP ablation's serialization.
-    read_map: HashMap<u32, (usize, u32, u32)>,
-    /// Reverse read map: (master, original id) -> controller id.
-    read_alloc: HashMap<(usize, u32), u32>,
-    /// Controller write id -> (master index, original id, outstanding txns).
-    write_map: HashMap<u32, (usize, u32, u32)>,
-    /// Reverse write map.
-    write_alloc: HashMap<(usize, u32), u32>,
+    reads: IdTable,
+    writes: IdTable,
     /// Masters whose accepted AW bursts still owe W beats, in AW order.
     w_route: VecDeque<(usize, u32)>,
     rr_ar: usize,
@@ -64,12 +112,8 @@ impl AxiInterconnect {
         Self {
             masters,
             downstream,
-            free_read_ids: (0..num_ids).rev().collect(),
-            free_write_ids: (0..num_ids).rev().collect(),
-            read_map: HashMap::new(),
-            read_alloc: HashMap::new(),
-            write_map: HashMap::new(),
-            write_alloc: HashMap::new(),
+            reads: IdTable::new(num_ids),
+            writes: IdTable::new(num_ids),
             w_route: VecDeque::new(),
             rr_ar: 0,
             rr_aw: 0,
@@ -88,54 +132,27 @@ impl AxiInterconnect {
     fn route_r(&mut self, ctx: &SimCtx, now: Cycle) {
         // Forward as many R beats as the upstream ports can take.
         while let Some(ctrl_id) = self.downstream.r.peek_with(ctx, now, |f| f.id) {
-            let &(master, orig_id, _) = self
-                .read_map
-                .get(&ctrl_id)
-                .expect("R beat with unmapped controller id");
+            let (master, id) = self.reads.route(ctrl_id);
             if !self.masters[master].r.can_send(ctx) {
                 break;
             }
             let flit = self.downstream.r.recv(ctx, now).expect("peeked");
-            let last = flit.last;
-            self.masters[master].r.send(
-                ctx,
-                now,
-                RFlit {
-                    id: orig_id,
-                    data: flit.data,
-                    last,
-                },
-            );
-            if last {
-                let entry = self.read_map.get_mut(&ctrl_id).expect("mapped");
-                entry.2 -= 1;
-                if entry.2 == 0 {
-                    self.read_alloc.remove(&(master, orig_id));
-                    self.read_map.remove(&ctrl_id);
-                    self.free_read_ids.push(ctrl_id);
-                }
+            self.masters[master].r.send(ctx, now, RFlit { id, ..flit });
+            if flit.last {
+                self.reads.close(ctrl_id);
             }
         }
     }
 
     fn route_b(&mut self, ctx: &SimCtx, now: Cycle) {
         while let Some(ctrl_id) = self.downstream.b.peek_with(ctx, now, |f| f.id) {
-            let &(master, orig_id, _) = self
-                .write_map
-                .get(&ctrl_id)
-                .expect("B with unmapped controller id");
+            let (master, id) = self.writes.route(ctrl_id);
             if !self.masters[master].b.can_send(ctx) {
                 break;
             }
             self.downstream.b.recv(ctx, now).expect("peeked");
-            self.masters[master].b.send(ctx, now, BFlit { id: orig_id });
-            let entry = self.write_map.get_mut(&ctrl_id).expect("mapped");
-            entry.2 -= 1;
-            if entry.2 == 0 {
-                self.write_alloc.remove(&(master, orig_id));
-                self.write_map.remove(&ctrl_id);
-                self.free_write_ids.push(ctrl_id);
-            }
+            self.masters[master].b.send(ctx, now, BFlit { id });
+            self.writes.close(ctrl_id);
         }
     }
 
@@ -149,22 +166,12 @@ impl AxiInterconnect {
             let Some(orig_id) = self.masters[m].ar.peek_with(ctx, now, |f| f.id) else {
                 continue;
             };
-            let ctrl_id = match self.read_alloc.get(&(m, orig_id)) {
-                Some(&id) => id,
-                None => {
-                    let Some(id) = self.free_read_ids.pop() else {
-                        self.id_stalls.incr();
-                        continue; // this master must wait for a free id
-                    };
-                    self.read_alloc.insert((m, orig_id), id);
-                    self.read_map.insert(id, (m, orig_id, 0));
-                    id
-                }
+            let Some(id) = self.reads.open(m, orig_id) else {
+                self.id_stalls.incr();
+                continue; // this master must wait for a free id
             };
-            let mut ar = self.masters[m].ar.recv(ctx, now).expect("peeked");
-            self.read_map.get_mut(&ctrl_id).expect("mapped").2 += 1;
-            ar.id = ctrl_id;
-            self.downstream.ar.send(ctx, now, ar);
+            let ar = self.masters[m].ar.recv(ctx, now).expect("peeked");
+            self.downstream.ar.send(ctx, now, ArFlit { id, ..ar });
             self.ar_forwarded.incr();
             self.rr_ar = (m + 1) % n;
             return; // one AR per cycle
@@ -181,24 +188,13 @@ impl AxiInterconnect {
             let Some(orig_id) = self.masters[m].aw.peek_with(ctx, now, |f| f.id) else {
                 continue;
             };
-            let ctrl_id = match self.write_alloc.get(&(m, orig_id)) {
-                Some(&id) => id,
-                None => {
-                    let Some(id) = self.free_write_ids.pop() else {
-                        self.id_stalls.incr();
-                        continue;
-                    };
-                    self.write_alloc.insert((m, orig_id), id);
-                    self.write_map.insert(id, (m, orig_id, 0));
-                    id
-                }
+            let Some(id) = self.writes.open(m, orig_id) else {
+                self.id_stalls.incr();
+                continue;
             };
-            let mut aw = self.masters[m].aw.recv(ctx, now).expect("peeked");
-            self.write_map.get_mut(&ctrl_id).expect("mapped").2 += 1;
-            aw.id = ctrl_id;
-            let beats = aw.beats;
-            self.downstream.aw.send(ctx, now, aw);
-            self.w_route.push_back((m, beats));
+            let aw = self.masters[m].aw.recv(ctx, now).expect("peeked");
+            self.downstream.aw.send(ctx, now, AwFlit { id, ..aw });
+            self.w_route.push_back((m, aw.beats));
             self.aw_forwarded.incr();
             self.rr_aw = (m + 1) % n;
             return;
@@ -218,11 +214,10 @@ impl AxiInterconnect {
             let Some(w) = self.masters[master].w.recv(ctx, now) else {
                 return;
             };
-            let last = w.last;
             self.downstream.w.send(ctx, now, w);
             let front = self.w_route.front_mut().expect("non-empty");
             front.1 -= 1;
-            debug_assert_eq!(last, front.1 == 0, "W last flag mismatches AW beat count");
+            debug_assert_eq!(w.last, front.1 == 0, "W last flag mismatches AW beat count");
             if front.1 == 0 {
                 self.w_route.pop_front();
             }
@@ -246,7 +241,7 @@ impl Component for AxiInterconnect {
     fn next_event(&self, ctx: &SimCtx, now: Cycle) -> Option<Cycle> {
         // Any routed transaction still in flight keeps the mux active: R/B
         // beats can arrive and W beats can stream on any cycle.
-        if !self.read_map.is_empty() || !self.write_map.is_empty() || !self.w_route.is_empty() {
+        if self.reads.in_flight() > 0 || self.writes.in_flight() > 0 || !self.w_route.is_empty() {
             return Some(now + 1);
         }
         // Otherwise wake when a request flit from a core (or a stray
@@ -268,8 +263,8 @@ impl Component for AxiInterconnect {
     }
 
     fn register_wakes(&self, ctx: &SimCtx, waker: &bsim::Waker) {
-        // The in-flight branch of `next_event` only holds while the maps
-        // are nonempty, and the maps only change inside our own tick; the
+        // The in-flight branch of `next_event` only holds while IDs are
+        // mapped, and the tables only change inside our own tick; the
         // idle branch depends exactly on these four channel directions.
         for m in &self.masters {
             m.ar.wake_on_send(ctx, waker);
@@ -284,8 +279,8 @@ impl std::fmt::Debug for AxiInterconnect {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AxiInterconnect")
             .field("masters", &self.masters.len())
-            .field("reads_in_flight", &self.read_map.len())
-            .field("writes_in_flight", &self.write_map.len())
+            .field("reads_in_flight", &self.reads.in_flight())
+            .field("writes_in_flight", &self.writes.in_flight())
             .finish()
     }
 }
@@ -387,10 +382,11 @@ mod tests {
                 .unwrap();
         }
         let mut collected: Vec<Vec<u8>> = vec![Vec::new(); 4];
+        let mut chunk = [0u8; 64];
         while collected.iter().any(|c| c.len() < 2048) {
             sim.step();
             for (i, reader) in readers.iter().enumerate() {
-                while let Some(chunk) = sim.get_mut(*reader).0.pop_chunk() {
+                while sim.get_mut(*reader).0.pop_into(&mut chunk) {
                     collected[i].extend(chunk);
                 }
             }
@@ -421,8 +417,8 @@ mod tests {
                 }
             }
             sim.step();
-            while let Some(chunk) = sim.get_mut(readers[0]).0.pop_chunk() {
-                read_bytes += chunk.len();
+            while sim.get_mut(readers[0]).0.pop_into(&mut [0u8; 64]) {
+                read_bytes += 64;
             }
             assert!(sim.now() < 200_000);
         }
@@ -439,10 +435,11 @@ mod tests {
         sim.get_mut(readers[0]).0.request(0x10_000, 32768).unwrap();
         sim.get_mut(readers[1]).0.request(0x20_000, 32768).unwrap();
         let mut got = [0usize; 2];
+        let mut chunk = [0u8; 64];
         while got[0] < 32768 || got[1] < 32768 {
             sim.step();
             for i in 0..2 {
-                while let Some(chunk) = sim.get_mut(readers[i]).0.pop_chunk() {
+                while sim.get_mut(readers[i]).0.pop_into(&mut chunk) {
                     assert!(chunk.iter().all(|&b| b == i as u8 + 1));
                     got[i] += chunk.len();
                 }

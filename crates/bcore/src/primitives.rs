@@ -10,9 +10,20 @@
 
 use std::collections::VecDeque;
 
-use baxi::{ArFlit, AwFlit, AxiMasterPort, WFlit};
+use baxi::{strobe_mask, ArFlit, AwFlit, AxiMasterPort, Beat, WFlit};
 use bsim::perf::CounterSet;
 use bsim::{Cycle, SimCtx, StatCounter, Stats};
+
+/// Moves the first `out.len()` bytes of `queue` into `out` (the caller
+/// checks that `queue` holds that many).
+fn drain_into(queue: &mut VecDeque<u8>, out: &mut [u8]) {
+    let n = out.len();
+    let (front, back) = queue.as_slices();
+    let split = front.len().min(n);
+    out[..split].copy_from_slice(&front[..split]);
+    out[split..].copy_from_slice(&back[..n - split]);
+    queue.drain(..n);
+}
 
 /// Returned when a stream request is issued while a previous one is still
 /// active (hardware would deassert `ready`).
@@ -80,7 +91,7 @@ struct ReadTxn {
 /// A streaming read port into external memory.
 ///
 /// Lifecycle: `request(addr, len)` → (internally: AR bursts, R beats,
-/// reassembly) → `pop_chunk()` yields `data_bytes`-sized chunks in stream
+/// reassembly) → `pop_into(buf)` fills `buf` from the stream in stream
 /// order. `busy()` is false once all data has been delivered.
 #[derive(Debug)]
 pub struct Reader {
@@ -139,11 +150,6 @@ impl Reader {
         self.perf_stall_prefetch = set.gated("stall_prefetch_full_cycles");
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ReaderConfig {
-        &self.cfg
-    }
-
     /// Starts streaming `len` bytes from `addr`.
     ///
     /// # Errors
@@ -166,43 +172,27 @@ impl Reader {
         self.fetch.is_some() || !self.txns.is_empty() || !self.stream.is_empty()
     }
 
-    /// Whether a new `request` would be accepted.
-    pub fn ready(&self) -> bool {
-        !self.busy()
-    }
-
     /// Bytes currently available to pop.
     pub fn available(&self) -> usize {
         self.stream.len()
     }
 
-    /// Pops one `data_bytes` chunk if available.
-    pub fn pop_chunk(&mut self) -> Option<Vec<u8>> {
-        let n = self.cfg.data_bytes as usize;
-        if self.stream.len() < n {
-            return None;
+    /// Fills `buf` with the next `buf.len()` stream bytes and returns
+    /// true, or leaves the stream untouched and returns false while fewer
+    /// are available.
+    pub fn pop_into(&mut self, buf: &mut [u8]) -> bool {
+        if self.stream.len() < buf.len() {
+            return false;
         }
-        Some(self.stream.drain(..n).collect())
+        drain_into(&mut self.stream, buf);
+        true
     }
 
     /// Pops a little-endian u32 (requires `data_bytes >= 4`; narrower
-    /// streams should use [`Reader::pop_chunk`]).
+    /// streams should use [`Reader::pop_into`]).
     pub fn pop_u32(&mut self) -> Option<u32> {
-        self.pop_word(4).map(|w| w as u32)
-    }
-
-    /// Pops `n <= 8` bytes as a little-endian word, straight out of the
-    /// stream buffer (no intermediate allocation).
-    fn pop_word(&mut self, n: usize) -> Option<u64> {
-        debug_assert!(n <= 8);
-        if self.stream.len() < n {
-            return None;
-        }
-        let mut word = [0u8; 8];
-        for (dst, byte) in word.iter_mut().zip(self.stream.drain(..n)) {
-            *dst = byte;
-        }
-        Some(u64::from_le_bytes(word))
+        let mut word = [0u8; 4];
+        self.pop_into(&mut word).then(|| u32::from_le_bytes(word))
     }
 
     /// Advances the reader one fabric cycle.
@@ -360,16 +350,6 @@ impl WriterConfig {
     }
 }
 
-#[derive(Debug)]
-struct WriteBurst {
-    id: u32,
-    addr: u64,
-    beats: u32,
-    beats_sent: u32,
-    data: Vec<u8>,
-    valid_bytes: usize,
-}
-
 /// A streaming write port into external memory.
 ///
 /// Lifecycle: `request(addr, len)` → `push_chunk(..)` until `len` bytes are
@@ -382,8 +362,13 @@ pub struct Writer {
     emit: Option<(u64, u64)>,
     /// Bytes the core still owes us via push_chunk.
     unpushed: u64,
+    /// Pushed bytes not yet sent on W, in stream order.
     staging: VecDeque<u8>,
-    current: Option<WriteBurst>,
+    /// Bytes at the front of `staging` that belong to the burst streaming
+    /// on W (0 while none is). Its AW has issued, so they no longer count
+    /// against the staging capacity; each W beat drains its bytes straight
+    /// into the flit.
+    burst_left: usize,
     inflight_bs: usize,
     /// Rotation counter over `cfg.ids`: burst `k` goes out on
     /// `ids[k % ids.len()]`.
@@ -419,7 +404,7 @@ impl Writer {
             emit: None,
             unpushed: 0,
             staging: VecDeque::new(),
-            current: None,
+            burst_left: 0,
             inflight_bs: 0,
             next_id: 0,
             aw_issued: stats.counter("aw_issued"),
@@ -446,11 +431,6 @@ impl Writer {
         self.perf_stall_w = set.gated("stall_w_backpressure_cycles");
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &WriterConfig {
-        &self.cfg
-    }
-
     /// Starts a write of `len` bytes to `addr` (beat-aligned).
     ///
     /// # Errors
@@ -461,7 +441,7 @@ impl Writer {
     ///
     /// Panics if `addr` is not aligned to the bus beat width.
     pub fn request(&mut self, addr: u64, len: u64) -> Result<(), BusyError> {
-        if self.busy() {
+        if !self.done() {
             return Err(BusyError);
         }
         assert_eq!(
@@ -478,33 +458,22 @@ impl Writer {
         Ok(())
     }
 
-    /// Whether the writer still owns an unfinished request.
-    pub fn busy(&self) -> bool {
-        self.emit.is_some()
-            || self.unpushed > 0
-            || !self.staging.is_empty()
-            || self.current.is_some()
-            || self.inflight_bs > 0
-    }
-
-    /// Whether a new request would be accepted.
-    pub fn ready(&self) -> bool {
-        !self.busy()
-    }
-
     /// Whether all requested data has been written and acknowledged.
     pub fn done(&self) -> bool {
-        !self.busy()
+        self.emit.is_none()
+            && self.unpushed == 0
+            && self.staging.is_empty()
+            && self.inflight_bs == 0
     }
 
-    /// Room left in the staging buffer, bytes.
-    pub fn staging_room(&self) -> usize {
-        self.cfg.staging_bytes - self.staging.len()
+    /// Staged bytes counted against the staging capacity.
+    fn staged(&self) -> usize {
+        self.staging.len() - self.burst_left
     }
 
     /// Whether a chunk of the port width can be pushed now.
     pub fn can_push(&self) -> bool {
-        self.unpushed > 0 && self.staging_room() >= self.cfg.data_bytes as usize
+        self.unpushed > 0 && self.staged() + self.cfg.data_bytes as usize <= self.cfg.staging_bytes
     }
 
     /// Pushes one chunk of stream data (`data_bytes` wide, except possibly
@@ -522,11 +491,11 @@ impl Writer {
             self.cfg.name
         );
         assert!(
-            self.staging.len() + data.len() <= self.cfg.staging_bytes,
+            self.staged() + data.len() <= self.cfg.staging_bytes,
             "writer '{}' staging overflow",
             self.cfg.name
         );
-        self.staging.extend(data.iter().copied());
+        self.staging.extend(data);
         self.unpushed -= data.len() as u64;
     }
 
@@ -550,7 +519,7 @@ impl Writer {
     }
 
     fn start_burst(&mut self, ctx: &SimCtx, now: Cycle) {
-        if self.current.is_some() {
+        if self.burst_left > 0 {
             return;
         }
         let Some((addr, remaining)) = self.emit else {
@@ -578,15 +547,7 @@ impl Writer {
         let id = self.cfg.ids[self.next_id % self.cfg.ids.len()];
         self.next_id += 1;
         self.port.aw.send(ctx, now, AwFlit { id, addr, beats });
-        let data: Vec<u8> = self.staging.drain(..span as usize).collect();
-        self.current = Some(WriteBurst {
-            id,
-            addr,
-            beats,
-            beats_sent: 0,
-            data,
-            valid_bytes: span as usize,
-        });
+        self.burst_left = span as usize;
         self.aw_issued.incr();
         if span >= remaining {
             self.emit = None;
@@ -596,34 +557,25 @@ impl Writer {
     }
 
     fn stream_w(&mut self, ctx: &SimCtx, now: Cycle) {
-        let Some(burst) = &mut self.current else {
+        if self.burst_left == 0 {
             return;
-        };
+        }
         if !self.port.w.can_send(ctx) {
             self.perf_stall_w.incr();
             return;
         }
+        // Only a request's last beat can be partial: bursts start
+        // bus-aligned and span whole beats until the request's tail.
         let bus = self.cfg.bus_bytes as usize;
-        let beat = burst.beats_sent as usize;
-        let start = beat * bus;
-        let end = ((beat + 1) * bus).min(burst.valid_bytes);
-        let mut data = vec![0u8; bus];
-        data[..end - start].copy_from_slice(&burst.data[start..end]);
-        let strb = if end - start == bus {
-            None
-        } else {
-            let mut s = vec![false; bus];
-            s[..end - start].fill(true);
-            Some(s)
-        };
-        let last = burst.beats_sent + 1 == burst.beats;
+        let valid = self.burst_left.min(bus);
+        let mut data = Beat::zeroed(bus);
+        drain_into(&mut self.staging, &mut data[..valid]);
+        let strb = (valid < bus).then(|| strobe_mask(valid));
+        self.burst_left -= valid;
+        let last = self.burst_left == 0;
         self.port.w.send(ctx, now, WFlit { data, strb, last });
-        burst.beats_sent += 1;
         self.w_beats.incr();
         if last {
-            let _ = burst.addr; // kept for debugging
-            let _ = burst.id;
-            self.current = None;
             self.inflight_bs += 1;
         }
     }
@@ -640,7 +592,7 @@ impl Writer {
     /// visibility horizon; the issuing controller stays active until it has
     /// sent them, so the scheduler cannot skip past their arrival.
     pub fn next_event(&self, ctx: &SimCtx, now: Cycle) -> Option<Cycle> {
-        if self.emit.is_some() || self.current.is_some() || !self.staging.is_empty() {
+        if self.emit.is_some() || !self.staging.is_empty() {
             return Some(now + 1);
         }
         self.port.b.next_visible_at(ctx).map(|v| v.max(now + 1))
@@ -776,11 +728,9 @@ impl Scratchpad {
         };
         let wb = self.word_bytes();
         let start = filled;
-        while filled < self.storage.len() {
-            let Some(word) = reader.pop_word(wb) else {
-                break;
-            };
-            self.storage[filled] = word;
+        let mut word = [0u8; 8];
+        while filled < self.storage.len() && reader.pop_into(&mut word[..wb]) {
+            self.storage[filled] = u64::from_le_bytes(word);
             filled += 1;
         }
         if filled > start {
@@ -796,16 +746,6 @@ impl Scratchpad {
     /// Whether an initialization is still in progress.
     pub fn initializing(&self) -> bool {
         self.init_progress.is_some()
-    }
-}
-
-impl Reader {
-    /// Pops exactly `n` bytes from the assembled stream, if available.
-    pub fn pop_bytes(&mut self, n: usize) -> Option<Vec<u8>> {
-        if self.stream.len() < n {
-            return None;
-        }
-        Some(self.stream.drain(..n).collect())
     }
 }
 
@@ -900,9 +840,10 @@ mod tests {
         r.memory.borrow_mut().write(0x10_000, &data);
         r.sim.get_mut(r.reader).0.request(0x10_000, 4096).unwrap();
         let mut got = Vec::new();
+        let mut chunk = [0u8; 4];
         while got.len() < 4096 {
             r.sim.step();
-            while let Some(chunk) = r.sim.get_mut(r.reader).0.pop_chunk() {
+            while r.sim.get_mut(r.reader).0.pop_into(&mut chunk) {
                 got.extend(chunk);
             }
             assert!(r.sim.now() < 100_000, "reader stalled");
@@ -918,10 +859,11 @@ mod tests {
         r.memory.borrow_mut().write(0x10_004, &data);
         r.sim.get_mut(r.reader).0.request(0x10_004, 100).unwrap();
         let mut got = Vec::new();
+        let mut chunk = [0u8; 4];
         while got.len() < 100 {
             r.sim.step();
-            while let Some(b) = r.sim.get_mut(r.reader).0.pop_bytes(4) {
-                got.extend(b);
+            while r.sim.get_mut(r.reader).0.pop_into(&mut chunk) {
+                got.extend(chunk);
             }
             assert!(r.sim.now() < 100_000);
         }
@@ -944,10 +886,11 @@ mod tests {
         let mut r = rig(cfg, WriterConfig::new("out", 4));
         r.sim.get_mut(r.reader).0.request(0, 16384).unwrap();
         let mut drained = 0usize;
+        let mut chunk = [0u8; 64];
         while drained < 16384 {
             r.sim.step();
-            while let Some(c) = r.sim.get_mut(r.reader).0.pop_chunk() {
-                drained += c.len();
+            while r.sim.get_mut(r.reader).0.pop_into(&mut chunk) {
+                drained += chunk.len();
             }
             assert!(r.sim.now() < 100_000);
         }

@@ -71,12 +71,14 @@ impl AcceleratorCore for MemcpyCore {
         }
         // Move up to one bus beat per cycle from the read stream to the
         // write stream (the datapath is just a register).
+        let mut beat = [0u8; 64];
         while self.remaining > 0 && ctx.writer(self.dst).can_push() {
             let chunk_len = 64.min(self.remaining) as usize;
-            let Some(chunk) = ctx.reader(self.src).pop_bytes(chunk_len) else {
+            let chunk = &mut beat[..chunk_len];
+            if !ctx.reader(self.src).pop_into(chunk) {
                 break;
-            };
-            ctx.writer(self.dst).push_chunk(&chunk);
+            }
+            ctx.writer(self.dst).push_chunk(chunk);
             self.remaining -= chunk_len as u64;
         }
         if self.remaining == 0 && ctx.writer(self.dst).done() && ctx.respond(sim, 0) {
