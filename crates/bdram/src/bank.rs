@@ -22,10 +22,6 @@ pub struct Bank {
     next_precharge: u64,
     next_read: u64,
     next_write: u64,
-    /// Row-buffer statistics.
-    pub hits: u64,
-    /// Activations performed (misses + conflicts).
-    pub activates: u64,
 }
 
 impl Default for Bank {
@@ -43,8 +39,6 @@ impl Bank {
             next_precharge: 0,
             next_read: 0,
             next_write: 0,
-            hits: 0,
-            activates: 0,
         }
     }
 
@@ -110,7 +104,6 @@ impl Bank {
     pub fn activate(&mut self, now: u64, row: u64, t: &DramTimings) {
         debug_assert!(self.can_activate(now), "illegal ACT at {now}");
         self.open_row = Some(row);
-        self.activates += 1;
         self.next_read = now + t.t_rcd;
         self.next_write = now + t.t_rcd;
         self.next_precharge = now + t.t_ras;
@@ -126,7 +119,6 @@ impl Bank {
     /// Issues RD at `now`; returns the half-open data-bus interval.
     pub fn read(&mut self, now: u64, t: &DramTimings) -> (u64, u64) {
         debug_assert!(self.can_read(now), "illegal RD at {now}");
-        self.hits += 1;
         let start = now + t.cl;
         let end = start + t.burst_cycles();
         self.next_read = self.next_read.max(now + t.t_ccd);
@@ -138,7 +130,6 @@ impl Bank {
     /// Issues WR at `now`; returns the half-open data-bus interval.
     pub fn write(&mut self, now: u64, t: &DramTimings) -> (u64, u64) {
         debug_assert!(self.can_write(now), "illegal WR at {now}");
-        self.hits += 1;
         let start = now + t.cwl;
         let end = start + t.burst_cycles();
         self.next_read = self.next_read.max(end + t.t_wtr);

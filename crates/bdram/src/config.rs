@@ -230,7 +230,99 @@ impl DramConfig {
             * self.rows
             * self.row_bytes()
     }
+
+    /// Checks that the model can simulate this configuration: the address
+    /// decoder slices every geometry field out of address bits, a burst
+    /// must occupy the data bus for at least one cycle, and the queue,
+    /// bus and clock must not be empty. The bank count has no cap.
+    ///
+    /// # Errors
+    ///
+    /// The first problem found, as a [`DramConfigError`].
+    pub fn validate(&self) -> Result<(), DramConfigError> {
+        for (field, value) in [
+            ("channels", self.channels),
+            ("ranks", self.ranks),
+            ("bank_groups", self.bank_groups),
+            ("banks_per_group", self.banks_per_group),
+            ("rows", self.rows),
+            ("columns", self.columns),
+        ] {
+            if !value.is_power_of_two() {
+                return Err(DramConfigError::NotPowerOfTwo { field, value });
+            }
+        }
+        let burst_length = self.timings.burst_length;
+        if burst_length < 2 || !burst_length.is_power_of_two() {
+            return Err(DramConfigError::BurstLength(burst_length));
+        }
+        if self.columns < burst_length {
+            return Err(DramConfigError::RowBelowBurst {
+                columns: self.columns,
+                burst_length,
+            });
+        }
+        for (field, value) in [
+            ("queue_depth", self.queue_depth as u64),
+            ("bus_bytes", self.bus_bytes),
+            ("timings.tck_ps", self.timings.tck_ps),
+        ] {
+            if value == 0 {
+                return Err(DramConfigError::Zero(field));
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why [`DramConfig::validate`] rejected a configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DramConfigError {
+    /// A geometry field is zero or not a power of two.
+    NotPowerOfTwo {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        value: u64,
+    },
+    /// `timings.burst_length` is below 2 or not a power of two: a burst
+    /// must fill at least one data-bus cycle (two beats).
+    BurstLength(u64),
+    /// A row holds fewer columns than one burst.
+    RowBelowBurst {
+        /// Columns per row.
+        columns: u64,
+        /// Beats per burst.
+        burst_length: u64,
+    },
+    /// A field that must be positive is zero: `queue_depth` (no request
+    /// would ever be accepted), `bus_bytes` or `timings.tck_ps`.
+    Zero(&'static str),
+}
+
+impl std::fmt::Display for DramConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DramConfigError::NotPowerOfTwo { field, value } => {
+                write!(f, "{field} = {value} is not a power of two")
+            }
+            DramConfigError::BurstLength(bl) => write!(
+                f,
+                "burst_length = {bl} must be a power of two of at least 2"
+            ),
+            DramConfigError::RowBelowBurst {
+                columns,
+                burst_length,
+            } => write!(
+                f,
+                "a row of {columns} columns cannot hold one {burst_length}-beat burst"
+            ),
+            DramConfigError::Zero(field) => write!(f, "{field} must be positive"),
+        }
+    }
+}
+
+impl std::error::Error for DramConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -259,6 +351,73 @@ mod tests {
     fn capacity_is_positive_and_large() {
         let cfg = DramConfig::ddr4_2400();
         assert!(cfg.capacity_bytes() >= 1 << 30, "at least 1 GiB");
+    }
+
+    #[test]
+    fn presets_validate() {
+        for cfg in [
+            DramConfig::ddr4_2400(),
+            DramConfig::ddr4_2400_quad(),
+            DramConfig::hbm2(),
+            DramConfig::lpddr4_embedded(),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_names_the_first_bad_field() {
+        let base = DramConfig::ddr4_2400();
+        let check = |edit: fn(&mut DramConfig), want: DramConfigError| {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            assert_eq!(cfg.validate(), Err(want));
+        };
+        check(
+            |c| c.banks_per_group = 3,
+            DramConfigError::NotPowerOfTwo {
+                field: "banks_per_group",
+                value: 3,
+            },
+        );
+        check(
+            |c| c.channels = 0,
+            DramConfigError::NotPowerOfTwo {
+                field: "channels",
+                value: 0,
+            },
+        );
+        check(
+            |c| c.timings.burst_length = 0,
+            DramConfigError::BurstLength(0),
+        );
+        check(
+            |c| c.timings.burst_length = 1,
+            DramConfigError::BurstLength(1),
+        );
+        check(
+            |c| c.timings.burst_length = 6,
+            DramConfigError::BurstLength(6),
+        );
+        check(
+            |c| c.columns = 4,
+            DramConfigError::RowBelowBurst {
+                columns: 4,
+                burst_length: 8,
+            },
+        );
+        check(|c| c.queue_depth = 0, DramConfigError::Zero("queue_depth"));
+        check(|c| c.bus_bytes = 0, DramConfigError::Zero("bus_bytes"));
+        check(
+            |c| c.timings.tck_ps = 0,
+            DramConfigError::Zero("timings.tck_ps"),
+        );
+        // No cap on the bank count.
+        let mut many = base.clone();
+        many.ranks = 4;
+        many.banks_per_group = 64;
+        assert_eq!(many.banks_per_channel(), 1024);
+        assert_eq!(many.validate(), Ok(()));
     }
 
     #[test]

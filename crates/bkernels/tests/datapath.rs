@@ -5,6 +5,7 @@
 
 use bcore::elaborate::{elaborate_with, ElaborationOptions};
 use bcore::{elaborate, ElaborationError};
+use bdram::{DramConfig, DramConfigError};
 use bkernels::memcpy::{self, MemcpyVariant};
 use bplatform::Platform;
 
@@ -122,4 +123,49 @@ fn buffers_below_one_burst_are_rejected_at_elaboration() {
             "{err}"
         );
     }
+}
+
+/// DRAM configurations the model cannot simulate used to fail far from
+/// their cause: a zero queue depth never accepted a request and an 8 KiB
+/// copy gave up at its cycle limit, a zero burst length divided by zero in
+/// the AXI controller, and a geometry that is not a power of two was
+/// decoded wrongly without a word in release builds.
+#[test]
+fn unsimulatable_dram_configs_are_rejected_at_elaboration() {
+    let rejection = |edit: fn(&mut DramConfig)| {
+        let mut platform = Platform::aws_f1();
+        edit(&mut platform.dram);
+        match elaborate(memcpy::config(), &platform) {
+            Err(ElaborationError::Dram(e)) => e,
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("elaborated"),
+        }
+    };
+    assert_eq!(
+        rejection(|d| d.queue_depth = 0),
+        DramConfigError::Zero("queue_depth")
+    );
+    assert_eq!(
+        rejection(|d| d.timings.burst_length = 0),
+        DramConfigError::BurstLength(0)
+    );
+    assert_eq!(
+        rejection(|d| d.bank_groups = 3),
+        DramConfigError::NotPowerOfTwo {
+            field: "bank_groups",
+            value: 3,
+        }
+    );
+}
+
+/// 128 banks per channel: more banks than one machine word of per-bank
+/// scheduler flags.
+#[test]
+fn random_copies_are_byte_exact_with_128_banks_per_channel() {
+    let mut platform = Platform::aws_f1();
+    platform.dram.ranks = 2;
+    platform.dram.banks_per_group = 16;
+    platform.dram.rows = 16384;
+    assert_eq!(platform.dram.banks_per_channel(), 128);
+    random_copies(&platform, 0x128, 12);
 }
