@@ -412,68 +412,19 @@ fn ablation_server_policies(c: &mut Criterion) {
 
 /// Fleet-sharding ablation: the same saturating open-loop schedule
 /// served by a [`bserver::FleetServer`] of 1, 2, and 4 single-core
-/// replicas. The printed data are simulated and deterministic —
-/// aggregate goodput (completed jobs per megacycle of fleet makespan)
-/// must scale near-linearly with shard count because admission hashing
-/// splits the tenant load across independent SoCs. The criterion
-/// timings measure host simulation cost only (a 4-shard run elaborates
-/// four SoCs and completes more jobs, so it is *not* expected to be
-/// faster wall-clock at this scale).
+/// replicas. The printed data are simulated and deterministic
+/// (`bbench::loadgen::render_fleet_ablation`, pinned against
+/// `results/ablation_fleet.txt` by the `ablation_golden` test). The
+/// criterion timings measure host simulation cost only (a 4-shard run
+/// elaborates four SoCs and completes more jobs, so it is *not* expected
+/// to be faster wall-clock at this scale).
 fn ablation_fleet(c: &mut Criterion) {
-    use bbench::loadgen::{plan, run_policy, LoadScale, RunOpts};
-    use bserver::DispatchPolicy;
+    use bbench::loadgen::{ablation_row, render_fleet_ablation};
+    use bserver::BatchPolicy;
 
-    // Saturating load: 8 tenants offer far more than one core drains, so
-    // a single shard rejects most of it and extra shards convert
-    // rejections into goodput.
-    let scale = LoadScale {
-        tenants: 8,
-        jobs: 800,
-        n_cores: 1,
-        mean_gap_cycles: 10,
-        queue_capacity: 2,
-    };
-    let schedule = plan(42, &scale);
-    let fleet = |shards: usize| {
-        let opts = RunOpts {
-            shards,
-            ..RunOpts::default()
-        };
-        run_policy(DispatchPolicy::Fifo, &schedule, &scale, &opts)
-    };
-    let throughput = |shards: usize| {
-        let row = fleet(shards);
-        let per_mcyc = row.completed as f64 * 1_000_000.0 / row.makespan_cycles as f64;
-        println!(
-            "ablation datum: fleet {} shard(s): {}/{} completed, {} rejected, \
-             makespan {} cyc, {:.1} jobs/Mcyc (p99 {} cyc, {} shards live)",
-            shards,
-            row.completed,
-            row.offered,
-            row.rejected,
-            row.makespan_cycles,
-            per_mcyc,
-            row.latency.2,
-            row.shards.len()
-        );
-        per_mcyc
-    };
-    let t1 = throughput(1);
-    let t2 = throughput(2);
-    let t4 = throughput(4);
-    println!(
-        "ablation datum: fleet aggregate-throughput scaling: {:.2}x at 2 shards, \
-         {:.2}x at 4 shards (near-linear target: 2x / 4x)",
-        t2 / t1,
-        t4 / t1
-    );
-    assert!(
-        t4 / t1 >= 3.0,
-        "4-shard fleet must deliver >= 3x aggregate goodput over 1 shard \
-         (got {:.2}x)",
-        t4 / t1
-    );
+    print!("{}", render_fleet_ablation());
 
+    let fleet = |shards: usize| ablation_row(shards, BatchPolicy::default(), 2);
     let mut group = c.benchmark_group("ablation_fleet");
     group.sample_size(10);
     group.bench_function("fleet_1_shard", |b| b.iter(|| black_box(fleet(1))));
@@ -484,64 +435,17 @@ fn ablation_fleet(c: &mut Criterion) {
 /// Batched-dispatch ablation: the same saturating open-loop schedule
 /// served by a 4-shard fleet under admission micro-batching widths
 /// 1, 4, 16, and the adaptive controller. The printed data are simulated
-/// and deterministic — goodput (completed jobs per megacycle of fleet
-/// makespan) and p99 latency per batch setting. Batch 1, the default,
-/// pays the per-command host costs, so it is the honest baseline; wider
-/// fixed batches amortize the lock
-/// and MMIO wakes across commands, and `auto` must land at least at the
-/// batch-1 goodput (asserted — the adaptive controller is allowed to
-/// decline to batch, never to regress).
+/// and deterministic (`bbench::loadgen::render_batching_ablation`, pinned
+/// against `results/ablation_batching.txt` by the `ablation_golden`
+/// test): goodput and p99 latency per batch setting, with `auto` held at
+/// or above the batch-1 goodput.
 fn ablation_batching(c: &mut Criterion) {
-    use bbench::loadgen::{plan, run_policy, LoadScale, RunOpts};
-    use bserver::{BatchPolicy, DispatchPolicy};
+    use bbench::loadgen::{ablation_row, render_batching_ablation};
+    use bserver::BatchPolicy;
 
-    // The fleet ablation's saturating shape, with room in each shard's
-    // command FIFO for batches to land (queue_capacity bounds tenant
-    // queues, not the hardware FIFO).
-    let scale = LoadScale {
-        tenants: 8,
-        jobs: 800,
-        n_cores: 1,
-        mean_gap_cycles: 10,
-        queue_capacity: 8,
-    };
-    let shards = 4;
-    let schedule = plan(42, &scale);
-    let fleet = |batch: BatchPolicy| {
-        let opts = RunOpts {
-            shards,
-            batch,
-            telemetry: None,
-        };
-        run_policy(DispatchPolicy::Fifo, &schedule, &scale, &opts)
-    };
-    let run = |batch: BatchPolicy| -> (u64, u64, u64) {
-        let row = fleet(batch);
-        println!(
-            "ablation datum: batch {:<9}: {}/{} completed, {} rejected, makespan {} cyc, \
-             {:.1} jobs/Mcyc (p99 {} cyc)",
-            batch.to_string(),
-            row.completed,
-            row.offered,
-            row.rejected,
-            row.makespan_cycles,
-            row.completed as f64 * 1_000_000.0 / row.makespan_cycles as f64,
-            row.latency.2,
-        );
-        (row.completed as u64, row.makespan_cycles, row.latency.2)
-    };
-    let (done1, mk1, _) = run(BatchPolicy::Fixed(1));
-    run(BatchPolicy::Fixed(4));
-    run(BatchPolicy::Fixed(16));
-    let (done_auto, mk_auto, _) = run(BatchPolicy::Auto);
-    // Goodput comparison without floats: done_auto/mk_auto >= done1/mk1
-    // cross-multiplied (makespans are nonzero — jobs completed above).
-    assert!(
-        (done_auto as u128) * (mk1 as u128) >= (done1 as u128) * (mk_auto as u128),
-        "adaptive batching must never regress goodput vs batch=1 \
-         ({done_auto}/{mk_auto} vs {done1}/{mk1})"
-    );
+    print!("{}", render_batching_ablation());
 
+    let fleet = |batch: BatchPolicy| ablation_row(4, batch, 8);
     let mut group = c.benchmark_group("ablation_batching");
     group.sample_size(10);
     group.bench_function("fleet_batch_1", |b| {

@@ -21,7 +21,6 @@ use bkernels::machsuite::baselines::{beethoven_parallelism, model, Method, Paper
 use bkernels::machsuite::{gemm, mdknn, nw, stencil2d, stencil3d, Bench};
 use bplatform::Platform;
 use bruntime::FpgaHandle;
-use bserver::{AccelServer, DispatchPolicy, JobOutcome, JobSpec, ServerConfig};
 
 /// Problem sizes and run lengths for a Figure 6 regeneration.
 #[derive(Debug, Clone, Copy)]
@@ -294,28 +293,22 @@ fn run_multi_core(bench: Bench, scale: &Fig6Scale) -> MultiCoreRun {
     let prepared: Vec<Args> = (0..total_cmds)
         .map(|i| (driver.setup)(&handle, i))
         .collect();
-    // The measured leg goes through the runtime server's lock-arbitrated
-    // baseline: one client session, commands bound to cores by submission
-    // order, responses drained by polling in submission order — the exact
-    // serialized sequence the paper's runtime performs (cycle-identity
-    // with direct `FpgaHandle` driving is held by `server_equivalence`).
-    let config = ServerConfig {
-        policy: DispatchPolicy::LockArbitrated,
-        ..ServerConfig::default()
-    };
-    let mut server =
-        AccelServer::new(&handle, driver.system, 1, config).expect("server opens over the SoC");
+    // The measured leg is the paper's serialized runtime: one client
+    // submits every command in order, core `i % n_cores` by submission
+    // order, then drains the responses by polling in submission order.
     let t0 = handle.elapsed_secs();
-    let outcomes = server.run_batch(
-        prepared
-            .into_iter()
-            .map(|args| (0, JobSpec::new(args)))
-            .collect(),
-    );
-    assert!(
-        outcomes.iter().all(JobOutcome::is_completed),
-        "multi-core invocations complete"
-    );
+    let responses: Vec<_> = prepared
+        .into_iter()
+        .enumerate()
+        .map(|(i, args)| {
+            handle
+                .call(driver.system, (i % n_cores) as u16, args)
+                .expect("call")
+        })
+        .collect();
+    for resp in responses {
+        resp.get().expect("multi-core invocation completes");
+    }
     MultiCoreRun {
         measured: total_cmds as f64 / (handle.elapsed_secs() - t0),
         n_cores,

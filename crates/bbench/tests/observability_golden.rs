@@ -187,10 +187,10 @@ fn fleet_trace_metrics_and_dump_are_pinned() {
             ..WatchdogConfig::new(300, &dump_dir)
         }),
     });
-    let arrivals: Vec<Arrival> = (0..16)
+    let arrivals = (0..16)
         .map(|i| {
             let tenant = i % 4;
-            Arrival {
+            let arrival = Arrival {
                 at_cycle: (i as Cycle) * 150,
                 tenant,
                 spec: JobSpec::new(vecadd::args(
@@ -198,10 +198,15 @@ fn fleet_trace_metrics_and_dump_are_pinned() {
                     mems[fleet.shard_of(tenant)].device_addr(),
                     1024 << (i % 4),
                 )),
-            }
+            };
+            (i as u64, arrival)
         })
         .collect();
-    let outcomes = fleet.run_open_loop_on(arrivals, 1);
+    // Sequence numbers are arrival indices: list the outcomes in arrival
+    // order.
+    let mut keyed: Vec<_> = fleet.run_keyed(arrivals).into_iter().collect();
+    keyed.sort_by_key(|&((_, seq), _)| seq);
+    let outcomes: Vec<_> = keyed.into_iter().map(|(_, outcome)| outcome).collect();
     fleet.sync_rollup();
 
     let trace = fleet.merged_trace().expect("telemetry on");

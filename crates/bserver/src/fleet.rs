@@ -12,19 +12,19 @@
 //! and serves each shard's slice of the arrival schedule on its own
 //! worker thread.
 //!
-//! Determinism is by construction, the same way `bbench::par` gets it:
-//! each shard is a closed simulation whose only inputs are its tenant
-//! set and arrival slice, both fixed by the (shard-count, schedule) pair
-//! before any thread starts; results are reassembled by original arrival
-//! index. Host thread scheduling can reorder *execution*, never
-//! *outcomes* — `run_open_loop` returns byte-identical results whether
-//! the shards run serially or on every core ([`FleetServer::run_open_loop_on`]
-//! pins the execution width for the equivalence tests, and the
-//! `BSERVER_SHARDS` environment variable caps it otherwise).
+//! [`FleetServer::run_keyed`] is the one serving call. Determinism is
+//! by construction: each shard is a closed simulation whose only inputs
+//! are its tenant set and arrival slice, both fixed by the (shard-count,
+//! schedule) pair before any thread starts; each scoped thread serves a
+//! contiguous chunk of the shards, and outcomes go back under their
+//! arrival's key. Host thread scheduling can reorder *execution*, never
+//! *outcomes* — the results are byte-identical whether the shards run
+//! serially or on every core. The `BSERVER_SHARDS` environment variable
+//! caps the execution width; at width 1, or with one shard live, the
+//! shards run on the calling thread.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use bcore::SocSim;
 use bruntime::{FpgaHandle, SessionHandle};
@@ -73,9 +73,9 @@ struct Shard {
     server: AccelServer,
     /// Global tenant ids served here (ascending).
     tenants: Vec<usize>,
-    /// Local trace id (per-run arrival index on this shard) → global
-    /// arrival index, refreshed by the most recent telemetry-enabled
-    /// run so [`FleetServer::merged_trace`] can stitch one id space.
+    /// Local trace id (this shard's running arrival count) → fleet-wide
+    /// trace id, extended by every telemetry-enabled call so
+    /// [`FleetServer::merged_trace`] can stitch one id space.
     trace_map: Vec<usize>,
 }
 
@@ -94,6 +94,9 @@ pub struct FleetServer {
     /// Global tenant → (shard index, local tenant index on that shard).
     tenant_map: Vec<(usize, usize)>,
     config: FleetConfig,
+    /// Arrivals served by earlier calls since telemetry was enabled: the
+    /// fleet-wide trace-id offset of the next call.
+    traced: usize,
 }
 
 impl FleetServer {
@@ -150,6 +153,7 @@ impl FleetServer {
             shards,
             tenant_map,
             config,
+            traced: 0,
         })
     }
 
@@ -181,11 +185,6 @@ impl FleetServer {
         &self.shards[shard].handle
     }
 
-    /// A shard's server.
-    pub fn server(&self, shard: usize) -> &AccelServer {
-        &self.shards[shard].server
-    }
-
     /// The session for a global tenant, on whichever shard admission
     /// hashed it to.
     pub fn session(&self, tenant: usize) -> &SessionHandle {
@@ -193,111 +192,19 @@ impl FleetServer {
         &self.shards[shard].server.sessions()[local]
     }
 
-    /// Serves an open-loop schedule (global tenant ids, shared cycle
-    /// origin) to completion; one outcome per arrival, in input order.
+    /// Serves one wave of open-loop arrivals to completion: the fleet's
+    /// only serving call. Arrivals come in as `(seq, arrival)` with
+    /// global tenant ids and client-chosen sequence numbers; outcomes
+    /// come back keyed by `(tenant, seq)`, so a client's submission order
+    /// and its outcome delivery order are decoupled from dispatch order.
     ///
     /// Arrival cycles are interpreted on each shard's own clock relative
     /// to its current cycle: `at_cycle` is an offset from "now", so the
     /// same schedule means the same thing on every shard regardless of
     /// how much setup (allocation, buffer writes) each replica ran.
-    /// Shards execute on up to [`shard_count`] worker threads; the
-    /// results are identical at any execution width.
-    pub fn run_open_loop(&mut self, arrivals: Vec<Arrival>) -> Vec<JobOutcome> {
-        self.run_open_loop_on(arrivals, shard_count())
-    }
-
-    /// [`FleetServer::run_open_loop`] with an explicit execution width.
-    /// `workers <= 1` runs the shards serially, in shard order, on the
-    /// calling thread — the equivalence tests pin both ends of that
-    /// spectrum and assert byte-identical outcomes.
-    pub fn run_open_loop_on(&mut self, arrivals: Vec<Arrival>, workers: usize) -> Vec<JobOutcome> {
-        let n = arrivals.len();
-        // Partition by the tenant's shard, remapping to local session
-        // indices and remembering each arrival's original slot.
-        let mut parts: Vec<(Vec<usize>, Vec<Arrival>)> =
-            (0..self.shards.len()).map(|_| Default::default()).collect();
-        for (idx, a) in arrivals.into_iter().enumerate() {
-            let (shard, local) = self.tenant_map[a.tenant];
-            let t0 = self.shards[shard].handle.now();
-            parts[shard].0.push(idx);
-            parts[shard].1.push(Arrival {
-                at_cycle: t0 + a.at_cycle,
-                tenant: local,
-                spec: a.spec,
-            });
-        }
-        let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
-        let live: Vec<(&mut Shard, Vec<usize>, Vec<Arrival>)> = self
-            .shards
-            .iter_mut()
-            .zip(parts)
-            .filter(|(_, (_, slice))| !slice.is_empty())
-            .map(|(shard, (idxs, slice))| {
-                // A shard's telemetry tags spans with its local arrival
-                // index; remember this run's local→global remap so
-                // merged_trace() can stitch one trace-id space.
-                if shard.server.telemetry_enabled() {
-                    shard.trace_map = idxs.clone();
-                }
-                (shard, idxs, slice)
-            })
-            .collect();
-        if workers <= 1 || live.len() <= 1 {
-            for (shard, idxs, slice) in live {
-                for (idx, outcome) in idxs.into_iter().zip(shard.server.run_open_loop(slice)) {
-                    outcomes[idx] = Some(outcome);
-                }
-            }
-        } else {
-            // The par-executor shape: a slot-tagged work queue drained by
-            // scoped workers; completion order is scheduling noise, the
-            // original arrival indices put every outcome back in its slot.
-            // One queue entry per live shard: result slot, the shard
-            // itself, original arrival indices, local arrival slice.
-            type WorkItem<'s> = (usize, &'s mut Shard, Vec<usize>, Vec<Arrival>);
-            let n_live = live.len();
-            let queue: Mutex<VecDeque<WorkItem>> = Mutex::new(
-                live.into_iter()
-                    .enumerate()
-                    .map(|(slot, (shard, idxs, slice))| (slot, shard, idxs, slice))
-                    .collect(),
-            );
-            let slots: Vec<Mutex<Vec<(usize, JobOutcome)>>> =
-                (0..n_live).map(|_| Mutex::new(Vec::new())).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(n_live) {
-                    scope.spawn(|| loop {
-                        let Some((slot, shard, idxs, slice)) =
-                            queue.lock().expect("fleet queue").pop_front()
-                        else {
-                            break;
-                        };
-                        let results: Vec<(usize, JobOutcome)> = idxs
-                            .iter()
-                            .copied()
-                            .zip(shard.server.run_open_loop(slice))
-                            .collect();
-                        *slots[slot].lock().expect("fleet slot") = results;
-                    });
-                }
-            });
-            for slot in slots {
-                for (idx, outcome) in slot.into_inner().expect("fleet slot") {
-                    outcomes[idx] = Some(outcome);
-                }
-            }
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every arrival resolves to an outcome"))
-            .collect()
-    }
-
-    /// [`FleetServer::run_open_loop`] with client-chosen sequence
-    /// numbers: arrivals come in as `(seq, arrival)` (global tenant
-    /// ids) and outcomes come back keyed by `(tenant, seq)` — the
-    /// network front-end's submission entry point, one call per
-    /// serving wave.
+    /// Shards execute on up to [`shard_count`] scoped threads, each
+    /// serving a contiguous chunk of the shards this wave reaches; the
+    /// outcomes are identical at any width.
     ///
     /// # Panics
     ///
@@ -307,10 +214,71 @@ impl FleetServer {
         &mut self,
         arrivals: Vec<(u64, Arrival)>,
     ) -> BTreeMap<(usize, u64), JobOutcome> {
-        let keys: Vec<(usize, u64)> = arrivals.iter().map(|(seq, a)| (a.tenant, *seq)).collect();
-        let outcomes = self.run_open_loop(arrivals.into_iter().map(|(_, a)| a).collect());
+        let n = arrivals.len();
+        // Partition by the tenant's shard, remapping to local session
+        // indices and remembering each arrival's original slot.
+        let mut keys = Vec::with_capacity(n);
+        let mut parts: Vec<(Vec<usize>, Vec<Arrival>)> =
+            (0..self.shards.len()).map(|_| Default::default()).collect();
+        for (idx, (seq, a)) in arrivals.into_iter().enumerate() {
+            keys.push((a.tenant, seq));
+            let (shard, local) = self.tenant_map[a.tenant];
+            let t0 = self.shards[shard].handle.now();
+            parts[shard].0.push(idx);
+            parts[shard].1.push(Arrival {
+                at_cycle: t0 + a.at_cycle,
+                tenant: local,
+                spec: a.spec,
+            });
+        }
+        let base = self.traced;
+        let live: Vec<(&mut Shard, Vec<usize>, Vec<Arrival>)> = self
+            .shards
+            .iter_mut()
+            .zip(parts)
+            .filter(|(_, (_, slice))| !slice.is_empty())
+            .map(|(shard, (idxs, slice))| {
+                // A shard's telemetry tags spans with its own running
+                // arrival count; extend its local→fleet remap so
+                // merged_trace() can stitch one trace-id space.
+                if shard.server.telemetry_enabled() {
+                    shard.trace_map.extend(idxs.iter().map(|&i| base + i));
+                }
+                (shard, idxs, slice)
+            })
+            .collect();
+        let serve = |(shard, idxs, slice): (&mut Shard, Vec<usize>, Vec<Arrival>)| {
+            let outcomes = shard.server.run_open_loop(slice);
+            idxs.into_iter().zip(outcomes).collect::<Vec<_>>()
+        };
+        let width = shard_count().min(live.len());
+        let served: Vec<(usize, JobOutcome)> = if width <= 1 {
+            live.into_iter().flat_map(serve).collect()
+        } else {
+            // Each scoped thread serves a contiguous chunk of shards;
+            // completion order is scheduling noise, the arrival indices
+            // put every outcome back under its key.
+            let chunk = live.len().div_ceil(width);
+            let mut rest = live.into_iter();
+            std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..rest.len().div_ceil(chunk))
+                    .map(|_| {
+                        let shards: Vec<_> = rest.by_ref().take(chunk).collect();
+                        scope.spawn(move || shards.into_iter().flat_map(serve).collect::<Vec<_>>())
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .flat_map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
+        if self.telemetry_enabled() {
+            self.traced += n;
+        }
         let mut keyed = BTreeMap::new();
-        for (key, outcome) in keys.into_iter().zip(outcomes) {
+        for (idx, outcome) in served {
+            let key = keys[idx];
             assert!(
                 keyed.insert(key, outcome).is_none(),
                 "duplicate (tenant, seq) key {key:?}"
@@ -325,7 +293,9 @@ impl FleetServer {
     /// collide. Telemetry is strictly off-path: enabling it never changes
     /// cycle counts or outcomes on any shard.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
+        self.traced = 0;
         for (i, shard) in self.shards.iter_mut().enumerate() {
+            shard.trace_map.clear();
             let mut cfg = config.clone();
             if let Some(w) = cfg.watchdog.as_mut() {
                 w.label = format!("{}-shard{i}", w.label);
@@ -364,7 +334,8 @@ impl FleetServer {
 
     /// One merged Perfetto trace for the whole fleet: shard `i` renders
     /// as process `shard{i}`, every span's local trace id is remapped to
-    /// the global arrival index of the most recent run, and flow arrows
+    /// its fleet-wide id (arrival `i` of a call is `i` plus the arrivals
+    /// of the earlier calls since telemetry was enabled), and flow arrows
     /// chain each request admission → tenant queue → core on the shard
     /// that served it. `None` until telemetry is enabled.
     pub fn merged_trace(&self) -> Option<String> {
@@ -468,11 +439,6 @@ impl FleetServer {
             };
             perf.set_value(&path, &leaf, value);
         }
-    }
-
-    /// The per-shard server config the fleet was built with.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
     }
 }
 

@@ -51,21 +51,24 @@
 //! open-loop load harness lives in `bbench::loadgen`
 //! (`cargo run -p bbench --bin loadgen`).
 //!
+//! Each layer has one serving call. [`AccelServer::run_open_loop`]
+//! serves an arrival schedule on one SoC; a closed batch is every
+//! arrival at the current cycle, and the paper's serialized runtime is
+//! the [`DispatchPolicy::LockArbitrated`] policy.
+//!
 //! Above the single server sits the **sharded fleet** ([`FleetServer`]):
 //! N independent server+SoC replicas with tenants partitioned by a
-//! stable admission hash ([`shard_for_session`]). Shards are `Send`
-//! (the `bsim` arena refactor makes a built `Simulation` movable), so
-//! the fleet drives them on scoped worker threads — `BSERVER_SHARDS`
-//! caps that execution width without ever changing results, a 1-shard
-//! fleet is byte-identical to driving [`AccelServer`] directly, and
-//! per-shard counters roll up into the primary registry
-//! ([`FleetServer::sync_rollup`]).
-//!
-//! The network front-end (`bnet`) submits through the keyed entry
-//! point ([`FleetServer::run_keyed`]): the same open-loop machinery,
-//! with outcomes keyed by `(tenant, seq)` so a wire client's submission
-//! order and its outcome delivery order are decoupled from dispatch
-//! order.
+//! stable admission hash ([`shard_for_session`]). Its one serving call,
+//! [`FleetServer::run_keyed`], takes a wave of `(seq, arrival)` pairs
+//! and returns outcomes keyed by `(tenant, seq)`, so a client's
+//! submission order and its outcome delivery order are decoupled from
+//! dispatch order; the network front-end (`bnet`) submits one wave per
+//! call. Shards are `Send` (the `bsim` arena refactor makes a built
+//! `Simulation` movable), so each call serves them on scoped threads —
+//! `BSERVER_SHARDS` caps that execution width without ever changing
+//! results, each shard is byte-identical to a standalone
+//! [`AccelServer`] serving its tenants, and per-shard counters roll up
+//! into the primary registry ([`FleetServer::sync_rollup`]).
 
 #![warn(missing_docs)]
 

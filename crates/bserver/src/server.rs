@@ -351,11 +351,6 @@ impl AccelServer {
         self.telemetry.as_ref()
     }
 
-    /// The shared handle the server drives.
-    pub fn handle(&self) -> &FpgaHandle {
-        &self.handle
-    }
-
     /// The per-tenant client sessions.
     pub fn sessions(&self) -> &[SessionHandle] {
         &self.sessions
@@ -372,73 +367,15 @@ impl AccelServer {
         self.stats.clone()
     }
 
-    /// Runs a closed batch: every job arrives "now", submitted in order.
-    /// This is the Figure 6 measured-leg shape — under
-    /// [`DispatchPolicy::LockArbitrated`] it reproduces the single-client
-    /// runtime's serialized submit-then-drain sequence cycle-exactly.
-    ///
-    /// Returns outcomes in job order.
-    pub fn run_batch(&mut self, jobs: Vec<(usize, JobSpec)>) -> Vec<JobOutcome> {
-        if self.config.policy == DispatchPolicy::LockArbitrated {
-            return self.run_batch_lock_arbitrated(jobs);
-        }
-        let now = self.handle.now();
-        let arrivals = jobs
-            .into_iter()
-            .map(|(tenant, spec)| Arrival {
-                at_cycle: now,
-                tenant,
-                spec,
-            })
-            .collect();
-        self.run_open_loop(arrivals)
-    }
-
-    /// The paper's serialized runtime server, verbatim: one client at a
-    /// time takes the lock, submits to core `seq % n_cores` (spinning on
-    /// a full command FIFO), and responses are drained by polling in
-    /// submission order. Byte-identical to driving [`bruntime`] directly
-    /// — `bbench`'s `server_equivalence` test holds this to the original
-    /// Figure 6 implementation cycle for cycle.
-    fn run_batch_lock_arbitrated(&mut self, jobs: Vec<(usize, JobSpec)>) -> Vec<JobOutcome> {
-        let t0 = self.handle.now();
-        let mut pending = Vec::with_capacity(jobs.len());
-        for (tenant, spec) in jobs {
-            let core = (self.next_seq % u64::from(self.n_cores)) as u16;
-            self.next_seq += 1;
-            let before = self.handle.now();
-            let resp = self.sessions[tenant]
-                .call(&self.system, core, spec.args)
-                .expect("job arguments must match the system's command spec");
-            self.stats
-                .add("lock_wait_cycles", self.handle.now().saturating_sub(before));
-            self.stats.incr("dispatched");
-            pending.push((tenant, core, resp));
-        }
-        let mut outcomes = Vec::with_capacity(pending.len());
-        for (tenant, core, resp) in pending {
-            let value = resp.get().expect("batch job completes");
-            let now = self.handle.now();
-            let latency = now.saturating_sub(t0);
-            self.record_completion(tenant, latency);
-            outcomes.push(JobOutcome::Completed {
-                value,
-                latency_cycles: latency,
-                queue_wait_cycles: 0,
-                core,
-                retries: 0,
-            });
-        }
-        outcomes
-    }
-
     /// Serves an open-loop arrival schedule to completion and returns one
     /// outcome per arrival, in input order.
     ///
     /// Arrivals are stably sorted by cycle; the clock never waits for
     /// admission — if the server is busy when a job's cycle passes, the
     /// job is ingested late but its latency still counts from the
-    /// scheduled arrival (open-loop semantics).
+    /// scheduled arrival (open-loop semantics). A closed batch is every
+    /// arrival at the current cycle. With telemetry on, arrival `i` logs
+    /// trace id `i` plus the arrivals of the calls since it was enabled.
     pub fn run_open_loop(&mut self, arrivals: Vec<Arrival>) -> Vec<JobOutcome> {
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.sort_by_key(|&i| arrivals[i].at_cycle);
@@ -559,6 +496,9 @@ impl AccelServer {
                 // left: done.
                 break;
             }
+        }
+        if let Some(t) = self.telemetry.as_mut() {
+            t.traced += arrivals.len() as u64;
         }
         outcomes
             .into_iter()
@@ -991,11 +931,11 @@ impl AccelServer {
         harvested
     }
 
-    /// Logs `step` of the job with arrival index `idx`, if telemetry is
-    /// on.
+    /// Logs `step` of the job with arrival index `idx` in the current
+    /// call, if telemetry is on.
     fn observe_job(&mut self, now: Cycle, idx: usize, tenant: usize, step: JobStep) {
         if let Some(t) = self.telemetry.as_mut() {
-            let trace_id = idx as u64;
+            let trace_id = t.traced + idx as u64;
             t.record(
                 now,
                 ServerEvent::Job {
@@ -1087,6 +1027,18 @@ mod tests {
         JobSpec::new(vecadd::args(1, mem.device_addr(), n)).with_cost_hint(u64::from(n))
     }
 
+    /// A closed batch: every `(tenant, job)` arrives at the current cycle.
+    fn now_arrivals(handle: &FpgaHandle, jobs: Vec<(usize, JobSpec)>) -> Vec<Arrival> {
+        let now = handle.now();
+        jobs.into_iter()
+            .map(|(tenant, spec)| Arrival {
+                at_cycle: now,
+                tenant,
+                spec,
+            })
+            .collect()
+    }
+
     #[test]
     fn unknown_system_and_zero_tenants_error() {
         let soc = elaborate(vecadd::config(1), &Platform::kria()).unwrap();
@@ -1108,12 +1060,11 @@ mod tests {
                 policy,
                 ..ServerConfig::default()
             };
-            let (_handle, mut server, mem) = setup(2, 2, config);
-            let outcomes = server.run_batch(vec![
-                (0, job(mem, 64)),
-                (1, job(mem, 64)),
-                (0, job(mem, 64)),
-            ]);
+            let (handle, mut server, mem) = setup(2, 2, config);
+            let outcomes = server.run_open_loop(now_arrivals(
+                &handle,
+                vec![(0, job(mem, 64)), (1, job(mem, 64)), (0, job(mem, 64))],
+            ));
             assert_eq!(outcomes.len(), 3, "{policy}");
             for o in &outcomes {
                 assert!(o.is_completed(), "{policy}: {o:?}");
@@ -1406,7 +1357,10 @@ mod tests {
     #[test]
     fn server_counters_surface_through_perf_registry() {
         let (handle, mut server, mem) = setup(2, 2, ServerConfig::default());
-        let outcomes = server.run_batch(vec![(0, job(mem, 64)), (1, job(mem, 128))]);
+        let outcomes = server.run_open_loop(now_arrivals(
+            &handle,
+            vec![(0, job(mem, 64)), (1, job(mem, 128))],
+        ));
         assert!(outcomes.iter().all(JobOutcome::is_completed));
         let names = handle.counter_names();
         for expected in [
@@ -1442,59 +1396,6 @@ mod tests {
         let report = handle.with_soc(|soc| soc.perf().report());
         assert!(report.contains("[server]"));
         assert!(report.contains("latency_cycles"));
-    }
-
-    #[test]
-    fn lock_arbitrated_batch_matches_direct_runtime_driving() {
-        // The baseline policy must cost exactly what driving bruntime
-        // directly costs — same calls, same polls, same cycles.
-        let n_cores = 2u32;
-        let jobs = 6usize;
-
-        let soc = elaborate(vecadd::config(n_cores), &Platform::kria()).unwrap();
-        let handle = FpgaHandle::new(soc);
-        let mem = handle.malloc(4096).unwrap();
-        handle.write_u32_slice(mem, &vec![1u32; 1024]);
-        let mut responses = Vec::new();
-        for i in 0..jobs {
-            responses.push(
-                handle
-                    .call(
-                        vecadd::SYSTEM,
-                        (i % n_cores as usize) as u16,
-                        vecadd::args(1, mem.device_addr(), 256),
-                    )
-                    .unwrap(),
-            );
-        }
-        for r in responses {
-            r.get().unwrap();
-        }
-        let direct_cycles = handle.now();
-
-        let config = ServerConfig {
-            policy: DispatchPolicy::LockArbitrated,
-            ..ServerConfig::default()
-        };
-        let (handle, mut server, mem) = {
-            let soc = elaborate(vecadd::config(n_cores), &Platform::kria()).unwrap();
-            let handle = FpgaHandle::new(soc);
-            let server = AccelServer::new(&handle, vecadd::SYSTEM, 1, config).unwrap();
-            let mem = handle.malloc(4096).unwrap();
-            handle.write_u32_slice(mem, &vec![1u32; 1024]);
-            (handle, server, mem)
-        };
-        let outcomes = server.run_batch(
-            (0..jobs)
-                .map(|_| (0, JobSpec::new(vecadd::args(1, mem.device_addr(), 256))))
-                .collect(),
-        );
-        assert!(outcomes.iter().all(JobOutcome::is_completed));
-        assert_eq!(
-            handle.now(),
-            direct_cycles,
-            "lock-arbitrated baseline must be cycle-identical to direct driving"
-        );
     }
 
     #[test]

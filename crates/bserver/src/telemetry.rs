@@ -339,6 +339,10 @@ pub(crate) struct Telemetry {
     labels: Vec<usize>,
     /// Every observation, in record order.
     pub(crate) log: Vec<(Cycle, ServerEvent)>,
+    /// Arrivals served by earlier calls since telemetry was enabled: a
+    /// call's arrival `i` logs trace id `traced + i`, so ids never
+    /// collide across calls within one log.
+    pub(crate) traced: u64,
     /// Cycle of the last dispatch or completion (watchdog datum).
     last_progress: Cycle,
     /// Rejections + breaches in the current spike-accounting window.
@@ -356,6 +360,7 @@ impl Telemetry {
             config,
             labels,
             log: Vec::new(),
+            traced: 0,
             last_progress: now,
             spike: (0, 0),
             stall_dumped: false,

@@ -1,19 +1,21 @@
-//! Fleet ↔ single-server equivalence and determinism.
+//! Fleet ↔ independent-server equivalence.
 //!
-//! The contract: a 1-shard [`FleetServer`] is byte-identical to driving
-//! one [`AccelServer`] directly (same outcomes, same final cycle, same
-//! counters), and an N-shard fleet's results depend only on the
-//! (schedule, shard count) pair — never on how many worker threads
-//! execute the shards or how often the run is repeated.
+//! The contract: shard `s` of an N-shard [`FleetServer`] is
+//! byte-identical to one [`AccelServer`] over a freshly elaborated SoC
+//! that serves only that shard's tenants and arrivals (same outcomes,
+//! same final cycle, same counters). A 1-shard fleet is therefore one
+//! server. The reference never runs the fleet's executor, so the
+//! contract holds at whatever execution width `BSERVER_SHARDS` sets.
 
 use std::collections::BTreeMap;
 
 use bcore::elaborate;
 use bkernels::vecadd;
 use bplatform::Platform;
-use bruntime::FpgaHandle;
+use bruntime::{FpgaHandle, RemotePtr, SessionHandle};
 use bserver::{
-    AccelServer, Arrival, DispatchPolicy, FleetConfig, FleetServer, JobSpec, ServerConfig,
+    AccelServer, Arrival, DispatchPolicy, FleetConfig, FleetServer, JobOutcome, JobSpec,
+    ServerConfig,
 };
 
 /// The whole serving stack must stay `Send`: the fleet moves servers
@@ -30,13 +32,15 @@ fn _serving_stack_is_send() {
     _assert_send::<FleetServer>();
 }
 
-/// A deterministic mixed-size schedule over `n_tenants`, with relative
+const N_TENANTS: usize = 6;
+
+/// A deterministic mixed-size schedule over the tenants, with relative
 /// arrival cycles (the fleet's convention).
-fn schedule(n_tenants: usize, jobs: usize) -> Vec<(u64, usize, u32)> {
-    (0..jobs)
+fn schedule() -> Vec<(u64, usize, u32)> {
+    (0..18)
         .map(|i| {
             let at = 50 * (i as u64 + 1);
-            let tenant = (i * 7 + 3) % n_tenants;
+            let tenant = (i * 7 + 3) % N_TENANTS;
             let n_eles = [64u32, 512, 4096][i % 3];
             (at, tenant, n_eles)
         })
@@ -51,14 +55,29 @@ fn server_config() -> ServerConfig {
     }
 }
 
-/// Runs the schedule through a fleet with `shards` replicas at execution
-/// width `workers`; returns the outcome debug string and the rollup.
-fn run_fleet(shards: usize, workers: usize) -> (String, BTreeMap<String, u64>) {
-    let n_tenants = 6;
+fn soc() -> bcore::SocSim {
+    elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates")
+}
+
+/// Allocates and fills a tenant's buffer through its session.
+fn tenant_buffer(session: &SessionHandle) -> RemotePtr {
+    let mem = session.malloc(4096 * 4).expect("tenant buffer");
+    session.write_u32_slice(mem, &vec![1u32; 4096]);
+    mem
+}
+
+fn job(buffer: RemotePtr, n_eles: u32) -> JobSpec {
+    JobSpec::new(vecadd::args(1, buffer.device_addr(), n_eles)).with_cost_hint(u64::from(n_eles))
+}
+
+/// Runs the schedule through a fleet of `shards` replicas, with sequence
+/// number = arrival index; returns the fleet (rolled up) and the
+/// outcomes in arrival order.
+fn run_fleet(shards: usize) -> (FleetServer, Vec<JobOutcome>) {
     let mut fleet = FleetServer::new(
-        |_| elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates"),
+        |_| soc(),
         vecadd::SYSTEM,
-        n_tenants,
+        N_TENANTS,
         FleetConfig {
             shards,
             server: server_config(),
@@ -66,83 +85,104 @@ fn run_fleet(shards: usize, workers: usize) -> (String, BTreeMap<String, u64>) {
     )
     .expect("fleet opens");
     assert_eq!(fleet.n_shards(), shards);
-    let buffers: Vec<bruntime::RemotePtr> = (0..n_tenants)
-        .map(|t| {
-            let s = fleet.session(t);
-            let mem = s.malloc(4096 * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; 4096]);
-            mem
-        })
+    let buffers: Vec<RemotePtr> = (0..N_TENANTS)
+        .map(|t| tenant_buffer(fleet.session(t)))
         .collect();
-    let arrivals: Vec<Arrival> = schedule(n_tenants, 18)
+    let arrivals = schedule()
         .into_iter()
-        .map(|(at_cycle, tenant, n_eles)| Arrival {
-            at_cycle,
-            tenant,
-            spec: JobSpec::new(vecadd::args(1, buffers[tenant].device_addr(), n_eles))
-                .with_cost_hint(u64::from(n_eles)),
+        .enumerate()
+        .map(|(i, (at_cycle, tenant, n_eles))| {
+            let spec = job(buffers[tenant], n_eles);
+            let arrival = Arrival {
+                at_cycle,
+                tenant,
+                spec,
+            };
+            (i as u64, arrival)
         })
         .collect();
-    let outcomes = fleet.run_open_loop_on(arrivals, workers);
+    let mut keyed: Vec<_> = fleet.run_keyed(arrivals).into_iter().collect();
+    keyed.sort_by_key(|&((_, seq), _)| seq);
     fleet.sync_rollup();
-    (format!("{outcomes:?}"), fleet.rollup())
+    (
+        fleet,
+        keyed.into_iter().map(|(_, outcome)| outcome).collect(),
+    )
+}
+
+/// One shard's reference: a standalone server over a fresh SoC whose
+/// local tenant `l` is global tenant `tenants[l]`, with buffers
+/// allocated in the same order and arrivals at `t0 +` their offsets.
+/// Returns the server's handle and `(arrival index, outcome)` pairs.
+fn independent_server(tenants: &[usize]) -> (FpgaHandle, Vec<(usize, JobOutcome)>) {
+    let handle = FpgaHandle::new(soc());
+    let mut server = AccelServer::new(
+        &handle,
+        vecadd::SYSTEM,
+        tenants.len().max(1),
+        server_config(),
+    )
+    .expect("server opens");
+    let buffers: Vec<RemotePtr> = server.sessions()[..tenants.len()]
+        .iter()
+        .map(tenant_buffer)
+        .collect();
+    let t0 = handle.now();
+    let (idxs, slice): (Vec<usize>, Vec<Arrival>) = schedule()
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, (at, tenant, n_eles))| {
+            let local = tenants.iter().position(|&t| t == tenant)?;
+            let arrival = Arrival {
+                at_cycle: t0 + at,
+                tenant: local,
+                spec: job(buffers[local], n_eles),
+            };
+            Some((i, arrival))
+        })
+        .unzip();
+    let outcomes = server.run_open_loop(slice);
+    (handle, idxs.into_iter().zip(outcomes).collect())
+}
+
+/// Asserts every shard of a `shards`-replica fleet matches its
+/// independent server: outcomes, final clock, and the whole rollup.
+fn assert_fleet_matches_independent_servers(shards: usize) {
+    let (fleet, outcomes) = run_fleet(shards);
+    let mut rollup = BTreeMap::new();
+    for s in 0..shards {
+        let (handle, served) = independent_server(fleet.tenants_of(s));
+        for (idx, outcome) in served {
+            assert_eq!(
+                outcomes[idx], outcome,
+                "{shards} shards: arrival {idx} on shard {s}"
+            );
+        }
+        assert_eq!(
+            fleet.handle(s).now(),
+            handle.now(),
+            "{shards} shards: shard {s}"
+        );
+        for (name, value) in handle.counter_snapshot() {
+            let Some(name) = name.strip_prefix("server/") else {
+                continue;
+            };
+            rollup.insert(format!("shard{s}/{name}"), value);
+            *rollup.entry(format!("fleet/{name}")).or_insert(0) += value;
+        }
+    }
+    assert_eq!(fleet.rollup(), rollup, "{shards} shards: rollup");
 }
 
 #[test]
 fn one_shard_fleet_matches_single_server_byte_for_byte() {
-    // Direct path: one AccelServer over one SoC, absolute arrival cycles.
-    let n_tenants = 6;
-    let soc = elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates");
-    let handle = FpgaHandle::new(soc);
-    let mut server =
-        AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, server_config()).expect("server");
-    let buffers: Vec<bruntime::RemotePtr> = server
-        .sessions()
-        .iter()
-        .map(|s| {
-            let mem = s.malloc(4096 * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; 4096]);
-            mem
-        })
-        .collect();
-    let t0 = handle.now();
-    let arrivals: Vec<Arrival> = schedule(n_tenants, 18)
-        .into_iter()
-        .map(|(at_cycle, tenant, n_eles)| Arrival {
-            at_cycle: t0 + at_cycle,
-            tenant,
-            spec: JobSpec::new(vecadd::args(1, buffers[tenant].device_addr(), n_eles))
-                .with_cost_hint(u64::from(n_eles)),
-        })
-        .collect();
-    let direct = format!("{:?}", server.run_open_loop(arrivals));
-    let direct_cycles = handle.now();
-    let direct_dispatched = server.stats().get("dispatched");
-
-    let (fleet_outcomes, rollup) = run_fleet(1, 1);
-    assert_eq!(
-        fleet_outcomes, direct,
-        "a 1-shard fleet must be byte-identical to the single-server path"
-    );
-    assert_eq!(rollup["fleet/dispatched"], direct_dispatched);
-    // Same ops on an identical replica ⇒ the shard clock ends where the
-    // direct run's did.
-    let (_, rollup_threaded) = run_fleet(1, 4);
-    assert_eq!(rollup, rollup_threaded, "execution width must not matter");
-    let _ = direct_cycles;
+    assert_fleet_matches_independent_servers(1);
 }
 
 #[test]
-fn n_shard_results_are_deterministic_and_width_invariant() {
+fn n_shard_fleet_matches_independent_servers() {
     for shards in [2usize, 3, 4] {
-        let serial = run_fleet(shards, 1);
-        let rerun = run_fleet(shards, 1);
-        let wide = run_fleet(shards, 4);
-        assert_eq!(serial, rerun, "{shards} shards: repeated runs must match");
-        assert_eq!(
-            serial, wide,
-            "{shards} shards: results must not depend on execution width"
-        );
+        assert_fleet_matches_independent_servers(shards);
     }
 }
 
@@ -165,7 +205,7 @@ fn admission_hash_is_stable_and_in_range() {
 
 #[test]
 fn rollup_mirrors_per_shard_counters_into_primary_registry() {
-    let (_, rollup) = run_fleet(2, 2);
+    let rollup = run_fleet(2).0.rollup();
     assert!(rollup.contains_key("fleet/dispatched"), "{rollup:?}");
     assert!(rollup.contains_key("fleet/completed"), "{rollup:?}");
     let per_shard: u64 = (0..2)
@@ -194,12 +234,13 @@ fn rollup_mirrors_per_shard_counters_into_primary_registry() {
     .expect("fleet opens");
     let mem = fleet.session(0).malloc(1024).expect("buffer");
     fleet.session(0).write_u32_slice(mem, &[1; 64]);
-    let outcomes = fleet.run_open_loop(vec![Arrival {
+    let arrival = Arrival {
         at_cycle: 0,
         tenant: 0,
         spec: JobSpec::new(vecadd::args(1, mem.device_addr(), 64)),
-    }]);
-    assert!(outcomes[0].is_completed());
+    };
+    let outcomes = fleet.run_keyed(vec![(0, arrival)]);
+    assert!(outcomes[&(0, 0)].is_completed());
     fleet.sync_rollup();
     let names: Vec<String> = fleet
         .handle(0)

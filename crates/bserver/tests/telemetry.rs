@@ -46,6 +46,30 @@ fn schedule(mem: bruntime::RemotePtr, t0: Cycle, jobs: usize, tenants: usize) ->
         .collect()
 }
 
+/// A fleet of 1-core vecadd shards over `tenants` tenants, with one
+/// filled buffer per shard.
+fn vecadd_fleet(shards: usize, tenants: usize) -> (FleetServer, Vec<bruntime::RemotePtr>) {
+    let config = FleetConfig {
+        shards,
+        server: ServerConfig::default(),
+    };
+    let fleet = FleetServer::new(
+        |_| elaborate(vecadd::config(1), &Platform::kria()).unwrap(),
+        vecadd::SYSTEM,
+        tenants,
+        config,
+    )
+    .expect("fleet");
+    let mems = (0..fleet.n_shards())
+        .map(|s| {
+            let mem = fleet.handle(s).malloc(64 * 1024).unwrap();
+            fleet.handle(s).write_u32_slice(mem, &vec![1u32; 16 * 1024]);
+            mem
+        })
+        .collect();
+    (fleet, mems)
+}
+
 #[test]
 fn spans_cover_admission_queue_and_core_for_one_job() {
     let (handle, mut server, mem) = setup(1, 1, ServerConfig::default());
@@ -120,38 +144,22 @@ fn telemetry_and_watchdog_are_cycle_and_outcome_neutral() {
 #[test]
 fn fleet_telemetry_is_outcome_and_cycle_neutral_across_shards() {
     let run = |telemetry: bool| {
-        let config = FleetConfig {
-            shards: 3,
-            server: ServerConfig::default(),
-        };
-        let mut fleet = FleetServer::new(
-            |_| elaborate(vecadd::config(1), &Platform::kria()).unwrap(),
-            vecadd::SYSTEM,
-            6,
-            config,
-        )
-        .expect("fleet");
-        let mems: Vec<bruntime::RemotePtr> = (0..fleet.n_shards())
-            .map(|s| {
-                let mem = fleet.handle(s).malloc(64 * 1024).unwrap();
-                fleet.handle(s).write_u32_slice(mem, &vec![1u32; 16 * 1024]);
-                mem
-            })
-            .collect();
+        let (mut fleet, mems) = vecadd_fleet(3, 6);
         if telemetry {
             fleet.enable_telemetry(TelemetryConfig::default());
         }
-        let arrivals: Vec<Arrival> = (0..18)
+        let arrivals = (0..18)
             .map(|i| {
                 let tenant = i % 6;
-                Arrival {
+                let arrival = Arrival {
                     at_cycle: (i as Cycle) * 300,
                     tenant,
                     spec: job(mems[fleet.shard_of(tenant)], 128),
-                }
+                };
+                (i as u64, arrival)
             })
             .collect();
-        let outcomes = fleet.run_open_loop_on(arrivals, 1);
+        let outcomes = fleet.run_keyed(arrivals);
         let cycles: Vec<Cycle> = (0..fleet.n_shards())
             .map(|s| fleet.handle(s).now())
             .collect();
@@ -162,37 +170,21 @@ fn fleet_telemetry_is_outcome_and_cycle_neutral_across_shards() {
 
 #[test]
 fn fleet_merged_trace_crosses_tracks_on_the_right_shard() {
-    let config = FleetConfig {
-        shards: 2,
-        server: ServerConfig::default(),
-    };
-    let mut fleet = FleetServer::new(
-        |_| elaborate(vecadd::config(1), &Platform::kria()).unwrap(),
-        vecadd::SYSTEM,
-        4,
-        config,
-    )
-    .expect("fleet");
-    let mems: Vec<bruntime::RemotePtr> = (0..fleet.n_shards())
-        .map(|s| {
-            let mem = fleet.handle(s).malloc(64 * 1024).unwrap();
-            fleet.handle(s).write_u32_slice(mem, &vec![1u32; 16 * 1024]);
-            mem
-        })
-        .collect();
+    let (mut fleet, mems) = vecadd_fleet(2, 4);
     fleet.enable_telemetry(TelemetryConfig::default());
-    let arrivals: Vec<Arrival> = (0..8)
+    let arrivals = (0..8)
         .map(|i| {
             let tenant = i % 4;
-            Arrival {
+            let arrival = Arrival {
                 at_cycle: (i as Cycle) * 500,
                 tenant,
                 spec: job(mems[fleet.shard_of(tenant)], 64),
-            }
+            };
+            (i as u64, arrival)
         })
         .collect();
-    let outcomes = fleet.run_open_loop_on(arrivals, 1);
-    assert!(outcomes.iter().all(JobOutcome::is_completed));
+    let outcomes = fleet.run_keyed(arrivals);
+    assert!(outcomes.values().all(JobOutcome::is_completed));
     let trace = fleet.merged_trace().expect("telemetry on");
     bsim::perf::validate_json(&trace).expect("merged trace is valid JSON");
     // One Perfetto process per shard.
@@ -218,6 +210,68 @@ fn fleet_merged_trace_crosses_tracks_on_the_right_shard() {
             "shard {pid} must host request {i}'s admission track"
         );
     }
+}
+
+/// Field `key` of one flat trace record, as raw text.
+fn field<'a>(record: &'a str, key: &str) -> Option<&'a str> {
+    let pattern = format!("\"{key}\":");
+    let rest = &record[record.find(&pattern)? + pattern.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim_matches('"'))
+}
+
+#[test]
+fn fleet_trace_ids_stay_unique_across_waves() {
+    let (mut fleet, mems) = vecadd_fleet(2, 4);
+    fleet.enable_telemetry(TelemetryConfig::default());
+    // Two waves of 8; wave w's arrival i comes from tenant (i + w) % 4,
+    // so reusing per-call indices as ids would mix tenants.
+    let mut tenants = Vec::new();
+    for wave in 0..2 {
+        let arrivals = (0..8)
+            .map(|i| {
+                let tenant = (i + wave) % 4;
+                tenants.push(tenant);
+                let arrival = Arrival {
+                    at_cycle: (i as Cycle) * 500,
+                    tenant,
+                    spec: job(mems[fleet.shard_of(tenant)], 64),
+                };
+                (i as u64, arrival)
+            })
+            .collect();
+        assert!(fleet
+            .run_keyed(arrivals)
+            .values()
+            .all(JobOutcome::is_completed));
+    }
+    let trace = fleet.merged_trace().expect("telemetry on");
+    // (pid, tid) → track name, then trace id → the tenant track of each
+    // of its spans (a completed job has one, its queue span).
+    let records: Vec<&str> = trace.split("{\"ph\":").collect();
+    let mut tracks = BTreeMap::new();
+    for r in records.iter().filter(|r| r.contains("\"thread_name\"")) {
+        let args = &r[r.find("\"args\":").expect("thread args")..];
+        tracks.insert((field(r, "pid"), field(r, "tid")), field(args, "name"));
+    }
+    let mut owners: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for r in records.iter().filter(|r| r.starts_with("\"X\"")) {
+        let id: u64 = field(r, "trace_id")
+            .expect("span trace id")
+            .parse()
+            .unwrap();
+        let owner = owners.entry(id).or_default();
+        let track = tracks[&(field(r, "pid"), field(r, "tid"))].expect("track name");
+        if let Some(tenant) = track.strip_prefix("tenant") {
+            owner.push(tenant.parse().unwrap());
+        }
+    }
+    assert_eq!(owners.len(), tenants.len(), "one trace id per arrival");
+    for (id, owner) in owners {
+        let want = vec![tenants[id as usize]];
+        assert_eq!(owner, want, "trace id {id} must belong to one tenant");
+    }
+    assert_eq!(trace.matches("\"ph\":\"s\"").count(), tenants.len());
 }
 
 #[test]
@@ -395,36 +449,20 @@ fn watchdog_dumps_flight_recorder_on_injected_stall() {
 
 #[test]
 fn rollup_skips_mirrors_and_stays_idempotent() {
-    let config = FleetConfig {
-        shards: 2,
-        server: ServerConfig::default(),
-    };
-    let mut fleet = FleetServer::new(
-        |_| elaborate(vecadd::config(1), &Platform::kria()).unwrap(),
-        vecadd::SYSTEM,
-        4,
-        config,
-    )
-    .expect("fleet");
-    let mems: Vec<bruntime::RemotePtr> = (0..fleet.n_shards())
-        .map(|s| {
-            let mem = fleet.handle(s).malloc(64 * 1024).unwrap();
-            fleet.handle(s).write_u32_slice(mem, &vec![1u32; 16 * 1024]);
-            mem
-        })
-        .collect();
-    let arrivals: Vec<Arrival> = (0..8)
+    let (mut fleet, mems) = vecadd_fleet(2, 4);
+    let arrivals = (0..8)
         .map(|i| {
             let tenant = i % 4;
-            Arrival {
+            let arrival = Arrival {
                 at_cycle: (i as Cycle) * 400,
                 tenant,
                 spec: job(mems[fleet.shard_of(tenant)], 64),
-            }
+            };
+            (i as u64, arrival)
         })
         .collect();
-    let outcomes = fleet.run_open_loop_on(arrivals, 1);
-    let completed = outcomes.iter().filter(|o| o.is_completed()).count() as u64;
+    let outcomes = fleet.run_keyed(arrivals);
+    let completed = outcomes.values().filter(|o| o.is_completed()).count() as u64;
     assert_eq!(completed, 8);
 
     // Rolling up twice must not re-ingest the mirrors sync_rollup wrote.
