@@ -211,15 +211,15 @@ fn ablation_dram_mapping(c: &mut Criterion) {
 ///   both schedulers do proportional work.
 ///
 /// Simulated cycle counts are identical across modes by construction
-/// (asserted here; guarded byte-for-byte by the lockstep and property
-/// suites). The data are host wall-clock and the ticked-vs-registered
-/// component-cycle economy reported in the `sim rate:` footer.
+/// (asserted here; guarded byte-for-byte by the scheduler equivalence
+/// and property suites). The data are host wall-clock and the
+/// ticked-vs-registered component-cycle economy reported in the
+/// `sim rate:` footer.
 fn ablation_active_set(c: &mut Criterion) {
-    use bsim::{SchedulerMode, SimRate, SimRateExt};
-    type Scenario<'a> = (
-        &'a str,
-        Box<dyn Fn(SchedulerMode) -> (SimRate, SimRateExt) + 'a>,
-    );
+    use bsim::{SimRate, SimRateExt};
+    // Each scenario runs with the active-set scheduler on (`true`) or
+    // under the naive oracle (`false`).
+    type Scenario<'a> = (&'a str, Box<dyn Fn(bool) -> (SimRate, SimRateExt) + 'a>);
     // The widest vector-add SoC the AWS F1 floorplan holds (40 cores
     // elaborate, 44 do not): the schedulers' asymptotics only separate
     // when the idle majority is large.
@@ -228,14 +228,14 @@ fn ablation_active_set(c: &mut Criterion) {
     const VEC_BASE: u64 = 0x10_0000;
     const VEC_STRIDE: u64 = 0x10_0000;
 
-    let idle_heavy = |mode: SchedulerMode| -> (SimRate, SimRateExt) {
+    let idle_heavy = |event_driven: bool| -> (SimRate, SimRateExt) {
         const SRC: u64 = 0x10_0000;
         const DST: u64 = 0x80_0000;
         const BYTES: u64 = 16 * 1024;
         let timer = bsim::SimRateTimer::starting_at(0);
         let mut soc = bcore::elaborate(bkernels::memcpy::config(), &Platform::aws_f1())
             .expect("memcpy elaborates");
-        soc.set_scheduler_mode(mode);
+        soc.set_event_driven(event_driven);
         let payload: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
         soc.memory().borrow_mut().write(SRC, &payload);
         let args = [
@@ -256,10 +256,10 @@ fn ablation_active_set(c: &mut Criterion) {
     // the rest never see a command. The timer covers only the simulated
     // region — SoC elaboration (floorplanning, wiring) is identical
     // across scheduler modes and would otherwise flatten the comparison.
-    let vecadd_run = |mode: SchedulerMode, busy: u32, rounds: u32| -> (SimRate, SimRateExt) {
+    let vecadd_run = |event_driven: bool, busy: u32, rounds: u32| -> (SimRate, SimRateExt) {
         let mut soc = bcore::elaborate(bkernels::vecadd::config(CORES), &Platform::aws_f1())
             .expect("vecadd elaborates");
-        soc.set_scheduler_mode(mode);
+        soc.set_event_driven(event_driven);
         let input: Vec<u8> = (0..ELES * 4).map(|i| (i % 251) as u8).collect();
         for core in 0..busy {
             soc.memory()
@@ -285,17 +285,14 @@ fn ablation_active_set(c: &mut Criterion) {
 
     let scenarios: [Scenario; 3] = [
         ("idle-heavy    ", Box::new(idle_heavy)),
-        ("one-busy-core ", Box::new(|mode| vecadd_run(mode, 1, 8))),
+        ("one-busy-core ", Box::new(|on| vecadd_run(on, 1, 8))),
         // All-cores-busy costs O(cores) in every mode; two rounds keep
         // the honest no-win datum affordable.
-        (
-            "all-cores-busy",
-            Box::new(|mode| vecadd_run(mode, CORES, 2)),
-        ),
+        ("all-cores-busy", Box::new(|on| vecadd_run(on, CORES, 2))),
     ];
     for (name, run) in &scenarios {
-        let (naive, _) = run(SchedulerMode::Naive);
-        let (active, ext) = run(SchedulerMode::ActiveSet);
+        let (naive, _) = run(false);
+        let (active, ext) = run(true);
         assert_eq!(
             naive.cycles, active.cycles,
             "{name}: active-set cycle drift"
@@ -314,10 +311,10 @@ fn ablation_active_set(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_active_set");
     group.sample_size(3);
     group.bench_function("one_busy_core_naive", |b| {
-        b.iter(|| black_box(vecadd_run(SchedulerMode::Naive, 1, 8)))
+        b.iter(|| black_box(vecadd_run(false, 1, 8)))
     });
     group.bench_function("one_busy_core_active_set", |b| {
-        b.iter(|| black_box(vecadd_run(SchedulerMode::ActiveSet, 1, 8)))
+        b.iter(|| black_box(vecadd_run(true, 1, 8)))
     });
     group.finish();
 }

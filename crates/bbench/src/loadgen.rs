@@ -17,8 +17,8 @@
 //! integers (cycles and counts, percentiles from the
 //! `server/latency_cycles` histograms in `bsim::perf`), and the
 //! per-policy simulations run as independent [`crate::par`] jobs — so
-//! stdout is byte-identical at any `BBENCH_JOBS` and under any
-//! `bsim::SchedulerMode` (enforced by the `loadgen_determinism` test),
+//! stdout is byte-identical at any `BBENCH_JOBS` and in either scheduler
+//! mode (`BSIM_NAIVE`; enforced by the `loadgen_determinism` test),
 //! and `results/loadgen.txt` is pinned by the `loadgen_cli` test.
 //!
 //! Runs can additionally carry telemetry ([`TelemetryOpts`]): request
@@ -267,15 +267,15 @@ pub fn run_policy(
         });
     }
 
-    // One buffer per tenant, allocated through that tenant's session (the
-    // multi-session alloc path) on whichever shard admission hashed it
-    // to, sized for the largest job in the mix. Jobs add in place;
+    // One buffer per tenant, allocated through the handle of whichever
+    // shard admission hashed it to (tenants on one shard share its
+    // allocator), sized for the largest job in the mix. Jobs add in place;
     // concurrent cores touching one tenant's buffer is
     // timing-deterministic, and values are not checked here.
     let max_eles = plan.iter().map(|j| j.n_eles).max().unwrap_or(64);
     let buffers: Vec<bruntime::RemotePtr> = (0..scale.tenants)
         .map(|t| {
-            let s = fleet.session(t);
+            let s = fleet.handle(fleet.shard_of(t));
             let mem = s.malloc(u64::from(max_eles) * 4).expect("tenant buffer");
             s.write_u32_slice(mem, &vec![1u32; max_eles as usize]);
             mem
@@ -365,10 +365,13 @@ pub fn run_policy(
     };
     drop(outcomes);
 
-    // Interleaved teardown across sessions: the shared allocator must
-    // coalesce the holes (regression shape for multi-session `free`).
+    // Interleaved teardown across tenants: the shared allocator must
+    // coalesce the holes (regression shape for multi-client `free`).
     for (t, mem) in buffers.into_iter().enumerate().rev() {
-        fleet.session(t).free(mem).expect("free tenant buffer");
+        fleet
+            .handle(fleet.shard_of(t))
+            .free(mem)
+            .expect("free tenant buffer");
     }
     row
 }

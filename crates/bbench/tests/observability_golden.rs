@@ -22,7 +22,7 @@ use bkernels::vecadd;
 use bplatform::Platform;
 use bserver::{Arrival, FleetConfig, FleetServer, JobSpec, ServerConfig, TelemetryConfig};
 use bserver::{DispatchPolicy, WatchdogConfig};
-use bsim::{Cycle, SchedulerMode, Simulation};
+use bsim::{Cycle, Simulation};
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -51,7 +51,7 @@ impl Fnv {
 
 /// Whether this process runs the naive scheduler.
 fn naive() -> bool {
-    Simulation::new().scheduler_mode() == SchedulerMode::Naive
+    !Simulation::new().event_driven()
 }
 
 /// `active` under the default scheduler, `naive` under `BSIM_NAIVE=1`.

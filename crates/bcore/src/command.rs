@@ -117,6 +117,36 @@ impl AccelCommandSpec {
     pub fn beats(&self) -> u8 {
         self.payload_bits().div_ceil(ROCC_PAYLOAD_BITS).max(1) as u8
     }
+
+    /// Checks that `args` names exactly this spec's fields, each within
+    /// its declared width — the validation [`pack_command`] performs, for
+    /// callers that must reject a command before it reaches the device.
+    ///
+    /// # Errors
+    ///
+    /// A [`CommandPackError`] for the first unknown, missing, or
+    /// over-wide argument.
+    pub fn check(&self, args: &CommandArgs) -> Result<(), CommandPackError> {
+        for name in args.keys() {
+            if !self.fields.iter().any(|(f, _)| f == name) {
+                return Err(CommandPackError::UnknownField(name.clone()));
+            }
+        }
+        for (name, ty) in &self.fields {
+            let value = *args
+                .get(name)
+                .ok_or_else(|| CommandPackError::MissingField(name.clone()))?;
+            let bits = ty.bits();
+            if bits < 64 && value >> bits != 0 {
+                return Err(CommandPackError::ValueTooWide {
+                    field: name.clone(),
+                    value,
+                    bits,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A response declaration (the paper's `EmptyAccelResponse()` or a custom
@@ -309,25 +339,10 @@ pub fn pack_command(
     core_id: u16,
     args: &CommandArgs,
 ) -> Result<PackedCommand, CommandPackError> {
-    for name in args.keys() {
-        if !spec.fields.iter().any(|(f, _)| f == name) {
-            return Err(CommandPackError::UnknownField(name.clone()));
-        }
-    }
+    spec.check(args)?;
     let mut writer = BitWriter::new();
     for (name, ty) in &spec.fields {
-        let value = *args
-            .get(name)
-            .ok_or_else(|| CommandPackError::MissingField(name.clone()))?;
-        let bits = ty.bits();
-        if bits < 64 && value >> bits != 0 {
-            return Err(CommandPackError::ValueTooWide {
-                field: name.clone(),
-                value,
-                bits,
-            });
-        }
-        writer.push(value, bits);
+        writer.push(args[name], ty.bits());
     }
     let total_beats = spec.beats();
     // Ensure we have 2 words per beat.

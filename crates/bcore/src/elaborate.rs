@@ -974,6 +974,26 @@ mod tests {
     }
 
     #[test]
+    fn waiting_on_one_core_keeps_the_others_responses() {
+        // Core 0's short job finishes while the host waits on core 1's
+        // long one: the wait's drain must record core 0's response, so a
+        // later poll returns it without running the fabric.
+        let mut soc = elaborate(vecadd_config(2), &Platform::sim()).unwrap();
+        soc.memory()
+            .borrow_mut()
+            .write_u32_slice(0x10_0000, &vec![1; 4096]);
+        let short = soc.send_command(0, 0, &args(1, 0x10_0000, 64)).unwrap();
+        let long = soc.send_command(0, 1, &args(1, 0x20_0000, 4096)).unwrap();
+        soc.run_until_response(long, 2_000_000)
+            .expect("core 1 finishes");
+        assert!(!soc.has_outstanding(), "core 0 finished first");
+        let now = soc.now();
+        assert_eq!(soc.poll(short), Some(0));
+        assert_eq!(soc.now(), now, "poll advanced the clock");
+        assert_eq!(soc.poll(short), None, "a completion is consumed once");
+    }
+
+    #[test]
     fn multicore_is_faster_than_sequential_on_same_work() {
         // 4 cores, 4 commands spread across them vs 4 commands on 1 core.
         let run = |n_cores: u32, spread: bool| -> u64 {

@@ -81,20 +81,30 @@ pub(crate) struct CoreLink {
     pub resp_rx: Receiver<RoccResponse>,
 }
 
+/// Executed cycles between the completion checks of the response waits.
+/// Every response channel is a watched wake source (see `SocSim::new`),
+/// so the stride never delays an observation: the scheduler forces a
+/// check on any cycle a response becomes visible (the "strides never
+/// race wakes" guarantee of `Simulation::run_until_strided`). It only
+/// saves the per-cycle predicate call on busy stretches; dropping it
+/// measured slower on the `serve-inproc` and `memcpy` benchmarks.
+const RESPONSE_POLL_STRIDE: Cycle = 64;
+
 /// Ready-list registration key for `(system, core)`'s response channel.
 fn ready_key(system: u16, core: u16) -> u64 {
     ((system as u64) << 16) | core as u64
 }
 
-/// Drains every response channel the simulation's host-ready list reports
-/// as holding a visible item, recording completions exactly as the
-/// full-scan path does. Channels left with not-yet-visible items are
+/// The SoC's one response drain: empties every response channel the
+/// simulation's host-ready list reports as holding a visible item into
+/// the completed set. Channels left with not-yet-visible items are
 /// re-armed so a later drain picks them up. Returns the number of
 /// responses recorded.
 ///
-/// Shared by [`SocSim::drain_ready_responses`] and the doorbell wait's
-/// `done` closure (which holds the simulation's fields destructured, so
-/// this takes them piecewise).
+/// Costs O(ready channels), not O(cores). Shared by
+/// [`SocSim::drain_ready_responses`] and the `done` closures of both
+/// waits (which hold the simulation's fields destructured, so this takes
+/// them piecewise).
 fn drain_ready_links(
     sim: &Simulation,
     links: &[Vec<CoreLink>],
@@ -271,18 +281,6 @@ impl SocSim {
         }
     }
 
-    /// Pins a specific scheduler mode (the naive oracle or the active-set
-    /// default) across the whole SoC: [`SocSim::set_event_driven`] by
-    /// another name.
-    pub fn set_scheduler_mode(&mut self, mode: bsim::SchedulerMode) {
-        self.set_event_driven(mode == bsim::SchedulerMode::ActiveSet);
-    }
-
-    /// The scheduler mode currently driving the fabric.
-    pub fn scheduler_mode(&self) -> bsim::SchedulerMode {
-        self.sim.scheduler_mode()
-    }
-
     /// Advances `cycles` fabric cycles.
     pub fn run_for(&mut self, cycles: Cycle) {
         self.sim.run_for(cycles);
@@ -301,6 +299,11 @@ impl SocSim {
         self.links
             .get(system as usize)
             .map_or(0, |c| c.len() as u16)
+    }
+
+    /// The command spec `system`'s cores accept.
+    pub fn command_spec(&self, system: u16) -> Option<&AccelCommandSpec> {
+        self.specs.get(system as usize)
     }
 
     /// Whether `(system, core)`'s command queue can take another command.
@@ -327,7 +330,8 @@ impl SocSim {
             .map(|s| s.capacity - s.occupancy)
     }
 
-    /// Sends a command; returns a token to poll for the response.
+    /// Sends a command; returns a token to poll for the response. The
+    /// one-item case of [`SocSim::submit_batch`].
     ///
     /// Arguments are validated by round-tripping through the RoCC packing
     /// path — exactly the transformation the generated bindings and the
@@ -342,39 +346,8 @@ impl SocSim {
         core: u16,
         args: &CommandArgs,
     ) -> Result<CommandToken, SendError> {
-        let spec = self
-            .specs
-            .get(system as usize)
-            .ok_or(SendError::NoSuchSystem(system))?;
-        let cores = &self.links[system as usize];
-        if core as usize >= cores.len() {
-            return Err(SendError::NoSuchCore {
-                system,
-                core,
-                n_cores: cores.len() as u16,
-            });
-        }
-        if !self.links[system as usize][core as usize]
-            .cmd_tx
-            .can_send(self.sim.ctx())
-        {
-            return Err(SendError::QueueFull);
-        }
-        // The full host→MMIO→RoCC→core path: pack the arguments onto RoCC
-        // beats, serialize each beat as its five-word MMIO frame, and push
-        // the words through the command subsystem's decoder — the wire
-        // protocol is load-bearing, exactly as in the generated hardware.
-        let packed = pack_command(spec, system, core, args)?;
-        for beat in &packed.beats {
-            for word in encode_command(beat) {
-                self.mmio_write_cmd_word(word);
-            }
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.outstanding[system as usize][core as usize].push_back((seq, self.sim.now()));
-        self.mmio_stats.incr("commands_sent");
-        Ok(CommandToken { system, core, seq })
+        let mut sent = self.submit_batch(system, &[(core, args)], 0)?;
+        Ok(sent.pop().expect("one item sent").0)
     }
 
     /// Sends a batch of commands to `system` under one host visit,
@@ -387,8 +360,7 @@ impl SocSim {
     /// *before* any time advances or any word is pushed, so a failed
     /// batch leaves the SoC untouched. Returns one `(token, cycle)` pair
     /// per item, where the cycle is the fabric time the command entered
-    /// the FIFO — a one-item batch is indistinguishable from
-    /// [`SocSim::send_command`].
+    /// the FIFO.
     ///
     /// # Errors
     ///
@@ -428,6 +400,10 @@ impl SocSim {
             if i > 0 && gap_cycles > 0 {
                 self.run_for(gap_cycles);
             }
+            // The full host→MMIO→RoCC→core path: each RoCC beat goes out
+            // as its five-word MMIO frame through the command subsystem's
+            // decoder — the wire protocol is load-bearing, exactly as in
+            // the generated hardware.
             for beat in &packed.beats {
                 for word in encode_command(beat) {
                     self.mmio_write_cmd_word(word);
@@ -474,30 +450,11 @@ impl SocSim {
         self.mmio_cmd_words
     }
 
-    fn drain_responses(&mut self) {
-        let now = self.sim.now();
-        for (sys, cores) in self.links.iter().enumerate() {
-            for (core, link) in cores.iter().enumerate() {
-                while let Some(resp) = link.resp_rx.recv(self.sim.ctx(), now) {
-                    let (seq, sent) = self.outstanding[sys][core]
-                        .pop_front()
-                        .expect("response without outstanding command");
-                    self.mmio_stats.incr("responses");
-                    self.mmio_stats
-                        .record("cmd_latency_cycles", now.saturating_sub(sent));
-                    self.completed
-                        .insert((sys as u16, core as u16, seq), resp.data);
-                }
-            }
-        }
-    }
-
     /// Non-blocking poll: returns the response payload if `token` has
     /// completed (consumes it).
     pub fn poll(&mut self, token: CommandToken) -> Option<u64> {
-        self.drain_responses();
-        self.completed
-            .remove(&(token.system, token.core, token.seq))
+        self.drain_ready_responses();
+        self.take_completed(token)
     }
 
     /// Drains every response channel the host-ready list reports, leaving
@@ -543,13 +500,6 @@ impl SocSim {
         token: CommandToken,
         max_cycles: Cycle,
     ) -> Result<u64, Cycle> {
-        // Every response channel is a watched wake source (see `new`), so
-        // a stride above 1 cannot delay the observation: the scheduler
-        // forces a completion check on any cycle a watched response is
-        // visible, and the elapsed count stays exact (the "strides never
-        // race wakes" guarantee of `run_until_strided`). The stride only
-        // amortises the O(cores) response scan across quiet cycles.
-        const RESPONSE_POLL_STRIDE: Cycle = 64;
         if let Some(data) = self.poll(token) {
             return Ok(data);
         }
@@ -562,21 +512,11 @@ impl SocSim {
             mmio_stats,
             ..
         } = self;
+        // The check drains only the channels that hold a response, and
+        // the waited-for token can only complete when one was drained.
         let result = sim.run_until_strided(max_cycles, RESPONSE_POLL_STRIDE, |sim| {
-            let now = sim.now();
-            for (sys, cores) in links.iter().enumerate() {
-                for (core, link) in cores.iter().enumerate() {
-                    while let Some(resp) = link.resp_rx.recv(sim.ctx(), now) {
-                        let (seq, sent) = outstanding[sys][core]
-                            .pop_front()
-                            .expect("response without outstanding command");
-                        mmio_stats.incr("responses");
-                        mmio_stats.record("cmd_latency_cycles", now.saturating_sub(sent));
-                        completed.insert((sys as u16, core as u16, seq), resp.data);
-                    }
-                }
-            }
-            completed.contains_key(&key)
+            drain_ready_links(sim, links, outstanding, completed, mmio_stats) > 0
+                && completed.contains_key(&key)
         });
         match result {
             Ok(_) => Ok(self
@@ -594,14 +534,13 @@ impl SocSim {
     /// so under the active-set scheduler a sleeping dispatcher costs no
     /// per-cycle host work across quiescent gaps.
     ///
-    /// Completions are left in the completed set; harvest them by polling
-    /// each in-flight token ([`SocSim::poll`]).
+    /// Completions are left in the completed set; harvest them with
+    /// [`SocSim::take_completed`] (or [`SocSim::poll`]).
     ///
     /// # Errors
     ///
     /// Returns `Err(max_cycles)` if nothing completed within the budget.
     pub fn run_until_any_response(&mut self, max_cycles: Cycle) -> Result<(), Cycle> {
-        const RESPONSE_POLL_STRIDE: Cycle = 64;
         self.drain_ready_responses();
         if !self.completed.is_empty() {
             return Ok(());
@@ -618,7 +557,7 @@ impl SocSim {
         // — wake cost scales with ready cores, not SoC size. Counter
         // increments and histogram samples are order-insensitive and the
         // completed set is keyed, so drain order cannot change any
-        // observable output relative to the old full scan.
+        // observable output.
         let result = sim.run_until_strided(max_cycles, RESPONSE_POLL_STRIDE, |sim| {
             drain_ready_links(sim, links, outstanding, completed, mmio_stats);
             !completed.is_empty()

@@ -1,4 +1,4 @@
-//! Lockstep guard for the performance-counter layer: profiling must be
+//! A lockstep guard for the performance-counter layer: profiling must be
 //! observation-only. The same full-SoC memcpy workload is driven with
 //! counters disabled and enabled (in both scheduler modes), and every
 //! simulated observable must be byte-identical — response cycles, final

@@ -1,18 +1,18 @@
 //! End-to-end lockstep guard for the schedulers: the same full-SoC
 //! workload (elaborated memcpy core, AXI interconnect, memory controller,
-//! DRAM with refresh) is driven once per [`bsim::SchedulerMode`] — naive
+//! DRAM with refresh) is driven once per scheduler mode — naive
 //! cycle-by-cycle stepping and the active-set heap scheduler with its
-//! fast-forward — through a command / long idle gap / command sequence,
-//! and every observable must be byte-identical: response cycles, final
-//! `now`, copied bytes, DRAM statistics (refreshes across the skipped gap
-//! included), controller counters, and the full performance-counter
-//! registry (minus the `scheduler/` namespace, which *describes* the
-//! scheduling work and so is the one legitimately mode-dependent corner).
+//! fast-forward (`SocSim::set_event_driven`) — through a command / long
+//! idle gap / command sequence, and every observable must be
+//! byte-identical: response cycles, final `now`, copied bytes, DRAM
+//! statistics (refreshes across the skipped gap included), controller
+//! counters, and the full performance-counter registry (minus the
+//! `scheduler/` namespace, which *describes* the scheduling work and so
+//! is the one legitimately mode-dependent corner).
 
 use bcore::elaborate;
 use bkernels::memcpy;
 use bplatform::Platform;
-use bsim::SchedulerMode;
 
 const SRC: u64 = 0x10_0000;
 const DST: u64 = 0x80_0000;
@@ -31,9 +31,9 @@ struct Run {
     counters: Vec<(String, u64)>,
 }
 
-fn drive(mode: SchedulerMode) -> Run {
+fn drive(event_driven: bool) -> Run {
     let mut soc = elaborate(memcpy::config(), &Platform::aws_f1()).expect("memcpy elaborates");
-    soc.set_scheduler_mode(mode);
+    soc.set_event_driven(event_driven);
     soc.set_profiling(true);
     let payload: Vec<u8> = (0..BYTES).map(|i| (i % 251) as u8).collect();
     soc.memory().borrow_mut().write(SRC, &payload);
@@ -81,8 +81,8 @@ fn drive(mode: SchedulerMode) -> Run {
 
 #[test]
 fn all_scheduler_modes_are_byte_identical() {
-    let naive = drive(SchedulerMode::Naive);
-    let run = drive(SchedulerMode::ActiveSet);
+    let naive = drive(false);
+    let run = drive(true);
     assert_eq!(
         naive.elapsed_first, run.elapsed_first,
         "first response cycle diverged"

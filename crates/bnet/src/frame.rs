@@ -208,6 +208,8 @@ pub enum WireReject {
     AdmissionFull,
     /// The queue-wait deadline expired.
     DeadlineExpired,
+    /// The job's arguments do not match the system's command spec.
+    BadArgs,
 }
 
 /// A [`JobOutcome`] as it travels on the wire.
@@ -262,6 +264,7 @@ impl WireOutcome {
                 reason: match reason {
                     RejectReason::AdmissionFull => WireReject::AdmissionFull,
                     RejectReason::DeadlineExpired => WireReject::DeadlineExpired,
+                    RejectReason::BadArgs => WireReject::BadArgs,
                 },
                 retries,
                 queue_wait_cycles,
@@ -308,6 +311,7 @@ impl WireOutcome {
                 out.push(match reason {
                     WireReject::AdmissionFull => 1,
                     WireReject::DeadlineExpired => 2,
+                    WireReject::BadArgs => 3,
                 });
                 out.extend_from_slice(&retries.to_le_bytes());
                 out.extend_from_slice(&queue_wait_cycles.to_le_bytes());
@@ -324,11 +328,11 @@ impl WireOutcome {
                 core: r.u16()?,
                 retries: r.u32()?,
             }),
-            kind @ (1 | 2) => Ok(WireOutcome::Rejected {
-                reason: if kind == 1 {
-                    WireReject::AdmissionFull
-                } else {
-                    WireReject::DeadlineExpired
+            kind @ 1..=3 => Ok(WireOutcome::Rejected {
+                reason: match kind {
+                    1 => WireReject::AdmissionFull,
+                    2 => WireReject::DeadlineExpired,
+                    _ => WireReject::BadArgs,
                 },
                 retries: r.u32()?,
                 queue_wait_cycles: r.u64()?,
@@ -804,7 +808,15 @@ mod tests {
                     queue_wait_cycles: 50,
                 },
             },
-            Frame::Done { count: 2 },
+            Frame::Outcome {
+                seq: 44,
+                outcome: WireOutcome::Rejected {
+                    reason: WireReject::BadArgs,
+                    retries: 0,
+                    queue_wait_cycles: 0,
+                },
+            },
+            Frame::Done { count: 3 },
             Frame::StatsReply {
                 counters: vec![("net/frames_in".into(), 9)],
             },

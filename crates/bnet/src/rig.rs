@@ -109,7 +109,7 @@ impl std::fmt::Debug for Rig {
 
 /// Elaborates the rig: one fresh vecadd SoC per shard on the `kria`
 /// platform, a [`FleetServer`] over them, and one buffer per tenant
-/// allocated through that tenant's session in ascending tenant order
+/// allocated through its shard's handle in ascending tenant order
 /// (the same discipline as `bbench::loadgen`), initialized to ones.
 ///
 /// # Panics
@@ -136,11 +136,11 @@ pub fn build(config: &RigConfig) -> Rig {
     .expect("fleet opens");
     let buffers = (0..config.tenants)
         .map(|tenant| {
-            let session = fleet.session(tenant);
-            let mem = session
+            let handle = fleet.handle(fleet.shard_of(tenant));
+            let mem = handle
                 .malloc(u64::from(config.buffer_eles) * 4)
                 .expect("tenant buffer");
-            session.write_u32_slice(mem, &vec![1u32; config.buffer_eles as usize]);
+            handle.write_u32_slice(mem, &vec![1u32; config.buffer_eles as usize]);
             RigBuffer {
                 device_addr: mem.device_addr(),
                 eles: config.buffer_eles,

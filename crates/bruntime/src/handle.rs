@@ -138,8 +138,6 @@ struct Inner {
     stats: RuntimeStats,
     /// Default budget for blocking `get`s, fabric cycles.
     get_timeout_cycles: Cycle,
-    /// Session ids handed out so far (see [`FpgaHandle::open_session`]).
-    next_session: u32,
 }
 
 impl Inner {
@@ -200,7 +198,6 @@ impl FpgaHandle {
                 opts,
                 stats: RuntimeStats::default(),
                 get_timeout_cycles: 2_000_000_000,
-                next_session: 0,
             })),
         }
     }
@@ -349,7 +346,9 @@ impl FpgaHandle {
     /// command's named fields (the generated bindings build this map).
     ///
     /// Models the serialized server: lock acquisition plus one MMIO write
-    /// per RoCC beat, during which the device keeps running.
+    /// per RoCC beat, during which the device keeps running. A full
+    /// command FIFO makes the server spin on the MMIO status register
+    /// until the core frees a slot.
     ///
     /// # Errors
     ///
@@ -360,35 +359,8 @@ impl FpgaHandle {
         core_idx: u16,
         args: std::collections::BTreeMap<String, u64>,
     ) -> Result<ResponseHandle, CallError> {
-        let mut inner = self.inner.lock().expect("runtime lock poisoned");
-        let sys_id = inner
-            .soc
-            .system_id(system)
-            .ok_or_else(|| CallError::UnknownSystem(system.to_owned()))?;
-        let link = inner.soc.platform().host_link;
-        // Serialized server work: lock + MMIO writes (5 words per beat).
-        let server_ns = inner.opts.lock_overhead_ns + link.mmio_latency_ns;
-        inner.advance_ns(server_ns);
-        inner.stats.server_busy_ns += server_ns;
-        let token = loop {
-            match inner.soc.send_command(sys_id, core_idx, &args) {
-                Ok(t) => break t,
-                Err(bcore::soc::SendError::QueueFull) => {
-                    // Command FIFO full: the server spins on the MMIO
-                    // status register.
-                    let spin = inner.opts.poll_interval_ns.max(1);
-                    inner.advance_ns(spin);
-                    inner.stats.server_busy_ns += spin;
-                }
-                Err(e) => return Err(CallError::Send(e)),
-            }
-        };
-        inner.stats.commands += 1;
-        Ok(ResponseHandle {
-            inner: Arc::clone(&self.inner),
-            token,
-            resolved: Arc::new(Mutex::new(None)),
-        })
+        let mut sent = self.submit(system, &[(core_idx, &args)], true)?;
+        Ok(sent.pop().expect("one item sent").0)
     }
 
     /// Sends a batch of commands to `system` under a single lock
@@ -418,13 +390,29 @@ impl FpgaHandle {
         if items.is_empty() {
             return Ok(Vec::new());
         }
+        let refs: Vec<(u16, &std::collections::BTreeMap<String, u64>)> =
+            items.iter().map(|(core, args)| (*core, args)).collect();
+        self.submit(system, &refs, false)
+    }
+
+    /// The one submission body behind [`FpgaHandle::call`] and
+    /// [`FpgaHandle::call_batch`]: resolve the system, charge the lock
+    /// plus the first MMIO write, and push every item through
+    /// [`SocSim::submit_batch`], later items one MMIO write apart. With
+    /// `spin_on_full`, a full command FIFO is waited out at the poll
+    /// interval instead of returned.
+    fn submit(
+        &self,
+        system: &str,
+        items: &[(u16, &std::collections::BTreeMap<String, u64>)],
+        spin_on_full: bool,
+    ) -> Result<Vec<(ResponseHandle, Cycle)>, CallError> {
         let mut inner = self.inner.lock().expect("runtime lock poisoned");
         let sys_id = inner
             .soc
             .system_id(system)
             .ok_or_else(|| CallError::UnknownSystem(system.to_owned()))?;
         let link = inner.soc.platform().host_link;
-        // First command: same serialized server work as `call`.
         let server_ns = inner.opts.lock_overhead_ns + link.mmio_latency_ns;
         inner.advance_ns(server_ns);
         // Each later command holds the server for one more MMIO write;
@@ -433,12 +421,19 @@ impl FpgaHandle {
         // so a batch matches the equivalent serial MMIO advances).
         inner.stats.server_busy_ns += server_ns + (items.len() as u64 - 1) * link.mmio_latency_ns;
         let gap_cycles = inner.soc.clock().ps_to_cycles(link.mmio_latency_ns * 1000);
-        let refs: Vec<(u16, &std::collections::BTreeMap<String, u64>)> =
-            items.iter().map(|(core, args)| (*core, args)).collect();
-        let sent = inner
-            .soc
-            .submit_batch(sys_id, &refs, gap_cycles)
-            .map_err(CallError::Send)?;
+        let sent = loop {
+            match inner.soc.submit_batch(sys_id, items, gap_cycles) {
+                Ok(sent) => break sent,
+                Err(bcore::soc::SendError::QueueFull) if spin_on_full => {
+                    // Command FIFO full: the server spins on the MMIO
+                    // status register.
+                    let spin = inner.opts.poll_interval_ns.max(1);
+                    inner.advance_ns(spin);
+                    inner.stats.server_busy_ns += spin;
+                }
+                Err(e) => return Err(CallError::Send(e)),
+            }
+        };
         inner.stats.commands += items.len() as u64;
         Ok(sent
             .into_iter()
@@ -594,157 +589,6 @@ impl FpgaHandle {
             .lock()
             .expect("runtime lock poisoned")
             .advance_ns(ns);
-    }
-
-    /// Opens a client session over this handle's runtime server. Sessions
-    /// share the device, the allocator, and simulated time (one `SocSim`
-    /// behind one server), but keep their own submission statistics — the
-    /// multi-tenant shape `bserver` arbitrates between.
-    pub fn open_session(&self) -> SessionHandle {
-        let id = {
-            let mut inner = self.inner.lock().expect("runtime lock poisoned");
-            let id = inner.next_session;
-            inner.next_session += 1;
-            id
-        };
-        SessionHandle {
-            handle: self.clone(),
-            id,
-            stats: Arc::new(Mutex::new(SessionStats::default())),
-        }
-    }
-}
-
-/// Per-session statistics (see [`FpgaHandle::open_session`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Commands this session submitted.
-    pub commands: u64,
-    /// Allocations this session performed.
-    pub mallocs: u64,
-    /// Frees this session performed.
-    pub frees: u64,
-    /// Bytes currently allocated by this session (post-alignment).
-    pub live_bytes: u64,
-}
-
-/// One client session over a shared [`FpgaHandle`]: same device, same
-/// allocator, same simulated clock, separate bookkeeping. Clone freely —
-/// clones share the session.
-#[derive(Clone)]
-pub struct SessionHandle {
-    handle: FpgaHandle,
-    id: u32,
-    stats: Arc<Mutex<SessionStats>>,
-}
-
-impl SessionHandle {
-    /// The session's id (dense, in open order).
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// The shared handle this session was opened from.
-    pub fn handle(&self) -> &FpgaHandle {
-        &self.handle
-    }
-
-    /// This session's statistics.
-    pub fn stats(&self) -> SessionStats {
-        *self.stats.lock().expect("runtime lock poisoned")
-    }
-
-    /// Allocates accelerator-visible memory from the shared allocator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocator failures with request/high-water context.
-    pub fn malloc(&self, n_bytes: u64) -> Result<RemotePtr, CallError> {
-        let ptr = self.handle.malloc(n_bytes)?;
-        let mut stats = self.stats.lock().expect("runtime lock poisoned");
-        stats.mallocs += 1;
-        stats.live_bytes += ptr.len();
-        Ok(ptr)
-    }
-
-    /// Releases an allocation back to the shared allocator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocator failures (double free, foreign pointer).
-    pub fn free(&self, ptr: RemotePtr) -> Result<(), CallError> {
-        self.handle.free(ptr)?;
-        let mut stats = self.stats.lock().expect("runtime lock poisoned");
-        stats.frees += 1;
-        stats.live_bytes = stats.live_bytes.saturating_sub(ptr.len());
-        Ok(())
-    }
-
-    /// Writes host data at `ptr + offset` (see [`FpgaHandle::write_at`]).
-    pub fn write_at(&self, ptr: RemotePtr, offset: u64, data: &[u8]) {
-        self.handle.write_at(ptr, offset, data);
-    }
-
-    /// Reads host-visible data at `ptr + offset` (see
-    /// [`FpgaHandle::read_at`]).
-    pub fn read_at(&self, ptr: RemotePtr, offset: u64, len: usize) -> Vec<u8> {
-        self.handle.read_at(ptr, offset, len)
-    }
-
-    /// Convenience: write a `u32` slice at offset 0.
-    pub fn write_u32_slice(&self, ptr: RemotePtr, values: &[u32]) {
-        self.handle.write_u32_slice(ptr, values);
-    }
-
-    /// Convenience: read a `u32` slice from offset 0.
-    pub fn read_u32_slice(&self, ptr: RemotePtr, count: usize) -> Vec<u32> {
-        self.handle.read_u32_slice(ptr, count)
-    }
-
-    /// DMA host→device (see [`FpgaHandle::copy_to_fpga`]).
-    pub fn copy_to_fpga(&self, ptr: RemotePtr) {
-        self.handle.copy_to_fpga(ptr);
-    }
-
-    /// DMA device→host (see [`FpgaHandle::copy_from_fpga`]).
-    pub fn copy_from_fpga(&self, ptr: RemotePtr) {
-        self.handle.copy_from_fpga(ptr);
-    }
-
-    /// Sends a command through the shared runtime server (see
-    /// [`FpgaHandle::call`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`FpgaHandle::call`].
-    pub fn call(
-        &self,
-        system: &str,
-        core_idx: u16,
-        args: std::collections::BTreeMap<String, u64>,
-    ) -> Result<ResponseHandle, CallError> {
-        let resp = self.handle.call(system, core_idx, args)?;
-        self.stats.lock().expect("runtime lock poisoned").commands += 1;
-        Ok(resp)
-    }
-
-    /// Credits `n` submitted commands to this session's statistics.
-    ///
-    /// A batched server visit ([`FpgaHandle::call_batch`]) can carry
-    /// commands from several sessions at once, so the shared-handle call
-    /// cannot do the per-session bookkeeping itself; the dispatcher
-    /// calls this per session after the batch lands.
-    pub fn note_commands(&self, n: u64) {
-        self.stats.lock().expect("runtime lock poisoned").commands += n;
-    }
-}
-
-impl std::fmt::Debug for SessionHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionHandle")
-            .field("id", &self.id)
-            .field("stats", &*self.stats.lock().expect("runtime lock poisoned"))
-            .finish()
     }
 }
 
@@ -1079,25 +923,24 @@ mod tests {
 
     #[test]
     fn two_sessions_share_the_allocator_without_fragmenting() {
-        // Alloc–free–alloc patterns interleaved across two sessions over
-        // one SocSim must coalesce back to a fully reusable region: the
-        // regression this guards is per-session state leaking into the
-        // shared free list.
+        // Alloc–free–alloc patterns interleaved across two clones of one
+        // handle (two client sessions over one SocSim) must coalesce back
+        // to a fully reusable region: the regression this guards is
+        // per-client state leaking into the shared free list.
         let handle = make_handle(&Platform::sim(), 1);
-        let s0 = handle.open_session();
-        let s1 = handle.open_session();
-        assert_ne!(s0.id(), s1.id());
+        let s0 = handle.clone();
+        let s1 = handle.clone();
 
         let a = s0.malloc(8 * 4096).unwrap();
         let b = s1.malloc(4 * 4096).unwrap();
         let c = s0.malloc(4096).unwrap();
-        // Free the middle allocation from the *other* session's sibling
-        // and re-fill the hole: first-fit must reuse it exactly.
+        // Free the middle allocation from the *other* clone and re-fill
+        // the hole: first-fit must reuse it exactly.
         s1.free(b).unwrap();
         let b2 = s0.malloc(2 * 4096).unwrap();
         assert_eq!(b2.device_addr(), b.device_addr(), "hole reused first-fit");
 
-        // Interleaved teardown in neither allocation nor session order.
+        // Interleaved teardown in neither allocation nor client order.
         s0.free(a).unwrap();
         s0.free(b2).unwrap();
         s0.free(c).unwrap();
@@ -1107,42 +950,6 @@ mod tests {
         let total = handle.with_soc(|soc| soc.platform().mem_size);
         let whole = handle.malloc(total).unwrap();
         handle.free(whole).unwrap();
-
-        let st0 = s0.stats();
-        assert_eq!(st0.mallocs, 3);
-        assert_eq!(st0.frees, 3);
-        assert_eq!(st0.live_bytes, 0);
-        assert_eq!(s1.stats().mallocs, 1);
-        assert_eq!(s1.stats().frees, 1);
-    }
-
-    #[test]
-    fn sessions_share_device_and_clock() {
-        // Shared-memory platform: session writes are immediately
-        // device-visible, no DMA staging.
-        let handle = make_handle(&Platform::kria(), 2);
-        let s0 = handle.open_session();
-        let s1 = handle.open_session();
-        let m0 = s0.malloc(4096).unwrap();
-        let m1 = s1.malloc(4096).unwrap();
-        s0.write_u32_slice(m0, &[5; 16]);
-        s1.write_u32_slice(m1, &[9; 16]);
-        let r0 = s0
-            .call("Doubler", 0, call_args(m0.device_addr(), 16))
-            .unwrap();
-        let r1 = s1
-            .call("Doubler", 1, call_args(m1.device_addr(), 16))
-            .unwrap();
-        r0.get().unwrap();
-        r1.get().unwrap();
-        assert_eq!(s0.read_u32_slice(m0, 16), vec![10; 16]);
-        assert_eq!(s1.read_u32_slice(m1, 16), vec![18; 16]);
-        assert_eq!(s0.stats().commands, 1);
-        assert_eq!(s1.stats().commands, 1);
-        // Both sessions observe the same clock (one device underneath).
-        assert_eq!(s0.handle().now(), s1.handle().now());
-        // The shared handle's aggregate stats see both sessions.
-        assert_eq!(handle.stats().commands, 2);
     }
 
     #[test]

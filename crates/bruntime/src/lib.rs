@@ -10,6 +10,11 @@
 //!   discrete platforms, no-ops on embedded (shared, coherent) platforms.
 //! * [`FpgaHandle::call`] — send a custom command through the runtime
 //!   server; returns a [`ResponseHandle`] with `get` / `try_get`.
+//!   [`FpgaHandle::call_batch`] sends several under one lock visit; both
+//!   share one submission body, and a one-item batch is a `call`.
+//!
+//! Several clients share one runtime server by cloning the handle: the
+//! clones share the device, the allocator, and the simulated clock.
 //!
 //! Host-side costs are simulated faithfully against the platform's
 //! [`bplatform::HostLink`]: MMIO writes per RoCC beat, the **runtime server
@@ -24,7 +29,4 @@ mod alloc;
 mod handle;
 
 pub use alloc::{AllocError, DeviceAllocator};
-pub use handle::{
-    CallError, FpgaHandle, RemotePtr, ResponseHandle, RuntimeOptions, RuntimeStats, SessionHandle,
-    SessionStats,
-};
+pub use handle::{CallError, FpgaHandle, RemotePtr, ResponseHandle, RuntimeOptions, RuntimeStats};

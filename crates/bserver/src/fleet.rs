@@ -5,7 +5,7 @@
 //! A single [`AccelServer`] arbitrates one SoC; since the arena refactor
 //! made [`bsim::Simulation`] (and therefore [`bcore::SocSim`] and
 //! [`bruntime::FpgaHandle`]) `Send`, a whole server — simulation, device
-//! allocator, sessions, in-flight queues — can be built on one thread and
+//! allocator, tenant and in-flight queues — can be built on one thread and
 //! run on another. The fleet exploits that: it elaborates `shards`
 //! independent replicas of the same system, assigns every tenant session
 //! to exactly one replica with a seed-free hash ([`shard_for_session`]),
@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use bcore::SocSim;
-use bruntime::{FpgaHandle, SessionHandle};
+use bruntime::FpgaHandle;
 use bsim::{Histogram, TraceEvent};
 
 use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryConfig};
@@ -139,8 +139,8 @@ impl FleetServer {
         for (i, tenants) in members.into_iter().enumerate() {
             let handle = FpgaHandle::new(mk_soc(i));
             // A shard the hash left empty still elaborates (replica
-            // count is part of the fleet's shape) but opens a single
-            // idle session so the server constructor's invariant holds.
+            // count is part of the fleet's shape) but opens a single idle
+            // tenant queue so the server constructor's invariant holds.
             let server = AccelServer::new(&handle, system, tenants.len().max(1), config.server)?;
             shards.push(Shard {
                 handle,
@@ -183,13 +183,6 @@ impl FleetServer {
     /// A shard's device handle (e.g. for buffer setup or perf reads).
     pub fn handle(&self, shard: usize) -> &FpgaHandle {
         &self.shards[shard].handle
-    }
-
-    /// The session for a global tenant, on whichever shard admission
-    /// hashed it to.
-    pub fn session(&self, tenant: usize) -> &SessionHandle {
-        let (shard, local) = self.tenant_map[tenant];
-        &self.shards[shard].server.sessions()[local]
     }
 
     /// Serves one wave of open-loop arrivals to completion: the fleet's

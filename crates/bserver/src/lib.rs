@@ -4,16 +4,19 @@
 //! host runtime's lock arbitration: "low-latency operations have much
 //! higher contention for the runtime server lock". `bruntime` models that
 //! cost for a *single* client; this crate grows the layer above it — a
-//! real job-dispatch runtime that sits between N client sessions
-//! ([`bruntime::SessionHandle`]) and the elaborated SoC's cores, in the
-//! spirit of ThreadPoolComposer's thread→PE dispatcher and HEROv2's
-//! host-runtime stack.
+//! real job-dispatch runtime that sits between N tenants and the
+//! elaborated SoC's cores, in the spirit of ThreadPoolComposer's
+//! thread→PE dispatcher and HEROv2's host-runtime stack. Every tenant's
+//! commands go through the one shared [`bruntime::FpgaHandle`].
 //!
 //! The server owns:
 //!
 //! * **per-tenant submission queues** with admission control (a bounded
 //!   queue per tenant; arrivals beyond the bound are rejected, giving
-//!   open-loop clients backpressure instead of unbounded latency);
+//!   open-loop clients backpressure instead of unbounded latency, and a
+//!   job whose arguments do not fit the system's command spec is
+//!   rejected with [`RejectReason::BadArgs`] instead of reaching the
+//!   device);
 //! * **a core-allocation dispatcher** with pluggable policies
 //!   ([`DispatchPolicy`]): the paper's lock-arbitrated baseline (so the
 //!   Figure 6 contention shape stays reproducible), plus `Fifo`,

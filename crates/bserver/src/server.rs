@@ -5,7 +5,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bruntime::{FpgaHandle, ResponseHandle, SessionHandle};
+use bcore::{AccelCommandSpec, CommandToken};
+use bruntime::FpgaHandle;
 use bsim::{Cycle, Stats, TraceEvent};
 
 use crate::batch::{AutoBatcher, BatchPolicy};
@@ -67,6 +68,9 @@ pub enum RejectReason {
     /// The job's queue-wait deadline expired (and retries, if any, were
     /// exhausted).
     DeadlineExpired,
+    /// The job's arguments do not match the system's command spec
+    /// (unknown, missing, or over-wide field); refused at admission.
+    BadArgs,
 }
 
 /// What happened to a submitted job.
@@ -199,7 +203,7 @@ struct Queued {
 struct InFlight {
     idx: usize,
     tenant: usize,
-    resp: ResponseHandle,
+    token: CommandToken,
     first_arrival_cycle: Cycle,
     dispatch_cycle: Cycle,
     retries: u32,
@@ -208,15 +212,17 @@ struct InFlight {
 /// The multi-tenant runtime server over one [`bcore::SocSim`].
 ///
 /// One server arbitrates one accelerator system's cores between
-/// `n_tenants` client sessions. Jobs flow: admission → per-tenant queue →
+/// `n_tenants` clients. Jobs flow: admission → per-tenant queue →
 /// dispatcher (policy) → core command FIFO → completion harvest →
 /// [`JobOutcome`]. All host-side costs advance the shared simulated
 /// clock; nothing here consumes wall-clock time.
 pub struct AccelServer {
     handle: FpgaHandle,
-    sessions: Vec<SessionHandle>,
     system: String,
     sys_id: u16,
+    /// The system's command spec, against which admission checks every
+    /// job's arguments.
+    spec: AccelCommandSpec,
     n_cores: u16,
     config: ServerConfig,
     queues: Vec<VecDeque<Queued>>,
@@ -246,7 +252,8 @@ pub struct AccelServer {
 }
 
 impl AccelServer {
-    /// Opens a server for `system` with `n_tenants` client sessions.
+    /// Opens a server for `system` with `n_tenants` clients, each with its
+    /// own submission queue.
     ///
     /// Registers the `server/` counter set in the SoC's perf registry:
     /// `queue_depth` / `queue_depth_peak` (live providers),
@@ -266,11 +273,13 @@ impl AccelServer {
         if n_tenants == 0 {
             return Err(ServerError::NoTenants);
         }
-        let (sys_id, n_cores) = handle
-            .with_soc(|soc| soc.system_id(system).map(|id| (id, soc.cores_in(id))))
+        let (sys_id, n_cores, spec) = handle
+            .with_soc(|soc| {
+                let id = soc.system_id(system)?;
+                Some((id, soc.cores_in(id), soc.command_spec(id)?.clone()))
+            })
             .ok_or_else(|| ServerError::UnknownSystem(system.to_owned()))?;
         assert!(n_cores > 0, "system '{system}' has no cores");
-        let sessions = (0..n_tenants).map(|_| handle.open_session()).collect();
         let stats = Stats::new();
         let depth = Arc::new(AtomicU64::new(0));
         let depth_peak = Arc::new(AtomicU64::new(0));
@@ -287,9 +296,9 @@ impl AccelServer {
         });
         Ok(Self {
             handle: handle.clone(),
-            sessions,
             system: system.to_owned(),
             sys_id,
+            spec,
             n_cores,
             config,
             queues: (0..n_tenants).map(|_| VecDeque::new()).collect(),
@@ -311,7 +320,7 @@ impl AccelServer {
     /// clock: enabling it cannot change cycle counts, outcomes, or any
     /// existing counter (pinned by the invariance tests).
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        let labels = (0..self.sessions.len()).collect();
+        let labels = (0..self.queues.len()).collect();
         self.enable_telemetry_labeled(config, labels);
     }
 
@@ -349,11 +358,6 @@ impl AccelServer {
     /// remap).
     pub(crate) fn telemetry_ref(&self) -> Option<&Telemetry> {
         self.telemetry.as_ref()
-    }
-
-    /// The per-tenant client sessions.
-    pub fn sessions(&self) -> &[SessionHandle] {
-        &self.sessions
     }
 
     /// Number of cores the dispatcher allocates over.
@@ -506,13 +510,21 @@ impl AccelServer {
             .collect()
     }
 
-    /// Admission control: bounded per-tenant queues.
+    /// Admission control: jobs whose arguments do not fit the system's
+    /// command spec are refused, the rest enter bounded per-tenant queues.
     fn admit(&mut self, idx: usize, a: &Arrival, outcomes: &mut [Option<JobOutcome>]) {
         assert!(a.tenant < self.queues.len(), "tenant index out of range");
         let now = self.handle.now();
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.queues[a.tenant].len() >= self.config.queue_capacity {
+        let reject = if self.spec.check(&a.spec.args).is_err() {
+            Some(RejectReason::BadArgs)
+        } else if self.queues[a.tenant].len() >= self.config.queue_capacity {
+            Some(RejectReason::AdmissionFull)
+        } else {
+            None
+        };
+        if let Some(reason) = reject {
             let waited = now.saturating_sub(a.at_cycle);
             self.stats.incr("rejected");
             // Rejections count toward queue-wait like everything else:
@@ -529,7 +541,7 @@ impl AccelServer {
             );
             self.spike_poll();
             outcomes[idx] = Some(JobOutcome::Rejected {
-                reason: RejectReason::AdmissionFull,
+                reason,
                 retries: 0,
                 queue_wait_cycles: waited,
             });
@@ -696,9 +708,11 @@ impl AccelServer {
                 panic!("device wedged: command queue never drained (flight recorder dumped)");
             }
         }
-        let resp = self.sessions[job.tenant]
+        let token = self
+            .handle
             .call(&self.system, core, job.spec.args.clone())
-            .expect("job arguments must match the system's command spec");
+            .expect("admission checked the arguments; the server owns the core choice")
+            .token();
         let now = self.handle.now();
         self.stats
             .add("lock_wait_cycles", now.saturating_sub(before));
@@ -719,7 +733,7 @@ impl AccelServer {
         self.inflight[core as usize].push_back(InFlight {
             idx: job.idx,
             tenant: job.tenant,
-            resp,
+            token,
             first_arrival_cycle: job.first_arrival_cycle,
             dispatch_cycle: now,
             retries: job.retries,
@@ -802,14 +816,13 @@ impl AccelServer {
         let sent = self
             .handle
             .call_batch(&self.system, &items)
-            .expect("job arguments must match the system's command spec");
+            .expect("admission checked the arguments; the batch fits the free FIFO slots");
         let after = self.handle.now();
         self.stats
             .add("lock_wait_cycles", after.saturating_sub(before));
         self.stats.record("batch_occupancy", batch.len() as u64);
         let mut waits = Vec::with_capacity(batch.len());
         for ((core, job), (resp, at)) in batch.into_iter().zip(sent) {
-            self.sessions[job.tenant].note_commands(1);
             self.stats.incr("dispatched");
             let wait = at.saturating_sub(job.first_arrival_cycle);
             self.stats.record("queue_wait_cycles", wait);
@@ -826,7 +839,7 @@ impl AccelServer {
             self.inflight[core as usize].push_back(InFlight {
                 idx: job.idx,
                 tenant: job.tenant,
-                resp,
+                token: resp.token(),
                 first_arrival_cycle: job.first_arrival_cycle,
                 dispatch_cycle: at,
                 retries: job.retries,
@@ -894,7 +907,7 @@ impl AccelServer {
             let mut done = Vec::new();
             for (core, fifo) in inflight.iter_mut().enumerate() {
                 while let Some(front) = fifo.front() {
-                    let Some(value) = soc.take_completed(front.resp.token()) else {
+                    let Some(value) = soc.take_completed(front.token) else {
                         break;
                     };
                     let job = fifo.pop_front().expect("front exists");
@@ -993,7 +1006,7 @@ impl std::fmt::Debug for AccelServer {
         f.debug_struct("AccelServer")
             .field("system", &self.system)
             .field("policy", &self.config.policy)
-            .field("tenants", &self.sessions.len())
+            .field("tenants", &self.queues.len())
             .field("cores", &self.n_cores)
             .finish()
     }

@@ -54,12 +54,10 @@ fn run_single(policy: DispatchPolicy, batch: BatchPolicy, n_tenants: usize) -> R
         ..ServerConfig::default()
     };
     let mut server = AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, config).expect("server");
-    let buffers: Vec<bruntime::RemotePtr> = server
-        .sessions()
-        .iter()
-        .map(|s| {
-            let mem = s.malloc(4096 * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; 4096]);
+    let buffers: Vec<bruntime::RemotePtr> = (0..n_tenants)
+        .map(|_| {
+            let mem = handle.malloc(4096 * 4).expect("tenant buffer");
+            handle.write_u32_slice(mem, &vec![1u32; 4096]);
             mem
         })
         .collect();
@@ -132,12 +130,10 @@ fn run_conservation(
         ..ServerConfig::default()
     };
     let mut server = AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, config).expect("server");
-    let buffers: Vec<bruntime::RemotePtr> = server
-        .sessions()
-        .iter()
-        .map(|s| {
-            let mem = s.malloc(4096 * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; 4096]);
+    let buffers: Vec<bruntime::RemotePtr> = (0..n_tenants)
+        .map(|_| {
+            let mem = handle.malloc(4096 * 4).expect("tenant buffer");
+            handle.write_u32_slice(mem, &vec![1u32; 4096]);
             mem
         })
         .collect();
@@ -226,7 +222,7 @@ fn run_auto_fleet(shards: usize) -> (String, BTreeMap<String, u64>) {
     .expect("fleet opens");
     let buffers: Vec<bruntime::RemotePtr> = (0..n_tenants)
         .map(|t| {
-            let s = fleet.session(t);
+            let s = fleet.handle(fleet.shard_of(t));
             let mem = s.malloc(4096 * 4).expect("tenant buffer");
             s.write_u32_slice(mem, &vec![1u32; 4096]);
             mem

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use bcore::elaborate;
 use bkernels::vecadd;
 use bplatform::Platform;
-use bruntime::{FpgaHandle, RemotePtr, SessionHandle};
+use bruntime::{FpgaHandle, RemotePtr};
 use bserver::{
     AccelServer, Arrival, DispatchPolicy, FleetConfig, FleetServer, JobOutcome, JobSpec,
     ServerConfig,
@@ -59,10 +59,10 @@ fn soc() -> bcore::SocSim {
     elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates")
 }
 
-/// Allocates and fills a tenant's buffer through its session.
-fn tenant_buffer(session: &SessionHandle) -> RemotePtr {
-    let mem = session.malloc(4096 * 4).expect("tenant buffer");
-    session.write_u32_slice(mem, &vec![1u32; 4096]);
+/// Allocates and fills a tenant's buffer through its shard's handle.
+fn tenant_buffer(handle: &FpgaHandle) -> RemotePtr {
+    let mem = handle.malloc(4096 * 4).expect("tenant buffer");
+    handle.write_u32_slice(mem, &vec![1u32; 4096]);
     mem
 }
 
@@ -86,7 +86,7 @@ fn run_fleet(shards: usize) -> (FleetServer, Vec<JobOutcome>) {
     .expect("fleet opens");
     assert_eq!(fleet.n_shards(), shards);
     let buffers: Vec<RemotePtr> = (0..N_TENANTS)
-        .map(|t| tenant_buffer(fleet.session(t)))
+        .map(|t| tenant_buffer(fleet.handle(fleet.shard_of(t))))
         .collect();
     let arrivals = schedule()
         .into_iter()
@@ -123,10 +123,7 @@ fn independent_server(tenants: &[usize]) -> (FpgaHandle, Vec<(usize, JobOutcome)
         server_config(),
     )
     .expect("server opens");
-    let buffers: Vec<RemotePtr> = server.sessions()[..tenants.len()]
-        .iter()
-        .map(tenant_buffer)
-        .collect();
+    let buffers: Vec<RemotePtr> = tenants.iter().map(|_| tenant_buffer(&handle)).collect();
     let t0 = handle.now();
     let (idxs, slice): (Vec<usize>, Vec<Arrival>) = schedule()
         .into_iter()
@@ -232,8 +229,9 @@ fn rollup_mirrors_per_shard_counters_into_primary_registry() {
         },
     )
     .expect("fleet opens");
-    let mem = fleet.session(0).malloc(1024).expect("buffer");
-    fleet.session(0).write_u32_slice(mem, &[1; 64]);
+    let shard0 = fleet.handle(fleet.shard_of(0));
+    let mem = shard0.malloc(1024).expect("buffer");
+    shard0.write_u32_slice(mem, &[1; 64]);
     let arrival = Arrival {
         at_cycle: 0,
         tenant: 0,

@@ -520,7 +520,7 @@ mod tests {
         assert_eq!(
             rx.recv(ctx, 1),
             Some(1),
-            "full-scan path empties the channel"
+            "a direct recv empties the channel"
         );
         assert_eq!(ctx.take_ready_keys(1), Vec::<u64>::new());
         tx.send(ctx, 1, 2);

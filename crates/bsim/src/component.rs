@@ -1,7 +1,7 @@
 //! The [`Component`] trait and the [`Simulation`] driver.
 //!
-//! The driver supports two cycle-exact scheduling modes
-//! ([`SchedulerMode`]):
+//! The driver supports two cycle-exact scheduling modes, switched with
+//! [`Simulation::set_event_driven`]:
 //!
 //! * **Naive** — tick every component every cycle: the oracle.
 //! * **Active-set** (the default) — when every component declares (via
@@ -21,7 +21,7 @@
 //!   semantics.
 //!
 //! Both modes produce bit-identical cycle counts and component state.
-//! See `DESIGN.md` for the full contract and the lockstep guard mode.
+//! See `DESIGN.md` for the full contract.
 //!
 //! Ownership follows the arena model (see [`SimCtx`]): the simulation
 //! owns all component and channel storage in `Vec`s, and the handles this
@@ -111,20 +111,6 @@ pub trait Component {
     fn register_wakes(&self, ctx: &SimCtx, waker: &Waker) {
         let _ = (ctx, waker);
     }
-}
-
-/// Which driver loop a [`Simulation`] uses. The two modes are
-/// cycle-exact with one another; they differ only in host work per
-/// simulated cycle. See [`Simulation`] and `DESIGN.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// Tick every component on every cycle. The correctness oracle
-    /// (`BSIM_NAIVE=1`).
-    Naive,
-    /// Per-component scheduling: each executed cycle ticks only the
-    /// components that are due, woken, or in the always-tick fallback
-    /// set, and globally quiescent gaps are fast-forwarded. The default.
-    ActiveSet,
 }
 
 /// An inspectable handle to a component that has been added to a
@@ -314,8 +300,8 @@ type WakeSource = Box<dyn Fn(&SimCtx) -> Option<Cycle> + Send>;
 /// tick once every `divider` base cycles, and observe their *local* cycle
 /// count, so channel latencies stay meaningful within a domain.
 ///
-/// By default the driver uses the [active-set](SchedulerMode::ActiveSet)
-/// scheduler: executed cycles tick only the components that are due (see
+/// By default the driver uses the active-set (event-driven) scheduler:
+/// executed cycles tick only the components that are due (see
 /// [`Component::next_event`] and [`Component::register_wakes`]) and
 /// globally quiescent gaps are fast-forwarded. Set the `BSIM_NAIVE`
 /// environment variable to a non-empty value other than `0` (or call
@@ -350,7 +336,9 @@ pub struct Simulation {
     /// move it forward).
     watch_horizon: Cell<Option<Cycle>>,
     now: Cycle,
-    mode: SchedulerMode,
+    /// Whether the active-set scheduler drives the clock; `false` is the
+    /// naive oracle that ticks every component on every cycle.
+    event_driven: bool,
     /// Active-set: min-heap of `(due_cycle, component_index)` entries for
     /// deadlines past the component's next domain fire. Entries are lazily
     /// invalidated: one is live iff its cycle equals the component's
@@ -392,12 +380,8 @@ impl Default for Simulation {
     }
 }
 
-fn scheduler_mode_from_env() -> SchedulerMode {
-    if std::env::var("BSIM_NAIVE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        SchedulerMode::Naive
-    } else {
-        SchedulerMode::ActiveSet
-    }
+fn event_driven_from_env() -> bool {
+    !std::env::var("BSIM_NAIVE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 fn verify_idle_from_env() -> bool {
@@ -418,7 +402,7 @@ impl Simulation {
             watched: Vec::new(),
             watch_horizon: Cell::new(None),
             now: 0,
-            mode: scheduler_mode_from_env(),
+            event_driven: event_driven_from_env(),
             heap: BinaryHeap::new(),
             polled: Vec::new(),
             due: BitSet::default(),
@@ -460,48 +444,32 @@ impl Simulation {
         crate::chan::make_channel(&mut self.ctx, capacity, latency)
     }
 
-    /// Enables or disables event-driven scheduling. Cycle counts and
-    /// component state are identical either way; this only affects host
-    /// wall-clock time. Useful for A/B guards — see [`crate::Lockstep`].
+    /// Selects the active-set scheduler (`true`) or the naive
+    /// cycle-by-cycle oracle (`false`). Cycle counts and component state
+    /// are identical either way; this only affects host wall-clock time.
     ///
-    /// `true` selects [`SchedulerMode::ActiveSet`], `false`
-    /// [`SchedulerMode::Naive`].
+    /// Safe at any between-cycles point: component local-cycle counters
+    /// and the active-set schedule are resynchronised as needed.
     pub fn set_event_driven(&mut self, enabled: bool) {
-        self.set_scheduler_mode(if enabled {
-            SchedulerMode::ActiveSet
-        } else {
-            SchedulerMode::Naive
-        });
-    }
-
-    /// Whether the event-driven (active-set) scheduler is selected.
-    pub fn event_driven(&self) -> bool {
-        self.mode == SchedulerMode::ActiveSet
-    }
-
-    /// The scheduling mode in use.
-    pub fn scheduler_mode(&self) -> SchedulerMode {
-        self.mode
-    }
-
-    /// Switches scheduling modes mid-run. Safe at any between-cycles
-    /// point: component local-cycle counters and the active-set schedule
-    /// are resynchronised as needed.
-    pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
-        if mode == self.mode {
+        if enabled == self.event_driven {
             return;
         }
-        if self.mode == SchedulerMode::ActiveSet {
+        if self.event_driven {
             // Leaving active-set: sleeping components' local counters lag
             // their domain; resync everyone from the fire arithmetic.
             for idx in 0..self.components.len() {
                 self.components[idx].local_cycles = self.fires_before(idx, self.now);
             }
         }
-        self.mode = mode;
-        if mode == SchedulerMode::ActiveSet {
+        self.event_driven = enabled;
+        if enabled {
             self.rebuild_schedule();
         }
+    }
+
+    /// Whether the event-driven (active-set) scheduler is selected.
+    pub fn event_driven(&self) -> bool {
+        self.event_driven
     }
 
     /// Enables the debug conservatism check: on every executed cycle the
@@ -552,7 +520,7 @@ impl Simulation {
             // A component's first tick is never skipped (it has not yet
             // had a chance to declare anything), so schedule it for its
             // domain's next fire.
-            if self.mode == SchedulerMode::ActiveSet {
+            if self.event_driven {
                 self.schedule(idx, first_due);
             }
         } else {
@@ -722,7 +690,7 @@ impl Simulation {
 
     /// Executes one base cycle in the current mode and advances `now`.
     fn execute_cycle(&mut self) {
-        if self.mode == SchedulerMode::ActiveSet {
+        if self.event_driven {
             return self.execute_cycle_active();
         }
         let now = self.now;
@@ -949,7 +917,7 @@ impl Simulation {
     /// send, so no hook fires; this bounds that blind spot to one
     /// `next_event` query per component per *call* rather than per cycle.
     fn rearm_hooked(&mut self) {
-        if self.mode != SchedulerMode::ActiveSet {
+        if !self.event_driven {
             return;
         }
         for idx in 0..self.components.len() {
@@ -989,7 +957,7 @@ impl Simulation {
     /// the about-to-be-skipped gap `[now, target)` means its hooks missed
     /// an input change (the active-set horizon trusted a stale `None`).
     fn verify_skip(&self, target: Cycle) {
-        if !self.verify_idle || self.mode != SchedulerMode::ActiveSet {
+        if !self.verify_idle || !self.event_driven {
             return;
         }
         for idx in 0..self.components.len() {
@@ -1144,7 +1112,7 @@ impl Simulation {
         self.rearm_hooked();
         let end = self.now.saturating_add(cycles);
         while self.now < end {
-            if self.mode == SchedulerMode::ActiveSet {
+            if self.event_driven {
                 let earliest = self.earliest_event();
                 if earliest > self.now {
                     let target = earliest.min(end);
@@ -1193,8 +1161,8 @@ impl Simulation {
     /// ## Strides never race wakes
     ///
     /// A stride larger than the gap to the first wake cannot observe
-    /// completion on a different cycle than `stride == 1` would, in any
-    /// [`SchedulerMode`]: predicate-visible state is only mutated by
+    /// completion on a different cycle than `stride == 1` would, in either
+    /// scheduler mode: predicate-visible state is only mutated by
     /// component `tick`s (and by `done` itself), never during a
     /// fast-forward jump, and the cycles at which `done` can first turn
     /// true are exactly the cycles a watched channel or quiescence forces
@@ -1227,7 +1195,7 @@ impl Simulation {
             // `done` check regardless of the stride, in every scheduler
             // mode, so strided results do not depend on the mode.
             let watch_due = self.earliest_watch().is_some_and(|w| w <= self.now);
-            let jump_target = if self.mode == SchedulerMode::ActiveSet {
+            let jump_target = if self.event_driven {
                 let e = self.earliest_event();
                 (e > self.now).then(|| e.min(end))
             } else {
@@ -1264,7 +1232,7 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.now)
             .field("components", &self.components.len())
-            .field("mode", &self.mode)
+            .field("event_driven", &self.event_driven)
             .finish()
     }
 }
@@ -1568,7 +1536,6 @@ mod tests {
             Simulation::new().event_driven(),
             "fast-forward should default on"
         );
-        assert_eq!(Simulation::new().scheduler_mode(), SchedulerMode::ActiveSet);
         std::env::set_var("BSIM_NAIVE", "1");
         let naive = Simulation::new();
         std::env::set_var("BSIM_NAIVE", "0");
@@ -1578,8 +1545,7 @@ mod tests {
             None => std::env::remove_var("BSIM_NAIVE"),
         }
         assert!(!naive.event_driven());
-        assert_eq!(naive.scheduler_mode(), SchedulerMode::Naive);
-        assert_eq!(zero.scheduler_mode(), SchedulerMode::ActiveSet);
+        assert!(zero.event_driven());
     }
 
     #[test]
@@ -1646,10 +1612,10 @@ mod tests {
 
     #[test]
     fn hooked_sink_sleeps_and_wakes_on_send() {
-        let run = |mode: SchedulerMode| {
+        let run = |event_driven: bool| {
             let mut sim = Simulation::new();
             let (tx, rx) = sim.channel::<u64>(4);
-            sim.set_scheduler_mode(mode);
+            sim.set_event_driven(event_driven);
             sim.add(OneShot {
                 tx,
                 delay: 500,
@@ -1668,8 +1634,8 @@ mod tests {
                 sim.ticked_component_cycles(),
             )
         };
-        let naive = run(SchedulerMode::Naive);
-        let active = run(SchedulerMode::ActiveSet);
+        let naive = run(false);
+        let active = run(true);
         // Observable results are identical...
         assert_eq!(naive.0, active.0);
         assert_eq!(naive.1, active.1);
@@ -1690,7 +1656,7 @@ mod tests {
     fn ticked_vs_registered_component_cycles() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u64>(4);
-        sim.set_scheduler_mode(SchedulerMode::ActiveSet);
+        sim.set_event_driven(true);
         sim.add(OneShot {
             tx,
             delay: 100,
@@ -1718,10 +1684,10 @@ mod tests {
     /// the naive in-order loop would.
     #[test]
     fn same_cycle_wake_matches_naive_ordering() {
-        let run = |mode: SchedulerMode, producer_first: bool| {
+        let run = |event_driven: bool, producer_first: bool| {
             let mut sim = Simulation::new();
             let (tx, rx) = sim.channel_with_latency::<u64>(4, 0);
-            sim.set_scheduler_mode(mode);
+            sim.set_event_driven(event_driven);
             let producer = OneShot {
                 tx,
                 delay: 50,
@@ -1744,8 +1710,8 @@ mod tests {
             sim.get(s).got.clone()
         };
         for producer_first in [true, false] {
-            let naive = run(SchedulerMode::Naive, producer_first);
-            let active = run(SchedulerMode::ActiveSet, producer_first);
+            let naive = run(false, producer_first);
+            let active = run(true, producer_first);
             assert_eq!(
                 naive, active,
                 "same-cycle wake ordering diverged (producer_first={producer_first})"
@@ -1753,8 +1719,8 @@ mod tests {
         }
         // Producer at index 0, sink at index 1: the zero-latency send is
         // observed the same cycle. Reversed registration: one cycle later.
-        assert_eq!(run(SchedulerMode::ActiveSet, true), vec![(50, 50)]);
-        assert_eq!(run(SchedulerMode::ActiveSet, false), vec![(51, 50)]);
+        assert_eq!(run(true, true), vec![(50, 50)]);
+        assert_eq!(run(true, false), vec![(51, 50)]);
     }
 
     #[test]
@@ -1780,10 +1746,10 @@ mod tests {
             }
         }
         for divider in [1, 2] {
-            let run = |mode: SchedulerMode| {
+            let run = |event_driven: bool| {
                 let mut sim = Simulation::new();
                 let (tx, rx) = sim.channel_with_latency::<u64>(4, 0);
-                sim.set_scheduler_mode(mode);
+                sim.set_event_driven(event_driven);
                 sim.add_with_divider(
                     OneShot {
                         tx,
@@ -1801,7 +1767,7 @@ mod tests {
                     divider,
                 );
                 sim.run_for(50);
-                if mode == SchedulerMode::ActiveSet {
+                if event_driven {
                     let g = &sim.groups[sim.components[1].group];
                     assert!(g.next.contains(1), "sink waits in the next-fire set");
                     assert_eq!(sim.components[1].sched_at, 50);
@@ -1809,8 +1775,8 @@ mod tests {
                 sim.run_for(4);
                 (sim.get(sink).got.clone(), sim.get(sink).ticks.clone())
             };
-            let naive = run(SchedulerMode::Naive);
-            let active = run(SchedulerMode::ActiveSet);
+            let naive = run(false);
+            let active = run(true);
             assert_eq!(naive, active, "divider {divider}");
             assert_eq!(active.0, vec![(50 / divider, 50 / divider)]);
             let ticks = &active.1;
@@ -1821,17 +1787,12 @@ mod tests {
 
     #[test]
     fn mode_switching_mid_run_stays_cycle_exact() {
-        let sequence = [
-            SchedulerMode::ActiveSet,
-            SchedulerMode::Naive,
-            SchedulerMode::ActiveSet,
-            SchedulerMode::Naive,
-        ];
+        let sequence = [true, false, true, false];
         let run = |switch: bool| {
             let mut sim = Simulation::new();
             let (tx, rx) = sim.channel::<u64>(4);
             if !switch {
-                sim.set_scheduler_mode(SchedulerMode::Naive);
+                sim.set_event_driven(false);
             }
             sim.add(OneShot {
                 tx,
@@ -1851,9 +1812,9 @@ mod tests {
                 got: Vec::new(),
                 ticks: 0,
             });
-            for mode in sequence {
+            for event_driven in sequence {
                 if switch {
-                    sim.set_scheduler_mode(mode);
+                    sim.set_event_driven(event_driven);
                 }
                 sim.run_for(50);
             }
@@ -1896,7 +1857,7 @@ mod tests {
         }
         let mut sim = Simulation::new();
         let (_tx, rx) = sim.channel::<u64>(1);
-        sim.set_scheduler_mode(SchedulerMode::ActiveSet);
+        sim.set_event_driven(true);
         let p = sim.add_shared(Poked {
             rx,
             pending: 0,
@@ -1936,7 +1897,7 @@ mod tests {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u64>(4);
         let (_decoy_tx, decoy) = sim.channel::<u64>(4);
-        sim.set_scheduler_mode(SchedulerMode::ActiveSet);
+        sim.set_event_driven(true);
         sim.set_verify_idle(true);
         sim.add(OneShot {
             tx,
@@ -1952,10 +1913,10 @@ mod tests {
         // Satellite: `done()` through a stride must observe the response on
         // exactly the same cycle in every mode, even when the stride is far
         // larger than the gap to the first wake (send at 3, stride 64).
-        let run = |mode: SchedulerMode, stride: Cycle| {
+        let run = |event_driven: bool, stride: Cycle| {
             let mut sim = Simulation::new();
             let (tx, rx) = sim.channel::<u64>(4);
-            sim.set_scheduler_mode(mode);
+            sim.set_event_driven(event_driven);
             sim.add(OneShot {
                 tx,
                 delay: 3,
@@ -1965,14 +1926,14 @@ mod tests {
             sim.run_until_strided(1000, stride, move |sim| rx.has_data(sim.ctx(), sim.now()))
                 .expect("value should arrive")
         };
-        let baseline = run(SchedulerMode::Naive, 1);
+        let baseline = run(false, 1);
         assert_eq!(baseline, 4, "sent at 3, visible at 4");
-        for mode in [SchedulerMode::Naive, SchedulerMode::ActiveSet] {
+        for event_driven in [false, true] {
             for stride in [1, 2, 64, 1000] {
                 assert_eq!(
-                    run(mode, stride),
+                    run(event_driven, stride),
                     baseline,
-                    "{mode:?} with stride {stride} raced the wake"
+                    "event_driven={event_driven} with stride {stride} raced the wake"
                 );
             }
         }

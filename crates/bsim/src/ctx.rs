@@ -26,7 +26,7 @@ use crate::time::Cycle;
 
 /// Process-wide counter minting one serial per [`SimCtx`], so a handle
 /// accidentally resolved against another simulation's arena (easy to do
-/// in paired-sim tests like [`Lockstep`](crate::Lockstep)) fails loudly
+/// in tests that pair a naive and an event-driven copy) fails loudly
 /// instead of silently indexing the wrong storage.
 static NEXT_SERIAL: AtomicU32 = AtomicU32::new(1);
 
@@ -209,7 +209,7 @@ impl SimCtx {
     ///   the simulation);
     /// - front item still in flight (latency) → left queued for a later
     ///   drain, key not emitted;
-    /// - channel already emptied by another path (e.g. a full-scan
+    /// - channel already emptied by another path (e.g. a direct
     ///   drain) → ready flag cleared, nothing emitted.
     ///
     /// Examines at most the channels queued when the call starts, so the

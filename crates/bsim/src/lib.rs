@@ -20,7 +20,8 @@
 //!   and can be moved to a worker thread wholesale. The driver is
 //!   event-aware: components that implement [`Component::next_event`] let
 //!   it fast-forward across provably quiescent gaps with bit-identical
-//!   cycle counts (guarded by [`Lockstep`], measured by [`SimRate`]).
+//!   cycle counts (checked against the naive stepper, `BSIM_NAIVE=1`, by
+//!   the equivalence suites; measured by [`SimRate`]).
 //! * [`SparseMemory`] — a byte-addressable sparse backing store used as the
 //!   functional half of the DRAM model.
 //! * The observability substrate, one piece per job: [`StatCounter`]
@@ -68,7 +69,6 @@ mod chan;
 mod component;
 mod ctx;
 pub mod host;
-mod lockstep;
 mod mem;
 pub mod perf;
 mod stats;
@@ -78,9 +78,8 @@ mod vcd;
 mod wake;
 
 pub use chan::{ChannelState, Receiver, Sender};
-pub use component::{Component, SchedulerMode, Shared, Simulation};
+pub use component::{Component, Shared, Simulation};
 pub use ctx::SimCtx;
-pub use lockstep::Lockstep;
 pub use mem::SparseMemory;
 pub use perf::{CounterSet, PerfRegistry};
 pub use stats::{

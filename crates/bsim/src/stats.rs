@@ -333,7 +333,7 @@ impl Stats {
     }
 
     /// A comparable snapshot of every counter and histogram, for
-    /// equivalence checks such as [`crate::Lockstep`] guards.
+    /// equivalence checks between scheduler modes.
     pub fn snapshot(&self) -> StatsSnapshot {
         let inner = self.inner.lock().unwrap();
         StatsSnapshot {

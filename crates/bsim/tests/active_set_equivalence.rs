@@ -26,10 +26,7 @@
 //! drawn per node, so several clock domains share one simulation, and
 //! switches the active-set run to naive and back mid-run.
 
-use bsim::{
-    ChannelState, Component, Cycle, Receiver, SchedulerMode, Sender, Shared, SimCtx, Simulation,
-    Waker,
-};
+use bsim::{ChannelState, Component, Cycle, Receiver, Sender, Shared, SimCtx, Simulation, Waker};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,13 +319,12 @@ proptest! {
         divider in 1u64..5,
         warmup in 0u64..200,
     ) {
-        let modes = [SchedulerMode::Naive, SchedulerMode::ActiveSet];
-        let mut sims: Vec<Simulation> = modes
-            .iter()
-            .map(|&mode| {
+        let mut sims: Vec<Simulation> = [false, true]
+            .into_iter()
+            .map(|event_driven| {
                 let mut sim = Simulation::new();
-                sim.set_scheduler_mode(mode);
-                if mode == SchedulerMode::ActiveSet {
+                sim.set_event_driven(event_driven);
+                if event_driven {
                     // Panic on any wake-coverage hole the random graph finds.
                     sim.set_verify_idle(true);
                 }
@@ -409,9 +405,9 @@ proptest! {
         // The oracle runs naive throughout; the subject runs active-set
         // with the conservatism checker, except for one naive leg.
         let mut oracle = Simulation::new();
-        oracle.set_scheduler_mode(SchedulerMode::Naive);
+        oracle.set_event_driven(false);
         let mut subject = Simulation::new();
-        subject.set_scheduler_mode(SchedulerMode::ActiveSet);
+        subject.set_event_driven(true);
         subject.set_verify_idle(true);
         let oracle_nodes = build(&mut oracle, &specs, &dividers);
         let subject_nodes = build(&mut subject, &specs, &dividers);
@@ -422,10 +418,10 @@ proptest! {
 
         // Mid-run switch: naive for a leg, then back to active-set, which
         // rebuilds its schedule from fresh declarations.
-        subject.set_scheduler_mode(SchedulerMode::Naive);
+        subject.set_event_driven(false);
         oracle.run_for(naive_leg);
         subject.run_for(naive_leg);
-        subject.set_scheduler_mode(SchedulerMode::ActiveSet);
+        subject.set_event_driven(true);
         prop_assert_eq!(observe(&oracle, &oracle_nodes), observe(&subject, &subject_nodes));
 
         for _ in 0..5 {
