@@ -63,10 +63,10 @@ fn attention_f32(
 ///
 /// Runs `total_ops` attention ops across `threads` OS threads (clamped to
 /// at least one; callers typically size this from their harness's worker
-/// pool, e.g. `bbench::worker_count()`, so the reported `threads` matches
-/// the provenance they print) and returns ops/second. Deterministic
-/// inputs; the result sum is black-boxed so the optimizer cannot delete
-/// the work. This is the one real wall-clock measurement in the
+/// pool, e.g. `bsim::host::worker_count("BBENCH_JOBS")`, so the reported
+/// `threads` matches the provenance they print) and returns ops/second.
+/// Deterministic inputs; the result sum is black-boxed so the optimizer
+/// cannot delete the work. This is the one real wall-clock measurement in the
 /// evaluation — its ops/s varies run to run even single-threaded.
 pub fn cpu_attention_throughput(
     params: &AttentionParams,

@@ -74,11 +74,6 @@ impl GpuModel {
     pub fn energy_per_op(&self, params: &AttentionParams) -> f64 {
         self.power_w / self.ops_per_sec(params)
     }
-
-    /// The paper's published measurement for its 3090 baseline (ops/s).
-    pub fn paper_measurement() -> f64 {
-        5.0e6
-    }
 }
 
 #[cfg(test)]

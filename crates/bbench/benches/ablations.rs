@@ -329,7 +329,7 @@ fn ablation_parallel_sweep(c: &mut Criterion) {
 
     let drive = |workers: usize| -> (u64, f64) {
         let timer = bsim::SimRateTimer::starting_at(0);
-        let (_, cycles) = bbench::fig4::run_timed_on(&sizes, workers);
+        let (_, cycles) = bbench::fig4::run_on(&sizes, workers);
         (cycles, timer.finish(cycles).host_seconds)
     };
 

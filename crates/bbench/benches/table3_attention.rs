@@ -18,7 +18,7 @@ fn bench_attention(c: &mut Criterion) {
         n_cores: 1,
         ..A3Scale::small()
     };
-    let (ops, cycles) = measure_beethoven(&scale, &Platform::sim());
+    let (ops, cycles, _) = measure_beethoven(&scale, &Platform::sim());
     println!("table3 datum: A3 1-core sim {ops:.1} ops/s ({cycles:.0} cycles/query)");
     group.bench_function("a3_core_sim", |b| {
         b.iter(|| black_box(measure_beethoven(black_box(&scale), &Platform::sim())).0)

@@ -68,15 +68,9 @@ pub fn a3_soc(scale: &A3Scale) -> SocSim {
 }
 
 /// Measures multi-core attention throughput (ops/s) through the runtime.
-/// Returns `(ops_per_sec, per_core_cycles_per_query)`.
-pub fn measure_beethoven(scale: &A3Scale, platform: &Platform) -> (f64, f64) {
-    let (ops, cycles_per_query, _) = measure_beethoven_timed(scale, platform);
-    (ops, cycles_per_query)
-}
-
-/// [`measure_beethoven`], also reporting the total simulated fabric cycles
-/// of the run (for the binaries' sim-rate footer).
-fn measure_beethoven_timed(scale: &A3Scale, platform: &Platform) -> (f64, f64, u64) {
+/// Returns `(ops_per_sec, per_core_cycles_per_query, simulated_cycles)`;
+/// the cycle total feeds the sim-rate footer.
+pub fn measure_beethoven(scale: &A3Scale, platform: &Platform) -> (f64, f64, u64) {
     let soc = bcore::elaborate::elaborate_with(
         a3_config(scale.n_cores, scale.params),
         platform,
@@ -85,6 +79,17 @@ fn measure_beethoven_timed(scale: &A3Scale, platform: &Platform) -> (f64, f64, u
     .expect("A3 elaborates");
     let clock_hz = soc.clock().freq_hz();
     let handle = FpgaHandle::new(soc);
+    let elapsed = attend_round(&handle, scale);
+    let total_ops = (scale.n_cores as usize * scale.queries_per_core) as f64;
+    let ops_per_sec = total_ops / elapsed;
+    let cycles_per_query = elapsed * clock_hz / (scale.queries_per_core as f64);
+    (ops_per_sec, cycles_per_query, handle.now())
+}
+
+/// Loads the stationary K/V into every core, then has each core attend
+/// `queries_per_core` queries. Returns the simulated seconds the attend
+/// phase took.
+fn attend_round(handle: &FpgaHandle, scale: &A3Scale) -> f64 {
     let p = scale.params;
     let (queries, keys, values) = battention::fixed::workload(&p, scale.queries_per_core, 99);
 
@@ -137,16 +142,12 @@ fn measure_beethoven_timed(scale: &A3Scale, platform: &Platform) -> (f64, f64, u
     for r in responses {
         r.get().expect("attend completes");
     }
-    let elapsed = handle.elapsed_secs() - t0;
-    let total_ops = (scale.n_cores as usize * scale.queries_per_core) as f64;
-    let ops_per_sec = total_ops / elapsed;
-    let cycles_per_query = elapsed * clock_hz / (scale.queries_per_core as f64);
-    (ops_per_sec, cycles_per_query, handle.now())
+    handle.elapsed_secs() - t0
 }
 
 /// Runs one single-core A³ load + attend round with the performance
 /// counters and AXI tracer enabled and returns the handle, so the
-/// `table3` binary can export profile artifacts next to the table.
+/// artifact driver can export profile artifacts next to Table III.
 pub fn profiled_run(scale: &A3Scale) -> FpgaHandle {
     let opts = bcore::elaborate::ElaborationOptions {
         profile: true,
@@ -158,37 +159,11 @@ pub fn profiled_run(scale: &A3Scale) -> FpgaHandle {
             .expect("A3 elaborates");
     let handle = FpgaHandle::new(soc);
     handle.with_soc(|soc| soc.sample_perf());
-    let p = scale.params;
-    let (queries, keys, values) = battention::fixed::workload(&p, scale.queries_per_core, 99);
-    let pk = handle.malloc((p.keys * p.dim) as u64).unwrap();
-    let pv = handle.malloc((p.keys * p.dim) as u64).unwrap();
-    handle.write_at(pk, 0, &keys.iter().map(|&v| v as u8).collect::<Vec<_>>());
-    handle.write_at(pv, 0, &values.iter().map(|&v| v as u8).collect::<Vec<_>>());
-    handle.copy_to_fpga(pk);
-    handle.copy_to_fpga(pv);
-    handle
-        .call(
-            SYSTEM,
-            0,
-            load_kv_args(pk.device_addr(), pv.device_addr(), p.keys),
-        )
-        .expect("load_kv")
-        .get()
-        .expect("load_kv completes");
-    let qbytes = (scale.queries_per_core * p.dim) as u64;
-    let pq = handle.malloc(qbytes).unwrap();
-    let po = handle.malloc(qbytes).unwrap();
-    handle.write_at(pq, 0, &queries.iter().map(|&v| v as u8).collect::<Vec<_>>());
-    handle.copy_to_fpga(pq);
-    handle
-        .call(
-            SYSTEM,
-            0,
-            attend_args(pq.device_addr(), po.device_addr(), scale.queries_per_core),
-        )
-        .expect("attend")
-        .get()
-        .expect("attend completes");
+    let single = A3Scale {
+        n_cores: 1,
+        ..*scale
+    };
+    attend_round(&handle, &single);
     handle.with_soc(|soc| soc.sample_perf());
     handle
 }
@@ -199,7 +174,7 @@ pub fn fig7(scale: &A3Scale) -> String {
         n_cores: 1,
         ..*scale
     };
-    let (_, cycles_per_query) = measure_beethoven(&single, &Platform::aws_f1());
+    let (_, cycles_per_query, _) = measure_beethoven(&single, &Platform::aws_f1());
     format!(
         "Figure 7: A3 core structure (as composed from Beethoven primitives)\n\
          \n\
@@ -264,37 +239,26 @@ pub struct Table3Row {
     pub provenance: String,
 }
 
-/// Table III: throughput and energy across platforms.
-pub fn table3(scale: &A3Scale) -> Vec<Table3Row> {
-    table3_timed(scale).0
-}
-
-/// [`table3`], also reporting the total simulated fabric cycles across the
-/// FPGA and ASIC runs (for the binaries' sim-rate footer). The FPGA sim,
-/// the ASIC sim, and the host-CPU baseline measurement run concurrently
-/// across host cores ([`crate::par`]); see [`table3_timed_on`].
-pub fn table3_timed(scale: &A3Scale) -> (Vec<Table3Row>, u64) {
-    table3_timed_on(scale, crate::worker_count())
-}
-
-/// [`table3_timed`] with an explicit worker count. Three jobs: the
-/// multi-core FPGA simulation (the long pole, queued first), the 1-core
-/// ASIC re-simulation, and the CPU + GPU baselines. Each returns its rows
-/// plus its simulated cycles; the table is assembled in the paper's fixed
-/// row order afterwards, so the rendered bytes do not depend on
-/// scheduling. (The host-CPU row is a real wall-clock measurement — the
-/// one number that varies run to run even serially; its thread count
-/// comes from [`crate::worker_count`] and is recorded in the provenance.)
-pub fn table3_timed_on(scale: &A3Scale, workers: usize) -> (Vec<Table3Row>, u64) {
+/// Table III: throughput and energy across platforms, on `workers` host
+/// threads. Returns the rows plus the total simulated fabric cycles
+/// across the FPGA and ASIC runs (for the sim-rate footer). Three jobs:
+/// the multi-core FPGA simulation (the long pole, queued first), the
+/// 1-core ASIC re-simulation, and the CPU + GPU baselines. The table is
+/// assembled in the paper's fixed row order afterwards, so the rendered
+/// bytes do not depend on scheduling. (The host-CPU row is a real
+/// wall-clock measurement — the one number that varies run to run even
+/// serially; its thread count is the `BBENCH_JOBS` width and is recorded
+/// in the provenance.)
+pub fn table3_on(scale: &A3Scale, workers: usize) -> (Vec<Table3Row>, u64) {
     let s = *scale;
-    let threads = crate::worker_count();
+    let threads = bsim::host::worker_count("BBENCH_JOBS");
 
-    let fpga_job = crate::par::Job::new("table3: Beethoven FPGA sim", move || {
+    let fpga_job = move || {
         let soc = a3_soc(&s);
         let total_resources = soc.report().total;
         let fabric_mhz = soc.platform().fabric_mhz;
         drop(soc);
-        let (fpga_ops, _, fpga_cycles) = measure_beethoven_timed(&s, &Platform::aws_f1());
+        let (fpga_ops, _, fpga_cycles) = measure_beethoven(&s, &Platform::aws_f1());
         let energy = EnergyModel::default();
         let power = energy.power(&total_resources, fabric_mhz);
         let rows = vec![Table3Row {
@@ -305,14 +269,13 @@ pub fn table3_timed_on(scale: &A3Scale, workers: usize) -> (Vec<Table3Row>, u64)
             provenance: "cycle simulation + resource power model".to_owned(),
         }];
         (rows, fpga_cycles)
-    });
+    };
 
     // The original 1-core ASIC at 1 GHz (we re-simulate it on the ASIC
     // platform; the paper quotes 2.94e6 ops/s).
-    let asic_job = crate::par::Job::new("table3: 1-core ASIC sim", move || {
+    let asic_job = move || {
         let asic_scale = A3Scale { n_cores: 1, ..s };
-        let (asic_ops, _, asic_cycles) =
-            measure_beethoven_timed(&asic_scale, &Platform::asap7_asic());
+        let (asic_ops, _, asic_cycles) = measure_beethoven(&asic_scale, &Platform::asap7_asic());
         let rows = vec![Table3Row {
             label: "1-Core ASIC @1GHz".to_owned(),
             ops_per_sec: asic_ops,
@@ -321,11 +284,11 @@ pub fn table3_timed_on(scale: &A3Scale, workers: usize) -> (Vec<Table3Row>, u64)
             provenance: "our core on the ASIC platform model; paper quotes 2.94e6".to_owned(),
         }];
         (rows, asic_cycles)
-    });
+    };
 
     // CPU: real measurement on this host, plus the paper's constant and
     // the calibrated analytical GPU model.
-    let baselines_job = crate::par::Job::new("table3: CPU + GPU baselines", move || {
+    let baselines_job = move || {
         let cpu = cpu_attention_throughput(&s.params, threads, s.cpu_ops);
         let gpu = GpuModel::default();
         let rows = vec![
@@ -355,13 +318,18 @@ pub fn table3_timed_on(scale: &A3Scale, workers: usize) -> (Vec<Table3Row>, u64)
             },
         ];
         (rows, 0u64)
-    });
+    };
 
-    let mut outs =
-        crate::par::run_jobs_on(vec![fpga_job, asic_job, baselines_job], workers).into_iter();
-    let (fpga_rows, fpga_cycles) = outs.next().expect("fpga job");
-    let (asic_rows, asic_cycles) = outs.next().expect("asic job");
-    let (baseline_rows, _) = outs.next().expect("baselines job");
+    type Job = Box<dyn FnOnce() -> (Vec<Table3Row>, u64) + Send>;
+    let jobs: Vec<Job> = vec![
+        Box::new(fpga_job),
+        Box::new(asic_job),
+        Box::new(baselines_job),
+    ];
+    let [(fpga_rows, fpga_cycles), (asic_rows, asic_cycles), (baseline_rows, _)]: [_; 3] =
+        bsim::host::run_ordered(jobs, workers)
+            .try_into()
+            .expect("three jobs");
 
     // Fixed presentation order: CPU (host, paper), GPU, FPGA, ASIC.
     let mut rows = baseline_rows;
@@ -400,7 +368,7 @@ mod tests {
             n_cores: 1,
             ..scale
         };
-        let (ops, cycles_per_query) = measure_beethoven(&single, &Platform::sim());
+        let (ops, cycles_per_query, _) = measure_beethoven(&single, &Platform::sim());
         assert!(ops > 0.0);
         assert!(
             cycles_per_query < 4.0 * scale.params.keys as f64,
@@ -416,8 +384,8 @@ mod tests {
             n_cores: 1,
             ..small
         };
-        let (one, _) = measure_beethoven(&single, &Platform::sim());
-        let (three, _) = measure_beethoven(&small, &Platform::sim());
+        let (one, ..) = measure_beethoven(&single, &Platform::sim());
+        let (three, ..) = measure_beethoven(&small, &Platform::sim());
         assert!(
             three > 2.0 * one,
             "3 cores ({three:.0}) should be >2x one core ({one:.0})"

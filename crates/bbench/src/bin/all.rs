@@ -1,171 +1,52 @@
 //! Regenerates every table and figure in one run (the full §III
 //! evaluation). Pass `--small` for the scaled-down variant.
 //!
-//! Each artifact section is one job in the [`bbench::par`] executor, so
-//! the figures regenerate concurrently across host cores (`BBENCH_JOBS`
-//! overrides the worker count; `BBENCH_JOBS=1` is the exact serial
-//! path). Inside a section the sweep runs serially (`workers = 1`) so
-//! the section jobs do not oversubscribe the pool. stdout carries only
-//! the deterministic figure/table bytes, printed in the fixed §III
-//! order regardless of which section finished first — CI diffs two
-//! `--small` runs at different worker counts to enforce this. Profile
-//! artifacts (honoring `BBENCH_PROFILE_DIR`) and the merged `sim rate:`
-//! footer go to stderr.
+//! Each artifact is one [`bsim::host::run_ordered`] job running the same
+//! driver as its own binary ([`bbench::artifact::Artifact::regenerate`]),
+//! so the figures regenerate concurrently across host cores
+//! (`BBENCH_JOBS` overrides the worker count; `BBENCH_JOBS=1` is the
+//! exact serial path). Inside an artifact the sweep runs serially so the
+//! artifact jobs do not oversubscribe the pool. stdout is the eight
+//! binaries' stdout in §III order, joined by blank lines, whichever
+//! artifact finished first; CI checks both that and that two `--small`
+//! runs at different worker counts match. Profile notes (honoring
+//! `BBENCH_PROFILE_DIR`) and the merged `sim rate:` footer go to stderr.
 
-use bbench::par;
-use bkernels::memcpy::{run_memcpy_profiled, MemcpyVariant};
-
-/// One rendered artifact: its position in the printed evaluation plus
-/// the stderr notes (profile-artifact paths) its job produced.
-struct Section {
-    order: usize,
-    text: String,
-    notes: Vec<String>,
-}
-
-fn emit_note(stem: &str, soc: &bcore::SocSim) -> String {
-    match bbench::profile::emit(stem, soc) {
-        Ok(art) => format!(
-            "wrote profile {} and trace {}",
-            art.report.display(),
-            art.trace.display()
-        ),
-        Err(e) => format!("could not write profile artifacts: {e}"),
-    }
-}
+use bbench::artifact::Artifact;
+use bsim::MergedSimRate;
 
 fn main() {
     let small = bbench::small_requested();
-    let fig6_scale = if small {
-        bbench::fig6::Fig6Scale::small()
-    } else {
-        bbench::fig6::Fig6Scale::paper()
-    };
-    let a3_scale = if small {
-        bbench::a3::A3Scale::small()
-    } else {
-        bbench::a3::A3Scale::paper()
-    };
-    let sizes = if small {
-        bbench::fig4::small_sizes()
-    } else {
-        bbench::fig4::default_sizes()
-    };
-
-    let workers = bbench::worker_count();
+    let workers = bsim::host::worker_count("BBENCH_JOBS");
     eprintln!("regenerating the full evaluation on {workers} worker(s) (BBENCH_JOBS overrides)");
 
     // Long poles (the multi-core Figure 6 sweep and the Table III FPGA
-    // simulation) enter the queue first for a tighter makespan; the
-    // `order` field restores the presentation order afterwards.
-    let jobs = vec![
-        par::timed("all: figure 6", move || {
-            let (rows, cycles) = bbench::fig6::run_timed_on(&fig6_scale, 1);
-            let handle = bbench::fig6::profiled_run(&fig6_scale);
-            let note = handle.with_soc(|soc| emit_note("fig6", soc));
-            (
-                Section {
-                    order: 3,
-                    text: bbench::fig6::render(&rows),
-                    notes: vec![note],
-                },
-                cycles,
-            )
-        }),
-        par::timed("all: table III", move || {
-            let (rows, cycles) = bbench::a3::table3_timed_on(&a3_scale, 1);
-            let handle = bbench::a3::profiled_run(&a3_scale);
-            let note = handle.with_soc(|soc| emit_note("table3", soc));
-            (
-                Section {
-                    order: 7,
-                    text: bbench::a3::render_table3(&rows),
-                    notes: vec![note],
-                },
-                cycles,
-            )
-        }),
-        par::timed("all: figure 4", move || {
-            let (rows, cycles) = bbench::fig4::run_timed_on(&sizes, 1);
-            let largest = *sizes.last().expect("non-empty sweep");
-            let (_, soc) = run_memcpy_profiled(MemcpyVariant::Beethoven, largest);
-            (
-                Section {
-                    order: 0,
-                    text: bbench::fig4::render(&rows),
-                    notes: vec![emit_note("fig4", &soc)],
-                },
-                cycles,
-            )
-        }),
-        par::timed("all: figure 5", move || {
-            let fig = bbench::fig5::run_on(1);
-            let (hls, beethoven, hdl) = fig.finish_cycles;
-            let (_, soc) = run_memcpy_profiled(MemcpyVariant::Beethoven16Beat, 4096);
-            (
-                Section {
-                    order: 1,
-                    text: bbench::fig5::render(&fig),
-                    notes: vec![emit_note("fig5", &soc)],
-                },
-                hls + beethoven + hdl,
-            )
-        }),
-        par::timed("all: figure 7", move || {
-            (
-                Section {
-                    order: 4,
-                    text: bbench::a3::fig7(&a3_scale),
-                    notes: Vec::new(),
-                },
-                0,
-            )
-        }),
-        par::timed("all: figure 8", move || {
-            (
-                Section {
-                    order: 5,
-                    text: bbench::a3::fig8(&a3_scale),
-                    notes: Vec::new(),
-                },
-                0,
-            )
-        }),
-        par::timed("all: table II", move || {
-            (
-                Section {
-                    order: 6,
-                    text: bbench::a3::table2(&a3_scale),
-                    notes: Vec::new(),
-                },
-                0,
-            )
-        }),
-        par::timed("all: table I", move || {
-            (
-                Section {
-                    order: 2,
-                    text: bbench::table1::render(),
-                    notes: Vec::new(),
-                },
-                0,
-            )
-        }),
+    // simulation) enter the queue first for a tighter makespan.
+    let queue = [
+        Artifact::Fig6,
+        Artifact::Table3,
+        Artifact::Fig4,
+        Artifact::Fig5,
+        Artifact::Fig7,
+        Artifact::Fig8,
+        Artifact::Table2,
+        Artifact::Table1,
     ];
-
-    let (mut sections, merged) = par::run_timed_jobs(jobs, workers);
-    sections.sort_by_key(|s| s.order);
-    for section in &sections {
-        for note in &section.notes {
-            eprintln!("{note}");
-        }
+    let span = std::time::Instant::now();
+    let jobs = queue.map(|artifact| move || artifact.regenerate(small, 1));
+    let mut done: Vec<_> = queue
+        .into_iter()
+        .zip(bsim::host::run_ordered(jobs.into(), workers))
+        .collect();
+    let merged = MergedSimRate::merge(
+        done.iter().map(|(_, out)| out.rate),
+        span.elapsed().as_secs_f64(),
+    );
+    done.sort_by_key(|(artifact, _)| *artifact);
+    for (note, _) in done.iter().filter_map(|(_, out)| out.profile.as_ref()) {
+        eprintln!("{note}");
     }
-    for (i, section) in sections.iter().enumerate() {
-        if i + 1 == sections.len() {
-            println!("{}", section.text);
-        } else {
-            println!("{}\n", section.text);
-        }
-    }
+    let texts: Vec<&str> = done.iter().map(|(_, out)| out.text.as_str()).collect();
+    println!("{}", texts.join("\n\n"));
     eprintln!("{}", merged.render());
 }

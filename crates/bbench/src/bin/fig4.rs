@@ -1,28 +1,5 @@
 //! Regenerates Figure 4 (memcpy bandwidth by methodology).
 
-use bkernels::memcpy::{run_memcpy_profiled, MemcpyVariant};
-
 fn main() {
-    let sizes = if bbench::small_requested() {
-        bbench::fig4::small_sizes()
-    } else {
-        bbench::fig4::default_sizes()
-    };
-    bbench::with_sim_rate_ext(|| {
-        let (rows, cycles) = bbench::fig4::run_timed(&sizes);
-        print!("{}", bbench::fig4::render(&rows));
-        // One representative profiled run (the Beethoven variant at the
-        // largest size) for the exported counter report and Chrome trace.
-        let largest = *sizes.last().expect("non-empty sweep");
-        let (_, soc) = run_memcpy_profiled(MemcpyVariant::Beethoven, largest);
-        match bbench::profile::emit("fig4", &soc) {
-            Ok(art) => eprintln!(
-                "wrote profile {} and trace {}",
-                art.report.display(),
-                art.trace.display()
-            ),
-            Err(e) => eprintln!("could not write profile artifacts: {e}"),
-        }
-        ((), cycles, bbench::profile::sim_rate_ext(&soc))
-    });
+    bbench::artifact::main(bbench::artifact::Artifact::Fig4);
 }

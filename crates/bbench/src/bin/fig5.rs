@@ -1,35 +1,15 @@
-//! Regenerates Figure 5 (AXI transaction timelines, 4 KiB memcpy).
-
-use bkernels::memcpy::{run_memcpy_profiled, MemcpyVariant};
+//! Regenerates Figure 5 (AXI transaction timelines, 4 KiB memcpy) and
+//! writes the three panels' `fig5_*.vcd` waveforms into the current
+//! directory.
 
 fn main() {
-    bbench::with_sim_rate_ext(|| {
-        let fig = bbench::fig5::run();
-        print!("{}", bbench::fig5::render(&fig));
-        match bbench::fig5::write_vcds(std::path::Path::new(".")) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("wrote waveform {}", p.display());
-                }
+    bbench::artifact::main(bbench::artifact::Artifact::Fig5);
+    match bbench::fig5::write_vcds(std::path::Path::new(".")) {
+        Ok(paths) => {
+            for p in paths {
+                eprintln!("wrote waveform {}", p.display());
             }
-            Err(e) => eprintln!("could not write VCD waveforms: {e}"),
         }
-        // The figure's own 4 KiB copy, re-run with counters enabled, for
-        // the exported counter report and Chrome trace.
-        let (_, soc) = run_memcpy_profiled(MemcpyVariant::Beethoven16Beat, 4096);
-        match bbench::profile::emit("fig5", &soc) {
-            Ok(art) => eprintln!(
-                "wrote profile {} and trace {}",
-                art.report.display(),
-                art.trace.display()
-            ),
-            Err(e) => eprintln!("could not write profile artifacts: {e}"),
-        }
-        let (hls, beethoven, hdl) = fig.finish_cycles;
-        (
-            (),
-            hls + beethoven + hdl,
-            bbench::profile::sim_rate_ext(&soc),
-        )
-    });
+        Err(e) => eprintln!("could not write VCD waveforms: {e}"),
+    }
 }

@@ -1,31 +1,5 @@
 //! Regenerates Figure 6 (MachSuite speedups over Vitis HLS).
 
-use bbench::fig6::{profiled_run, render, run_timed, Fig6Scale};
-
 fn main() {
-    let scale = if bbench::small_requested() {
-        Fig6Scale::small()
-    } else {
-        Fig6Scale::paper()
-    };
-    eprintln!("running Figure 6 at scale {scale:?} (use --small for a quick run)");
-    bbench::with_sim_rate_ext(|| {
-        let (rows, cycles) = run_timed(&scale);
-        print!("{}", render(&rows));
-        // One representative profiled invocation (single-core GeMM) for
-        // the exported counter report and Chrome trace.
-        let handle = profiled_run(&scale);
-        let ext = handle.with_soc(|soc| {
-            match bbench::profile::emit("fig6", soc) {
-                Ok(art) => eprintln!(
-                    "wrote profile {} and trace {}",
-                    art.report.display(),
-                    art.trace.display()
-                ),
-                Err(e) => eprintln!("could not write profile artifacts: {e}"),
-            }
-            bbench::profile::sim_rate_ext(soc)
-        });
-        ((), cycles, ext)
-    });
+    bbench::artifact::main(bbench::artifact::Artifact::Fig6);
 }

@@ -1,12 +1,5 @@
 //! Regenerates Figure 7 (A3 core structure and pipeline rate).
 
-use bbench::a3::{fig7, A3Scale};
-
 fn main() {
-    let scale = if bbench::small_requested() {
-        A3Scale::small()
-    } else {
-        A3Scale::paper()
-    };
-    print!("{}", fig7(&scale));
+    bbench::artifact::main(bbench::artifact::Artifact::Fig7);
 }

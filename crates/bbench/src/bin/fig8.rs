@@ -1,12 +1,5 @@
 //! Regenerates Figure 8 (A3 floorplan on the U200).
 
-use bbench::a3::{fig8, A3Scale};
-
 fn main() {
-    let scale = if bbench::small_requested() {
-        A3Scale::small()
-    } else {
-        A3Scale::paper()
-    };
-    print!("{}", fig8(&scale));
+    bbench::artifact::main(bbench::artifact::Artifact::Fig8);
 }

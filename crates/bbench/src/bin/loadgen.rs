@@ -92,13 +92,13 @@ fn main() {
         }),
     };
     eprintln!("running load generator at scale {scale:?}, seed {seed}");
-    bbench::with_sim_rate(|| {
-        let (rows, cycles) = run_on(seed, &scale, &opts, bbench::worker_count());
-        if json {
-            println!("{}", render_json(seed, &scale, &opts, &rows));
-        } else {
-            print!("{}", render(seed, &scale, &opts, &rows));
-        }
-        ((), cycles)
-    });
+    let timer = bsim::SimRateTimer::starting_at(0);
+    let workers = bsim::host::worker_count("BBENCH_JOBS");
+    let (rows, cycles) = run_on(seed, &scale, &opts, workers);
+    if json {
+        println!("{}", render_json(seed, &scale, &opts, &rows));
+    } else {
+        print!("{}", render(seed, &scale, &opts, &rows));
+    }
+    eprintln!("{}", timer.finish(cycles).render());
 }

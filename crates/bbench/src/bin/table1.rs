@@ -1,5 +1,5 @@
 //! Regenerates Table I (MachSuite benchmark selection).
 
 fn main() {
-    print!("{}", bbench::table1::render());
+    bbench::artifact::main(bbench::artifact::Artifact::Table1);
 }

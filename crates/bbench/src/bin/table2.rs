@@ -1,12 +1,5 @@
 //! Regenerates Table II (A3 resource utilization).
 
-use bbench::a3::{table2, A3Scale};
-
 fn main() {
-    let scale = if bbench::small_requested() {
-        A3Scale::small()
-    } else {
-        A3Scale::paper()
-    };
-    print!("{}", table2(&scale));
+    bbench::artifact::main(bbench::artifact::Artifact::Table2);
 }

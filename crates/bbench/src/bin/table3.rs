@@ -1,31 +1,5 @@
 //! Regenerates Table III (attention throughput and energy).
 
-use bbench::a3::{profiled_run, render_table3, table3_timed, A3Scale};
-
 fn main() {
-    let scale = if bbench::small_requested() {
-        A3Scale::small()
-    } else {
-        A3Scale::paper()
-    };
-    eprintln!("running Table III at scale {scale:?} (use --small for a quick run)");
-    bbench::with_sim_rate_ext(|| {
-        let (rows, cycles) = table3_timed(&scale);
-        print!("{}", render_table3(&rows));
-        // One representative profiled round (single-core load + attend)
-        // for the exported counter report and Chrome trace.
-        let handle = profiled_run(&scale);
-        let ext = handle.with_soc(|soc| {
-            match bbench::profile::emit("table3", soc) {
-                Ok(art) => eprintln!(
-                    "wrote profile {} and trace {}",
-                    art.report.display(),
-                    art.trace.display()
-                ),
-                Err(e) => eprintln!("could not write profile artifacts: {e}"),
-            }
-            bbench::profile::sim_rate_ext(soc)
-        });
-        ((), cycles, ext)
-    });
+    bbench::artifact::main(bbench::artifact::Artifact::Table3);
 }

@@ -21,25 +21,14 @@ pub fn small_sizes() -> Vec<u64> {
     vec![4 << 10, 32 << 10]
 }
 
-/// Runs the full sweep.
-pub fn run(sizes: &[u64]) -> Vec<Fig4Row> {
-    run_timed(sizes).0
-}
-
-/// [`run`], also reporting the total simulated fabric cycles (for the
-/// binaries' sim-rate footer). Cells run across host cores
-/// ([`crate::par`]); see [`run_timed_on`].
-pub fn run_timed(sizes: &[u64]) -> (Vec<Fig4Row>, u64) {
-    run_timed_on(sizes, crate::worker_count())
-}
-
-/// [`run_timed`] with an explicit worker count. Every `(variant, size)`
-/// cell is a pure job — it elaborates, drives, and checks its own SoC in
-/// the worker thread and returns the [`MemcpyResult`] — so the sweep
+/// Runs the sweep on `workers` host threads and returns the rows plus
+/// the total simulated fabric cycles (for the sim-rate footer). Every
+/// `(variant, size)` cell is a pure job — it elaborates, drives, and
+/// checks its own SoC and returns the [`MemcpyResult`] — so the sweep
 /// parallelizes without shared state, and any worker count produces the
 /// same rows (the `parallel_equivalence` test compares the rendered
 /// bytes).
-pub fn run_timed_on(sizes: &[u64], workers: usize) -> (Vec<Fig4Row>, u64) {
+pub fn run_on(sizes: &[u64], workers: usize) -> (Vec<Fig4Row>, u64) {
     if sizes.is_empty() {
         let rows = MemcpyVariant::ALL
             .into_iter()
@@ -50,18 +39,15 @@ pub fn run_timed_on(sizes: &[u64], workers: usize) -> (Vec<Fig4Row>, u64) {
             .collect();
         return (rows, 0);
     }
-    let jobs: Vec<crate::par::Job<MemcpyResult>> = MemcpyVariant::ALL
+    let jobs: Vec<_> = MemcpyVariant::ALL
         .into_iter()
         .flat_map(|variant| {
-            sizes.iter().map(move |&bytes| {
-                crate::par::Job::new(
-                    format!("fig4: {} @ {bytes} B", variant.label()),
-                    move || run_memcpy(variant, bytes),
-                )
-            })
+            sizes
+                .iter()
+                .map(move |&bytes| move || run_memcpy(variant, bytes))
         })
         .collect();
-    let cells = crate::par::run_jobs_on(jobs, workers);
+    let cells: Vec<MemcpyResult> = bsim::host::run_ordered(jobs, workers);
     let mut total_cycles = 0u64;
     let rows = cells
         .chunks(sizes.len())
@@ -118,7 +104,7 @@ mod tests {
 
     #[test]
     fn small_sweep_has_expected_shape() {
-        let rows = run(&[16 << 10]);
+        let (rows, _) = run_on(&[16 << 10], 2);
         assert_eq!(rows.len(), 5);
         let get = |label: &str| {
             rows.iter()

@@ -44,14 +44,8 @@ pub fn write_vcds(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathB
     Ok(written)
 }
 
-/// Runs the three traced 4 KiB copies and renders their timelines. The
-/// panels are independent simulations and run across host cores
-/// ([`crate::par`]); see [`run_on`].
-pub fn run() -> Fig5 {
-    run_on(crate::worker_count())
-}
-
-/// [`run`] with an explicit worker count (serial when `workers <= 1`).
+/// Runs the three traced 4 KiB copies on `workers` host threads and
+/// renders their timelines. The panels are independent simulations.
 pub fn run_on(workers: usize) -> Fig5 {
     let bytes = 4096;
     let width = 120;
@@ -60,19 +54,10 @@ pub fn run_on(workers: usize) -> Fig5 {
         MemcpyVariant::Beethoven16Beat,
         MemcpyVariant::PureHdl,
     ]
-    .into_iter()
-    .map(|variant| {
-        crate::par::Job::new(format!("fig5: {} panel", variant.label()), move || {
-            run_memcpy_traced(variant, bytes)
-        })
-    })
-    .collect();
-    let mut panels = crate::par::run_jobs_on(jobs, workers).into_iter();
-    let (hls, beethoven, hdl) = (
-        panels.next().expect("hls panel"),
-        panels.next().expect("beethoven panel"),
-        panels.next().expect("hdl panel"),
-    );
+    .map(|variant| move || run_memcpy_traced(variant, bytes));
+    let [hls, beethoven, hdl]: [_; 3] = bsim::host::run_ordered(jobs.into(), workers)
+        .try_into()
+        .expect("three panels");
     let cols = |r: &bkernels::memcpy::MemcpyResult| (r.cycles / width as u64).max(1);
     Fig5 {
         finish_cycles: (hls.cycles, beethoven.cycles, hdl.cycles),
@@ -104,7 +89,7 @@ mod tests {
 
     #[test]
     fn panels_render_and_multi_id_wins() {
-        let fig = run();
+        let fig = run_on(3);
         assert!(fig.hls.contains("AR"));
         assert!(fig.beethoven.contains("AR"));
         assert!(fig.pure_hdl.contains("AR"));

@@ -334,57 +334,37 @@ fn assemble_row(
     }
 }
 
-/// Runs the whole figure at the given scale.
-pub fn run(scale: &Fig6Scale) -> Vec<Fig6Row> {
-    run_timed(scale).0
-}
-
-/// [`run`], also reporting the total simulated fabric cycles (for the
-/// binaries' sim-rate footer). Per-benchmark single-core and multi-core
-/// measurements run as independent jobs across host cores
-/// ([`crate::par`]); see [`run_timed_on`].
-pub fn run_timed(scale: &Fig6Scale) -> (Vec<Fig6Row>, u64) {
-    run_timed_on(scale, crate::worker_count())
-}
-
-/// [`run_timed`] with an explicit worker count. Each benchmark
-/// contributes two jobs — the single-core and the multi-core SoC run —
-/// constructed and driven entirely inside their worker threads. The
-/// multi-core jobs (the long poles) enter the queue first; results come
-/// back in submission order, so the rows are identical at any worker
-/// count.
-pub fn run_timed_on(scale: &Fig6Scale, workers: usize) -> (Vec<Fig6Row>, u64) {
+/// Runs the whole figure on `workers` host threads and returns the rows
+/// plus the total simulated fabric cycles (for the sim-rate footer).
+/// Each benchmark contributes two jobs — the single-core and the
+/// multi-core SoC run — constructed and driven entirely inside their
+/// worker threads. The multi-core jobs (the long poles) enter the queue
+/// first; results come back in submission order, so the rows are
+/// identical at any worker count.
+pub fn run_on(scale: &Fig6Scale, workers: usize) -> (Vec<Fig6Row>, u64) {
     let benches: Vec<Bench> = drivers(scale).iter().map(|d| d.bench).collect();
     let s = *scale;
-    let mut jobs: Vec<crate::par::Job<Fig6Run>> = Vec::with_capacity(2 * benches.len());
-    for &bench in &benches {
-        jobs.push(crate::par::Job::new(
-            format!("fig6: {} multi-core", bench.name()),
-            move || Fig6Run::Multi(run_multi_core(bench, &s)),
-        ));
-    }
-    for &bench in &benches {
-        jobs.push(crate::par::Job::new(
-            format!("fig6: {} single-core", bench.name()),
-            move || Fig6Run::Single(run_single_core(bench, &s)),
-        ));
-    }
-    let mut outs = crate::par::run_jobs_on(jobs, workers);
-    let singles: Vec<SingleCoreRun> = outs
-        .split_off(benches.len())
+    let jobs: Vec<_> = [true, false]
         .into_iter()
-        .map(|r| match r {
-            Fig6Run::Single(s) => s,
-            Fig6Run::Multi(_) => unreachable!("singles were submitted second"),
+        .flat_map(|multi| {
+            benches.iter().map(move |&bench| {
+                move || {
+                    if multi {
+                        Fig6Run::Multi(run_multi_core(bench, &s))
+                    } else {
+                        Fig6Run::Single(run_single_core(bench, &s))
+                    }
+                }
+            })
         })
         .collect();
-    let multis: Vec<MultiCoreRun> = outs
-        .into_iter()
-        .map(|r| match r {
-            Fig6Run::Multi(m) => m,
-            Fig6Run::Single(_) => unreachable!("multis were submitted first"),
-        })
-        .collect();
+    let (mut singles, mut multis) = (Vec::new(), Vec::new());
+    for out in bsim::host::run_ordered(jobs, workers) {
+        match out {
+            Fig6Run::Single(single) => singles.push(single),
+            Fig6Run::Multi(multi) => multis.push(multi),
+        }
+    }
     let mut total_cycles = 0u64;
     let rows = benches
         .iter()
@@ -398,7 +378,7 @@ pub fn run_timed_on(scale: &Fig6Scale, workers: usize) -> (Vec<Fig6Row>, u64) {
 }
 
 /// Runs one single-core GeMM invocation with the performance counters and
-/// AXI tracer enabled and returns the handle, so the `fig6` binary can
+/// AXI tracer enabled and returns the handle, so the artifact driver can
 /// export profile artifacts next to the figure.
 pub fn profiled_run(scale: &Fig6Scale) -> FpgaHandle {
     let platform = beethoven_platform();

@@ -22,26 +22,26 @@
 //! ## Output contract and host parallelism
 //!
 //! Every sweep runs its independent SoC simulations across host cores
-//! through [`par`] (`BBENCH_JOBS` overrides the worker count;
-//! `BBENCH_JOBS=1` is the exact serial path). **stdout is the
-//! deterministic artifact** — figure and table bytes are identical at any
-//! worker count, which CI enforces by diffing two `all --small` runs —
-//! while run diagnostics (the `sim rate:` footers, profile-artifact
-//! paths, progress notes) go to stderr.
+//! through [`bsim::host::run_ordered`] (`BBENCH_JOBS` overrides the
+//! worker count; `BBENCH_JOBS=1` is the exact serial path). Each
+//! artifact has one driver, [`artifact::Artifact::regenerate`], shared by
+//! its binary and `all`. **stdout is the deterministic artifact** —
+//! figure and table bytes are identical at any worker count, which CI
+//! enforces by diffing two `all --small` runs — while run diagnostics
+//! (the `sim rate:` footers, profile-artifact paths, progress notes) go
+//! to stderr.
 
 #![warn(missing_docs)]
 
 pub mod a3;
+pub mod artifact;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod loadgen;
 pub mod netgen;
-pub mod par;
 pub mod profile;
 pub mod table1;
-
-pub use par::worker_count;
 
 /// Returns true when `--small` was passed on the command line.
 pub fn small_requested() -> bool {
@@ -73,25 +73,42 @@ where
     }))
 }
 
-/// Runs `f` under a host-clock timer and prints a `sim rate:` footer (to
-/// stderr, with the rest of the run diagnostics — stdout carries only
-/// deterministic figure bytes) from the simulated cycle total `f` reports
-/// next to its result. Binaries wrap their figure runs in this so every
-/// artifact records the kernel's simulation rate (see `bsim::SimRate`).
-pub fn with_sim_rate<R>(f: impl FnOnce() -> (R, u64)) -> R {
-    let timer = bsim::SimRateTimer::starting_at(0);
-    let (result, cycles) = f();
-    eprintln!("{}", timer.finish(cycles).render());
-    result
-}
+/// The host-parallelism contract every sweep and `all` rely on: the
+/// `BBENCH_JOBS` width override, and per-job sim rates merged over the
+/// batch's wall-clock span.
+#[cfg(test)]
+mod par {
+    mod tests {
+        use bsim::host::{parse_jobs, run_ordered};
+        use bsim::{MergedSimRate, SimRateTimer};
 
-/// [`with_sim_rate`] with the extended footer: `f` additionally reports a
-/// [`bsim::SimRateExt`] (DRAM traffic, achieved bandwidth, scheduler skip
-/// ratio — see [`profile::sim_rate_ext`]) measured on its representative
-/// profiled run.
-pub fn with_sim_rate_ext<R>(f: impl FnOnce() -> (R, u64, bsim::SimRateExt)) -> R {
-    let timer = bsim::SimRateTimer::starting_at(0);
-    let (result, cycles, ext) = f();
-    eprintln!("{}", timer.finish(cycles).render_with(&ext));
-    result
+        #[test]
+        fn jobs_env_override_parses_and_clamps() {
+            assert_eq!(parse_jobs(None), None);
+            assert_eq!(parse_jobs(Some("8")), Some(8));
+            assert_eq!(parse_jobs(Some(" 2 ")), Some(2));
+            assert_eq!(parse_jobs(Some("0")), Some(1), "0 clamps to serial");
+            assert_eq!(parse_jobs(Some("four")), None, "typos fall through");
+            assert_eq!(parse_jobs(Some("")), None);
+        }
+
+        #[test]
+        fn timed_jobs_merge_cycles_and_span() {
+            // Each job times itself, as an artifact job in `all` does.
+            let jobs: Vec<_> = (1..=6u64)
+                .map(|i| {
+                    move || {
+                        let timer = SimRateTimer::starting_at(0);
+                        (i, timer.finish(i * 100))
+                    }
+                })
+                .collect();
+            let span = std::time::Instant::now();
+            let (results, rates): (Vec<u64>, Vec<_>) = run_ordered(jobs, 3).into_iter().unzip();
+            let merged = MergedSimRate::merge(rates, span.elapsed().as_secs_f64());
+            assert_eq!(results, vec![1, 2, 3, 4, 5, 6]);
+            assert_eq!(merged.jobs, 6);
+            assert_eq!(merged.rate.cycles, 2100, "cycles sum over jobs");
+        }
+    }
 }

@@ -16,9 +16,9 @@
 //! [`SplitMix64`] stream from the CLI seed, all reported quantities are
 //! integers (cycles and counts, percentiles from the
 //! `server/latency_cycles` histograms in `bsim::perf`), and the
-//! per-policy simulations run as independent [`crate::par`] jobs — so
-//! stdout is byte-identical at any `BBENCH_JOBS` and in either scheduler
-//! mode (`BSIM_NAIVE`; enforced by the `loadgen_determinism` test),
+//! per-policy simulations run as independent [`bsim::host::run_ordered`]
+//! jobs — so stdout is byte-identical at any `BBENCH_JOBS` and in either
+//! scheduler mode (`BSIM_NAIVE`; enforced by the `loadgen_determinism` test),
 //! and `results/loadgen.txt` is pinned by the `loadgen_cli` test.
 //!
 //! Runs can additionally carry telemetry ([`TelemetryOpts`]): request
@@ -387,14 +387,12 @@ pub fn run_on(
     workers: usize,
 ) -> (Vec<PolicyRow>, u64) {
     let plan = plan(seed, scale);
-    let s = *scale;
-    let jobs: Vec<crate::par::Job<PolicyRow>> = DispatchPolicy::all()
+    let jobs: Vec<_> = DispatchPolicy::all()
         .into_iter()
         .map(|policy| {
-            let plan = plan.clone();
-            let opts = opts.clone();
-            crate::par::Job::new(format!("loadgen: {policy}"), move || {
-                let row = run_policy(policy, &plan, &s, &opts);
+            let plan = &plan;
+            move || {
+                let row = run_policy(policy, plan, scale, opts);
                 eprintln!(
                     "loadgen: {} done ({} completed, {} rejected, {} cycles, {} shards)",
                     policy,
@@ -404,10 +402,10 @@ pub fn run_on(
                     row.shards.len()
                 );
                 row
-            })
+            }
         })
         .collect();
-    let rows = crate::par::run_jobs_on(jobs, workers);
+    let rows = bsim::host::run_ordered(jobs, workers);
     let total_cycles = rows.iter().map(|r| r.makespan_cycles).sum();
     (rows, total_cycles)
 }
@@ -579,12 +577,8 @@ fn telemetry_json(t: &PolicyTelemetry) -> String {
     }
     out.push(']');
     if let Some(path) = &t.trace_path {
-        let escaped = path
-            .display()
-            .to_string()
-            .replace('\\', "\\\\")
-            .replace('"', "\\\"");
-        out.push_str(&format!(",\"trace_file\":\"{escaped}\""));
+        let path = bsim::perf::json_string(&path.display().to_string());
+        out.push_str(&format!(",\"trace_file\":{path}"));
     }
     out.push('}');
     out

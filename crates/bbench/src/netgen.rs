@@ -19,6 +19,7 @@ use bnet::{
     TraceCmd, WireJob,
 };
 use bserver::DispatchPolicy;
+use bsim::perf::json_string;
 use bsim::Histogram;
 
 use crate::loadgen::{plan, LoadScale, PlannedJob};
@@ -263,7 +264,7 @@ pub fn render_json(seed: u64, report: &NetReport) -> String {
     out.push('{');
     out.push_str(&format!("\"mode\":\"{}\",", report.mode));
     out.push_str(&format!("\"seed\":{seed},"));
-    out.push_str(&format!("\"policy\":\"{}\",", report.policy));
+    out.push_str(&format!("\"policy\":{},", json_string(&report.policy)));
     out.push_str(&format!("\"shards\":{},", report.shards));
     out.push_str(&format!("\"tenants\":{},", report.tenants));
     out.push_str(&format!("\"rounds\":{},", report.rounds));
@@ -294,7 +295,7 @@ pub fn render_json(seed: u64, report: &NetReport) -> String {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\"{name}\":{value}"));
+            out.push_str(&format!("{}:{value}", json_string(name)));
         }
         out.push('}');
     }
@@ -331,5 +332,17 @@ mod tests {
         bsim::perf::validate_json(&render_json(42, &report)).expect("netgen JSON parses");
         assert_eq!(report.offered, scale.jobs);
         assert!(report.completed > 0);
+    }
+
+    #[test]
+    fn json_summary_escapes_server_supplied_names() {
+        let scale = LoadScale::small();
+        let mut report = run_oracle(42, &scale, DispatchPolicy::Fifo, 1);
+        report.policy = "fi\"fo\\\n".to_owned();
+        report.net_counters = vec![("net/\"odd\"\\name\n".to_owned(), 3)];
+        let json = render_json(42, &report);
+        bsim::perf::validate_json(&json).expect("escaped names keep the JSON valid");
+        assert!(json.contains(r#""policy":"fi\"fo\\\n""#), "{json}");
+        assert!(json.contains(r#""net/\"odd\"\\name\n":3"#), "{json}");
     }
 }

@@ -1,4 +1,5 @@
-//! Serial-vs-parallel equivalence for the sweep executor (`bbench::par`):
+//! Serial-vs-parallel equivalence for the sweep executor
+//! (`bsim::host::run_ordered`):
 //! every figure harness must render byte-identical artifacts at any
 //! worker count. Each simulation is a closed system and the executor
 //! returns results in submission order, so these are exact `==`
@@ -9,8 +10,8 @@ use bbench::{fig4, fig5, fig6};
 #[test]
 fn fig4_renders_byte_identical_serial_and_parallel() {
     let sizes = [4 << 10, 16 << 10, 64 << 10];
-    let (serial_rows, serial_cycles) = fig4::run_timed_on(&sizes, 1);
-    let (parallel_rows, parallel_cycles) = fig4::run_timed_on(&sizes, 4);
+    let (serial_rows, serial_cycles) = fig4::run_on(&sizes, 1);
+    let (parallel_rows, parallel_cycles) = fig4::run_on(&sizes, 4);
     assert_eq!(serial_cycles, parallel_cycles, "cycle totals must match");
     assert_eq!(
         fig4::render(&serial_rows),
@@ -34,8 +35,8 @@ fn fig6_rows_are_identical_serial_and_parallel() {
         cmds_per_core: 1,
         ..fig6::Fig6Scale::small()
     };
-    let (serial_rows, serial_cycles) = fig6::run_timed_on(&scale, 1);
-    let (parallel_rows, parallel_cycles) = fig6::run_timed_on(&scale, 3);
+    let (serial_rows, serial_cycles) = fig6::run_on(&scale, 1);
+    let (parallel_rows, parallel_cycles) = fig6::run_on(&scale, 3);
     assert_eq!(serial_cycles, parallel_cycles, "cycle totals must match");
     assert_eq!(
         fig6::render(&serial_rows),

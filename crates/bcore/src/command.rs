@@ -102,12 +102,6 @@ impl AccelCommandSpec {
         }
     }
 
-    /// Declares that the command produces no response payload.
-    pub fn without_response(mut self) -> Self {
-        self.expects_response = false;
-        self
-    }
-
     /// Total payload bits.
     pub fn payload_bits(&self) -> u32 {
         self.fields.iter().map(|(_, t)| t.bits()).sum()

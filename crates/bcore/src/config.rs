@@ -199,12 +199,6 @@ impl SystemConfig {
         }
     }
 
-    /// Sets the response type.
-    pub fn with_response(mut self, response: AccelResponseSpec) -> Self {
-        self.response = response;
-        self
-    }
-
     /// Adds a memory channel declaration.
     pub fn with_channel(mut self, channel: MemoryChannelConfig) -> Self {
         self.memory_channels.push(channel);

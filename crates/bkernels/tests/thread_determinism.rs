@@ -1,10 +1,9 @@
 //! The sweep executor's core assumption, checked at the kernel layer: a
 //! simulation is a closed system, so constructing and running the same
 //! SoC on a spawned thread produces exactly the cycles it produces on the
-//! main thread. (`bsim::Simulation` is `Rc`-based and `!Send` — what
-//! crosses the thread boundary here is only the parameters in and the
-//! plain result struct out, which is precisely what `bbench::par` jobs
-//! do.)
+//! main thread. What crosses the thread boundary here is only the
+//! parameters in and the plain result struct out, which is precisely
+//! what the `bbench` sweep jobs do.
 
 use bkernels::memcpy::{run_memcpy, MemcpyVariant};
 

@@ -135,16 +135,6 @@ pub struct WireJob {
 }
 
 impl WireJob {
-    /// Packs a [`JobSpec`] (plus its arrival offset) for the wire.
-    pub fn from_spec(at_cycle: u64, spec: &JobSpec) -> Self {
-        Self {
-            at_cycle,
-            cost_hint: spec.cost_hint,
-            deadline_cycles: spec.deadline_cycles,
-            args: spec.args.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        }
-    }
-
     /// Unpacks into the [`JobSpec`] the server submits.
     pub fn to_spec(&self) -> JobSpec {
         let mut spec = JobSpec::new(self.args.iter().cloned().collect());

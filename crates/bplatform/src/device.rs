@@ -163,13 +163,6 @@ impl DeviceModel {
         self.slrs.len()
     }
 
-    /// Total user-available resources across SLRs.
-    pub fn total_free(&self) -> ResourceVector {
-        self.slrs
-            .iter()
-            .fold(ResourceVector::ZERO, |acc, slr| acc + slr.free())
-    }
-
     /// Total raw capacity across SLRs.
     pub fn total_capacity(&self) -> ResourceVector {
         self.slrs

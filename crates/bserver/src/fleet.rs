@@ -15,8 +15,8 @@
 //! [`FleetServer::run_keyed`] is the one serving call. Determinism is
 //! by construction: each shard is a closed simulation whose only inputs
 //! are its tenant set and arrival slice, both fixed by the (shard-count,
-//! schedule) pair before any thread starts; each scoped thread serves a
-//! contiguous chunk of the shards, and outcomes go back under their
+//! schedule) pair before any thread starts; each live shard is one
+//! [`bsim::host::run_ordered`] job, and outcomes go back under their
 //! arrival's key. Host thread scheduling can reorder *execution*, never
 //! *outcomes* — the results are byte-identical whether the shards run
 //! serially or on every core. The `BSERVER_SHARDS` environment variable
@@ -195,9 +195,9 @@ impl FleetServer {
     /// to its current cycle: `at_cycle` is an offset from "now", so the
     /// same schedule means the same thing on every shard regardless of
     /// how much setup (allocation, buffer writes) each replica ran.
-    /// Shards execute on up to [`shard_count`] scoped threads, each
-    /// serving a contiguous chunk of the shards this wave reaches; the
-    /// outcomes are identical at any width.
+    /// The shards this wave reaches run as [`bsim::host::run_ordered`]
+    /// jobs on up to [`shard_count`] threads; the outcomes are identical
+    /// at any width.
     ///
     /// # Panics
     ///
@@ -225,7 +225,7 @@ impl FleetServer {
             });
         }
         let base = self.traced;
-        let live: Vec<(&mut Shard, Vec<usize>, Vec<Arrival>)> = self
+        let jobs: Vec<_> = self
             .shards
             .iter_mut()
             .zip(parts)
@@ -237,40 +237,20 @@ impl FleetServer {
                 if shard.server.telemetry_enabled() {
                     shard.trace_map.extend(idxs.iter().map(|&i| base + i));
                 }
-                (shard, idxs, slice)
+                move || {
+                    let outcomes = shard.server.run_open_loop(slice);
+                    idxs.into_iter().zip(outcomes).collect::<Vec<_>>()
+                }
             })
             .collect();
-        let serve = |(shard, idxs, slice): (&mut Shard, Vec<usize>, Vec<Arrival>)| {
-            let outcomes = shard.server.run_open_loop(slice);
-            idxs.into_iter().zip(outcomes).collect::<Vec<_>>()
-        };
-        let width = shard_count().min(live.len());
-        let served: Vec<(usize, JobOutcome)> = if width <= 1 {
-            live.into_iter().flat_map(serve).collect()
-        } else {
-            // Each scoped thread serves a contiguous chunk of shards;
-            // completion order is scheduling noise, the arrival indices
-            // put every outcome back under its key.
-            let chunk = live.len().div_ceil(width);
-            let mut rest = live.into_iter();
-            std::thread::scope(|scope| {
-                let threads: Vec<_> = (0..rest.len().div_ceil(chunk))
-                    .map(|_| {
-                        let shards: Vec<_> = rest.by_ref().take(chunk).collect();
-                        scope.spawn(move || shards.into_iter().flat_map(serve).collect::<Vec<_>>())
-                    })
-                    .collect();
-                threads
-                    .into_iter()
-                    .flat_map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            })
-        };
+        // Completion order is scheduling noise; the arrival indices put
+        // every outcome back under its key.
+        let served = bsim::host::run_ordered(jobs, shard_count());
         if self.telemetry_enabled() {
             self.traced += n;
         }
         let mut keyed = BTreeMap::new();
-        for (idx, outcome) in served {
+        for (idx, outcome) in served.into_iter().flatten() {
             let key = keys[idx];
             assert!(
                 keyed.insert(key, outcome).is_none(),

@@ -319,16 +319,12 @@ pub struct Simulation {
     ctx: SimCtx,
     components: Vec<Registered>,
     groups: Vec<DividerGroup>,
-    /// Host-side wake sources consulted alongside component events, e.g.
-    /// response channels the host polls between cycles. See
-    /// [`Simulation::add_wake_source`].
-    watches: Vec<WakeSource>,
     /// Channel-backed wake sources ([`Simulation::watch_receiver`]) whose
     /// combined horizon is cached in `watch_horizon`: only a send can move
     /// a channel's visibility clock earlier, and every watched channel
     /// sets the arena's `watch_dirty` flag on send, so between sends the
     /// cached minimum is conservative and the per-cycle scan is O(1)
-    /// instead of O(watches).
+    /// instead of O(watched channels).
     watched: Vec<WakeSource>,
     /// Cached minimum of the `watched` horizons; valid while the arena's
     /// `watch_dirty` is clear and the cached cycle is still in the future
@@ -398,7 +394,6 @@ impl Simulation {
             ctx: SimCtx::new(),
             components: Vec::new(),
             groups: Vec::new(),
-            watches: Vec::new(),
             watched: Vec::new(),
             watch_horizon: Cell::new(None),
             now: 0,
@@ -601,33 +596,18 @@ impl Simulation {
             .expect("Shared handle type matches the registered component")
     }
 
-    /// Registers a host-side wake source: a closure reporting the earliest
-    /// base cycle at which host code may react to simulation output, or
-    /// `None` when nothing is pending.
-    ///
-    /// The fast-forward scheduler only sees [`Component::next_event`]; a
-    /// channel whose consumer is *host code* (polled between cycles, e.g. a
-    /// response queue drained by a `run_until` predicate) is invisible to it
-    /// and could be skipped past. Wake sources close that hole: the
-    /// scheduler never jumps beyond the earliest cycle any of them reports.
-    /// See [`Simulation::watch_receiver`] for the common case.
-    ///
-    /// A source registered here is re-queried on every scheduling
-    /// decision; prefer [`Simulation::watch_receiver`] for channel-backed
-    /// sources, whose horizon the scheduler can cache between sends.
-    pub fn add_wake_source(&mut self, wake: impl Fn(&SimCtx) -> Option<Cycle> + Send + 'static) {
-        self.watches.push(Box::new(wake));
-    }
-
     /// Registers `rx` as a host-side wake source: the scheduler will not
     /// fast-forward past the cycle the channel's front item becomes
     /// visible. Use for channels consumed by host code rather than by a
     /// registered component.
     ///
-    /// Unlike a generic [`Simulation::add_wake_source`] closure, a watched
-    /// receiver's horizon is cached: the channel sets the arena's dirty
-    /// flag on every send, so quiet cycles cost O(1) regardless of how
-    /// many channels the host watches.
+    /// The fast-forward scheduler only sees [`Component::next_event`]; a
+    /// channel whose consumer is *host code* (polled between cycles, e.g. a
+    /// response queue drained by a `run_until` predicate) is invisible to it
+    /// and could be skipped past. A watched receiver closes that hole, and
+    /// its horizon is cached: the channel sets the arena's dirty flag on
+    /// every send, so quiet cycles cost O(1) regardless of how many
+    /// channels the host watches.
     pub fn watch_receiver<T: Send + 'static>(&mut self, rx: &Receiver<T>) {
         let rx = *rx;
         self.ctx.chan(rx.chan, rx.serial).borrow_mut().watched = true;
@@ -1070,10 +1050,9 @@ impl Simulation {
     /// arena's dirty flag — the one way a horizon moves *earlier*) or when
     /// the cached horizon is due-or-past (the host may have drained the
     /// channel since, which moves it later; re-scanning keeps a drained
-    /// channel from forcing checks forever). Generic closures from
-    /// [`Simulation::add_wake_source`] are always re-queried.
+    /// channel from forcing checks forever).
     fn earliest_watch(&self) -> Option<Cycle> {
-        let channels = if self.ctx.watch_dirty.replace(false)
+        if self.ctx.watch_dirty.replace(false)
             || self.watch_horizon.get().is_some_and(|h| h <= self.now)
         {
             let h = self.watched.iter().filter_map(|w| w(&self.ctx)).min();
@@ -1081,11 +1060,6 @@ impl Simulation {
             h
         } else {
             self.watch_horizon.get()
-        };
-        let generic = self.watches.iter().filter_map(|w| w(&self.ctx)).min();
-        match (channels, generic) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
         }
     }
 
@@ -1148,13 +1122,13 @@ impl Simulation {
     /// reduces host overhead for expensive predicates, at the cost of
     /// possibly observing completion up to `stride - 1` executed cycles
     /// late — the returned elapsed count is still exact whenever completion
-    /// is signalled by a [watched](Simulation::add_wake_source) channel or
+    /// is signalled by a [watched](Simulation::watch_receiver) channel or
     /// coincides with the system going quiescent (a forced check fires on
     /// the first such cycle), which is the common shape for "run until
     /// this response arrives" loops.
     ///
     /// `done` should be a function of component state and
-    /// [watched](Simulation::add_wake_source) channels; consulting an
+    /// [watched](Simulation::watch_receiver) channels; consulting an
     /// unwatched channel's visibility clock from `done` may observe
     /// fast-forwarded time.
     ///

@@ -44,16 +44,6 @@ impl ClockDomain {
         }
     }
 
-    /// Creates a clock domain from an explicit period in picoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_ps` is zero.
-    pub fn from_period_ps(period_ps: u64) -> Self {
-        assert!(period_ps > 0, "clock period must be nonzero");
-        Self { period_ps }
-    }
-
     /// The clock period in picoseconds.
     pub fn period_ps(&self) -> u64 {
         self.period_ps

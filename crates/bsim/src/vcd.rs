@@ -82,11 +82,6 @@ impl VcdRecorder {
         sig.changes.push((cycle, value));
     }
 
-    /// Number of declared signals.
-    pub fn signal_count(&self) -> usize {
-        self.signals.len()
-    }
-
     /// Serializes the recording as VCD text.
     pub fn render(&self) -> String {
         let mut out = String::new();
