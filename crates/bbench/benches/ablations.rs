@@ -465,8 +465,8 @@ fn ablation_batching(c: &mut Criterion) {
 /// handshake; simulated cycle counts are unaffected).
 fn ablation_net(c: &mut Criterion) {
     use bbench::loadgen::{plan, LoadScale};
-    use bbench::netgen::{rig_config, rounds_from_plan};
-    use bnet::{replay_on, NetClient, NetConfig, NetServer, SubmitReply};
+    use bbench::netgen::{drive_rounds, rig_config, rounds_from_plan};
+    use bnet::{replay_on, NetClient, NetConfig, NetServer};
     use bserver::DispatchPolicy;
 
     // 3 waves of tenants×queue_capacity commands per connection count.
@@ -493,29 +493,10 @@ fn ablation_net(c: &mut Criterion) {
             .collect();
         let addrs: Vec<u64> = clients.iter().map(|c| c.info().buffer_addr).collect();
         let rounds = rounds_from_plan(&plan(42, &scale), &scale, &addrs);
-        let mut outcomes = Vec::new();
         let t0 = std::time::Instant::now();
-        for round in &rounds {
-            for cmd in round {
-                match clients[cmd.tenant as usize]
-                    .submit(cmd.seq, &cmd.job)
-                    .expect("submit")
-                {
-                    SubmitReply::Accepted => {}
-                    SubmitReply::Refused { code, .. } => panic!("shed in ablation: {code:?}"),
-                }
-            }
-            for client in clients.iter_mut() {
-                client.poll_send().expect("poll_send");
-            }
-            for client in clients.iter_mut() {
-                let tenant = client.info().tenant;
-                for (seq, outcome) in client.poll_recv().expect("poll_recv") {
-                    outcomes.push((tenant, seq, outcome));
-                }
-            }
-        }
+        let (mut outcomes, shed) = drive_rounds(&mut clients, &rounds).expect("closed-loop rounds");
         let dt = t0.elapsed().as_secs_f64();
+        assert_eq!(shed, 0, "shed in ablation");
         for client in clients {
             client.bye().expect("bye");
         }

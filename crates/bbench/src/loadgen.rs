@@ -11,8 +11,10 @@
 //! shared-memory `kria` platform, so rows differ only by dispatch
 //! behaviour.
 //!
-//! Every run is served by a [`FleetServer`] of [`RunOpts::shards`]
-//! replicas; one shard is a single server. All randomness is a
+//! Every run is served by a [`FleetServer`](bserver::FleetServer) of
+//! [`RunOpts::shards`] replicas, built by `bnet`'s serving-rig recipe
+//! ([`bnet::build_batched`]); one shard is a single server. All
+//! randomness is a
 //! [`SplitMix64`] stream from the CLI seed, all reported quantities are
 //! integers (cycles and counts, percentiles from the
 //! `server/latency_cycles` histograms in `bsim::perf`), and the
@@ -30,12 +32,11 @@
 
 use std::path::PathBuf;
 
-use bcore::elaborate;
 use bkernels::machsuite::SplitMix64;
-use bplatform::Platform;
+use bnet::{Rig, RigConfig};
 use bserver::{
-    Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetMetrics, FleetServer, JobSpec,
-    MetricsSnapshot, ServerConfig, TelemetryConfig, WatchdogConfig,
+    Arrival, BatchPolicy, DispatchPolicy, FleetMetrics, JobSpec, MetricsSnapshot, TelemetryConfig,
+    WatchdogConfig,
 };
 
 /// Scale knobs for a load-generation run.
@@ -50,7 +51,8 @@ pub struct LoadScale {
     /// Mean inter-arrival gap in fabric cycles (uniform over
     /// `1..=2*mean`, so the offered rate is `1/mean`).
     pub mean_gap_cycles: u64,
-    /// Per-tenant admission bound ([`ServerConfig::queue_capacity`]).
+    /// Per-tenant admission bound
+    /// ([`ServerConfig::queue_capacity`](bserver::ServerConfig::queue_capacity)).
     pub queue_capacity: usize,
 }
 
@@ -226,26 +228,15 @@ pub fn run_policy(
     scale: &LoadScale,
     opts: &RunOpts,
 ) -> PolicyRow {
-    let n_cores = scale.n_cores;
-    let config = FleetConfig {
-        shards: opts.shards.max(1),
-        server: ServerConfig {
-            policy,
-            queue_capacity: scale.queue_capacity,
-            batch: opts.batch,
-            ..ServerConfig::default()
-        },
+    // The serving rig, with one buffer per tenant on its shard sized for
+    // the largest job in the mix. Jobs add in place; concurrent cores
+    // touching one tenant's buffer is timing-deterministic, and values
+    // are not checked here.
+    let config = RigConfig {
+        buffer_eles: plan.iter().map(|j| j.n_eles).max().unwrap_or(64),
+        ..crate::netgen::rig_config(scale, policy, opts.shards.max(1))
     };
-    let mut fleet = FleetServer::new(
-        move |_| {
-            elaborate(bkernels::vecadd::config(n_cores), &Platform::kria())
-                .expect("vecadd elaborates")
-        },
-        bkernels::vecadd::SYSTEM,
-        scale.tenants,
-        config,
-    )
-    .expect("fleet opens");
+    let Rig { mut fleet, buffers } = bnet::build_batched(&config, opts.batch);
     let n_shards = fleet.n_shards();
     if let Some(o) = &opts.telemetry {
         let defaults = TelemetryConfig::default();
@@ -267,21 +258,6 @@ pub fn run_policy(
         });
     }
 
-    // One buffer per tenant, allocated through the handle of whichever
-    // shard admission hashed it to (tenants on one shard share its
-    // allocator), sized for the largest job in the mix. Jobs add in place;
-    // concurrent cores touching one tenant's buffer is
-    // timing-deterministic, and values are not checked here.
-    let max_eles = plan.iter().map(|j| j.n_eles).max().unwrap_or(64);
-    let buffers: Vec<bruntime::RemotePtr> = (0..scale.tenants)
-        .map(|t| {
-            let s = fleet.handle(fleet.shard_of(t));
-            let mem = s.malloc(u64::from(max_eles) * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; max_eles as usize]);
-            mem
-        })
-        .collect();
-
     // Per-shard clock origins, captured after setup so `at_cycle`
     // offsets mean the same thing on every replica.
     let t0: Vec<u64> = (0..n_shards).map(|s| fleet.handle(s).now()).collect();
@@ -293,7 +269,7 @@ pub fn run_policy(
         .map(|(seq, j)| {
             let spec = JobSpec::new(bkernels::vecadd::args(
                 1,
-                buffers[j.tenant].device_addr(),
+                buffers[j.tenant].device_addr,
                 j.n_eles,
             ))
             .with_cost_hint(u64::from(j.n_eles));
@@ -340,7 +316,7 @@ pub fn run_policy(
             path
         }),
     });
-    let row = PolicyRow {
+    PolicyRow {
         policy,
         offered: outcomes.len(),
         completed,
@@ -362,18 +338,7 @@ pub fn run_policy(
             .unwrap_or(0),
         shards,
         telemetry,
-    };
-    drop(outcomes);
-
-    // Interleaved teardown across tenants: the shared allocator must
-    // coalesce the holes (regression shape for multi-client `free`).
-    for (t, mem) in buffers.into_iter().enumerate().rev() {
-        fleet
-            .handle(fleet.shard_of(t))
-            .free(mem)
-            .expect("free tenant buffer");
     }
-    row
 }
 
 /// Runs every policy over the seeded schedule on `workers` host threads

@@ -151,34 +151,18 @@ fn report_from_outcomes(
     }
 }
 
-/// Drives a live `bservd` at `addr` with the seeded schedule: one
-/// [`NetClient`] per tenant, closed-loop rounds (submit everything,
-/// flush every connection, collect), then a `STATS` fetch and a `BYE`
-/// per connection.
-pub fn run_net(
-    addr: &str,
-    seed: u64,
-    scale: &LoadScale,
-    auth_seed: u64,
-) -> Result<NetReport, bnet::ClientError> {
-    let mut clients: Vec<NetClient> = (0..scale.tenants)
-        .map(|tenant| {
-            NetClient::connect(
-                addr,
-                tenant as u32,
-                bnet::tenant_token(auth_seed, tenant as u32),
-            )
-        })
-        .collect::<Result<_, _>>()?;
-    let policy = clients[0].info().policy.clone();
-    let shards = clients[0].info().shards;
-    let buffer_addrs: Vec<u64> = clients.iter().map(|c| c.info().buffer_addr).collect();
-
-    let jobs = plan(seed, scale);
-    let rounds = rounds_from_plan(&jobs, scale, &buffer_addrs);
-    let mut outcomes: Vec<KeyedOutcome> = Vec::with_capacity(jobs.len());
+/// Drives `rounds` closed-loop through one connection per tenant
+/// (`clients[tenant]`): per round, submit every command, flush every
+/// connection into the server's wave barrier, then collect every
+/// connection's outcomes. Returns the outcomes in the order they were
+/// read and the number of submissions the network tier shed.
+pub fn drive_rounds(
+    clients: &mut [NetClient],
+    rounds: &[Vec<TraceCmd>],
+) -> Result<(Vec<KeyedOutcome>, usize), bnet::ClientError> {
+    let mut outcomes = Vec::with_capacity(rounds.iter().map(Vec::len).sum());
     let mut shed = 0;
-    for round in &rounds {
+    for round in rounds {
         for cmd in round {
             match clients[cmd.tenant as usize].submit(cmd.seq, &cmd.job)? {
                 SubmitReply::Accepted => {}
@@ -198,6 +182,33 @@ pub fn run_net(
             }
         }
     }
+    Ok((outcomes, shed))
+}
+
+/// Drives a live `bservd` at `addr` with the seeded schedule: one
+/// [`NetClient`] per tenant, closed-loop rounds ([`drive_rounds`]),
+/// then a `STATS` fetch and a `BYE` per connection.
+pub fn run_net(
+    addr: &str,
+    seed: u64,
+    scale: &LoadScale,
+    auth_seed: u64,
+) -> Result<NetReport, bnet::ClientError> {
+    let mut clients: Vec<NetClient> = (0..scale.tenants)
+        .map(|tenant| {
+            NetClient::connect(
+                addr,
+                tenant as u32,
+                bnet::tenant_token(auth_seed, tenant as u32),
+            )
+        })
+        .collect::<Result<_, _>>()?;
+    let policy = clients[0].info().policy.clone();
+    let shards = clients[0].info().shards;
+    let buffer_addrs: Vec<u64> = clients.iter().map(|c| c.info().buffer_addr).collect();
+
+    let rounds = rounds_from_plan(&plan(seed, scale), scale, &buffer_addrs);
+    let (mut outcomes, shed) = drive_rounds(&mut clients, &rounds)?;
     let net_counters = clients[0].server_stats()?;
     for client in clients {
         client.bye()?;

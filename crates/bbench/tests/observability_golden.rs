@@ -240,7 +240,8 @@ fn fleet_trace_metrics_and_dump_are_pinned() {
         ("outcomes", 8_071_008_382_707_189_352),
         ("merged_trace", 8_178_448_815_997_689_460),
         ("metrics_snapshot", 13_519_749_772_622_735_190),
-        ("flight dumps", 14_227_500_489_836_809_609),
+        // Dump events carry fleet-wide trace ids, the merged trace's.
+        ("flight dumps", 16_580_139_840_981_019_599),
         (
             "shard perf_counters",
             per_mode(5_831_268_465_897_540_045, 9_627_351_549_101_068_312),

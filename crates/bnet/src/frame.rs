@@ -129,8 +129,10 @@ pub struct WireJob {
     pub cost_hint: u64,
     /// Queue-wait deadline, if any (see [`JobSpec::deadline_cycles`]).
     pub deadline_cycles: Option<u64>,
-    /// Named command arguments, sorted by key (the codec enforces
-    /// [`MAX_ARGS`] / [`MAX_KEY_LEN`]).
+    /// Named command arguments, in any order, each key at most once:
+    /// the decoder refuses a repeated key
+    /// ([`DecodeError::RepeatedKey`]) and enforces [`MAX_ARGS`] /
+    /// [`MAX_KEY_LEN`].
     pub args: Vec<(String, u64)>,
 }
 
@@ -180,6 +182,9 @@ impl WireJob {
         for _ in 0..n_args {
             let key = r.string(MAX_KEY_LEN)?;
             let value = r.u64()?;
+            if args.iter().any(|(k, _)| *k == key) {
+                return Err(DecodeError::RepeatedKey);
+            }
             args.push((key, value));
         }
         Ok(Self {
@@ -579,6 +584,8 @@ pub enum DecodeError {
     },
     /// A discriminant field held an unknown value.
     BadValue(&'static str),
+    /// A job named the same argument twice.
+    RepeatedKey,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -592,6 +599,7 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "{n} {what} exceeds the cap of {max}")
             }
             DecodeError::BadValue(field) => write!(f, "bad value in {field}"),
+            DecodeError::RepeatedKey => write!(f, "repeated argument key"),
         }
     }
 }
@@ -907,6 +915,27 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn repeated_arg_keys_are_refused() {
+        let submit = |args: Vec<(&str, u64)>| Frame::Submit {
+            seq: 1,
+            job: WireJob {
+                at_cycle: 0,
+                cost_hint: 0,
+                deadline_cycles: None,
+                args: args.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+            },
+        };
+        let twice = submit(vec![("n_eles", 64), ("vec_addr", 0x1000), ("n_eles", 4096)]);
+        assert_eq!(
+            Frame::decode(&twice.encode()),
+            Err(DecodeError::RepeatedKey)
+        );
+        // Order is free; only repetition is refused.
+        let unsorted = submit(vec![("vec_addr", 0x1000), ("n_eles", 64)]);
+        assert_eq!(Frame::decode(&unsorted.encode()), Ok(unsorted));
     }
 
     #[test]

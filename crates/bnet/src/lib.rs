@@ -26,8 +26,8 @@
 //!   recorded command trace played through the socket path and the
 //!   in-process path must yield byte-identical outcomes per tenant
 //!   (compared as FNV-1a digests over the canonical wire encoding),
-//!   because both paths elaborate the same [`Rig`] and order every
-//!   wave canonically.
+//!   because both paths elaborate the same [`Rig`] and serve every
+//!   round through one function (`replay::serve_round`).
 //!
 //! Observability rides the existing [`bsim::perf`] registry: the
 //! server attaches a `net/` counter set (connections accepted and
@@ -53,5 +53,5 @@ pub use replay::{
     canonical_sort, outcome_digest, replay_in_process, replay_on, tenant_digests, KeyedOutcome,
     TraceCmd,
 };
-pub use rig::{build, tenant_token, Rig, RigBuffer, RigConfig, DEFAULT_AUTH_SEED};
+pub use rig::{build, build_batched, tenant_token, Rig, RigBuffer, RigConfig, DEFAULT_AUTH_SEED};
 pub use server::{NetConfig, NetServer};

@@ -5,19 +5,17 @@
 //! submission windows. On the socket path each round becomes exactly
 //! one serving wave (the server's wave barrier fires when every
 //! connection with outstanding commands is parked in `POLL`); the
-//! in-process path replays the same rounds through
-//! [`FleetServer::run_keyed`] directly. Both paths canonically order
-//! each round by `(at_cycle, tenant, seq)` before submission and both
-//! start from a freshly built [`Rig`], so shard clocks, buffer
+//! in-process path replays the same rounds directly. Both paths serve
+//! a round through the one `serve_round` — canonical order by
+//! `(at_cycle, tenant, seq)`, then [`FleetServer::run_keyed`] — and
+//! both start from a freshly built [`Rig`], so shard clocks, buffer
 //! addresses, and dispatch decisions coincide cycle-exactly; the
 //! outcomes — compared as FNV-1a digests over their canonical wire
 //! encoding — must match byte for byte, per tenant.
-//!
-//! [`FleetServer::run_keyed`]: bserver::FleetServer::run_keyed
 
 use std::collections::BTreeMap;
 
-use bserver::Arrival;
+use bserver::{Arrival, FleetServer};
 
 use crate::frame::{WireJob, WireOutcome};
 use crate::rig::{build, Rig, RigConfig};
@@ -45,30 +43,37 @@ pub fn canonical_sort(round: &mut [TraceCmd]) {
     round.sort_by_key(|c| (c.job.at_cycle, c.tenant, c.seq));
 }
 
+/// Serves one round as one serving wave: sorts it canonically, submits
+/// it to [`FleetServer::run_keyed`], and returns the outcomes keyed
+/// `(tenant, seq)`, sorted by key. The socket server's dispatcher and
+/// [`replay_on`] both serve through here.
+pub(crate) fn serve_round(fleet: &mut FleetServer, mut round: Vec<TraceCmd>) -> Vec<KeyedOutcome> {
+    canonical_sort(&mut round);
+    let arrivals = round
+        .into_iter()
+        .map(|cmd| {
+            let arrival = Arrival {
+                at_cycle: cmd.job.at_cycle,
+                tenant: cmd.tenant as usize,
+                spec: cmd.job.to_spec(),
+            };
+            (cmd.seq, arrival)
+        })
+        .collect();
+    fleet
+        .run_keyed(arrivals)
+        .into_iter()
+        .map(|((tenant, seq), outcome)| (tenant as u32, seq, WireOutcome::from_outcome(&outcome)))
+        .collect()
+}
+
 /// Replays `rounds` on an already-built rig, one serving wave per
 /// round; returns every outcome keyed `(tenant, seq)`, sorted by key.
 pub fn replay_on(rig: &mut Rig, rounds: &[Vec<TraceCmd>]) -> Vec<KeyedOutcome> {
-    let mut outcomes = Vec::new();
-    for round in rounds {
-        let mut round = round.clone();
-        canonical_sort(&mut round);
-        let arrivals = round
-            .iter()
-            .map(|cmd| {
-                (
-                    cmd.seq,
-                    Arrival {
-                        at_cycle: cmd.job.at_cycle,
-                        tenant: cmd.tenant as usize,
-                        spec: cmd.job.to_spec(),
-                    },
-                )
-            })
-            .collect();
-        for ((tenant, seq), outcome) in rig.fleet.run_keyed(arrivals) {
-            outcomes.push((tenant as u32, seq, WireOutcome::from_outcome(&outcome)));
-        }
-    }
+    let mut outcomes: Vec<KeyedOutcome> = rounds
+        .iter()
+        .flat_map(|round| serve_round(&mut rig.fleet, round.clone()))
+        .collect();
     outcomes.sort_by_key(|(tenant, seq, _)| (*tenant, *seq));
     outcomes
 }

@@ -7,11 +7,13 @@
 //! allocation order (ascending tenant id, so device addresses match),
 //! same clock origins. [`build`] is that one recipe; `bservd`, the
 //! replay oracle, and the tests all call it with the same [`RigConfig`]
-//! and get interchangeable rigs.
+//! and get interchangeable rigs. `bbench`'s open-loop load generator
+//! builds its fleets through the same recipe with its batch setting
+//! ([`build_batched`]).
 
 use bcore::elaborate;
 use bplatform::Platform;
-use bserver::{DispatchPolicy, FleetConfig, FleetServer, ServerConfig};
+use bserver::{BatchPolicy, DispatchPolicy, FleetConfig, FleetServer, ServerConfig};
 
 /// The auth seed everything defaults to when `--auth-seed` is not
 /// given; `bservd` and `loadgen --net` must agree on it.
@@ -108,15 +110,24 @@ impl std::fmt::Debug for Rig {
 }
 
 /// Elaborates the rig: one fresh vecadd SoC per shard on the `kria`
-/// platform, a [`FleetServer`] over them, and one buffer per tenant
-/// allocated through its shard's handle in ascending tenant order
-/// (the same discipline as `bbench::loadgen`), initialized to ones.
+/// platform, a [`FleetServer`] over them with batch width 1, and one
+/// buffer per tenant allocated through its shard's handle in ascending
+/// tenant order, initialized to ones.
 ///
 /// # Panics
 ///
 /// On elaboration or allocation failure — rig construction is setup,
 /// not input handling; every config this crate ships elaborates.
 pub fn build(config: &RigConfig) -> Rig {
+    build_batched(config, BatchPolicy::default())
+}
+
+/// [`build`] with the shards' admission micro-batching set to `batch`.
+///
+/// # Panics
+///
+/// As [`build`].
+pub fn build_batched(config: &RigConfig, batch: BatchPolicy) -> Rig {
     let fleet = FleetServer::new(
         |_| {
             elaborate(bkernels::vecadd::config(config.n_cores), &Platform::kria())
@@ -129,6 +140,7 @@ pub fn build(config: &RigConfig) -> Rig {
             server: ServerConfig {
                 policy: config.policy,
                 queue_capacity: config.queue_capacity,
+                batch,
                 ..ServerConfig::default()
             },
         },

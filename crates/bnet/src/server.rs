@@ -15,9 +15,10 @@
 //!
 //! Workers never touch the fleet; they validate frames, enforce
 //! auth/quota/admission, and move commands into the shared pending set.
-//! The dispatcher runs a *serving wave* — canonical-sorts the pending
-//! set and feeds it to [`FleetServer::run_keyed`] — only when every
-//! connection with outstanding commands is parked in `POLL`. That wave
+//! The dispatcher runs a *serving wave* — the pending set served as one
+//! round through `serve_round`, the replay oracle's own path — only
+//! when every connection with outstanding commands is parked in `POLL`.
+//! That wave
 //! barrier is what makes the socket path deterministic: wave membership
 //! is fixed by client behaviour (submit, then poll), never by thread or
 //! packet timing, so a recorded trace replays to byte-identical
@@ -32,8 +33,6 @@
 //! polls nor disconnects past [`NetConfig::stall_timeout_ms`] is
 //! evicted (socket shut down, unserved commands dropped, seqs freed)
 //! so other tenants' waves keep running.
-//!
-//! [`FleetServer::run_keyed`]: bserver::FleetServer::run_keyed
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -49,7 +48,7 @@ use crate::frame::{
     read_frame, write_frame, ErrCode, Frame, FrameError, WireJob, WireOutcome, MAX_KEY_LEN,
     MAX_STATS,
 };
-use crate::replay::{canonical_sort, TraceCmd};
+use crate::replay::{serve_round, TraceCmd};
 use crate::rig::{build, tenant_token, Rig, RigConfig, DEFAULT_AUTH_SEED};
 
 /// Network front-end configuration: the rig to serve plus the
@@ -112,10 +111,9 @@ struct ConnState {
 
 /// One accepted command awaiting the next serving wave.
 struct PendingCmd {
-    tenant: u32,
-    seq: u64,
+    /// The connection that submitted it.
     conn: u64,
-    job: WireJob,
+    cmd: TraceCmd,
 }
 
 /// Everything the worker/dispatcher threads coordinate through.
@@ -590,10 +588,8 @@ fn submit(id: u64, tenant: u32, seq: u64, job: WireJob, shared: &Arc<Shared>) ->
     }
     st.seen.insert((tenant, seq));
     st.pending.push(PendingCmd {
-        tenant,
-        seq,
         conn: id,
-        job,
+        cmd: TraceCmd { tenant, seq, job },
     });
     *st.pending_per_tenant.entry(tenant).or_insert(0) += 1;
     let conn = st.conns.get_mut(&id).expect("registered connection");
@@ -643,40 +639,42 @@ fn poll_wait(id: u64, tenant: u32, shared: &Arc<Shared>) -> Option<Vec<(u64, Wir
     )
 }
 
+impl State {
+    /// Drops the work of connection `id` (tenant `tenant`): its unserved
+    /// commands leave the pending set, so they can never gate a wave,
+    /// and its `outstanding` seqs lose their undelivered outcomes and
+    /// their `seen` reservations, so a reconnect can resubmit them.
+    fn discard(&mut self, id: u64, tenant: u32, outstanding: BTreeSet<u64>) {
+        let before = self.pending.len();
+        self.pending.retain(|p| p.conn != id);
+        let removed = before - self.pending.len();
+        if let Some(n) = self.pending_per_tenant.get_mut(&tenant) {
+            *n = n.saturating_sub(removed);
+        }
+        for seq in outstanding {
+            self.ready.remove(&(tenant, seq));
+            self.seen.remove(&(tenant, seq));
+        }
+    }
+}
+
 fn deregister(id: u64, shared: &Arc<Shared>) {
     let mut st = shared.state.lock().expect("bnet state");
     let Some(conn) = st.conns.remove(&id) else {
         return;
     };
-    let tenant = conn.tenant;
-    if let Some(held) = st.conns_per_tenant.get_mut(&tenant) {
+    if let Some(held) = st.conns_per_tenant.get_mut(&conn.tenant) {
         *held = held.saturating_sub(1);
     }
-    // Un-run commands from a dead connection leave the pending set so
-    // they can never gate a wave; already-served outcomes it never
-    // polled are dropped, and each discarded seq's `seen` reservation
-    // clears so a reconnect can resubmit it.
-    let before = st.pending.len();
-    st.pending.retain(|p| p.conn != id);
-    let removed = before - st.pending.len();
-    if removed > 0 {
-        if let Some(n) = st.pending_per_tenant.get_mut(&tenant) {
-            *n = n.saturating_sub(removed);
-        }
-    }
-    for seq in conn.outstanding {
-        st.ready.remove(&(tenant, seq));
-        st.seen.remove(&(tenant, seq));
-    }
+    st.discard(id, conn.tenant, conn.outstanding);
     drop(st);
     shared.cv.notify_all();
 }
 
 /// Ejects a connection that is blocking the wave barrier past the
 /// stall deadline: its socket is shut down (the worker unblocks, then
-/// runs the normal [`deregister`] path), its unserved commands are
-/// dropped, and their seq reservations clear. Counted in
-/// `net/evicted_conns`.
+/// runs the normal [`deregister`] path) and its work is discarded.
+/// Counted in `net/evicted_conns`.
 fn evict(id: u64, st: &mut State, shared: &Arc<Shared>) {
     shared.stats.incr("evicted_conns");
     if let Some(stream) = shared.live.lock().expect("bnet live streams").get(&id) {
@@ -687,18 +685,7 @@ fn evict(id: u64, st: &mut State, shared: &Arc<Shared>) {
     };
     let tenant = conn.tenant;
     let outstanding = std::mem::take(&mut conn.outstanding);
-    let before = st.pending.len();
-    st.pending.retain(|p| p.conn != id);
-    let removed = before - st.pending.len();
-    if removed > 0 {
-        if let Some(n) = st.pending_per_tenant.get_mut(&tenant) {
-            *n = n.saturating_sub(removed);
-        }
-    }
-    for seq in outstanding {
-        st.ready.remove(&(tenant, seq));
-        st.seen.remove(&(tenant, seq));
-    }
+    st.discard(id, tenant, outstanding);
 }
 
 /// The dispatcher: owns the rig, runs one serving wave whenever the
@@ -761,44 +748,21 @@ fn dispatcher_loop(mut rig: Rig, shared: &Arc<Shared>) {
                 };
             }
         };
-        let mut round: Vec<TraceCmd> = batch
-            .iter()
-            .map(|p| TraceCmd {
-                tenant: p.tenant,
-                seq: p.seq,
-                job: p.job.clone(),
-            })
-            .collect();
-        canonical_sort(&mut round);
-        let arrivals = round
-            .iter()
-            .map(|cmd| {
-                (
-                    cmd.seq,
-                    bserver::Arrival {
-                        at_cycle: cmd.job.at_cycle,
-                        tenant: cmd.tenant as usize,
-                        spec: cmd.job.to_spec(),
-                    },
-                )
-            })
-            .collect();
-        let outcomes = rig.fleet.run_keyed(arrivals);
+        let round = batch.into_iter().map(|p| p.cmd).collect();
+        let outcomes = serve_round(&mut rig.fleet, round);
         shared.stats.add("cmds_run", outcomes.len() as u64);
         shared.stats.incr("waves");
-        rig.fleet.sync_rollup();
         let fleet_counters: Vec<(String, u64)> = rig
             .fleet
-            .rollup()
+            .sync_rollup()
             .into_iter()
             .filter(|(name, _)| name.starts_with("fleet/"))
             .map(|(name, value)| (format!("server/{name}"), value))
             .collect();
         {
             let mut st = shared.state.lock().expect("bnet state");
-            for ((tenant, seq), outcome) in outcomes {
-                st.ready
-                    .insert((tenant as u32, seq), WireOutcome::from_outcome(&outcome));
+            for (tenant, seq, outcome) in outcomes {
+                st.ready.insert((tenant, seq), outcome);
             }
             st.waves_run += 1;
             st.fleet_counters = fleet_counters;

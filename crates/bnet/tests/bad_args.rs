@@ -2,10 +2,12 @@
 //! not fit the vecadd command spec — a misspelt, missing, or over-wide
 //! field — comes back as `Rejected { BadArgs }`, both through
 //! `bnet::build` + `run_keyed` and over a live socket. The server stays
-//! up, and another tenant's job in the same wave still completes.
+//! up, and another tenant's job in the same wave still completes. A
+//! SUBMIT that names one argument twice never reaches the fleet: the
+//! codec refuses it with `ERR{Malformed}`.
 
 use bnet::{
-    build, tenant_token, NetClient, NetConfig, NetServer, RigConfig, SubmitReply, WireJob,
+    build, tenant_token, ErrCode, NetClient, NetConfig, NetServer, RigConfig, SubmitReply, WireJob,
     WireOutcome, WireReject, DEFAULT_AUTH_SEED,
 };
 use bserver::{Arrival, JobOutcome, RejectReason};
@@ -119,5 +121,45 @@ fn bad_arguments_are_rejected_over_the_socket() {
     assert!(outcomes[0].1.is_completed());
     bad.bye().expect("bye");
     honest.bye().expect("bye");
+    server.stop();
+}
+
+#[test]
+fn repeated_argument_keys_are_refused_over_the_socket() {
+    let server = NetServer::bind("127.0.0.1:0", NetConfig::new(RigConfig::small())).expect("bind");
+    let addr = server.local_addr().to_string();
+    let connect = |tenant: u32| {
+        NetClient::connect(&addr, tenant, tenant_token(DEFAULT_AUTH_SEED, tenant)).expect("connect")
+    };
+    let mut bad = connect(0);
+    let buffer = bad.info().buffer_addr;
+    // `n_eles` twice: which copy would run is not the client's to guess.
+    let twice = job(vec![
+        ("addend", 1),
+        ("vec_addr", buffer),
+        ("n_eles", 64),
+        ("n_eles", 4096),
+    ]);
+    assert!(
+        matches!(
+            bad.submit(0, &twice).unwrap(),
+            SubmitReply::Refused {
+                code: ErrCode::Malformed,
+                ..
+            }
+        ),
+        "a repeated key must draw ERR{{Malformed}}"
+    );
+    // The server dropped that connection and stays up: the tenant
+    // reconnects, and its well-formed job runs.
+    let mut again = connect(0);
+    assert_eq!(
+        again.submit(0, &good_job(buffer)).unwrap(),
+        SubmitReply::Accepted
+    );
+    let outcomes = again.poll().expect("outcomes");
+    assert_eq!(outcomes.len(), 1);
+    assert!(outcomes[0].1.is_completed());
+    again.bye().expect("bye");
     server.stop();
 }

@@ -1,8 +1,7 @@
-//! The sharded accelerator fleet: one [`AccelServer`]+SoC per worker
-//! thread, with a deterministic admission layer hashing sessions to
-//! shards.
+//! The sharded accelerator fleet: one server+SoC per shard, with a
+//! deterministic admission layer hashing sessions to shards.
 //!
-//! A single [`AccelServer`] arbitrates one SoC; since the arena refactor
+//! A single shard server arbitrates one SoC; since the arena refactor
 //! made [`bsim::Simulation`] (and therefore [`bcore::SocSim`] and
 //! [`bruntime::FpgaHandle`]) `Send`, a whole server — simulation, device
 //! allocator, tenant and in-flight queues — can be built on one thread and
@@ -22,6 +21,11 @@
 //! serially or on every core. The `BSERVER_SHARDS` environment variable
 //! caps the execution width; at width 1, or with one shard live, the
 //! shards run on the calling thread.
+//!
+//! The fleet numbers requests once: each arrival's trace id is its index
+//! in the call plus the arrivals of the earlier calls since telemetry was
+//! enabled, and every shard logs that id, so spans, windows and flight
+//! dumps share one id space.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -30,8 +34,9 @@ use bcore::SocSim;
 use bruntime::FpgaHandle;
 use bsim::{Histogram, TraceEvent};
 
+use crate::server::AccelServer;
 use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryConfig};
-use crate::{AccelServer, Arrival, JobOutcome, ServerConfig, ServerError};
+use crate::{Arrival, JobOutcome, ServerConfig, ServerError};
 
 /// The fleet's shard count when the embedder does not pin one: the
 /// `BSERVER_SHARDS` environment override if set, else the host's
@@ -62,25 +67,19 @@ pub struct FleetConfig {
     /// resolved count is clamped to the tenant count — a shard with no
     /// possible tenant would never receive work.
     pub shards: usize,
-    /// Per-shard [`AccelServer`] configuration.
+    /// Per-shard server configuration.
     pub server: ServerConfig,
 }
 
-/// One replica: a full SoC behind its own server, plus the global tenant
-/// ids assigned to it.
+/// One replica: a full SoC behind its own server.
 struct Shard {
     handle: FpgaHandle,
     server: AccelServer,
-    /// Global tenant ids served here (ascending).
-    tenants: Vec<usize>,
-    /// Local trace id (this shard's running arrival count) → fleet-wide
-    /// trace id, extended by every telemetry-enabled call so
-    /// [`FleetServer::merged_trace`] can stitch one id space.
-    trace_map: Vec<usize>,
 }
 
-/// A fleet of [`AccelServer`] replicas behind one deterministic
-/// admission layer.
+/// A fleet of server replicas behind one deterministic admission layer:
+/// the serving stack's one public server. A 1-shard fleet is a single
+/// server.
 ///
 /// Tenants are global (`0..n_tenants`); the fleet maps each to
 /// `(shard, local session)` at construction and keeps that mapping for
@@ -94,9 +93,9 @@ pub struct FleetServer {
     /// Global tenant → (shard index, local tenant index on that shard).
     tenant_map: Vec<(usize, usize)>,
     config: FleetConfig,
-    /// Arrivals served by earlier calls since telemetry was enabled: the
-    /// fleet-wide trace-id offset of the next call.
-    traced: usize,
+    /// Arrivals served since telemetry was enabled: the trace id of the
+    /// next call's first arrival.
+    traced: u64,
 }
 
 impl FleetServer {
@@ -107,8 +106,8 @@ impl FleetServer {
     ///
     /// # Errors
     ///
-    /// Propagates [`ServerError`] from any shard's [`AccelServer::new`]
-    /// (unknown system, or `n_tenants == 0`).
+    /// [`ServerError::NoTenants`] if `n_tenants == 0`, or
+    /// [`ServerError::UnknownSystem`] if the SoC has no such system.
     pub fn new(
         mk_soc: impl Fn(usize) -> SocSim,
         system: &str,
@@ -137,17 +136,11 @@ impl FleetServer {
         }
         let mut shards = Vec::with_capacity(n_shards);
         for (i, tenants) in members.into_iter().enumerate() {
+            // A shard the hash left empty still elaborates: the replica
+            // count is part of the fleet's shape.
             let handle = FpgaHandle::new(mk_soc(i));
-            // A shard the hash left empty still elaborates (replica
-            // count is part of the fleet's shape) but opens a single idle
-            // tenant queue so the server constructor's invariant holds.
-            let server = AccelServer::new(&handle, system, tenants.len().max(1), config.server)?;
-            shards.push(Shard {
-                handle,
-                server,
-                tenants,
-                trace_map: Vec::new(),
-            });
+            let server = AccelServer::new(&handle, system, tenants, config.server)?;
+            shards.push(Shard { handle, server });
         }
         Ok(Self {
             shards,
@@ -177,7 +170,7 @@ impl FleetServer {
 
     /// The global tenant ids assigned to `shard`, ascending.
     pub fn tenants_of(&self, shard: usize) -> &[usize] {
-        &self.shards[shard].tenants
+        self.shards[shard].server.tenants()
     }
 
     /// A shard's device handle (e.g. for buffer setup or perf reads).
@@ -197,7 +190,8 @@ impl FleetServer {
     /// how much setup (allocation, buffer writes) each replica ran.
     /// The shards this wave reaches run as [`bsim::host::run_ordered`]
     /// jobs on up to [`shard_count`] threads; the outcomes are identical
-    /// at any width.
+    /// at any width. Arrival `i` carries trace id `i` plus the arrivals
+    /// served since telemetry was enabled.
     ///
     /// # Panics
     ///
@@ -207,51 +201,43 @@ impl FleetServer {
         &mut self,
         arrivals: Vec<(u64, Arrival)>,
     ) -> BTreeMap<(usize, u64), JobOutcome> {
-        let n = arrivals.len();
         // Partition by the tenant's shard, remapping to local session
-        // indices and remembering each arrival's original slot.
-        let mut keys = Vec::with_capacity(n);
-        let mut parts: Vec<(Vec<usize>, Vec<Arrival>)> =
-            (0..self.shards.len()).map(|_| Default::default()).collect();
-        for (idx, (seq, a)) in arrivals.into_iter().enumerate() {
-            keys.push((a.tenant, seq));
+        // indices and stamping each arrival with its fleet-wide trace id,
+        // which also names its slot in `keys`.
+        let base = self.traced;
+        let mut keys = Vec::with_capacity(arrivals.len());
+        let mut parts: Vec<Vec<(u64, Arrival)>> =
+            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        for (seq, a) in arrivals {
             let (shard, local) = self.tenant_map[a.tenant];
-            let t0 = self.shards[shard].handle.now();
-            parts[shard].0.push(idx);
-            parts[shard].1.push(Arrival {
-                at_cycle: t0 + a.at_cycle,
+            let arrival = Arrival {
+                at_cycle: self.shards[shard].handle.now() + a.at_cycle,
                 tenant: local,
                 spec: a.spec,
-            });
+            };
+            parts[shard].push((base + keys.len() as u64, arrival));
+            keys.push((a.tenant, seq));
         }
-        let base = self.traced;
+        self.traced += keys.len() as u64;
         let jobs: Vec<_> = self
             .shards
             .iter_mut()
             .zip(parts)
-            .filter(|(_, (_, slice))| !slice.is_empty())
-            .map(|(shard, (idxs, slice))| {
-                // A shard's telemetry tags spans with its own running
-                // arrival count; extend its local→fleet remap so
-                // merged_trace() can stitch one trace-id space.
-                if shard.server.telemetry_enabled() {
-                    shard.trace_map.extend(idxs.iter().map(|&i| base + i));
-                }
+            .filter(|(_, slice)| !slice.is_empty())
+            .map(|(shard, slice)| {
                 move || {
+                    let ids: Vec<u64> = slice.iter().map(|&(id, _)| id).collect();
                     let outcomes = shard.server.run_open_loop(slice);
-                    idxs.into_iter().zip(outcomes).collect::<Vec<_>>()
+                    ids.into_iter().zip(outcomes).collect::<Vec<_>>()
                 }
             })
             .collect();
-        // Completion order is scheduling noise; the arrival indices put
-        // every outcome back under its key.
+        // Completion order is scheduling noise; the trace ids put every
+        // outcome back under its key.
         let served = bsim::host::run_ordered(jobs, shard_count());
-        if self.telemetry_enabled() {
-            self.traced += n;
-        }
         let mut keyed = BTreeMap::new();
-        for (idx, outcome) in served.into_iter().flatten() {
-            let key = keys[idx];
+        for (id, outcome) in served.into_iter().flatten() {
+            let key = keys[(id - base) as usize];
             assert!(
                 keyed.insert(key, outcome).is_none(),
                 "duplicate (tenant, seq) key {key:?}"
@@ -260,44 +246,33 @@ impl FleetServer {
         keyed
     }
 
-    /// Turns on the telemetry event log on every shard. Each shard's
-    /// local tenants are tagged with their *global* ids, and the watchdog
-    /// label (if any) gets a `-shard{i}` suffix so dump files never
-    /// collide. Telemetry is strictly off-path: enabling it never changes
-    /// cycle counts or outcomes on any shard.
+    /// Turns on the telemetry event log on every shard, tagged with
+    /// global tenant ids and fleet-wide trace ids (which restart at 0).
+    /// The watchdog label (if any) gets a `-shard{i}` suffix so dump
+    /// files never collide. Telemetry is strictly off-path: enabling it
+    /// never changes cycle counts or outcomes on any shard.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         self.traced = 0;
         for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.trace_map.clear();
             let mut cfg = config.clone();
             if let Some(w) = cfg.watchdog.as_mut() {
                 w.label = format!("{}-shard{i}", w.label);
             }
-            // An empty shard still opened one idle session; give its
-            // (never-used) local tenant 0 a stable fake global id.
-            let labels = if shard.tenants.is_empty() {
-                vec![0]
-            } else {
-                shard.tenants.clone()
-            };
-            shard.server.enable_telemetry_labeled(cfg, labels);
+            shard.server.enable_telemetry(cfg);
         }
     }
 
-    /// Whether [`FleetServer::enable_telemetry`] has been called.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.shards.iter().any(|s| s.server.telemetry_enabled())
+    /// Every shard's telemetry log, by shard index; empty until
+    /// [`FleetServer::enable_telemetry`].
+    fn telemetry(&self) -> impl Iterator<Item = &Telemetry> {
+        self.shards.iter().filter_map(|s| s.server.telemetry())
     }
 
     /// The fleet's windowed-telemetry time-series: the cross-shard
     /// aggregate, computed over every shard's event log at once, plus
     /// each shard's own snapshot.
     pub fn metrics_snapshot(&self) -> Option<FleetMetrics> {
-        let logs: Vec<&Telemetry> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.server.telemetry_ref())
-            .collect();
+        let logs: Vec<&Telemetry> = self.telemetry().collect();
         let width = logs.first()?.window_cycles();
         Some(FleetMetrics {
             aggregate: MetricsSnapshot::from_log(width, logs.iter().flat_map(|t| &t.log)),
@@ -306,32 +281,21 @@ impl FleetServer {
     }
 
     /// One merged Perfetto trace for the whole fleet: shard `i` renders
-    /// as process `shard{i}`, every span's local trace id is remapped to
-    /// its fleet-wide id (arrival `i` of a call is `i` plus the arrivals
-    /// of the earlier calls since telemetry was enabled), and flow arrows
-    /// chain each request admission → tenant queue → core on the shard
-    /// that served it. `None` until telemetry is enabled.
+    /// as process `shard{i}`, spans carry fleet-wide trace ids, and flow
+    /// arrows chain each request admission → tenant queue → core on the
+    /// shard that served it. `None` until telemetry is enabled.
     pub fn merged_trace(&self) -> Option<String> {
-        if !self.telemetry_enabled() {
-            return None;
-        }
         let period_ps = self.shards[0]
             .handle
             .with_soc(|soc| soc.clock().period_ps());
         let processes: Vec<(String, Vec<TraceEvent>)> = self
-            .shards
-            .iter()
+            .telemetry()
             .enumerate()
-            .filter_map(|(i, shard)| {
-                let mut spans = shard.server.telemetry_ref()?.spans();
-                for span in &mut spans {
-                    span.trace_id = span
-                        .trace_id
-                        .map(|id| shard.trace_map.get(id as usize).map_or(id, |&g| g as u64));
-                }
-                Some((format!("shard{i}"), spans))
-            })
+            .map(|(i, t)| (format!("shard{i}"), t.spans()))
             .collect();
+        if processes.is_empty() {
+            return None;
+        }
         let processes: Vec<(&str, &[TraceEvent])> = processes
             .iter()
             .map(|(name, spans)| (name.as_str(), spans.as_slice()))
@@ -341,10 +305,7 @@ impl FleetServer {
 
     /// Every flight-recorder dump file any shard's watchdog has written.
     pub fn flight_dumps(&self) -> Vec<PathBuf> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.server.flight_dumps())
-            .collect()
+        self.telemetry().flat_map(|t| t.dumps()).cloned().collect()
     }
 
     /// The fleet's aggregate `server/latency_cycles` histogram: every
@@ -402,16 +363,19 @@ impl FleetServer {
     /// registry: per-shard counters under `server/shard{i}/…` and
     /// aggregates under `server/fleet/…`, next to shard 0's own live
     /// `server/` set — so one `counter_snapshot()`/`perf_report()` on
-    /// the primary handle observes the whole fleet.
-    pub fn sync_rollup(&self) {
+    /// the primary handle observes the whole fleet. Returns the rollup
+    /// it mirrored.
+    pub fn sync_rollup(&self) -> BTreeMap<String, u64> {
         let perf = self.shards[0].handle.with_soc(|soc| soc.perf());
-        for (name, value) in self.rollup() {
+        let rollup = self.rollup();
+        for (name, &value) in &rollup {
             let (path, leaf) = match name.rsplit_once('/') {
-                Some((prefix, leaf)) => (format!("server/{prefix}"), leaf.to_owned()),
-                None => ("server".to_owned(), name),
+                Some((prefix, leaf)) => (format!("server/{prefix}"), leaf),
+                None => ("server".to_owned(), name.as_str()),
             };
-            perf.set_value(&path, &leaf, value);
+            perf.set_value(&path, leaf, value);
         }
+        rollup
     }
 }
 

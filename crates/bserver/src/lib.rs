@@ -35,16 +35,17 @@
 //!   latency histograms, visible through the MMIO counter window,
 //!   `counter_snapshot()`, and `perf_report()` like any hardware layer —
 //!   plus opt-in **request telemetry** ([`TelemetryConfig`]): one
-//!   cycle-stamped [`ServerEvent`] log per server, from which three views
-//!   are computed on read — end-to-end spans per job (admission → tenant
+//!   cycle-stamped job-event log per shard, from which three views are
+//!   computed on read — end-to-end spans per job (admission → tenant
 //!   queue → core, exported as one merged Perfetto trace with flow arrows
 //!   via [`FleetServer::merged_trace`]), tumbling-window goodput and
-//!   latency/queue-wait percentiles ([`AccelServer::metrics_snapshot`],
-//!   [`FleetServer::metrics_snapshot`]), and the watchdog's flight dump
-//!   of the last N job events when forward progress stalls or
-//!   rejections/deadline breaches spike ([`WatchdogConfig`]). Telemetry
-//!   is keyed to simulation cycles, strictly off-path, and disabled by
-//!   default — enabling it never changes cycle counts or outcomes.
+//!   latency/queue-wait percentiles ([`FleetServer::metrics_snapshot`]),
+//!   and the watchdog's flight dump of the last N job events when
+//!   forward progress stalls or rejections/deadline breaches spike
+//!   ([`WatchdogConfig`]). Every view names a request by one fleet-wide
+//!   trace id. Telemetry is keyed to simulation cycles, strictly
+//!   off-path, and disabled by default — enabling it never changes cycle
+//!   counts or outcomes.
 //!
 //! Timing is simulated, not wall-clock: every host-side cost the server
 //! pays (lock acquisition, MMIO command words, response polling) advances
@@ -54,24 +55,22 @@
 //! open-loop load harness lives in `bbench::loadgen`
 //! (`cargo run -p bbench --bin loadgen`).
 //!
-//! Each layer has one serving call. [`AccelServer::run_open_loop`]
-//! serves an arrival schedule on one SoC; a closed batch is every
-//! arrival at the current cycle, and the paper's serialized runtime is
-//! the [`DispatchPolicy::LockArbitrated`] policy.
-//!
-//! Above the single server sits the **sharded fleet** ([`FleetServer`]):
-//! N independent server+SoC replicas with tenants partitioned by a
-//! stable admission hash ([`shard_for_session`]). Its one serving call,
-//! [`FleetServer::run_keyed`], takes a wave of `(seq, arrival)` pairs
-//! and returns outcomes keyed by `(tenant, seq)`, so a client's
-//! submission order and its outcome delivery order are decoupled from
-//! dispatch order; the network front-end (`bnet`) submits one wave per
-//! call. Shards are `Send` (the `bsim` arena refactor makes a built
-//! `Simulation` movable), so each call serves them on scoped threads —
-//! `BSERVER_SHARDS` caps that execution width without ever changing
-//! results, each shard is byte-identical to a standalone
-//! [`AccelServer`] serving its tenants, and per-shard counters roll up
-//! into the primary registry ([`FleetServer::sync_rollup`]).
+//! The one public server is the **sharded fleet** ([`FleetServer`]): N
+//! independent server+SoC replicas with tenants partitioned by a stable
+//! admission hash ([`shard_for_session`]); a 1-shard fleet is a single
+//! server. Its one serving call, [`FleetServer::run_keyed`], takes a
+//! wave of `(seq, arrival)` pairs and returns outcomes keyed by
+//! `(tenant, seq)`, so a client's submission order and its outcome
+//! delivery order are decoupled from dispatch order; the network
+//! front-end (`bnet`) submits one wave per call. A closed batch is every
+//! arrival at offset 0, and the paper's serialized runtime is the
+//! [`DispatchPolicy::LockArbitrated`] policy. Shards are `Send` (the
+//! `bsim` arena refactor makes a built `Simulation` movable), so each
+//! call serves them on scoped threads — `BSERVER_SHARDS` caps that
+//! execution width without ever changing results, each shard is
+//! byte-identical to a 1-shard fleet serving its tenants, and per-shard
+//! counters roll up into the primary registry
+//! ([`FleetServer::sync_rollup`]).
 
 #![warn(missing_docs)]
 
@@ -85,9 +84,6 @@ pub use batch::BatchPolicy;
 pub use fleet::{shard_count, shard_for_session, FleetConfig, FleetMetrics, FleetServer};
 pub use policy::DispatchPolicy;
 pub use server::{
-    AccelServer, Arrival, DeadlineAction, JobOutcome, JobSpec, RejectReason, ServerConfig,
-    ServerError,
+    Arrival, DeadlineAction, JobOutcome, JobSpec, RejectReason, ServerConfig, ServerError,
 };
-pub use telemetry::{
-    JobStep, MetricsSnapshot, ServerEvent, TelemetryConfig, WatchdogConfig, WindowRow,
-};
+pub use telemetry::{MetricsSnapshot, TelemetryConfig, WatchdogConfig, WindowRow};

@@ -1,17 +1,16 @@
 //! The multi-tenant runtime server: queues, dispatcher, outcome model.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bcore::{AccelCommandSpec, CommandToken};
 use bruntime::FpgaHandle;
-use bsim::{Cycle, Stats, TraceEvent};
+use bsim::{Cycle, Stats};
 
 use crate::batch::{AutoBatcher, BatchPolicy};
 use crate::policy::DispatchPolicy;
-use crate::telemetry::{JobStep, MetricsSnapshot, ServerEvent, Telemetry, TelemetryConfig};
+use crate::telemetry::{JobStep, ServerEvent, Telemetry, TelemetryConfig};
 
 /// A command the server accepts from a tenant.
 #[derive(Debug, Clone)]
@@ -49,12 +48,13 @@ impl JobSpec {
     }
 }
 
-/// One scheduled submission for [`AccelServer::run_open_loop`].
+/// One scheduled submission for [`FleetServer::run_keyed`](crate::FleetServer::run_keyed).
 #[derive(Debug, Clone)]
 pub struct Arrival {
     /// Fabric cycle at which the tenant submits the job.
     pub at_cycle: Cycle,
-    /// Submitting tenant (dense index, `< n_tenants`).
+    /// Submitting tenant (dense index, `< n_tenants`; the fleet maps it to
+    /// its shard's local index).
     pub tenant: usize,
     /// The job itself.
     pub spec: JobSpec,
@@ -163,7 +163,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Errors constructing an [`AccelServer`].
+/// Errors constructing a [`FleetServer`](crate::FleetServer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerError {
     /// No system with that name exists on the device.
@@ -187,6 +187,8 @@ impl std::error::Error for ServerError {}
 struct Queued {
     /// Index into the outcome vector (arrival order).
     idx: usize,
+    /// Fleet-wide trace id its telemetry events carry.
+    trace_id: u64,
     tenant: usize,
     spec: JobSpec,
     /// Scheduled arrival cycle (re-armed on deadline retry).
@@ -202,6 +204,7 @@ struct Queued {
 /// A dispatched job awaiting its response.
 struct InFlight {
     idx: usize,
+    trace_id: u64,
     tenant: usize,
     token: CommandToken,
     first_arrival_cycle: Cycle,
@@ -209,14 +212,15 @@ struct InFlight {
     retries: u32,
 }
 
-/// The multi-tenant runtime server over one [`bcore::SocSim`].
+/// The multi-tenant runtime server over one [`bcore::SocSim`]: one
+/// shard of a [`FleetServer`](crate::FleetServer).
 ///
-/// One server arbitrates one accelerator system's cores between
-/// `n_tenants` clients. Jobs flow: admission → per-tenant queue →
+/// One server arbitrates one accelerator system's cores between its
+/// shard's tenants. Jobs flow: admission → per-tenant queue →
 /// dispatcher (policy) → core command FIFO → completion harvest →
 /// [`JobOutcome`]. All host-side costs advance the shared simulated
 /// clock; nothing here consumes wall-clock time.
-pub struct AccelServer {
+pub(crate) struct AccelServer {
     handle: FpgaHandle,
     system: String,
     sys_id: u16,
@@ -225,6 +229,9 @@ pub struct AccelServer {
     spec: AccelCommandSpec,
     n_cores: u16,
     config: ServerConfig,
+    /// Local tenant index → global tenant id, the id telemetry events
+    /// carry.
+    tenants: Vec<usize>,
     queues: Vec<VecDeque<Queued>>,
     /// Per-core FIFOs of dispatched jobs (responses return in order).
     inflight: Vec<VecDeque<InFlight>>,
@@ -252,8 +259,8 @@ pub struct AccelServer {
 }
 
 impl AccelServer {
-    /// Opens a server for `system` with `n_tenants` clients, each with its
-    /// own submission queue.
+    /// Opens a server for `system` with one client per entry of
+    /// `tenants` (their global ids), each with its own submission queue.
     ///
     /// Registers the `server/` counter set in the SoC's perf registry:
     /// `queue_depth` / `queue_depth_peak` (live providers),
@@ -263,16 +270,13 @@ impl AccelServer {
     ///
     /// # Errors
     ///
-    /// [`ServerError::UnknownSystem`] or [`ServerError::NoTenants`].
-    pub fn new(
+    /// [`ServerError::UnknownSystem`].
+    pub(crate) fn new(
         handle: &FpgaHandle,
         system: &str,
-        n_tenants: usize,
+        tenants: Vec<usize>,
         config: ServerConfig,
     ) -> Result<Self, ServerError> {
-        if n_tenants == 0 {
-            return Err(ServerError::NoTenants);
-        }
         let (sys_id, n_cores, spec) = handle
             .with_soc(|soc| {
                 let id = soc.system_id(system)?;
@@ -301,7 +305,8 @@ impl AccelServer {
             spec,
             n_cores,
             config,
-            queues: (0..n_tenants).map(|_| VecDeque::new()).collect(),
+            queues: tenants.iter().map(|_| VecDeque::new()).collect(),
+            tenants,
             inflight: (0..n_cores as usize).map(|_| VecDeque::new()).collect(),
             idle_cores: (0..n_cores).collect(),
             auto: AutoBatcher::new(handle.now()),
@@ -319,70 +324,37 @@ impl AccelServer {
     /// observes cycles the server already paid for and never advances the
     /// clock: enabling it cannot change cycle counts, outcomes, or any
     /// existing counter (pinned by the invariance tests).
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        let labels = (0..self.queues.len()).collect();
-        self.enable_telemetry_labeled(config, labels);
+    pub(crate) fn enable_telemetry(&mut self, config: TelemetryConfig) {
+        self.telemetry = Some(Telemetry::new(config, self.handle.now()));
     }
 
-    /// Fleet entry point: like [`enable_telemetry`](Self::enable_telemetry)
-    /// but tagging local tenant `i` with global id `labels[i]` in spans,
-    /// windows, and flight events.
-    pub(crate) fn enable_telemetry_labeled(&mut self, config: TelemetryConfig, labels: Vec<usize>) {
-        self.telemetry = Some(Telemetry::new(config, labels, self.handle.now()));
-    }
-
-    /// Whether telemetry is on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// The windowed-telemetry time-series, if telemetry is enabled.
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.telemetry.as_ref().map(Telemetry::snapshot)
-    }
-
-    /// Every request span, if telemetry is enabled.
-    pub fn spans(&self) -> Option<Vec<TraceEvent>> {
-        self.telemetry.as_ref().map(Telemetry::spans)
-    }
-
-    /// Flight-recorder dump files the watchdog has written.
-    pub fn flight_dumps(&self) -> Vec<PathBuf> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.dumps().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Fleet access to the telemetry log (cross-shard windows, span
-    /// remap).
-    pub(crate) fn telemetry_ref(&self) -> Option<&Telemetry> {
+    /// The telemetry log, if enabled (the fleet computes every view).
+    pub(crate) fn telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.as_ref()
     }
 
+    /// The global ids of this server's tenants, by local index.
+    pub(crate) fn tenants(&self) -> &[usize] {
+        &self.tenants
+    }
+
     /// Number of cores the dispatcher allocates over.
-    pub fn n_cores(&self) -> u16 {
+    pub(crate) fn n_cores(&self) -> u16 {
         self.n_cores
     }
 
-    /// The server's counter/histogram bag (also reachable through the
-    /// SoC perf registry under `server/`).
-    pub fn stats(&self) -> Stats {
-        self.stats.clone()
-    }
-
     /// Serves an open-loop arrival schedule to completion and returns one
-    /// outcome per arrival, in input order.
+    /// outcome per arrival, in input order. Each arrival comes with the
+    /// fleet-wide trace id its telemetry events carry.
     ///
     /// Arrivals are stably sorted by cycle; the clock never waits for
     /// admission — if the server is busy when a job's cycle passes, the
     /// job is ingested late but its latency still counts from the
     /// scheduled arrival (open-loop semantics). A closed batch is every
-    /// arrival at the current cycle. With telemetry on, arrival `i` logs
-    /// trace id `i` plus the arrivals of the calls since it was enabled.
-    pub fn run_open_loop(&mut self, arrivals: Vec<Arrival>) -> Vec<JobOutcome> {
+    /// arrival at the current cycle.
+    pub(crate) fn run_open_loop(&mut self, arrivals: Vec<(u64, Arrival)>) -> Vec<JobOutcome> {
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by_key(|&i| arrivals[i].at_cycle);
+        order.sort_by_key(|&i| arrivals[i].1.at_cycle);
         let mut outcomes: Vec<Option<JobOutcome>> = vec![None; arrivals.len()];
         let mut next = 0usize;
         let poll_cycles = self
@@ -402,11 +374,11 @@ impl AccelServer {
         loop {
             let now = self.handle.now();
             // 1. Ingest every arrival whose cycle has passed (admission).
-            while next < order.len() && arrivals[order[next]].at_cycle <= now {
+            while next < order.len() && arrivals[order[next]].1.at_cycle <= now {
                 let idx = order[next];
-                let a = &arrivals[idx];
+                let (trace_id, a) = &arrivals[idx];
                 next += 1;
-                self.admit(idx, a, &mut outcomes);
+                self.admit(idx, *trace_id, a, &mut outcomes);
             }
             // 2. Harvest completions that are already host-visible. The
             //    baseline only looks at poll boundaries (and pays for the
@@ -448,7 +420,7 @@ impl AccelServer {
             }
             // 4. Nothing dispatchable: decide how long to sleep.
             let now = self.handle.now();
-            let next_arrival = (next < order.len()).then(|| arrivals[order[next]].at_cycle);
+            let next_arrival = (next < order.len()).then(|| arrivals[order[next]].1.at_cycle);
             if busy {
                 let bound = match (next_poll, next_arrival) {
                     (Some(p), Some(a)) => Some(p.min(a)),
@@ -501,9 +473,6 @@ impl AccelServer {
                 break;
             }
         }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.traced += arrivals.len() as u64;
-        }
         outcomes
             .into_iter()
             .map(|o| o.expect("every arrival resolves to an outcome"))
@@ -512,7 +481,13 @@ impl AccelServer {
 
     /// Admission control: jobs whose arguments do not fit the system's
     /// command spec are refused, the rest enter bounded per-tenant queues.
-    fn admit(&mut self, idx: usize, a: &Arrival, outcomes: &mut [Option<JobOutcome>]) {
+    fn admit(
+        &mut self,
+        idx: usize,
+        trace_id: u64,
+        a: &Arrival,
+        outcomes: &mut [Option<JobOutcome>],
+    ) {
         assert!(a.tenant < self.queues.len(), "tenant index out of range");
         let now = self.handle.now();
         let seq = self.next_seq;
@@ -533,7 +508,7 @@ impl AccelServer {
             self.stats.record("queue_wait_cycles", waited);
             self.observe_job(
                 now,
-                idx,
+                trace_id,
                 a.tenant,
                 JobStep::AdmissionReject {
                     scheduled: a.at_cycle,
@@ -549,6 +524,7 @@ impl AccelServer {
         }
         self.queues[a.tenant].push_back(Queued {
             idx,
+            trace_id,
             tenant: a.tenant,
             spec: a.spec.clone(),
             arrival_cycle: a.at_cycle,
@@ -560,7 +536,7 @@ impl AccelServer {
         let queue_depth = self.depth.load(Ordering::Relaxed);
         self.observe_job(
             now,
-            idx,
+            trace_id,
             a.tenant,
             JobStep::Enqueue {
                 scheduled: a.at_cycle,
@@ -632,7 +608,7 @@ impl AccelServer {
                     self.stats.incr("retried");
                     self.observe_job(
                         now,
-                        job.idx,
+                        job.trace_id,
                         tenant,
                         JobStep::Retry {
                             retries: job.retries + 1,
@@ -656,7 +632,7 @@ impl AccelServer {
                     self.stats.record("queue_wait_cycles", waited);
                     self.observe_job(
                         now,
-                        job.idx,
+                        job.trace_id,
                         tenant,
                         JobStep::DeadlineBreach {
                             queue_wait_cycles: waited,
@@ -723,7 +699,7 @@ impl AccelServer {
         );
         self.observe_job(
             now,
-            job.idx,
+            job.trace_id,
             job.tenant,
             JobStep::Dispatch {
                 core,
@@ -732,6 +708,7 @@ impl AccelServer {
         );
         self.inflight[core as usize].push_back(InFlight {
             idx: job.idx,
+            trace_id: job.trace_id,
             tenant: job.tenant,
             token,
             first_arrival_cycle: job.first_arrival_cycle,
@@ -829,7 +806,7 @@ impl AccelServer {
             waits.push(wait);
             self.observe_job(
                 at,
-                job.idx,
+                job.trace_id,
                 job.tenant,
                 JobStep::Dispatch {
                     core,
@@ -838,6 +815,7 @@ impl AccelServer {
             );
             self.inflight[core as usize].push_back(InFlight {
                 idx: job.idx,
+                trace_id: job.trace_id,
                 tenant: job.tenant,
                 token: resp.token(),
                 first_arrival_cycle: job.first_arrival_cycle,
@@ -922,7 +900,7 @@ impl AccelServer {
             self.record_completion(job.tenant, latency);
             self.observe_job(
                 now,
-                job.idx,
+                job.trace_id,
                 job.tenant,
                 JobStep::Complete {
                     core: core as u16,
@@ -944,11 +922,11 @@ impl AccelServer {
         harvested
     }
 
-    /// Logs `step` of the job with arrival index `idx` in the current
-    /// call, if telemetry is on.
-    fn observe_job(&mut self, now: Cycle, idx: usize, tenant: usize, step: JobStep) {
+    /// Logs `step` of the job `trace_id` from local tenant `tenant`,
+    /// under the tenant's global id, if telemetry is on.
+    fn observe_job(&mut self, now: Cycle, trace_id: u64, tenant: usize, step: JobStep) {
         if let Some(t) = self.telemetry.as_mut() {
-            let trace_id = t.traced + idx as u64;
+            let tenant = self.tenants[tenant];
             t.record(
                 now,
                 ServerEvent::Job {
@@ -1001,17 +979,6 @@ impl AccelServer {
     }
 }
 
-impl std::fmt::Debug for AccelServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AccelServer")
-            .field("system", &self.system)
-            .field("policy", &self.config.policy)
-            .field("tenants", &self.queues.len())
-            .field("cores", &self.n_cores)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1028,8 +995,9 @@ mod tests {
     ) -> (FpgaHandle, AccelServer, bruntime::RemotePtr) {
         let soc = elaborate(vecadd::config(n_cores), &Platform::kria()).expect("elaboration");
         let handle = FpgaHandle::new(soc);
+        let tenants = (0..n_tenants).collect();
         let server =
-            AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, config).expect("server opens");
+            AccelServer::new(&handle, vecadd::SYSTEM, tenants, config).expect("server opens");
         let mem = handle.malloc(64 * 1024).expect("buffer");
         handle.write_u32_slice(mem, &vec![1u32; 16 * 1024]);
         (handle, server, mem)
@@ -1038,6 +1006,11 @@ mod tests {
     /// A vecadd job over `n` elements (cost hint = elements).
     fn job(mem: bruntime::RemotePtr, n: u32) -> JobSpec {
         JobSpec::new(vecadd::args(1, mem.device_addr(), n)).with_cost_hint(u64::from(n))
+    }
+
+    /// Serves `arrivals` (telemetry is off, so trace ids are unused).
+    fn serve(server: &mut AccelServer, arrivals: Vec<Arrival>) -> Vec<JobOutcome> {
+        server.run_open_loop(arrivals.into_iter().map(|a| (0, a)).collect())
     }
 
     /// A closed batch: every `(tenant, job)` arrives at the current cycle.
@@ -1054,14 +1027,16 @@ mod tests {
 
     #[test]
     fn unknown_system_and_zero_tenants_error() {
-        let soc = elaborate(vecadd::config(1), &Platform::kria()).unwrap();
-        let handle = FpgaHandle::new(soc);
+        let open = |system, n_tenants| {
+            let soc = |_| elaborate(vecadd::config(1), &Platform::kria()).unwrap();
+            crate::FleetServer::new(soc, system, n_tenants, crate::FleetConfig::default())
+        };
         assert!(matches!(
-            AccelServer::new(&handle, "Nope", 1, ServerConfig::default()),
+            open("Nope", 1),
             Err(ServerError::UnknownSystem(_))
         ));
         assert!(matches!(
-            AccelServer::new(&handle, vecadd::SYSTEM, 0, ServerConfig::default()),
+            open(vecadd::SYSTEM, 0),
             Err(ServerError::NoTenants)
         ));
     }
@@ -1074,15 +1049,13 @@ mod tests {
                 ..ServerConfig::default()
             };
             let (handle, mut server, mem) = setup(2, 2, config);
-            let outcomes = server.run_open_loop(now_arrivals(
-                &handle,
-                vec![(0, job(mem, 64)), (1, job(mem, 64)), (0, job(mem, 64))],
-            ));
+            let jobs = vec![(0, job(mem, 64)), (1, job(mem, 64)), (0, job(mem, 64))];
+            let outcomes = serve(&mut server, now_arrivals(&handle, jobs));
             assert_eq!(outcomes.len(), 3, "{policy}");
             for o in &outcomes {
                 assert!(o.is_completed(), "{policy}: {o:?}");
             }
-            assert_eq!(server.stats().get("completed"), 3, "{policy}");
+            assert_eq!(server.stats.get("completed"), 3, "{policy}");
         }
     }
 
@@ -1104,7 +1077,7 @@ mod tests {
                 spec: job(mem, 4096),
             })
             .collect();
-        let outcomes = server.run_open_loop(arrivals);
+        let outcomes = serve(&mut server, arrivals);
         let rejected = outcomes
             .iter()
             .filter(|o| {
@@ -1120,9 +1093,9 @@ mod tests {
         // Core takes job 0; jobs fill the 2-deep queue; the rest of the
         // burst (arriving while the queue is full) bounces.
         assert!(rejected > 0, "burst beyond capacity must reject");
-        assert_eq!(server.stats().get("rejected"), rejected as u64);
+        assert_eq!(server.stats.get("rejected"), rejected as u64);
         assert_eq!(
-            server.stats().get("completed") as usize,
+            server.stats.get("completed") as usize,
             outcomes.len() - rejected
         );
         // The peak depth provider must have seen the bound, never more.
@@ -1153,7 +1126,7 @@ mod tests {
                     spec: job(mem, n),
                 })
                 .collect();
-            let outcomes = server.run_open_loop(arrivals);
+            let outcomes = serve(&mut server, arrivals);
             let total: u64 = outcomes
                 .iter()
                 .map(|o| o.latency_cycles().expect("all complete"))
@@ -1195,7 +1168,7 @@ mod tests {
                 spec: job(mem, 32), // queued short, arrives last
             },
         ];
-        let outcomes = server.run_open_loop(arrivals);
+        let outcomes = serve(&mut server, arrivals);
         let (
             JobOutcome::Completed {
                 queue_wait_cycles: w_long,
@@ -1238,7 +1211,7 @@ mod tests {
                 tenant: 1,
                 spec: job(mem, 1024),
             });
-            let outcomes = server.run_open_loop(arrivals);
+            let outcomes = serve(&mut server, arrivals);
             outcomes
                 .last()
                 .unwrap()
@@ -1275,7 +1248,7 @@ mod tests {
                 spec: job(mem, 64).with_deadline(10), // cannot make it
             },
         ];
-        let outcomes = server.run_open_loop(arrivals);
+        let outcomes = serve(&mut server, arrivals);
         assert!(outcomes[0].is_completed());
         let JobOutcome::Rejected {
             reason: RejectReason::DeadlineExpired,
@@ -1290,7 +1263,7 @@ mod tests {
             "rejection reports the wait that breached the 10-cycle deadline \
              (waited {queue_wait_cycles})"
         );
-        assert_eq!(server.stats().get("rejected"), 1);
+        assert_eq!(server.stats.get("rejected"), 1);
     }
 
     #[test]
@@ -1317,14 +1290,14 @@ mod tests {
                 spec: job(mem, 64).with_deadline(10),
             },
         ];
-        let outcomes = server.run_open_loop(arrivals);
+        let outcomes = serve(&mut server, arrivals);
         match outcomes[1] {
             JobOutcome::Completed { retries, .. } => {
                 assert!(retries > 0, "job must have been retried before completing")
             }
             other => panic!("retry budget of 50 should suffice: {other:?}"),
         }
-        assert!(server.stats().get("retried") > 0);
+        assert!(server.stats.get("retried") > 0);
 
         // With a tiny retry budget and competing traffic the retried job
         // lands behind the competitor (retry re-enqueues at the tail), its
@@ -1352,7 +1325,7 @@ mod tests {
                 spec: job(mem, 8192),
             },
         ];
-        let outcomes = server.run_open_loop(arrivals);
+        let outcomes = serve(&mut server, arrivals);
         assert!(
             matches!(
                 outcomes[1],
@@ -1370,10 +1343,8 @@ mod tests {
     #[test]
     fn server_counters_surface_through_perf_registry() {
         let (handle, mut server, mem) = setup(2, 2, ServerConfig::default());
-        let outcomes = server.run_open_loop(now_arrivals(
-            &handle,
-            vec![(0, job(mem, 64)), (1, job(mem, 128))],
-        ));
+        let jobs = vec![(0, job(mem, 64)), (1, job(mem, 128))];
+        let outcomes = serve(&mut server, now_arrivals(&handle, jobs));
         assert!(outcomes.iter().all(JobOutcome::is_completed));
         let names = handle.counter_names();
         for expected in [
@@ -1427,7 +1398,7 @@ mod tests {
                     spec: job(mem, 64 << (i % 3)),
                 })
                 .collect();
-            let outcomes = server.run_open_loop(arrivals);
+            let outcomes = serve(&mut server, arrivals);
             (format!("{outcomes:?}"), handle.now())
         };
         assert_eq!(run(), run(), "same schedule, same cycles, same outcomes");

@@ -5,18 +5,18 @@
 //! the simulated path: telemetry observes cycles the server already paid
 //! for and never advances the clock, so enabling it cannot change cycle
 //! counts or outcomes (the invariance tests pin this). When disabled
-//! ([`AccelServer`](crate::AccelServer) without
-//! [`enable_telemetry`](crate::AccelServer::enable_telemetry)) the hot
-//! path pays one `Option` check per event.
+//! (a fleet without
+//! [`enable_telemetry`](crate::FleetServer::enable_telemetry)) each
+//! shard's hot path pays one `Option` check per event.
 //!
-//! Each observation is appended once, as a [`ServerEvent`] stamped with
-//! its cycle. Three views are computed from the log when read:
+//! Each observation is appended once, as a `ServerEvent` stamped with
+//! its cycle and carrying the job's fleet-wide trace id and global
+//! tenant id. Three views are computed from the log when read:
 //!
 //! * **Spans**: every job's admission → queue → execute intervals as
-//!   [`bsim::TraceEvent`]s tagged with a trace id (the job's arrival
-//!   index), rendered with flow arrows by [`bsim::perf::chrome_trace`] —
-//!   one process per fleet shard
-//!   ([`merged_trace`](crate::FleetServer::merged_trace)).
+//!   [`bsim::TraceEvent`]s tagged with the trace id, rendered with flow
+//!   arrows by [`bsim::perf::chrome_trace`] — one process per fleet
+//!   shard ([`merged_trace`](crate::FleetServer::merged_trace)).
 //! * **Windows** ([`MetricsSnapshot`]): per-N-cycle goodput, rejections,
 //!   breaches, queue-depth high-water, and queue-wait/latency/batch
 //!   percentiles.
@@ -86,10 +86,10 @@ impl WatchdogConfig {
 
 /// One telemetry event, logged with the cycle it happened at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerEvent {
+pub(crate) enum ServerEvent {
     /// A step in one job's life.
     Job {
-        /// The job's arrival index (the trace id its spans carry).
+        /// The fleet-wide trace id of the job's arrival.
         trace_id: u64,
         /// Global tenant id.
         tenant: usize,
@@ -107,7 +107,7 @@ pub enum ServerEvent {
 /// What happened to a job in a [`ServerEvent::Job`]. Each step carries
 /// what the spans, the windows and the flight dump need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStep {
+pub(crate) enum JobStep {
     /// The job passed admission into its tenant queue.
     Enqueue {
         /// Cycle the job was scheduled to arrive at.
@@ -330,19 +330,12 @@ impl MetricsSnapshot {
     }
 }
 
-/// The per-server telemetry state, `Some` only after
-/// [`enable_telemetry`](crate::AccelServer::enable_telemetry).
+/// One shard's telemetry state, `Some` only after
+/// [`enable_telemetry`](crate::FleetServer::enable_telemetry).
 pub(crate) struct Telemetry {
     config: TelemetryConfig,
-    /// Local tenant index → global tenant id (identity for a standalone
-    /// server; the fleet passes each shard's assignment).
-    labels: Vec<usize>,
     /// Every observation, in record order.
     pub(crate) log: Vec<(Cycle, ServerEvent)>,
-    /// Arrivals served by earlier calls since telemetry was enabled: a
-    /// call's arrival `i` logs trace id `traced + i`, so ids never
-    /// collide across calls within one log.
-    pub(crate) traced: u64,
     /// Cycle of the last dispatch or completion (watchdog datum).
     last_progress: Cycle,
     /// Rejections + breaches in the current spike-accounting window.
@@ -355,12 +348,10 @@ pub(crate) struct Telemetry {
 }
 
 impl Telemetry {
-    pub(crate) fn new(config: TelemetryConfig, labels: Vec<usize>, now: Cycle) -> Self {
+    pub(crate) fn new(config: TelemetryConfig, now: Cycle) -> Self {
         Self {
             config,
-            labels,
             log: Vec::new(),
-            traced: 0,
             last_progress: now,
             spike: (0, 0),
             stall_dumped: false,
@@ -387,13 +378,11 @@ impl Telemetry {
             .collect()
     }
 
-    /// Appends `event`, observed at `now`, to the log: its tenant is
-    /// relabelled with the global id, a dispatch or completion counts as
-    /// watchdog progress, and a rejection or breach counts toward the
-    /// spike window.
-    pub(crate) fn record(&mut self, now: Cycle, mut event: ServerEvent) {
-        if let ServerEvent::Job { tenant, step, .. } = &mut event {
-            *tenant = self.labels.get(*tenant).copied().unwrap_or(*tenant);
+    /// Appends `event`, observed at `now`, to the log: a dispatch or
+    /// completion counts as watchdog progress, and a rejection or breach
+    /// counts toward the spike window.
+    pub(crate) fn record(&mut self, now: Cycle, event: ServerEvent) {
+        if let ServerEvent::Job { step, .. } = event {
             match step {
                 JobStep::Dispatch { .. } | JobStep::Complete { .. } => self.last_progress = now,
                 JobStep::AdmissionReject { .. } | JobStep::DeadlineBreach { .. } => {
@@ -558,7 +547,6 @@ mod tests {
                 window_cycles: 100,
                 ..TelemetryConfig::default()
             },
-            vec![5, 9],
             0,
         );
         t.record(10, admit(0, 10));
@@ -568,7 +556,7 @@ mod tests {
             dispatched: 20,
             latency_cycles: 50,
         };
-        t.record(60, job(0, 0, complete));
+        t.record(60, job(0, 5, complete));
         t.record(150, breach(1, 1, 140));
         let snap = t.snapshot();
         assert_eq!(snap.window_cycles, 100);
@@ -580,7 +568,6 @@ mod tests {
         assert_eq!(w0.queue_depth_peak, 1);
         assert_eq!(w0.latency, (50, 50, 50));
         assert_eq!(w0.queue_wait, (10, 10, 10));
-        // Local tenant 0 surfaces under its global id 5.
         assert_eq!(w0.tenant_completed, vec![(5, 1)]);
         let w1 = &snap.windows[1];
         assert_eq!(w1.start_cycle, 100);
@@ -601,7 +588,6 @@ mod tests {
                 }),
                 ..TelemetryConfig::default()
             },
-            vec![0],
             50,
         );
         assert_eq!(t.stall_deadline(), Some(1_050));
@@ -641,7 +627,6 @@ mod tests {
                 }),
                 ..TelemetryConfig::default()
             },
-            vec![0],
             0,
         );
         t.record(10, breach(0, 0, 5));

@@ -8,16 +8,17 @@
 //!   starved by another tenant's batch).
 //! * An auto-batching fleet stays deterministic: results depend only on
 //!   (schedule, shard count), never on worker threads or reruns.
+//!
+//! The single-server contracts run on 1-shard fleets.
 
 use std::collections::BTreeMap;
 
 use bcore::elaborate;
 use bkernels::vecadd;
 use bplatform::Platform;
-use bruntime::FpgaHandle;
+use bruntime::RemotePtr;
 use bserver::{
-    AccelServer, Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetServer, JobSpec,
-    ServerConfig,
+    Arrival, BatchPolicy, DispatchPolicy, FleetConfig, FleetServer, JobSpec, ServerConfig,
 };
 use proptest::prelude::*;
 
@@ -35,6 +36,36 @@ fn schedule(n_tenants: usize, jobs: usize) -> Vec<(u64, usize, u32, Option<u64>)
         .collect()
 }
 
+/// A fleet of `shards` 2-core vecadd replicas (one shard is a single
+/// server) with one filled buffer per tenant, allocated through its
+/// shard's handle in ascending tenant order.
+fn vecadd_fleet(
+    shards: usize,
+    n_tenants: usize,
+    server: ServerConfig,
+) -> (FleetServer, Vec<RemotePtr>) {
+    let fleet = FleetServer::new(
+        |_| elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates"),
+        vecadd::SYSTEM,
+        n_tenants,
+        FleetConfig { shards, server },
+    )
+    .expect("fleet opens");
+    let buffers = (0..n_tenants)
+        .map(|t| {
+            let s = fleet.handle(fleet.shard_of(t));
+            let mem = s.malloc(4096 * 4).expect("tenant buffer");
+            s.write_u32_slice(mem, &vec![1u32; 4096]);
+            mem
+        })
+        .collect();
+    (fleet, buffers)
+}
+
+fn job(buffer: RemotePtr, n_eles: u32) -> JobSpec {
+    JobSpec::new(vecadd::args(1, buffer.device_addr(), n_eles)).with_cost_hint(u64::from(n_eles))
+}
+
 /// Everything a run observably produces: the outcome list, the final
 /// cycle, the server counters, and the latency/queue-wait histograms.
 struct RunFingerprint {
@@ -45,48 +76,41 @@ struct RunFingerprint {
 }
 
 fn run_single(policy: DispatchPolicy, batch: BatchPolicy, n_tenants: usize) -> RunFingerprint {
-    let soc = elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates");
-    let handle = FpgaHandle::new(soc);
     let config = ServerConfig {
         policy,
         queue_capacity: 8,
         batch,
         ..ServerConfig::default()
     };
-    let mut server = AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, config).expect("server");
-    let buffers: Vec<bruntime::RemotePtr> = (0..n_tenants)
-        .map(|_| {
-            let mem = handle.malloc(4096 * 4).expect("tenant buffer");
-            handle.write_u32_slice(mem, &vec![1u32; 4096]);
-            mem
-        })
-        .collect();
-    let t0 = handle.now();
-    let arrivals: Vec<Arrival> = schedule(n_tenants, 24)
+    let (mut fleet, buffers) = vecadd_fleet(1, n_tenants, config);
+    let arrivals = schedule(n_tenants, 24)
         .into_iter()
-        .map(|(at_cycle, tenant, n_eles, deadline)| {
-            let mut spec = JobSpec::new(vecadd::args(1, buffers[tenant].device_addr(), n_eles))
-                .with_cost_hint(u64::from(n_eles));
+        .enumerate()
+        .map(|(i, (at_cycle, tenant, n_eles, deadline))| {
+            let mut spec = job(buffers[tenant], n_eles);
             if let Some(d) = deadline {
                 spec = spec.with_deadline(d);
             }
-            Arrival {
-                at_cycle: t0 + at_cycle,
+            let arrival = Arrival {
+                at_cycle,
                 tenant,
                 spec,
-            }
+            };
+            (i as u64, arrival)
         })
         .collect();
-    let outcomes = format!("{:?}", server.run_open_loop(arrivals));
-    let stats = server.stats();
-    let counters = vec![
-        ("dispatched", stats.get("dispatched")),
-        ("completed", stats.get("completed")),
-        ("rejected", stats.get("rejected")),
-        ("retried", stats.get("retried")),
-        ("lock_wait_cycles", stats.get("lock_wait_cycles")),
-        ("coalesced_wakes", stats.get("coalesced_wakes")),
-    ];
+    let outcomes = format!("{:?}", fleet.run_keyed(arrivals));
+    let counters = [
+        "dispatched",
+        "completed",
+        "rejected",
+        "retried",
+        "lock_wait_cycles",
+        "coalesced_wakes",
+    ]
+    .map(|name| (name, fleet.counter_total(name)))
+    .to_vec();
+    let handle = fleet.handle(0);
     let histograms = handle.with_soc(|soc| {
         format!(
             "{:?} {:?}",
@@ -121,44 +145,34 @@ fn run_conservation(
     n_tenants: usize,
     batch: BatchPolicy,
 ) -> BTreeMap<usize, usize> {
-    let soc = elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates");
-    let handle = FpgaHandle::new(soc);
     let config = ServerConfig {
         policy: DispatchPolicy::Fifo,
         queue_capacity: plan.len().max(1),
         batch,
         ..ServerConfig::default()
     };
-    let mut server = AccelServer::new(&handle, vecadd::SYSTEM, n_tenants, config).expect("server");
-    let buffers: Vec<bruntime::RemotePtr> = (0..n_tenants)
-        .map(|_| {
-            let mem = handle.malloc(4096 * 4).expect("tenant buffer");
-            handle.write_u32_slice(mem, &vec![1u32; 4096]);
-            mem
-        })
-        .collect();
-    let t0 = handle.now();
-    let mut at = t0;
-    let arrivals: Vec<Arrival> = plan
+    let (mut fleet, buffers) = vecadd_fleet(1, n_tenants, config);
+    let mut at_cycle = 0;
+    let arrivals = plan
         .iter()
-        .map(|&(gap, tenant, n_eles)| {
-            at += gap;
-            Arrival {
-                at_cycle: at,
+        .enumerate()
+        .map(|(i, &(gap, tenant, n_eles))| {
+            at_cycle += gap;
+            let arrival = Arrival {
+                at_cycle,
                 tenant,
-                spec: JobSpec::new(vecadd::args(1, buffers[tenant].device_addr(), n_eles))
-                    .with_cost_hint(u64::from(n_eles)),
-            }
+                spec: job(buffers[tenant], n_eles),
+            };
+            (i as u64, arrival)
         })
         .collect();
-    let outcomes = server.run_open_loop(arrivals);
     let mut per_tenant = BTreeMap::new();
-    for (i, o) in outcomes.iter().enumerate() {
+    for ((tenant, i), o) in fleet.run_keyed(arrivals) {
         assert!(
             o.is_completed(),
             "job {i} must complete (capacity covers the whole schedule)"
         );
-        *per_tenant.entry(plan[i].1).or_insert(0) += 1;
+        *per_tenant.entry(tenant).or_insert(0) += 1;
     }
     per_tenant
 }
@@ -205,46 +219,27 @@ proptest! {
 /// returns the outcome string and the rollup.
 fn run_auto_fleet(shards: usize) -> (String, BTreeMap<String, u64>) {
     let n_tenants = 6;
-    let mut fleet = FleetServer::new(
-        |_| elaborate(vecadd::config(2), &Platform::kria()).expect("vecadd elaborates"),
-        vecadd::SYSTEM,
-        n_tenants,
-        FleetConfig {
-            shards,
-            server: ServerConfig {
-                policy: DispatchPolicy::Fifo,
-                queue_capacity: 8,
-                batch: BatchPolicy::Auto,
-                ..ServerConfig::default()
-            },
-        },
-    )
-    .expect("fleet opens");
-    let buffers: Vec<bruntime::RemotePtr> = (0..n_tenants)
-        .map(|t| {
-            let s = fleet.handle(fleet.shard_of(t));
-            let mem = s.malloc(4096 * 4).expect("tenant buffer");
-            s.write_u32_slice(mem, &vec![1u32; 4096]);
-            mem
-        })
-        .collect();
+    let config = ServerConfig {
+        policy: DispatchPolicy::Fifo,
+        queue_capacity: 8,
+        batch: BatchPolicy::Auto,
+        ..ServerConfig::default()
+    };
+    let (mut fleet, buffers) = vecadd_fleet(shards, n_tenants, config);
     let arrivals = schedule(n_tenants, 24)
         .into_iter()
         .enumerate()
         .map(|(i, (at_cycle, tenant, n_eles, _))| {
-            let spec = JobSpec::new(vecadd::args(1, buffers[tenant].device_addr(), n_eles))
-                .with_cost_hint(u64::from(n_eles));
             let arrival = Arrival {
                 at_cycle,
                 tenant,
-                spec,
+                spec: job(buffers[tenant], n_eles),
             };
             (i as u64, arrival)
         })
         .collect();
     let outcomes = fleet.run_keyed(arrivals);
-    fleet.sync_rollup();
-    (format!("{outcomes:?}"), fleet.rollup())
+    (format!("{outcomes:?}"), fleet.sync_rollup())
 }
 
 /// Repeated auto-batch fleet runs match. The execution width is

@@ -1,10 +1,10 @@
 //! Fleet ↔ independent-server equivalence.
 //!
 //! The contract: shard `s` of an N-shard [`FleetServer`] is
-//! byte-identical to one [`AccelServer`] over a freshly elaborated SoC
-//! that serves only that shard's tenants and arrivals (same outcomes,
-//! same final cycle, same counters). A 1-shard fleet is therefore one
-//! server. The reference never runs the fleet's executor, so the
+//! byte-identical to a 1-shard fleet — a single server — over a freshly
+//! elaborated SoC that serves only that shard's tenants and arrivals
+//! (same outcomes, same final cycle, same counters). The reference has
+//! one live shard, so it always runs on the calling thread, and the
 //! contract holds at whatever execution width `BSERVER_SHARDS` sets.
 
 use std::collections::BTreeMap;
@@ -14,13 +14,12 @@ use bkernels::vecadd;
 use bplatform::Platform;
 use bruntime::{FpgaHandle, RemotePtr};
 use bserver::{
-    AccelServer, Arrival, DispatchPolicy, FleetConfig, FleetServer, JobOutcome, JobSpec,
-    ServerConfig,
+    Arrival, DispatchPolicy, FleetConfig, FleetServer, JobOutcome, JobSpec, ServerConfig,
 };
 
-/// The whole serving stack must stay `Send`: the fleet moves servers
-/// (simulation, allocator, sessions, in-flight queues) onto worker
-/// threads wholesale.
+/// The whole serving stack must stay `Send`: the fleet moves its shard
+/// servers (simulation, allocator, tenant and in-flight queues) onto
+/// worker threads wholesale.
 #[allow(dead_code)]
 fn _assert_send<T: Send>() {}
 #[allow(dead_code)]
@@ -28,7 +27,6 @@ fn _serving_stack_is_send() {
     _assert_send::<bsim::Simulation>();
     _assert_send::<bcore::SocSim>();
     _assert_send::<FpgaHandle>();
-    _assert_send::<AccelServer>();
     _assert_send::<FleetServer>();
 }
 
@@ -110,36 +108,44 @@ fn run_fleet(shards: usize) -> (FleetServer, Vec<JobOutcome>) {
     )
 }
 
-/// One shard's reference: a standalone server over a fresh SoC whose
-/// local tenant `l` is global tenant `tenants[l]`, with buffers
-/// allocated in the same order and arrivals at `t0 +` their offsets.
-/// Returns the server's handle and `(arrival index, outcome)` pairs.
-fn independent_server(tenants: &[usize]) -> (FpgaHandle, Vec<(usize, JobOutcome)>) {
-    let handle = FpgaHandle::new(soc());
-    let mut server = AccelServer::new(
-        &handle,
+/// One shard's reference: a 1-shard fleet over a fresh SoC whose
+/// tenant `l` is global tenant `tenants[l]`, with buffers allocated in
+/// the same order and arrivals at the same offsets. Returns the
+/// reference and `(arrival index, outcome)` pairs.
+fn independent_server(tenants: &[usize]) -> (FleetServer, Vec<(usize, JobOutcome)>) {
+    let mut fleet = FleetServer::new(
+        |_| soc(),
         vecadd::SYSTEM,
         tenants.len().max(1),
-        server_config(),
+        FleetConfig {
+            shards: 1,
+            server: server_config(),
+        },
     )
     .expect("server opens");
-    let buffers: Vec<RemotePtr> = tenants.iter().map(|_| tenant_buffer(&handle)).collect();
-    let t0 = handle.now();
-    let (idxs, slice): (Vec<usize>, Vec<Arrival>) = schedule()
+    let buffers: Vec<RemotePtr> = tenants
+        .iter()
+        .map(|_| tenant_buffer(fleet.handle(0)))
+        .collect();
+    let arrivals = schedule()
         .into_iter()
         .enumerate()
-        .filter_map(|(i, (at, tenant, n_eles))| {
+        .filter_map(|(i, (at_cycle, tenant, n_eles))| {
             let local = tenants.iter().position(|&t| t == tenant)?;
             let arrival = Arrival {
-                at_cycle: t0 + at,
+                at_cycle,
                 tenant: local,
                 spec: job(buffers[local], n_eles),
             };
-            Some((i, arrival))
+            Some((i as u64, arrival))
         })
-        .unzip();
-    let outcomes = server.run_open_loop(slice);
-    (handle, idxs.into_iter().zip(outcomes).collect())
+        .collect();
+    let served = fleet.run_keyed(arrivals);
+    let served = served
+        .into_iter()
+        .map(|((_, i), o)| (i as usize, o))
+        .collect();
+    (fleet, served)
 }
 
 /// Asserts every shard of a `shards`-replica fleet matches its
@@ -148,7 +154,8 @@ fn assert_fleet_matches_independent_servers(shards: usize) {
     let (fleet, outcomes) = run_fleet(shards);
     let mut rollup = BTreeMap::new();
     for s in 0..shards {
-        let (handle, served) = independent_server(fleet.tenants_of(s));
+        let (reference, served) = independent_server(fleet.tenants_of(s));
+        let handle = reference.handle(0);
         for (idx, outcome) in served {
             assert_eq!(
                 outcomes[idx], outcome,
