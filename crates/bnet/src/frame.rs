@@ -644,6 +644,14 @@ impl From<io::Error> for FrameError {
 /// would kill the connection over it, so failing the send locally is
 /// strictly better.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<usize> {
+    let bytes = frame_bytes(frame)?;
+    w.write_all(&bytes)?;
+    Ok(bytes.len())
+}
+
+/// The bytes [`write_frame`] puts on the wire for `frame`: length
+/// prefix, then payload. Fails the same way for an oversized payload.
+pub(crate) fn frame_bytes(frame: &Frame) -> io::Result<Vec<u8>> {
     let payload = frame.encode();
     if payload.len() > MAX_FRAME_LEN as usize {
         return Err(io::Error::new(
@@ -654,9 +662,10 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<usize> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
-    Ok(4 + payload.len())
+    let mut bytes = Vec::with_capacity(4 + payload.len());
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    Ok(bytes)
 }
 
 /// Reads one length-prefixed frame. `Ok(None)` is a clean EOF at a

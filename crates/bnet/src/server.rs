@@ -35,7 +35,7 @@
 //! so other tenants' waves keep running.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use bsim::Stats;
 
 use crate::frame::{
-    read_frame, write_frame, ErrCode, Frame, FrameError, WireJob, WireOutcome, MAX_KEY_LEN,
+    frame_bytes, read_frame, ErrCode, Frame, FrameError, WireJob, WireOutcome, MAX_KEY_LEN,
     MAX_STATS,
 };
 use crate::replay::{serve_round, TraceCmd};
@@ -343,15 +343,17 @@ fn acceptor_loop(
 }
 
 /// Sends one frame, charging the `net/` egress counters (and the
-/// per-code error counter for `ERR`).
+/// per-code error counter for `ERR`). The counters are charged before
+/// the write, so a `STATS` reply never misses a frame some client has
+/// already read; a frame whose write then fails still counts.
 fn send(stream: &mut TcpStream, stats: &Stats, frame: &Frame) -> io::Result<()> {
-    let n = write_frame(stream, frame)?;
+    let bytes = frame_bytes(frame)?;
     stats.incr("frames_out");
-    stats.add("bytes_out", n as u64);
+    stats.add("bytes_out", bytes.len() as u64);
     if let Frame::Err { code, .. } = frame {
         stats.incr(&format!("err_{}", code.name()));
     }
-    Ok(())
+    stream.write_all(&bytes)
 }
 
 fn refuse(stream: &mut TcpStream, stats: &Stats, code: ErrCode, retry_after_us: u32, detail: &str) {

@@ -302,8 +302,8 @@ impl<T: Send + 'static> Receiver<T> {
     /// declarations depend on, and the scheduler re-examines it the moment
     /// a producer (or host code) enqueues new work — even if it was asleep
     /// (`None`). Fires on the send itself, before the item is visible;
-    /// the woken component is re-examined conservatively at its next
-    /// clock-domain fire, matching the naive loop exactly.
+    /// the woken component is re-examined conservatively on the next
+    /// cycle, matching the naive loop exactly.
     pub fn wake_on_send(&self, ctx: &SimCtx, waker: &Waker) {
         ctx.assert_serial(waker.serial, "Waker");
         ctx.chan(self.chan, self.serial)

@@ -1,20 +1,20 @@
 //! The [`Component`] trait and the [`Simulation`] driver.
 //!
-//! The driver supports two cycle-exact scheduling modes, switched with
+//! Every component ticks on the simulation's one clock. The driver
+//! supports two cycle-exact scheduling modes, switched with
 //! [`Simulation::set_event_driven`]:
 //!
 //! * **Naive** — tick every component every cycle: the oracle.
 //! * **Active-set** (the default) — when every component declares (via
 //!   [`Component::next_event`]) that its next activity lies in the
-//!   future, fast-forward the base clock across the globally quiescent
-//!   gap in one jump; and make each *executed* cycle cost proportional to
-//!   the number of *awake* components: every registered component carries
-//!   a due-cycle derived from its `next_event`, and a cycle ticks only the
-//!   components due now. A component due at its clock domain's very next
-//!   fire — the common case — sits in that domain's next-fire bitset;
-//!   only later deadlines go to a min-heap keyed by base cycle. The
-//!   components of a cycle are collected in a due bitset and ticked in
-//!   registration order.
+//!   future, fast-forward the clock across the globally quiescent gap in
+//!   one jump; and make each *executed* cycle cost proportional to the
+//!   number of *awake* components: every registered component carries a
+//!   due-cycle derived from its `next_event`, and a cycle ticks only the
+//!   components due now. A component due on the very next cycle — the
+//!   common case — sits in a next-cycle bitset; only later deadlines go
+//!   to a min-heap keyed by cycle. The components of a cycle are
+//!   collected in a due bitset and ticked in registration order.
 //!   Channel activity re-arms sleeping consumers through [`Waker`] hooks
 //!   (see [`Component::register_wakes`]); components that register no
 //!   hooks stay in an always-tick fallback set with exact naive
@@ -43,15 +43,15 @@ use crate::wake::Waker;
 
 /// A hardware module with per-cycle behaviour.
 ///
-/// `tick(ctx, now)` is called exactly once per cycle of the component's
-/// clock domain (see [`Simulation::add_with_divider`]). All communication
-/// with other components flows through channels
-/// ([`Simulation::channel`]), whose default 1-cycle visibility latency
-/// keeps results independent of tick order; the `ctx` argument is the
-/// owning simulation's arena, through which every channel operation
-/// resolves.
+/// `tick(ctx, now)` is called exactly once per simulation cycle, from the
+/// cycle the component was added on. All communication with other
+/// components flows through channels ([`Simulation::channel`]), whose
+/// default 1-cycle visibility latency keeps results independent of tick
+/// order; the `ctx` argument is the owning simulation's arena, through
+/// which every channel operation resolves.
 pub trait Component {
-    /// Advances the component by one cycle of its own clock.
+    /// Advances the component by one cycle; `now` is the simulation's
+    /// current cycle.
     fn tick(&mut self, ctx: &SimCtx, now: Cycle);
 
     /// A human-readable name for traces and error messages.
@@ -59,18 +59,17 @@ pub trait Component {
         "component"
     }
 
-    /// Declares the earliest *local* cycle at which this component may do
-    /// anything observable, given that its most recent `tick` ran at local
+    /// Declares the earliest cycle at which this component may do
+    /// anything observable, given that its most recent `tick` ran at
     /// cycle `now`.
     ///
     /// The scheduler calls this between cycles with `now` equal to the
-    /// just-completed local cycle. The contract:
+    /// just-completed cycle. The contract:
     ///
-    /// - `Some(e)` with `e > now` promises that ticks at local cycles in
+    /// - `Some(e)` with `e > now` promises that ticks at cycles in
     ///   `(now, e)` would be no-ops: no internal state change, no channel
     ///   sends or receives, no stats updates. The scheduler may then skip
-    ///   those ticks entirely (the component's local cycle counter still
-    ///   advances as if they had run).
+    ///   those ticks entirely.
     /// - `None` promises the component is a no-op indefinitely — until some
     ///   *other* agent (another component, or host code between cycles)
     ///   changes one of its inputs. A component waiting on an empty input
@@ -104,10 +103,10 @@ pub trait Component {
     /// input that can invalidate a `next_event` declaration; the
     /// active-set scheduler then lets the component sleep without polling
     /// it. The default registers nothing, which keeps the component in
-    /// the always-tick fallback set: it ticks on every executed cycle of
-    /// its clock domain (exact naive semantics) and its `next_event` only
-    /// bounds whole-simulation fast-forward jumps — correct for every
-    /// component, merely slower for ones that could have slept.
+    /// the always-tick fallback set: it ticks on every executed cycle
+    /// (exact naive semantics) and its `next_event` only bounds
+    /// whole-simulation fast-forward jumps — correct for every component,
+    /// merely slower for ones that could have slept.
     fn register_wakes(&self, ctx: &SimCtx, waker: &Waker) {
         let _ = (ctx, waker);
     }
@@ -170,24 +169,14 @@ impl<T: Component + Send + 'static> ErasedComponent for T {
 
 struct Registered {
     component: Box<dyn ErasedComponent + Send>,
-    /// Index into [`Simulation::groups`] of this component's clock-domain
-    /// group, which holds the divider and next-due bookkeeping.
-    group: usize,
-    /// Cycles of the component's own clock elapsed so far, kept by the
-    /// naive loop only. The active-set scheduler derives local cycles
-    /// from [`Simulation::fires_before`] instead, and resynchronises this
-    /// field from it when switching back to naive.
-    local_cycles: Cycle,
-    /// `first_due / divider` at registration time: the component's local
-    /// cycle at base cycle `b` (a fire of its domain) is
-    /// `b / divider - fire_offset`.
-    fire_offset: Cycle,
-    /// Active-set: the base cycle this component is scheduled to tick
-    /// at — in its group's next-fire set when that is the group's next
-    /// fire, in the heap otherwise — or `Cycle::MAX` when sleeping (or in
-    /// the polled fallback set, which is never scheduled). Heap entries
-    /// whose cycle no longer equals `sched_at` are stale and discarded on
-    /// pop.
+    /// The cycle the component was added on: its first tick, and the
+    /// start of its count in [`Simulation::registered_component_cycles`].
+    added_at: Cycle,
+    /// Active-set: the cycle this component is scheduled to tick at — in
+    /// the next-cycle set when that is the next cycle to execute, in the
+    /// heap otherwise — or `Cycle::MAX` when sleeping (or in the polled
+    /// fallback set, which is never scheduled). Heap entries whose cycle
+    /// no longer equals `sched_at` are stale and discarded on pop.
     sched_at: Cycle,
 }
 
@@ -211,16 +200,6 @@ impl BitSet {
         let absent = *word & bit == 0;
         *word |= bit;
         absent
-    }
-
-    /// Removes `i`; returns whether it was present.
-    #[inline]
-    fn remove(&mut self, i: usize) -> bool {
-        let word = &mut self.words[i / 64];
-        let bit = 1u64 << (i % 64);
-        let present = *word & bit != 0;
-        *word &= !bit;
-        present
     }
 
     #[inline]
@@ -257,48 +236,7 @@ impl BitSet {
     }
 }
 
-/// Per-divider bookkeeping shared by every component in one clock domain.
-///
-/// Each base cycle does one comparison per *group*, and each component
-/// does one indexed flag load.
-struct DividerGroup {
-    divider: u64,
-    /// The smallest multiple of `divider` that is `>= Simulation::now`,
-    /// i.e. the next base cycle on which this domain ticks.
-    next_due: Cycle,
-    /// Whether this group ticks on the cycle being executed; false between
-    /// cycles.
-    due: bool,
-    /// Active-set: components scheduled for this domain's next fire
-    /// ([`DividerGroup::next_fire`]). Moved into the due set when the
-    /// domain fires.
-    next: BitSet,
-    /// Members of `next`.
-    queued: usize,
-}
-
-impl DividerGroup {
-    /// The domain's next fire after the cycle being executed — or,
-    /// between cycles, its upcoming one.
-    #[inline]
-    fn next_fire(&self) -> Cycle {
-        if self.due {
-            self.next_due + self.divider
-        } else {
-            self.next_due
-        }
-    }
-}
-
-/// A host-side wake source: given the arena, report the earliest cycle
-/// at which it needs the scheduler's attention (`None` = never).
-type WakeSource = Box<dyn Fn(&SimCtx) -> Option<Cycle> + Send>;
-
-/// Owns a set of components and drives the base clock.
-///
-/// Components in slower clock domains are registered with a divider: they
-/// tick once every `divider` base cycles, and observe their *local* cycle
-/// count, so channel latencies stay meaningful within a domain.
+/// Owns a set of components and drives the clock.
 ///
 /// By default the driver uses the active-set (event-driven) scheduler:
 /// executed cycles tick only the components that are due (see
@@ -318,14 +256,13 @@ pub struct Simulation {
     /// it via [`Simulation::ctx`].
     ctx: SimCtx,
     components: Vec<Registered>,
-    groups: Vec<DividerGroup>,
-    /// Channel-backed wake sources ([`Simulation::watch_receiver`]) whose
+    /// Channel IDs registered by [`Simulation::watch_receiver`], whose
     /// combined horizon is cached in `watch_horizon`: only a send can move
     /// a channel's visibility clock earlier, and every watched channel
     /// sets the arena's `watch_dirty` flag on send, so between sends the
     /// cached minimum is conservative and the per-cycle scan is O(1)
     /// instead of O(watched channels).
-    watched: Vec<WakeSource>,
+    watched: Vec<u32>,
     /// Cached minimum of the `watched` horizons; valid while the arena's
     /// `watch_dirty` is clear and the cached cycle is still in the future
     /// (a due-or-past horizon is re-scanned so draining the channel can
@@ -335,22 +272,29 @@ pub struct Simulation {
     /// Whether the active-set scheduler drives the clock; `false` is the
     /// naive oracle that ticks every component on every cycle.
     event_driven: bool,
+    /// Whether an active-set cycle is executing, so the next cycle to
+    /// schedule into is `now + 1`; between cycles it is `now`.
+    mid_cycle: bool,
+    /// Active-set: components scheduled for the next cycle to execute.
+    /// Moved into the due set when that cycle starts.
+    next: BitSet,
+    /// Members of `next`.
+    queued: usize,
     /// Active-set: min-heap of `(due_cycle, component_index)` entries for
-    /// deadlines past the component's next domain fire. Entries are lazily
-    /// invalidated: one is live iff its cycle equals the component's
-    /// `sched_at`.
+    /// deadlines past the next cycle. Entries are lazily invalidated: one
+    /// is live iff its cycle equals the component's `sched_at`.
     heap: BinaryHeap<Reverse<(Cycle, usize)>>,
     /// Active-set: the always-tick fallback set — indices of components
-    /// that registered no wake hooks. They tick on every executed fire of
-    /// their domain and are re-queried for every fast-forward decision.
+    /// that registered no wake hooks. They tick on every executed cycle
+    /// and are re-queried for every fast-forward decision.
     polled: Vec<usize>,
     /// Active-set scratch: the components due on the cycle being
     /// executed, ticked in registration order (empty between cycles).
     due: BitSet,
-    /// Base cycles executed in full (every due component ticked).
+    /// Cycles executed in full (every due component ticked).
     executed_cycles: Cycle,
-    /// Base cycles crossed by fast-forward jumps instead of being
-    /// executed. `executed + skipped == now` when starting from cycle 0.
+    /// Cycles crossed by fast-forward jumps instead of being executed.
+    /// `executed + skipped == now`.
     skipped_cycles: Cycle,
     /// Component ticks actually executed, across all modes. Under naive
     /// this equals the registered component-cycles; the active-set win is
@@ -393,11 +337,13 @@ impl Simulation {
         Simulation {
             ctx: SimCtx::new(),
             components: Vec::new(),
-            groups: Vec::new(),
             watched: Vec::new(),
             watch_horizon: Cell::new(None),
             now: 0,
             event_driven: event_driven_from_env(),
+            mid_cycle: false,
+            next: BitSet::default(),
+            queued: 0,
             heap: BinaryHeap::new(),
             polled: Vec::new(),
             due: BitSet::default(),
@@ -443,18 +389,11 @@ impl Simulation {
     /// cycle-by-cycle oracle (`false`). Cycle counts and component state
     /// are identical either way; this only affects host wall-clock time.
     ///
-    /// Safe at any between-cycles point: component local-cycle counters
-    /// and the active-set schedule are resynchronised as needed.
+    /// Safe at any between-cycles point: entering active-set mode
+    /// rebuilds its schedule from fresh declarations.
     pub fn set_event_driven(&mut self, enabled: bool) {
         if enabled == self.event_driven {
             return;
-        }
-        if self.event_driven {
-            // Leaving active-set: sleeping components' local counters lag
-            // their domain; resync everyone from the fire arithmetic.
-            for idx in 0..self.components.len() {
-                self.components[idx].local_cycles = self.fires_before(idx, self.now);
-            }
         }
         self.event_driven = enabled;
         if enabled {
@@ -478,86 +417,38 @@ impl Simulation {
         self.verify_idle = enabled;
     }
 
-    /// Adds a component on the base clock.
+    /// Adds a component; it first ticks on the current cycle.
     pub fn add<C: Component + Send + 'static>(&mut self, component: C) {
-        self.add_with_divider(component, 1);
+        self.add_shared(component);
     }
 
-    /// Adds a component that ticks once every `divider` base cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divider` is zero.
-    pub fn add_with_divider<C: Component + Send + 'static>(&mut self, component: C, divider: u64) {
-        assert!(divider > 0, "clock divider must be nonzero");
-        let group = self.group_for(divider);
+    /// Adds a component and returns a [`Shared`] handle for host
+    /// inspection via [`Simulation::get`] / [`Simulation::get_mut`].
+    pub fn add_shared<C: Component + Send + 'static>(&mut self, component: C) -> Shared<C> {
         let idx = self.components.len();
         // The wake-state slot must exist before `register_wakes` runs:
         // hooks mark it, and `wake_component` indexes it.
         self.ctx.wake_state.push(WakeState::default());
         let waker = Waker::new(idx, self.ctx.serial);
         component.register_wakes(&self.ctx, &waker);
-        let first_due = self.groups[group].next_due;
         let hooked = self.ctx.is_hooked(idx);
         self.components.push(Registered {
             component: Box::new(component),
-            group,
-            local_cycles: 0,
-            fire_offset: first_due / divider,
+            added_at: self.now,
             sched_at: Cycle::MAX,
         });
-        let n = self.components.len();
-        self.due.grow(n);
-        for g in &mut self.groups {
-            g.next.grow(n);
-        }
+        self.due.grow(idx + 1);
+        self.next.grow(idx + 1);
         if hooked {
             // A component's first tick is never skipped (it has not yet
-            // had a chance to declare anything), so schedule it for its
-            // domain's next fire.
+            // had a chance to declare anything), so schedule it for the
+            // next cycle.
             if self.event_driven {
-                self.schedule(idx, first_due);
+                self.schedule(idx, self.now);
             }
         } else {
             self.polled.push(idx);
         }
-    }
-
-    /// Finds or creates the divider group for `divider`.
-    fn group_for(&mut self, divider: u64) -> usize {
-        if let Some(idx) = self.groups.iter().position(|g| g.divider == divider) {
-            return idx;
-        }
-        // `next_due` is the smallest multiple of `divider` at or after the
-        // current cycle, so late-added components join their domain's
-        // schedule exactly where the naive `now % divider` test would put
-        // them.
-        let next_due = self.now.div_ceil(divider) * divider;
-        self.groups.push(DividerGroup {
-            divider,
-            next_due,
-            due: false,
-            next: BitSet::default(),
-            queued: 0,
-        });
-        self.groups.len() - 1
-    }
-
-    /// Adds a component and returns a [`Shared`] handle for host
-    /// inspection via [`Simulation::get`] / [`Simulation::get_mut`].
-    pub fn add_shared<C: Component + Send + 'static>(&mut self, component: C) -> Shared<C> {
-        self.add_shared_with_divider(component, 1)
-    }
-
-    /// Combines [`Simulation::add_shared`] and
-    /// [`Simulation::add_with_divider`].
-    pub fn add_shared_with_divider<C: Component + Send + 'static>(
-        &mut self,
-        component: C,
-        divider: u64,
-    ) -> Shared<C> {
-        let idx = self.components.len();
-        self.add_with_divider(component, divider);
         Shared {
             idx,
             serial: self.ctx.serial,
@@ -609,11 +500,9 @@ impl Simulation {
     /// every send, so quiet cycles cost O(1) regardless of how many
     /// channels the host watches.
     pub fn watch_receiver<T: Send + 'static>(&mut self, rx: &Receiver<T>) {
-        let rx = *rx;
         self.ctx.chan(rx.chan, rx.serial).borrow_mut().watched = true;
         self.ctx.watch_dirty.set(true);
-        self.watched
-            .push(Box::new(move |ctx| rx.next_visible_at(ctx)));
+        self.watched.push(rx.chan);
     }
 
     /// Like [`Simulation::watch_receiver`], but additionally registers the
@@ -642,7 +531,7 @@ impl Simulation {
         }
     }
 
-    /// The current base-clock cycle.
+    /// The current cycle.
     pub fn now(&self) -> Cycle {
         self.now
     }
@@ -657,76 +546,53 @@ impl Simulation {
         self.components.is_empty()
     }
 
-    /// Advances the base clock by one cycle, ticking every component whose
-    /// divider divides the current cycle index (under the active-set
-    /// scheduler: every *due* component — the executed cycle is still
-    /// bit-identical). Always executes the cycle in full — fast-forwarding
-    /// only happens inside [`Simulation::run_for`] and
+    /// Advances the clock by one cycle, ticking every component (under
+    /// the active-set scheduler: every *due* component — the executed
+    /// cycle is still bit-identical). Always executes the cycle in full —
+    /// fast-forwarding only happens inside [`Simulation::run_for`] and
     /// [`Simulation::run_until`], never within a single `step`.
     pub fn step(&mut self) {
         self.rearm_hooked();
         self.execute_cycle();
     }
 
-    /// Executes one base cycle in the current mode and advances `now`.
+    /// Executes one cycle in the current mode and advances `now`.
     fn execute_cycle(&mut self) {
         if self.event_driven {
             return self.execute_cycle_active();
         }
         let now = self.now;
-        for g in &mut self.groups {
-            g.due = g.next_due == now;
-        }
-        let groups = &self.groups;
-        let ctx = &self.ctx;
         for reg in &mut self.components {
-            if groups[reg.group].due {
-                reg.component.tick(ctx, reg.local_cycles);
-                reg.local_cycles += 1;
-                self.ticked_component_cycles += 1;
-            }
+            reg.component.tick(&self.ctx, now);
         }
+        self.ticked_component_cycles += self.components.len() as Cycle;
         self.finish_cycle();
     }
 
-    /// Advances `now` past the cycle just executed, moving each domain
-    /// that fired on to its next fire.
+    /// Advances `now` past the cycle just executed.
     fn finish_cycle(&mut self) {
         self.now += 1;
         self.executed_cycles += 1;
-        for g in &mut self.groups {
-            if g.due {
-                g.next_due += g.divider;
-                g.due = false;
-            }
-        }
+        self.mid_cycle = false;
     }
 
-    /// Active-set cycle execution: move each firing domain's next-fire
-    /// set into the due set, drain wakes, pop due heap entries, sweep the
-    /// polled fallback set, then tick the due components in registration
-    /// order — waking same-cycle listeners exactly where the naive loop
-    /// would reach them.
+    /// Active-set cycle execution: move the next-cycle set into the due
+    /// set, drain wakes, pop due heap entries, sweep the polled fallback
+    /// set, then tick the due components in registration order — waking
+    /// same-cycle listeners exactly where the naive loop would reach
+    /// them.
     fn execute_cycle_active(&mut self) {
         let now = self.now;
-        for g in &mut self.groups {
-            g.due = g.next_due == now;
-            if g.due && g.queued > 0 {
-                g.next.drain_into(&mut self.due);
-                g.queued = 0;
-            }
+        self.mid_cycle = true;
+        if self.queued > 0 {
+            self.next.drain_into(&mut self.due);
+            self.queued = 0;
         }
-        // Wakes pending from host activity or earlier cycles: due this
-        // cycle if their domain fires now, else scheduled for its next
-        // fire. A woken component may tick a no-op (its new input might
-        // not be visible yet) — exactly what the naive loop does.
+        // Wakes pending from host activity or earlier cycles. A woken
+        // component may tick a no-op (its new input might not be visible
+        // yet) — exactly what the naive loop does.
         while let Some(idx) = self.pop_wake() {
-            let g = &self.groups[self.components[idx].group];
-            if g.due {
-                self.due.insert(idx);
-            } else {
-                self.schedule(idx, g.next_due);
-            }
+            self.due.insert(idx);
         }
         // Heap-scheduled components due now (stale entries discarded).
         while let Some(&Reverse((at, idx))) = self.heap.peek() {
@@ -735,16 +601,14 @@ impl Simulation {
             }
             self.heap.pop();
             if self.components[idx].sched_at == at {
-                debug_assert_eq!(at, now, "active-set heap missed a scheduled fire");
+                debug_assert_eq!(at, now, "active-set heap missed a scheduled cycle");
                 self.due.insert(idx);
             }
         }
         // The always-tick fallback set: naive semantics on every executed
-        // fire of their domain.
+        // cycle.
         for &idx in &self.polled {
-            if self.groups[self.components[idx].group].due {
-                self.due.insert(idx);
-            }
+            self.due.insert(idx);
         }
         if self.verify_idle {
             self.verify_sleepers();
@@ -753,55 +617,34 @@ impl Simulation {
         // forward scan of the due set visits every component in order.
         let mut word = 0;
         while let Some(idx) = self.due.pop_from(&mut word) {
-            let local = {
-                let reg = &mut self.components[idx];
-                let g = &mut self.groups[reg.group];
-                debug_assert!(g.due);
-                // Woken ahead of its schedule: a heap entry goes stale by
-                // itself, a next-fire entry must be dropped.
-                if reg.sched_at == g.next_fire() && g.next.remove(idx) {
-                    g.queued -= 1;
-                }
-                reg.sched_at = Cycle::MAX;
-                let local = now / g.divider - reg.fire_offset;
-                reg.component.tick(&self.ctx, local);
-                local
-            };
+            let reg = &mut self.components[idx];
+            // The next-cycle set only fills during a cycle from ticked or
+            // already-passed components, so no due component is in it.
+            debug_assert!(reg.sched_at != now + 1 || !self.next.contains(idx));
+            reg.sched_at = Cycle::MAX;
+            reg.component.tick(&self.ctx, now);
             self.ticked_component_cycles += 1;
             // Re-arm from the fresh declaration. Polled components skip
             // this: they are swept every executed cycle instead.
             if self.ctx.is_hooked(idx) {
-                let next = {
-                    let reg = &self.components[idx];
-                    let g = &self.groups[reg.group];
-                    let next_fire = g.next_due + g.divider;
-                    match reg.component.next_event(&self.ctx, local) {
-                        None => None,
-                        Some(e) if e <= local + 1 => Some(next_fire),
-                        Some(e) => Some(
-                            next_fire.saturating_add((e - (local + 1)).saturating_mul(g.divider)),
-                        ),
-                    }
-                };
-                if let Some(at) = next {
-                    self.schedule(idx, at);
+                if let Some(e) = self.components[idx].component.next_event(&self.ctx, now) {
+                    self.schedule(idx, e.max(now + 1));
                 }
             }
             // Same-cycle wake rule: a send (or freed slot) from the
             // component that just ticked is observable, this cycle, only
             // to components the naive loop ticks *after* it; everyone
-            // else sees the change at their next domain fire.
+            // else sees the change on the next cycle.
             while let Some(j) = self.pop_wake() {
                 if self.due.contains(j) {
                     // Due this cycle and not yet ticked: its own tick and
                     // post-tick re-arm will observe the change.
                     continue;
                 }
-                let g = &self.groups[self.components[j].group];
-                if g.due && j > idx {
+                if j > idx {
                     self.due.insert(j);
                 } else {
-                    self.schedule(j, g.next_fire());
+                    self.schedule(j, now + 1);
                 }
             }
         }
@@ -817,78 +660,53 @@ impl Simulation {
         Some(idx)
     }
 
-    /// Schedules component `idx` to tick at base cycle `at`, unless it is
-    /// already scheduled at least as early: into its group's next-fire
-    /// set when `at` is that group's next fire, into the heap otherwise.
+    /// Schedules component `idx` to tick at cycle `at`, unless it is
+    /// already scheduled at least as early: into the next-cycle set when
+    /// `at` is the next cycle to execute, into the heap otherwise.
     fn schedule(&mut self, idx: usize, at: Cycle) {
+        let next_cycle = self.now + Cycle::from(self.mid_cycle);
         let reg = &mut self.components[idx];
         if at >= reg.sched_at {
             return;
         }
         reg.sched_at = at;
-        let g = &mut self.groups[reg.group];
-        debug_assert!(at >= g.next_fire(), "scheduled before the next fire");
-        if at == g.next_fire() {
-            if g.next.insert(idx) {
-                g.queued += 1;
+        debug_assert!(at >= next_cycle, "scheduled before the next cycle");
+        if at == next_cycle {
+            if self.next.insert(idx) {
+                self.queued += 1;
             }
         } else {
             self.heap.push(Reverse((at, idx)));
         }
     }
 
-    /// Ticks the naive loop would have completed for component `idx`
-    /// strictly before base cycle `now` — the authoritative local-cycle
-    /// count, valid in every mode (fires always land on multiples of the
-    /// group divider, starting at `fire_offset * divider`).
-    fn fires_before(&self, idx: usize, now: Cycle) -> Cycle {
-        let reg = &self.components[idx];
-        let divider = self.groups[reg.group].divider;
-        now.div_ceil(divider).saturating_sub(reg.fire_offset)
-    }
-
-    /// The earliest base cycle at which component `idx` may act, per its
-    /// current `next_event` declaration (evaluated between cycles against
-    /// the fire arithmetic). `None` = idle until an input changes.
+    /// The earliest cycle at which component `idx` may act, per its
+    /// current `next_event` declaration (evaluated between cycles).
+    /// `None` = idle until an input changes.
     fn component_event_base(&self, idx: usize) -> Option<Cycle> {
-        let fires = self.fires_before(idx, self.now);
         let reg = &self.components[idx];
-        let g = &self.groups[reg.group];
-        if fires == 0 {
+        if reg.added_at == self.now {
             // Never skip a component's first tick: it has not yet had a
             // chance to declare anything.
-            return Some(g.next_due);
+            return Some(self.now);
         }
-        match reg.component.next_event(&self.ctx, fires - 1) {
-            None => None,
-            // Stale or self-referential declarations clamp to the next
-            // scheduled tick (no skipping for this component).
-            Some(e) if e <= fires => Some(g.next_due),
-            // Local cycle `e` happens `e - fires` domain ticks after the
-            // next due cycle's tick.
-            Some(e) => Some(
-                g.next_due
-                    .saturating_add((e - fires).saturating_mul(g.divider)),
-            ),
-        }
+        // Stale or self-referential declarations clamp to the next cycle
+        // (no skipping for this component).
+        reg.component
+            .next_event(&self.ctx, self.now - 1)
+            .map(|e| e.max(self.now))
     }
 
     /// Rebuilds the active-set heap from scratch by re-querying every
     /// hook-covered component (used when switching into active-set mode).
     fn rebuild_schedule(&mut self) {
         self.heap.clear();
-        for g in &mut self.groups {
-            g.next.clear();
-            g.queued = 0;
-        }
+        self.next.clear();
+        self.queued = 0;
         for idx in 0..self.components.len() {
             self.components[idx].sched_at = Cycle::MAX;
-            if self.ctx.is_hooked(idx) {
-                if let Some(base) = self.component_event_base(idx) {
-                    self.schedule(idx, base);
-                }
-            }
         }
+        self.rearm_hooked();
     }
 
     /// Re-examines every hook-covered component, called at the start of
@@ -915,8 +733,7 @@ impl Simulation {
     fn verify_sleepers(&self) {
         let now = self.now;
         for idx in 0..self.components.len() {
-            let reg = &self.components[idx];
-            if !self.groups[reg.group].due || self.due.contains(idx) || !self.ctx.is_hooked(idx) {
+            if self.due.contains(idx) || !self.ctx.is_hooked(idx) {
                 continue;
             }
             if let Some(base) = self.component_event_base(idx) {
@@ -926,7 +743,7 @@ impl Simulation {
                      work at cycle {base} <= {now} without having been woken; its wake-hook \
                      coverage (Component::register_wakes) misses an input, or an earlier \
                      next_event declaration was broken",
-                    reg.component.name(),
+                    self.components[idx].component.name(),
                 );
             }
         }
@@ -959,13 +776,13 @@ impl Simulation {
         }
     }
 
-    /// Base cycles executed in full so far (the scheduler's "ticked"
-    /// perf counter; see also [`Simulation::skipped_cycles`]).
+    /// Cycles executed in full so far (the scheduler's "ticked" perf
+    /// counter; see also [`Simulation::skipped_cycles`]).
     pub fn executed_cycles(&self) -> Cycle {
         self.executed_cycles
     }
 
-    /// Base cycles fast-forwarded across without execution. Zero under the
+    /// Cycles fast-forwarded across without execution. Zero under the
     /// naive scheduler; `executed_cycles + skipped_cycles` always equals
     /// the total cycles elapsed since construction.
     pub fn skipped_cycles(&self) -> Cycle {
@@ -978,17 +795,18 @@ impl Simulation {
     }
 
     /// Component ticks the naive loop would have executed by now: the sum
-    /// over components of their domain fires since registration. The
+    /// over components of the cycles since their registration. The
     /// ratio `ticked / registered` is the per-component analogue of
     /// `executed / (executed + skipped)` cycles — under naive the two
     /// counts are equal; the active-set scheduler's win is the gap.
     pub fn registered_component_cycles(&self) -> Cycle {
-        (0..self.components.len())
-            .map(|idx| self.fires_before(idx, self.now))
+        self.components
+            .iter()
+            .map(|reg| self.now - reg.added_at)
             .sum()
     }
 
-    /// The earliest base cycle at which any component or wake source may be
+    /// The earliest cycle at which any component or wake source may be
     /// active. Returns `self.now` as soon as one is active *this* cycle
     /// (the common dense case short-circuits after one query), and
     /// `Cycle::MAX` if everything is idle indefinitely.
@@ -1005,24 +823,21 @@ impl Simulation {
     }
 
     /// Active-set component horizon: pending wakes are folded into the
-    /// schedule, then the answer is the earliest non-empty next-fire set
-    /// and heap entry, combined with a re-query of the polled fallback set
-    /// only — sleeping hook-covered components cost nothing here.
+    /// schedule, then the answer is `now` if the next-cycle set is
+    /// non-empty, else the earliest live heap entry, combined with a
+    /// re-query of the polled fallback set only — sleeping hook-covered
+    /// components cost nothing here.
     fn active_component_horizon(&mut self) -> Cycle {
         while let Some(idx) = self.pop_wake() {
-            let fire = self.groups[self.components[idx].group].next_due;
-            self.schedule(idx, fire);
+            self.schedule(idx, self.now);
         }
-        let mut earliest = self
-            .groups
-            .iter()
-            .filter(|g| g.queued > 0)
-            .map(|g| g.next_due)
-            .min()
-            .unwrap_or(Cycle::MAX);
+        if self.queued > 0 {
+            return self.now;
+        }
+        let mut earliest = Cycle::MAX;
         while let Some(&Reverse((at, idx))) = self.heap.peek() {
             if self.components[idx].sched_at == at {
-                earliest = earliest.min(at);
+                earliest = at;
                 break;
             }
             self.heap.pop();
@@ -1055,7 +870,12 @@ impl Simulation {
         if self.ctx.watch_dirty.replace(false)
             || self.watch_horizon.get().is_some_and(|h| h <= self.now)
         {
-            let h = self.watched.iter().filter_map(|w| w(&self.ctx)).min();
+            let h = self
+                .watched
+                .iter()
+                .map(|&chan| self.ctx.front_visible(chan, self.ctx.serial))
+                .min()
+                .filter(|&at| at != Cycle::MAX);
             self.watch_horizon.set(h);
             h
         } else {
@@ -1063,25 +883,17 @@ impl Simulation {
         }
     }
 
-    /// Fast-forwards the base clock to `target` without executing ticks
+    /// Fast-forwards the clock to `target` without executing ticks
     /// (active-set mode only). Sound only when every tick in
-    /// `[now, target)` is a proven no-op; each domain's next fire moves
-    /// past the gap, and components derive their local cycle from the
-    /// fire arithmetic, so subsequent ticks observe exactly the local
-    /// `now` values the naive loop would have passed.
+    /// `[now, target)` is a proven no-op.
     fn skip_to(&mut self, target: Cycle) {
         debug_assert!(target > self.now);
         self.skipped_cycles += target - self.now;
-        for g in &mut self.groups {
-            if g.next_due < target {
-                g.next_due += (target - g.next_due).div_ceil(g.divider) * g.divider;
-            }
-        }
         self.now = target;
     }
 
-    /// Runs for `cycles` base cycles, fast-forwarding across quiescent
-    /// gaps when event-driven scheduling is enabled.
+    /// Runs for `cycles` cycles, fast-forwarding across quiescent gaps
+    /// when event-driven scheduling is enabled.
     pub fn run_for(&mut self, cycles: Cycle) {
         self.rearm_hooked();
         let end = self.now.saturating_add(cycles);
@@ -1098,7 +910,6 @@ impl Simulation {
             self.execute_cycle();
         }
     }
-
     /// Runs until `done(&sim)` returns true or `max_cycles` elapse,
     /// whichever is first. Returns `Ok(cycles_elapsed)` on completion and
     /// `Err(max_cycles)` on timeout. `done` is evaluated between cycles
@@ -1251,16 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn divider_slows_component() {
-        let mut sim = Simulation::new();
-        let fast = sim.add_shared(Counter { ticks: 0 });
-        let slow = sim.add_shared_with_divider(Counter { ticks: 0 }, 2);
-        sim.run_for(10);
-        assert_eq!(sim.get(fast).ticks, 10);
-        assert_eq!(sim.get(slow).ticks, 5);
-    }
-
-    #[test]
     fn run_until_stops_on_predicate() {
         let mut sim = Simulation::new();
         let c = sim.add_shared(Counter { ticks: 0 });
@@ -1337,7 +1138,7 @@ mod tests {
         assert_eq!(sim.len(), 0);
     }
 
-    /// Ticks only every `period`-th local cycle and proves it via
+    /// Ticks only every `period`-th cycle and proves it via
     /// `next_event`, so the scheduler can skip the gaps.
     struct Burster {
         period: u64,
@@ -1375,30 +1176,7 @@ mod tests {
         let fast = run(true);
         assert_eq!(naive, fast);
         assert_eq!(fast.0, 1000);
-        assert_eq!(fast.1, 11); // local cycles 0, 97, ..., 970
-    }
-
-    #[test]
-    fn fast_forward_respects_dividers() {
-        let run = |event_driven: bool| {
-            let mut sim = Simulation::new();
-            sim.set_event_driven(event_driven);
-            let b = sim.add_shared_with_divider(
-                Burster {
-                    period: 10,
-                    fires: 0,
-                    tick_log: Vec::new(),
-                },
-                3,
-            );
-            sim.run_for(100);
-            (sim.now(), sim.get(b).fires, sim.get(b).tick_log.clone())
-        };
-        let naive = run(false);
-        let fast = run(true);
-        assert_eq!(naive, fast);
-        // Local cycles 0, 10, 20, 30 land on base cycles 0, 30, 60, 90.
-        assert_eq!(fast.2, vec![0, 10, 20, 30]);
+        assert_eq!(fast.1, 11); // cycles 0, 97, ..., 970
     }
 
     /// Sends one value after `delay` cycles, then goes idle forever.
@@ -1543,20 +1321,57 @@ mod tests {
     }
 
     #[test]
-    fn components_added_mid_run_join_their_domain_schedule() {
-        let run = |event_driven: bool| {
-            let mut sim = Simulation::new();
-            sim.set_event_driven(event_driven);
-            let a = sim.add_shared_with_divider(Counter { ticks: 0 }, 3);
-            sim.run_for(7);
-            let b = sim.add_shared_with_divider(Counter { ticks: 0 }, 3);
-            sim.run_for(7);
-            (sim.now(), sim.get(a).ticks, sim.get(b).ticks)
-        };
-        assert_eq!(run(false), run(true));
-        // Base cycles 0..14 tick the divider-3 domain at 0, 3, 6, 9, 12;
-        // the late component joins at 9 and 12.
-        assert_eq!(run(true), (14, 5, 2));
+    fn components_added_mid_run_tick_on_the_simulation_cycle() {
+        /// Logs every cycle it ticks on; optionally hooked on an idle
+        /// channel, so the active-set scheduler keeps it out of the
+        /// polled fallback set.
+        struct Late {
+            rx: Receiver<u64>,
+            hooked: bool,
+            ticks: Vec<Cycle>,
+        }
+        impl Component for Late {
+            fn tick(&mut self, _ctx: &SimCtx, now: Cycle) {
+                self.ticks.push(now);
+            }
+            fn register_wakes(&self, ctx: &SimCtx, waker: &Waker) {
+                if self.hooked {
+                    self.rx.wake_on_send(ctx, waker);
+                }
+            }
+        }
+        for hooked in [false, true] {
+            let run = |event_driven: bool| {
+                let mut sim = Simulation::new();
+                sim.set_event_driven(event_driven);
+                let (_tx, rx) = sim.channel::<u64>(1);
+                // Idle after its first tick, so the active-set run
+                // fast-forwards to the registration cycle.
+                sim.add(Burster {
+                    period: 97,
+                    fires: 0,
+                    tick_log: Vec::new(),
+                });
+                sim.run_for(7);
+                let late = sim.add_shared(Late {
+                    rx,
+                    hooked,
+                    ticks: Vec::new(),
+                });
+                assert_eq!(sim.registered_component_cycles(), 7);
+                sim.run_for(7);
+                (
+                    sim.now(),
+                    sim.get(late).ticks.clone(),
+                    sim.registered_component_cycles(),
+                )
+            };
+            let naive = run(false);
+            assert_eq!(naive, run(true), "hooked={hooked}");
+            // The late component first ticks on cycle 7 and counts the
+            // seven cycles since its registration.
+            assert_eq!(naive, (14, (7..14).collect(), 14 + 7), "hooked={hooked}");
+        }
     }
 
     /// A consumer that sleeps (`None`) whenever its input is empty and
@@ -1700,7 +1515,7 @@ mod tests {
     #[test]
     fn next_fire_member_woken_by_lower_index_producer_ticks_once() {
         // The sink declares work every cycle, so between cycles it sits
-        // in its domain's next-fire set; at base cycle 50 the lower-index
+        // in the next-cycle set; at cycle 50 the lower-index
         // producer's zero-latency send wakes it as well. It must tick
         // exactly once that cycle, and see the item, as under naive.
         struct EagerSink {
@@ -1719,44 +1534,37 @@ mod tests {
                 self.rx.wake_on_send(ctx, waker);
             }
         }
-        for divider in [1, 2] {
-            let run = |event_driven: bool| {
-                let mut sim = Simulation::new();
-                let (tx, rx) = sim.channel_with_latency::<u64>(4, 0);
-                sim.set_event_driven(event_driven);
-                sim.add_with_divider(
-                    OneShot {
-                        tx,
-                        delay: 50 / divider,
-                        sent: false,
-                    },
-                    divider,
-                );
-                let sink = sim.add_shared_with_divider(
-                    EagerSink {
-                        rx,
-                        got: Vec::new(),
-                        ticks: Vec::new(),
-                    },
-                    divider,
-                );
-                sim.run_for(50);
-                if event_driven {
-                    let g = &sim.groups[sim.components[1].group];
-                    assert!(g.next.contains(1), "sink waits in the next-fire set");
-                    assert_eq!(sim.components[1].sched_at, 50);
-                }
-                sim.run_for(4);
-                (sim.get(sink).got.clone(), sim.get(sink).ticks.clone())
-            };
-            let naive = run(false);
-            let active = run(true);
-            assert_eq!(naive, active, "divider {divider}");
-            assert_eq!(active.0, vec![(50 / divider, 50 / divider)]);
-            let ticks = &active.1;
-            assert_eq!(ticks.len() as u64, 54 / divider, "one tick per fire");
-            assert!(ticks.windows(2).all(|w| w[1] == w[0] + 1));
-        }
+        let run = |event_driven: bool| {
+            let mut sim = Simulation::new();
+            let (tx, rx) = sim.channel_with_latency::<u64>(4, 0);
+            sim.set_event_driven(event_driven);
+            sim.add(OneShot {
+                tx,
+                delay: 50,
+                sent: false,
+            });
+            let sink = sim.add_shared(EagerSink {
+                rx,
+                got: Vec::new(),
+                ticks: Vec::new(),
+            });
+            sim.run_for(50);
+            if event_driven {
+                assert!(sim.next.contains(1), "sink waits in the next-cycle set");
+                assert_eq!(sim.components[1].sched_at, 50);
+            }
+            sim.run_for(4);
+            (sim.get(sink).got.clone(), sim.get(sink).ticks.clone())
+        };
+        let naive = run(false);
+        let active = run(true);
+        assert_eq!(naive, active);
+        assert_eq!(active.0, vec![(50, 50)]);
+        assert_eq!(
+            active.1,
+            (0..54).collect::<Vec<Cycle>>(),
+            "one tick per cycle"
+        );
     }
 
     #[test]
@@ -1773,14 +1581,11 @@ mod tests {
                 delay: 130,
                 sent: false,
             });
-            let b = sim.add_shared_with_divider(
-                Burster {
-                    period: 7,
-                    fires: 0,
-                    tick_log: Vec::new(),
-                },
-                3,
-            );
+            let b = sim.add_shared(Burster {
+                period: 7,
+                fires: 0,
+                tick_log: Vec::new(),
+            });
             let sink = sim.add_shared(HookedSink {
                 rx,
                 got: Vec::new(),

@@ -14,10 +14,10 @@
 //!   storage owned by the simulation, so every operation takes the
 //!   [`SimCtx`] that owns the arena.
 //! * [`Simulation`] — owns components, channel storage, and the wake
-//!   arena, and drives the clock, including multi-clock-domain ticking
-//!   via per-component dividers. Because all simulation state lives in
-//!   these arenas (no shared-ownership cells), a `Simulation` is `Send`
-//!   and can be moved to a worker thread wholesale. The driver is
+//!   arena, and drives the one clock every component ticks on. Because
+//!   all simulation state lives in these arenas (no shared-ownership
+//!   cells), a `Simulation` is `Send` and can be moved to a worker
+//!   thread wholesale. The driver is
 //!   event-aware: components that implement [`Component::next_event`] let
 //!   it fast-forward across provably quiescent gaps with bit-identical
 //!   cycle counts (checked against the naive stepper, `BSIM_NAIVE=1`, by

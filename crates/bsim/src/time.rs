@@ -1,12 +1,12 @@
 //! Clock and time bookkeeping.
 //!
-//! Simulations advance in integer [`Cycle`]s of a base clock. Wall-clock
+//! Simulations advance in integer [`Cycle`]s of one clock. Wall-clock
 //! quantities (bandwidth, latency in nanoseconds) are derived through a
 //! [`ClockDomain`], which records the period of the clock in picoseconds.
 
 use serde::{Deserialize, Serialize};
 
-/// A cycle count of the simulation base clock.
+/// A cycle count of the simulation clock.
 pub type Cycle = u64;
 
 /// A duration or timestamp measured in picoseconds.
@@ -74,30 +74,6 @@ impl ClockDomain {
     pub fn ps_to_cycles(&self, ps: Picoseconds) -> Cycle {
         ps.div_ceil(self.period_ps)
     }
-
-    /// Bytes-per-second implied by moving `bytes` in `cycles` of this clock.
-    pub fn bandwidth_bytes_per_sec(&self, bytes: u64, cycles: Cycle) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        bytes as f64 / self.cycles_to_secs(cycles)
-    }
-
-    /// Ratio of this clock to `other`, as (numerator, denominator) of
-    /// this-domain cycles per other-domain cycle, reduced.
-    ///
-    /// Useful when registering components of different domains against a
-    /// common base clock: the base clock is the faster one and the slower
-    /// component ticks once every `divider` base cycles.
-    pub fn divider_against(&self, base: ClockDomain) -> u64 {
-        assert!(
-            self.period_ps.is_multiple_of(base.period_ps),
-            "clock {}ps is not an integer multiple of base {}ps",
-            self.period_ps,
-            base.period_ps
-        );
-        self.period_ps / base.period_ps
-    }
 }
 
 impl Default for ClockDomain {
@@ -142,22 +118,8 @@ mod tests {
     fn bandwidth_math() {
         let cd = ClockDomain::from_mhz(250);
         // 64 bytes per cycle at 250MHz = 16 GB/s.
-        let bw = cd.bandwidth_bytes_per_sec(64 * 250_000_000, 250_000_000);
+        let bw = 64.0 * 250e6 / cd.cycles_to_secs(250_000_000);
         assert!((bw - 16e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn divider() {
-        let base = ClockDomain::from_mhz(500);
-        let slow = ClockDomain::from_mhz(250);
-        assert_eq!(slow.divider_against(base), 2);
-        assert_eq!(base.divider_against(base), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn non_integer_divider_panics() {
-        ClockDomain::from_mhz(300).divider_against(ClockDomain::from_mhz(500));
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! creates a second owner of scheduler state.
 //!
 //! Waking is intentionally conservative: a woken component is scheduled
-//! for its next clock-domain fire regardless of whether the new input is
-//! visible yet. Extra ticks are always sound — they are exactly what the
-//! naive loop executes — and the component's post-tick `next_event`
-//! re-arms it precisely.
+//! for the next cycle regardless of whether the new input is visible
+//! yet. Extra ticks are always sound — they are exactly what the naive
+//! loop executes — and the component's post-tick `next_event` re-arms it
+//! precisely.
 
 use crate::ctx::SimCtx;
 

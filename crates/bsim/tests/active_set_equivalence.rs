@@ -1,7 +1,7 @@
 //! Property tests for the active-set scheduler: on randomized component
 //! graphs — DAGs of producers, forwarding stages, and sinks with random
-//! channel latencies/capacities, clock dividers, and a random *scheduler
-//! flavor* per node — the naive stepper and the active-set scheduler
+//! channel latencies/capacities and a random *scheduler flavor* per
+//! node — the naive stepper and the active-set scheduler
 //! produce bit-identical results: the same final cycle, the same per-item
 //! logs (value, arrival cycle), and the same channel totals.
 //!
@@ -9,7 +9,7 @@
 //!
 //! * `Legacy` — plain `tick`, default `next_event` (`Some(now + 1)`), no
 //!   hooks: lives in the always-tick polled fallback set and suppresses
-//!   fast-forward entirely while it has a dense clock domain.
+//!   fast-forward entirely.
 //! * `Aware` — honest `next_event`, no hooks: polled fallback set, but its
 //!   declarations extend the fast-forward horizon.
 //! * `Hooked` — `next_event` plus `wake_on_send` hooks on every input:
@@ -22,9 +22,8 @@
 //! random graph panics instead of silently diverging.
 //!
 //! A second property runs graphs of 60–140 nodes, so the scheduler's
-//! per-component bitsets span several 64-bit words, with a clock divider
-//! drawn per node, so several clock domains share one simulation, and
-//! switches the active-set run to naive and back mid-run.
+//! per-component bitsets span several 64-bit words, and switches the
+//! active-set run to naive and back mid-run.
 
 use bsim::{ChannelState, Component, Cycle, Receiver, Sender, Shared, SimCtx, Simulation, Waker};
 use proptest::prelude::*;
@@ -39,7 +38,7 @@ enum Flavor {
 
 /// One graph node. With no inputs it produces `items` sequence numbers on
 /// a fixed period; otherwise it forwards items from its inputs (holding
-/// each for `delay` local cycles) to its output, or just logs them if it
+/// each for `delay` cycles) to its output, or just logs them if it
 /// is a sink (no output).
 struct Node {
     flavor: Flavor,
@@ -52,7 +51,7 @@ struct Node {
     // Stage state.
     delay: u64,
     holding: Option<(u64, Cycle)>,
-    /// Every item this node accepted, with its local arrival cycle.
+    /// Every item this node accepted, with its arrival cycle.
     log: Vec<(u64, Cycle)>,
 }
 
@@ -217,25 +216,17 @@ fn node_strategy() -> impl Strategy<Value = NodeSpec> {
         )
 }
 
-/// Builds the graph in `sim`, node `i` ticking once every `dividers[i]`
-/// base cycles. Node `i` reads from `parent(i) < i` (and maybe one more
-/// earlier node), picked among the earlier nodes of its own clock domain:
-/// channel cycle stamps are in the sender's local domain, so (as
-/// everywhere in this workspace) channels only connect components in the
-/// same clock domain. The first node of each domain is a producer; nodes
-/// nobody reads from are sinks (no output channel).
-fn build(sim: &mut Simulation, specs: &[NodeSpec], dividers: &[u64]) -> Vec<Shared<Node>> {
+/// Builds the graph in `sim`. Node `i > 0` reads from `parent(i) < i`
+/// (and maybe one more earlier node), any earlier node. Node 0 is the
+/// producer; nodes nobody reads from are sinks (no output channel).
+fn build(sim: &mut Simulation, specs: &[NodeSpec]) -> Vec<Shared<Node>> {
     let n = specs.len();
     // Edge list: (from, to) with from < to.
     let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let peers: Vec<usize> = (0..i).filter(|&j| dividers[j] == dividers[i]).collect();
-        if peers.is_empty() {
-            continue;
-        }
-        edges.push((peers[spec.parent_raw % peers.len()], i));
+    for (i, spec) in specs.iter().enumerate().skip(1) {
+        edges.push((spec.parent_raw % i, i));
         if spec.second_edge {
-            let from = peers[spec.second_raw % peers.len()];
+            let from = spec.second_raw % i;
             if !edges.contains(&(from, i)) {
                 edges.push((from, i));
             }
@@ -265,20 +256,17 @@ fn build(sim: &mut Simulation, specs: &[NodeSpec], dividers: &[u64]) -> Vec<Shar
                 .filter(|&&(_, to)| to == i)
                 .map(|&(from, _)| rxs[from].expect("edge source has a channel"))
                 .collect();
-            sim.add_shared_with_divider(
-                Node {
-                    flavor: spec.flavor,
-                    inputs,
-                    tx: txs[i].take(),
-                    period: spec.period,
-                    items: spec.items,
-                    sent: 0,
-                    delay: spec.delay,
-                    holding: None,
-                    log: Vec::new(),
-                },
-                dividers[i],
-            )
+            sim.add_shared(Node {
+                flavor: spec.flavor,
+                inputs,
+                tx: txs[i].take(),
+                period: spec.period,
+                items: spec.items,
+                sent: 0,
+                delay: spec.delay,
+                holding: None,
+                log: Vec::new(),
+            })
         })
         .collect()
 }
@@ -316,7 +304,6 @@ proptest! {
     #[test]
     fn schedulers_are_cycle_exact_on_random_graphs(
         specs in proptest::collection::vec(node_strategy(), 2..7),
-        divider in 1u64..5,
         warmup in 0u64..200,
     ) {
         let mut sims: Vec<Simulation> = [false, true]
@@ -331,9 +318,8 @@ proptest! {
                 sim
             })
             .collect();
-        let dividers = vec![divider; specs.len()];
         let graphs: Vec<Vec<Shared<Node>>> =
-            sims.iter_mut().map(|sim| build(sim, &specs, &dividers)).collect();
+            sims.iter_mut().map(|sim| build(sim, &specs)).collect();
 
         // Phase 1: a fixed-length run (exercises `run_for` fast-forward).
         for sim in &mut sims {
@@ -397,11 +383,10 @@ proptest! {
 
     #[test]
     fn schedulers_are_cycle_exact_on_large_mixed_domain_graphs(
-        nodes in proptest::collection::vec((node_strategy(), 1u64..5), 60..140),
+        specs in proptest::collection::vec(node_strategy(), 60..140),
         warmup in 0u64..300,
         naive_leg in 1u64..64,
     ) {
-        let (specs, dividers): (Vec<NodeSpec>, Vec<u64>) = nodes.into_iter().unzip();
         // The oracle runs naive throughout; the subject runs active-set
         // with the conservatism checker, except for one naive leg.
         let mut oracle = Simulation::new();
@@ -409,8 +394,8 @@ proptest! {
         let mut subject = Simulation::new();
         subject.set_event_driven(true);
         subject.set_verify_idle(true);
-        let oracle_nodes = build(&mut oracle, &specs, &dividers);
-        let subject_nodes = build(&mut subject, &specs, &dividers);
+        let oracle_nodes = build(&mut oracle, &specs);
+        let subject_nodes = build(&mut subject, &specs);
 
         oracle.run_for(warmup);
         subject.run_for(warmup);
