@@ -71,14 +71,69 @@ struct Entry {
     needed_act: bool,
 }
 
-/// Whether a waiting request in `entries` wants `row` of bank `flat_bank`.
-fn wants_row(entries: &[Entry], flat_bank: usize, row: Option<u64>) -> bool {
-    entries
+impl Entry {
+    /// Bank, row and direction: requests with equal keys need the same
+    /// next command, legal from the same cycle.
+    fn key(&self) -> (usize, u64, bool) {
+        (self.flat_bank, self.row, self.request.is_write)
+    }
+}
+
+/// Whether a run headed in `heads` wants `row` of bank `flat_bank`.
+fn wants_row(waiting: &[Entry], heads: &[usize], flat_bank: usize, row: Option<u64>) -> bool {
+    heads
         .iter()
+        .map(|&idx| &waiting[idx])
         .any(|e| e.flat_bank == flat_bank && Some(e.row) == row)
 }
 
-/// What one age-ordered pass over the waiting requests found at a cycle.
+/// The queue's next command: the first cycle a waiting request's next
+/// command is legal, and the command FR-FCFS issues then.
+struct Plan {
+    /// That cycle, never before the cycle the plan was made from;
+    /// `u64::MAX` with nothing waiting.
+    wake: u64,
+    /// The run (its position in `heads`) whose command issues at `wake`,
+    /// and the command.
+    pick: Option<(usize, NextCommand)>,
+}
+
+impl Plan {
+    const IDLE: Plan = Plan {
+        wake: u64::MAX,
+        pick: None,
+    };
+
+    /// Folds in run `pos`, whose next command `cmd` is legal from
+    /// `ready`. It becomes the pick if legal earlier, or legal at the same
+    /// cycle as a column command when the pick is an ACT or PRE. Folded
+    /// oldest first, runs leave the oldest ready column command at
+    /// `wake`, or else the oldest ready ACT or PRE.
+    fn fold(&mut self, pos: usize, cmd: NextCommand, ready: u64) {
+        let column_over_prepare =
+            cmd == NextCommand::Column && self.pick.is_some_and(|(_, c)| c != NextCommand::Column);
+        if ready < self.wake || (ready == self.wake && column_over_prepare) {
+            *self = Plan {
+                wake: ready,
+                pick: Some((pos, cmd)),
+            };
+        }
+    }
+}
+
+/// What the refresh state machine left the channel free to do on a tick.
+enum Refresh {
+    /// No refresh is in progress: the queue may issue.
+    Free,
+    /// A refresh started this cycle: every bank is closed.
+    Started,
+    /// A refresh is in progress.
+    Stalled,
+}
+
+/// What one age-ordered pass over every waiting request found at a
+/// cycle: the reference the plan is checked against.
+#[cfg(any(test, debug_assertions))]
 struct Scan {
     /// The oldest request whose column command is legal at that cycle;
     /// the pass stops there.
@@ -97,6 +152,11 @@ pub struct DramChannel {
     banks: Vec<Bank>,
     /// Requests waiting for their column command, oldest first.
     waiting: Vec<Entry>,
+    /// The index in `waiting` of the first request of each run: a maximal
+    /// stretch of consecutive requests with one key (bank, row and
+    /// direction). Only a run's first request can issue, so planning
+    /// visits these alone.
+    heads: Vec<usize>,
     /// Requests whose column command has issued, with the cycle their data
     /// finishes, in issue order. The data bus is serialized, so done
     /// cycles strictly increase and the front always retires first.
@@ -116,14 +176,12 @@ pub struct DramChannel {
     last_column: Option<(u64, u64)>,
     /// Banks awaiting an auto-precharge (closed-page policy).
     auto_precharge: Vec<usize>,
-    /// Scratch for [`DramChannel::scan`], one flag per bank: whether a
-    /// request earlier in the pass wants the bank's open row.
+    /// Scratch for [`DramChannel::plan`], one flag per bank: whether a
+    /// run earlier in the pass wants the bank's open row.
     row_wanted: Vec<bool>,
-    /// The earliest cycle at which some waiting request's next command
-    /// becomes legal, in the state left by the last command or enqueue
-    /// (`u64::MAX` with nothing waiting). Rebuilt after every tick that
-    /// issued a command, lowered by `enqueue`.
-    queue_wake: u64,
+    /// The next command, in the state left by the last command,
+    /// auto-precharge, refresh start or enqueue.
+    plan: Plan,
     stats: ChannelStats,
 }
 
@@ -136,6 +194,7 @@ impl DramChannel {
             config,
             banks: vec![Bank::new(); bank_count],
             waiting: Vec::new(),
+            heads: Vec::new(),
             in_flight: VecDeque::new(),
             data_bus_free_at: 0,
             last_was_write: false,
@@ -145,7 +204,7 @@ impl DramChannel {
             last_column: None,
             auto_precharge: Vec::new(),
             row_wanted: vec![false; bank_count],
-            queue_wake: u64::MAX,
+            plan: Plan::IDLE,
             stats: ChannelStats::default(),
         }
     }
@@ -156,7 +215,8 @@ impl DramChannel {
         self.waiting.len() + self.in_flight.len() < self.config.queue_depth
     }
 
-    /// Enqueues a pre-decoded request.
+    /// Enqueues a pre-decoded request at DRAM cycle `now`: the next
+    /// [`tick`](DramChannel::tick) simulates `now` or a later cycle.
     ///
     /// # Errors
     ///
@@ -165,6 +225,7 @@ impl DramChannel {
         &mut self,
         request: DramRequest,
         decoded: DecodedAddr,
+        now: u64,
     ) -> Result<(), DramRequest> {
         if !self.can_accept() {
             return Err(request);
@@ -176,13 +237,19 @@ impl DramChannel {
             flat_bank: decoded.flat_bank(&self.config) as usize,
             needed_act: false,
         };
-        // A newer request never delays an older one's command, so the
-        // bound only needs the newcomer's own.
-        let bank = &self.banks[entry.flat_bank];
-        let cmd = bank.next_command_for(entry.row);
-        let blocked = cmd == NextCommand::Precharge
-            && wants_row(&self.waiting, entry.flat_bank, bank.open_row());
-        self.queue_wake = self.queue_wake.min(self.ready_at(&entry, cmd, blocked));
+        // A request that extends the last run cannot issue before that
+        // run's head, so the plan stands. A newer run never delays an
+        // older one's command, so the plan only needs the newcomer's own,
+        // no earlier than `now`.
+        if self.waiting.last().map(Entry::key) != Some(entry.key()) {
+            let bank = &self.banks[entry.flat_bank];
+            let cmd = bank.next_command_for(entry.row);
+            let blocked = cmd == NextCommand::Precharge
+                && wants_row(&self.waiting, &self.heads, entry.flat_bank, bank.open_row());
+            let ready = self.ready_at(&entry, cmd, blocked).max(now);
+            self.plan.fold(self.heads.len(), cmd, ready);
+            self.heads.push(self.waiting.len());
+        }
         self.waiting.push(entry);
         Ok(())
     }
@@ -198,15 +265,16 @@ impl DramChannel {
     /// channel's command-clock domain).
     ///
     /// The bound is exact: the minimum of the end of an in-progress
-    /// refresh (or the next refresh deadline) and the first cycle each
-    /// waiting request's next command (column, ACT or PRE) becomes legal
-    /// in the current state. Every condition [`tick`] tests is a threshold
-    /// that only opens as time passes, and a tick that issues nothing
-    /// changes no state, so nothing can happen before that minimum and
-    /// something does at it. While an auto-precharge is pending or a
-    /// refresh is due the channel is active every cycle. Data finishing on
-    /// the bus is not a tick's activity: in-flight requests retire through
-    /// [`retire_before`] whenever the caller asks (see [`next_done`]).
+    /// refresh (or the next refresh deadline) and the plan's cycle, the
+    /// first at which some waiting request's next command (column, ACT or
+    /// PRE) becomes legal in the current state. Every condition [`tick`]
+    /// tests is a threshold that only opens as time passes, and a tick
+    /// that issues nothing changes no state, so nothing can happen before
+    /// that minimum and something does at it. While an auto-precharge is
+    /// pending or a refresh is due the channel is active every cycle. Data
+    /// finishing on the bus is not a tick's activity: in-flight requests
+    /// retire through [`retire_before`] whenever the caller asks (see
+    /// [`next_done`]).
     ///
     /// [`tick`]: DramChannel::tick
     /// [`retire_before`]: DramChannel::retire_before
@@ -216,7 +284,7 @@ impl DramChannel {
             return from;
         }
         let refresh_wake = self.refreshing_until.unwrap_or(self.next_refresh_at);
-        refresh_wake.min(self.queue_wake).max(from)
+        refresh_wake.min(self.plan.wake).max(from)
     }
 
     /// The cycle the oldest in-flight request's data finishes: the next
@@ -241,30 +309,40 @@ impl DramChannel {
         self.stats
     }
 
-    /// Advances one DRAM command-clock cycle.
+    /// Advances one DRAM command-clock cycle. Each change of bank or bus
+    /// state (a command, an auto-precharge, a refresh start) plans the
+    /// next command once; a tick that changes nothing plans nothing.
     pub fn tick(&mut self, now: u64) {
-        let before = self.stats;
-        self.service_auto_precharge(now);
-        if !self.handle_refresh(now) {
-            self.issue_one_command(now);
-        }
-        // Only a command (a counter moves; refresh start counts as one)
-        // can move a waiting request's next legal cycle. Rebuild the
-        // bound only then, from the next cycle on.
-        if self.stats != before {
-            self.queue_wake = self.scan(now + 1).wake;
+        let closed = self.service_auto_precharge(now);
+        let changed = match self.handle_refresh(now) {
+            Refresh::Started => true,
+            Refresh::Stalled => closed,
+            Refresh::Free => {
+                // A closed bank's runs now need an ACT. If nothing issues
+                // at `now` either, this plan already starts at `now + 1`.
+                if closed {
+                    self.plan(now);
+                }
+                self.issue_planned(now)
+            }
+        };
+        if changed {
+            self.plan(now + 1);
         }
     }
 
     /// Closed-page policy: close banks whose access finished, unless a
     /// waiting request still wants the open row (then it is a free hit).
-    fn service_auto_precharge(&mut self, now: u64) {
-        let (banks, waiting, stats) = (&mut self.banks, &self.waiting, &mut self.stats);
+    /// Returns whether a bank closed.
+    fn service_auto_precharge(&mut self, now: u64) -> bool {
+        let (banks, stats) = (&mut self.banks, &mut self.stats);
+        let (waiting, heads) = (&self.waiting, &self.heads);
         let t = &self.config.timings;
+        let mut closed = false;
         self.auto_precharge.retain(|&bank_idx| {
             let bank = &mut banks[bank_idx];
             let open = bank.open_row();
-            if open.is_none() || wants_row(waiting, bank_idx, open) {
+            if open.is_none() || wants_row(waiting, heads, bank_idx, open) {
                 return false; // already closed, or a pending hit cancels it
             }
             if !bank.can_precharge(now) {
@@ -272,21 +350,22 @@ impl DramChannel {
             }
             bank.precharge(now, t);
             stats.precharges += 1;
+            closed = true;
             false
         });
+        closed
     }
 
-    /// Refresh state machine: returns true if the channel is stalled by
-    /// refresh this cycle.
-    fn handle_refresh(&mut self, now: u64) -> bool {
+    /// Refresh state machine: whether the queue may issue this cycle.
+    fn handle_refresh(&mut self, now: u64) -> Refresh {
         let t = &self.config.timings;
         if let Some(until) = self.refreshing_until {
             if now < until {
-                return true;
+                return Refresh::Stalled;
             }
             self.refreshing_until = None;
             self.next_refresh_at = now + t.t_refi;
-            return false;
+            return Refresh::Free;
         }
         if now >= self.next_refresh_at {
             // All-bank refresh: precharge-all first (close any open banks
@@ -296,7 +375,7 @@ impl DramChannel {
                 .iter()
                 .all(|b| b.open_row().is_none() || b.can_precharge(now));
             if !all_closable {
-                return false; // keep draining; refresh pending
+                return Refresh::Free; // keep draining; refresh pending
             }
             let until = now + t.t_rfc;
             for bank in &mut self.banks {
@@ -309,9 +388,9 @@ impl DramChannel {
             self.refreshing_until = Some(until);
             self.stats.refreshes += 1;
             self.stats.refresh_stall_cycles += t.t_rfc;
-            return true;
+            return Refresh::Started;
         }
-        false
+        Refresh::Free
     }
 
     /// tFAW: the first cycle a fourth-plus ACT may issue.
@@ -375,13 +454,86 @@ impl DramChannel {
         (cmd, self.ready_at(entry, cmd, blocked))
     }
 
-    /// One pass over the waiting requests, oldest first, at cycle `now`:
+    /// Plans the next command from cycle `floor` on, in one pass over the
+    /// run heads, oldest first (see [`Plan::fold`]). Marking each bank
+    /// whose open row a run wants as the pass goes tells every later PRE
+    /// whether an older request blocks it. The pass stops at a column
+    /// command legal at `floor`: nothing later can issue ahead of it.
+    ///
+    /// Ready cycles move only with a command, an auto-precharge or a
+    /// refresh start, and each of those plans again, so the plan holds
+    /// until then; `enqueue` folds newcomers in.
+    fn plan(&mut self, floor: u64) {
+        let mut row_wanted = std::mem::take(&mut self.row_wanted);
+        row_wanted.fill(false);
+        let mut plan = Plan::IDLE;
+        for (pos, &idx) in self.heads.iter().enumerate() {
+            let entry = &self.waiting[idx];
+            let (cmd, ready) = self.next_ready(entry, &row_wanted);
+            let ready = ready.max(floor);
+            plan.fold(pos, cmd, ready);
+            if cmd == NextCommand::Column {
+                if ready == floor {
+                    break;
+                }
+                row_wanted[entry.flat_bank] = true;
+            }
+        }
+        self.row_wanted = row_wanted;
+        self.plan = plan;
+    }
+
+    /// Issues the planned command if it is due at `now`, and reports
+    /// whether it did. Before the plan's cycle no waiting request's next
+    /// command is legal.
+    fn issue_planned(&mut self, now: u64) -> bool {
+        let pick = self.plan.pick.filter(|_| self.plan.wake <= now);
+        #[cfg(any(test, debug_assertions))]
+        self.check_plan(now, pick);
+        match pick {
+            None => false,
+            Some((pos, NextCommand::Column)) => {
+                self.issue_column(pos, now);
+                true
+            }
+            Some((pos, cmd)) => {
+                self.issue_prepare(pos, cmd, now);
+                true
+            }
+        }
+    }
+
+    /// Test and debug builds check the plan on every tick that may issue:
+    /// `heads` marks exactly the runs, the tick lands no later than the
+    /// plan's cycle, and the planned command is the one a fresh
+    /// [`scan`](DramChannel::scan) of every waiting request picks, with
+    /// the same wake when nothing is due.
+    #[cfg(any(test, debug_assertions))]
+    fn check_plan(&mut self, now: u64, pick: Option<(usize, NextCommand)>) {
+        let w = &self.waiting;
+        let starts = (0..w.len()).filter(|&i| i == 0 || w[i - 1].key() != w[i].key());
+        assert!(
+            self.heads.iter().copied().eq(starts),
+            "run heads out of date"
+        );
+        assert!(
+            now <= self.plan.wake,
+            "cycle {now}: tick after the planned wake"
+        );
+        let planned = pick.map(|(pos, cmd)| (self.heads[pos], cmd));
+        let scan = self.scan(now);
+        let fresh = scan.column.map(|idx| (idx, NextCommand::Column));
+        assert_eq!(planned, fresh.or(scan.prepare), "cycle {now}: plan vs scan");
+        if planned.is_none() {
+            assert_eq!(self.plan.wake, scan.wake, "cycle {now}: planned wake");
+        }
+    }
+
+    /// One pass over every waiting request, oldest first, at cycle `now`:
     /// the first whose column command is legal (the pass stops there), the
     /// first whose ACT or PRE is legal, and the earliest cycle any next
-    /// command becomes legal. Marking each bank whose open row a request
-    /// wants as the pass goes tells every later PRE whether an older
-    /// request blocks it, and a run of requests to one row in one
-    /// direction costs one step.
+    /// command becomes legal.
+    #[cfg(any(test, debug_assertions))]
     fn scan(&mut self, now: u64) -> Scan {
         let mut row_wanted = std::mem::take(&mut self.row_wanted);
         row_wanted.fill(false);
@@ -390,21 +542,8 @@ impl DramChannel {
             prepare: None,
             wake: u64::MAX,
         };
-        let mut prev = None;
         for (idx, entry) in self.waiting.iter().enumerate() {
-            // A request for the same bank, row and direction as the one
-            // before it needs the same command at the same cycle: it can
-            // neither lower the bound nor be chosen ahead of that one.
-            // Debug builds check the cycle for every request skipped.
-            let key = (entry.flat_bank, entry.row, entry.request.is_write);
-            if let Some((prev_key, prev_ready)) = prev {
-                if prev_key == key {
-                    debug_assert_eq!(self.next_ready(entry, &row_wanted).1, prev_ready);
-                    continue;
-                }
-            }
             let (cmd, ready) = self.next_ready(entry, &row_wanted);
-            prev = Some((key, ready));
             if cmd == NextCommand::Column {
                 row_wanted[entry.flat_bank] = true;
             }
@@ -422,24 +561,24 @@ impl DramChannel {
         scan
     }
 
-    /// Chooses and issues at most one command, FR-FCFS: first any ready
-    /// column access (row hit, bus free), oldest first; otherwise the oldest
-    /// request's preparatory command (ACT or PRE). A row hit whose column
-    /// is not ready yet waits. A tick that issues nothing leaves the
-    /// scan's bound exact.
-    fn issue_one_command(&mut self, now: u64) {
-        let scan = self.scan(now);
-        self.queue_wake = scan.wake;
-        if let Some(idx) = scan.column {
-            self.issue_column(idx, now);
-        } else if let Some((idx, cmd)) = scan.prepare {
-            self.issue_prepare(idx, cmd, now);
-        }
-    }
-
-    /// Issues waiting request `idx`'s column command and moves it in flight.
-    fn issue_column(&mut self, idx: usize, now: u64) {
+    /// Issues run `pos`'s column command and moves its first request in
+    /// flight. The run's next request becomes its head; if there is none,
+    /// the runs either side now touch and join when they share a key.
+    fn issue_column(&mut self, pos: usize, now: u64) {
+        let idx = self.heads[pos];
         let entry = self.waiting.remove(idx);
+        for head in &mut self.heads[pos + 1..] {
+            *head -= 1;
+        }
+        if self.waiting.get(idx).map(Entry::key) != Some(entry.key()) {
+            self.heads.remove(pos);
+            let joined = pos > 0
+                && pos < self.heads.len()
+                && self.waiting[self.heads[pos - 1]].key() == self.waiting[self.heads[pos]].key();
+            if joined {
+                self.heads.remove(pos);
+            }
+        }
         let t = &self.config.timings;
         let is_write = entry.request.is_write;
         let bank = &mut self.banks[entry.flat_bank];
@@ -468,10 +607,10 @@ impl DramChannel {
         self.in_flight.push_back((entry.request, end));
     }
 
-    /// Issues waiting request `idx`'s ACT or PRE.
-    fn issue_prepare(&mut self, idx: usize, cmd: NextCommand, now: u64) {
+    /// Issues run `pos`'s ACT or PRE.
+    fn issue_prepare(&mut self, pos: usize, cmd: NextCommand, now: u64) {
         let t = &self.config.timings;
-        let entry = &mut self.waiting[idx];
+        let entry = &mut self.waiting[self.heads[pos]];
         let flat_bank = entry.flat_bank;
         if cmd == NextCommand::Activate {
             entry.needed_act = true;
@@ -512,31 +651,47 @@ mod tests {
     use super::*;
     use crate::config::DramConfig;
 
-    fn decoded(cfg: &DramConfig, addr: u64) -> DecodedAddr {
-        cfg.mapping.decode(addr, cfg)
+    /// A channel ticked one cycle at a time from cycle 0.
+    struct Rig {
+        cfg: DramConfig,
+        ch: DramChannel,
+        /// The next cycle to tick.
+        now: u64,
     }
 
-    /// Ticks every cycle below `upto`, retiring each request on its done
-    /// cycle.
-    fn drain(ch: &mut DramChannel, upto: u64) -> Vec<(DramRequest, u64)> {
-        let mut out = Vec::new();
-        for now in 0..upto {
-            ch.tick(now);
-            while let Some(c) = ch.retire_before(now + 1) {
-                out.push(c);
-            }
+    impl Rig {
+        fn new(cfg: DramConfig) -> Self {
+            let ch = DramChannel::new(cfg.clone());
+            Self { cfg, ch, now: 0 }
         }
-        out
+
+        fn enqueue(&mut self, request: DramRequest) {
+            let decoded = self.cfg.mapping.decode(request.addr, &self.cfg);
+            self.ch.enqueue(request, decoded, self.now).unwrap();
+        }
+
+        /// Ticks the next `cycles` cycles, retiring each request on its
+        /// done cycle.
+        fn run(&mut self, cycles: u64) -> Vec<(DramRequest, u64)> {
+            let mut out = Vec::new();
+            for _ in 0..cycles {
+                self.ch.tick(self.now);
+                self.now += 1;
+                while let Some(c) = self.ch.retire_before(self.now) {
+                    out.push(c);
+                }
+            }
+            out
+        }
     }
 
     #[test]
     fn read_latency_decomposes_into_act_cas_burst() {
         let cfg = DramConfig::ddr4_2400();
         let t = cfg.timings.clone();
-        let mut ch = DramChannel::new(cfg.clone());
-        ch.enqueue(DramRequest::read(0, 0), decoded(&cfg, 0))
-            .unwrap();
-        let done = drain(&mut ch, 500);
+        let mut rig = Rig::new(cfg);
+        rig.enqueue(DramRequest::read(0, 0));
+        let done = rig.run(500);
         assert_eq!(done.len(), 1);
         // ACT at 0, RD at tRCD, data ends at tRCD + CL + BL/2.
         assert_eq!(done[0].1, t.t_rcd + t.cl + t.burst_cycles());
@@ -546,23 +701,20 @@ mod tests {
     fn bank_parallelism_beats_single_bank_conflicts() {
         let cfg = DramConfig::ddr4_2400();
         // Same bank, different rows: serialized by tRAS+tRP.
-        let mut ch = DramChannel::new(cfg.clone());
+        let mut rig = Rig::new(cfg.clone());
         let stride = cfg.row_stride_bytes();
         for i in 0..4u64 {
-            ch.enqueue(DramRequest::read(i, i * stride), decoded(&cfg, i * stride))
-                .unwrap();
+            rig.enqueue(DramRequest::read(i, i * stride));
         }
-        let conflict_done = drain(&mut ch, 4000).iter().map(|c| c.1).max().unwrap();
+        let conflict_done = rig.run(4000).iter().map(|c| c.1).max().unwrap();
 
         // Different banks: overlapped activations.
-        let mut ch = DramChannel::new(cfg.clone());
+        let mut rig = Rig::new(cfg.clone());
         let bank_stride = cfg.row_bytes(); // next bank under RoBaRaCoCh (after columns come rank/bank bits)
         for i in 0..4u64 {
-            let addr = i * bank_stride;
-            ch.enqueue(DramRequest::read(i, addr), decoded(&cfg, addr))
-                .unwrap();
+            rig.enqueue(DramRequest::read(i, i * bank_stride));
         }
-        let parallel_done = drain(&mut ch, 4000).iter().map(|c| c.1).max().unwrap();
+        let parallel_done = rig.run(4000).iter().map(|c| c.1).max().unwrap();
         assert!(
             parallel_done < conflict_done,
             "bank-parallel ({parallel_done}) should beat same-bank conflicts ({conflict_done})"
@@ -573,34 +725,29 @@ mod tests {
     fn refresh_fires_periodically() {
         let cfg = DramConfig::ddr4_2400();
         let trefi = cfg.timings.t_refi;
-        let mut ch = DramChannel::new(cfg);
-        for now in 0..(trefi * 3 + 100) {
-            ch.tick(now);
-        }
+        let mut rig = Rig::new(cfg);
+        rig.run(trefi * 3 + 100);
         assert!(
-            ch.stats().refreshes >= 2,
+            rig.ch.stats().refreshes >= 2,
             "refreshes = {}",
-            ch.stats().refreshes
+            rig.ch.stats().refreshes
         );
     }
 
     #[test]
     fn fr_fcfs_prefers_row_hits() {
         let cfg = DramConfig::ddr4_2400();
-        let mut ch = DramChannel::new(cfg.clone());
+        let mut rig = Rig::new(cfg.clone());
         let stride = cfg.row_stride_bytes();
         // Oldest request conflicts (different row, same bank as #1 after it);
         // the row-hit to the already-open row should still be served quickly.
-        ch.enqueue(DramRequest::read(0, 0), decoded(&cfg, 0))
-            .unwrap();
-        let done1 = drain(&mut ch, 200);
+        rig.enqueue(DramRequest::read(0, 0));
+        let done1 = rig.run(200);
         assert_eq!(done1.len(), 1);
         // Row 0 is now open. Queue a conflict and a hit.
-        ch.enqueue(DramRequest::read(1, stride), decoded(&cfg, stride))
-            .unwrap();
-        ch.enqueue(DramRequest::read(2, 64), decoded(&cfg, 64))
-            .unwrap();
-        let done = drain(&mut ch, 2000);
+        rig.enqueue(DramRequest::read(1, stride));
+        rig.enqueue(DramRequest::read(2, 64));
+        let done = rig.run(2000);
         assert_eq!(done.len(), 2);
         let hit = done.iter().find(|c| c.0.id == 2).unwrap().1;
         let conflict = done.iter().find(|c| c.0.id == 1).unwrap().1;
@@ -614,12 +761,11 @@ mod tests {
     fn closed_page_policy_precharges_after_access() {
         let mut cfg = DramConfig::ddr4_2400();
         cfg.page_policy = PagePolicy::Closed;
-        let mut ch = DramChannel::new(cfg.clone());
-        ch.enqueue(DramRequest::read(0, 0), decoded(&cfg, 0))
-            .unwrap();
-        drain(&mut ch, 500);
+        let mut rig = Rig::new(cfg);
+        rig.enqueue(DramRequest::read(0, 0));
+        rig.run(500);
         // After the access retires, the bank must be closed again.
-        let stats = ch.stats();
+        let stats = rig.ch.stats();
         assert_eq!(stats.precharges, 1, "auto-precharge should have fired");
     }
 
@@ -631,19 +777,13 @@ mod tests {
             let mut cfg = DramConfig::ddr4_2400();
             cfg.page_policy = policy;
             let stride = cfg.row_stride_bytes();
-            let mut ch = DramChannel::new(cfg.clone());
-            let mut done_at = 0;
+            let mut rig = Rig::new(cfg);
             for i in 0..6u64 {
-                let addr = (i % 2) * stride;
-                ch.enqueue(DramRequest::read(i, addr), decoded(&cfg, addr))
-                    .unwrap();
+                rig.enqueue(DramRequest::read(i, (i % 2) * stride));
                 // Idle gap between arrivals lets closed-page hide tRP.
-                let completions = drain(&mut ch, 200);
-                done_at += 200;
-                let _ = completions;
+                rig.run(200);
             }
-            let _ = done_at;
-            ch.stats()
+            rig.ch.stats()
         };
         let closed = run(PagePolicy::Closed);
         let open = run(PagePolicy::Open);
@@ -658,15 +798,13 @@ mod tests {
     fn closed_page_keeps_pending_hits_open() {
         let mut cfg = DramConfig::ddr4_2400();
         cfg.page_policy = PagePolicy::Closed;
-        let mut ch = DramChannel::new(cfg.clone());
+        let mut rig = Rig::new(cfg);
         // Two same-row requests queued together: the auto-precharge must
         // not fire between them.
-        ch.enqueue(DramRequest::read(0, 0), decoded(&cfg, 0))
-            .unwrap();
-        ch.enqueue(DramRequest::read(1, 64), decoded(&cfg, 64))
-            .unwrap();
-        drain(&mut ch, 500);
-        let stats = ch.stats();
+        rig.enqueue(DramRequest::read(0, 0));
+        rig.enqueue(DramRequest::read(1, 64));
+        rig.run(500);
+        let stats = rig.ch.stats();
         assert_eq!(stats.activates, 1, "second access should still row-hit");
         assert_eq!(stats.row_hits, 1);
     }
@@ -676,37 +814,30 @@ mod tests {
         let cfg = DramConfig::ddr4_2400();
         let t = cfg.timings.clone();
         // Same bank group, same row: column commands spaced by tCCD_L.
-        let mut ch = DramChannel::new(cfg.clone());
-        ch.enqueue(DramRequest::read(0, 0), decoded(&cfg, 0))
-            .unwrap();
-        ch.enqueue(DramRequest::read(1, 64), decoded(&cfg, 64))
-            .unwrap();
-        let done = drain(&mut ch, 500);
+        let mut rig = Rig::new(cfg.clone());
+        rig.enqueue(DramRequest::read(0, 0));
+        rig.enqueue(DramRequest::read(1, 64));
+        let done = rig.run(500);
         let same_group_gap = done[1].1 - done[0].1;
         assert_eq!(same_group_gap, t.t_ccd_l.max(t.burst_cycles()));
 
         // Different bank groups with both rows already open (warm-up reads
         // first so no ACT is in the way): tCCD_S applies.
-        let mut ch = DramChannel::new(cfg.clone());
+        let mut rig = Rig::new(cfg.clone());
         // Under RoBaRaCoCh the bank-group bits sit above the column bits.
         let other_group = cfg.row_bytes();
-        let d0 = decoded(&cfg, 0);
-        let d1 = decoded(&cfg, other_group);
+        let d0 = cfg.mapping.decode(0, &cfg);
+        let d1 = cfg.mapping.decode(other_group, &cfg);
         assert_ne!(
             d0.bank_group, d1.bank_group,
             "addresses must differ in bank group"
         );
-        ch.enqueue(DramRequest::read(100, 0), d0).unwrap();
-        ch.enqueue(DramRequest::read(101, other_group), d1).unwrap();
-        drain(&mut ch, 500);
-        ch.enqueue(DramRequest::read(0, 64), decoded(&cfg, 64))
-            .unwrap();
-        ch.enqueue(
-            DramRequest::read(1, other_group + 64),
-            decoded(&cfg, other_group + 64),
-        )
-        .unwrap();
-        let done = drain(&mut ch, 1000);
+        rig.enqueue(DramRequest::read(100, 0));
+        rig.enqueue(DramRequest::read(101, other_group));
+        rig.run(500);
+        rig.enqueue(DramRequest::read(0, 64));
+        rig.enqueue(DramRequest::read(1, other_group + 64));
+        let done = rig.run(1000);
         let cross_group_gap = done[1].1 - done[0].1;
         assert_eq!(cross_group_gap, t.t_ccd.max(t.burst_cycles()));
         assert!(cross_group_gap < same_group_gap);
@@ -717,11 +848,9 @@ mod tests {
         let cfg = DramConfig::ddr4_2400();
         let trefi = cfg.timings.t_refi;
         let trfc = cfg.timings.t_rfc;
-        let mut ch = DramChannel::new(cfg);
-        for now in 0..(trefi * 3 + 100) {
-            ch.tick(now);
-        }
-        let s = ch.stats();
+        let mut rig = Rig::new(cfg);
+        rig.run(trefi * 3 + 100);
+        let s = rig.ch.stats();
         assert!(s.refreshes >= 2);
         assert_eq!(s.refresh_stall_cycles, s.refreshes * trfc);
     }
@@ -730,16 +859,14 @@ mod tests {
     fn demand_precharges_count_as_row_conflicts() {
         let cfg = DramConfig::ddr4_2400();
         let stride = cfg.row_stride_bytes();
-        let mut ch = DramChannel::new(cfg.clone());
+        let mut rig = Rig::new(cfg);
         // Open row 0, then force a conflicting access to row 1 of the bank.
-        ch.enqueue(DramRequest::read(0, 0), decoded(&cfg, 0))
-            .unwrap();
-        drain(&mut ch, 300);
-        assert_eq!(ch.stats().row_conflicts, 0);
-        ch.enqueue(DramRequest::read(1, stride), decoded(&cfg, stride))
-            .unwrap();
-        drain(&mut ch, 500);
-        assert_eq!(ch.stats().row_conflicts, 1);
+        rig.enqueue(DramRequest::read(0, 0));
+        rig.run(300);
+        assert_eq!(rig.ch.stats().row_conflicts, 0);
+        rig.enqueue(DramRequest::read(1, stride));
+        rig.run(500);
+        assert_eq!(rig.ch.stats().row_conflicts, 1);
     }
 
     /// The busy-channel bound is exact: a tick before it changes nothing,
@@ -752,7 +879,7 @@ mod tests {
         let cfg = DramConfig::ddr4_2400();
         let trefi = cfg.timings.t_refi;
         let mut ch = DramChannel::new(cfg.clone());
-        let enqueue_batch = |ch: &mut DramChannel, first: u64| {
+        let enqueue_batch = |ch: &mut DramChannel, first: u64, now: u64| {
             // Row hits, same-bank row conflicts, cross-group reads, writes.
             for i in first..first + 24 {
                 let addr = match i % 3 {
@@ -765,14 +892,15 @@ mod tests {
                 } else {
                     DramRequest::read(i, addr)
                 };
-                ch.enqueue(req, decoded(&cfg, addr)).unwrap();
+                ch.enqueue(req, cfg.mapping.decode(addr, &cfg), now)
+                    .unwrap();
             }
         };
-        enqueue_batch(&mut ch, 0);
+        enqueue_batch(&mut ch, 0, 0);
         let (mut skipped, mut active) = (0, 0);
         for now in 0..trefi + 2_000 {
             if now == trefi - 40 {
-                enqueue_batch(&mut ch, 100); // busy when refresh falls due
+                enqueue_batch(&mut ch, 100, now); // busy when refresh falls due
             }
             let wake = ch.next_active_at(now);
             let refresh_due = ch.refreshing_until.is_none() && now >= ch.next_refresh_at;
@@ -797,17 +925,123 @@ mod tests {
     #[test]
     fn stats_count_hits_and_activates() {
         let cfg = DramConfig::ddr4_2400();
-        let mut ch = DramChannel::new(cfg.clone());
+        let mut rig = Rig::new(cfg);
         for i in 0..8u64 {
-            ch.enqueue(DramRequest::read(i, i * 64), decoded(&cfg, i * 64))
-                .unwrap();
+            rig.enqueue(DramRequest::read(i, i * 64));
         }
-        drain(&mut ch, 2000);
-        let s = ch.stats();
+        rig.run(2000);
+        let s = rig.ch.stats();
         assert_eq!(s.reads, 8);
         assert_eq!(s.activates, 1, "one row serves all eight bursts");
         // The first access misses (it triggered the ACT); the rest hit.
         assert_eq!(s.row_hits, 7);
         assert!(s.row_hit_rate() > 0.85);
+    }
+
+    /// A-B-A: B is a row hit on an open bank and issues first, which
+    /// leaves the two requests to A's key adjacent. They must act as one
+    /// run: one head, one ACT, and the second request a row hit.
+    #[test]
+    fn runs_to_one_key_join_when_the_run_between_them_drains() {
+        let cfg = DramConfig::ddr4_2400();
+        let other_bank = cfg.row_bytes();
+        let mut rig = Rig::new(cfg);
+        rig.enqueue(DramRequest::read(0, other_bank));
+        rig.run(200);
+        let warm = rig.ch.stats();
+        rig.enqueue(DramRequest::read(1, 0)); // A: closed bank, needs an ACT
+        rig.enqueue(DramRequest::read(2, other_bank + 64)); // B: row hit
+        rig.enqueue(DramRequest::read(3, 64)); // A again
+        assert_eq!(rig.ch.heads, [0, 1, 2]);
+        // The hit and A's ACT are both legal now; the column goes first.
+        let done = rig.run(1);
+        assert!(done.is_empty());
+        assert_eq!(rig.ch.stats().reads, warm.reads + 1);
+        assert_eq!(rig.ch.stats().activates, warm.activates);
+        assert_eq!(rig.ch.waiting.len(), 2);
+        assert_eq!(rig.ch.heads, [0], "A's two requests form one run");
+        let done = rig.run(500);
+        let ids: Vec<u64> = done.iter().map(|(r, _)| r.id).collect();
+        assert_eq!(ids, [2, 1, 3]);
+        let s = rig.ch.stats();
+        assert_eq!(s.activates - warm.activates, 1);
+        assert_eq!(s.row_hits - warm.row_hits, 2, "B and the second A hit");
+    }
+
+    /// SplitMix64, for seeded traffic.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The plan against a fresh scan of every waiting request, on every
+    /// shipped preset plus closed-page DDR4 and a 128-bank DDR4. Each
+    /// tick that may issue checks, in test builds, that the planned
+    /// command is the scan's and that the planned wake is the scan's when
+    /// nothing is due (`check_plan`). Seeded traffic keeps the queue near
+    /// full across two refreshes: same-key runs broken by other keys,
+    /// row conflicts on a few banks, reads and writes.
+    #[test]
+    fn planned_commands_match_a_fresh_scan_on_every_preset() {
+        let mut closed = DramConfig::ddr4_2400();
+        closed.page_policy = PagePolicy::Closed;
+        let mut wide = DramConfig::ddr4_2400();
+        (wide.ranks, wide.banks_per_group, wide.rows) = (2, 16, 16384);
+        let presets = [
+            DramConfig::ddr4_2400(),
+            DramConfig::ddr4_2400_quad(),
+            DramConfig::hbm2(),
+            DramConfig::lpddr4_embedded(),
+            closed,
+            wide,
+        ];
+        for (seed, cfg) in presets.into_iter().enumerate() {
+            let trefi = cfg.timings.t_refi;
+            let mut rng = Rng(seed as u64);
+            let mut rig = Rig::new(cfg.clone());
+            let mut id = 0;
+            let mut done = 0;
+            while rig.now < 2 * trefi + trefi / 2 || rig.ch.is_busy() {
+                // Bursts of arrivals, then gaps that let the queue drain.
+                let arrivals = if rig.now < 2 * trefi && rng.below(8) < 5 {
+                    3
+                } else {
+                    0
+                };
+                for _ in 0..arrivals {
+                    if !rig.ch.can_accept() {
+                        break;
+                    }
+                    let decoded = DecodedAddr {
+                        channel: 0,
+                        rank: rng.below(cfg.ranks),
+                        bank_group: rng.below(cfg.bank_groups.min(2)),
+                        bank: rng.below(cfg.banks_per_group.min(2)),
+                        row: rng.below(3),
+                        column: 0,
+                    };
+                    let req = DramRequest {
+                        id,
+                        addr: 0,
+                        is_write: rng.below(3) == 0,
+                    };
+                    rig.ch.enqueue(req, decoded, rig.now).unwrap();
+                    id += 1;
+                }
+                done += rig.run(1 + rng.below(4)).len();
+            }
+            let s = rig.ch.stats();
+            assert_eq!(done as u64, id);
+            assert_eq!(s.reads + s.writes, id);
+            assert!(s.refreshes >= 2, "{s:?}");
+            assert!(s.row_hits > 0 && s.row_conflicts > 0, "{s:?}");
+        }
     }
 }

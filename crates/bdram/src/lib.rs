@@ -137,7 +137,7 @@ impl DramSystem {
     pub fn enqueue(&mut self, request: DramRequest) -> Result<(), DramRequest> {
         let decoded = self.config.mapping.decode(request.addr, &self.config);
         let channel = &mut self.channels[decoded.channel as usize];
-        channel.enqueue(request, decoded)
+        channel.enqueue(request, decoded, self.dram_cycle)
     }
 
     /// Whether the channel that `addr` maps to can accept another request.

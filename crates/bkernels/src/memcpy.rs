@@ -240,7 +240,10 @@ fn run_inner(
     let mut soc = elaborate_with(config(), &platform, opts).expect("memcpy elaborates");
     let src = 0x100_0000u64;
     let dst = 0x800_0000u64;
-    let payload: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
+    // Byte i is i mod 251, built by repeating one period.
+    let period: Vec<u8> = (0..=250).collect();
+    let mut payload = period.repeat(bytes.div_ceil(251) as usize);
+    payload.truncate(bytes as usize);
     soc.memory().borrow_mut().write(src, &payload);
     let args = [
         ("src".to_owned(), src),

@@ -9,7 +9,7 @@
 //! [`chrome_trace`](crate::perf::chrome_trace) for Perfetto.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::time::Cycle;
@@ -49,15 +49,11 @@ impl TraceEvent {
 #[derive(Debug, Default)]
 struct TracerInner {
     enabled: AtomicBool,
-    /// Events offered while disabled. Makes disabled→enabled toggles
-    /// honest: a timeline with a gap can be distinguished from a timeline
-    /// where nothing happened.
-    dropped: AtomicU64,
     events: Mutex<Vec<TraceEvent>>,
 }
 
 /// A shared, cloneable event recorder, disabled when created: a disabled
-/// record is one atomic load and a drop count, with no lock taken.
+/// record is one relaxed atomic load, with no lock taken.
 #[derive(Debug, Default, Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -78,19 +74,16 @@ impl Tracer {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Records an instant if enabled; otherwise counts it as dropped (see
-    /// [`Tracer::dropped`]), so a trace enabled mid-run carries an explicit
-    /// record of how many events the disabled stretch discarded.
+    /// Records an instant if enabled; otherwise does nothing.
     pub fn record(&self, cycle: Cycle, track: &str, id: u32, name: impl Into<String>) {
         self.record_with(cycle, track, id, || name.into());
     }
 
     /// Like [`Tracer::record`], but builds the label only when the tracer
     /// is enabled, so a formatted label costs nothing while tracing is
-    /// off. A disabled call still counts as dropped.
+    /// off.
     pub fn record_with(&self, cycle: Cycle, track: &str, id: u32, name: impl FnOnce() -> String) {
         if !self.inner.enabled.load(Ordering::Relaxed) {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let track = format!("{}{track}", self.prefix);
@@ -99,11 +92,6 @@ impl Tracer {
             ..TraceEvent::instant(cycle, "", id, name())
         };
         self.inner.events.lock().unwrap().push(event);
-    }
-
-    /// Number of events offered while the tracer was disabled.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
     }
 
     /// All recorded events in record order.
@@ -157,11 +145,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_tracer_records_nothing_but_counts_drops() {
+    fn disabled_tracer_records_nothing() {
         let t = Tracer::default();
         t.record(1, "AR", 0, "x");
         assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 1);
     }
 
     #[test]
@@ -169,18 +156,16 @@ mod tests {
         let t = Tracer::default();
         t.record_with(1, "AR", 0, || unreachable!("label built while disabled"));
         assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 1);
         t.set_enabled(true);
         t.record_with(2, "AR", 0, || format!("addr={:#x}", 0x40));
         assert_eq!(t.events()[0].name, "addr=0x40");
         assert_eq!(t.events()[0].trace_id, None);
-        assert_eq!(t.dropped(), 1);
     }
 
     #[test]
-    fn mid_run_toggle_yields_well_formed_timeline_and_drop_count() {
+    fn mid_run_toggle_yields_well_formed_timeline() {
         let t = Tracer::default();
-        // Disabled stretch: cycles 0..3 discarded but accounted for.
+        // Disabled stretch: cycles 0..3 discarded.
         for cycle in 0..3 {
             t.record(cycle, "AR", 0, "early");
         }
@@ -189,7 +174,6 @@ mod tests {
         t.record(6, "R", 1, "beat");
         t.set_enabled(false);
         t.record(7, "R", 1, "late");
-        assert_eq!(t.dropped(), 4);
         assert_eq!(t.events().len(), 2);
         // The rendered timeline covers only the enabled window and stays
         // well-formed: one row per (track, id), uniform widths.
