@@ -282,7 +282,6 @@ pub fn run_policy(
         })
         .collect();
     let outcomes = fleet.run_keyed(arrivals);
-    fleet.sync_rollup();
 
     let completed = outcomes.values().filter(|o| o.is_completed()).count();
     let hist = fleet.latency_histogram();

@@ -96,15 +96,15 @@ fn ready_key(system: u16, core: u16) -> u64 {
 }
 
 /// The SoC's one response drain: empties every response channel the
-/// simulation's host-ready list reports as holding a visible item into
-/// the completed set. Channels left with not-yet-visible items are
-/// re-armed so a later drain picks them up. Returns the number of
+/// simulation's host-ready queue reports as holding a visible item into
+/// the completed set. A channel left with not-yet-visible items stays
+/// queued, so a later drain picks them up. Returns the number of
 /// responses recorded.
 ///
-/// Costs O(ready channels), not O(cores). Shared by
-/// [`SocSim::drain_ready_responses`] and the `done` closures of both
-/// waits (which hold the simulation's fields destructured, so this takes
-/// them piecewise).
+/// Costs O(channels holding responses), not O(cores). Shared by
+/// [`SocSim::drain_ready_responses`] and the `done` closure of the
+/// response wait (which holds the simulation's fields destructured, so
+/// this takes them piecewise).
 fn drain_ready_links(
     sim: &Simulation,
     links: &[Vec<CoreLink>],
@@ -127,9 +127,6 @@ fn drain_ready_links(
             completed.insert((sys as u16, core as u16, seq), resp.data);
             drained += 1;
         }
-        // Items stamped for a future cycle stay in the channel; re-arm
-        // the registration or they would never be reported again.
-        link.resp_rx.mark_host_ready(sim.ctx());
     }
     drained
 }
@@ -191,13 +188,12 @@ impl SocSim {
         let fabric = ClockDomain::from_mhz(platform.fabric_mhz);
         // Response channels are drained by host code, not by a component,
         // so the event-aware scheduler cannot see them through
-        // `next_event`. Register them as keyed wake sources: fast-forward
-        // never jumps past the cycle a response becomes visible to the
-        // host, and the ready-list key lets the doorbell wait drain only
-        // the channels that actually hold responses.
+        // `next_event`. Watch them: fast-forward never jumps past the
+        // cycle a response becomes visible to the host, and the key lets
+        // the response wait drain only the channels that hold responses.
         for (sys, cores) in links.iter().enumerate() {
             for (core, link) in cores.iter().enumerate() {
-                sim.watch_receiver_keyed(&link.resp_rx, ready_key(sys as u16, core as u16));
+                sim.watch_receiver(&link.resp_rx, ready_key(sys as u16, core as u16));
             }
         }
         let outstanding = links
@@ -494,45 +490,24 @@ impl SocSim {
     ///
     /// # Errors
     ///
-    /// Returns `Err(cycles_run)` on timeout.
+    /// Returns `Err(max_cycles)` on timeout.
     pub fn run_until_response(
         &mut self,
         token: CommandToken,
         max_cycles: Cycle,
     ) -> Result<u64, Cycle> {
-        if let Some(data) = self.poll(token) {
-            return Ok(data);
-        }
         let key = (token.system, token.core, token.seq);
-        let Self {
-            sim,
-            links,
-            outstanding,
-            completed,
-            mmio_stats,
-            ..
-        } = self;
-        // The check drains only the channels that hold a response, and
-        // the waited-for token can only complete when one was drained.
-        let result = sim.run_until_strided(max_cycles, RESPONSE_POLL_STRIDE, |sim| {
-            drain_ready_links(sim, links, outstanding, completed, mmio_stats) > 0
-                && completed.contains_key(&key)
-        });
-        match result {
-            Ok(_) => Ok(self
-                .completed
-                .remove(&key)
-                .expect("done() observed the response")),
-            Err(_) => Err(max_cycles),
-        }
+        self.wait_for_completion(max_cycles, |completed| completed.contains_key(&key))?;
+        Ok(self
+            .completed
+            .remove(&key)
+            .expect("the wait observed the response"))
     }
 
     /// Runs the fabric until *any* outstanding command completes or
-    /// `max_cycles` pass — the runtime server's "doorbell" wait. Like
-    /// [`SocSim::run_until_response`], the watched response channels force
-    /// a completion check on the exact cycle a response becomes visible,
-    /// so under the active-set scheduler a sleeping dispatcher costs no
-    /// per-cycle host work across quiescent gaps.
+    /// `max_cycles` pass — the runtime server's "doorbell" wait. Shares
+    /// [`SocSim::run_until_response`]'s body, so a sleeping dispatcher
+    /// costs no per-cycle host work across quiescent gaps either.
     ///
     /// Completions are left in the completed set; harvest them with
     /// [`SocSim::take_completed`] (or [`SocSim::poll`]).
@@ -541,8 +516,28 @@ impl SocSim {
     ///
     /// Returns `Err(max_cycles)` if nothing completed within the budget.
     pub fn run_until_any_response(&mut self, max_cycles: Cycle) -> Result<(), Cycle> {
+        self.wait_for_completion(max_cycles, |completed| !completed.is_empty())
+    }
+
+    /// The one body of both response waits: drains the ready response
+    /// channels and returns once `done` holds of the completed set, else
+    /// runs the fabric, draining and re-checking on every completion
+    /// check of [`Simulation::run_until_strided`]. The watched response
+    /// channels force a check on the exact cycle a response becomes
+    /// visible, so the stride never delays an observation.
+    ///
+    /// Each check drains only the channels the host-ready queue reports:
+    /// wake cost scales with ready cores, not SoC size. Counter
+    /// increments and histogram samples are order-insensitive and the
+    /// completed set is keyed, so drain order cannot change any
+    /// observable output.
+    fn wait_for_completion(
+        &mut self,
+        max_cycles: Cycle,
+        mut done: impl FnMut(&HashMap<(u16, u16, u64), u64>) -> bool,
+    ) -> Result<(), Cycle> {
         self.drain_ready_responses();
-        if !self.completed.is_empty() {
+        if done(&self.completed) {
             return Ok(());
         }
         let Self {
@@ -553,16 +548,12 @@ impl SocSim {
             mmio_stats,
             ..
         } = self;
-        // The done check drains only the channels the ready list reports
-        // — wake cost scales with ready cores, not SoC size. Counter
-        // increments and histogram samples are order-insensitive and the
-        // completed set is keyed, so drain order cannot change any
-        // observable output.
-        let result = sim.run_until_strided(max_cycles, RESPONSE_POLL_STRIDE, |sim| {
+        sim.run_until_strided(max_cycles, RESPONSE_POLL_STRIDE, |sim| {
             drain_ready_links(sim, links, outstanding, completed, mmio_stats);
-            !completed.is_empty()
-        });
-        result.map(|_| ()).map_err(|_| max_cycles)
+            done(completed)
+        })
+        .map(|_| ())
+        .map_err(|_| max_cycles)
     }
 
     /// Whether any command is still awaiting a response.

@@ -128,6 +128,9 @@ impl std::fmt::Display for CallError {
 
 impl std::error::Error for CallError {}
 
+/// Budget for a blocking [`ResponseHandle::get`], fabric cycles.
+const GET_TIMEOUT_CYCLES: Cycle = 2_000_000_000;
+
 struct Inner {
     soc: SocSim,
     allocator: DeviceAllocator,
@@ -136,8 +139,6 @@ struct Inner {
     host_shadow: SparseMemory,
     opts: RuntimeOptions,
     stats: RuntimeStats,
-    /// Default budget for blocking `get`s, fabric cycles.
-    get_timeout_cycles: Cycle,
 }
 
 impl Inner {
@@ -197,7 +198,6 @@ impl FpgaHandle {
                 host_shadow: SparseMemory::new(),
                 opts,
                 stats: RuntimeStats::default(),
-                get_timeout_cycles: 2_000_000_000,
             })),
         }
     }
@@ -568,14 +568,6 @@ impl FpgaHandle {
             .reset_perf();
     }
 
-    /// Sets the blocking-`get` budget in fabric cycles.
-    pub fn set_get_timeout(&self, cycles: Cycle) {
-        self.inner
-            .lock()
-            .expect("runtime lock poisoned")
-            .get_timeout_cycles = cycles;
-    }
-
     /// The runtime timing options this handle was opened with.
     pub fn options(&self) -> RuntimeOptions {
         self.inner.lock().expect("runtime lock poisoned").opts
@@ -625,8 +617,8 @@ impl ResponseHandle {
     ///
     /// # Errors
     ///
-    /// [`CallError::Timeout`] if the cycle budget set via
-    /// [`FpgaHandle::set_get_timeout`] is exceeded.
+    /// [`CallError::Timeout`] if the response has not arrived within
+    /// 2 × 10⁹ fabric cycles.
     pub fn get(&self) -> Result<u64, CallError> {
         if let Some(v) = *self.resolved.lock().expect("runtime lock poisoned") {
             return Ok(v);
@@ -638,7 +630,7 @@ impl ResponseHandle {
             }
             let mut inner = self.inner.lock().expect("runtime lock poisoned");
             let waited = inner.soc.now() - start;
-            if waited > inner.get_timeout_cycles {
+            if waited > GET_TIMEOUT_CYCLES {
                 return Err(CallError::Timeout { waited });
             }
             let interval = inner.opts.poll_interval_ns.max(1);

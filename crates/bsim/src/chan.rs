@@ -108,7 +108,6 @@ pub(crate) fn make_channel<T: Send + 'static>(
         total_received: 0,
         send_hooks: Vec::new(),
         recv_hooks: Vec::new(),
-        watched: false,
         ready_key: None,
         ready_queued: false,
     }));
@@ -163,13 +162,7 @@ impl<T: Send + 'static> Sender<T> {
         for &hook in &c.send_hooks {
             ctx.wake_component(hook);
         }
-        if c.watched {
-            ctx.watch_dirty.set(true);
-        }
-        if c.ready_key.is_some() && !c.ready_queued {
-            c.ready_queued = true;
-            ctx.host_ready.borrow_mut().push_back(self.chan);
-        }
+        ctx.queue_ready(self.chan, &mut c);
     }
 
     /// Attempts to enqueue; returns `Err(value)` if the channel is full.
@@ -274,24 +267,6 @@ impl<T: Send + 'static> Receiver<T> {
     /// for the consumer.
     pub fn next_visible_at(&self, ctx: &SimCtx) -> Option<Cycle> {
         next_visible(ctx, self.chan, self.serial)
-    }
-
-    /// Re-arms the host-ready registration for this channel, if it has
-    /// one (see
-    /// [`Simulation::watch_receiver_keyed`](crate::Simulation::watch_receiver_keyed)).
-    ///
-    /// [`SimCtx::take_ready_keys`] clears a channel's ready flag when it
-    /// emits its key, on the assumption the host drains the channel. A
-    /// host that stops draining while items remain (e.g. the rest are
-    /// not yet visible, or it only consumed a prefix) must call this
-    /// before re-entering the simulation, or those items will never be
-    /// reported again. No-op for unregistered or empty channels.
-    pub fn mark_host_ready(&self, ctx: &SimCtx) {
-        let mut c = ctx.chan(self.chan, self.serial).borrow_mut();
-        if c.ready_key.is_some() && !c.ready_queued && !c.visible.is_empty() {
-            c.ready_queued = true;
-            ctx.host_ready.borrow_mut().push_back(self.chan);
-        }
     }
 
     /// Registers `waker` to fire whenever an item is *sent* on this
@@ -459,7 +434,7 @@ mod tests {
     fn ready_list_reports_keyed_sends_once() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u32>(4);
-        sim.watch_receiver_keyed(&rx, 7);
+        sim.watch_receiver(&rx, 7);
         let ctx = sim.ctx();
         assert_eq!(ctx.take_ready_keys(0), Vec::<u64>::new());
         tx.send(ctx, 0, 1);
@@ -478,7 +453,7 @@ mod tests {
     fn ready_list_defers_items_still_in_flight() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel_with_latency::<u32>(4, 3);
-        sim.watch_receiver_keyed(&rx, 9);
+        sim.watch_receiver(&rx, 9);
         let ctx = sim.ctx();
         tx.send(ctx, 0, 1);
         assert_eq!(
@@ -497,14 +472,13 @@ mod tests {
     fn ready_list_rearms_after_partial_drain() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u32>(4);
-        sim.watch_receiver_keyed(&rx, 3);
+        sim.watch_receiver(&rx, 3);
         let ctx = sim.ctx();
         tx.send(ctx, 0, 1);
         tx.send(ctx, 5, 2);
         assert_eq!(ctx.take_ready_keys(1), vec![3]);
         assert_eq!(rx.recv(ctx, 1), Some(1));
         assert_eq!(rx.recv(ctx, 1), None, "second item not visible until 6");
-        rx.mark_host_ready(ctx);
         assert_eq!(ctx.take_ready_keys(1), Vec::<u64>::new());
         assert_eq!(ctx.take_ready_keys(6), vec![3]);
         assert_eq!(rx.recv(ctx, 6), Some(2));
@@ -514,7 +488,7 @@ mod tests {
     fn ready_list_clears_externally_drained_channels() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u32>(4);
-        sim.watch_receiver_keyed(&rx, 11);
+        sim.watch_receiver(&rx, 11);
         let ctx = sim.ctx();
         tx.send(ctx, 0, 1);
         assert_eq!(
@@ -536,18 +510,7 @@ mod tests {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u32>(4);
         tx.send(sim.ctx(), 0, 1);
-        sim.watch_receiver_keyed(&rx, 5);
+        sim.watch_receiver(&rx, 5);
         assert_eq!(sim.ctx().take_ready_keys(1), vec![5]);
-    }
-
-    #[test]
-    fn unkeyed_channels_never_enter_ready_list() {
-        let mut sim = Simulation::new();
-        let (tx, rx) = sim.channel::<u32>(4);
-        sim.watch_receiver(&rx);
-        let ctx = sim.ctx();
-        tx.send(ctx, 0, 1);
-        rx.mark_host_ready(ctx);
-        assert_eq!(ctx.take_ready_keys(1), Vec::<u64>::new());
     }
 }

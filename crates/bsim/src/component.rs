@@ -31,7 +31,6 @@
 //! moved to another thread (the `bserver` fleet does exactly that).
 
 use std::any::Any;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
@@ -256,18 +255,6 @@ pub struct Simulation {
     /// it via [`Simulation::ctx`].
     ctx: SimCtx,
     components: Vec<Registered>,
-    /// Channel IDs registered by [`Simulation::watch_receiver`], whose
-    /// combined horizon is cached in `watch_horizon`: only a send can move
-    /// a channel's visibility clock earlier, and every watched channel
-    /// sets the arena's `watch_dirty` flag on send, so between sends the
-    /// cached minimum is conservative and the per-cycle scan is O(1)
-    /// instead of O(watched channels).
-    watched: Vec<u32>,
-    /// Cached minimum of the `watched` horizons; valid while the arena's
-    /// `watch_dirty` is clear and the cached cycle is still in the future
-    /// (a due-or-past horizon is re-scanned so draining the channel can
-    /// move it forward).
-    watch_horizon: Cell<Option<Cycle>>,
     now: Cycle,
     /// Whether the active-set scheduler drives the clock; `false` is the
     /// naive oracle that ticks every component on every cycle.
@@ -337,8 +324,6 @@ impl Simulation {
         Simulation {
             ctx: SimCtx::new(),
             components: Vec::new(),
-            watched: Vec::new(),
-            watch_horizon: Cell::new(None),
             now: 0,
             event_driven: event_driven_from_env(),
             mid_cycle: false,
@@ -487,48 +472,31 @@ impl Simulation {
             .expect("Shared handle type matches the registered component")
     }
 
-    /// Registers `rx` as a host-side wake source: the scheduler will not
-    /// fast-forward past the cycle the channel's front item becomes
-    /// visible. Use for channels consumed by host code rather than by a
-    /// registered component.
+    /// Registers `rx` as a host-side wake source under an opaque `key`:
+    /// the scheduler will not fast-forward past the cycle the channel's
+    /// front item becomes visible, and
+    /// [`SimCtx::take_ready_keys`](crate::SimCtx::take_ready_keys)
+    /// reports `key` while it is. Use for channels consumed by host code
+    /// rather than by a registered component.
     ///
     /// The fast-forward scheduler only sees [`Component::next_event`]; a
     /// channel whose consumer is *host code* (polled between cycles, e.g. a
     /// response queue drained by a `run_until` predicate) is invisible to it
-    /// and could be skipped past. A watched receiver closes that hole, and
-    /// its horizon is cached: the channel sets the arena's dirty flag on
-    /// every send, so quiet cycles cost O(1) regardless of how many
-    /// channels the host watches.
-    pub fn watch_receiver<T: Send + 'static>(&mut self, rx: &Receiver<T>) {
-        self.ctx.chan(rx.chan, rx.serial).borrow_mut().watched = true;
-        self.ctx.watch_dirty.set(true);
-        self.watched.push(rx.chan);
-    }
-
-    /// Like [`Simulation::watch_receiver`], but additionally registers the
-    /// channel in the host-ready list under an opaque `key`: every send
-    /// enqueues the channel (deduped) for
-    /// [`SimCtx::take_ready_keys`](crate::SimCtx::take_ready_keys), so
-    /// host code can find channels with pending output in time
-    /// proportional to how many are ready instead of scanning all of
-    /// them. A channel holding items at registration time is queued
-    /// immediately.
+    /// and could be skipped past. A watched receiver closes that hole.
+    /// Both the bound and the keys come from the arena's host-ready
+    /// queue, which holds every watched channel with an item, so quiet
+    /// cycles cost O(channels holding items) however many channels the
+    /// host watches. The channel is queued at once, so items it already
+    /// holds are reported too.
     ///
     /// # Panics
     ///
-    /// Panics if the channel already has a host-ready registration.
-    pub fn watch_receiver_keyed<T: Send + 'static>(&mut self, rx: &Receiver<T>, key: u64) {
-        self.watch_receiver(rx);
+    /// Panics if the channel is already watched.
+    pub fn watch_receiver<T: Send + 'static>(&mut self, rx: &Receiver<T>, key: u64) {
         let mut c = self.ctx.chan(rx.chan, rx.serial).borrow_mut();
-        assert!(
-            c.ready_key.is_none(),
-            "channel already has a host-ready registration"
-        );
+        assert!(c.ready_key.is_none(), "channel is already watched");
         c.ready_key = Some(key);
-        if !c.visible.is_empty() {
-            c.ready_queued = true;
-            self.ctx.host_ready.borrow_mut().push_back(rx.chan);
-        }
+        self.ctx.queue_ready(rx.chan, &mut c);
     }
 
     /// The current cycle.
@@ -815,11 +783,7 @@ impl Simulation {
         if components <= self.now {
             return self.now;
         }
-        match self.earliest_watch() {
-            Some(w) if w <= self.now => self.now,
-            Some(w) => components.min(w),
-            None => components,
-        }
+        components.min(self.ctx.ready_horizon()).max(self.now)
     }
 
     /// Active-set component horizon: pending wakes are folded into the
@@ -855,32 +819,6 @@ impl Simulation {
             }
         }
         earliest
-    }
-
-    /// The earliest pending wake-source cycle (may be in the past if the
-    /// host has not yet drained it), or `None` when none are pending.
-    ///
-    /// Watched-channel horizons are served from the cache: a re-scan is
-    /// only needed when a watched channel sent since the last scan (the
-    /// arena's dirty flag — the one way a horizon moves *earlier*) or when
-    /// the cached horizon is due-or-past (the host may have drained the
-    /// channel since, which moves it later; re-scanning keeps a drained
-    /// channel from forcing checks forever).
-    fn earliest_watch(&self) -> Option<Cycle> {
-        if self.ctx.watch_dirty.replace(false)
-            || self.watch_horizon.get().is_some_and(|h| h <= self.now)
-        {
-            let h = self
-                .watched
-                .iter()
-                .map(|&chan| self.ctx.front_visible(chan, self.ctx.serial))
-                .min()
-                .filter(|&at| at != Cycle::MAX);
-            self.watch_horizon.set(h);
-            h
-        } else {
-            self.watch_horizon.get()
-        }
     }
 
     /// Fast-forwards the clock to `target` without executing ticks
@@ -979,7 +917,7 @@ impl Simulation {
             // now (e.g. a watched response just became visible): force a
             // `done` check regardless of the stride, in every scheduler
             // mode, so strided results do not depend on the mode.
-            let watch_due = self.earliest_watch().is_some_and(|w| w <= self.now);
+            let watch_due = self.ctx.ready_horizon() <= self.now;
             let jump_target = if self.event_driven {
                 let e = self.earliest_event();
                 (e > self.now).then(|| e.min(end))
@@ -1212,13 +1150,37 @@ mod tests {
             delay: 40,
             sent: false,
         });
-        sim.watch_receiver(&rx);
+        sim.watch_receiver(&rx, 0);
         let elapsed = sim
             .run_until(10_000, move |sim| rx.has_data(sim.ctx(), 41))
             .expect("value should arrive");
         // Sent at 40, visible at 41: identical to the naive loop's answer.
         assert_eq!(elapsed, 41);
         assert_eq!(rx.recv(sim.ctx(), sim.now()), Some(40));
+    }
+
+    #[test]
+    fn drained_watch_source_stops_bounding_fast_forward() {
+        let mut sim = Simulation::new();
+        sim.set_event_driven(true);
+        let (tx, rx) = sim.channel::<u64>(1);
+        sim.add(OneShot {
+            tx,
+            delay: 40,
+            sent: false,
+        });
+        sim.watch_receiver(&rx, 0);
+        sim.run_until(10_000, move |sim| rx.has_data(sim.ctx(), sim.now()))
+            .expect("value should arrive");
+        assert_eq!(rx.recv(sim.ctx(), sim.now()), Some(40));
+        // Nothing is left to happen: the drained channel must not pin the
+        // scheduler to executing cycles.
+        let executed = sim.executed_cycles();
+        sim.run_for(1_000_000);
+        assert!(
+            sim.executed_cycles() - executed <= 1,
+            "a drained watched channel kept bounding fast-forward"
+        );
     }
 
     #[test]
@@ -1246,7 +1208,7 @@ mod tests {
                 delay: 523,
                 sent: false,
             });
-            sim.watch_receiver(&rx);
+            sim.watch_receiver(&rx, 0);
             sim.run_until_strided(100_000, stride, move |sim| {
                 rx.has_data(sim.ctx(), sim.now())
             })
@@ -1701,7 +1663,7 @@ mod tests {
                 delay: 3,
                 sent: false,
             });
-            sim.watch_receiver(&rx);
+            sim.watch_receiver(&rx, 0);
             sim.run_until_strided(1000, stride, move |sim| rx.has_data(sim.ctx(), sim.now()))
                 .expect("value should arrive")
         };

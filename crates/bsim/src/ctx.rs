@@ -1,8 +1,8 @@
 //! [`SimCtx`]: the arena a [`Simulation`](crate::Simulation) owns.
 //!
 //! Everything that used to be shared through `Rc` handles — channel
-//! storage, the wake queue, per-component wake flags, the watched-channel
-//! dirty flag — lives here, in plain `Vec`s indexed by the IDs that
+//! storage, the wake queue, per-component wake flags, the host-ready
+//! queue of watched channels — lives here, in plain `Vec`s indexed by the IDs that
 //! [`Sender`](crate::Sender)/[`Receiver`](crate::Receiver)/
 //! [`Shared`](crate::Shared)/[`Waker`](crate::Waker) handles carry. The
 //! handles themselves are `Copy` integers; every operation resolves
@@ -49,18 +49,14 @@ pub(crate) struct RawChan {
     /// Component indices woken on every successful recv (producers
     /// sleeping on a full channel).
     pub(crate) recv_hooks: Vec<usize>,
-    /// Whether this channel is host-watched: sends set the sim-wide
-    /// dirty flag so the cached watch horizon is re-scanned (see
-    /// [`Simulation::watch_receiver`](crate::Simulation::watch_receiver)).
-    pub(crate) watched: bool,
-    /// Host-ready registration: channels registered through
-    /// [`Simulation::watch_receiver_keyed`](crate::Simulation::watch_receiver_keyed)
-    /// carry an opaque key the host uses to identify the channel in
-    /// [`SimCtx::take_ready_keys`] without scanning every channel.
+    /// The key of a host-watched channel (see
+    /// [`Simulation::watch_receiver`](crate::Simulation::watch_receiver)),
+    /// which [`SimCtx::take_ready_keys`] reports it under; `None` for a
+    /// channel only components consume.
     pub(crate) ready_key: Option<u64>,
-    /// Whether this channel is currently sitting in the host-ready queue
-    /// (dedupe: a channel appears at most once no matter how many sends
-    /// land between host drains).
+    /// Whether this channel is in the host-ready queue (dedupe: a
+    /// channel appears at most once however many sends land between
+    /// reads of the queue).
     pub(crate) ready_queued: bool,
 }
 
@@ -114,16 +110,16 @@ pub struct SimCtx {
     pub(crate) wake_queue: RefCell<Vec<usize>>,
     /// Indexed by component registration order.
     pub(crate) wake_state: Vec<WakeState>,
-    /// Set by any watched channel's `send`; forces a re-scan of the
-    /// cached watched-channel horizon.
-    pub(crate) watch_dirty: Cell<bool>,
-    /// Channel IDs with a host-ready registration that received at least
-    /// one send since the host last drained them. Maintained by
-    /// [`Sender::send`](crate::Sender::send); drained (and re-armed for
-    /// not-yet-visible items) by [`SimCtx::take_ready_keys`]. Lets the
-    /// host service doorbell wakes in time proportional to the number of
-    /// *ready* channels instead of rescanning every response channel.
-    pub(crate) host_ready: RefCell<VecDeque<u32>>,
+    /// The host-ready queue: the IDs of watched channels, in the order
+    /// they were queued. Invariant: every watched channel that holds an
+    /// item is in it. [`Sender::send`](crate::Sender::send) queues the
+    /// channel (deduplicated); an entry found empty is dropped the next
+    /// time the queue is read. It is the one record of what the host
+    /// watches: [`SimCtx::take_ready_keys`] reports the channels with a
+    /// visible item, and the scheduler's fast-forward bound is the
+    /// earliest front item in it, so both cost O(channels holding items),
+    /// not O(watched channels).
+    pub(crate) host_ready: RefCell<Vec<u32>>,
 }
 
 impl SimCtx {
@@ -134,8 +130,7 @@ impl SimCtx {
             front: Vec::new(),
             wake_queue: RefCell::new(Vec::new()),
             wake_state: Vec::new(),
-            watch_dirty: Cell::new(false),
-            host_ready: RefCell::new(VecDeque::new()),
+            host_ready: RefCell::new(Vec::new()),
         }
     }
 
@@ -200,39 +195,55 @@ impl SimCtx {
         self.wake_state[idx].hooked.get()
     }
 
-    /// Drains the host-ready queue, returning the registration keys of
-    /// every keyed channel whose front item is visible at `now`.
-    ///
-    /// Three cases per queued channel:
-    /// - front item visible at `now` → ready flag cleared, key emitted
-    ///   (the host is expected to drain the channel before re-entering
-    ///   the simulation);
-    /// - front item still in flight (latency) → left queued for a later
-    ///   drain, key not emitted;
-    /// - channel already emptied by another path (e.g. a direct
-    ///   drain) → ready flag cleared, nothing emitted.
-    ///
-    /// Examines at most the channels queued when the call starts, so the
-    /// cost scales with ready channels, not with SoC size.
-    pub fn take_ready_keys(&self, now: Cycle) -> Vec<u64> {
-        let mut queue = self.host_ready.borrow_mut();
-        let mut keys = Vec::new();
-        for _ in 0..queue.len() {
-            let id = match queue.pop_front() {
-                Some(id) => id,
-                None => break,
-            };
-            let mut chan = self.chans[id as usize].borrow_mut();
-            match chan.visible.front() {
-                Some(&at) if at <= now => {
-                    chan.ready_queued = false;
-                    keys.push(chan.ready_key.expect("queued channel has a ready key"));
-                }
-                Some(_) => queue.push_back(id),
-                None => chan.ready_queued = false,
-            }
+    /// Queues watched channel `id` in the host-ready queue unless it is
+    /// already there.
+    pub(crate) fn queue_ready(&self, id: u32, chan: &mut RawChan) {
+        if chan.ready_key.is_some() && !chan.ready_queued {
+            chan.ready_queued = true;
+            self.host_ready.borrow_mut().push(id);
         }
+    }
+
+    /// Visits each channel of the host-ready queue with the cycle its
+    /// front item becomes visible, dropping the entries found empty.
+    fn for_each_ready(&self, mut f: impl FnMut(u32, Cycle)) {
+        self.host_ready.borrow_mut().retain(|&id| {
+            let at = self.front[id as usize].get();
+            if at == Cycle::MAX {
+                self.chans[id as usize].borrow_mut().ready_queued = false;
+                return false;
+            }
+            f(id, at);
+            true
+        });
+    }
+
+    /// The registration keys of the watched channels whose front item is
+    /// visible at `now`, in queue order.
+    ///
+    /// Reported channels stay queued: one the host drains only partly
+    /// (its later items are still in flight) is reported again once they
+    /// are visible, and one it empties is dropped on a later read. Costs
+    /// O(channels holding items), not O(watched channels).
+    pub fn take_ready_keys(&self, now: Cycle) -> Vec<u64> {
+        let mut keys = Vec::new();
+        self.for_each_ready(|id, at| {
+            if at <= now {
+                let chan = self.chans[id as usize].borrow();
+                keys.push(chan.ready_key.expect("queued channel has a ready key"));
+            }
+        });
         keys
+    }
+
+    /// The earliest cycle a watched channel's front item becomes visible
+    /// (possibly past, if the host has not drained it yet), `Cycle::MAX`
+    /// when no watched channel holds an item: the bound the scheduler
+    /// never fast-forwards past.
+    pub(crate) fn ready_horizon(&self) -> Cycle {
+        let mut earliest = Cycle::MAX;
+        self.for_each_ready(|_, at| earliest = earliest.min(at));
+        earliest
     }
 }
 

@@ -74,7 +74,6 @@ pub mod perf;
 mod stats;
 mod time;
 mod trace;
-mod vcd;
 mod wake;
 
 pub use chan::{ChannelState, Receiver, Sender};
@@ -88,5 +87,4 @@ pub use stats::{
 };
 pub use time::{ClockDomain, Cycle, Picoseconds, PICOS_PER_SEC};
 pub use trace::{render_timeline, to_vcd, TraceEvent, Tracer};
-pub use vcd::{SignalId, VcdRecorder};
 pub use wake::Waker;

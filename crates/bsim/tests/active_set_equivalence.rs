@@ -382,7 +382,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     #[test]
-    fn schedulers_are_cycle_exact_on_large_mixed_domain_graphs(
+    fn schedulers_are_cycle_exact_on_large_graphs(
         specs in proptest::collection::vec(node_strategy(), 60..140),
         warmup in 0u64..300,
         naive_leg in 1u64..64,
