@@ -12,9 +12,10 @@ use bsim::{SimRate, SimRateExt, SimRateTimer};
 
 use crate::a3::{self, A3Scale};
 use crate::fig6::{self, Fig6Scale};
-use crate::{fig4, fig5, profile, table1};
+use crate::{ablations, fig4, fig5, profile, table1};
 
-/// One artifact of the paper's evaluation, declared in §III order.
+/// One artifact of the paper's evaluation, declared in §III order, then
+/// the design ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Artifact {
     /// Figure 4: memcpy bandwidth.
@@ -33,6 +34,8 @@ pub enum Artifact {
     Table2,
     /// Table III: attention throughput and energy.
     Table3,
+    /// The design ablations.
+    Ablations,
 }
 
 /// One regenerated artifact.
@@ -49,9 +52,10 @@ pub struct Regenerated {
 
 impl Artifact {
     /// Runs the artifact's sweep on `workers` host threads, at the
-    /// scaled-down size when `small` is set (Figure 5 and Table I have
-    /// one size). Figures 4–6 and Table III also make one representative
-    /// profiled run and write its profile (see [`profile::emit`]).
+    /// scaled-down size when `small` is set (Figure 5, Table I and the
+    /// ablations have one size). Figures 4–6 and Table III also make one
+    /// representative profiled run and write its profile (see
+    /// [`profile::emit`]).
     pub fn regenerate(self, small: bool, workers: usize) -> Regenerated {
         let timer = SimRateTimer::starting_at(0);
         let a3_scale = || {
@@ -104,6 +108,7 @@ impl Artifact {
                 let profile = a3::profiled_run(&scale).with_soc(|soc| emit("table3", soc));
                 (a3::render_table3(&rows), cycles, Some(profile))
             }
+            Artifact::Ablations => (ablations::render(), 0, None),
         };
         Regenerated {
             text,

@@ -1,5 +1,5 @@
 //! Regenerates every table and figure in one run (the full §III
-//! evaluation). Pass `--small` for the scaled-down variant.
+//! evaluation), then the design ablations. Pass `--small` for the scaled-down variant.
 //!
 //! Each artifact is one [`bsim::host::run_ordered`] job running the same
 //! driver as its own binary ([`bbench::artifact::Artifact::regenerate`]),
@@ -7,10 +7,11 @@
 //! (`BBENCH_JOBS` overrides the worker count; `BBENCH_JOBS=1` is the
 //! exact serial path). Inside an artifact the sweep runs serially so the
 //! artifact jobs do not oversubscribe the pool. stdout is the eight
-//! binaries' stdout in §III order, joined by blank lines, whichever
-//! artifact finished first; CI checks both that and that two `--small`
-//! runs at different worker counts match. Profile notes (honoring
-//! `BBENCH_PROFILE_DIR`) and the merged `sim rate:` footer go to stderr.
+//! figure and table binaries' stdout in §III order, then the ablations
+//! binary's, joined by blank lines, whichever artifact finished first;
+//! CI checks both that and that two `--small` runs at different worker
+//! counts match. Profile notes (honoring `BBENCH_PROFILE_DIR`) and the
+//! merged `sim rate:` footer go to stderr.
 
 use bbench::artifact::Artifact;
 use bsim::MergedSimRate;
@@ -31,6 +32,7 @@ fn main() {
         Artifact::Fig8,
         Artifact::Table2,
         Artifact::Table1,
+        Artifact::Ablations,
     ];
     let span = std::time::Instant::now();
     let jobs = queue.map(|artifact| move || artifact.regenerate(small, 1));

@@ -402,8 +402,8 @@ pub fn profiled_run(scale: &Fig6Scale) -> FpgaHandle {
     handle
 }
 
-/// Runs a single benchmark serially (used by tests and the criterion
-/// benches).
+/// Runs a single benchmark serially (used by tests and perfbench's
+/// `machsuite` workload).
 pub fn run_one(bench: Bench, scale: &Fig6Scale) -> Fig6Row {
     let single = run_single_core(bench, scale);
     let multi = run_multi_core(bench, scale);

@@ -12,6 +12,7 @@
 //! | Figure 8 (A³ floorplan) | [`a3`] | `... --bin fig8` |
 //! | Table II (A³ utilization) | [`a3`] | `... --bin table2` |
 //! | Table III (throughput/energy) | [`a3`] | `... --bin table3` |
+//! | Design ablations | [`ablations`] | `... --bin ablations` |
 //! | Policy ablation (runtime server) | [`loadgen`] | `... --bin loadgen` |
 //! | Networked loadgen + replay oracle | [`netgen`] | `... --bin bservd`, `... --bin loadgen -- --net/--oracle` |
 //!
@@ -34,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod a3;
+pub mod ablations;
 pub mod artifact;
 pub mod fig4;
 pub mod fig5;

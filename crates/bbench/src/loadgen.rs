@@ -551,7 +551,7 @@ fn telemetry_json(t: &PolicyTelemetry) -> String {
 /// One row of the fleet and batching ablations: seed 42's saturating
 /// open-loop schedule (8 tenants, 800 jobs, a mean gap of 10 cycles)
 /// served FIFO by `shards` single-core replicas.
-pub fn ablation_row(shards: usize, batch: BatchPolicy, queue_capacity: usize) -> PolicyRow {
+fn ablation_row(shards: usize, batch: BatchPolicy, queue_capacity: usize) -> PolicyRow {
     let scale = LoadScale {
         tenants: 8,
         jobs: 800,
@@ -567,7 +567,7 @@ pub fn ablation_row(shards: usize, batch: BatchPolicy, queue_capacity: usize) ->
     run_policy(DispatchPolicy::Fifo, &plan(42, &scale), &scale, &opts)
 }
 
-/// The fleet-sharding ablation's datum lines, `results/ablation_fleet.txt`:
+/// The fleet-sharding ablation's datum lines in `results/ablations.txt`:
 /// goodput (completed jobs per megacycle of fleet makespan) at 1, 2 and 4
 /// shards with 2-deep tenant queues. A single shard rejects most of the
 /// offered load; admission hashing splits the tenants across
@@ -610,8 +610,8 @@ pub fn render_fleet_ablation() -> String {
     out
 }
 
-/// The batched-dispatch ablation's datum lines,
-/// `results/ablation_batching.txt`: goodput and p99 latency of a 4-shard
+/// The batched-dispatch ablation's datum lines in
+/// `results/ablations.txt`: goodput and p99 latency of a 4-shard
 /// fleet with 8-deep tenant queues at batch widths 1, 4, 16 and `auto`.
 /// Batch 1, the default, pays the per-command host costs; wider batches
 /// amortize the lock and MMIO wakes across commands.

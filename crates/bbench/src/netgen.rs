@@ -45,7 +45,7 @@ pub fn rig_config(scale: &LoadScale, policy: DispatchPolicy, shards: usize) -> R
 /// `buffer_addrs\[tenant\]` names the vecadd operand buffer (from
 /// `HelloAck` on the socket path, from the local rig on the oracle
 /// path — identical by construction).
-pub fn rounds_from_plan(
+fn rounds_from_plan(
     jobs: &[PlannedJob],
     scale: &LoadScale,
     buffer_addrs: &[u64],
@@ -156,7 +156,7 @@ fn report_from_outcomes(
 /// connection into the server's wave barrier, then collect every
 /// connection's outcomes. Returns the outcomes in the order they were
 /// read and the number of submissions the network tier shed.
-pub fn drive_rounds(
+fn drive_rounds(
     clients: &mut [NetClient],
     rounds: &[Vec<TraceCmd>],
 ) -> Result<(Vec<KeyedOutcome>, usize), bnet::ClientError> {
@@ -186,7 +186,7 @@ pub fn drive_rounds(
 }
 
 /// Drives a live `bservd` at `addr` with the seeded schedule: one
-/// [`NetClient`] per tenant, closed-loop rounds ([`drive_rounds`]),
+/// [`NetClient`] per tenant, closed-loop rounds (`drive_rounds`),
 /// then a `STATS` fetch and a `BYE` per connection.
 pub fn run_net(
     addr: &str,

@@ -13,7 +13,7 @@
 use bsim::Cycle;
 
 /// Upper bound the adaptive controller will widen to (matches the
-/// largest fixed setting the `ablation_batching` bench sweeps).
+/// largest fixed setting the batching ablation sweeps).
 const MAX_AUTO_BATCH: usize = 16;
 
 /// Cycles per controller window; matches the telemetry default so the

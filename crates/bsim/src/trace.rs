@@ -101,17 +101,27 @@ impl Tracer {
 }
 
 /// Converts events to a VCD (Value Change Dump) waveform: one 1-bit
-/// signal per (track, id) pair, pulsing high on each event's start cycle.
-/// Any waveform viewer (GTKWave, Surfer) opens the result: the paper's
-/// simulation platform exists "for debugging and performance prediction"
-/// (§II-D), and hardware debugging means waveforms.
+/// signal per (track, id) pair, high for the first half of each event's
+/// start cycle. Any waveform viewer (GTKWave, Surfer) opens the result:
+/// the paper's simulation platform exists "for debugging and performance
+/// prediction" (§II-D), and hardware debugging means waveforms.
+///
+/// Times are in picoseconds: cycle `c` rises at `c * period_ps` and falls
+/// half a period later, so events in consecutive cycles stay separate
+/// pulses.
 ///
 /// Signals are numbered in order of first event, and a `/` in a track
 /// name opens a scope (`mem1/AR` id 0 is `id0` in scope `mem1/AR`).
-pub fn to_vcd(events: &[TraceEvent], timescale_ps: u64) -> String {
+///
+/// # Panics
+///
+/// If `period_ps` is below 2, the shortest period with a high and a low
+/// half.
+pub fn to_vcd(events: &[TraceEvent], period_ps: u64) -> String {
+    assert!(period_ps >= 2, "a {period_ps} ps period has no low half");
     let mut signals: BTreeMap<(&str, u32), usize> = BTreeMap::new();
     let mut root = VcdScope::default();
-    // (cycle, signal, value), in record order.
+    // (time in ps, signal, value), in record order.
     let mut changes = Vec::new();
     for event in events {
         let next = signals.len();
@@ -119,22 +129,23 @@ pub fn to_vcd(events: &[TraceEvent], timescale_ps: u64) -> String {
             root.declare(&format!("{}/id{}", event.track, event.id), next);
             next
         });
-        changes.push((event.start, signal, 1));
-        changes.push((event.start + 1, signal, 0));
+        let rise = event.start * period_ps;
+        changes.push((rise, signal, 1));
+        changes.push((rise + period_ps / 2, signal, 0));
     }
-    // Time order; within a cycle by signal, then in record order (the
+    // Time order; within a stamp by signal, then in record order (the
     // sort is stable).
-    changes.sort_by_key(|&(cycle, signal, _)| (cycle, signal));
+    changes.sort_by_key(|&(ps, signal, _)| (ps, signal));
 
     let mut out = String::from("$date generated by beethoven bsim $end\n");
-    out.push_str(&format!("$timescale {} ps $end\n", timescale_ps.max(1)));
+    out.push_str("$timescale 1 ps $end\n");
     root.emit(&mut out, "");
     out.push_str("$enddefinitions $end\n");
     let mut at = None;
-    for (cycle, signal, value) in changes {
-        if at != Some(cycle) {
-            out.push_str(&format!("#{cycle}\n"));
-            at = Some(cycle);
+    for (ps, signal, value) in changes {
+        if at != Some(ps) {
+            out.push_str(&format!("#{ps}\n"));
+            at = Some(ps);
         }
         out.push_str(&format!("{value}{}\n", vcd_ident(signal)));
     }
@@ -291,13 +302,13 @@ mod tests {
     }
 
     /// A minimal VCD reader for round-trip assertions: each variable's
-    /// full hierarchical path and (cycle, value) change list, rebuilt
+    /// full hierarchical path and (time, value) change list, rebuilt
     /// from the rendered text alone.
-    fn parse_vcd(text: &str) -> BTreeMap<String, Vec<(Cycle, u64)>> {
+    fn parse_vcd(text: &str) -> BTreeMap<String, Vec<(u64, u64)>> {
         let mut scopes: Vec<String> = Vec::new();
         let mut by_ident = std::collections::HashMap::new();
-        let mut vars: BTreeMap<String, Vec<(Cycle, u64)>> = BTreeMap::new();
-        let mut cycle: Cycle = 0;
+        let mut vars: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
+        let mut time = 0;
         for line in text.lines() {
             let fields: Vec<&str> = line.split_whitespace().collect();
             match fields.as_slice() {
@@ -314,13 +325,13 @@ mod tests {
                     by_ident.insert((*ident).to_owned(), path.clone());
                     vars.insert(path, Vec::new());
                 }
-                [time] if time.starts_with('#') => {
-                    cycle = time[1..].parse().expect("cycle number");
+                [stamp] if stamp.starts_with('#') => {
+                    time = stamp[1..].parse().expect("time stamp");
                 }
                 [change] if change.starts_with(['0', '1']) => {
                     let value = u64::from(change.as_bytes()[0] - b'0');
                     let path = &by_ident[&change[1..]];
-                    vars.get_mut(path).expect("declared").push((cycle, value));
+                    vars.get_mut(path).expect("declared").push((time, value));
                 }
                 _ => {}
             }
@@ -342,7 +353,7 @@ mod tests {
     #[test]
     fn vcd_header_declares_signals_in_nested_scopes() {
         let text = to_vcd(&nested_scope_events(), 4000);
-        assert!(text.contains("$timescale 4000 ps $end"));
+        assert!(text.contains("$timescale 1 ps $end"));
         assert!(text.contains("$scope module soc $end"));
         assert!(text.contains("$scope module core0 $end"));
         assert_eq!(text.matches("$var wire 1").count(), 4, "{text}");
@@ -355,7 +366,7 @@ mod tests {
     #[test]
     fn vcd_hierarchical_scopes_round_trip() {
         let events = nested_scope_events();
-        let parsed = parse_vcd(&to_vcd(&events, 1));
+        let parsed = parse_vcd(&to_vcd(&events, 10));
         let names: Vec<&str> = parsed.keys().map(String::as_str).collect();
         assert_eq!(
             names,
@@ -368,8 +379,8 @@ mod tests {
         );
         for (i, event) in events.iter().enumerate() {
             let path = format!("{}/id{}", event.track, event.id);
-            let at = i as Cycle;
-            assert_eq!(parsed[&path], [(at, 1), (at + 1, 0)], "{path}");
+            let at = 10 * i as u64;
+            assert_eq!(parsed[&path], [(at, 1), (at + 5, 0)], "{path}");
         }
     }
 
@@ -381,11 +392,31 @@ mod tests {
             TraceEvent::instant(7, "x", 0, "late"),
             TraceEvent::instant(3, "x", 0, "early"),
         ];
-        let text = to_vcd(&events, 1);
+        let text = to_vcd(&events, 10);
         assert_eq!(text.matches("$var wire 1").count(), 1, "{text}");
         let stamps: Vec<&str> = text.lines().filter(|l| l.starts_with('#')).collect();
-        assert_eq!(stamps, ["#3", "#4", "#7", "#8"]);
-        assert_eq!(parse_vcd(&text)["x/id0"], [(3, 1), (4, 0), (7, 1), (8, 0)]);
+        assert_eq!(stamps, ["#30", "#35", "#70", "#75"]);
+        assert_eq!(
+            parse_vcd(&text)["x/id0"],
+            [(30, 1), (35, 0), (70, 1), (75, 0)]
+        );
+    }
+
+    #[test]
+    fn vcd_events_in_consecutive_cycles_are_separate_pulses() {
+        // Beats on one signal in back-to-back cycles, at the 250 MHz
+        // fabric's 4000 ps period: each rises on its cycle's edge and
+        // falls half a period later, before the next one rises.
+        let events = [
+            TraceEvent::instant(3, "R", 0, "beat0"),
+            TraceEvent::instant(4, "R", 0, "beat1"),
+        ];
+        let text = to_vcd(&events, 4_000);
+        assert!(text.contains("$timescale 1 ps $end"), "{text}");
+        assert_eq!(
+            parse_vcd(&text)["R/id0"],
+            [(12_000, 1), (14_000, 0), (16_000, 1), (18_000, 0)]
+        );
     }
 
     #[test]
@@ -393,7 +424,7 @@ mod tests {
         let events: Vec<TraceEvent> = (0..200)
             .map(|i| TraceEvent::instant(i, "s", i as u32, "e"))
             .collect();
-        let text = to_vcd(&events, 1);
+        let text = to_vcd(&events, 4_000);
         // Every $var line must carry a distinct identifier.
         let ids: std::collections::HashSet<&str> = text
             .lines()
