@@ -30,6 +30,17 @@ use crate::primitives::{Reader, Scratchpad, Writer};
 /// 1. calls [`CoreContext::take_command`] when idle,
 /// 2. drives its [`Reader`]s / [`Writer`]s / [`Scratchpad`]s,
 /// 3. calls [`CoreContext::respond`] when the command completes.
+///
+/// A phase whose length is fixed when it starts and which touches only
+/// the core's own scratchpads may be done in one tick: the core does the
+/// phase's functional work at once and calls [`CoreContext::sleep_for`]
+/// with the phase's dense length. The harness then skips the core's
+/// ticks until that cycle (its primitives still tick when they declare
+/// work), so the core resumes on exactly the cycle it would have ticked
+/// densely. The contract: the sleeping phase reads and writes only
+/// core-local scratchpads. It makes no reader, writer, command, response
+/// or intra-core-out call, and no other core writes into its scratchpads
+/// while it sleeps.
 pub trait AcceleratorCore {
     /// Advances the core by one cycle. `sim` is the simulation context that
     /// owns the channel arena behind the context's command/response/memory
@@ -171,6 +182,8 @@ pub struct CoreContext {
     system_id: u16,
     core_id: u16,
     now: Cycle,
+    /// The first cycle the core ticks again (see [`CoreContext::sleep_for`]).
+    wake_at: Cycle,
     readers: Vec<Reader>,
     writers: Vec<Writer>,
     scratchpads: Vec<Scratchpad>,
@@ -238,6 +251,7 @@ impl CoreContext {
             system_id,
             core_id,
             now: 0,
+            wake_at: 0,
             readers,
             writers,
             scratchpads,
@@ -270,6 +284,20 @@ impl CoreContext {
     /// Shared stats bag for custom core counters.
     pub fn stats(&self) -> &Stats {
         &self.stats
+    }
+
+    /// Puts the core to sleep for a phase of `cycles` cycles that starts
+    /// with the current tick: the core's next tick is at `now + cycles`
+    /// (`cycles <= 1` does not sleep). Call it after doing the whole
+    /// phase's functional work in this tick; the sleeping phase must keep
+    /// the contract on [`AcceleratorCore`] — scratchpads only.
+    pub fn sleep_for(&mut self, cycles: Cycle) {
+        self.wake_at = self.now + cycles;
+    }
+
+    /// Whether the core sleeps through the cycle after `now`.
+    fn asleep_after(&self, now: Cycle) -> bool {
+        self.wake_at > now + 1
     }
 
     /// Takes the next pending command, if any (the `io.req.fire` moment of
@@ -400,9 +428,13 @@ impl CoreContext {
         self.now = now;
     }
 
-    /// Earliest cycle after `now` at which any primitive or inbound channel
-    /// needs a tick, or `None` when everything is quiescent. Only
-    /// meaningful while the core itself reports [`AcceleratorCore::idle`].
+    /// Earliest cycle after `now` at which the harness needs a tick while
+    /// the core is idle ([`AcceleratorCore::idle`]) or asleep
+    /// ([`CoreContext::sleep_for`]), or `None` when everything is
+    /// quiescent: the earliest of the primitives' own events, inbound
+    /// remote writes, and either the wake cycle or — for an idle core —
+    /// the next visible command. A sleeping core's queued command waits
+    /// for the wake, so it must not keep the harness ticking.
     pub(crate) fn next_event(&self, sim: &SimCtx, now: Cycle) -> Option<Cycle> {
         // Scratchpad init is driven from the core's own tick; an idle()
         // claim during init would be a core bug — stay awake regardless.
@@ -422,18 +454,30 @@ impl CoreContext {
         for writer in &self.writers {
             consider(writer.next_event(sim, now));
         }
-        consider(self.cmd_rx.next_visible_at(sim));
         for sink in &self.intra_sinks {
             consider(sink.rx.next_visible_at(sim));
         }
+        if self.asleep_after(now) {
+            consider(Some(self.wake_at));
+        } else {
+            consider(self.cmd_rx.next_visible_at(sim));
+        }
         wake
+    }
+
+    /// Charges every writer's skipped data-starved cycles through cycle
+    /// `through` (see [`Writer::settle_starved`]).
+    pub(crate) fn settle_writers(&self, through: Cycle) {
+        for writer in &self.writers {
+            writer.settle_starved(through);
+        }
     }
 
     /// Hooks every channel [`CoreContext::next_event`] consults, so a
     /// sleeping harness is re-armed the moment new work arrives: a command,
     /// a remote write from another core, read data, or a write ack. The
-    /// core's own `idle` flag can only change inside a tick, so these
-    /// external inputs are the complete wake surface.
+    /// core's own `idle` flag and wake cycle can only change inside a tick,
+    /// so these external inputs are the complete wake surface.
     pub(crate) fn register_wakes(&self, sim: &SimCtx, waker: &bsim::Waker) {
         self.cmd_rx.wake_on_send(sim, waker);
         for sink in &self.intra_sinks {
@@ -472,7 +516,9 @@ impl bsim::Component for CoreHarness {
     fn tick(&mut self, sim: &SimCtx, now: Cycle) {
         self.ctx.set_now(now);
         self.ctx.drain_remote_writes(sim, now);
-        self.core.tick(sim, &mut self.ctx);
+        if now >= self.ctx.wake_at {
+            self.core.tick(sim, &mut self.ctx);
+        }
         self.ctx.tick_primitives(sim, now);
     }
 
@@ -481,7 +527,7 @@ impl bsim::Component for CoreHarness {
     }
 
     fn next_event(&self, sim: &SimCtx, now: Cycle) -> Option<Cycle> {
-        if !self.core.idle() {
+        if !self.ctx.asleep_after(now) && !self.core.idle() {
             return Some(now + 1);
         }
         self.ctx.next_event(sim, now)

@@ -659,8 +659,12 @@ pub fn elaborate_with(
         // Elaboration-time binding: the core resolves its port handles
         // here, so an undeclared name fails before any cycle runs.
         let core = (sys.factory)(&ports);
-        sim.add(CoreHarness { core, ctx });
-        links[sys_idx].push(CoreLink { cmd_tx, resp_rx });
+        let harness = sim.add_shared(CoreHarness { core, ctx });
+        links[sys_idx].push(CoreLink {
+            cmd_tx,
+            resp_rx,
+            harness,
+        });
     }
 
     // Interconnects and memory controllers, one pair per memory port.

@@ -8,6 +8,7 @@
 //! memory controller reorder across them, with prefetched data reassembled
 //! in stream order inside the Reader.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use baxi::{strobe_mask, ArFlit, AwFlit, AxiMasterPort, Beat, WFlit};
@@ -386,6 +387,12 @@ pub struct Writer {
     perf_stall_data: StatCounter,
     /// Cycles a W beat was blocked by W-channel backpressure.
     perf_stall_w: StatCounter,
+    /// `Some(c)` while the last tick ended data-starved: the writer then
+    /// declares no tick until a B response (or a push, made inside the
+    /// owning harness's tick), and `perf_stall_data` holds the starved
+    /// cycles through `c`. The skipped ones are charged on the next tick
+    /// or by [`Writer::settle_starved`].
+    starved_through: Cell<Option<Cycle>>,
 }
 
 impl Writer {
@@ -415,14 +422,18 @@ impl Writer {
             perf_stall_aw: StatCounter::default(),
             perf_stall_data: StatCounter::default(),
             perf_stall_w: StatCounter::default(),
+            starved_through: Cell::new(None),
         }
     }
 
     /// Registers this writer's stats and stall counters under `set`.
     ///
-    /// The stall counters only ever increment while the writer is busy
-    /// (dense-ticking in both scheduler modes), so enabling them cannot
-    /// perturb event-driven skipping.
+    /// The stall counters never feed back into the writer's behaviour, so
+    /// enabling them cannot perturb event-driven skipping. A data-starved
+    /// writer is not ticked until its state can change; the cycles it
+    /// skips are charged to `stall_data_starved_cycles` on its next tick
+    /// and before every host counter read, so the counter reads the same
+    /// in both scheduler modes.
     pub fn attach_perf(&mut self, set: &CounterSet) {
         set.attach_stats(&self.stats);
         self.perf_stall_inflight = set.gated("stall_inflight_cycles");
@@ -506,9 +517,25 @@ impl Writer {
 
     /// Advances the writer one fabric cycle.
     pub fn tick(&mut self, ctx: &SimCtx, now: Cycle) {
+        if let Some(through) = self.starved_through.take() {
+            self.perf_stall_data.add(now - through - 1);
+        }
         self.collect_b(ctx, now);
         self.start_burst(ctx, now);
         self.stream_w(ctx, now);
+    }
+
+    /// Charges the data-starved cycles this writer skipped through cycle
+    /// `through` (inclusive) to `stall_data_starved_cycles`, so a host
+    /// counter read between runs sees what dense ticking would have
+    /// counted. A no-op unless the last tick ended data-starved.
+    pub(crate) fn settle_starved(&self, through: Cycle) {
+        if let Some(charged) = self.starved_through.get() {
+            if through > charged {
+                self.perf_stall_data.add(through - charged);
+                self.starved_through.set(Some(through));
+            }
+        }
     }
 
     fn collect_b(&mut self, ctx: &SimCtx, now: Cycle) {
@@ -541,6 +568,7 @@ impl Writer {
         // W channel dense, as real DMA engines do).
         if (self.staging.len() as u64) < span {
             self.perf_stall_data.incr();
+            self.starved_through.set(Some(now));
             return;
         }
         let beats = span.div_ceil(bus) as u32;
@@ -591,8 +619,15 @@ impl Writer {
     /// Outstanding B responses wake the writer through its B channel's
     /// visibility horizon; the issuing controller stays active until it has
     /// sent them, so the scheduler cannot skip past their arrival.
+    ///
+    /// A writer whose last tick ended data-starved also waits only on B:
+    /// no burst is streaming, the inflight count is below the cap and can
+    /// only fall, its AW channel has room and only this writer fills it,
+    /// and the staging buffer grows only through a push — a core-side
+    /// call, made while the owning harness is awake.
     pub fn next_event(&self, ctx: &SimCtx, now: Cycle) -> Option<Cycle> {
-        if self.emit.is_some() || !self.staging.is_empty() {
+        if self.starved_through.get().is_none() && (self.emit.is_some() || !self.staging.is_empty())
+        {
             return Some(now + 1);
         }
         self.port.b.next_visible_at(ctx).map(|v| v.max(now + 1))

@@ -17,6 +17,7 @@ use crate::command::{
     pack_command, unpack_command, AccelCommandSpec, CommandArgs, CommandPackError, RoccCommand,
     RoccResponse, UnpackedCommand,
 };
+use crate::core::CoreHarness;
 use crate::mmio::{encode_command, MmioDecoder, MmioRegister};
 use crate::report::SocReport;
 
@@ -79,6 +80,7 @@ impl From<CommandPackError> for SendError {
 pub(crate) struct CoreLink {
     pub cmd_tx: Sender<UnpackedCommand>,
     pub resp_rx: Receiver<RoccResponse>,
+    pub harness: Shared<CoreHarness>,
 }
 
 /// Executed cycles between the completion checks of the response waits.
@@ -604,6 +606,8 @@ impl SocSim {
     /// back into simulated behaviour, so this cannot change cycle counts
     /// (guarded by the profiling lockstep test in `bkernels`).
     pub fn set_profiling(&mut self, enabled: bool) {
+        // Cycles skipped so far count under the old gate.
+        self.sync_scheduler_counters();
         self.perf.set_enabled(enabled);
     }
 
@@ -613,11 +617,18 @@ impl SocSim {
     }
 
     /// Pushes the scheduler's externally-owned cycle counts into the
-    /// registry. Called before every registry read so `scheduler/*`
-    /// counters are current. (`skipped_cycles` legitimately differs
-    /// between naive and event-driven modes — it measures the scheduler,
-    /// not the simulated hardware.)
+    /// registry and charges every writer's skipped data-starved cycles up
+    /// to the last executed cycle. Called before every registry read so
+    /// `scheduler/*` and the writers' stall counters are current.
+    /// (`skipped_cycles` legitimately differs between naive and
+    /// event-driven modes — it measures the scheduler, not the simulated
+    /// hardware.)
     fn sync_scheduler_counters(&self) {
+        if let Some(last) = self.sim.now().checked_sub(1) {
+            for link in self.links.iter().flatten() {
+                self.sim.get(link.harness).ctx.settle_writers(last);
+            }
+        }
         self.perf
             .set_value("scheduler", "executed_cycles", self.sim.executed_cycles());
         self.perf

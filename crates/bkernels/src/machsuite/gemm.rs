@@ -42,8 +42,6 @@ pub struct GemmCore {
     a_addr: u64,
     c_addr: u64,
     row: usize,
-    k: usize,
-    jb: usize,
     drain_j: usize,
 }
 
@@ -69,8 +67,6 @@ impl GemmCore {
             a_addr: 0,
             c_addr: 0,
             row: 0,
-            k: 0,
-            jb: 0,
             drain_j: 0,
         }
     }
@@ -115,38 +111,27 @@ impl AcceleratorCore for GemmCore {
                 let (sp, reader) = ctx.scratchpad_and_reader(self.a_row, self.a);
                 sp.service_init(reader);
                 if !ctx.scratchpad(self.a_row).initializing() {
-                    self.k = 0;
-                    self.jb = 0;
-                    // Zero the accumulator row.
-                    for j in 0..self.n {
-                        ctx.scratchpad(self.c_row).write(j, 0);
-                    }
                     self.phase = Phase::Compute;
                 }
             }
             Phase::Compute => {
-                // P MACs per cycle: c_row[jb..jb+P] += a_row[k] * b[k][..].
+                // P MACs per cycle, c_row[jb..jb+P] += a_row[k] * b[k][..],
+                // over n·⌈n/P⌉ cycles that touch only scratchpads: do the
+                // row at once (wrapping sums are order-free) and sleep
+                // through its length.
                 let n = self.n;
-                let a_ik = ctx.scratchpad(self.a_row).read(self.k) as u32 as i32;
-                for lane in 0..self.p {
-                    let j = self.jb + lane;
-                    if j >= n {
-                        break;
+                for j in 0..n {
+                    let mut acc = 0i32;
+                    for k in 0..n {
+                        let a_ik = ctx.scratchpad(self.a_row).read(k) as u32 as i32;
+                        let b_kj = ctx.scratchpad(self.b_sp).read(k * n + j) as u32 as i32;
+                        acc = acc.wrapping_add(a_ik.wrapping_mul(b_kj));
                     }
-                    let b_kj = ctx.scratchpad(self.b_sp).read(self.k * n + j) as u32 as i32;
-                    let acc = ctx.scratchpad(self.c_row).read(j) as u32 as i32;
-                    let next = acc.wrapping_add(a_ik.wrapping_mul(b_kj));
-                    ctx.scratchpad(self.c_row).write(j, next as u32 as u64);
+                    ctx.scratchpad(self.c_row).write(j, acc as u32 as u64);
                 }
-                self.jb += self.p;
-                if self.jb >= n {
-                    self.jb = 0;
-                    self.k += 1;
-                    if self.k == n {
-                        self.drain_j = 0;
-                        self.phase = Phase::DrainRow;
-                    }
-                }
+                ctx.sleep_for((n * n.div_ceil(self.p)) as bsim::Cycle);
+                self.drain_j = 0;
+                self.phase = Phase::DrainRow;
             }
             Phase::DrainRow => {
                 // Push the finished row to the writer, P words per cycle.

@@ -46,9 +46,6 @@ pub struct MdKnnCore {
     phase: Phase,
     n: usize,
     k: usize,
-    atom: usize,
-    neighbor: usize,
-    acc: [f32; 3],
     drain_pos: usize,
 }
 
@@ -72,9 +69,6 @@ impl MdKnnCore {
             phase: Phase::Idle,
             n: 0,
             k: 0,
-            atom: 0,
-            neighbor: 0,
-            acc: [0.0; 3],
             drain_pos: 0,
         }
     }
@@ -127,48 +121,38 @@ impl AcceleratorCore for MdKnnCore {
                 let (sp, reader) = ctx.scratchpad_and_reader(self.nl, self.nl_in);
                 sp.service_init(reader);
                 if !ctx.scratchpad(self.nl).initializing() {
-                    self.atom = 0;
-                    self.neighbor = 0;
-                    self.acc = [0.0; 3];
                     self.phase = Phase::Compute;
                 }
             }
             Phase::Compute => {
-                for _ in 0..self.p {
-                    if self.phase != Phase::Compute {
-                        break;
+                // P interactions per cycle over ⌈n·k/P⌉ cycles that touch
+                // only scratchpads: compute every force at once and sleep
+                // through the phase's length.
+                let (n, k) = (self.n, self.k);
+                for i in 0..n {
+                    let mut acc = [0.0f32; 3];
+                    for neighbor in 0..k {
+                        let j = ctx.scratchpad(self.nl).read(i * k + neighbor) as usize;
+                        let pos = ctx.scratchpad(self.pos);
+                        let read_pos = |idx: usize, axis: usize| bits_f32(pos.read(idx * 3 + axis));
+                        let dx = read_pos(i, 0) - read_pos(j, 0);
+                        let dy = read_pos(i, 1) - read_pos(j, 1);
+                        let dz = read_pos(i, 2) - read_pos(j, 2);
+                        let r2inv = 1.0f32 / (dx * dx + dy * dy + dz * dz);
+                        let r6inv = r2inv * r2inv * r2inv;
+                        let potential = r2inv * r6inv * (LJ1 * r6inv - LJ2);
+                        acc[0] += dx * potential;
+                        acc[1] += dy * potential;
+                        acc[2] += dz * potential;
                     }
-                    let i = self.atom;
-                    let j = ctx.scratchpad(self.nl).read(i * self.k + self.neighbor) as usize;
-                    let pos = ctx.scratchpad(self.pos);
-                    let read_pos = |idx: usize, axis: usize| bits_f32(pos.read(idx * 3 + axis));
-                    let xi = read_pos(i, 0);
-                    let yi = read_pos(i, 1);
-                    let zi = read_pos(i, 2);
-                    let dx = xi - read_pos(j, 0);
-                    let dy = yi - read_pos(j, 1);
-                    let dz = zi - read_pos(j, 2);
-                    let r2inv = 1.0f32 / (dx * dx + dy * dy + dz * dz);
-                    let r6inv = r2inv * r2inv * r2inv;
-                    let potential = r2inv * r6inv * (LJ1 * r6inv - LJ2);
-                    self.acc[0] += dx * potential;
-                    self.acc[1] += dy * potential;
-                    self.acc[2] += dz * potential;
-                    self.neighbor += 1;
-                    if self.neighbor == self.k {
-                        for axis in 0..3 {
-                            ctx.scratchpad(self.fout)
-                                .write(i * 3 + axis, f32_bits(self.acc[axis]));
-                        }
-                        self.acc = [0.0; 3];
-                        self.neighbor = 0;
-                        self.atom += 1;
-                        if self.atom == self.n {
-                            self.drain_pos = 0;
-                            self.phase = Phase::Drain;
-                        }
+                    for (axis, value) in acc.into_iter().enumerate() {
+                        ctx.scratchpad(self.fout)
+                            .write(i * 3 + axis, f32_bits(value));
                     }
                 }
+                ctx.sleep_for((n * k).div_ceil(self.p) as bsim::Cycle);
+                self.drain_pos = 0;
+                self.phase = Phase::Drain;
             }
             Phase::Drain => {
                 for _ in 0..self.p.max(4) {

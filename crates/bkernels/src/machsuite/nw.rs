@@ -65,10 +65,6 @@ pub struct NwCore {
     out_addr: u64,
     i: usize,
     j: usize,
-    /// dp value of the cell diagonal to the current one (`dp[i-1][j-1]`).
-    diag: i32,
-    /// dp value of the cell to the left (`dp[i][j-1]`).
-    left: i32,
     /// Characters emitted by traceback so far.
     out_len: usize,
     drain_pos: usize,
@@ -92,8 +88,6 @@ impl NwCore {
             out_addr: 0,
             i: 0,
             j: 0,
-            diag: 0,
-            left: 0,
             out_len: 0,
             drain_pos: 0,
         }
@@ -156,51 +150,47 @@ impl AcceleratorCore for NwCore {
                 }
                 self.j += 1;
                 if self.j > self.n {
-                    self.i = 1;
-                    self.j = 1;
-                    self.diag = 0; // dp[0][0]
-                    self.left = GAP; // dp[1][0]
                     ctx.scratchpad(self.tb).write(0, PTR_DIAG);
                     self.phase = Phase::Compute;
                 }
             }
             Phase::Compute => {
-                // One cell per cycle (II = 1).
+                // One cell per cycle (II = 1) over n² cycles that touch
+                // only scratchpads: fill the matrix at once and sleep
+                // through its length.
                 let n = self.n;
-                let (i, j) = (self.i, self.j);
-                let a_char = ctx.scratchpad(self.seq_a).read(i - 1) as u8;
-                let b_char = ctx.scratchpad(self.seq_b).read(j - 1) as u8;
-                let up = ctx.scratchpad(self.dp_row).read(j) as u32 as i32;
-                let score = if a_char == b_char { MATCH } else { MISMATCH };
-                let d = self.diag + score;
-                let l = self.left + GAP;
-                let u = up + GAP;
-                let (best, ptr) = if d >= l && d >= u {
-                    (d, PTR_DIAG)
-                } else if l >= u {
-                    (l, PTR_LEFT)
-                } else {
-                    (u, PTR_UP)
-                };
-                ctx.scratchpad(self.tb).write(i * (n + 1) + j, ptr);
-                // Slide the window: current row j-th value replaces dp_row.
-                self.diag = up;
-                self.left = best;
-                ctx.scratchpad(self.dp_row).write(j, best as u32 as u64);
-                self.j += 1;
-                if self.j > n {
-                    self.i += 1;
-                    self.j = 1;
-                    self.diag = ((self.i as i32) - 1) * GAP; // dp[i-1][0]
-                    self.left = (self.i as i32) * GAP; // dp[i][0]
-                    if self.i > n {
-                        // Traceback starts at (n, n).
-                        self.i = n;
-                        self.j = n;
-                        self.out_len = 0;
-                        self.phase = Phase::Traceback;
+                for i in 1..=n {
+                    // dp[i-1][j-1] and dp[i][j-1], starting at column 0.
+                    let mut diag = (i as i32 - 1) * GAP;
+                    let mut left = i as i32 * GAP;
+                    let a_char = ctx.scratchpad(self.seq_a).read(i - 1) as u8;
+                    for j in 1..=n {
+                        let b_char = ctx.scratchpad(self.seq_b).read(j - 1) as u8;
+                        let up = ctx.scratchpad(self.dp_row).read(j) as u32 as i32;
+                        let score = if a_char == b_char { MATCH } else { MISMATCH };
+                        let d = diag + score;
+                        let l = left + GAP;
+                        let u = up + GAP;
+                        let (best, ptr) = if d >= l && d >= u {
+                            (d, PTR_DIAG)
+                        } else if l >= u {
+                            (l, PTR_LEFT)
+                        } else {
+                            (u, PTR_UP)
+                        };
+                        ctx.scratchpad(self.tb).write(i * (n + 1) + j, ptr);
+                        // Slide the window: this row's value replaces dp_row[j].
+                        diag = up;
+                        left = best;
+                        ctx.scratchpad(self.dp_row).write(j, best as u32 as u64);
                     }
                 }
+                ctx.sleep_for((n * n) as bsim::Cycle);
+                // Traceback starts at (n, n).
+                self.i = n;
+                self.j = n;
+                self.out_len = 0;
+                self.phase = Phase::Traceback;
             }
             Phase::Traceback => {
                 if self.i == 0 && self.j == 0 {

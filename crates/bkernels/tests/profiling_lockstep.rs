@@ -6,14 +6,19 @@
 //! profiling build that perturbs timing would defeat the whole point of
 //! the counters.
 //!
-//! The gated counters themselves are *skip-invariant*: they only
-//! increment in busy-guarded paths (dense-ticked in both scheduler
-//! modes) or on command-driven events, so the flattened counter values —
-//! apart from the `scheduler/*` pair, which measures the scheduler
-//! rather than the hardware — must also match between the naive and
-//! event-driven runs.
+//! The gated counters themselves are *skip-invariant*: they increment in
+//! busy-guarded paths (dense-ticked in both scheduler modes), on
+//! command-driven events, or — for a data-starved writer the active-set
+//! scheduler stops ticking — as a charge of the skipped cycles on the
+//! writer's next tick and before every host counter read. So the
+//! flattened counter values, apart from the `scheduler/*` counters, which
+//! measure the scheduler rather than the hardware, must also match
+//! between the naive and event-driven runs: at the end of a run, and at
+//! every read in the middle of one.
 
 use bcore::elaborate::{elaborate_with, ElaborationOptions};
+use bcore::SocSim;
+use bkernels::machsuite::gemm;
 use bkernels::memcpy;
 use bplatform::Platform;
 
@@ -75,12 +80,16 @@ fn drive(event_driven: bool, profile: bool) -> Run {
         copied: soc.memory().borrow().read_vec(SRC + BYTES, BYTES as usize),
         dram: soc.dram_stats(),
         controller: soc.controller_stats().snapshot(),
-        hardware_counters: soc
-            .perf_counters()
-            .into_iter()
-            .filter(|(name, _)| !name.starts_with("scheduler/"))
-            .collect(),
+        hardware_counters: hardware_counters(&soc),
     }
+}
+
+/// Flattened counters minus the mode-dependent `scheduler/*` ones.
+fn hardware_counters(soc: &SocSim) -> Vec<(String, u64)> {
+    soc.perf_counters()
+        .into_iter()
+        .filter(|(name, _)| !name.starts_with("scheduler/"))
+        .collect()
 }
 
 fn assert_observables_match(a: &Run, b: &Run, what: &str) {
@@ -126,4 +135,58 @@ fn gated_counters_are_skip_invariant() {
         .map(|(_, v)| *v)
         .unwrap_or(0);
     assert!(beats > 0, "memcpy produced no read beats?");
+}
+
+/// Reads the counters 40 times while a GeMM command runs, every 97
+/// cycles from its start. Its `Compute` rows sleep and its writer, asked
+/// for the whole output up front, sits data-starved meanwhile, so the
+/// active-set scheduler skips the writer's ticks; each read must still
+/// see the starved cycles a dense run counts.
+fn gemm_reads(event_driven: bool) -> Vec<Vec<(String, u64)>> {
+    let n = 32;
+    let opts = ElaborationOptions {
+        profile: true,
+        ..ElaborationOptions::default()
+    };
+    let mut soc =
+        elaborate_with(gemm::config(1, n, 4), &Platform::aws_f1(), opts).expect("gemm elaborates");
+    soc.set_event_driven(event_driven);
+    let (a, b) = gemm::workload(n, 1);
+    {
+        let mem = soc.memory();
+        let mut mem = mem.borrow_mut();
+        mem.write_u32_slice(0x1_0000, &a.iter().map(|&x| x as u32).collect::<Vec<_>>());
+        mem.write_u32_slice(0x8_0000, &b.iter().map(|&x| x as u32).collect::<Vec<_>>());
+    }
+    soc.send_command(0, 0, &gemm::args(0x1_0000, 0x8_0000, 0x10_0000, n))
+        .expect("send");
+    (0..40)
+        .map(|_| {
+            soc.run_for(97);
+            hardware_counters(&soc)
+        })
+        .collect()
+}
+
+#[test]
+fn mid_run_counter_reads_are_skip_invariant() {
+    let naive = gemm_reads(false);
+    let event = gemm_reads(true);
+    for (read, (n, e)) in naive.iter().zip(&event).enumerate() {
+        assert_eq!(n.len(), e.len(), "counter read {read}: counter sets differ");
+        for (n, e) in n.iter().zip(e) {
+            assert_eq!(n, e, "counter read {read} differs between scheduler modes");
+        }
+    }
+    let starved = |reads: &[Vec<(String, u64)>]| {
+        reads.last().and_then(|r| {
+            r.iter()
+                .find(|(name, _)| name.ends_with("stall_data_starved_cycles"))
+                .map(|(_, v)| *v)
+        })
+    };
+    assert!(
+        starved(&naive).unwrap_or(0) > 0,
+        "the GeMM writer never sat data-starved?"
+    );
 }
