@@ -279,9 +279,7 @@ impl AcceleratorCore for A3Core {
                 }
             }
             Mode::LoadingKeys => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.keys, self.kv_in);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.keys).initializing() {
+                if ctx.service_init(self.keys, self.kv_in) {
                     let addr = self.values_addr;
                     let (sp, reader) = ctx.scratchpad_and_reader(self.values, self.kv_in);
                     sp.start_init(reader, addr).expect("reader idle after keys");
@@ -289,9 +287,7 @@ impl AcceleratorCore for A3Core {
                 }
             }
             Mode::LoadingValues => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.values, self.kv_in);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.values).initializing() && ctx.respond(sim, 0) {
+                if ctx.service_init(self.values, self.kv_in) && ctx.respond(sim, 0) {
                     self.mode = Mode::Idle;
                 }
             }

@@ -40,7 +40,16 @@ use crate::primitives::{Reader, Scratchpad, Writer};
 /// densely. The contract: the sleeping phase reads and writes only
 /// core-local scratchpads. It makes no reader, writer, command, response
 /// or intra-core-out call, and no other core writes into its scratchpads
-/// while it sleeps.
+/// while it sleeps. The one exception is a paced push
+/// ([`Writer::push_paced`]) made on the tick that starts the sleep: it
+/// stands for the phase's per-cycle pushes, sized by
+/// [`Writer::pushable`] so that none of them would have been refused.
+///
+/// A core that can do nothing until a read stream delivers — a
+/// scratchpad init loop that has drained what arrived — calls
+/// [`CoreContext::await_stream`]. The harness skips its ticks until the
+/// stream has bytes to pop; each skipped tick must be a no-op while the
+/// stream is empty.
 pub trait AcceleratorCore {
     /// Advances the core by one cycle. `sim` is the simulation context that
     /// owns the channel arena behind the context's command/response/memory
@@ -184,6 +193,9 @@ pub struct CoreContext {
     now: Cycle,
     /// The first cycle the core ticks again (see [`CoreContext::sleep_for`]).
     wake_at: Cycle,
+    /// The reader slot whose stream the core waits on (see
+    /// [`CoreContext::await_stream`]).
+    awaiting: Option<usize>,
     readers: Vec<Reader>,
     writers: Vec<Writer>,
     scratchpads: Vec<Scratchpad>,
@@ -252,6 +264,7 @@ impl CoreContext {
             core_id,
             now: 0,
             wake_at: 0,
+            awaiting: None,
             readers,
             writers,
             scratchpads,
@@ -295,9 +308,43 @@ impl CoreContext {
         self.wake_at = self.now + cycles;
     }
 
+    /// Makes the core's ticks no-ops until channel 0 of stream `id` has
+    /// bytes to pop: the harness skips them while the stream is empty.
+    /// Call it from a tick that drained the stream and has nothing else to
+    /// do until more arrives; the next tick that runs ends the wait.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream was declared with zero channels.
+    pub fn await_stream(&mut self, id: ReaderId) {
+        assert!(id.channels > 0, "read stream has no channel index 0");
+        self.awaiting = Some(id.first as usize);
+    }
+
     /// Whether the core sleeps through the cycle after `now`.
     fn asleep_after(&self, now: Cycle) -> bool {
         self.wake_at > now + 1
+    }
+
+    /// Whether the core waits on a stream that is still empty.
+    fn awaits_empty_stream(&self) -> bool {
+        self.awaiting
+            .is_some_and(|r| self.readers[r].available() == 0)
+    }
+
+    /// Whether the core's tick is skipped after `now`: it sleeps, or waits
+    /// on an empty stream.
+    fn waiting_after(&self, now: Cycle) -> bool {
+        self.asleep_after(now) || self.awaits_empty_stream()
+    }
+
+    /// Whether the core ticks on cycle `now`, ending a stream wait if so.
+    fn wakes(&mut self, now: Cycle) -> bool {
+        if now < self.wake_at || self.awaits_empty_stream() {
+            return false;
+        }
+        self.awaiting = None;
+        true
     }
 
     /// Takes the next pending command, if any (the `io.req.fire` moment of
@@ -401,6 +448,39 @@ impl CoreContext {
         )
     }
 
+    /// Borrows a scratchpad and channel 0 of a write stream simultaneously
+    /// (needed by a paced push of results read from the scratchpad).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream was declared with zero channels.
+    pub fn scratchpad_and_writer(
+        &mut self,
+        sp: ScratchpadId,
+        writer: WriterId,
+    ) -> (&Scratchpad, &mut Writer) {
+        assert!(writer.channels > 0, "write stream has no channel index 0");
+        (
+            &self.scratchpads[sp.0 as usize],
+            &mut self.writers[writer.first as usize],
+        )
+    }
+
+    /// Moves the words channel 0 of `reader` has delivered into scratchpad
+    /// `sp` ([`Scratchpad::service_init`]) and returns whether the init is
+    /// complete. While it is not, the core awaits the stream
+    /// ([`CoreContext::await_stream`]), so this suits a load phase whose
+    /// tick does nothing else.
+    pub fn service_init(&mut self, sp: ScratchpadId, reader: ReaderId) -> bool {
+        let (pad, stream) = self.scratchpad_and_reader(sp, reader);
+        pad.service_init(stream);
+        let done = !pad.initializing();
+        if !done {
+            self.await_stream(reader);
+        }
+        done
+    }
+
     /// Applies remote writes that have arrived over the intra-accelerator
     /// network (called by the harness before the core's tick, so a core
     /// observes writes with the modelled network latency).
@@ -429,16 +509,21 @@ impl CoreContext {
     }
 
     /// Earliest cycle after `now` at which the harness needs a tick while
-    /// the core is idle ([`AcceleratorCore::idle`]) or asleep
-    /// ([`CoreContext::sleep_for`]), or `None` when everything is
+    /// the core is idle ([`AcceleratorCore::idle`]), asleep
+    /// ([`CoreContext::sleep_for`]) or waiting on an empty stream
+    /// ([`CoreContext::await_stream`]), or `None` when everything is
     /// quiescent: the earliest of the primitives' own events, inbound
-    /// remote writes, and either the wake cycle or — for an idle core —
-    /// the next visible command. A sleeping core's queued command waits
-    /// for the wake, so it must not keep the harness ticking.
+    /// remote writes, and the wake cycle of a sleeping core or the next
+    /// visible command of an idle one. The queued command of a sleeping
+    /// or waiting core waits for the core, so it must not keep the
+    /// harness ticking. A waiting core's stream fills only in its
+    /// reader's tick, which the reader's own event covers.
     pub(crate) fn next_event(&self, sim: &SimCtx, now: Cycle) -> Option<Cycle> {
+        let awaiting = self.awaits_empty_stream();
         // Scratchpad init is driven from the core's own tick; an idle()
-        // claim during init would be a core bug — stay awake regardless.
-        if self.scratchpads.iter().any(Scratchpad::initializing) {
+        // claim during init would be a core bug — stay awake regardless,
+        // unless the core said which stream its init waits on.
+        if !awaiting && self.scratchpads.iter().any(Scratchpad::initializing) {
             return Some(now + 1);
         }
         let mut wake: Option<Cycle> = None;
@@ -459,15 +544,19 @@ impl CoreContext {
         }
         if self.asleep_after(now) {
             consider(Some(self.wake_at));
-        } else {
+        } else if !awaiting {
             consider(self.cmd_rx.next_visible_at(sim));
         }
         wake
     }
 
-    /// Charges every writer's skipped data-starved cycles through cycle
-    /// `through` (see [`Writer::settle_starved`]).
-    pub(crate) fn settle_writers(&self, through: Cycle) {
+    /// Charges the stall cycles every primitive skipped through cycle
+    /// `through`: a capped reader's (see [`Reader::settle_capped`]) and a
+    /// data-starved writer's (see [`Writer::settle_starved`]).
+    pub(crate) fn settle_stalls(&self, through: Cycle) {
+        for reader in &self.readers {
+            reader.settle_capped(through);
+        }
         for writer in &self.writers {
             writer.settle_starved(through);
         }
@@ -516,7 +605,7 @@ impl bsim::Component for CoreHarness {
     fn tick(&mut self, sim: &SimCtx, now: Cycle) {
         self.ctx.set_now(now);
         self.ctx.drain_remote_writes(sim, now);
-        if now >= self.ctx.wake_at {
+        if self.ctx.wakes(now) {
             self.core.tick(sim, &mut self.ctx);
         }
         self.ctx.tick_primitives(sim, now);
@@ -527,7 +616,7 @@ impl bsim::Component for CoreHarness {
     }
 
     fn next_event(&self, sim: &SimCtx, now: Cycle) -> Option<Cycle> {
-        if !self.ctx.asleep_after(now) && !self.core.idle() {
+        if !self.ctx.waiting_after(now) && !self.core.idle() {
             return Some(now + 1);
         }
         self.ctx.next_event(sim, now)

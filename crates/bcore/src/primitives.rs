@@ -76,6 +76,15 @@ impl ReaderConfig {
     }
 }
 
+/// The cap that held a [`Reader`]'s fetch back at the end of its last
+/// tick. Only an R beat (for the inflight cap) or a core pop (for a full
+/// prefetch buffer) can lift either.
+#[derive(Debug, Clone, Copy)]
+enum FetchCap {
+    Inflight,
+    PrefetchFull,
+}
+
 #[derive(Debug)]
 struct ReadTxn {
     id: u32,
@@ -114,6 +123,12 @@ pub struct Reader {
     perf_stall_ar: StatCounter,
     /// Cycles an AR issue was blocked by a full prefetch buffer.
     perf_stall_prefetch: StatCounter,
+    /// `Some((c, cap))` while the last tick ended with the fetch held back
+    /// by `cap`: the reader then declares no tick until an R beat (or a
+    /// pop, made inside the owning harness's tick), and `cap`'s stall
+    /// counter holds the blocked cycles through `c`. The skipped ones are
+    /// charged on the next tick or by [`Reader::settle_capped`].
+    capped_through: Cell<Option<(Cycle, FetchCap)>>,
 }
 
 impl Reader {
@@ -136,14 +151,19 @@ impl Reader {
             perf_stall_inflight: StatCounter::default(),
             perf_stall_ar: StatCounter::default(),
             perf_stall_prefetch: StatCounter::default(),
+            capped_through: Cell::new(None),
         }
     }
 
     /// Registers this reader's stats and stall counters under `set`.
     ///
-    /// The stall counters only ever increment while the reader is busy
-    /// (dense-ticking in both scheduler modes), so enabling them cannot
-    /// perturb event-driven skipping.
+    /// The stall counters never feed back into the reader's behaviour, so
+    /// enabling them cannot perturb event-driven skipping. A reader whose
+    /// fetch waits on the inflight cap or a full prefetch buffer is not
+    /// ticked until an R beat arrives; the cycles it skips are charged to
+    /// `stall_inflight_cycles` or `stall_prefetch_full_cycles` on its next
+    /// tick and before every host counter read, so both counters read the
+    /// same in both scheduler modes.
     pub fn attach_perf(&mut self, set: &CounterSet) {
         set.attach_stats(&self.stats);
         self.perf_stall_inflight = set.gated("stall_inflight_cycles");
@@ -198,15 +218,52 @@ impl Reader {
 
     /// Advances the reader one fabric cycle.
     pub fn tick(&mut self, ctx: &SimCtx, now: Cycle) {
+        if let Some((through, cap)) = self.capped_through.take() {
+            self.stall_counter(cap).add(now - through - 1);
+        }
         self.issue_ar(ctx, now);
         self.collect_r(ctx, now);
         self.drain_to_stream();
+        // Retiring the head lifts an inflight cap `issue_ar` met this
+        // cycle (already charged), so the fetch resumes next cycle.
+        if matches!(self.capped_through.get(), Some((_, FetchCap::Inflight)))
+            && self.txns.len() < self.cfg.max_inflight as usize
+        {
+            self.capped_through.set(None);
+        }
+    }
+
+    fn stall_counter(&self, cap: FetchCap) -> &StatCounter {
+        match cap {
+            FetchCap::Inflight => &self.perf_stall_inflight,
+            FetchCap::PrefetchFull => &self.perf_stall_prefetch,
+        }
+    }
+
+    /// Charges the capped cycles this reader skipped through cycle
+    /// `through` (inclusive) to the cap's stall counter, so a host counter
+    /// read between runs sees what dense ticking would have counted. A
+    /// no-op unless the last tick ended with the fetch capped.
+    pub(crate) fn settle_capped(&self, through: Cycle) {
+        if let Some((charged, cap)) = self.capped_through.get() {
+            if through > charged {
+                self.stall_counter(cap).add(through - charged);
+                self.capped_through.set(Some((through, cap)));
+            }
+        }
+    }
+
+    /// Counts one cycle of the fetch held back by `cap` and remembers it,
+    /// so [`Reader::next_event`] waits on R alone.
+    fn cap_fetch(&self, now: Cycle, cap: FetchCap) {
+        self.stall_counter(cap).incr();
+        self.capped_through.set(Some((now, cap)));
     }
 
     fn issue_ar(&mut self, ctx: &SimCtx, now: Cycle) {
         while let Some((addr, remaining)) = self.fetch {
             if self.txns.len() >= self.cfg.max_inflight as usize {
-                self.perf_stall_inflight.incr();
+                self.cap_fetch(now, FetchCap::Inflight);
                 return;
             }
             if !self.port.ar.can_send(ctx) {
@@ -225,8 +282,8 @@ impl Reader {
             let fetch_bytes = u64::from(beats) * bus;
             let take = (remaining.min(fetch_bytes - skip as u64)) as usize;
             if self.outstanding_bytes + self.stream.len() + take > self.cfg.prefetch_bytes {
-                self.perf_stall_prefetch.incr();
-                return; // prefetch buffer full
+                self.cap_fetch(now, FetchCap::PrefetchFull);
+                return;
             }
             let id = self.cfg.ids[self.next_id % self.cfg.ids.len()];
             self.next_id += 1;
@@ -300,10 +357,20 @@ impl Reader {
     /// Earliest cycle after `now` at which [`Reader::tick`] can make
     /// progress, or `None` while the reader only waits for a new request.
     ///
-    /// Undelivered stream bytes do not keep the reader awake: popping is a
-    /// core-side action, not something `tick` advances.
+    /// Only a fetch held back by AR-channel backpressure keeps the reader
+    /// ticking every cycle. Otherwise it waits on R alone: outstanding
+    /// transactions complete only through R beats, and the issuing
+    /// controller stays active until it has sent them. A fetch held back
+    /// by the inflight cap resumes only once an R beat retires the head
+    /// transaction; a retire in the tick that met the cap lifts it before
+    /// the tick ends, so the reader then declares the next cycle. One held
+    /// back by a full prefetch buffer resumes only once the core pops,
+    /// since moving R data into the stream leaves the buffer's occupancy
+    /// unchanged; popping is a core-side call, made while the owning
+    /// harness is awake. Undelivered stream bytes do not keep the reader
+    /// awake either, for the same reason.
     pub fn next_event(&self, ctx: &SimCtx, now: Cycle) -> Option<Cycle> {
-        if self.fetch.is_some() || !self.txns.is_empty() {
+        if self.fetch.is_some() && self.capped_through.get().is_none() {
             return Some(now + 1);
         }
         self.port.r.next_visible_at(ctx).map(|v| v.max(now + 1))
@@ -351,10 +418,34 @@ impl WriterConfig {
     }
 }
 
+/// A paced push ([`Writer::push_paced`]): `len` bytes staged at once that
+/// count as pushed `per_cycle` bytes a cycle from cycle `from` on.
+#[derive(Debug, Clone, Copy)]
+struct Pace {
+    from: Cycle,
+    per_cycle: usize,
+    len: usize,
+}
+
+impl Pace {
+    /// Bytes of the push still not due by the end of cycle `now`.
+    fn undue(&self, now: Cycle) -> usize {
+        let due = (now + 1 - self.from) as usize * self.per_cycle;
+        self.len.saturating_sub(due)
+    }
+
+    /// The first cycle by which all but `undue` bytes of the push are due.
+    fn due_at(&self, undue: usize) -> Cycle {
+        let cycles = self.len.saturating_sub(undue).div_ceil(self.per_cycle) as Cycle;
+        (self.from + cycles).saturating_sub(1)
+    }
+}
+
 /// A streaming write port into external memory.
 ///
-/// Lifecycle: `request(addr, len)` → `push_chunk(..)` until `len` bytes are
-/// supplied → `done()` turns true once every burst is acknowledged.
+/// Lifecycle: `request(addr, len)` → `push_chunk(..)` (or `push_paced`)
+/// until `len` bytes are supplied → `done()` turns true once every burst
+/// is acknowledged.
 #[derive(Debug)]
 pub struct Writer {
     cfg: WriterConfig,
@@ -393,6 +484,9 @@ pub struct Writer {
     /// cycles through `c`. The skipped ones are charged on the next tick
     /// or by [`Writer::settle_starved`].
     starved_through: Cell<Option<Cycle>>,
+    /// The last paced push; its bytes at the back of `staging` that are
+    /// not yet due cannot start a burst.
+    pace: Option<Pace>,
 }
 
 impl Writer {
@@ -423,6 +517,7 @@ impl Writer {
             perf_stall_data: StatCounter::default(),
             perf_stall_w: StatCounter::default(),
             starved_through: Cell::new(None),
+            pace: None,
         }
     }
 
@@ -515,6 +610,73 @@ impl Writer {
         self.push_chunk(&value.to_le_bytes());
     }
 
+    /// How many back-to-back pushes of `chunk` bytes [`Writer::can_push`]
+    /// is sure to accept now, counting no drain. While a paced run
+    /// ([`Writer::push_paced`]) is under way the staged count only falls,
+    /// so pushes this count allows at once stay allowed spread over later
+    /// cycles.
+    pub fn pushable(&self, chunk: usize) -> usize {
+        let width = self.cfg.data_bytes as usize;
+        let Some(spare) = self.cfg.staging_bytes.checked_sub(self.staged() + width) else {
+            return 0;
+        };
+        (spare / chunk + 1).min(self.unpushed.div_ceil(chunk as u64) as usize)
+    }
+
+    /// Stages `data` at once but counts it as pushed `per_cycle` bytes a
+    /// cycle from cycle `now` on: the bytes due by a cycle are those a
+    /// core pushing `per_cycle` bytes on each cycle from `now` would have
+    /// pushed by then, so bursts start on the same cycles. The caller
+    /// sleeps through the run ([`crate::CoreContext::sleep_for`]) and
+    /// sizes it with [`Writer::pushable`], so every one of those per-cycle
+    /// pushes would have been accepted.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Writer::push_chunk`], if `per_cycle` is zero, or if an
+    /// earlier paced run still has bytes that are not due.
+    pub fn push_paced(&mut self, now: Cycle, data: impl IntoIterator<Item = u8>, per_cycle: usize) {
+        assert!(per_cycle > 0, "a paced push needs a rate");
+        assert!(
+            self.pace.is_none_or(|p| p.undue(now) == 0),
+            "writer '{}' got a paced push during another",
+            self.cfg.name
+        );
+        let before = self.staging.len();
+        self.staging.extend(data);
+        let len = self.staging.len() - before;
+        assert!(
+            len as u64 <= self.unpushed,
+            "writer '{}' got more data than requested",
+            self.cfg.name
+        );
+        assert!(
+            self.staged() <= self.cfg.staging_bytes,
+            "writer '{}' staging overflow",
+            self.cfg.name
+        );
+        self.unpushed -= len as u64;
+        self.pace = Some(Pace {
+            from: now,
+            per_cycle,
+            len,
+        });
+    }
+
+    /// Staged bytes that are due by cycle `now` (all of them, unless a
+    /// paced run is under way).
+    fn due(&self, now: Cycle) -> usize {
+        self.staging.len() - self.pace.map_or(0, |p| p.undue(now))
+    }
+
+    /// Bytes of the next burst to issue, given its start address and the
+    /// request's remaining length.
+    fn burst_span(&self, addr: u64, remaining: u64) -> u64 {
+        let max_bytes = u64::from(self.cfg.burst_beats) * u64::from(self.cfg.bus_bytes);
+        let to_4k = 4096 - (addr & 0xFFF);
+        remaining.min(max_bytes).min(to_4k)
+    }
+
     /// Advances the writer one fabric cycle.
     pub fn tick(&mut self, ctx: &SimCtx, now: Cycle) {
         if let Some(through) = self.starved_through.take() {
@@ -560,18 +722,15 @@ impl Writer {
             self.perf_stall_aw.incr();
             return;
         }
-        let bus = u64::from(self.cfg.bus_bytes);
-        let max_bytes = u64::from(self.cfg.burst_beats) * bus;
-        let to_4k = 4096 - (addr & 0xFFF);
-        let span = remaining.min(max_bytes).min(to_4k);
+        let span = self.burst_span(addr, remaining);
         // Need the whole burst's data staged (store-and-forward keeps the
         // W channel dense, as real DMA engines do).
-        if (self.staging.len() as u64) < span {
+        if (self.due(now) as u64) < span {
             self.perf_stall_data.incr();
             self.starved_through.set(Some(now));
             return;
         }
-        let beats = span.div_ceil(bus) as u32;
+        let beats = span.div_ceil(u64::from(self.cfg.bus_bytes)) as u32;
         let id = self.cfg.ids[self.next_id % self.cfg.ids.len()];
         self.next_id += 1;
         self.port.aw.send(ctx, now, AwFlit { id, addr, beats });
@@ -620,17 +779,32 @@ impl Writer {
     /// visibility horizon; the issuing controller stays active until it has
     /// sent them, so the scheduler cannot skip past their arrival.
     ///
-    /// A writer whose last tick ended data-starved also waits only on B:
-    /// no burst is streaming, the inflight count is below the cap and can
-    /// only fall, its AW channel has room and only this writer fills it,
-    /// and the staging buffer grows only through a push — a core-side
-    /// call, made while the owning harness is awake.
+    /// A writer whose last tick ended data-starved waits only on B and on
+    /// the cycle its pending burst's bytes are all due: no burst is
+    /// streaming, the inflight count is below the cap and can only fall,
+    /// its AW channel has room and only this writer fills it, and the due
+    /// bytes grow only through a push — a core-side call, made while the
+    /// owning harness is awake — or as a paced run comes due.
     pub fn next_event(&self, ctx: &SimCtx, now: Cycle) -> Option<Cycle> {
         if self.starved_through.get().is_none() && (self.emit.is_some() || !self.staging.is_empty())
         {
             return Some(now + 1);
         }
-        self.port.b.next_visible_at(ctx).map(|v| v.max(now + 1))
+        [self.burst_due_at(), self.port.b.next_visible_at(ctx)]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|e| e.max(now + 1))
+    }
+
+    /// The cycle a starved writer's pending burst has all its bytes due,
+    /// if a paced run still owes them.
+    fn burst_due_at(&self) -> Option<Cycle> {
+        let (addr, remaining) = self.emit?;
+        let pace = self.pace?;
+        let span = self.burst_span(addr, remaining) as usize;
+        let spare = self.staging.len().checked_sub(span)?;
+        Some(pace.due_at(spare))
     }
 
     /// Hooks the channels [`Writer::next_event`] depends on: only the B
@@ -755,8 +929,10 @@ impl Scratchpad {
         Ok(())
     }
 
-    /// Moves any data the reader has delivered into storage. Call once per
-    /// cycle during initialization.
+    /// Moves any data the reader has delivered into storage. Call it on
+    /// every cycle of the initialization, or through
+    /// [`crate::CoreContext::service_init`], which skips the cycles on which
+    /// nothing has arrived.
     pub fn service_init(&mut self, reader: &mut Reader) {
         let Some(mut filled) = self.init_progress else {
             return;
@@ -932,6 +1108,52 @@ mod tests {
         assert!(r.sim.get(r.reader).0.stats().get("ar_issued") >= 4);
     }
 
+    /// Streams 2 KiB through a one-transaction reader, ticked on every
+    /// cycle or only on the cycles its `next_event` declares, and returns
+    /// `(ar_issued, r_beats, stall_inflight_cycles)` after every cycle
+    /// until the stream holds all of it. Nothing pops, so only the
+    /// inflight cap holds the fetch back.
+    fn inflight_capped_trace(skipping: bool) -> Vec<(u64, u64, u64)> {
+        let mut cfg = ReaderConfig::new("in", 4);
+        cfg.burst_beats = 4;
+        cfg.max_inflight = 1;
+        let mut r = rig(cfg, WriterConfig::new("out", 4));
+        let perf = bsim::PerfRegistry::new();
+        perf.set_enabled(true);
+        let reader = r.sim.get_mut(r.reader);
+        reader.0.attach_perf(&perf.set("in"));
+        if skipping {
+            reader.1 = |r, ctx, now| {
+                let declared = now.checked_sub(1).and_then(|t| r.next_event(ctx, t));
+                if now == 0 || declared.is_some_and(|e| e <= now) {
+                    r.tick(ctx, now);
+                }
+            };
+        }
+        reader.0.request(0x10_000, 2048).unwrap();
+        let mut trace = Vec::new();
+        while r.sim.get(r.reader).0.available() < 2048 {
+            r.sim.step();
+            let reader = &r.sim.get(r.reader).0;
+            reader.settle_capped(r.sim.now() - 1);
+            let stats = reader.stats();
+            let stalled = perf.counter("in/stall_inflight_cycles").unwrap();
+            trace.push((stats.get("ar_issued"), stats.get("r_beats"), stalled));
+            assert!(r.sim.now() < 100_000, "reader stalled");
+        }
+        trace
+    }
+
+    #[test]
+    fn inflight_capped_reader_resumes_the_cycle_after_its_head_retires() {
+        // With one transaction in flight, the beat that retires it is the
+        // last R beat in sight: the next AR must still go out the next
+        // cycle, and the capped cycles must count as they do densely.
+        let dense = inflight_capped_trace(false);
+        assert!(dense.last().unwrap().2 > 0, "the cap never held");
+        assert_eq!(inflight_capped_trace(true), dense);
+    }
+
     #[test]
     fn writer_roundtrip_through_memory() {
         let mut r = rig(ReaderConfig::new("in", 4), WriterConfig::new("out", 4));
@@ -951,6 +1173,96 @@ mod tests {
         let out = r.memory.borrow().read_u32_slice(0x20_000, 256);
         let expect: Vec<u32> = (0..256).map(|i| i * 7).collect();
         assert_eq!(out, expect);
+    }
+
+    /// Feeds a 1000-byte write `per_cycle` bytes a cycle, either pushed on
+    /// each cycle or staged at once by one paced push, and returns the
+    /// writer's `(aw_issued, w_beats)` after every cycle until it is done.
+    /// A paced writer must also do nothing before the cycle its
+    /// `next_event` declares.
+    fn paced_trace(paced: bool, per_cycle: usize) -> Vec<(u64, u64)> {
+        let mut cfg = WriterConfig::new("out", 4);
+        cfg.burst_beats = 2;
+        let mut r = rig(ReaderConfig::new("in", 4), cfg);
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 253) as u8).collect();
+        r.sim.get_mut(r.writer).0.request(0x20_000, 1000).unwrap();
+        if paced {
+            let now = r.sim.now();
+            let w = &mut r.sim.get_mut(r.writer).0;
+            assert!(w.pushable(per_cycle) * per_cycle >= data.len());
+            w.push_paced(now, data.iter().copied(), per_cycle);
+        }
+        let mut trace = vec![(0, 0)];
+        let mut pushed = 0;
+        let mut declared = 0;
+        while !r.sim.get(r.writer).0.done() {
+            if !paced && pushed < data.len() {
+                let w = &mut r.sim.get_mut(r.writer).0;
+                assert!(w.can_push());
+                let end = (pushed + per_cycle).min(data.len());
+                w.push_chunk(&data[pushed..end]);
+                pushed = end;
+            }
+            let now = r.sim.now();
+            r.sim.step();
+            let w = &r.sim.get(r.writer).0;
+            let stats = w.stats();
+            let step = (stats.get("aw_issued"), stats.get("w_beats"));
+            if paced && now < declared {
+                assert_eq!(
+                    step,
+                    trace[trace.len() - 1],
+                    "acted at {now}, declared {declared}"
+                );
+            }
+            declared = w.next_event(r.sim.ctx(), now).unwrap_or(Cycle::MAX);
+            trace.push(step);
+            assert!(r.sim.now() < 100_000, "writer never finished");
+        }
+        assert_eq!(r.memory.borrow().read_vec(0x20_000, 1000), data);
+        trace
+    }
+
+    #[test]
+    fn paced_push_issues_bursts_on_the_dense_cycles() {
+        // 1000 bytes are not a multiple of either rate, so the last
+        // cycle's push is partial; at 24 bytes a cycle the W beats outrun
+        // the pushes, so bursts wait for their bytes to come due.
+        for per_cycle in [24, 100] {
+            assert_eq!(
+                paced_trace(true, per_cycle),
+                paced_trace(false, per_cycle),
+                "per_cycle={per_cycle}"
+            );
+        }
+    }
+
+    #[test]
+    fn pushable_counts_the_pushes_can_push_accepts() {
+        let mut cfg = WriterConfig::new("out", 16);
+        cfg.burst_beats = 2;
+        cfg.staging_bytes = 256;
+        let mut r = rig(ReaderConfig::new("in", 4), cfg);
+        // Room binds first, then the request's remaining length.
+        for len in [1000, 60] {
+            let w = &mut r.sim.get_mut(r.writer).0;
+            w.request(0x1000 * len, len).unwrap();
+            let promised = w.pushable(4);
+            let mut accepted = 0;
+            while w.can_push() {
+                w.push_u32(0);
+                accepted += 1;
+            }
+            assert_eq!(promised, accepted, "len={len}");
+            while !r.sim.get(r.writer).0.done() {
+                let w = &mut r.sim.get_mut(r.writer).0;
+                while w.can_push() {
+                    w.push_u32(0);
+                }
+                r.sim.step();
+                assert!(r.sim.now() < 100_000, "writer never finished");
+            }
+        }
     }
 
     #[test]

@@ -617,16 +617,17 @@ impl SocSim {
     }
 
     /// Pushes the scheduler's externally-owned cycle counts into the
-    /// registry and charges every writer's skipped data-starved cycles up
-    /// to the last executed cycle. Called before every registry read so
-    /// `scheduler/*` and the writers' stall counters are current.
+    /// registry and charges the stall cycles every reader and writer
+    /// skipped up to the last simulated cycle. Called before every
+    /// registry read so `scheduler/*` and the primitives' stall counters
+    /// are current.
     /// (`skipped_cycles` legitimately differs between naive and
     /// event-driven modes — it measures the scheduler, not the simulated
     /// hardware.)
     fn sync_scheduler_counters(&self) {
         if let Some(last) = self.sim.now().checked_sub(1) {
             for link in self.links.iter().flatten() {
-                self.sim.get(link.harness).ctx.settle_writers(last);
+                self.sim.get(link.harness).ctx.settle_stalls(last);
             }
         }
         self.perf

@@ -101,16 +101,12 @@ impl AcceleratorCore for GemmCore {
                 }
             }
             Phase::LoadB => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.b_sp, self.b);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.b_sp).initializing() {
+                if ctx.service_init(self.b_sp, self.b) {
                     self.start_row(ctx);
                 }
             }
             Phase::LoadARow => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.a_row, self.a);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.a_row).initializing() {
+                if ctx.service_init(self.a_row, self.a) {
                     self.phase = Phase::Compute;
                 }
             }

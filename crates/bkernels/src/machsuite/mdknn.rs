@@ -111,16 +111,12 @@ impl AcceleratorCore for MdKnnCore {
                 }
             }
             Phase::LoadPos => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.pos, self.pos_in);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.pos).initializing() {
+                if ctx.service_init(self.pos, self.pos_in) {
                     self.phase = Phase::LoadNeighbors;
                 }
             }
             Phase::LoadNeighbors => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.nl, self.nl_in);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.nl).initializing() {
+                if ctx.service_init(self.nl, self.nl_in) {
                     self.phase = Phase::Compute;
                 }
             }

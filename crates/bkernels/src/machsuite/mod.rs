@@ -13,12 +13,43 @@
 //! the simulated memory system), and comparator cycle models for Vitis HLS
 //! and Spatial (see [`baselines`]) used to regenerate Figure 6.
 
+use bcore::{CoreContext, Scratchpad, ScratchpadId, WriterId};
+
 pub mod baselines;
 pub mod gemm;
 pub mod mdknn;
 pub mod nw;
 pub mod stencil2d;
 pub mod stencil3d;
+
+/// One `Compute` tick of a stencil core that computes `p` cells a cycle,
+/// cell `pos` being `cell(grid, pos)`, and pushes each as a word to
+/// `sol`. The cells the writer has room for, up to whole cycles' worth,
+/// are computed at once, pushed paced at `p` words a cycle and slept
+/// through. With room for less than two cycles' worth the run is one
+/// cycle of at most `p` cells, which is all `can_push` would have taken
+/// that cycle; the rest waits for the next. Advances `pos` past the cells
+/// pushed, toward `total`.
+fn push_cells(
+    ctx: &mut CoreContext,
+    (grid, sol): (ScratchpadId, WriterId),
+    p: usize,
+    (pos, total): (&mut usize, usize),
+    cell: impl Fn(&Scratchpad, usize) -> i32,
+) {
+    let left = total - *pos;
+    let room = ctx.writer(sol).pushable(4);
+    let cycles = (room / p).clamp(1, left.div_ceil(p));
+    let run = *pos..*pos + (cycles * p).min(left).min(room);
+    if !run.is_empty() {
+        let now = ctx.now();
+        let (grid, sol) = ctx.scratchpad_and_writer(grid, sol);
+        let bytes = run.clone().flat_map(|pos| cell(grid, pos).to_le_bytes());
+        sol.push_paced(now, bytes, 4 * p);
+    }
+    ctx.sleep_for(cycles as bsim::Cycle);
+    *pos = run.end;
+}
 
 /// The benchmark selection of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

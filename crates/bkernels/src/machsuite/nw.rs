@@ -125,16 +125,12 @@ impl AcceleratorCore for NwCore {
                 }
             }
             Phase::LoadA => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.seq_a, self.a);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.seq_a).initializing() {
+                if ctx.service_init(self.seq_a, self.a) {
                     self.phase = Phase::LoadB;
                 }
             }
             Phase::LoadB => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.seq_b, self.b);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.seq_b).initializing() {
+                if ctx.service_init(self.seq_b, self.b) {
                     self.j = 0;
                     self.phase = Phase::InitRow0;
                 }

@@ -8,8 +8,8 @@
 
 use bcore::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
-    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
-    WriterId,
+    ReadChannelConfig, ReaderId, Scratchpad, ScratchpadConfig, ScratchpadId, SystemConfig,
+    WriteChannelConfig, WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -37,6 +37,23 @@ pub struct Stencil2dCore {
     phase: Phase,
     n: usize,
     pos: usize,
+}
+
+/// Output cell `pos` of an `n × n` grid under `filter` (zero on the
+/// two-cell border).
+fn cell(grid: &Scratchpad, filter: &[i32; 9], n: usize, pos: usize) -> i32 {
+    let (r, c) = (pos / n, pos % n);
+    if r >= n - 2 || c >= n - 2 {
+        return 0;
+    }
+    let mut acc = 0i32;
+    for k1 in 0..3 {
+        for k2 in 0..3 {
+            let g = grid.read((r + k1) * n + c + k2) as u32 as i32;
+            acc = acc.wrapping_add(filter[k1 * 3 + k2].wrapping_mul(g));
+        }
+    }
+    acc
 }
 
 impl Stencil2dCore {
@@ -89,16 +106,12 @@ impl AcceleratorCore for Stencil2dCore {
                 }
             }
             Phase::LoadFilter => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.filt, self.filter_in);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.filt).initializing() {
+                if ctx.service_init(self.filt, self.filter_in) {
                     self.phase = Phase::LoadGrid;
                 }
             }
             Phase::LoadGrid => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.grid, self.grid_in);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.grid).initializing() {
+                if ctx.service_init(self.grid, self.grid_in) {
                     self.pos = 0;
                     self.phase = Phase::Compute;
                 }
@@ -106,31 +119,15 @@ impl AcceleratorCore for Stencil2dCore {
             Phase::Compute => {
                 let n = self.n;
                 let total = n * n;
-                for _ in 0..self.p {
-                    if self.pos >= total {
-                        break;
-                    }
-                    if !ctx.writer(self.sol).can_push() {
-                        return; // backpressure: retry same position next cycle
-                    }
-                    let (r, c) = (self.pos / n, self.pos % n);
-                    let value = if r < n - 2 && c < n - 2 {
-                        let mut acc = 0i32;
-                        for k1 in 0..3 {
-                            for k2 in 0..3 {
-                                let f = ctx.scratchpad(self.filt).read(k1 * 3 + k2) as u32 as i32;
-                                let g = ctx.scratchpad(self.grid).read((r + k1) * n + c + k2) as u32
-                                    as i32;
-                                acc = acc.wrapping_add(f.wrapping_mul(g));
-                            }
-                        }
-                        acc
-                    } else {
-                        0
-                    };
-                    ctx.writer(self.sol).push_u32(value as u32);
-                    self.pos += 1;
-                }
+                let filter: [i32; 9] =
+                    std::array::from_fn(|k| ctx.scratchpad(self.filt).read(k) as u32 as i32);
+                super::push_cells(
+                    ctx,
+                    (self.grid, self.sol),
+                    self.p,
+                    (&mut self.pos, total),
+                    |grid, pos| cell(grid, &filter, n, pos),
+                );
                 if self.pos >= total {
                     self.phase = Phase::Finish;
                 }

@@ -8,8 +8,8 @@
 
 use bcore::{
     AccelCommandSpec, AcceleratorConfig, AcceleratorCore, CoreContext, FieldType, PortTable,
-    ReadChannelConfig, ReaderId, ScratchpadConfig, ScratchpadId, SystemConfig, WriteChannelConfig,
-    WriterId,
+    ReadChannelConfig, ReaderId, Scratchpad, ScratchpadConfig, ScratchpadId, SystemConfig,
+    WriteChannelConfig, WriterId,
 };
 use bplatform::ResourceVector;
 
@@ -36,6 +36,26 @@ pub struct Stencil3dCore {
     c0: i32,
     c1: i32,
     pos: usize,
+}
+
+/// Cell `pos` of the result over an `n³` grid with coefficients `c0`
+/// and `c1`.
+fn cell(grid: &Scratchpad, n: usize, (c0, c1): (i32, i32), pos: usize) -> i32 {
+    // MachSuite layout: idx = i*n*n + j*n + k (k fastest).
+    let (i, j, k) = (pos / (n * n), (pos / n) % n, pos % n);
+    let at = |ii: usize, jj: usize, kk: usize| grid.read(ii * n * n + jj * n + kk) as u32 as i32;
+    let interior = i > 0 && i < n - 1 && j > 0 && j < n - 1 && k > 0 && k < n - 1;
+    if !interior {
+        return at(i, j, k);
+    }
+    let sum = at(i - 1, j, k)
+        .wrapping_add(at(i + 1, j, k))
+        .wrapping_add(at(i, j - 1, k))
+        .wrapping_add(at(i, j + 1, k))
+        .wrapping_add(at(i, j, k - 1))
+        .wrapping_add(at(i, j, k + 1));
+    c0.wrapping_mul(at(i, j, k))
+        .wrapping_add(c1.wrapping_mul(sum))
 }
 
 impl Stencil3dCore {
@@ -87,9 +107,7 @@ impl AcceleratorCore for Stencil3dCore {
                 }
             }
             Phase::LoadGrid => {
-                let (sp, reader) = ctx.scratchpad_and_reader(self.grid, self.grid_in);
-                sp.service_init(reader);
-                if !ctx.scratchpad(self.grid).initializing() {
+                if ctx.service_init(self.grid, self.grid_in) {
                     self.pos = 0;
                     self.phase = Phase::Compute;
                 }
@@ -97,39 +115,14 @@ impl AcceleratorCore for Stencil3dCore {
             Phase::Compute => {
                 let n = self.n;
                 let total = n * n * n;
-                for _ in 0..self.p {
-                    if self.pos >= total {
-                        break;
-                    }
-                    if !ctx.writer(self.sol).can_push() {
-                        return;
-                    }
-                    // MachSuite layout: idx = i*n*n + j*n + k (k fastest).
-                    let i = self.pos / (n * n);
-                    let j = (self.pos / n) % n;
-                    let k = self.pos % n;
-                    let sp = ctx.scratchpad(self.grid);
-                    let grid = |ii: usize, jj: usize, kk: usize| {
-                        sp.read(ii * n * n + jj * n + kk) as u32 as i32
-                    };
-                    let interior = i > 0 && i < n - 1 && j > 0 && j < n - 1 && k > 0 && k < n - 1;
-                    let value = if interior {
-                        let center = grid(i, j, k);
-                        let sum = grid(i - 1, j, k)
-                            .wrapping_add(grid(i + 1, j, k))
-                            .wrapping_add(grid(i, j - 1, k))
-                            .wrapping_add(grid(i, j + 1, k))
-                            .wrapping_add(grid(i, j, k - 1))
-                            .wrapping_add(grid(i, j, k + 1));
-                        self.c0
-                            .wrapping_mul(center)
-                            .wrapping_add(self.c1.wrapping_mul(sum))
-                    } else {
-                        grid(i, j, k)
-                    };
-                    ctx.writer(self.sol).push_u32(value as u32);
-                    self.pos += 1;
-                }
+                let coeffs = (self.c0, self.c1);
+                super::push_cells(
+                    ctx,
+                    (self.grid, self.sol),
+                    self.p,
+                    (&mut self.pos, total),
+                    |grid, pos| cell(grid, n, coeffs, pos),
+                );
                 if self.pos >= total {
                     self.phase = Phase::Finish;
                 }

@@ -5,12 +5,20 @@
 //! rounding in a sleep length moves the cycle a response lands on. Each
 //! run also checks the output against the kernel's software reference.
 //!
+//! The stencils push `P` results a cycle as paced runs and sleep through
+//! them. Their goldens also pin the stall counters a paced run and the
+//! awaited loads charge in bulk. `n·n` and `n³` are odd, so a run's last
+//! cycle is partial, and at `P = 32` the core outpaces the 64-byte W beat
+//! until the writer has room for less than a cycle's words and the runs
+//! shrink to one cycle each.
+//!
 //! The pinned cycles are those of the dense, one-tick-per-cycle cores; a
 //! sleeping core must resume on exactly the cycle a dense one would.
 
 use bcore::elaborate;
+use bcore::elaborate::{elaborate_with, ElaborationOptions};
 use bcore::SocSim;
-use bkernels::machsuite::{gemm, mdknn, nw};
+use bkernels::machsuite::{gemm, mdknn, nw, stencil2d, stencil3d};
 use bplatform::Platform;
 
 /// Sends one command to core 0 of system 0 and returns the SoC's cycle
@@ -103,4 +111,89 @@ fn nw_sleeps_n_squared() {
     for (n, cycles) in [(5, 115), (17, 429)] {
         assert_eq!(nw_cycles(n), cycles, "nw n={n}");
     }
+}
+
+/// A profiled single-core SoC on `aws_f1`.
+fn profiled(config: bcore::AcceleratorConfig) -> SocSim {
+    let opts = ElaborationOptions {
+        profile: true,
+        ..ElaborationOptions::default()
+    };
+    elaborate_with(config, &Platform::aws_f1(), opts).expect("elaborates")
+}
+
+/// The counter whose flattened name ends in `/suffix`.
+fn counter(soc: &SocSim, suffix: &str) -> u64 {
+    let suffix = format!("/{suffix}");
+    soc.perf_counters()
+        .into_iter()
+        .find(|(name, _)| name.ends_with(&suffix))
+        .unwrap_or_else(|| panic!("no counter {suffix}"))
+        .1
+}
+
+fn words(v: &[i32]) -> Vec<u32> {
+    v.iter().map(|&x| x as u32).collect()
+}
+
+fn stencil2d_run(n: usize, p: usize) -> SocSim {
+    let (grid_addr, filter_addr, sol_addr) = (0x1_0000, 0x10_0000, 0x20_0000);
+    let mut soc = profiled(stencil2d::config(1, n, p));
+    let (grid, filter) = stencil2d::workload(n, 3);
+    {
+        let mem = soc.memory();
+        let mut mem = mem.borrow_mut();
+        mem.write_u32_slice(grid_addr, &words(&grid));
+        mem.write_u32_slice(filter_addr, &words(&filter));
+    }
+    invoke(
+        &mut soc,
+        &stencil2d::args(grid_addr, filter_addr, sol_addr, n),
+    );
+    let sol = soc.memory().borrow().read_u32_slice(sol_addr, n * n);
+    assert_eq!(
+        sol,
+        words(&stencil2d::reference(&grid, &filter, n)),
+        "stencil2d n={n} p={p}"
+    );
+    soc
+}
+
+fn stencil3d_run(n: usize, p: usize) -> SocSim {
+    let (grid_addr, sol_addr) = (0x1_0000, 0x20_0000);
+    let (c0, c1) = (2, -1);
+    let mut soc = profiled(stencil3d::config(1, n, p));
+    let grid = stencil3d::workload(n, 5);
+    soc.memory()
+        .borrow_mut()
+        .write_u32_slice(grid_addr, &words(&grid));
+    invoke(&mut soc, &stencil3d::args(grid_addr, sol_addr, n, c0, c1));
+    let sol = soc.memory().borrow().read_u32_slice(sol_addr, n * n * n);
+    assert_eq!(
+        sol,
+        words(&stencil3d::reference(&grid, n, c0, c1)),
+        "stencil3d n={n} p={p}"
+    );
+    soc
+}
+
+#[test]
+fn stencil2d_paced_runs_land_on_dense_cycles() {
+    for ((n, p), cycles) in [((7, 2), 101), ((33, 3), 596), ((100, 32), 1395)] {
+        assert_eq!(stencil2d_run(n, p).now(), cycles, "stencil2d n={n} p={p}");
+    }
+    let soc = stencil2d_run(100, 32);
+    assert_eq!(counter(&soc, "grid_in0/stall_inflight_cycles"), 412);
+    assert_eq!(counter(&soc, "grid_in0/stall_prefetch_full_cycles"), 2);
+    assert_eq!(counter(&soc, "sol0/stall_data_starved_cycles"), 687);
+}
+
+#[test]
+fn stencil3d_paced_runs_land_on_dense_cycles() {
+    for ((n, p), cycles) in [((5, 2), 143), ((9, 4), 380), ((24, 32), 1872)] {
+        assert_eq!(stencil3d_run(n, p).now(), cycles, "stencil3d n={n} p={p}");
+    }
+    let soc = stencil3d_run(24, 32);
+    assert_eq!(counter(&soc, "grid_in0/stall_inflight_cycles"), 669);
+    assert_eq!(counter(&soc, "sol0/stall_data_starved_cycles"), 925);
 }

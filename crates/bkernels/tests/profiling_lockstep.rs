@@ -8,17 +8,18 @@
 //!
 //! The gated counters themselves are *skip-invariant*: they increment in
 //! busy-guarded paths (dense-ticked in both scheduler modes), on
-//! command-driven events, or — for a data-starved writer the active-set
-//! scheduler stops ticking — as a charge of the skipped cycles on the
-//! writer's next tick and before every host counter read. So the
-//! flattened counter values, apart from the `scheduler/*` counters, which
-//! measure the scheduler rather than the hardware, must also match
+//! command-driven events, or — for a data-starved writer, or a reader
+//! held at its inflight cap or by a full prefetch buffer, which the
+//! active-set scheduler stops ticking — as a charge of the skipped cycles
+//! on the primitive's next tick and before every host counter read. So
+//! the flattened counter values, apart from the `scheduler/*` counters,
+//! which measure the scheduler rather than the hardware, must also match
 //! between the naive and event-driven runs: at the end of a run, and at
 //! every read in the middle of one.
 
 use bcore::elaborate::{elaborate_with, ElaborationOptions};
-use bcore::SocSim;
-use bkernels::machsuite::gemm;
+use bcore::{AcceleratorConfig, SocSim};
+use bkernels::machsuite::{gemm, stencil2d};
 use bkernels::memcpy;
 use bplatform::Platform;
 
@@ -137,56 +138,119 @@ fn gated_counters_are_skip_invariant() {
     assert!(beats > 0, "memcpy produced no read beats?");
 }
 
-/// Reads the counters 40 times while a GeMM command runs, every 97
-/// cycles from its start. Its `Compute` rows sleep and its writer, asked
-/// for the whole output up front, sits data-starved meanwhile, so the
-/// active-set scheduler skips the writer's ticks; each read must still
-/// see the starved cycles a dense run counts.
-fn gemm_reads(event_driven: bool) -> Vec<Vec<(String, u64)>> {
-    let n = 32;
+/// Reads the counters `reads` times, every `stride` cycles from the start
+/// of the command `start` sends to an SoC elaborated from `config` with
+/// profiling on.
+fn mid_run_reads(
+    event_driven: bool,
+    config: AcceleratorConfig,
+    (stride, reads): (u64, usize),
+    start: impl FnOnce(&mut SocSim),
+) -> Vec<Vec<(String, u64)>> {
     let opts = ElaborationOptions {
         profile: true,
         ..ElaborationOptions::default()
     };
-    let mut soc =
-        elaborate_with(gemm::config(1, n, 4), &Platform::aws_f1(), opts).expect("gemm elaborates");
+    let mut soc = elaborate_with(config, &Platform::aws_f1(), opts).expect("elaborates");
     soc.set_event_driven(event_driven);
-    let (a, b) = gemm::workload(n, 1);
-    {
-        let mem = soc.memory();
-        let mut mem = mem.borrow_mut();
-        mem.write_u32_slice(0x1_0000, &a.iter().map(|&x| x as u32).collect::<Vec<_>>());
-        mem.write_u32_slice(0x8_0000, &b.iter().map(|&x| x as u32).collect::<Vec<_>>());
-    }
-    soc.send_command(0, 0, &gemm::args(0x1_0000, 0x8_0000, 0x10_0000, n))
-        .expect("send");
-    (0..40)
+    start(&mut soc);
+    (0..reads)
         .map(|_| {
-            soc.run_for(97);
+            soc.run_for(stride);
             hardware_counters(&soc)
         })
         .collect()
 }
 
-#[test]
-fn mid_run_counter_reads_are_skip_invariant() {
-    let naive = gemm_reads(false);
-    let event = gemm_reads(true);
-    for (read, (n, e)) in naive.iter().zip(&event).enumerate() {
+/// Checks that every mid-run read saw the same counters in both modes and
+/// returns the last read's counter whose name ends in `suffix`.
+fn assert_reads_match(
+    naive: &[Vec<(String, u64)>],
+    event: &[Vec<(String, u64)>],
+    suffix: &str,
+) -> u64 {
+    for (read, (n, e)) in naive.iter().zip(event).enumerate() {
         assert_eq!(n.len(), e.len(), "counter read {read}: counter sets differ");
         for (n, e) in n.iter().zip(e) {
             assert_eq!(n, e, "counter read {read} differs between scheduler modes");
         }
     }
-    let starved = |reads: &[Vec<(String, u64)>]| {
-        reads.last().and_then(|r| {
-            r.iter()
-                .find(|(name, _)| name.ends_with("stall_data_starved_cycles"))
-                .map(|(_, v)| *v)
-        })
-    };
-    assert!(
-        starved(&naive).unwrap_or(0) > 0,
-        "the GeMM writer never sat data-starved?"
+    naive
+        .last()
+        .and_then(|r| r.iter().find(|(name, _)| name.ends_with(suffix)))
+        .map_or(0, |(_, v)| *v)
+}
+
+/// Reads the counters 40 times, every 97 cycles, while a GeMM command
+/// runs. Its `Compute`
+/// rows sleep and its writer, asked for the whole output up front, sits
+/// data-starved meanwhile, so the active-set scheduler skips the writer's
+/// ticks; each read must still see the starved cycles a dense run counts.
+fn gemm_reads(event_driven: bool) -> Vec<Vec<(String, u64)>> {
+    let n = 32;
+    mid_run_reads(event_driven, gemm::config(1, n, 4), (97, 40), |soc| {
+        let (a, b) = gemm::workload(n, 1);
+        {
+            let mem = soc.memory();
+            let mut mem = mem.borrow_mut();
+            mem.write_u32_slice(0x1_0000, &a.iter().map(|&x| x as u32).collect::<Vec<_>>());
+            mem.write_u32_slice(0x8_0000, &b.iter().map(|&x| x as u32).collect::<Vec<_>>());
+        }
+        soc.send_command(0, 0, &gemm::args(0x1_0000, 0x8_0000, 0x10_0000, n))
+            .expect("send");
+    })
+}
+
+/// Reads the counters every `stride` cycles while a Stencil2D command
+/// runs. Its grid reader sits at the inflight cap while the core awaits
+/// its stream, and the core's paced runs leave its writer starved until
+/// their bytes come due, so the active-set scheduler skips both; each
+/// read must still see the stall cycles a dense run counts.
+fn stencil2d_reads(event_driven: bool, reads: (u64, usize)) -> Vec<Vec<(String, u64)>> {
+    let n = 100;
+    mid_run_reads(event_driven, stencil2d::config(1, n, 32), reads, |soc| {
+        let (grid, filter) = stencil2d::workload(n, 3);
+        {
+            let mem = soc.memory();
+            let mut mem = mem.borrow_mut();
+            mem.write_u32_slice(
+                0x1_0000,
+                &grid.iter().map(|&x| x as u32).collect::<Vec<_>>(),
+            );
+            mem.write_u32_slice(
+                0x10_0000,
+                &filter.iter().map(|&x| x as u32).collect::<Vec<_>>(),
+            );
+        }
+        soc.send_command(0, 0, &stencil2d::args(0x1_0000, 0x10_0000, 0x20_0000, n))
+            .expect("send");
+    })
+}
+
+#[test]
+fn mid_run_counter_reads_are_skip_invariant() {
+    let starved = assert_reads_match(
+        &gemm_reads(false),
+        &gemm_reads(true),
+        "stall_data_starved_cycles",
     );
+    assert!(starved > 0, "the GeMM writer never sat data-starved?");
+}
+
+#[test]
+fn mid_run_reads_see_a_capped_reader() {
+    // Sixteen reads 97 cycles apart sample the whole run. The grid reader
+    // is skipped while capped on only a few cycles that a read can land
+    // on, so reads 3 cycles apart cover them too.
+    for reads in [(97, 16), (3, 533)] {
+        let capped = assert_reads_match(
+            &stencil2d_reads(false, reads),
+            &stencil2d_reads(true, reads),
+            "grid_in0/stall_inflight_cycles",
+        );
+        assert!(
+            capped > 0,
+            "the Stencil2D grid reader never hit its inflight cap?"
+        );
+    }
 }
