@@ -690,6 +690,7 @@ pub fn elaborate_with(
             let _ = down_master;
         } else {
             let interconnect = crate::interconnect::AxiInterconnect::new(
+                &mut sim,
                 port_slaves,
                 down_master,
                 1 << platform.mem_id_bits,

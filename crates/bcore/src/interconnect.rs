@@ -7,11 +7,17 @@
 //! allocates controller-side IDs per transaction (so distinct masters — or
 //! one master's TLP transactions — retain memory-controller parallelism)
 //! and routes responses back by table lookup.
+//!
+//! The AR and AW arbiters see a request vector, as the hardware's do: the
+//! masters' AR and AW receivers are registered as two
+//! [`OccupancyBlock`]s, whose bits are set exactly while a master's
+//! channel holds a flit, and a grant walks only the set bits in
+//! round-robin order. Nothing on the per-cycle path visits every master.
 
 use std::collections::VecDeque;
 
 use baxi::{ArFlit, AwFlit, AxiMasterPort, AxiSlavePort, BFlit, RFlit};
-use bsim::{Component, Cycle, SimCtx, StatCounter, Stats};
+use bsim::{Component, Cycle, OccupancyBlock, SimCtx, Simulation, StatCounter, Stats};
 
 /// The controller-side IDs of one direction, in a slab indexed by
 /// controller ID holding `(master, original id, outstanding txns)`, so
@@ -86,6 +92,10 @@ pub struct AxiInterconnect {
     writes: IdTable,
     /// Masters whose accepted AW bursts still owe W beats, in AW order.
     w_route: VecDeque<(usize, u32)>,
+    /// Bit `m` is set while master `m`'s AR channel holds a flit.
+    ar_requests: OccupancyBlock,
+    /// Bit `m` is set while master `m`'s AW channel holds a flit.
+    aw_requests: OccupancyBlock,
     rr_ar: usize,
     rr_aw: usize,
     stats: Stats,
@@ -97,12 +107,20 @@ pub struct AxiInterconnect {
 
 impl AxiInterconnect {
     /// Creates an interconnect over `masters` feeding `downstream`, with
-    /// `num_ids` controller-side IDs available per direction.
+    /// `num_ids` controller-side IDs available per direction, and
+    /// registers the masters' AR and AW receivers in `sim`'s occupancy
+    /// bitmap.
     ///
     /// # Panics
     ///
-    /// Panics if `masters` is empty or `num_ids` is zero.
-    pub fn new(masters: Vec<AxiSlavePort>, downstream: AxiMasterPort, num_ids: u32) -> Self {
+    /// Panics if `masters` is empty, `num_ids` is zero, or a master's AR
+    /// or AW receiver is already registered in an occupancy block.
+    pub fn new(
+        sim: &mut Simulation,
+        masters: Vec<AxiSlavePort>,
+        downstream: AxiMasterPort,
+        num_ids: u32,
+    ) -> Self {
         assert!(
             !masters.is_empty(),
             "interconnect needs at least one master"
@@ -110,6 +128,8 @@ impl AxiInterconnect {
         assert!(num_ids > 0, "interconnect needs at least one id");
         let stats = Stats::new();
         Self {
+            ar_requests: sim.occupancy_block(masters.iter().map(|m| m.ar)),
+            aw_requests: sim.occupancy_block(masters.iter().map(|m| m.aw)),
             masters,
             downstream,
             reads: IdTable::new(num_ids),
@@ -157,15 +177,15 @@ impl AxiInterconnect {
     }
 
     fn accept_ar(&mut self, ctx: &SimCtx, now: Cycle) {
-        if !self.downstream.ar.can_send(ctx) {
-            return;
-        }
-        let n = self.masters.len();
-        for offset in 0..n {
-            let m = (self.rr_ar + offset) % n;
+        for m in self.ar_requests.iter_from(ctx, self.rr_ar) {
             let Some(orig_id) = self.masters[m].ar.peek_with(ctx, now, |f| f.id) else {
                 continue;
             };
+            // Backpressure holds every request and counts no ID stall;
+            // it is checked only once a request is visible.
+            if !self.downstream.ar.can_send(ctx) {
+                return;
+            }
             let Some(id) = self.reads.open(m, orig_id) else {
                 self.id_stalls.incr();
                 continue; // this master must wait for a free id
@@ -173,21 +193,19 @@ impl AxiInterconnect {
             let ar = self.masters[m].ar.recv(ctx, now).expect("peeked");
             self.downstream.ar.send(ctx, now, ArFlit { id, ..ar });
             self.ar_forwarded.incr();
-            self.rr_ar = (m + 1) % n;
+            self.rr_ar = (m + 1) % self.masters.len();
             return; // one AR per cycle
         }
     }
 
     fn accept_aw(&mut self, ctx: &SimCtx, now: Cycle) {
-        if !self.downstream.aw.can_send(ctx) {
-            return;
-        }
-        let n = self.masters.len();
-        for offset in 0..n {
-            let m = (self.rr_aw + offset) % n;
+        for m in self.aw_requests.iter_from(ctx, self.rr_aw) {
             let Some(orig_id) = self.masters[m].aw.peek_with(ctx, now, |f| f.id) else {
                 continue;
             };
+            if !self.downstream.aw.can_send(ctx) {
+                return;
+            }
             let Some(id) = self.writes.open(m, orig_id) else {
                 self.id_stalls.incr();
                 continue;
@@ -196,7 +214,7 @@ impl AxiInterconnect {
             self.downstream.aw.send(ctx, now, AwFlit { id, ..aw });
             self.w_route.push_back((m, aw.beats));
             self.aw_forwarded.incr();
-            self.rr_aw = (m + 1) % n;
+            self.rr_aw = (m + 1) % self.masters.len();
             return;
         }
     }
@@ -253,9 +271,11 @@ impl Component for AxiInterconnect {
                 wake = Some(wake.map_or(v, |w: Cycle| w.min(v)));
             }
         };
-        for m in &self.masters {
-            consider(m.ar.next_visible_at(ctx));
-            consider(m.aw.next_visible_at(ctx));
+        for m in self.ar_requests.iter_from(ctx, 0) {
+            consider(self.masters[m].ar.next_visible_at(ctx));
+        }
+        for m in self.aw_requests.iter_from(ctx, 0) {
+            consider(self.masters[m].aw.next_visible_at(ctx));
         }
         consider(self.downstream.r.next_visible_at(ctx));
         consider(self.downstream.b.next_visible_at(ctx));
@@ -357,7 +377,8 @@ mod tests {
                 b: 16,
             },
         );
-        sim.add(AxiInterconnect::new(slave_ports, down_master, 16));
+        let interconnect = AxiInterconnect::new(&mut sim, slave_ports, down_master, 16);
+        sim.add(interconnect);
         let ctrl = AxiMemoryController::new(
             ControllerConfig::default(),
             DramSystem::new(DramConfig::ddr4_2400()),
@@ -446,5 +467,133 @@ mod tests {
             }
             assert!(sim.now() < 400_000);
         }
+    }
+
+    /// FNV-1a over a sequence of addresses.
+    fn digest(addrs: &[u64]) -> u64 {
+        addrs.iter().fold(0xcbf2_9ce4_8422_2325, |h, a| {
+            a.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn seventy_master_storm_keeps_grant_order_and_id_stalls() {
+        // 70 masters, so each arbiter's request vector spans two words, issue
+        // a seeded storm of single-beat ARs and AWs against four controller
+        // ids whose responses come back 24..55 cycles later. The order the
+        // downstream port sees, and the counters, are pinned.
+        const MASTERS: usize = 70;
+        let mut sim = Simulation::new();
+        let depths = PortDepths {
+            ar: 2,
+            r: 4,
+            aw: 2,
+            w: 4,
+            b: 4,
+        };
+        let (ports, slaves): (Vec<_>, Vec<_>) =
+            (0..MASTERS).map(|_| axi_link(&mut sim, depths)).unzip();
+        let (down_master, down) = axi_link(
+            &mut sim,
+            PortDepths {
+                ar: 4,
+                r: 8,
+                aw: 4,
+                w: 8,
+                b: 8,
+            },
+        );
+        let interconnect = AxiInterconnect::new(&mut sim, slaves, down_master, 4);
+        let stats = interconnect.stats();
+        sim.add(interconnect);
+
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let (mut ar_seen, mut aw_seen) = (Vec::new(), Vec::new());
+        let mut reads = VecDeque::new();
+        let mut writes = VecDeque::new();
+        let mut issued = [0u64; 2];
+        let beat = baxi::Beat::from_slice(&[0; 8]);
+        loop {
+            let (ctx, now) = (sim.ctx(), sim.now());
+            let storming = now < 2_000;
+            for (m, port) in ports.iter().enumerate() {
+                let addr = (m as u64) << 20 | now << 6;
+                if storming && draw(8) == 0 && port.ar.can_send(ctx) {
+                    let id = draw(2) as u32;
+                    port.ar.send(ctx, now, ArFlit { id, addr, beats: 1 });
+                    issued[0] += 1;
+                }
+                if storming && draw(11) == 0 && port.aw.can_send(ctx) && port.w.can_send(ctx) {
+                    let id = draw(2) as u32;
+                    port.aw.send(ctx, now, AwFlit { id, addr, beats: 1 });
+                    port.w.send(ctx, now, baxi::WFlit::full(&[0; 8], true));
+                    issued[1] += 1;
+                }
+                while port.r.recv(ctx, now).is_some() {}
+                while port.b.recv(ctx, now).is_some() {}
+            }
+            while let Some(ar) = down.ar.recv(ctx, now) {
+                ar_seen.push(ar.addr);
+                reads.push_back((now + 24 + draw(32), ar.id));
+            }
+            while let Some(aw) = down.aw.recv(ctx, now) {
+                aw_seen.push(aw.addr);
+                writes.push_back((now + 24 + draw(32), aw.id));
+            }
+            while down.w.recv(ctx, now).is_some() {}
+            while let Some(&(due, id)) = reads.front() {
+                if due > now || !down.r.can_send(ctx) {
+                    break;
+                }
+                reads.pop_front();
+                let last = true;
+                down.r.send(
+                    ctx,
+                    now,
+                    RFlit {
+                        id,
+                        data: beat,
+                        last,
+                    },
+                );
+            }
+            while let Some(&(due, id)) = writes.front() {
+                if due > now || !down.b.can_send(ctx) {
+                    break;
+                }
+                writes.pop_front();
+                down.b.send(ctx, now, BFlit { id });
+            }
+            if !storming && ar_seen.len() as u64 == issued[0] && aw_seen.len() as u64 == issued[1] {
+                break;
+            }
+            sim.step();
+            assert!(sim.now() < 20_000, "storm did not drain");
+        }
+
+        assert_eq!(stats.get("ar_forwarded"), issued[0]);
+        assert_eq!(stats.get("aw_forwarded"), issued[1]);
+        assert_eq!(
+            (
+                issued,
+                digest(&ar_seen),
+                digest(&aw_seen),
+                stats.get("id_stalls")
+            ),
+            (
+                [576, 482],
+                0x98e5_29ea_8e8e_1905,
+                0x42c2_1e21_4c88_ac05,
+                344_979
+            )
+        );
     }
 }

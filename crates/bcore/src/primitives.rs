@@ -209,6 +209,22 @@ impl Reader {
         true
     }
 
+    /// Pops as many whole little-endian words of `word_bytes` (at most 8)
+    /// bytes as the stream holds, up to `out.len()`, into the front of
+    /// `out`, in one pass; returns how many.
+    fn pop_words(&mut self, word_bytes: usize, out: &mut [u64]) -> usize {
+        let words = (self.stream.len() / word_bytes).min(out.len());
+        let bytes = words * word_bytes;
+        let src = &self.stream.make_contiguous()[..bytes];
+        for (dst, word) in out.iter_mut().zip(src.chunks_exact(word_bytes)) {
+            let mut le = [0u8; 8];
+            le[..word_bytes].copy_from_slice(word);
+            *dst = u64::from_le_bytes(le);
+        }
+        self.stream.drain(..bytes);
+        words
+    }
+
     /// Pops a little-endian u32 (requires `data_bytes >= 4`; narrower
     /// streams should use [`Reader::pop_into`]).
     pub fn pop_u32(&mut self) -> Option<u32> {
@@ -635,31 +651,18 @@ impl Writer {
     ///
     /// Panics like [`Writer::push_chunk`], if `per_cycle` is zero, or if an
     /// earlier paced run still has bytes that are not due.
-    pub fn push_paced(&mut self, now: Cycle, data: impl IntoIterator<Item = u8>, per_cycle: usize) {
+    pub fn push_paced(&mut self, now: Cycle, data: &[u8], per_cycle: usize) {
         assert!(per_cycle > 0, "a paced push needs a rate");
         assert!(
             self.pace.is_none_or(|p| p.undue(now) == 0),
             "writer '{}' got a paced push during another",
             self.cfg.name
         );
-        let before = self.staging.len();
-        self.staging.extend(data);
-        let len = self.staging.len() - before;
-        assert!(
-            len as u64 <= self.unpushed,
-            "writer '{}' got more data than requested",
-            self.cfg.name
-        );
-        assert!(
-            self.staged() <= self.cfg.staging_bytes,
-            "writer '{}' staging overflow",
-            self.cfg.name
-        );
-        self.unpushed -= len as u64;
+        self.push_chunk(data);
         self.pace = Some(Pace {
             from: now,
             per_cycle,
-            len,
+            len: data.len(),
         });
     }
 
@@ -937,15 +940,10 @@ impl Scratchpad {
         let Some(mut filled) = self.init_progress else {
             return;
         };
-        let wb = self.word_bytes();
-        let start = filled;
-        let mut word = [0u8; 8];
-        while filled < self.storage.len() && reader.pop_into(&mut word[..wb]) {
-            self.storage[filled] = u64::from_le_bytes(word);
-            filled += 1;
-        }
-        if filled > start {
-            self.init_words.add((filled - start) as u64);
+        let words = reader.pop_words(self.word_bytes(), &mut self.storage[filled..]);
+        if words > 0 {
+            self.init_words.add(words as u64);
+            filled += words;
         }
         self.init_progress = if filled == self.storage.len() {
             None
@@ -1190,7 +1188,7 @@ mod tests {
             let now = r.sim.now();
             let w = &mut r.sim.get_mut(r.writer).0;
             assert!(w.pushable(per_cycle) * per_cycle >= data.len());
-            w.push_paced(now, data.iter().copied(), per_cycle);
+            w.push_paced(now, &data, per_cycle);
         }
         let mut trace = vec![(0, 0)];
         let mut pushed = 0;

@@ -237,17 +237,21 @@ pub fn workload(n: usize, k: usize, seed: u64) -> (Vec<f32>, Vec<u32>) {
     let mut rng = super::SplitMix64(seed);
     let pos: Vec<f32> = (0..3 * n).map(|_| rng.f32_in(0.1, 10.0)).collect();
     let mut nl = Vec::with_capacity(n * k);
+    // Repeats are rejected against `seen`, which is cleared again after
+    // each atom through the neighbours it marked.
+    let mut seen = vec![false; n];
     for i in 0..n {
-        let mut picked = std::collections::HashSet::new();
-        while picked.len() < k {
-            let j = rng.below(n as u64) as u32;
-            if j as usize != i {
-                picked.insert(j);
+        let row = nl.len();
+        while nl.len() - row < k {
+            let j = rng.below(n as u64) as usize;
+            if j != i && !std::mem::replace(&mut seen[j], true) {
+                nl.push(j as u32);
             }
         }
-        let mut sorted: Vec<u32> = picked.into_iter().collect();
-        sorted.sort_unstable();
-        nl.extend(sorted);
+        nl[row..].sort_unstable();
+        for &j in &nl[row..] {
+            seen[j as usize] = false;
+        }
     }
     (pos, nl)
 }
@@ -338,5 +342,31 @@ mod tests {
         let force = reference(&pos, &nl, n, k);
         assert!(force.iter().all(|f| f.is_finite()));
         assert!(force.iter().any(|&f| f != 0.0));
+    }
+
+    #[test]
+    fn workload_digests_are_pinned() {
+        // FNV-1a over the position bits then the neighbour list.
+        let digest = |(pos, nl): (Vec<f32>, Vec<u32>)| {
+            let words = pos.iter().map(|p| p.to_bits()).chain(nl);
+            words.fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+                w.to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+            })
+        };
+        let got: Vec<u64> = std::iter::once(workload(32, 8, 17))
+            .chain((0..3).map(|seed| workload(512, 32, seed)))
+            .map(digest)
+            .collect();
+        assert_eq!(
+            got,
+            [
+                789_226_919_017_112_604,
+                12_978_378_294_335_722_042,
+                3_083_885_873_695_506,
+                188_087_292_577_010_069
+            ]
+        );
     }
 }

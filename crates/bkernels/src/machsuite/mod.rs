@@ -44,8 +44,11 @@ fn push_cells(
     if !run.is_empty() {
         let now = ctx.now();
         let (grid, sol) = ctx.scratchpad_and_writer(grid, sol);
-        let bytes = run.clone().flat_map(|pos| cell(grid, pos).to_le_bytes());
-        sol.push_paced(now, bytes, 4 * p);
+        let mut bytes = Vec::with_capacity(4 * run.len());
+        for pos in run.clone() {
+            bytes.extend_from_slice(&cell(grid, pos).to_le_bytes());
+        }
+        sol.push_paced(now, &bytes, 4 * p);
     }
     ctx.sleep_for(cycles as bsim::Cycle);
     *pos = run.end;

@@ -110,6 +110,7 @@ pub(crate) fn make_channel<T: Send + 'static>(
         recv_hooks: Vec::new(),
         ready_key: None,
         ready_queued: false,
+        occupancy_bit: None,
     }));
     (
         Sender {
@@ -155,6 +156,9 @@ impl<T: Send + 'static> Sender<T> {
         let visible = now + c.latency;
         if c.visible.is_empty() {
             ctx.front[self.chan as usize].set(visible);
+            if let Some(bit) = c.occupancy_bit {
+                ctx.set_occupied(bit);
+            }
         }
         c.visible.push_back(visible);
         c.payloads_mut::<T>().push_back(value);
@@ -218,7 +222,13 @@ impl<T: Send + 'static> Receiver<T> {
         }
         let mut c = ctx.chans[self.chan as usize].borrow_mut();
         c.visible.pop_front();
-        ctx.front[self.chan as usize].set(c.visible.front().copied().unwrap_or(Cycle::MAX));
+        let front = c.visible.front().copied();
+        ctx.front[self.chan as usize].set(front.unwrap_or(Cycle::MAX));
+        if let Some(bit) = c.occupancy_bit {
+            if front.is_none() {
+                ctx.clear_occupied(bit);
+            }
+        }
         c.total_received += 1;
         let item = c.payloads_mut::<T>().pop_front();
         for &hook in &c.recv_hooks {

@@ -31,12 +31,15 @@
 //! moved to another thread (the `bserver` fleet does exactly that).
 
 use std::any::Any;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
+use std::num::NonZeroU32;
 
 use crate::chan::{Receiver, Sender};
 use crate::ctx::{SimCtx, WakeState};
+use crate::occupancy::OccupancyBlock;
 use crate::time::Cycle;
 use crate::wake::Waker;
 
@@ -497,6 +500,46 @@ impl Simulation {
         assert!(c.ready_key.is_none(), "channel is already watched");
         c.ready_key = Some(key);
         self.ctx.queue_ready(rx.chan, &mut c);
+    }
+
+    /// Registers `receivers`, in order, as one [`OccupancyBlock`]: bit `i`
+    /// of the block is set exactly while receiver `i`'s channel holds an
+    /// item, so an arbiter over many inputs can walk the requesting ones
+    /// instead of polling them all (see `DESIGN.md`). Items a channel
+    /// already holds set its bit at once. Attaches no wake hook and
+    /// changes no scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a receiver already has an occupancy bit or belongs to a
+    /// different simulation.
+    pub fn occupancy_block<T: Send + 'static>(
+        &mut self,
+        receivers: impl IntoIterator<Item = Receiver<T>>,
+    ) -> OccupancyBlock {
+        let ctx = &mut self.ctx;
+        let base = ctx.occupied_len;
+        for rx in receivers {
+            let bit = NonZeroU32::new(ctx.occupied_len).expect("bit 0 is never allocated");
+            ctx.occupied_len = bit.get().checked_add(1).expect("occupancy bitmap overflow");
+            if ctx.occupied.len() * 64 < ctx.occupied_len as usize {
+                ctx.occupied.push(Cell::new(0));
+            }
+            let mut c = ctx.chan(rx.chan, rx.serial).borrow_mut();
+            assert!(
+                c.occupancy_bit.is_none(),
+                "receiver already has an occupancy bit"
+            );
+            c.occupancy_bit = Some(bit);
+            if !c.visible.is_empty() {
+                ctx.set_occupied(bit);
+            }
+        }
+        OccupancyBlock {
+            base,
+            len: ctx.occupied_len - base,
+            serial: ctx.serial,
+        }
     }
 
     /// The current cycle.

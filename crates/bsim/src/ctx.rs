@@ -20,6 +20,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::time::Cycle;
@@ -58,6 +59,10 @@ pub(crate) struct RawChan {
     /// channel appears at most once however many sends land between
     /// reads of the queue).
     pub(crate) ready_queued: bool,
+    /// This receiver's bit in [`SimCtx::occupied`], set while the channel
+    /// holds an item; `None` unless it was registered in an
+    /// [`OccupancyBlock`](crate::OccupancyBlock).
+    pub(crate) occupancy_bit: Option<NonZeroU32>,
 }
 
 impl RawChan {
@@ -120,6 +125,16 @@ pub struct SimCtx {
     /// earliest front item in it, so both cost O(channels holding items),
     /// not O(watched channels).
     pub(crate) host_ready: RefCell<Vec<u32>>,
+    /// The occupancy bitmap, 64 bits a word: bit `b` is set exactly while
+    /// the channel registered for it holds an item. Maintained by
+    /// [`Sender::send`](crate::Sender::send) and
+    /// [`Receiver::recv`](crate::Receiver::recv); read through
+    /// [`OccupancyBlock`](crate::OccupancyBlock)s.
+    pub(crate) occupied: Vec<Cell<u64>>,
+    /// Where the next block starts. Bit 0 is never allocated, so a bit
+    /// index fits a `NonZeroU32` and `RawChan::occupancy_bit` costs no
+    /// more space than the bit itself.
+    pub(crate) occupied_len: u32,
 }
 
 impl SimCtx {
@@ -131,6 +146,8 @@ impl SimCtx {
             wake_queue: RefCell::new(Vec::new()),
             wake_state: Vec::new(),
             host_ready: RefCell::new(Vec::new()),
+            occupied: Vec::new(),
+            occupied_len: 1,
         }
     }
 
@@ -193,6 +210,24 @@ impl SimCtx {
     #[inline]
     pub(crate) fn is_hooked(&self, idx: usize) -> bool {
         self.wake_state[idx].hooked.get()
+    }
+
+    /// Sets occupancy bit `bit`. Cold and out of line: only a channel
+    /// registered in a block calls it, and keeping it out of every
+    /// inlined `send` keeps the path of all other channels short.
+    #[cold]
+    pub(crate) fn set_occupied(&self, bit: NonZeroU32) {
+        let bit = bit.get();
+        let word = &self.occupied[bit as usize / 64];
+        word.set(word.get() | 1 << (bit % 64));
+    }
+
+    /// Clears occupancy bit `bit`. Cold for the reason `set_occupied` is.
+    #[cold]
+    pub(crate) fn clear_occupied(&self, bit: NonZeroU32) {
+        let bit = bit.get();
+        let word = &self.occupied[bit as usize / 64];
+        word.set(word.get() & !(1 << (bit % 64)));
     }
 
     /// Queues watched channel `id` in the host-ready queue unless it is

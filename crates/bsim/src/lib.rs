@@ -70,6 +70,7 @@ mod component;
 mod ctx;
 pub mod host;
 mod mem;
+mod occupancy;
 pub mod perf;
 mod stats;
 mod time;
@@ -80,6 +81,7 @@ pub use chan::{ChannelState, Receiver, Sender};
 pub use component::{Component, Shared, Simulation};
 pub use ctx::SimCtx;
 pub use mem::SparseMemory;
+pub use occupancy::OccupancyBlock;
 pub use perf::{CounterSet, PerfRegistry};
 pub use stats::{
     Histogram, HistogramSummary, MergedSimRate, SimRate, SimRateExt, SimRateTimer, StatCounter,
