@@ -11,19 +11,134 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use baxi::{strobe_mask, ArFlit, AwFlit, AxiMasterPort, Beat, WFlit};
+use baxi::{strobe_mask, ArFlit, AwFlit, AxiMasterPort, Beat, WFlit, MAX_BEAT_BYTES};
 use bsim::perf::CounterSet;
 use bsim::{Cycle, SimCtx, StatCounter, Stats};
 
-/// Moves the first `out.len()` bytes of `queue` into `out` (the caller
-/// checks that `queue` holds that many).
-fn drain_into(queue: &mut VecDeque<u8>, out: &mut [u8]) {
-    let n = out.len();
-    let (front, back) = queue.as_slices();
-    let split = front.len().min(n);
-    out[..split].copy_from_slice(&front[..split]);
-    out[split..].copy_from_slice(&back[..n - split]);
-    queue.drain(..n);
+/// The byte FIFO behind a [`Reader`]'s stream and a [`Writer`]'s staging
+/// buffer, in stream order.
+///
+/// It owns every word operation on those bytes, so each one moves a size
+/// the compiler knows: a runtime-length copy is a libc `memcpy` call, paid
+/// once per word on the cores' hot paths otherwise. Reads go through the
+/// ring's two slices and never rotate it; only a word or beat that
+/// straddles the wrap point is put together from two copies.
+#[derive(Debug, Default)]
+struct ByteQueue(VecDeque<u8>);
+
+/// A little-endian word of `N` (at most 8) bytes.
+fn le_word<const N: usize>(bytes: &[u8; N]) -> u64 {
+    let mut le = [0u8; 8];
+    le[..N].copy_from_slice(bytes);
+    u64::from_le_bytes(le)
+}
+
+impl ByteQueue {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Appends `bytes`.
+    fn push(&mut self, bytes: &[u8]) {
+        self.0.extend(bytes);
+    }
+
+    /// Appends a little-endian u32.
+    fn push_u32(&mut self, value: u32) {
+        self.0.extend(value.to_le_bytes());
+    }
+
+    /// Copies the first `out.len()` bytes into `out` (the caller checks
+    /// that the queue holds that many), in one copy from each slice.
+    fn copy_front(&self, out: &mut [u8]) {
+        let (front, back) = self.0.as_slices();
+        let (head, tail) = out.split_at_mut(front.len().min(out.len()));
+        head.copy_from_slice(&front[..head.len()]);
+        tail.copy_from_slice(&back[..tail.len()]);
+    }
+
+    /// Removes and returns the first `N` bytes, or `None` while fewer are
+    /// queued.
+    fn pop_array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        if self.0.len() < N {
+            return None;
+        }
+        let bytes = match self.0.as_slices().0.first_chunk::<N>() {
+            Some(head) => *head,
+            None => {
+                let mut bytes = [0; N];
+                self.copy_front(&mut bytes);
+                bytes
+            }
+        };
+        self.0.drain(..N);
+        Some(bytes)
+    }
+
+    /// Moves the first `out.len()` bytes into `out` and returns true, or
+    /// leaves the queue untouched and returns false while fewer are
+    /// queued. A full memory-bus beat moves as one fixed-size copy.
+    fn pop_into(&mut self, out: &mut [u8]) -> bool {
+        if let Ok(beat) = <&mut [u8; MAX_BEAT_BYTES]>::try_from(&mut *out) {
+            return self.pop_array().map(|bytes| *beat = bytes).is_some();
+        }
+        if self.0.len() < out.len() {
+            return false;
+        }
+        self.copy_front(out);
+        self.0.drain(..out.len());
+        true
+    }
+
+    /// Pops as many whole little-endian words of `word_bytes` (1 to 8)
+    /// bytes as the queue holds, up to `out.len()`, into the front of
+    /// `out`, each ANDed with `mask`; returns how many.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word_bytes` is not 1 to 8.
+    fn pop_words(&mut self, word_bytes: usize, mask: u64, out: &mut [u64]) -> usize {
+        match word_bytes {
+            1 => self.pop_words_of::<1>(mask, out),
+            2 => self.pop_words_of::<2>(mask, out),
+            3 => self.pop_words_of::<3>(mask, out),
+            4 => self.pop_words_of::<4>(mask, out),
+            5 => self.pop_words_of::<5>(mask, out),
+            6 => self.pop_words_of::<6>(mask, out),
+            7 => self.pop_words_of::<7>(mask, out),
+            8 => self.pop_words_of::<8>(mask, out),
+            _ => panic!("stream words are 1 to 8 bytes, not {word_bytes}"),
+        }
+    }
+
+    fn pop_words_of<const N: usize>(&mut self, mask: u64, out: &mut [u64]) -> usize {
+        let words = (self.0.len() / N).min(out.len());
+        let (front, back) = self.0.as_slices();
+        let (front_words, straddle) = front.as_chunks::<N>();
+        let (out_front, out_back) = out[..words].split_at_mut(front_words.len().min(words));
+        for (dst, word) in out_front.iter_mut().zip(front_words) {
+            *dst = le_word(word) & mask;
+        }
+        if let Some((first, rest)) = out_back.split_first_mut() {
+            // The word across the wrap point starts with the front slice's
+            // last `straddle.len()` (possibly no) bytes.
+            let mut word = [0; N];
+            let (head, tail) = word.split_at_mut(straddle.len());
+            head.copy_from_slice(straddle);
+            tail.copy_from_slice(&back[..tail.len()]);
+            *first = le_word(&word) & mask;
+            let (back_words, _) = back[N - straddle.len()..].as_chunks::<N>();
+            for (dst, word) in rest.iter_mut().zip(back_words) {
+                *dst = le_word(word) & mask;
+            }
+        }
+        self.0.drain(..words * N);
+        words
+    }
 }
 
 /// Returned when a stream request is issued while a previous one is still
@@ -110,7 +225,7 @@ pub struct Reader {
     /// (next_fetch_addr, bytes_left_to_fetch) of the active request.
     fetch: Option<(u64, u64)>,
     txns: VecDeque<ReadTxn>,
-    stream: VecDeque<u8>,
+    stream: ByteQueue,
     next_id: usize,
     outstanding_bytes: usize,
     stats: Stats,
@@ -142,7 +257,7 @@ impl Reader {
             port,
             fetch: None,
             txns: VecDeque::new(),
-            stream: VecDeque::new(),
+            stream: ByteQueue::default(),
             next_id: 0,
             outstanding_bytes: 0,
             ar_issued: stats.counter("ar_issued"),
@@ -202,34 +317,23 @@ impl Reader {
     /// true, or leaves the stream untouched and returns false while fewer
     /// are available.
     pub fn pop_into(&mut self, buf: &mut [u8]) -> bool {
-        if self.stream.len() < buf.len() {
-            return false;
-        }
-        drain_into(&mut self.stream, buf);
-        true
+        self.stream.pop_into(buf)
     }
 
-    /// Pops as many whole little-endian words of `word_bytes` (at most 8)
-    /// bytes as the stream holds, up to `out.len()`, into the front of
-    /// `out`, in one pass; returns how many.
-    fn pop_words(&mut self, word_bytes: usize, out: &mut [u64]) -> usize {
-        let words = (self.stream.len() / word_bytes).min(out.len());
-        let bytes = words * word_bytes;
-        let src = &self.stream.make_contiguous()[..bytes];
-        for (dst, word) in out.iter_mut().zip(src.chunks_exact(word_bytes)) {
-            let mut le = [0u8; 8];
-            le[..word_bytes].copy_from_slice(word);
-            *dst = u64::from_le_bytes(le);
-        }
-        self.stream.drain(..bytes);
-        words
+    /// Pops as many whole words of `width_bits` (1 to 64) bits as the
+    /// stream holds, up to `out.len()`, into the front of `out`; returns
+    /// how many. Each word occupies `width_bits.div_ceil(8)` little-endian
+    /// stream bytes and keeps only its low `width_bits` bits.
+    fn pop_words(&mut self, width_bits: u32, out: &mut [u64]) -> usize {
+        let mask = u64::MAX >> (64 - width_bits);
+        self.stream
+            .pop_words(width_bits.div_ceil(8) as usize, mask, out)
     }
 
     /// Pops a little-endian u32 (requires `data_bytes >= 4`; narrower
     /// streams should use [`Reader::pop_into`]).
     pub fn pop_u32(&mut self) -> Option<u32> {
-        let mut word = [0u8; 4];
-        self.pop_into(&mut word).then(|| u32::from_le_bytes(word))
+        self.stream.pop_array().map(u32::from_le_bytes)
     }
 
     /// Advances the reader one fabric cycle.
@@ -353,7 +457,7 @@ impl Reader {
             if deliverable > front.drained {
                 let start = front.skip + front.drained;
                 let end = front.skip + deliverable;
-                self.stream.extend(&front.received[start..end]);
+                self.stream.push(&front.received[start..end]);
                 self.outstanding_bytes -= deliverable - front.drained;
                 front.drained = deliverable;
             }
@@ -471,7 +575,7 @@ pub struct Writer {
     /// Bytes the core still owes us via push_chunk.
     unpushed: u64,
     /// Pushed bytes not yet sent on W, in stream order.
-    staging: VecDeque<u8>,
+    staging: ByteQueue,
     /// Bytes at the front of `staging` that belong to the burst streaming
     /// on W (0 while none is). Its AW has issued, so they no longer count
     /// against the staging capacity; each W beat drains its bytes straight
@@ -520,7 +624,7 @@ impl Writer {
             port,
             emit: None,
             unpushed: 0,
-            staging: VecDeque::new(),
+            staging: ByteQueue::default(),
             burst_left: 0,
             inflight_bs: 0,
             next_id: 0,
@@ -607,23 +711,34 @@ impl Writer {
     /// staging buffer would overflow (callers must check
     /// [`Writer::can_push`]).
     pub fn push_chunk(&mut self, data: &[u8]) {
+        self.admit(data.len());
+        self.staging.push(data);
+    }
+
+    /// Pushes a little-endian u32.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Writer::push_chunk`].
+    pub fn push_u32(&mut self, value: u32) {
+        self.admit(4);
+        self.staging.push_u32(value);
+    }
+
+    /// Counts `len` bytes about to be staged against the request, after
+    /// checking that the request and the staging buffer have room for them.
+    fn admit(&mut self, len: usize) {
         assert!(
-            data.len() as u64 <= self.unpushed,
+            len as u64 <= self.unpushed,
             "writer '{}' got more data than requested",
             self.cfg.name
         );
         assert!(
-            self.staged() + data.len() <= self.cfg.staging_bytes,
+            self.staged() + len <= self.cfg.staging_bytes,
             "writer '{}' staging overflow",
             self.cfg.name
         );
-        self.staging.extend(data);
-        self.unpushed -= data.len() as u64;
-    }
-
-    /// Pushes a little-endian u32.
-    pub fn push_u32(&mut self, value: u32) {
-        self.push_chunk(&value.to_le_bytes());
+        self.unpushed -= len as u64;
     }
 
     /// How many back-to-back pushes of `chunk` bytes [`Writer::can_push`]
@@ -759,7 +874,8 @@ impl Writer {
         let bus = self.cfg.bus_bytes as usize;
         let valid = self.burst_left.min(bus);
         let mut data = Beat::zeroed(bus);
-        drain_into(&mut self.staging, &mut data[..valid]);
+        let staged = self.staging.pop_into(&mut data[..valid]);
+        assert!(staged, "a streaming burst's bytes are all staged");
         let strb = (valid < bus).then(|| strobe_mask(valid));
         self.burst_left -= valid;
         let last = self.burst_left == 0;
@@ -940,7 +1056,7 @@ impl Scratchpad {
         let Some(mut filled) = self.init_progress else {
             return;
         };
-        let words = reader.pop_words(self.word_bytes(), &mut self.storage[filled..]);
+        let words = reader.pop_words(self.width_bits, &mut self.storage[filled..]);
         if words > 0 {
             self.init_words.add(words as u64);
             filled += words;
@@ -1290,21 +1406,100 @@ mod tests {
         assert_eq!(out[100], 0xEE, "bytes beyond the write must survive");
     }
 
+    /// Fills `sp` from memory at `addr` through the rig's reader.
+    fn init_from_memory(r: &mut Rig, sp: &mut Scratchpad, addr: u64) {
+        sp.start_init(&mut r.sim.get_mut(r.reader).0, addr).unwrap();
+        while sp.initializing() {
+            r.sim.step();
+            sp.service_init(&mut r.sim.get_mut(r.reader).0);
+            assert!(r.sim.now() < 100_000, "init stalled");
+        }
+    }
+
     #[test]
     fn scratchpad_init_from_memory() {
         let mut r = rig(ReaderConfig::new("spin", 4), WriterConfig::new("out", 4));
         let words: Vec<u32> = (0..320).map(|i| i * 3 + 1).collect();
         r.memory.borrow_mut().write_u32_slice(0x40_000, &words);
         let mut sp = Scratchpad::new("keys", 32, 320, 2);
-        sp.start_init(&mut r.sim.get_mut(r.reader).0, 0x40_000)
-            .unwrap();
-        while sp.initializing() {
-            r.sim.step();
-            sp.service_init(&mut r.sim.get_mut(r.reader).0);
-            assert!(r.sim.now() < 100_000, "init stalled");
-        }
+        init_from_memory(&mut r, &mut sp, 0x40_000);
         for (i, &w) in words.iter().enumerate() {
             assert_eq!(sp.read(i), u64::from(w));
+        }
+    }
+
+    #[test]
+    fn scratchpad_init_keeps_only_the_word_width() {
+        // An 18-bit word occupies 3 bytes in memory; the SRAM stores only
+        // its low 18 bits, so a loaded word satisfies `write`'s check.
+        let mut r = rig(ReaderConfig::new("spin", 4), WriterConfig::new("out", 4));
+        r.memory.borrow_mut().write(0x40_000, &[0xFF; 3 * 50]);
+        let mut sp = Scratchpad::new("narrow", 18, 50, 1);
+        init_from_memory(&mut r, &mut sp, 0x40_000);
+        for i in 0..sp.len() {
+            assert_eq!(sp.read(i), 0x3FFFF, "word {i}");
+        }
+    }
+
+    /// Capacity of the rings [`queue_at`] builds.
+    const RING: usize = 256;
+
+    /// A queue of capacity [`RING`] holding `data` from physical offset
+    /// `head` on, so its ring wraps after `RING - head` bytes.
+    fn queue_at(head: usize, data: &[u8]) -> ByteQueue {
+        let mut ring = VecDeque::with_capacity(RING);
+        assert_eq!(ring.capacity(), RING);
+        ring.extend(std::iter::repeat_n(0u8, head));
+        while ring.pop_front().is_some() {}
+        ring.extend(data);
+        assert_eq!(
+            ring.as_slices().0.len(),
+            data.len().min(RING - head),
+            "the ring wraps where the test expects (head {head})"
+        );
+        ByteQueue(ring)
+    }
+
+    /// The little-endian word in `bytes`, assembled a byte at a time.
+    fn reference_word(bytes: &[u8]) -> u64 {
+        bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b))
+    }
+
+    #[test]
+    fn byte_queue_reads_match_a_byte_reference_across_the_wrap() {
+        let data: Vec<u8> = (0..150u8).map(|i| i.wrapping_mul(97) ^ 0x5A).collect();
+        for head in 0..RING {
+            for width in 1..=8 {
+                // Drop each word's top bit to check the mask as well.
+                let mask = u64::MAX >> (65 - 8 * width);
+                let expect: Vec<u64> = data
+                    .chunks_exact(width)
+                    .map(|w| reference_word(w) & mask)
+                    .collect();
+                let mut q = queue_at(head, &data);
+                // A short `out` first, then the rest of the queue.
+                let mut got = vec![0; 5];
+                assert_eq!(q.pop_words(width, mask, &mut got), 5);
+                let mut rest = vec![0; data.len()];
+                let n = q.pop_words(width, mask, &mut rest);
+                got.extend(&rest[..n]);
+                assert_eq!(got, expect, "width {width}, head {head}");
+                assert_eq!(q.len(), data.len() % width);
+            }
+            let mut q = queue_at(head, &data);
+            let words: Vec<[u8; 4]> = std::iter::from_fn(|| q.pop_array::<4>()).collect();
+            assert_eq!(words.concat(), data[..148], "pop_array::<4>, head {head}");
+            for chunk in [4, 64] {
+                let mut q = queue_at(head, &data);
+                let mut got: Vec<u8> = Vec::new();
+                let mut buf = vec![0; chunk];
+                while q.pop_into(&mut buf) {
+                    got.extend(&buf);
+                }
+                let whole = data.len() / chunk * chunk;
+                assert_eq!(got, data[..whole], "pop_into of {chunk}, head {head}");
+                assert_eq!(q.len(), data.len() - whole, "a short pop leaves the queue");
+            }
         }
     }
 
@@ -1328,11 +1523,13 @@ mod tests {
         assert!(r.sim.get(r.writer).0.done());
     }
 
-    /// Swallows AW and W flits and records each burst's AXI id, never
-    /// acknowledging (so a writer's inflight cap is the only throttle).
+    /// Swallows AW and W flits and records each burst's AXI id and every
+    /// W flit, never acknowledging (so a writer's inflight cap is the only
+    /// throttle).
     struct AwRecorder {
         port: baxi::AxiSlavePort,
         ids: Vec<u32>,
+        w: Vec<WFlit>,
     }
 
     impl Component for AwRecorder {
@@ -1340,12 +1537,21 @@ mod tests {
             while let Some(aw) = self.port.aw.recv(ctx, now) {
                 self.ids.push(aw.id);
             }
-            while self.port.w.recv(ctx, now).is_some() {}
+            while let Some(w) = self.port.w.recv(ctx, now) {
+                self.w.push(w);
+            }
         }
     }
 
-    #[test]
-    fn writer_rotates_burst_ids_independently_of_stats() {
+    /// A writer of `burst_beats`-beat bursts (at most 8 in flight) wired
+    /// to an [`AwRecorder`].
+    fn recorded_writer(
+        burst_beats: u32,
+    ) -> (
+        Simulation,
+        bsim::Shared<TickPrim<Writer>>,
+        bsim::Shared<AwRecorder>,
+    ) {
         let mut sim = Simulation::new();
         let (master, slave) = axi_link(
             &mut sim,
@@ -1358,7 +1564,7 @@ mod tests {
             },
         );
         let mut cfg = WriterConfig::new("out", 4);
-        cfg.burst_beats = 1;
+        cfg.burst_beats = burst_beats;
         cfg.max_inflight = 8;
         let writer = sim.add_shared(TickPrim(Writer::new(cfg, master), |w, ctx, now| {
             w.tick(ctx, now)
@@ -1366,7 +1572,58 @@ mod tests {
         let sink = sim.add_shared(AwRecorder {
             port: slave,
             ids: Vec::new(),
+            w: Vec::new(),
         });
+        (sim, writer, sink)
+    }
+
+    #[test]
+    fn writer_beats_match_a_byte_reference_across_the_wrap() {
+        // 200 bytes in two-beat bursts: a full burst, then a full beat
+        // and an 8-byte strobed tail.
+        let data: Vec<u8> = (0..200u8).map(|i| i.wrapping_mul(89) ^ 0xC3).collect();
+        let expect: Vec<WFlit> = data
+            .chunks(64)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let mut beat = Beat::zeroed(64);
+                for (j, &b) in chunk.iter().enumerate() {
+                    beat[j] = b;
+                }
+                WFlit {
+                    data: beat,
+                    strb: (chunk.len() < 64).then(|| strobe_mask(chunk.len())),
+                    last: i % 2 == 1 || i == 3,
+                }
+            })
+            .collect();
+        for head in 0..RING {
+            for by_u32 in [true, false] {
+                let (mut sim, writer, sink) = recorded_writer(2);
+                let w = &mut sim.get_mut(writer).0;
+                w.staging = queue_at(head, &[]);
+                w.request(0x1000, data.len() as u64).unwrap();
+                for word in data.chunks_exact(4) {
+                    if by_u32 {
+                        w.push_u32(u32::from_le_bytes(word.try_into().unwrap()));
+                    } else {
+                        w.push_chunk(word);
+                    }
+                }
+                let staged = w.staging.0.as_slices().0.len();
+                assert_eq!(staged, data.len().min(RING - head), "head {head}");
+                while sim.get(sink).w.len() < expect.len() {
+                    sim.step();
+                    assert!(sim.now() < 1_000, "beats never sent");
+                }
+                assert_eq!(sim.get(sink).w, expect, "head {head}, push_u32 {by_u32}");
+            }
+        }
+    }
+
+    #[test]
+    fn writer_rotates_burst_ids_independently_of_stats() {
+        let (mut sim, writer, sink) = recorded_writer(1);
         // Five one-beat (64-byte) bursts on a 4-id writer.
         sim.get_mut(writer).0.request(0x1000, 5 * 64).unwrap();
         for v in 0..5 * 16 {
