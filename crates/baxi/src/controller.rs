@@ -271,8 +271,8 @@ impl AxiMemoryController {
     /// stats bag (beat counts, latency and occupancy histograms) is
     /// attached for merged reads, and the backpressure counters are minted
     /// in the set's own bag, gated on the registry's enable flag.
-    /// DRAM-side stats need a [`bsim::Shared`] handle and are attached by
-    /// the elaborator as a pull provider instead.
+    /// DRAM-side stats need a [`bsim::Shared`] handle, so the SoC mirrors
+    /// them into the registry before every read instead.
     pub fn attach_perf(&mut self, set: &CounterSet) {
         set.attach_stats(&self.stats);
         self.perf_r_backpressure = set.gated("r_backpressure_cycles");

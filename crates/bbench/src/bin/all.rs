@@ -9,8 +9,8 @@
 //! artifact jobs do not oversubscribe the pool. stdout is the eight
 //! figure and table binaries' stdout in §III order, then the ablations
 //! binary's, joined by blank lines, whichever artifact finished first;
-//! CI checks both that and that two `--small` runs at different worker
-//! counts match. Profile notes (honoring `BBENCH_PROFILE_DIR`) and the
+//! the `results_golden` test checks both that and that two `--small` runs
+//! at different worker counts match. Profile notes (honoring `BBENCH_PROFILE_DIR`) and the
 //! merged `sim rate:` footer go to stderr.
 
 use bbench::artifact::Artifact;

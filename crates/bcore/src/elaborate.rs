@@ -720,13 +720,11 @@ pub fn elaborate_with(
             p => tracer.prefixed(format!("mem{p}/")),
         });
         let shared = sim.add_shared(controller);
-        // DRAM channel stats live in plain structs inside the controller.
-        // They used to reach the registry through a pull-model provider
-        // closure holding the shared handle; with arena handles a closure
-        // cannot resolve the controller without the simulation, so the SoC
-        // mirrors them into the registry before every read instead
+        // DRAM channel stats live in plain structs inside the controller,
+        // which only the simulation can resolve, so the SoC mirrors them
+        // into the registry before every read
         // (`SocSim::sync_scheduler_counters`). Touch the set here so the
-        // registry path exists from cycle 0 either way.
+        // registry path exists from cycle 0.
         let _ = perf.set(&format!("mem{port}/dram"));
         controllers.push(shared);
     }

@@ -11,7 +11,10 @@ use std::collections::{HashMap, VecDeque};
 
 use baxi::AxiMemoryController;
 use bplatform::Platform;
-use bsim::{ClockDomain, Cycle, PerfRegistry, Receiver, Sender, Shared, Simulation, Stats, Tracer};
+use bsim::{
+    ClockDomain, Cycle, OccupancyBlock, PerfRegistry, Receiver, Sender, Shared, Simulation, Stats,
+    Tracer,
+};
 
 use crate::command::{
     pack_command, unpack_command, AccelCommandSpec, CommandArgs, CommandPackError, RoccCommand,
@@ -92,41 +95,37 @@ pub(crate) struct CoreLink {
 /// measured slower on the `serve-inproc` and `memcpy` benchmarks.
 const RESPONSE_POLL_STRIDE: Cycle = 64;
 
-/// Ready-list registration key for `(system, core)`'s response channel.
-fn ready_key(system: u16, core: u16) -> u64 {
-    ((system as u64) << 16) | core as u64
-}
-
-/// The SoC's one response drain: empties every response channel the
-/// simulation's host-ready queue reports as holding a visible item into
-/// the completed set. A channel left with not-yet-visible items stays
-/// queued, so a later drain picks them up. Returns the number of
+/// The SoC's one response drain: empties every response channel whose
+/// bit is set in the watched block `responses` (bit `i` is core
+/// `cores[i]`, as `(system, core)`) into the completed set. `recv` takes
+/// only visible items, so a channel left with items still in flight keeps
+/// its bit and a later drain picks them up. Returns the number of
 /// responses recorded.
 ///
-/// Costs O(channels holding responses), not O(cores). Shared by
+/// Costs O(words + channels holding responses), not O(cores). Shared by
 /// [`SocSim::drain_ready_responses`] and the `done` closure of the
 /// response wait (which holds the simulation's fields destructured, so
 /// this takes them piecewise).
 fn drain_ready_links(
     sim: &Simulation,
+    (responses, cores): (OccupancyBlock, &[(u16, u16)]),
     links: &[Vec<CoreLink>],
     outstanding: &mut [Vec<VecDeque<(u64, Cycle)>>],
     completed: &mut HashMap<(u16, u16, u64), u64>,
     mmio_stats: &Stats,
 ) -> usize {
-    let now = sim.now();
+    let (ctx, now) = (sim.ctx(), sim.now());
     let mut drained = 0;
-    for key in sim.ctx().take_ready_keys(now) {
-        let sys = (key >> 16) as usize;
-        let core = (key & 0xffff) as usize;
-        let link = &links[sys][core];
-        while let Some(resp) = link.resp_rx.recv(sim.ctx(), now) {
-            let (seq, sent) = outstanding[sys][core]
+    for bit in responses.iter_from(ctx, 0) {
+        let (sys, core) = cores[bit];
+        let link = &links[sys as usize][core as usize];
+        while let Some(resp) = link.resp_rx.recv(ctx, now) {
+            let (seq, sent) = outstanding[sys as usize][core as usize]
                 .pop_front()
                 .expect("response without outstanding command");
             mmio_stats.incr("responses");
             mmio_stats.record("cmd_latency_cycles", now.saturating_sub(sent));
-            completed.insert((sys as u16, core as u16, seq), resp.data);
+            completed.insert((sys, core, seq), resp.data);
             drained += 1;
         }
     }
@@ -141,6 +140,10 @@ pub struct SocSim {
     pub(crate) fabric: ClockDomain,
     /// Indexed `[system][core]`.
     pub(crate) links: Vec<Vec<CoreLink>>,
+    /// Every response channel, watched as one block.
+    responses: OccupancyBlock,
+    /// The `(system, core)` of each bit of `responses`.
+    response_cores: Vec<(u16, u16)>,
     pub(crate) specs: Vec<AccelCommandSpec>,
     pub(crate) system_names: Vec<String>,
     /// One controller per platform memory port.
@@ -191,13 +194,15 @@ impl SocSim {
         // Response channels are drained by host code, not by a component,
         // so the event-aware scheduler cannot see them through
         // `next_event`. Watch them: fast-forward never jumps past the
-        // cycle a response becomes visible to the host, and the key lets
-        // the response wait drain only the channels that hold responses.
-        for (sys, cores) in links.iter().enumerate() {
-            for (core, link) in cores.iter().enumerate() {
-                sim.watch_receiver(&link.resp_rx, ready_key(sys as u16, core as u16));
-            }
-        }
+        // cycle a response becomes visible to the host, and the block's
+        // set bits let the response wait drain only the channels that
+        // hold responses.
+        let response_cores: Vec<(u16, u16)> = links
+            .iter()
+            .enumerate()
+            .flat_map(|(sys, cores)| (0..cores.len()).map(move |core| (sys as u16, core as u16)))
+            .collect();
+        let responses = sim.watch_receivers(links.iter().flatten().map(|link| link.resp_rx));
         let outstanding = links
             .iter()
             .map(|cores| cores.iter().map(|_| VecDeque::new()).collect())
@@ -210,6 +215,8 @@ impl SocSim {
             platform,
             fabric,
             links,
+            responses,
+            response_cores,
             specs,
             system_names,
             controllers,
@@ -455,24 +462,28 @@ impl SocSim {
         self.take_completed(token)
     }
 
-    /// Drains every response channel the host-ready list reports, leaving
-    /// completions in the completed set for [`SocSim::take_completed`].
-    /// Returns how many responses were recorded.
+    /// Drains every response channel the watched response block marks as
+    /// holding items, leaving completions in the completed set for
+    /// [`SocSim::take_completed`]. Returns how many responses were
+    /// recorded.
     ///
     /// This is the doorbell-coalescing harvest: one call after a wake
     /// collects *all* responses visible right now, in time proportional
-    /// to the number of ready channels — no per-core scan, no per-response
-    /// re-drain.
+    /// to the channels holding responses (plus one word read per 64
+    /// cores) — no per-core scan, no per-response re-drain.
     pub fn drain_ready_responses(&mut self) -> usize {
         let Self {
             sim,
             links,
+            responses,
+            response_cores,
             outstanding,
             completed,
             mmio_stats,
             ..
         } = self;
-        drain_ready_links(sim, links, outstanding, completed, mmio_stats)
+        let watch = (*responses, &response_cores[..]);
+        drain_ready_links(sim, watch, links, outstanding, completed, mmio_stats)
     }
 
     /// Consumes `token`'s completion if it is already in the completed
@@ -528,11 +539,11 @@ impl SocSim {
     /// channels force a check on the exact cycle a response becomes
     /// visible, so the stride never delays an observation.
     ///
-    /// Each check drains only the channels the host-ready queue reports:
-    /// wake cost scales with ready cores, not SoC size. Counter
-    /// increments and histogram samples are order-insensitive and the
-    /// completed set is keyed, so drain order cannot change any
-    /// observable output.
+    /// Each check drains only the channels whose bit is set in the
+    /// watched response block, in core order: wake cost scales with
+    /// ready cores, not SoC size. Counter increments and histogram
+    /// samples are order-insensitive and the completed set is keyed, so
+    /// drain order cannot change any observable output.
     fn wait_for_completion(
         &mut self,
         max_cycles: Cycle,
@@ -545,13 +556,16 @@ impl SocSim {
         let Self {
             sim,
             links,
+            responses,
+            response_cores,
             outstanding,
             completed,
             mmio_stats,
             ..
         } = self;
+        let watch = (*responses, &response_cores[..]);
         sim.run_until_strided(max_cycles, RESPONSE_POLL_STRIDE, |sim| {
-            drain_ready_links(sim, links, outstanding, completed, mmio_stats);
+            drain_ready_links(sim, watch, links, outstanding, completed, mmio_stats);
             done(completed)
         })
         .map(|_| ())
@@ -644,10 +658,9 @@ impl SocSim {
             "registered_component_cycles",
             self.sim.registered_component_cycles(),
         );
-        // DRAM channel stats live in plain structs inside each controller;
-        // mirror them here (before every registry read) instead of via a
-        // stored pull provider, which cannot resolve an arena handle
-        // without the simulation.
+        // DRAM channel stats live in plain structs inside each controller,
+        // which only the simulation can resolve: mirror them here, before
+        // every registry read.
         for (port, c) in self.controllers.iter().enumerate() {
             let ctrl = self.sim.get(*c);
             let burst = ctrl.dram_bytes_per_burst();

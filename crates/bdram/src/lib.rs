@@ -91,8 +91,9 @@ pub struct DramSystem {
     dram_cycle: u64,
     /// When true (the default), [`DramSystem::advance_to_ps`] skips DRAM
     /// cycles on which every channel is provably a no-op. Disabled by the
-    /// same `BSIM_NAIVE` environment variable as the bsim scheduler, so
-    /// guard-mode A/B runs exercise the plain cycle loop.
+    /// same `BSIM_NAIVE` environment variable as the bsim scheduler, read
+    /// through [`bsim::event_driven_from_env`], so guard-mode A/B runs
+    /// exercise the plain cycle loop.
     event_driven: bool,
 }
 
@@ -102,16 +103,12 @@ impl DramSystem {
         let channels = (0..config.channels)
             .map(|_| DramChannel::new(config.clone()))
             .collect();
-        let event_driven = match std::env::var("BSIM_NAIVE") {
-            Ok(v) => v.is_empty() || v == "0",
-            Err(_) => true,
-        };
         Self {
             config,
             channels,
             completions: VecDeque::new(),
             dram_cycle: 0,
-            event_driven,
+            event_driven: bsim::event_driven_from_env(),
         }
     }
 

@@ -18,9 +18,10 @@
 //! [`bsim::host::run_ordered`] job, and outcomes go back under their
 //! arrival's key. Host thread scheduling can reorder *execution*, never
 //! *outcomes* — the results are byte-identical whether the shards run
-//! serially or on every core. The `BSERVER_SHARDS` environment variable
-//! caps the execution width; at width 1, or with one shard live, the
-//! shards run on the calling thread.
+//! serially or on every core. The shard count comes from the caller's
+//! [`FleetConfig`] alone, never from the host. The `BSERVER_SHARDS`
+//! environment variable only caps the execution width; at width 1, or
+//! with one shard live, the shards run on the calling thread.
 //!
 //! The fleet numbers requests once: each arrival's trace id is its index
 //! in the call plus the arrivals of the earlier calls since telemetry was
@@ -38,10 +39,11 @@ use crate::server::AccelServer;
 use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryConfig};
 use crate::{Arrival, JobOutcome, ServerConfig, ServerError};
 
-/// The fleet's shard count when the embedder does not pin one: the
+/// How many shards [`FleetServer::run_keyed`] executes at once: the
 /// `BSERVER_SHARDS` environment override if set, else the host's
 /// available parallelism — resolved through the shared
 /// [`bsim::host::worker_count`], exactly like `bbench`'s `BBENCH_JOBS`.
+/// It sets the execution width only, never the number of shards.
 pub fn shard_count() -> usize {
     bsim::host::worker_count("BSERVER_SHARDS")
 }
@@ -62,10 +64,10 @@ pub fn shard_for_session(session: u64, shards: usize) -> usize {
 /// config every replica shares.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetConfig {
-    /// Number of shard replicas. `0` means "resolve through
-    /// [`shard_count`]" (`BSERVER_SHARDS`, else host parallelism). The
-    /// resolved count is clamped to the tenant count — a shard with no
-    /// possible tenant would never receive work.
+    /// Number of shard replicas, clamped to `1..=n_tenants` — a shard
+    /// with no possible tenant would never receive work, so `0` means
+    /// one. Never read from the host: [`shard_count`] only caps how many
+    /// shards execute at once.
     pub shards: usize,
     /// Per-shard server configuration.
     pub server: ServerConfig,
@@ -117,12 +119,7 @@ impl FleetServer {
         if n_tenants == 0 {
             return Err(ServerError::NoTenants);
         }
-        let n_shards = if config.shards == 0 {
-            shard_count()
-        } else {
-            config.shards
-        }
-        .clamp(1, n_tenants);
+        let n_shards = config.shards.clamp(1, n_tenants);
         // The admission hash fixes every tenant's shard before any
         // replica exists; local session indices follow ascending global
         // id, so a 1-shard fleet's session order is exactly the

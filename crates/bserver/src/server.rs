@@ -1,8 +1,6 @@
 //! The multi-tenant runtime server: queues, dispatcher, outcome model.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use bcore::{AccelCommandSpec, CommandToken};
 use bruntime::FpgaHandle;
@@ -247,11 +245,8 @@ pub(crate) struct AccelServer {
     /// Global submission sequence (the baseline's `seq % n_cores` core
     /// binding and every policy's tie-break).
     next_seq: u64,
-    /// Instantaneous queued-job count, shared with the perf provider.
-    depth: Arc<AtomicU64>,
-    /// Peak queued-job count, shared with the perf provider.
-    depth_peak: Arc<AtomicU64>,
-    /// Counters and histograms registered under `server/`.
+    /// Counters and histograms registered under `server/`, including the
+    /// queued-job count `queue_depth` and its peak `queue_depth_peak`.
     stats: Stats,
     /// The telemetry event log and its watchdog; `None`
     /// (the default) keeps the hot path at one branch per event.
@@ -263,7 +258,8 @@ impl AccelServer {
     /// `tenants` (their global ids), each with its own submission queue.
     ///
     /// Registers the `server/` counter set in the SoC's perf registry:
-    /// `queue_depth` / `queue_depth_peak` (live providers),
+    /// `queue_depth` / `queue_depth_peak` (kept current on every queue
+    /// change),
     /// `lock_wait_cycles`, `rejected`, `retried`, `dispatched`,
     /// `completed`, and per-tenant `tenant{i}/latency_cycles` histograms
     /// (plus an aggregate `latency_cycles`).
@@ -285,19 +281,11 @@ impl AccelServer {
             .ok_or_else(|| ServerError::UnknownSystem(system.to_owned()))?;
         assert!(n_cores > 0, "system '{system}' has no cores");
         let stats = Stats::new();
-        let depth = Arc::new(AtomicU64::new(0));
-        let depth_peak = Arc::new(AtomicU64::new(0));
-        handle.with_soc(|soc| {
-            let set = soc.perf().set("server");
-            set.attach_stats(&stats);
-            let (d, p) = (Arc::clone(&depth), Arc::clone(&depth_peak));
-            set.add_provider(move || {
-                vec![
-                    ("queue_depth".to_owned(), d.load(Ordering::Relaxed)),
-                    ("queue_depth_peak".to_owned(), p.load(Ordering::Relaxed)),
-                ]
-            });
-        });
+        // Listed from cycle 0, so the MMIO window's index space does not
+        // move when the first job queues.
+        stats.set("queue_depth", 0);
+        stats.set("queue_depth_peak", 0);
+        handle.with_soc(|soc| soc.perf().set("server").attach_stats(&stats));
         Ok(Self {
             handle: handle.clone(),
             system: system.to_owned(),
@@ -312,8 +300,6 @@ impl AccelServer {
             auto: AutoBatcher::new(handle.now()),
             rr_cursor: 0,
             next_seq: 0,
-            depth,
-            depth_peak,
             stats,
             telemetry: None,
         })
@@ -532,8 +518,7 @@ impl AccelServer {
             seq,
             retries: 0,
         });
-        self.bump_depth();
-        let queue_depth = self.depth.load(Ordering::Relaxed);
+        let queue_depth = self.bump_depth();
         self.observe_job(
             now,
             trace_id,
@@ -545,13 +530,15 @@ impl AccelServer {
         );
     }
 
-    fn bump_depth(&self) {
+    /// Stores the queued-job count and its peak into the `server/` bag;
+    /// returns the count.
+    fn bump_depth(&self) -> u64 {
         let d = self.queues.iter().map(|q| q.len() as u64).sum();
-        self.depth.store(d, Ordering::Relaxed);
-        self.depth_peak.store(
-            self.depth_peak.load(Ordering::Relaxed).max(d),
-            Ordering::Relaxed,
-        );
+        self.stats.set("queue_depth", d);
+        if d > self.stats.get("queue_depth_peak") {
+            self.stats.set("queue_depth_peak", d);
+        }
+        d
     }
 
     /// Pops the job the policy wants next, handling expired deadlines
@@ -829,7 +816,7 @@ impl AccelServer {
             t.record(after, ServerEvent::DispatchBatch { occupancy });
         }
         if self.config.batch == BatchPolicy::Auto {
-            let depth = self.depth.load(Ordering::Relaxed);
+            let depth = self.stats.get("queue_depth");
             self.auto.observe(after, depth, &waits);
         }
         true
@@ -1098,10 +1085,10 @@ mod tests {
             server.stats.get("completed") as usize,
             outcomes.len() - rejected
         );
-        // The peak depth provider must have seen the bound, never more.
+        // The peak depth counter must have seen the bound, never more.
         let peak = handle
             .with_soc(|soc| soc.perf().counter("server/queue_depth_peak"))
-            .expect("provider registered");
+            .expect("counter registered");
         assert_eq!(peak, 2, "peak queue depth clamps at capacity");
     }
 

@@ -9,8 +9,9 @@
 //! Backpressure is modelled by capacity: [`Sender::can_send`] is the `ready`
 //! signal, [`Receiver::has_data`] is the `valid` signal.
 //!
-//! Each channel's front-item visibility cycle is mirrored in a dense array
-//! in the arena, outside the channel's `RefCell`: `has_data`,
+//! A channel holds one queue: each item with the cycle it becomes
+//! visible. The front item's cycle is mirrored in a dense array in the
+//! arena, outside the channel's `RefCell`: `has_data`,
 //! `next_visible_at`, and a `recv`/`peek_with` that finds nothing visible
 //! read only that array, so polling an idle input costs one load.
 //!
@@ -102,14 +103,11 @@ pub(crate) fn make_channel<T: Send + 'static>(
     ctx.chans.push(std::cell::RefCell::new(RawChan {
         capacity,
         latency,
-        visible: VecDeque::with_capacity(capacity),
-        payloads: Box::new(VecDeque::<T>::with_capacity(capacity)),
+        items: Box::new(VecDeque::<(Cycle, T)>::with_capacity(capacity)),
         total_sent: 0,
         total_received: 0,
         send_hooks: Vec::new(),
         recv_hooks: Vec::new(),
-        ready_key: None,
-        ready_queued: false,
         occupancy_bit: None,
     }));
     (
@@ -131,13 +129,13 @@ impl<T: Send + 'static> Sender<T> {
     /// signal seen by the producer).
     pub fn can_send(&self, ctx: &SimCtx) -> bool {
         let c = ctx.chan(self.chan, self.serial).borrow();
-        c.visible.len() < c.capacity
+        c.len() < c.capacity
     }
 
     /// Number of additional items the channel can accept.
     pub fn free_slots(&self, ctx: &SimCtx) -> usize {
         let c = ctx.chan(self.chan, self.serial).borrow();
-        c.capacity - c.visible.len()
+        c.capacity - c.len()
     }
 
     /// Enqueues `value` at cycle `now`.
@@ -149,24 +147,22 @@ impl<T: Send + 'static> Sender<T> {
     pub fn send(&self, ctx: &SimCtx, now: Cycle, value: T) {
         let mut c = ctx.chan(self.chan, self.serial).borrow_mut();
         assert!(
-            c.visible.len() < c.capacity,
+            c.len() < c.capacity,
             "send on full channel (capacity {})",
             c.capacity
         );
         let visible = now + c.latency;
-        if c.visible.is_empty() {
+        if c.len() == 0 {
             ctx.front[self.chan as usize].set(visible);
             if let Some(bit) = c.occupancy_bit {
                 ctx.set_occupied(bit);
             }
         }
-        c.visible.push_back(visible);
-        c.payloads_mut::<T>().push_back(value);
+        c.items_mut::<T>().push_back((visible, value));
         c.total_sent += 1;
         for &hook in &c.send_hooks {
             ctx.wake_component(hook);
         }
-        ctx.queue_ready(self.chan, &mut c);
     }
 
     /// Attempts to enqueue; returns `Err(value)` if the channel is full.
@@ -221,8 +217,9 @@ impl<T: Send + 'static> Receiver<T> {
             return None;
         }
         let mut c = ctx.chans[self.chan as usize].borrow_mut();
-        c.visible.pop_front();
-        let front = c.visible.front().copied();
+        let items = c.items_mut::<T>();
+        let item = items.pop_front().map(|(_, item)| item);
+        let front = items.front().map(|&(at, _)| at);
         ctx.front[self.chan as usize].set(front.unwrap_or(Cycle::MAX));
         if let Some(bit) = c.occupancy_bit {
             if front.is_none() {
@@ -230,7 +227,6 @@ impl<T: Send + 'static> Receiver<T> {
             }
         }
         c.total_received += 1;
-        let item = c.payloads_mut::<T>().pop_front();
         for &hook in &c.recv_hooks {
             ctx.wake_component(hook);
         }
@@ -247,7 +243,7 @@ impl<T: Send + 'static> Receiver<T> {
             return None;
         }
         let c = ctx.chans[self.chan as usize].borrow();
-        c.payloads::<T>().front().map(f)
+        c.items::<T>().front().map(|(_, item)| f(item))
     }
 
     /// Number of items visible at cycle `now` (occupancy of the visible
@@ -258,9 +254,9 @@ impl<T: Send + 'static> Receiver<T> {
         }
         ctx.chans[self.chan as usize]
             .borrow()
-            .visible
+            .items::<T>()
             .iter()
-            .take_while(|vis| **vis <= now)
+            .take_while(|&&(at, _)| at <= now)
             .count()
     }
 
@@ -313,7 +309,7 @@ fn next_visible(ctx: &SimCtx, chan: u32, serial: u32) -> Option<Cycle> {
 fn state_of(ctx: &SimCtx, chan: u32, serial: u32) -> ChannelState {
     let c = ctx.chan(chan, serial).borrow();
     ChannelState {
-        occupancy: c.visible.len(),
+        occupancy: c.len(),
         capacity: c.capacity,
         total_sent: c.total_sent,
         total_received: c.total_received,
@@ -322,7 +318,7 @@ fn state_of(ctx: &SimCtx, chan: u32, serial: u32) -> ChannelState {
 
 #[cfg(test)]
 mod tests {
-    use crate::Simulation;
+    use crate::{Cycle, OccupancyBlock, Receiver, SimCtx, Simulation};
 
     #[test]
     fn latency_hides_items_until_due() {
@@ -440,57 +436,63 @@ mod tests {
         tx.send(b.ctx(), 0, 1);
     }
 
+    /// The watched channels a host drain would find ready at `now`: the
+    /// block's set bits whose channel has a visible item.
+    fn ready(block: OccupancyBlock, rxs: &[Receiver<u32>], ctx: &SimCtx, now: Cycle) -> Vec<usize> {
+        block
+            .iter_from(ctx, 0)
+            .filter(|&i| rxs[i].has_data(ctx, now))
+            .collect()
+    }
+
     #[test]
     fn ready_list_reports_keyed_sends_once() {
         let mut sim = Simulation::new();
-        let (tx, rx) = sim.channel::<u32>(4);
-        sim.watch_receiver(&rx, 7);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| sim.channel::<u32>(4)).unzip();
+        let block = sim.watch_receivers(rxs.iter().copied());
         let ctx = sim.ctx();
-        assert_eq!(ctx.take_ready_keys(0), Vec::<u64>::new());
-        tx.send(ctx, 0, 1);
-        tx.send(ctx, 0, 2);
-        assert_eq!(
-            ctx.take_ready_keys(1),
-            vec![7],
-            "dedupe: one entry per channel"
-        );
-        assert_eq!(rx.recv(ctx, 1), Some(1));
-        assert_eq!(rx.recv(ctx, 1), Some(2));
-        assert_eq!(ctx.take_ready_keys(1), Vec::<u64>::new());
+        assert_eq!(ready(block, &rxs, ctx, 0), []);
+        assert_eq!(ctx.ready_horizon(), Cycle::MAX);
+        txs[1].send(ctx, 0, 1);
+        txs[1].send(ctx, 0, 2);
+        assert_eq!(ready(block, &rxs, ctx, 1), [1], "one entry per channel");
+        assert_eq!(ctx.ready_horizon(), 1);
+        assert_eq!(rxs[1].recv(ctx, 1), Some(1));
+        assert_eq!(rxs[1].recv(ctx, 1), Some(2));
+        assert_eq!(ready(block, &rxs, ctx, 1), []);
+        assert_eq!(ctx.ready_horizon(), Cycle::MAX);
     }
 
     #[test]
     fn ready_list_defers_items_still_in_flight() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel_with_latency::<u32>(4, 3);
-        sim.watch_receiver(&rx, 9);
+        let block = sim.watch_receivers([rx]);
         let ctx = sim.ctx();
         tx.send(ctx, 0, 1);
         assert_eq!(
-            ctx.take_ready_keys(1),
-            Vec::<u64>::new(),
+            ready(block, &[rx], ctx, 1),
+            [],
             "item is not visible until cycle 3"
         );
-        assert_eq!(
-            ctx.take_ready_keys(3),
-            vec![9],
-            "stays queued until visible"
-        );
+        assert_eq!(ctx.ready_horizon(), 3, "but it bounds fast-forward");
+        assert_eq!(ready(block, &[rx], ctx, 3), [0], "stays set until visible");
     }
 
     #[test]
     fn ready_list_rearms_after_partial_drain() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u32>(4);
-        sim.watch_receiver(&rx, 3);
+        let block = sim.watch_receivers([rx]);
         let ctx = sim.ctx();
         tx.send(ctx, 0, 1);
         tx.send(ctx, 5, 2);
-        assert_eq!(ctx.take_ready_keys(1), vec![3]);
+        assert_eq!(ready(block, &[rx], ctx, 1), [0]);
         assert_eq!(rx.recv(ctx, 1), Some(1));
         assert_eq!(rx.recv(ctx, 1), None, "second item not visible until 6");
-        assert_eq!(ctx.take_ready_keys(1), Vec::<u64>::new());
-        assert_eq!(ctx.take_ready_keys(6), vec![3]);
+        assert_eq!(ready(block, &[rx], ctx, 1), []);
+        assert_eq!(ctx.ready_horizon(), 6);
+        assert_eq!(ready(block, &[rx], ctx, 6), [0]);
         assert_eq!(rx.recv(ctx, 6), Some(2));
     }
 
@@ -498,7 +500,7 @@ mod tests {
     fn ready_list_clears_externally_drained_channels() {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u32>(4);
-        sim.watch_receiver(&rx, 11);
+        let block = sim.watch_receivers([rx]);
         let ctx = sim.ctx();
         tx.send(ctx, 0, 1);
         assert_eq!(
@@ -506,12 +508,13 @@ mod tests {
             Some(1),
             "a direct recv empties the channel"
         );
-        assert_eq!(ctx.take_ready_keys(1), Vec::<u64>::new());
+        assert_eq!(ready(block, &[rx], ctx, 1), []);
+        assert_eq!(ctx.ready_horizon(), Cycle::MAX);
         tx.send(ctx, 1, 2);
         assert_eq!(
-            ctx.take_ready_keys(2),
-            vec![11],
-            "flag was cleared, re-queue works"
+            ready(block, &[rx], ctx, 2),
+            [0],
+            "the next send sets it again"
         );
     }
 
@@ -520,7 +523,8 @@ mod tests {
         let mut sim = Simulation::new();
         let (tx, rx) = sim.channel::<u32>(4);
         tx.send(sim.ctx(), 0, 1);
-        sim.watch_receiver(&rx, 5);
-        assert_eq!(sim.ctx().take_ready_keys(1), vec![5]);
+        let block = sim.watch_receivers([rx]);
+        assert_eq!(ready(block, &[rx], sim.ctx(), 1), [0]);
+        assert_eq!(sim.ctx().ready_horizon(), 1);
     }
 }

@@ -310,7 +310,11 @@ impl Default for Simulation {
     }
 }
 
-fn event_driven_from_env() -> bool {
+/// Whether the event-aware schedulers are selected: `false` when the
+/// `BSIM_NAIVE` environment variable is set to a non-empty value other
+/// than `0`. The one reading of that variable, shared by
+/// [`Simulation::new`] and the DRAM model's idle-cycle skipping.
+pub fn event_driven_from_env() -> bool {
     !std::env::var("BSIM_NAIVE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
@@ -475,31 +479,35 @@ impl Simulation {
             .expect("Shared handle type matches the registered component")
     }
 
-    /// Registers `rx` as a host-side wake source under an opaque `key`:
-    /// the scheduler will not fast-forward past the cycle the channel's
-    /// front item becomes visible, and
-    /// [`SimCtx::take_ready_keys`](crate::SimCtx::take_ready_keys)
-    /// reports `key` while it is. Use for channels consumed by host code
-    /// rather than by a registered component.
+    /// Registers `receivers`, in order, as a watched [`OccupancyBlock`]:
+    /// host-side wake sources. The scheduler never fast-forwards past the
+    /// cycle an item in one of these channels becomes visible, and the
+    /// block's set bits name the channels holding items, so host code
+    /// drains only those (walking [`OccupancyBlock::iter_from`]). Use for
+    /// channels consumed by host code rather than by a registered
+    /// component.
     ///
     /// The fast-forward scheduler only sees [`Component::next_event`]; a
     /// channel whose consumer is *host code* (polled between cycles, e.g. a
     /// response queue drained by a `run_until` predicate) is invisible to it
     /// and could be skipped past. A watched receiver closes that hole.
-    /// Both the bound and the keys come from the arena's host-ready
-    /// queue, which holds every watched channel with an item, so quiet
-    /// cycles cost O(channels holding items) however many channels the
-    /// host watches. The channel is queued at once, so items it already
-    /// holds are reported too.
+    /// Bits are allocated as [`Simulation::occupancy_block`] allocates
+    /// them, so items a channel already holds count at once, and the
+    /// bound walks only the watched blocks' set bits: quiet cycles cost
+    /// O(words + channels holding items) however many channels the host
+    /// watches.
     ///
     /// # Panics
     ///
-    /// Panics if the channel is already watched.
-    pub fn watch_receiver<T: Send + 'static>(&mut self, rx: &Receiver<T>, key: u64) {
-        let mut c = self.ctx.chan(rx.chan, rx.serial).borrow_mut();
-        assert!(c.ready_key.is_none(), "channel is already watched");
-        c.ready_key = Some(key);
-        self.ctx.queue_ready(rx.chan, &mut c);
+    /// Panics if a receiver already has an occupancy bit (it is watched
+    /// or in an arbiter's block) or belongs to a different simulation.
+    pub fn watch_receivers<T: Send + 'static>(
+        &mut self,
+        receivers: impl IntoIterator<Item = Receiver<T>>,
+    ) -> OccupancyBlock {
+        let block = self.occupancy_block(receivers);
+        self.ctx.watched.push(block);
+        block
     }
 
     /// Registers `receivers`, in order, as one [`OccupancyBlock`]: bit `i`
@@ -518,11 +526,14 @@ impl Simulation {
         receivers: impl IntoIterator<Item = Receiver<T>>,
     ) -> OccupancyBlock {
         let ctx = &mut self.ctx;
-        let base = ctx.occupied_len;
+        let base = ctx.bit_chan.len();
         for rx in receivers {
-            let bit = NonZeroU32::new(ctx.occupied_len).expect("bit 0 is never allocated");
-            ctx.occupied_len = bit.get().checked_add(1).expect("occupancy bitmap overflow");
-            if ctx.occupied.len() * 64 < ctx.occupied_len as usize {
+            let bit = u32::try_from(ctx.bit_chan.len())
+                .ok()
+                .and_then(NonZeroU32::new)
+                .expect("occupancy bitmap overflow");
+            ctx.bit_chan.push(rx.chan);
+            if ctx.occupied.len() * 64 < ctx.bit_chan.len() {
                 ctx.occupied.push(Cell::new(0));
             }
             let mut c = ctx.chan(rx.chan, rx.serial).borrow_mut();
@@ -531,13 +542,13 @@ impl Simulation {
                 "receiver already has an occupancy bit"
             );
             c.occupancy_bit = Some(bit);
-            if !c.visible.is_empty() {
+            if c.len() > 0 {
                 ctx.set_occupied(bit);
             }
         }
         OccupancyBlock {
-            base,
-            len: ctx.occupied_len - base,
+            base: base as u32,
+            len: (ctx.bit_chan.len() - base) as u32,
             serial: ctx.serial,
         }
     }
@@ -914,13 +925,13 @@ impl Simulation {
     /// reduces host overhead for expensive predicates, at the cost of
     /// possibly observing completion up to `stride - 1` executed cycles
     /// late — the returned elapsed count is still exact whenever completion
-    /// is signalled by a [watched](Simulation::watch_receiver) channel or
+    /// is signalled by a [watched](Simulation::watch_receivers) channel or
     /// coincides with the system going quiescent (a forced check fires on
     /// the first such cycle), which is the common shape for "run until
     /// this response arrives" loops.
     ///
     /// `done` should be a function of component state and
-    /// [watched](Simulation::watch_receiver) channels; consulting an
+    /// [watched](Simulation::watch_receivers) channels; consulting an
     /// unwatched channel's visibility clock from `done` may observe
     /// fast-forwarded time.
     ///
@@ -1193,7 +1204,7 @@ mod tests {
             delay: 40,
             sent: false,
         });
-        sim.watch_receiver(&rx, 0);
+        sim.watch_receivers([rx]);
         let elapsed = sim
             .run_until(10_000, move |sim| rx.has_data(sim.ctx(), 41))
             .expect("value should arrive");
@@ -1212,7 +1223,7 @@ mod tests {
             delay: 40,
             sent: false,
         });
-        sim.watch_receiver(&rx, 0);
+        sim.watch_receivers([rx]);
         sim.run_until(10_000, move |sim| rx.has_data(sim.ctx(), sim.now()))
             .expect("value should arrive");
         assert_eq!(rx.recv(sim.ctx(), sim.now()), Some(40));
@@ -1224,6 +1235,77 @@ mod tests {
             sim.executed_cycles() - executed <= 1,
             "a drained watched channel kept bounding fast-forward"
         );
+    }
+
+    /// Drains every watched channel on each cycle it ticks, recording
+    /// `(cycle, channel)`. Registers no hooks and declares nothing, so it
+    /// ticks on every executed cycle and never bounds a jump: only the
+    /// watched block can stop the clock.
+    struct Drainer {
+        rxs: Vec<Receiver<u64>>,
+        drained: Vec<(Cycle, usize)>,
+    }
+
+    impl Component for Drainer {
+        fn tick(&mut self, ctx: &SimCtx, now: Cycle) {
+            for (i, rx) in self.rxs.iter().enumerate() {
+                if rx.recv(ctx, now).is_some() {
+                    self.drained.push((now, i));
+                }
+            }
+        }
+
+        fn next_event(&self, _ctx: &SimCtx, _now: Cycle) -> Option<Cycle> {
+            None
+        }
+    }
+
+    #[test]
+    fn watched_block_between_arbiter_blocks_bounds_each_jump() {
+        let run = |event_driven: bool| {
+            let mut sim = Simulation::new();
+            sim.set_event_driven(event_driven);
+            // Arbiter blocks of 40 and 30 bits either side of a watched
+            // block of 70, which spans bits 41..=110 and so straddles the
+            // first word boundary.
+            let (arb_a_tx, arb_a_rx) = sim.channel::<u64>(1);
+            let (_, mut arb_a): (Vec<_>, Vec<_>) = (1..40).map(|_| sim.channel::<u64>(1)).unzip();
+            arb_a.push(arb_a_rx);
+            sim.occupancy_block(arb_a);
+            let watched: Vec<u64> = vec![0, 22, 23, 24, 69];
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..70u64)
+                .map(|i| sim.channel_with_latency::<u64>(1, 100 + 37 * i))
+                .unzip();
+            sim.watch_receivers(rxs.iter().copied());
+            let (arb_b_tx, arb_b_rx) = sim.channel::<u64>(1);
+            sim.occupancy_block([arb_b_rx]);
+            // Never-drained arbiter items, visible long before any
+            // watched one: they must not stop the clock.
+            arb_a_tx.send(sim.ctx(), 0, 1);
+            arb_b_tx.send(sim.ctx(), 0, 1);
+            for &i in &watched {
+                txs[i as usize].send(sim.ctx(), 0, i);
+            }
+            let drainer = sim.add_shared(Drainer {
+                rxs,
+                drained: Vec::new(),
+            });
+            sim.run_for(10_000);
+            let want: Vec<_> = watched
+                .iter()
+                .map(|&i| (100 + 37 * i, i as usize))
+                .collect();
+            assert_eq!(
+                sim.get(drainer).drained,
+                want,
+                "event_driven={event_driven}"
+            );
+            sim.executed_cycles()
+        };
+        assert_eq!(run(false), 10_000);
+        // Cycle 0 (the drainer's first tick), then one cycle per
+        // visibility cycle of a watched item.
+        assert_eq!(run(true), 1 + 5);
     }
 
     #[test]
@@ -1251,7 +1333,7 @@ mod tests {
                 delay: 523,
                 sent: false,
             });
-            sim.watch_receiver(&rx, 0);
+            sim.watch_receivers([rx]);
             sim.run_until_strided(100_000, stride, move |sim| {
                 rx.has_data(sim.ctx(), sim.now())
             })
@@ -1706,7 +1788,7 @@ mod tests {
                 delay: 3,
                 sent: false,
             });
-            sim.watch_receiver(&rx, 0);
+            sim.watch_receivers([rx]);
             sim.run_until_strided(1000, stride, move |sim| rx.has_data(sim.ctx(), sim.now()))
                 .expect("value should arrive")
         };

@@ -1,8 +1,8 @@
 //! [`SimCtx`]: the arena a [`Simulation`](crate::Simulation) owns.
 //!
 //! Everything that used to be shared through `Rc` handles — channel
-//! storage, the wake queue, per-component wake flags, the host-ready
-//! queue of watched channels — lives here, in plain `Vec`s indexed by the IDs that
+//! storage, the wake queue, per-component wake flags, the occupancy
+//! bitmap — lives here, in plain `Vec`s indexed by the IDs that
 //! [`Sender`](crate::Sender)/[`Receiver`](crate::Receiver)/
 //! [`Shared`](crate::Shared)/[`Waker`](crate::Waker) handles carry. The
 //! handles themselves are `Copy` integers; every operation resolves
@@ -23,6 +23,7 @@ use std::collections::VecDeque;
 use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use crate::occupancy::OccupancyBlock;
 use crate::time::Cycle;
 
 /// Process-wide counter minting one serial per [`SimCtx`], so a handle
@@ -31,17 +32,17 @@ use crate::time::Cycle;
 /// instead of silently indexing the wrong storage.
 static NEXT_SERIAL: AtomicU32 = AtomicU32::new(1);
 
-/// Type-erased storage for one channel: the visibility stamps are kept
-/// unerased (the scheduler reads them without knowing `T`), the payloads
-/// behind `dyn Any`.
+/// Type-erased storage for one channel: one queue of items, each with
+/// the cycle it becomes visible, behind `dyn Any` (the endpoint's type
+/// parameter recovers it). Everything the scheduler reads without knowing
+/// `T` is kept beside it: the item count, as the totals' difference, and
+/// the front item's visibility cycle, in [`SimCtx::front`].
 pub(crate) struct RawChan {
     pub(crate) capacity: usize,
     pub(crate) latency: u64,
-    /// Per-item visibility cycles, front = oldest. Parallel to `payloads`.
-    pub(crate) visible: VecDeque<Cycle>,
-    /// A `VecDeque<T>` behind `Any` (the endpoint's type parameter
-    /// recovers it).
-    pub(crate) payloads: Box<dyn Any + Send>,
+    /// A `VecDeque<(Cycle, T)>`, front = oldest: each item with the cycle
+    /// it becomes receivable.
+    pub(crate) items: Box<dyn Any + Send>,
     pub(crate) total_sent: u64,
     pub(crate) total_received: u64,
     /// Component indices woken on every send (consumers sleeping on an
@@ -50,31 +51,28 @@ pub(crate) struct RawChan {
     /// Component indices woken on every successful recv (producers
     /// sleeping on a full channel).
     pub(crate) recv_hooks: Vec<usize>,
-    /// The key of a host-watched channel (see
-    /// [`Simulation::watch_receiver`](crate::Simulation::watch_receiver)),
-    /// which [`SimCtx::take_ready_keys`] reports it under; `None` for a
-    /// channel only components consume.
-    pub(crate) ready_key: Option<u64>,
-    /// Whether this channel is in the host-ready queue (dedupe: a
-    /// channel appears at most once however many sends land between
-    /// reads of the queue).
-    pub(crate) ready_queued: bool,
     /// This receiver's bit in [`SimCtx::occupied`], set while the channel
     /// holds an item; `None` unless it was registered in an
-    /// [`OccupancyBlock`](crate::OccupancyBlock).
+    /// [`OccupancyBlock`].
     pub(crate) occupancy_bit: Option<NonZeroU32>,
 }
 
 impl RawChan {
-    pub(crate) fn payloads<T: 'static>(&self) -> &VecDeque<T> {
-        self.payloads
-            .downcast_ref::<VecDeque<T>>()
+    /// Items buffered, visible or not.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        (self.total_sent - self.total_received) as usize
+    }
+
+    pub(crate) fn items<T: 'static>(&self) -> &VecDeque<(Cycle, T)> {
+        self.items
+            .downcast_ref::<VecDeque<(Cycle, T)>>()
             .expect("channel payload type matches its endpoints")
     }
 
-    pub(crate) fn payloads_mut<T: 'static>(&mut self) -> &mut VecDeque<T> {
-        self.payloads
-            .downcast_mut::<VecDeque<T>>()
+    pub(crate) fn items_mut<T: 'static>(&mut self) -> &mut VecDeque<(Cycle, T)> {
+        self.items
+            .downcast_mut::<VecDeque<(Cycle, T)>>()
             .expect("channel payload type matches its endpoints")
     }
 }
@@ -104,9 +102,9 @@ pub struct SimCtx {
     pub(crate) serial: u32,
     pub(crate) chans: Vec<RefCell<RawChan>>,
     /// Per channel, the cycle its front item becomes visible
-    /// (`Cycle::MAX` when empty): a copy of `chans[id].visible.front()`
-    /// kept outside the `RefCell`, so the common polls — an empty or
-    /// not-yet-visible input — never borrow the channel. Maintained by
+    /// (`Cycle::MAX` when empty): the front item's stamp, kept outside the
+    /// `RefCell`, so the common polls — an empty or not-yet-visible input
+    /// — never borrow the channel. Maintained by
     /// [`Sender::send`](crate::Sender::send) and
     /// [`Receiver::recv`](crate::Receiver::recv).
     pub(crate) front: Vec<Cell<Cycle>>,
@@ -115,26 +113,23 @@ pub struct SimCtx {
     pub(crate) wake_queue: RefCell<Vec<usize>>,
     /// Indexed by component registration order.
     pub(crate) wake_state: Vec<WakeState>,
-    /// The host-ready queue: the IDs of watched channels, in the order
-    /// they were queued. Invariant: every watched channel that holds an
-    /// item is in it. [`Sender::send`](crate::Sender::send) queues the
-    /// channel (deduplicated); an entry found empty is dropped the next
-    /// time the queue is read. It is the one record of what the host
-    /// watches: [`SimCtx::take_ready_keys`] reports the channels with a
-    /// visible item, and the scheduler's fast-forward bound is the
-    /// earliest front item in it, so both cost O(channels holding items),
-    /// not O(watched channels).
-    pub(crate) host_ready: RefCell<Vec<u32>>,
     /// The occupancy bitmap, 64 bits a word: bit `b` is set exactly while
     /// the channel registered for it holds an item. Maintained by
     /// [`Sender::send`](crate::Sender::send) and
     /// [`Receiver::recv`](crate::Receiver::recv); read through
-    /// [`OccupancyBlock`](crate::OccupancyBlock)s.
+    /// [`OccupancyBlock`]s. It is the one record of which channels hold
+    /// items, for arbiters and host watches alike.
     pub(crate) occupied: Vec<Cell<u64>>,
-    /// Where the next block starts. Bit 0 is never allocated, so a bit
-    /// index fits a `NonZeroU32` and `RawChan::occupancy_bit` costs no
-    /// more space than the bit itself.
-    pub(crate) occupied_len: u32,
+    /// Per occupancy bit, the ID of the channel registered for it; its
+    /// length is where the next block starts. Bit 0 is never allocated
+    /// (its entry is a placeholder), so a bit index fits a `NonZeroU32`
+    /// and `RawChan::occupancy_bit` costs no more space than the bit
+    /// itself.
+    pub(crate) bit_chan: Vec<u32>,
+    /// The blocks registered with
+    /// [`Simulation::watch_receivers`](crate::Simulation::watch_receivers):
+    /// channels host code drains, whose items bound fast-forward.
+    pub(crate) watched: Vec<OccupancyBlock>,
 }
 
 impl SimCtx {
@@ -145,9 +140,9 @@ impl SimCtx {
             front: Vec::new(),
             wake_queue: RefCell::new(Vec::new()),
             wake_state: Vec::new(),
-            host_ready: RefCell::new(Vec::new()),
             occupied: Vec::new(),
-            occupied_len: 1,
+            bit_chan: vec![u32::MAX],
+            watched: Vec::new(),
         }
     }
 
@@ -230,54 +225,18 @@ impl SimCtx {
         word.set(word.get() & !(1 << (bit % 64)));
     }
 
-    /// Queues watched channel `id` in the host-ready queue unless it is
-    /// already there.
-    pub(crate) fn queue_ready(&self, id: u32, chan: &mut RawChan) {
-        if chan.ready_key.is_some() && !chan.ready_queued {
-            chan.ready_queued = true;
-            self.host_ready.borrow_mut().push(id);
-        }
-    }
-
-    /// Visits each channel of the host-ready queue with the cycle its
-    /// front item becomes visible, dropping the entries found empty.
-    fn for_each_ready(&self, mut f: impl FnMut(u32, Cycle)) {
-        self.host_ready.borrow_mut().retain(|&id| {
-            let at = self.front[id as usize].get();
-            if at == Cycle::MAX {
-                self.chans[id as usize].borrow_mut().ready_queued = false;
-                return false;
-            }
-            f(id, at);
-            true
-        });
-    }
-
-    /// The registration keys of the watched channels whose front item is
-    /// visible at `now`, in queue order.
-    ///
-    /// Reported channels stay queued: one the host drains only partly
-    /// (its later items are still in flight) is reported again once they
-    /// are visible, and one it empties is dropped on a later read. Costs
-    /// O(channels holding items), not O(watched channels).
-    pub fn take_ready_keys(&self, now: Cycle) -> Vec<u64> {
-        let mut keys = Vec::new();
-        self.for_each_ready(|id, at| {
-            if at <= now {
-                let chan = self.chans[id as usize].borrow();
-                keys.push(chan.ready_key.expect("queued channel has a ready key"));
-            }
-        });
-        keys
-    }
-
     /// The earliest cycle a watched channel's front item becomes visible
     /// (possibly past, if the host has not drained it yet), `Cycle::MAX`
     /// when no watched channel holds an item: the bound the scheduler
-    /// never fast-forwards past.
+    /// never fast-forwards past. Walks the watched blocks' set bits, so it
+    /// costs O(words + watched channels holding items).
     pub(crate) fn ready_horizon(&self) -> Cycle {
         let mut earliest = Cycle::MAX;
-        self.for_each_ready(|_, at| earliest = earliest.min(at));
+        for block in &self.watched {
+            for bit in block.set_bits(self) {
+                earliest = earliest.min(self.front[self.bit_chan[bit] as usize].get());
+            }
+        }
         earliest
     }
 }

@@ -78,7 +78,7 @@ mod trace;
 mod wake;
 
 pub use chan::{ChannelState, Receiver, Sender};
-pub use component::{Component, Shared, Simulation};
+pub use component::{event_driven_from_env, Component, Shared, Simulation};
 pub use ctx::SimCtx;
 pub use mem::SparseMemory;
 pub use occupancy::OccupancyBlock;

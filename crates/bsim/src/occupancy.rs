@@ -12,9 +12,16 @@
 //! clears it. A bit says the channel holds an item, visible or not; the
 //! walker still checks visibility itself.
 //!
+//! Host code that drains channels itself registers them the same way,
+//! with [`Simulation::watch_receivers`](crate::Simulation::watch_receivers):
+//! the scheduler never fast-forwards past the visibility cycle of an item
+//! in a watched block, and the host drains the channels whose bits are
+//! set.
+//!
 //! The bits live in the [`SimCtx`] arena, in one word array shared by
 //! every block. Blocks are allocated back to back and may straddle word
-//! boundaries, so a block can have any size. Registering a receiver
+//! boundaries, so a block can have any size. Registering a receiver with
+//! [`Simulation::occupancy_block`](crate::Simulation::occupancy_block)
 //! attaches no wake hook and changes no scheduling.
 
 use crate::ctx::SimCtx;
@@ -52,6 +59,13 @@ impl OccupancyBlock {
             base,
             base + start,
         ))
+    }
+
+    /// The block's set bits, low to high, as indices into the whole
+    /// bitmap (and so into `SimCtx::bit_chan`).
+    pub(crate) fn set_bits<'a>(&self, ctx: &'a SimCtx) -> impl Iterator<Item = usize> + 'a {
+        let base = self.base as usize;
+        SetBits::new(&ctx.occupied, 0, base, base + self.len as usize)
     }
 }
 

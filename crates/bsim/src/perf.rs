@@ -32,17 +32,13 @@ use crate::stats::{Histogram, StatCounter, Stats};
 use crate::time::Cycle;
 use crate::trace::TraceEvent;
 
-/// Pull-model counter source: returns `(name, value)` pairs on demand.
-type Provider = Box<dyn Fn() -> Vec<(String, u64)> + Send>;
-
-/// One set's sources: bags and providers.
+/// One set's sources: its own bag and the component bags attached to it.
 #[derive(Default)]
 struct SetEntries {
     /// The set's own bag: gated counters and `set_value` mirrors.
     own: Stats,
     /// Component bags attached with [`CounterSet::attach_stats`].
     attached: Vec<Stats>,
-    providers: Vec<Provider>,
 }
 
 impl SetEntries {
@@ -56,8 +52,9 @@ struct RegistryInner {
     sets: BTreeMap<String, SetEntries>,
     /// Raw values captured at the last [`PerfRegistry::reset`], keyed by
     /// flattened `path/name`. Reads subtract this instead of zeroing the
-    /// sources, because some attached stats are load-bearing for component
-    /// behaviour (e.g. the Writer's AXI-ID rotation).
+    /// sources, because an attached bag belongs to its component, and
+    /// other readers (the components' own `stats()` views, which reports
+    /// and tests read) must not see a profiling reset.
     baseline: BTreeMap<String, u64>,
     /// Windowed samples for counter tracks: (cycle, counters at cycle).
     samples: Vec<(Cycle, Vec<(String, u64)>)>,
@@ -75,8 +72,7 @@ impl RegistryInner {
     /// Current merged counter values for one set (raw, pre-baseline).
     fn set_values(&self, entries: &SetEntries) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
-        let provided = entries.providers.iter().flat_map(|provider| provider());
-        for (name, value) in entries.bags().flat_map(Stats::counters).chain(provided) {
+        for (name, value) in entries.bags().flat_map(Stats::counters) {
             *out.entry(name).or_insert(0) += value;
         }
         out
@@ -111,9 +107,9 @@ impl PerfRegistry {
     }
 
     /// Opens or closes the gate of every counter minted by
-    /// [`CounterSet::gated`]. Attached [`Stats`] bags and providers are
-    /// *not* gated — they belong to the components and may be
-    /// load-bearing.
+    /// [`CounterSet::gated`]. Attached [`Stats`] bags are *not* gated —
+    /// they belong to the components, which count into them whether or
+    /// not anyone profiles.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -187,9 +183,9 @@ impl PerfRegistry {
 
     /// Snapshot-and-rebase: records current raw values as the new zero, so
     /// subsequent [`PerfRegistry::counters`] reads report deltas. The
-    /// underlying sources are *not* zeroed — attached stats may be
-    /// load-bearing for component behaviour, so reset must never write
-    /// back into them.
+    /// underlying sources are *not* zeroed — attached bags belong to
+    /// their components and are read outside the registry too, so reset
+    /// never writes back into them.
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.baseline.clear();
@@ -256,8 +252,8 @@ impl std::fmt::Debug for PerfRegistry {
 
 /// One component's slice of the registry, created via
 /// [`PerfRegistry::set`]. Mint gated counters from it at elaboration time
-/// and hand them to the component; attach existing [`Stats`] bags and
-/// pull-model providers for values the component already maintains.
+/// and hand them to the component; attach existing [`Stats`] bags for
+/// values the component already maintains.
 #[derive(Clone)]
 pub struct CounterSet {
     path: String,
@@ -283,14 +279,6 @@ impl CounterSet {
     pub fn attach_stats(&self, stats: &Stats) {
         let mut inner = self.inner.lock().unwrap();
         inner.entries(&self.path).attached.push(stats.clone());
-    }
-
-    /// Attaches a pull-model provider: invoked on every registry read to
-    /// contribute (name, value) pairs (e.g. DRAM channel stats that live
-    /// in a plain struct). Must not re-enter the registry.
-    pub fn add_provider(&self, provider: impl Fn() -> Vec<(String, u64)> + Send + 'static) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.entries(&self.path).providers.push(Box::new(provider));
     }
 }
 
@@ -595,7 +583,6 @@ fn json_lit(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn counters_are_gated_on_enabled() {
@@ -637,18 +624,6 @@ mod tests {
         assert_eq!(histograms.len(), 1);
         assert_eq!(histograms[0].0, "dram/latency");
         assert_eq!(histograms[0].1.count(), 1);
-    }
-
-    #[test]
-    fn providers_contribute_on_read() {
-        let perf = PerfRegistry::new();
-        let value = Arc::new(AtomicU64::new(3));
-        let v2 = Arc::clone(&value);
-        perf.set("ch0")
-            .add_provider(move || vec![("bytes".to_owned(), v2.load(Ordering::Relaxed))]);
-        assert_eq!(perf.counter("ch0/bytes"), Some(3));
-        value.store(9, Ordering::Relaxed);
-        assert_eq!(perf.counter("ch0/bytes"), Some(9));
     }
 
     #[test]
